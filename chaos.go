@@ -1,83 +1,24 @@
 package lazyctrl
 
 import (
-	"sort"
 	"time"
 
 	"lazyctrl/internal/chaos"
-	"lazyctrl/internal/model"
-	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/openflow"
 )
 
-// dcHarness adapts a DataCenter to the chaos.Harness surface, so the
-// scripted fault scenarios of internal/chaos (docs/robustness.md) run
-// against application-level rigs exactly as they run inside
-// eval.RunEmulation: crash = FailSwitch, restart = the §III-E3
-// RecoverSwitch reboot-and-resync path.
-type dcHarness struct{ dc *DataCenter }
-
-func (h dcHarness) Now() time.Duration               { return h.dc.Now() }
-func (h dcHarness) After(d time.Duration, fn func()) { h.dc.sim.After(d, fn) }
-func (h dcHarness) Net() *netsim.Network             { return h.dc.net }
-
-func (h dcHarness) Switches() []model.SwitchID {
-	out := make([]model.SwitchID, 0, len(h.dc.switches))
-	for id := range h.dc.switches {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (h dcHarness) GroupPeers(sw model.SwitchID) []model.SwitchID {
-	g := h.dc.ctrl.Grouping()
-	return g.Members(g.GroupOf(sw))
-}
-
-func (h dcHarness) Designated(sw model.SwitchID) model.SwitchID {
-	if s := h.dc.switches[sw]; s != nil {
-		return s.Group().Designated
-	}
-	return model.NoSwitch
-}
-
-func (h dcHarness) Crash(sw model.SwitchID)   { h.dc.FailSwitch(sw) }
-func (h dcHarness) Restart(sw model.SwitchID) { h.dc.RecoverSwitch(sw) }
-func (h dcHarness) CrashController()          { h.dc.net.FailNode(model.ControllerNode) }
-func (h dcHarness) RestartController()        { h.dc.net.HealNode(model.ControllerNode) }
-
-func (h dcHarness) Replicas() []model.SwitchID {
-	reps := h.dc.replicaControllers()
-	if reps == nil {
-		return []model.SwitchID{model.ControllerNode}
-	}
-	// Master-first, resolved at call time; during a dispute both claim
-	// the role and the original primary sorts first (deterministic).
-	out := make([]model.SwitchID, 0, len(reps))
-	for _, r := range reps {
-		if r.IsMaster() {
-			out = append(out, r.NodeID())
-		}
-	}
-	for _, r := range reps {
-		if !r.IsMaster() {
-			out = append(out, r.NodeID())
-		}
-	}
-	return out
-}
-
 // Chaos returns the fault-injection view of the data center, for
-// building and scheduling chaos.Plan scenarios directly.
-func (dc *DataCenter) Chaos() chaos.Harness { return dcHarness{dc} }
+// building and scheduling chaos.Plan scenarios directly
+// (docs/robustness.md): crash = FailSwitch, restart = the §III-E3
+// RecoverSwitch reboot-and-resync path, exactly as inside
+// eval.RunEmulation — both run on the same rig.
+func (dc *DataCenter) Chaos() chaos.Harness { return dc.rig }
 
 // RunScenario schedules a chaos plan and runs the simulation until
 // every fault has been undone, plus settle time for the control plane
 // to recover. Event times are absolute virtual times; a plan built
 // with offsets relative to dc.Now() behaves as expected.
 func (dc *DataCenter) RunScenario(p *chaos.Plan, settle time.Duration) {
-	p.Schedule(dcHarness{dc})
+	p.Schedule(dc.rig)
 	if end := p.End(); end > dc.Now() {
 		dc.Run(end - dc.Now())
 	}
@@ -88,28 +29,4 @@ func (dc *DataCenter) RunScenario(p *chaos.Plan, settle time.Duration) {
 // the data center's current state (docs/robustness.md#convergence-invariants)
 // and returns the violations, one human-readable line each. Empty
 // means the control plane sits at the fault-free fixpoint.
-func (dc *DataCenter) CheckConvergence() []string {
-	w := &chaos.World{
-		Controller: dc.ctrl,
-		Switches:   dc.switches,
-		Down:       dc.net.NodeDown,
-		Replicas:   dc.replicaControllers(),
-		Hosts: func(sw model.SwitchID) []openflow.LFIBEntry {
-			ids := make([]HostID, 0, 4)
-			for id, rec := range dc.hosts {
-				if rec.sw == sw {
-					ids = append(ids, id)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			out := make([]openflow.LFIBEntry, 0, len(ids))
-			for _, id := range ids {
-				out = append(out, openflow.LFIBEntry{
-					MAC: model.HostMAC(id), IP: model.HostIP(id), VLAN: dc.hosts[id].vlan,
-				})
-			}
-			return out
-		},
-	}
-	return w.Diverged()
-}
+func (dc *DataCenter) CheckConvergence() []string { return dc.rig.World().Diverged() }

@@ -211,7 +211,7 @@ func main() {
 	})
 
 	runErr("Chaos", func() error {
-		res, err := eval.ChaosCascade(*seed)
+		res, err := eval.ChaosDifferential(*seed, false, chaos.Cascade(1, 30*time.Minute))
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func main() {
 			}
 			return int((d + round - 1) / round)
 		}
-		res, err := eval.ChaosFailover(*seed, eval.FailoverPlans(faultAt)[0])
+		res, err := eval.ChaosDifferential(*seed, true, eval.FailoverPlans(faultAt)[0])
 		if err != nil {
 			return err
 		}

@@ -39,6 +39,7 @@ var determinismScopes = []string{
 	"internal/chaos",
 	"internal/trace",
 	"internal/eval",
+	"internal/rig",
 	"internal/telemetry",
 }
 

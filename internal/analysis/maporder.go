@@ -42,6 +42,7 @@ var mapOrderScopes = []string{
 	"internal/chaos",
 	"internal/trace",
 	"internal/eval",
+	"internal/rig",
 	"internal/metrics",
 	"internal/graph",
 }

@@ -24,8 +24,10 @@ import (
 )
 
 // Harness is the world-manipulation surface a Plan executes against.
-// Both the eval emulation harness and the top-level DataCenter rig
-// implement it; actions stay agnostic of which stack they are breaking.
+// internal/rig.Rig is the one implementation — the eval emulation and
+// the top-level DataCenter both run on it — and the interface stays so
+// this package need not import the rig (which builds chaos.World) and
+// the plan tests can drive a fake.
 type Harness interface {
 	// Now returns the current virtual time.
 	Now() time.Duration

@@ -5,147 +5,35 @@ import (
 
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/controller"
-	"lazyctrl/internal/edge"
-	"lazyctrl/internal/model"
-	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/openflow"
-	"lazyctrl/internal/sim"
-	"lazyctrl/internal/telemetry"
-	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
 )
 
-// chaosHarness adapts the emulation stack to the chaos.Harness
-// surface: crash = node failure on the underlay, restart = the
-// §III-E3 reboot-and-resync path (volatile tables wiped, L-FIB epoch
-// advanced, hosts re-attached, controller told to re-push).
-type chaosHarness struct {
-	s        *sim.Simulator
-	net      *netsim.Network
-	ctrl     *controller.Controller
-	standby  *controller.Controller // nil without EmulationConfig.Standby
-	dir      *tenant.Directory
-	switches map[model.SwitchID]*edge.Switch
-	flights  map[model.SwitchID]*telemetry.Flight // nil without flight recorders
-}
-
-func (h *chaosHarness) Now() time.Duration               { return h.s.Now().Duration() }
-func (h *chaosHarness) After(d time.Duration, fn func()) { h.s.After(d, fn) }
-func (h *chaosHarness) Net() *netsim.Network             { return h.net }
-func (h *chaosHarness) Switches() []model.SwitchID       { return h.dir.Switches() }
-
-func (h *chaosHarness) GroupPeers(sw model.SwitchID) []model.SwitchID {
-	g := h.ctrl.Grouping()
-	return g.Members(g.GroupOf(sw))
-}
-
-func (h *chaosHarness) Designated(sw model.SwitchID) model.SwitchID {
-	if s := h.switches[sw]; s != nil {
-		return s.Group().Designated
-	}
-	return model.NoSwitch
-}
-
-func (h *chaosHarness) Crash(sw model.SwitchID) { h.net.FailNode(sw) }
-
-func (h *chaosHarness) Restart(sw model.SwitchID) {
-	h.net.HealNode(sw)
-	s := h.switches[sw]
-	if s == nil {
-		return
-	}
-	s.Reboot()
-	for _, hid := range h.dir.HostsOn(sw) {
-		host := h.dir.Host(hid)
-		s.AttachHost(host.MAC, host.IP, host.VLAN)
-	}
-	// The recovery signal goes to the current master role holder(s) —
-	// after a takeover that is the promoted standby; a stale master's
-	// re-pushes are fenced by the fabric.
-	if h.standby == nil {
-		h.ctrl.MarkRecovered(sw)
-		return
-	}
-	for _, r := range []*controller.Controller{h.ctrl, h.standby} {
-		if r.IsMaster() {
-			r.MarkRecovered(sw)
-		}
-	}
-}
-
-func (h *chaosHarness) CrashController()   { h.net.FailNode(model.ControllerNode) }
-func (h *chaosHarness) RestartController() { h.net.HealNode(model.ControllerNode) }
-
-func (h *chaosHarness) Replicas() []model.SwitchID {
-	if h.standby == nil {
-		return []model.SwitchID{model.ControllerNode}
-	}
-	// Master-first, resolved at fire time; during a dispute both claim
-	// the role and the original primary sorts first (deterministic).
-	out := make([]model.SwitchID, 0, 2)
-	for _, r := range []*controller.Controller{h.ctrl, h.standby} {
-		if r.IsMaster() {
-			out = append(out, r.NodeID())
-		}
-	}
-	for _, r := range []*controller.Controller{h.ctrl, h.standby} {
-		if !r.IsMaster() {
-			out = append(out, r.NodeID())
-		}
-	}
-	return out
-}
-
-// world builds the convergence checker over the harness's stack: the
-// host directory is the ground truth, the underlay's node state the
-// liveness oracle.
-func (h *chaosHarness) world() *chaos.World {
-	var replicas []*controller.Controller
-	if h.standby != nil {
-		replicas = []*controller.Controller{h.ctrl, h.standby}
-	}
-	return &chaos.World{
-		Controller: h.ctrl,
-		Switches:   h.switches,
-		Down:       h.net.NodeDown,
-		Replicas:   replicas,
-		Hosts: func(sw model.SwitchID) []openflow.LFIBEntry {
-			ids := h.dir.HostsOn(sw)
-			out := make([]openflow.LFIBEntry, 0, len(ids))
-			for _, hid := range ids {
-				host := h.dir.Host(hid)
-				out = append(out, openflow.LFIBEntry{MAC: host.MAC, IP: host.IP, VLAN: host.VLAN})
-			}
-			return out
-		},
-		Flight: func(sw model.SwitchID) []string {
-			return h.flights[sw].Tail() // nil-map lookup and nil Tail are both fine
-		},
-	}
-}
-
-// ChaosCascadeResult pairs a fault-free run with a faulted run of the
-// same seed, for the cascade differential (cmd/experiments -run chaos;
-// the same comparison TestChaosCascadeDifferential pins in CI).
-type ChaosCascadeResult struct {
-	// Base is the fault-free run; Faulted ran the acceptance cascade
-	// (correlated group loss + control-link partition + designated
-	// crash mid-regroup, docs/robustness.md).
+// ChaosDiffResult pairs a fault-free run with a faulted run of the same
+// seed (cmd/experiments -run chaos,failover; the same comparisons
+// TestChaosCascadeDifferential and TestChaosFailoverDifferential pin in
+// CI).
+type ChaosDiffResult struct {
+	// Base ran fault-free — with the standby attached when the
+	// differential is replicated; Faulted ran the plan.
 	Base, Faulted *EmulationResult
 	// FixpointMatch reports whether the faulted run settled on the
-	// byte-identical content fixpoint of the fault-free run.
+	// byte-identical content fixpoint of the fault-free run (the
+	// snapshot excludes master identity and generation, so runs that
+	// end under different masters still compare).
 	FixpointMatch bool
 }
 
-// ChaosCascade runs the acceptance cascade differential on the small
-// synthetic trace: one fault-free run and one run under the scripted
-// cascade, both with static grouping so the fixpoints are comparable.
-func ChaosCascade(seed uint64) (*ChaosCascadeResult, error) {
+// ChaosDifferential runs one fault-scenario differential on the small
+// synthetic trace: a fault-free run and a run under plan with identical
+// flow schedules and static grouping, so the fixpoints are comparable
+// byte for byte. standby selects the replicated stack (the FailoverPlans
+// scenarios need it; the chaos.Cascade acceptance scenario runs without).
+func ChaosDifferential(seed uint64, standby bool, plan *chaos.Plan) (*ChaosDiffResult, error) {
 	tr, err := trace.Generate(trace.SmallConfig("small", seed))
 	if err != nil {
 		return nil, err
 	}
-	run := func(plan *chaos.Plan) (*EmulationResult, error) {
+	run := func(p *chaos.Plan) (*EmulationResult, error) {
 		return RunEmulation(EmulationConfig{
 			Source:         tr.Stream(0),
 			Mode:           controller.ModeLazy,
@@ -153,36 +41,22 @@ func ChaosCascade(seed uint64) (*ChaosCascadeResult, error) {
 			Horizon:        time.Hour,
 			BucketWidth:    30 * time.Minute,
 			Seed:           seed,
-			Chaos:          plan,
+			Standby:        standby,
+			Chaos:          p,
 		})
 	}
 	base, err := run(&chaos.Plan{Name: "fault-free"})
 	if err != nil {
 		return nil, err
 	}
-	faulted, err := run(chaos.Cascade(1, 30*time.Minute))
+	faulted, err := run(plan)
 	if err != nil {
 		return nil, err
 	}
-	return &ChaosCascadeResult{
+	return &ChaosDiffResult{
 		Base: base, Faulted: faulted,
 		FixpointMatch: faulted.Fixpoint == base.Fixpoint,
 	}, nil
-}
-
-// ChaosFailoverResult pairs a fault-free replicated run with a faulted
-// run of the same seed under one of the controller-failover scenarios
-// (cmd/experiments -run failover; the same comparison
-// TestChaosFailoverDifferential pins in CI).
-type ChaosFailoverResult struct {
-	// Base ran fault-free with the standby attached; Faulted ran one of
-	// the FailoverPlans scenarios.
-	Base, Faulted *EmulationResult
-	// FixpointMatch reports whether the faulted run settled on the
-	// byte-identical content fixpoint of the fault-free run (the
-	// snapshot excludes master identity and generation, so runs that
-	// end under different masters still compare).
-	FixpointMatch bool
 }
 
 // FailoverPlans returns the three replicated-controller acceptance
@@ -205,47 +79,11 @@ func FailoverPlans(at time.Duration) []*chaos.Plan {
 }
 
 // TakeoverRounds converts a takeover timeline into dissemination
-// rounds (the 10 s advertise cadence), detection through the last
-// re-pushed config ack; zero while the re-push is still open.
+// rounds (the advertise cadence), detection through the last re-pushed
+// config ack; zero while the re-push is still open.
 func TakeoverRounds(t controller.TakeoverTimeline) int {
 	if t.RepushedAt == 0 {
 		return 0
 	}
-	const round = 10 * time.Second
-	return int((t.RepushedAt - t.DetectedAt + round - 1) / round)
-}
-
-// ChaosFailover runs one failover-scenario differential on the small
-// synthetic trace: a fault-free replicated run and a faulted run with
-// identical flow schedules and static grouping, so the fixpoints are
-// comparable byte for byte.
-func ChaosFailover(seed uint64, plan *chaos.Plan) (*ChaosFailoverResult, error) {
-	tr, err := trace.Generate(trace.SmallConfig("small", seed))
-	if err != nil {
-		return nil, err
-	}
-	run := func(p *chaos.Plan) (*EmulationResult, error) {
-		return RunEmulation(EmulationConfig{
-			Source:         tr.Stream(0),
-			Mode:           controller.ModeLazy,
-			GroupSizeLimit: 6,
-			Horizon:        time.Hour,
-			BucketWidth:    30 * time.Minute,
-			Seed:           seed,
-			Standby:        true,
-			Chaos:          p,
-		})
-	}
-	base, err := run(&chaos.Plan{Name: "fault-free"})
-	if err != nil {
-		return nil, err
-	}
-	faulted, err := run(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &ChaosFailoverResult{
-		Base: base, Faulted: faulted,
-		FixpointMatch: faulted.Fixpoint == base.Fixpoint,
-	}, nil
+	return int((t.RepushedAt - t.DetectedAt + advertiseInterval - 1) / advertiseInterval)
 }

@@ -182,7 +182,7 @@ func TestChaosFailoverDifferential(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, plan := range FailoverPlans(30 * time.Minute) {
-			res, err := ChaosFailover(seed, plan)
+			res, err := ChaosDifferential(seed, true, plan)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, plan.Name, err)
 			}

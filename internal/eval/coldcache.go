@@ -9,8 +9,8 @@ import (
 	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/metrics"
 	"lazyctrl/internal/model"
-	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/sim"
+	"lazyctrl/internal/rig"
+	"lazyctrl/internal/tenant"
 )
 
 // ColdCacheConfig drives the §V-E cold-cache experiment: fresh flows
@@ -54,52 +54,39 @@ func (c ColdCacheConfig) withDefaults() ColdCacheConfig {
 // inside one LCG; otherwise they spread across groups.
 func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (time.Duration, error) {
 	c := cfg.withDefaults()
-	s := sim.New(c.Seed)
-	net := netsim.New(s, netsim.DefaultLatencies())
-	rec := metrics.NewRecorder(time.Hour, time.Hour)
-
 	switchIDs := make([]model.SwitchID, c.Switches)
 	for i := range switchIDs {
 		switchIDs[i] = model.SwitchID(i + 1)
 	}
-	ctrl, err := controller.New(controller.Config{
+	dir := tenant.NewDirectory(switchIDs)
+	if _, err := dir.AddTenant(1, 1); err != nil {
+		return 0, err
+	}
+	var latencies []time.Duration
+	r, err := rig.New(dir, controller.Config{
 		Mode:              mode,
-		Switches:          switchIDs,
 		GroupSizeLimit:    c.GroupSizeLimit,
 		Seed:              c.Seed,
 		LoadScale:         1,
-		Recorder:          rec,
-		KeepAliveInterval: time.Minute,
-	}, net.Env(model.ControllerNode))
+		Recorder:          metrics.NewRecorder(time.Hour, time.Hour),
+		KeepAliveInterval: keepAliveInterval,
+	}, edge.Config{
+		AdvertiseInterval: 500 * time.Millisecond,
+		GFIBInterval:      time.Second,
+		// State reports reach the controller on a production cadence
+		// (minutes): freshly deployed hosts are not yet in the C-LIB
+		// when the probe flows launch, exactly the paper's scenario.
+		ReportInterval: 10 * time.Minute,
+		OnDeliver: func(p *model.Packet, at time.Duration) {
+			if p.FlowSeq == 0 && p.Injected > 0 {
+				latencies = append(latencies, at-p.Injected)
+			}
+		},
+	}, false)
 	if err != nil {
 		return 0, err
 	}
-	net.Attach(ctrl)
-	net.SetSameGroup(ctrl.SameGroup)
-	ctrl.Start()
-
-	var latencies []time.Duration
-	switches := make(map[model.SwitchID]*edge.Switch, len(switchIDs))
-	for _, id := range switchIDs {
-		sw := edge.New(edge.Config{
-			ID:                id,
-			AdvertiseInterval: 500 * time.Millisecond,
-			GFIBInterval:      time.Second,
-			// State reports reach the controller on a production cadence
-			// (minutes): freshly deployed hosts are not yet in the C-LIB
-			// when the probe flows launch, exactly the paper's scenario.
-			ReportInterval: 10 * time.Minute,
-			OnDeliver: func(p *model.Packet, at time.Duration) {
-				if p.FlowSeq == 0 && p.Injected > 0 {
-					latencies = append(latencies, at-p.Injected)
-				}
-			},
-		}, net.Env(id))
-		net.Attach(sw)
-		sw.Start()
-		switches[id] = sw
-	}
-	ctrl.RegisterTenant(1, 1)
+	ctrl, s := r.Primary(), r.Sim()
 
 	if mode == controller.ModeLazy {
 		// Block affinity: consecutive switches form natural groups.
@@ -126,11 +113,7 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 
 	// Deploy fresh hosts: intra-group on the first few switches of
 	// group 1; inter-group spread one per group.
-	type fresh struct {
-		id model.HostID
-		sw model.SwitchID
-	}
-	hosts := make([]fresh, c.FreshHosts)
+	hosts := make([]*tenant.Host, c.FreshHosts)
 	for i := range hosts {
 		var swid model.SwitchID
 		if intraGroup {
@@ -139,8 +122,10 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 			swid = switchIDs[(i*c.GroupSizeLimit+i)%len(switchIDs)]
 		}
 		h := model.HostID(100000 + i)
-		switches[swid].AttachHost(model.HostMAC(h), model.HostIP(h), 1)
-		hosts[i] = fresh{id: h, sw: swid}
+		if err := r.AddHost(h, 1, swid); err != nil {
+			return 0, err
+		}
+		hosts[i] = dir.Host(h)
 	}
 
 	// Let intra-group dissemination complete (G-FIBs know the fresh
@@ -152,23 +137,13 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 	injected := 0
 	for i, src := range hosts {
 		for j, dst := range hosts {
-			if i == j || src.sw == dst.sw {
+			if i == j || src.Switch == dst.Switch {
 				continue
 			}
-			if mode == controller.ModeLazy && intraGroup != ctrl.SameGroup(src.sw, dst.sw) {
+			if mode == controller.ModeLazy && intraGroup != ctrl.SameGroup(src.Switch, dst.Switch) {
 				continue
 			}
-			p := &model.Packet{
-				SrcMAC:   model.HostMAC(src.id),
-				DstMAC:   model.HostMAC(dst.id),
-				SrcIP:    model.HostIP(src.id),
-				DstIP:    model.HostIP(dst.id),
-				VLAN:     1,
-				Ether:    model.EtherTypeIPv4,
-				Bytes:    1400,
-				Injected: time.Duration(s.Now()),
-			}
-			switches[src.sw].InjectLocal(p)
+			r.Inject(src, dst, 1400)
 			injected++
 			s.RunFor(100 * time.Millisecond)
 		}

@@ -8,7 +8,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"time"
 
 	"lazyctrl/internal/chaos"
@@ -18,12 +17,29 @@ import (
 	"lazyctrl/internal/metrics"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/openflow"
 	"lazyctrl/internal/replay"
+	"lazyctrl/internal/rig"
 	"lazyctrl/internal/sim"
 	"lazyctrl/internal/telemetry"
-	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
+)
+
+// The eval cadence set: the control-plane timers every emulation runs
+// on, and the constants derived from them (the fluid engine's warm-up
+// offsets, the chaos probe and settle round, TakeoverRounds).
+const (
+	// advertiseInterval is the member → designated advertisement
+	// cadence, and with it the length of one dissemination round.
+	advertiseInterval = 10 * time.Second
+	// reportInterval is the designated → controller state-report
+	// cadence unless EmulationConfig.ReportInterval overrides it.
+	reportInterval    = 30 * time.Second
+	keepAliveInterval = time.Minute
+	syncInterval      = 30 * time.Second
+	ruleIdleTimeout   = 60 * time.Second
+	// warmupWindow is the intensity window behind the initial grouping
+	// (the paper seeds it with the first hour of traffic).
+	warmupWindow = time.Hour
 )
 
 // EmulationConfig drives one trace replay over the full stack.
@@ -45,21 +61,16 @@ type EmulationConfig struct {
 	BucketWidth time.Duration
 	// Seed drives the simulator and grouping.
 	Seed uint64
-	// WarmupWindow is the intensity window used for the initial grouping
-	// (the paper uses the first hour). Zero selects 1h.
-	WarmupWindow time.Duration
-	// WarmupIntensity overrides the initial-grouping input. The paper's
-	// controller sees the full unscaled first hour (~11M flows); a
-	// scaled-down replay under-samples it, so RunFig789 supplies an
-	// intensity sampled from a denser generation of the same traffic
-	// distribution.
+	// WarmupIntensity overrides the initial-grouping input, by default
+	// the source's own first hour (the paper seeds grouping with the
+	// first-hour traffic pattern). The paper's controller sees the full
+	// unscaled first hour (~11M flows); a scaled-down replay
+	// under-samples it, so RunFig789 supplies an intensity sampled from
+	// a denser generation of the same traffic distribution.
 	WarmupIntensity *grouping.Intensity
 	// ReportInterval overrides the designated switches' state-link
 	// cadence. Zero selects 30 s.
 	ReportInterval time.Duration
-	// Latencies overrides the underlay latency model (zero value =
-	// defaults).
-	Latencies netsim.Latencies
 
 	// Engine selects the replay engine (docs/emulation.md): EngineDES
 	// (the default) injects every flow into the discrete-event
@@ -135,19 +146,15 @@ type EmulationConfig struct {
 
 	// Chaos schedules a fault scenario against the run and arms the
 	// convergence checker: after the horizon and the last fault's undo,
-	// the run settles in dissemination/report rounds until every edge
+	// the run settles in dissemination/report rounds — at most
+	// chaos.DefaultRecoveryRoundBound of them — until every edge
 	// G-FIB/L-FIB view, the C-LIB, and all per-peer version state match
-	// the fault-free fixpoint (docs/robustness.md). An empty plan is
-	// valid and useful: it runs the checker and captures the fixpoint
-	// snapshot without injecting anything — the fault-free side of the
-	// differential test.
+	// the fault-free fixpoint (docs/robustness.md); while faults are
+	// live, the no-stale-adoption probe samples every dissemination
+	// round. An empty plan is valid and useful: it runs the checker and
+	// captures the fixpoint snapshot without injecting anything — the
+	// fault-free side of the differential test.
 	Chaos *chaos.Plan
-	// ChaosSettleRounds bounds the settle loop (0 selects
-	// chaos.DefaultRecoveryRoundBound).
-	ChaosSettleRounds int
-	// ChaosProbeInterval samples the no-stale-adoption probe while the
-	// run is live (0 = every dissemination round).
-	ChaosProbeInterval time.Duration
 
 	// StateShards overrides the controller's lock-stripe count (0 =
 	// controller default). Results are shard-count-independent; the
@@ -183,17 +190,8 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	if c.BucketWidth == 0 {
 		c.BucketWidth = 2 * time.Hour
 	}
-	if c.WarmupWindow == 0 {
-		c.WarmupWindow = time.Hour
-	}
-	if c.WarmupWindow > c.Horizon {
-		c.WarmupWindow = c.Horizon
-	}
-	if c.Latencies == (netsim.Latencies{}) {
-		c.Latencies = netsim.DefaultLatencies()
-	}
 	if c.ReportInterval == 0 {
-		c.ReportInterval = 30 * time.Second
+		c.ReportInterval = reportInterval
 	}
 	if c.SampleProb == 0 {
 		switch c.Engine {
@@ -232,6 +230,10 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	if c.PacketInBatchMax > 1 && c.PacketInBatchWindow == 0 {
 		// Keep the modeled window in lockstep with edge.Config's default.
 		c.PacketInBatchWindow = time.Millisecond
+	}
+	if c.FlightDepth == 0 && c.Chaos != nil {
+		// The chaos checker embeds the recorder tails in its reports.
+		c.FlightDepth = telemetry.DefaultFlightDepth
 	}
 	return c, nil
 }
@@ -336,21 +338,29 @@ type EmulationResult struct {
 	Spans *telemetry.Tracer
 }
 
-// emulationPrefetchDepth bounds the replay's generate-ahead pipeline:
-// a couple of windows generate in the background while the simulator
-// drains the current one. Deeper pipelines buy nothing — the DES
-// consumes one window per virtual window span — and cost memory.
-const emulationPrefetchDepth = 2
+// emulation is the state of one RunEmulation call. The run is cut into
+// build-rig → attachments → window loop → summarise (docs/emulation.md,
+// "Harness architecture"); this file owns the first and the last,
+// attach.go the attachments, windows.go the window loop.
+type emulation struct {
+	c    EmulationConfig // defaults applied
+	info trace.StreamInfo
+	rec  *metrics.Recorder
+	res  *EmulationResult
+	// rig is set by buildRig. The hooks the config templates carry
+	// (tracer clock, fold oracles, regroup notification) read it lazily:
+	// they first run on the simulated clock, after rig.New has returned.
+	rig *rig.Rig
 
-// fastPathLatency is the steady-state per-packet forwarding latency for
-// packets that hit an installed rule or the L-FIB: datapath processing
-// plus one core traversal.
-func fastPathLatency(lat netsim.Latencies, sameSwitch bool) time.Duration {
-	const datapath = 40 * time.Microsecond
-	if sameSwitch {
-		return datapath
-	}
-	return datapath + lat.Data + time.Duration(lat.JitterFrac*float64(lat.Data)/2)
+	// The scaled engines: sampler and estimator select and reweight the
+	// injected subpopulation (nil at p = 1), fluid folds the full
+	// population into rate aggregates (nil unless EngineFluid).
+	sampler   *replay.PairSampler
+	estimator *replay.Estimator
+	fluid     *replay.Fluid
+
+	flights map[model.SwitchID]*telemetry.Flight // nil without flight recorders
+	world   *chaos.World                         // nil without a chaos plan
 }
 
 // RunEmulation replays a trace against the full control stack and
@@ -366,96 +376,87 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := c.Source
-	info := src.Info()
-	dir := info.Directory
-
-	s := sim.New(c.Seed)
-	net := netsim.New(s, c.Latencies)
-	rec := metrics.NewRecorder(c.Horizon, c.BucketWidth)
-	simNow := func() time.Duration { return s.Now().Duration() }
-
-	// Telemetry: the span tracer (nil unless sampled on — every
-	// instrumentation site downstream is nil-safe), the unified metrics
-	// registry, and the per-node flight recorders. FlightDepth 0 arms
-	// the recorders exactly when a chaos plan will want their tails.
-	var tracer *telemetry.Tracer
-	if c.TraceSample > 0 {
-		tracer = telemetry.NewTracer(simNow, c.TraceSample, c.Seed)
-	}
-	reg := telemetry.NewRegistry()
-	flightDepth := c.FlightDepth
-	if flightDepth == 0 && c.Chaos != nil {
-		flightDepth = telemetry.DefaultFlightDepth
-	}
-	var flights map[model.SwitchID]*telemetry.Flight
-	if flightDepth > 0 {
-		flights = installFlightRecorders(net, simNow, flightDepth)
-	}
-
-	res := &EmulationResult{
+	e := &emulation{c: c, info: c.Source.Info(), rec: metrics.NewRecorder(c.Horizon, c.BucketWidth)}
+	e.res = &EmulationResult{
 		Mode: c.Mode, Dynamic: c.Dynamic, Engine: c.Engine,
-		SampleProb: c.SampleProb, Recorder: rec,
-		Metrics: reg, Spans: tracer,
+		SampleProb: c.SampleProb, Recorder: e.rec,
+		Metrics: telemetry.NewRegistry(),
 	}
+	if err := e.buildRig(); err != nil {
+		return nil, err
+	}
+	e.attachWireMeter()
+	e.attachControlFold()
+	e.attachFlights()
 
-	// Wire metering: the encoded bytes of every control-plane message,
-	// from real sends (netsim's meter hook) and folded credits (the
-	// fold hooks below) through one accumulator, so folded and full
-	// runs are comparable byte for byte.
-	var meterMsg func(msg openflow.Message, copies uint64)
-	if c.MeterWire {
-		meterMsg = func(msg openflow.Message, copies uint64) {
-			data, err := openflow.Encode(msg, 0)
-			if err != nil {
-				return
-			}
-			res.ControlMsgs += copies
-			res.ControlBytes += copies * uint64(len(data))
+	// Initial grouping from the warm-up window. Only that window's trace
+	// windows are generated.
+	if c.Mode == controller.ModeLazy {
+		warm := c.WarmupIntensity
+		if warm == nil {
+			warm = trace.StreamIntensity(c.Source, 0, min(warmupWindow, c.Horizon))
 		}
-		net.Meter = func(from, to model.SwitchID, msg netsim.Message) {
-			if om, ok := msg.(openflow.Message); ok {
-				meterMsg(om, 1)
-			}
+		if err := e.rig.Primary().InitialGrouping(warm); err != nil {
+			return nil, err
 		}
 	}
-	// The control fold's global gate: elision is only sound while every
-	// sent control message is guaranteed delivered.
-	var foldGate func() bool
-	var foldMeter func(from, to model.SwitchID, msg openflow.Message, copies uint64)
+	// The plan is scheduled after the initial grouping so actions that
+	// resolve group structure at fire time (ControlCut, CrashDesignated)
+	// see real groups.
+	e.attachChaos()
+
+	flushFolds, closeSource := e.scheduleWindows()
+	defer closeSource()
+	e.rig.Sim().RunUntil(sim.Time(c.Horizon))
+	// Fold the windows whose end never arrived inside the horizon, under
+	// the final grouping and the full epoch timeline.
+	flushFolds()
+
+	e.settleChaos()
+	// Settle every folded timer at the horizon so credited rounds, wire
+	// bytes, and report buckets are exact through the end of the run
+	// before any aggregate is read. (Wake schedules one real round past
+	// the horizon; it never executes.)
 	if c.ControlFold {
-		foldGate = func() bool { return !net.Faulted() }
-		if meterMsg != nil {
-			foldMeter = func(from, to model.SwitchID, msg openflow.Message, copies uint64) {
-				meterMsg(msg, copies)
-			}
-		}
+		e.wakeFolds()
 	}
-	switches := make(map[model.SwitchID]*edge.Switch, len(dir.Switches()))
+	e.summarise()
+	return e.res, nil
+}
+
+// now is the simulated clock, for hooks built before the rig exists.
+func (e *emulation) now() time.Duration { return e.rig.Now() }
+
+// buildRig derives the engine state and the two config templates from
+// the emulation config and wires the world.
+func (e *emulation) buildRig() error {
+	c, res := e.c, e.res
+	if c.TraceSample > 0 {
+		res.Spans = telemetry.NewTracer(e.now, c.TraceSample, c.Seed)
+	}
 
 	// The scaled engines inject only a p-fraction of the pairs; the
 	// controller's queueing model must still see the unscaled arrival
 	// rate, so the sampling probability folds into its load scale
 	// alongside the trace's flow-count divisor.
-	loadScale := info.Scale
-	var sampler *replay.PairSampler
-	var estimator *replay.Estimator
+	loadScale := e.info.Scale
 	if c.SampleProb < 1 {
+		buckets := e.rec.Buckets()
 		if c.HostSampling {
 			// Host-level mode: keep hosts at q = √p so the pair
 			// inclusion probability — and hence loadScale — is still p.
 			q := math.Sqrt(c.SampleProb)
-			sampler = replay.NewHostSampler(q, c.Seed)
+			e.sampler = replay.NewHostSampler(q, c.Seed)
 			if c.Engine == replay.EngineSampled {
-				estimator = replay.NewHostEstimator(q, rec.Buckets())
+				e.estimator = replay.NewHostEstimator(q, buckets)
 			}
 		} else {
-			sampler = replay.NewPairSampler(c.SampleProb, c.Seed)
+			e.sampler = replay.NewPairSampler(c.SampleProb, c.Seed)
 			if c.Engine == replay.EngineSampled {
-				estimator = replay.NewEstimator(c.SampleProb, rec.Buckets())
+				e.estimator = replay.NewEstimator(c.SampleProb, buckets)
 			}
 		}
-		loadScale = int(float64(info.Scale)/c.SampleProb + 0.5)
+		loadScale = int(float64(e.info.Scale)/c.SampleProb + 0.5)
 	}
 
 	// The fluid engine folds every window's full flow population into
@@ -463,15 +464,14 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 	// constants mirror the harness cadences (C-LIB fills at the first
 	// state report, G-FIBs one advertise + dissemination round after
 	// that).
-	const advertiseInterval = 10 * time.Second
-	var fluid *replay.Fluid
+	var onRegroup func(uint64, *grouping.Grouping)
 	if c.Engine == replay.EngineFluid {
-		fluid = replay.NewFluid(replay.FluidConfig{
-			Directory:       dir,
+		e.fluid = replay.NewFluid(replay.FluidConfig{
+			Directory:       e.info.Directory,
 			Lazy:            c.Mode == controller.ModeLazy,
 			Horizon:         c.Horizon,
 			BucketWidth:     c.BucketWidth,
-			RuleIdleTimeout: 60 * time.Second,
+			RuleIdleTimeout: ruleIdleTimeout,
 			GFIBWarm:        advertiseInterval + c.ReportInterval,
 			// The initial grouping push kicks every designated switch
 			// into reporting immediately, so the C-LIB knows all
@@ -480,512 +480,80 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 			CLIBWarm:        2 * time.Second,
 			PerFlowBaseline: c.PerFlowBaseline,
 		})
-	}
-	// Every (re)grouping lands on the fluid's epoch timeline as an
-	// immutable snapshot, so window folds attribute each flow to the
-	// assignment in force at its start time.
-	var onRegroup func(uint64, *grouping.Grouping)
-	if fluid != nil && c.Mode == controller.ModeLazy {
-		onRegroup = func(version uint64, grp *grouping.Grouping) {
-			fluid.NoteRegroup(s.Now().Duration(), grp.Clone(), version)
+		// Every (re)grouping lands on the fluid's epoch timeline as an
+		// immutable snapshot, so window folds attribute each flow to the
+		// assignment in force at its start time.
+		if c.Mode == controller.ModeLazy {
+			onRegroup = func(version uint64, grp *grouping.Grouping) {
+				e.fluid.NoteRegroup(e.now(), grp.Clone(), version)
+			}
 		}
 	}
 
-	var ctrlPeer model.SwitchID
-	if c.Standby {
-		ctrlPeer = model.StandbyNode
-	}
-	ctrl, err := controller.New(controller.Config{
+	ctrl := controller.Config{
 		Mode:              c.Mode,
-		Switches:          dir.Switches(),
 		GroupSizeLimit:    c.GroupSizeLimit,
 		Seed:              c.Seed,
 		LoadScale:         loadScale,
 		Dynamic:           c.Dynamic,
-		Recorder:          rec,
-		KeepAliveInterval: time.Minute,
-		SyncInterval:      30 * time.Second,
+		Recorder:          e.rec,
+		RuleIdleTimeout:   ruleIdleTimeout,
+		KeepAliveInterval: keepAliveInterval,
+		SyncInterval:      syncInterval,
 		PerFlowRules:      c.PerFlowBaseline,
-		ControlFold:       c.ControlFold,
-		FoldGate:          foldGate,
-		FoldMeter:         foldMeter,
 		OnRegroup:         onRegroup,
-		Peer:              ctrlPeer,
 		StateShards:       c.StateShards,
-		Tracer:            tracer,
-	}, net.Env(model.ControllerNode))
+		Tracer:            res.Spans,
+	}
+	sw := edge.Config{
+		AdvertiseInterval:   advertiseInterval,
+		ReportInterval:      c.ReportInterval,
+		PacketInBatchMax:    c.PacketInBatchMax,
+		PacketInBatchWindow: c.PacketInBatchWindow,
+		Tracer:              res.Spans,
+		OnDeliver: func(p *model.Packet, at time.Duration) {
+			if p.FlowSeq == 0 {
+				res.FlowsDelivered++
+				e.rec.RecordColdLatency(at, at-p.Injected)
+			}
+		},
+	}
+	if c.ControlFold {
+		hooks := e.foldHooks()
+		ctrl.ControlFold, ctrl.FoldGate, ctrl.FoldMeter = true, hooks.Gate, hooks.Meter
+		sw.ControlFold, sw.Fold = true, hooks
+	}
+	r, err := rig.New(e.info.Directory, ctrl, sw, c.Standby)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	net.Attach(ctrl)
-	net.SetSameGroup(ctrl.SameGroup)
+	e.rig = r
+	registerMetrics(res.Metrics, r, res.Spans, res)
+	return nil
+}
 
-	// The hot-standby replica: same directory and cadences, mirrored
-	// state only — it runs no switch-facing duties until takeover, so
-	// it carries no fold/regroup hooks (the fold's keep-alive elision
-	// already yields to replication on the primary).
-	var standby *controller.Controller
-	if c.Standby {
-		standby, err = controller.New(controller.Config{
-			Mode:              c.Mode,
-			Switches:          dir.Switches(),
-			GroupSizeLimit:    c.GroupSizeLimit,
-			Seed:              c.Seed,
-			LoadScale:         loadScale,
-			Dynamic:           c.Dynamic,
-			Recorder:          rec,
-			KeepAliveInterval: time.Minute,
-			SyncInterval:      30 * time.Second,
-			PerFlowRules:      c.PerFlowBaseline,
-			Peer:              model.ControllerNode,
-			Standby:           true,
-			StateShards:       c.StateShards,
-			Tracer:            tracer,
-		}, net.Env(model.StandbyNode))
-		if err != nil {
-			return nil, err
-		}
-		net.Attach(standby)
-	}
-
-	// The fold's cross-node oracles close over the switch map (filled
-	// below) and the controller; any fault change wakes every folded
-	// timer in deterministic switch order.
-	var foldHooks *edge.FoldHooks
-	if c.ControlFold {
-		foldHooks = &edge.FoldHooks{
-			Gate: foldGate,
-			BeaconCurrent: func(designated, member model.SwitchID, version uint64) bool {
-				d := switches[designated]
-				return d != nil && d.MemberVersionCurrent(member, version)
-			},
-			PeerNeedsLiveKA: func(neighbor, self model.SwitchID) bool {
-				n := switches[neighbor]
-				return n == nil || n.NeedsLiveKAFrom(self)
-			},
-			PeerKACreditedThrough: func(neighbor model.SwitchID) time.Duration {
-				if n := switches[neighbor]; n != nil {
-					return n.KACreditedThrough()
-				}
-				return 0
-			},
-			CtrlKACreditedThrough: ctrl.KACreditedThrough,
-			Meter:                 foldMeter,
-			CreditStateReport:     ctrl.CreditFoldedStateReport,
-		}
-		net.OnFaultChange = func() {
-			ctrl.WakeFoldTasks()
-			for _, id := range dir.Switches() {
-				if sw := switches[id]; sw != nil {
-					sw.WakeFoldTasks()
-				}
-			}
-		}
-	}
-
-	// Edge switches with attached hosts.
-	for _, id := range dir.Switches() {
-		sw := edge.New(edge.Config{
-			ID:                  id,
-			AdvertiseInterval:   advertiseInterval,
-			ReportInterval:      c.ReportInterval,
-			PacketInBatchMax:    c.PacketInBatchMax,
-			PacketInBatchWindow: c.PacketInBatchWindow,
-			ControlFold:         c.ControlFold,
-			Fold:                foldHooks,
-			TrackEscalations:    c.Standby,
-			Tracer:              tracer,
-			OnDeliver: func(p *model.Packet, at time.Duration) {
-				if p.FlowSeq == 0 {
-					res.FlowsDelivered++
-					rec.RecordColdLatency(at, at-p.Injected)
-				}
-			},
-		}, net.Env(id))
-		for _, h := range dir.HostsOn(id) {
-			host := dir.Host(h)
-			sw.AttachHost(host.MAC, host.IP, host.VLAN)
-		}
-		net.Attach(sw)
-		sw.Start()
-		switches[id] = sw
-	}
-	for _, tid := range dir.TenantIDs() {
-		ctrl.RegisterTenant(dir.Tenant(tid).VLAN, tid)
-		if standby != nil {
-			standby.RegisterTenant(dir.Tenant(tid).VLAN, tid)
-		}
-	}
-	registerMetrics(reg, ctrl, switches, net, tracer, res)
-	ctrl.Start()
-	if standby != nil {
-		standby.Start()
-	}
-
-	// Initial grouping from the warmup window (the paper seeds grouping
-	// with the first-hour traffic pattern). Only the warmup window's
-	// trace windows are generated.
-	if c.Mode == controller.ModeLazy {
-		warm := c.WarmupIntensity
-		if warm == nil {
-			warm = trace.StreamIntensity(src, 0, c.WarmupWindow)
-		}
-		if err := ctrl.InitialGrouping(warm); err != nil {
-			return nil, err
-		}
-	}
-
-	// Chaos: schedule the fault plan against the live stack and arm
-	// the no-stale-adoption probe for the fault window. The plan is
-	// scheduled after the initial grouping so actions that resolve
-	// group structure at fire time (ControlCut, CrashDesignated) see
-	// real groups.
-	var world *chaos.World
-	if c.Chaos != nil {
-		harness := &chaosHarness{s: s, net: net, ctrl: ctrl, standby: standby, dir: dir, switches: switches, flights: flights}
-		world = harness.world()
-		c.Chaos.Schedule(harness)
-		if len(c.Chaos.Events) > 0 {
-			probeEvery := c.ChaosProbeInterval
-			if probeEvery == 0 {
-				probeEvery = advertiseInterval
-			}
-			chaosEnd := c.Chaos.End()
-			var probe func()
-			probe = func() {
-				res.StaleAdoptions = append(res.StaleAdoptions, world.Probe()...)
-				if s.Now().Duration() < chaosEnd {
-					s.After(probeEvery, probe)
-				}
-			}
-			s.After(probeEvery, probe)
-		}
-	}
-
-	// Windowed flow injection: window w's first packets are scheduled
-	// when the clock reaches the start of window w−1 — one full window
-	// of lead, so every flow event is in the heap before its time comes
-	// while the heap never holds more than ~two windows of flows. The
-	// remaining packets of each flow are accounted analytically at the
-	// fast-path latency, as before.
-	lastWindow := -1
-	for w := 0; w < info.Windows; w++ {
-		if start, _ := info.WindowBounds(w); start >= c.Horizon {
-			break
-		}
-		lastWindow = w
-	}
-	var pf *trace.Prefetcher
-	if lastWindow >= 0 && !c.AggregatePopulation {
-		pf = trace.NewPrefetcher(src, 0, lastWindow, emulationPrefetchDepth)
-		defer pf.Close()
-	}
-	// Fluid folds are deferred to each window's END (not load time, a
-	// full window early): by then every regroup inside the window is on
-	// the epoch timeline, so mid-window regroups attribute exactly. The
-	// flow slices stay alive until their fold and are recycled there;
-	// windows whose end lies at or past the horizon flush after the run.
-	type pendingFold struct {
-		flows []trace.Flow
-		done  bool
-	}
-	var pendingFolds []*pendingFold
-	foldPending := func(p *pendingFold) {
-		if p.done {
-			return
-		}
-		p.done = true
-		var view replay.View
-		var version uint64
-		if c.Mode == controller.ModeLazy {
-			view, version = ctrl.Grouping(), ctrl.GroupingVersion()
-		}
-		fluid.FoldWindow(p.flows, view, version)
-		pf.Recycle(p.flows)
-		p.flows = nil
-	}
-	scheduleWindow := func(flows []trace.Flow, w int) {
-		if fluid != nil {
-			p := &pendingFold{flows: flows}
-			pendingFolds = append(pendingFolds, p)
-			if _, end := info.WindowBounds(w); end < c.Horizon {
-				s.At(sim.Time(end), func() { foldPending(p) })
-			}
-		}
-		for i := range flows {
-			f := flows[i]
-			if f.Start >= c.Horizon {
-				break // windows are sorted; the rest is past the horizon
-			}
-			src := dir.Host(f.Src)
-			dst := dir.Host(f.Dst)
-			if src == nil || dst == nil {
-				continue
-			}
-			if fluid == nil {
-				res.PopulationFlows++
-			}
-			if sampler != nil && !sampler.Keep(f.Src, f.Dst) {
-				continue
-			}
-			if estimator != nil {
-				estimator.Observe(int(f.Start/c.BucketWidth), replay.PairKey(f.Src, f.Dst))
-			}
-			res.FlowsInjected++
-			sameSwitch := src.Switch == dst.Switch
-			if f.Packets > 1 {
-				rec.RecordLatency(f.Start, fastPathLatency(c.Latencies, sameSwitch), int(f.Packets)-1)
-			}
-			s.At(sim.Time(f.Start), func() {
-				p := &model.Packet{
-					SrcMAC:   src.MAC,
-					DstMAC:   dst.MAC,
-					SrcIP:    src.IP,
-					DstIP:    dst.IP,
-					VLAN:     src.VLAN,
-					Ether:    model.EtherTypeIPv4,
-					Bytes:    1400,
-					FlowSeq:  0,
-					Injected: time.Duration(s.Now()),
-				}
-				switches[src.Switch].InjectLocal(p)
-			})
-		}
-	}
-	var loadNext func()
-	loadNext = func() {
-		flows, w, ok := pf.Next()
-		if !ok {
-			return
-		}
-		scheduleWindow(flows, w)
-		if fluid == nil {
-			pf.Recycle(flows)
-		}
-		if w > 0 && w < lastWindow {
-			// Load window w+1 once the clock reaches the start of
-			// window w: its flows are still strictly in the future.
-			// (Window 0 starts no chain — windows 0 and 1 both load
-			// before the clock does, and window 1 carries the chain.)
-			from, _ := info.WindowBounds(w)
-			s.At(sim.Time(from), loadNext)
-		}
-	}
-	if pf != nil {
-		// Windows 0 and 1 load before the clock starts; window 1's
-		// completion schedules window 2 at the start of window 1, and
-		// so on.
-		loadNext()
-		loadNext()
-	}
-
-	// Aggregate-population pipeline: the same load cadence and deferred
-	// window-end folds as the per-flow path, but each window is one
-	// AggWindow call (O(active pairs)) folded analytically, and the
-	// probe flows are materialized here from the kept pairs' cells. On
-	// the single-threaded DES there is nothing to overlap with, so the
-	// cells generate synchronously at load time — no prefetch pipeline.
-	type pendingAggFold struct {
-		aggs []trace.PairAgg
-		bg   int
-		w    int
-		done bool
-	}
-	var pendingAggFolds []*pendingAggFold
-	var aggSrc trace.AggStream
-	var bgSrc trace.BackgroundStream
-	if c.AggregatePopulation {
-		aggSrc = src.(trace.AggStream) // checked in withDefaults
-		bgSrc, _ = src.(trace.BackgroundStream)
-	}
-	foldAggPending := func(p *pendingAggFold) {
-		if p.done {
-			return
-		}
-		p.done = true
-		var view replay.View
-		var version uint64
-		if c.Mode == controller.ModeLazy {
-			view, version = ctrl.Grouping(), ctrl.GroupingVersion()
-		}
-		wFrom, wTo := info.WindowBounds(p.w)
-		fluid.FoldAggWindow(p.aggs, wFrom, wTo, view, version)
-		if p.bg > 0 {
-			fluid.FoldBackgroundWindow(p.bg, trace.ExpandIntraTenantShare, wFrom, wTo, view, version)
-		}
-		p.aggs = nil
-	}
-	scheduleAggWindow := func(w int) {
-		// The background count (an expanded trace's one-off extras) folds
-		// in closed form; only the pair-resolved foreground materializes
-		// cells.
-		var aggs []trace.PairAgg
-		bg := 0
-		if bgSrc != nil {
-			aggs, bg = bgSrc.AggWindowSplit(w, nil)
-		} else {
-			aggs = aggSrc.AggWindow(w, nil)
-		}
-		p := &pendingAggFold{aggs: aggs, bg: bg, w: w}
-		pendingAggFolds = append(pendingAggFolds, p)
-		wFrom, wTo := info.WindowBounds(w)
-		if wTo < c.Horizon {
-			s.At(sim.Time(wTo), func() { foldAggPending(p) })
-		}
-		// Probe emission: kept pairs inject their full per-window flow
-		// count, with starts, directions, and payloads drawn from a
-		// probe-only window stream (the population fold never sees
-		// these — they exist to exercise the DES latency path).
-		const probeSalt = 0x9a0be5a17 // probe flows' per-window stream
-		s1 := trace.SplitMix64(c.Seed ^ probeSalt ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
-		rng := rand.New(rand.NewPCG(s1, trace.SplitMix64(s1^0xbf58476d1ce4e5b9)))
-		span := float64(wTo - wFrom)
-		injectProbe := func(start time.Duration, sh, dh *tenant.Host, packets int16, sameSwitch bool) {
-			if start >= c.Horizon {
-				return
-			}
-			res.FlowsInjected++
-			if packets > 1 {
-				rec.RecordLatency(start, fastPathLatency(c.Latencies, sameSwitch), int(packets)-1)
-			}
-			s.At(sim.Time(start), func() {
-				p := &model.Packet{
-					SrcMAC:   sh.MAC,
-					DstMAC:   dh.MAC,
-					SrcIP:    sh.IP,
-					DstIP:    dh.IP,
-					VLAN:     sh.VLAN,
-					Ether:    model.EtherTypeIPv4,
-					Bytes:    1400,
-					FlowSeq:  0,
-					Injected: time.Duration(s.Now()),
-				}
-				switches[sh.Switch].InjectLocal(p)
-			})
-		}
-		for i := range aggs {
-			r := aggs[i]
-			if sampler != nil && !sampler.Keep(r.Src, r.Dst) {
-				continue
-			}
-			srcH := dir.Host(r.Src)
-			dstH := dir.Host(r.Dst)
-			if srcH == nil || dstH == nil {
-				continue
-			}
-			sameSwitch := srcH.Switch == dstH.Switch
-			for j := int32(0); j < r.Flows; j++ {
-				start := wFrom + time.Duration(rng.Float64()*span)
-				sh, dh := srcH, dstH
-				if rng.IntN(2) == 0 {
-					sh, dh = dh, sh
-				}
-				_, packets := trace.SamplePayload(rng)
-				injectProbe(start, sh, dh, packets, sameSwitch)
-			}
-		}
-		// Background probe: the one-off background draws are i.i.d., so a
-		// flow-level Bernoulli thinning at the same probability matches
-		// the pair sampler's expectation (every background pair carries
-		// one flow).
-		if bg > 0 && sampler != nil {
-			x := float64(bg) * c.SampleProb
-			k := int(x)
-			if rng.Float64() < x-float64(k) {
-				k++
-			}
-			for _, fl := range bgSrc.BackgroundSample(w, k, rng) {
-				sh := dir.Host(fl.Src)
-				dh := dir.Host(fl.Dst)
-				if sh == nil || dh == nil {
-					continue
-				}
-				injectProbe(fl.Start, sh, dh, fl.Packets, sh.Switch == dh.Switch)
-			}
-		}
-	}
-	if aggSrc != nil && lastWindow >= 0 {
-		nextAgg := 0
-		var loadNextAgg func()
-		loadNextAgg = func() {
-			if nextAgg > lastWindow {
-				return
-			}
-			w := nextAgg
-			nextAgg++
-			scheduleAggWindow(w)
-			if w > 0 && w < lastWindow {
-				from, _ := info.WindowBounds(w)
-				s.At(sim.Time(from), loadNextAgg)
-			}
-		}
-		loadNextAgg()
-		loadNextAgg()
-	}
-
-	s.RunUntil(sim.Time(c.Horizon))
-
-	// Tail flush: fold the windows whose end never arrived inside the
-	// horizon, under the final grouping and the full epoch timeline.
-	for _, p := range pendingFolds {
-		foldPending(p)
-	}
-	for _, p := range pendingAggFolds {
-		foldAggPending(p)
-	}
-
-	// Convergence check: run past the last fault's undo, then settle
-	// in dissemination/report rounds until every view matches the
-	// fault-free fixpoint or the round bound is exhausted
-	// (docs/robustness.md).
-	if world != nil {
-		if end := c.Chaos.End(); end > c.Horizon {
-			s.RunUntil(sim.Time(end))
-		}
-		round := advertiseInterval
-		if c.ReportInterval > round {
-			round = c.ReportInterval
-		}
-		maxRounds := c.ChaosSettleRounds
-		if maxRounds == 0 {
-			maxRounds = chaos.DefaultRecoveryRoundBound
-		}
-		res.RecoveryRounds, res.Converged, res.Divergences =
-			world.Settle(maxRounds, func(r time.Duration) { s.RunFor(r) }, round)
-		res.Fixpoint = world.Snapshot()
-	}
-
-	// Settle every folded timer at the horizon so credited rounds, wire
-	// bytes, and report buckets are exact through the end of the run
-	// before any aggregate below is read. (Wake schedules one real round
-	// past the horizon; it never executes.)
-	if c.ControlFold {
-		ctrl.WakeFoldTasks()
-		for _, id := range dir.Switches() {
-			if sw := switches[id]; sw != nil {
-				sw.WakeFoldTasks()
-			}
-		}
-	}
-
+// summarise reads the result's series and aggregates off the recorder,
+// the engines, and the rig once the run (and any chaos settle) is over.
+func (e *emulation) summarise() {
+	c, res, rec := e.c, e.res, e.rec
 	// Traffic-driven requests scale with the trace's flow-count divisor
 	// (and the inverse sampling probability under the sampled engines);
 	// periodic control work (state reports, regroup pushes) does not —
 	// a real deployment sends the same handful per interval regardless
 	// of traffic volume.
 	var traffic []float64
-	if fluid != nil {
+	if e.fluid != nil {
 		// The fluid engine's traffic series comes from the aggregated
 		// rates of the full population, not from the probe DES.
-		res.PopulationFlows = fluid.Population()
-		counts := fluid.TrafficRequests()
+		res.PopulationFlows = e.fluid.Population()
+		counts := e.fluid.TrafficRequests()
 		traffic = make([]float64, rec.Buckets())
 		sec := c.BucketWidth.Seconds()
 		for i := 0; i < len(traffic) && i < len(counts); i++ {
-			traffic[i] = counts[i] * float64(info.Scale) / sec
+			traffic[i] = counts[i] * float64(e.info.Scale) / sec
 		}
 	} else {
-		traffic = rec.WorkloadRPSForScaled(float64(info.Scale)/c.SampleProb,
+		traffic = rec.WorkloadRPSForScaled(float64(e.info.Scale)/c.SampleProb,
 			metrics.ReqPacketIn, metrics.ReqARPRelay)
 	}
 	periodic := rec.WorkloadRPSFor(1, metrics.ReqStateReport, metrics.ReqRegroup)
@@ -994,8 +562,8 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 		combined[i] = traffic[i] + periodic[i]
 	}
 	res.WorkloadKrps = krps(combined)
-	if estimator != nil {
-		rel := estimator.RelStdErr()
+	if e.estimator != nil {
+		rel := e.estimator.RelStdErr()
 		res.WorkloadStdErrKrps = make([]float64, len(traffic))
 		for i := range traffic {
 			res.WorkloadStdErrKrps[i] = traffic[i] * rel[i] / 1000
@@ -1004,11 +572,20 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 	res.AvgLatencyMs = toMs(rec.AvgLatencyPerBucket())
 	res.UpdatesPerHour = rec.UpdatesPerHour()
 	res.ColdCacheLatency = rec.AvgColdLatency()
-	res.ControllerStats = ctrl.Stats()
-	res.FinalGroups = ctrl.Grouping().NumGroups()
-	res.SimEvents = s.Executed()
-	res.Drops = net.Drops
-	for _, sw := range switches {
+	// The primary's own view, also after a takeover (see the field docs).
+	res.ControllerStats = e.rig.Primary().Stats()
+	res.FinalGroups = e.rig.Primary().Grouping().NumGroups()
+	res.SimEvents = e.rig.Sim().Executed()
+	res.Drops = e.rig.Net().Drops
+
+	// Edge aggregates, including the batching-delay accounting: the
+	// measured mean residence of a PacketIn in the micro-batching window
+	// against the modeled expectation at the realized per-switch arrival
+	// rate.
+	edges := e.rig.Edges()
+	var wait time.Duration
+	var waited uint64
+	for _, sw := range edges {
 		st := sw.Stats()
 		res.DegradedFloods += st.DegradedFloods
 		res.DegradedWindow += st.DegradedWindow
@@ -1016,39 +593,27 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 		res.StaleGenRejected += st.StaleGenRejected
 		res.DupEscalationsSuppressed += st.DupEscalationsSuppressed
 		res.EscalationsReflushed += st.EscalationsReflushed
+		wait += st.PinBatchWait
+		waited += st.PinBatchWaited
 	}
-	if standby != nil {
-		for _, r := range []*controller.Controller{ctrl, standby} {
+	if c.PacketInBatchMax > 1 && waited > 0 {
+		res.BatchDelayObserved = wait / time.Duration(waited)
+		rate := float64(waited) / (float64(len(edges)) * c.Horizon.Seconds())
+		res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, c.PacketInBatchWindow, c.PacketInBatchMax)
+	}
+	if c.Standby {
+		for _, r := range e.rig.Controllers() {
 			st := r.Stats()
 			res.Takeovers += st.Takeovers
 			res.StepDowns += st.StepDowns
 			res.TakeoverTimelines = append(res.TakeoverTimelines, r.TakeoverTimelines()...)
 		}
-		if tracer != nil {
+		if res.Spans != nil {
 			for _, tl := range res.TakeoverTimelines {
-				absorbTakeover(tracer, tl)
+				absorbTakeover(res.Spans, tl)
 			}
 		}
 	}
-
-	// Batching-delay accounting: the measured mean residence of a
-	// PacketIn in the micro-batching window, and the modeled
-	// expectation at the realized per-switch arrival rate.
-	if c.PacketInBatchMax > 1 {
-		var wait time.Duration
-		var waited uint64
-		for _, sw := range switches {
-			st := sw.Stats()
-			wait += st.PinBatchWait
-			waited += st.PinBatchWaited
-		}
-		if waited > 0 {
-			res.BatchDelayObserved = wait / time.Duration(waited)
-			rate := float64(waited) / (float64(len(switches)) * c.Horizon.Seconds())
-			res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, c.PacketInBatchWindow, c.PacketInBatchMax)
-		}
-	}
-	return res, nil
 }
 
 func krps(rps []float64) []float64 {

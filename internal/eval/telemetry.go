@@ -8,6 +8,7 @@ import (
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
+	"lazyctrl/internal/rig"
 	"lazyctrl/internal/telemetry"
 )
 
@@ -22,9 +23,8 @@ import (
 // instrument is a Func gauge reading the owning struct at snapshot
 // time, so registration costs the run nothing; the EmulationResult
 // fields stay populated as before and remain the compatible view.
-func registerMetrics(reg *telemetry.Registry, ctrl *controller.Controller,
-	switches map[model.SwitchID]*edge.Switch, net *netsim.Network,
-	tracer *telemetry.Tracer, res *EmulationResult) {
+func registerMetrics(reg *telemetry.Registry, r *rig.Rig, tracer *telemetry.Tracer, res *EmulationResult) {
+	ctrl, switches, net := r.Primary(), r.Edges(), r.Net()
 	cf := func(name, help string, fn func(controller.Stats) uint64) {
 		reg.Func(name, help, func() float64 { return float64(fn(ctrl.Stats())) })
 	}

@@ -121,6 +121,16 @@ func HostMAC(h HostID) MAC {
 	return m
 }
 
+// MACHost inverts HostMAC, which is a bijection between the low 32 bits
+// of a host ID and the addresses under the host prefix. The second
+// return is false for an address that is not a host address.
+func MACHost(m MAC) (HostID, bool) {
+	if m[0] != 0x02 || m[1] != 0x1c {
+		return 0, false
+	}
+	return HostID(binary.BigEndian.Uint32(m[2:])), true
+}
+
 // HostIP derives the deterministic IPv4 address of a host inside the
 // 10.0.0.0/8 virtual network.
 func HostIP(h HostID) IP {

@@ -30,7 +30,6 @@ package lazyctrl
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lazyctrl/internal/controller"
@@ -39,8 +38,8 @@ import (
 	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/metrics"
 	"lazyctrl/internal/model"
-	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/sim"
+	"lazyctrl/internal/rig"
+	"lazyctrl/internal/tenant"
 )
 
 // Identifier aliases, so applications can speak the paper's vocabulary
@@ -99,26 +98,9 @@ type Config struct {
 // DataCenter is a simulated LazyCtrl deployment: controller, edge
 // switches, tenants, and hosts over a virtual-time underlay.
 type DataCenter struct {
-	cfg      Config
-	sim      *sim.Simulator
-	net      *netsim.Network
-	ctrl     *controller.Controller
-	standby  *controller.Controller // nil without Config.Standby
-	switches map[SwitchID]*edge.Switch
-	hosts    map[HostID]hostRecord
-	tenants  map[TenantID]VLAN
-	rec      *metrics.Recorder
-	flowSeq  map[flowKey]int
-}
-
-type hostRecord struct {
-	tenant TenantID
-	vlan   VLAN
-	sw     SwitchID
-}
-
-type flowKey struct {
-	src, dst HostID
+	cfg Config
+	rig *rig.Rig
+	rec *metrics.Recorder
 }
 
 // New builds a data center.
@@ -133,175 +115,105 @@ func New(cfg Config) (*DataCenter, error) {
 	if cfg.Mode == OpenFlow {
 		mode = controller.ModeLearning
 	}
-	s := sim.New(cfg.Seed)
-	net := netsim.New(s, netsim.DefaultLatencies())
-	rec := metrics.NewRecorder(24*time.Hour, time.Hour)
-
 	ids := make([]SwitchID, cfg.Switches)
 	for i := range ids {
 		ids[i] = SwitchID(i + 1)
 	}
-	dc := &DataCenter{
-		cfg:      cfg,
-		sim:      s,
-		net:      net,
-		switches: make(map[SwitchID]*edge.Switch, cfg.Switches),
-		hosts:    make(map[HostID]hostRecord),
-		tenants:  make(map[TenantID]VLAN),
-		rec:      rec,
-		flowSeq:  make(map[flowKey]int),
-	}
-	ctrlCfg := controller.Config{
+	dc := &DataCenter{cfg: cfg, rec: metrics.NewRecorder(24*time.Hour, time.Hour)}
+	r, err := rig.New(tenant.NewDirectory(ids), controller.Config{
 		Mode:           mode,
-		Switches:       ids,
 		GroupSizeLimit: cfg.GroupSizeLimit,
 		Seed:           cfg.Seed,
 		Dynamic:        cfg.Dynamic,
-		Recorder:       rec,
-		OnDiagnosis: func(s model.SwitchID, d failover.Diagnosis) {
-			if cfg.OnDiagnosis != nil {
-				cfg.OnDiagnosis(s, d)
+		Recorder:       dc.rec,
+		OnDiagnosis:    cfg.OnDiagnosis,
+	}, edge.Config{
+		AdvertiseInterval: time.Second,
+		ReportInterval:    2 * time.Second,
+		OnDeliver: func(p *model.Packet, at time.Duration) {
+			if cfg.OnDeliver != nil {
+				cfg.OnDeliver(dc.hostOf(p.SrcMAC), dc.hostOf(p.DstMAC), at-p.Injected)
 			}
 		},
-	}
-	if cfg.Standby {
-		ctrlCfg.Peer = model.StandbyNode
-	}
-	ctrl, err := controller.New(ctrlCfg, net.Env(model.ControllerNode))
+	}, cfg.Standby)
 	if err != nil {
 		return nil, fmt.Errorf("lazyctrl: %w", err)
 	}
-	dc.ctrl = ctrl
-	net.Attach(ctrl)
-	net.SetSameGroup(ctrl.SameGroup)
-	ctrl.Start()
-	if cfg.Standby {
-		sb, err := controller.New(controller.Config{
-			Mode:           mode,
-			Switches:       ids,
-			GroupSizeLimit: cfg.GroupSizeLimit,
-			Seed:           cfg.Seed,
-			Dynamic:        cfg.Dynamic,
-			Peer:           model.ControllerNode,
-			Standby:        true,
-		}, net.Env(model.StandbyNode))
-		if err != nil {
-			return nil, fmt.Errorf("lazyctrl: standby: %w", err)
-		}
-		dc.standby = sb
-		net.Attach(sb)
-		sb.Start()
-	}
-
-	for _, id := range ids {
-		id := id
-		sw := edge.New(edge.Config{
-			ID:                id,
-			AdvertiseInterval: time.Second,
-			ReportInterval:    2 * time.Second,
-			TrackEscalations:  cfg.Standby,
-			OnDeliver: func(p *model.Packet, at time.Duration) {
-				if cfg.OnDeliver == nil {
-					return
-				}
-				src, dst := dc.hostsByMAC(p.SrcMAC, p.DstMAC)
-				cfg.OnDeliver(src, dst, at-p.Injected)
-			},
-		}, net.Env(id))
-		net.Attach(sw)
-		sw.Start()
-		dc.switches[id] = sw
-	}
+	dc.rig = r
 	return dc, nil
 }
 
-func (dc *DataCenter) hostsByMAC(src, dst model.MAC) (HostID, HostID) {
-	var s, d HostID
-	for id := range dc.hosts {
-		mac := model.HostMAC(id)
-		if mac == src {
-			s = id
-		}
-		if mac == dst {
-			d = id
-		}
+// hostOf resolves a delivered packet's address back to its host (0 for
+// an address no deployed host owns).
+func (dc *DataCenter) hostOf(mac model.MAC) HostID {
+	if h, ok := model.MACHost(mac); ok && dc.rig.Dir().Host(h) != nil {
+		return h
 	}
-	return s, d
+	return 0
 }
 
 // AddTenant registers a tenant; its VLAN is derived from the ID.
 func (dc *DataCenter) AddTenant(id TenantID) VLAN {
+	if t := dc.rig.Dir().Tenant(id); t != nil {
+		return t.VLAN
+	}
 	vlan := VLAN(id % 4094)
 	if vlan == 0 {
 		vlan = 4094
 	}
-	dc.tenants[id] = vlan
-	dc.ctrl.RegisterTenant(vlan, id)
+	_ = dc.rig.AddTenant(id, vlan) // the only failure is a duplicate, handled above
 	return vlan
 }
 
 // AddHost deploys a VM for a tenant on a switch.
 func (dc *DataCenter) AddHost(h HostID, tenant TenantID, sw SwitchID) error {
-	vlan, ok := dc.tenants[tenant]
-	if !ok {
-		return fmt.Errorf("lazyctrl: unknown tenant %v", tenant)
+	if err := dc.rig.AddHost(h, tenant, sw); err != nil {
+		return fmt.Errorf("lazyctrl: %w", err)
 	}
-	esw, ok := dc.switches[sw]
-	if !ok {
-		return fmt.Errorf("lazyctrl: unknown switch %v", sw)
-	}
-	if _, dup := dc.hosts[h]; dup {
-		return fmt.Errorf("lazyctrl: duplicate host %v", h)
-	}
-	esw.AttachHost(model.HostMAC(h), model.HostIP(h), vlan)
-	dc.hosts[h] = hostRecord{tenant: tenant, vlan: vlan, sw: sw}
 	return nil
 }
 
 // MigrateHost live-migrates a VM to another switch (§III-D3 live state
 // dissemination is triggered by the attach/detach).
 func (dc *DataCenter) MigrateHost(h HostID, to SwitchID) error {
-	rec, ok := dc.hosts[h]
-	if !ok {
-		return fmt.Errorf("lazyctrl: unknown host %v", h)
+	if err := dc.rig.MigrateHost(h, to); err != nil {
+		return fmt.Errorf("lazyctrl: %w", err)
 	}
-	dst, ok := dc.switches[to]
-	if !ok {
-		return fmt.Errorf("lazyctrl: unknown switch %v", to)
-	}
-	dc.switches[rec.sw].DetachHost(model.HostMAC(h))
-	dst.AttachHost(model.HostMAC(h), model.HostIP(h), rec.vlan)
-	rec.sw = to
-	dc.hosts[h] = rec
 	return nil
 }
 
 // SwitchOf returns the switch currently hosting a VM.
 func (dc *DataCenter) SwitchOf(h HostID) (SwitchID, bool) {
-	rec, ok := dc.hosts[h]
-	return rec.sw, ok
+	host := dc.rig.Dir().Host(h)
+	if host == nil {
+		return 0, false
+	}
+	return host.Switch, true
+}
+
+// intensity returns an empty switch-intensity matrix over every switch.
+func (dc *DataCenter) intensity() *grouping.Intensity {
+	m := grouping.NewIntensity()
+	for _, id := range dc.rig.Dir().Switches() {
+		m.AddSwitch(id)
+	}
+	return m
 }
 
 // SeedGroupingFromPlacement computes the initial grouping assuming
 // tenant-local traffic: switches sharing tenants have high affinity.
 // Applications with real traffic histories should use SeedGrouping.
 func (dc *DataCenter) SeedGroupingFromPlacement() error {
-	m := grouping.NewIntensity()
-	for id := range dc.switches {
-		m.AddSwitch(id)
-	}
-	perTenant := make(map[TenantID][]SwitchID)
-	for _, rec := range dc.hosts {
-		perTenant[rec.tenant] = append(perTenant[rec.tenant], rec.sw)
-	}
-	for _, sws := range perTenant {
-		for i := 0; i < len(sws); i++ {
-			for j := i + 1; j < len(sws); j++ {
-				m.Add(sws[i], sws[j], 10)
+	m, dir := dc.intensity(), dc.rig.Dir()
+	for _, tid := range dir.TenantIDs() {
+		hosts := dir.Tenant(tid).Hosts
+		for i := range hosts {
+			for j := i + 1; j < len(hosts); j++ {
+				m.Add(dir.Host(hosts[i]).Switch, dir.Host(hosts[j]).Switch, 10)
 			}
 		}
 	}
-	return dc.ctrl.InitialGrouping(m)
+	return dc.rig.Active().InitialGrouping(m)
 }
 
 // PairRate is a switch-pair traffic intensity observation used to seed
@@ -315,113 +227,65 @@ type PairRate struct {
 // SeedGrouping computes the initial grouping from measured switch-pair
 // intensities (the paper seeds from the first hour of traffic).
 func (dc *DataCenter) SeedGrouping(rates []PairRate) error {
-	m := grouping.NewIntensity()
-	for id := range dc.switches {
-		m.AddSwitch(id)
-	}
+	m := dc.intensity()
 	for _, r := range rates {
 		m.Add(r.A, r.B, r.FlowsPerSecond)
 	}
-	return dc.ctrl.InitialGrouping(m)
+	return dc.rig.Active().InitialGrouping(m)
 }
 
 // SendFlow injects the first packet of a flow from src to dst with the
 // given payload size. Subsequent packets of the same pair reuse
 // installed state automatically.
 func (dc *DataCenter) SendFlow(src, dst HostID, bytes int) error {
-	s, ok := dc.hosts[src]
-	if !ok {
+	dir := dc.rig.Dir()
+	s := dir.Host(src)
+	if s == nil {
 		return fmt.Errorf("lazyctrl: unknown src host %v", src)
 	}
-	d, ok := dc.hosts[dst]
-	if !ok {
+	d := dir.Host(dst)
+	if d == nil {
 		return fmt.Errorf("lazyctrl: unknown dst host %v", dst)
 	}
-	key := flowKey{src: src, dst: dst}
-	seq := dc.flowSeq[key]
-	dc.flowSeq[key] = seq + 1
 	if bytes <= 0 {
 		bytes = 1400
 	}
-	p := &model.Packet{
-		SrcMAC:   model.HostMAC(src),
-		DstMAC:   model.HostMAC(dst),
-		SrcIP:    model.HostIP(src),
-		DstIP:    model.HostIP(dst),
-		VLAN:     s.vlan,
-		Ether:    model.EtherTypeIPv4,
-		Bytes:    bytes,
-		FlowSeq:  0,
-		Injected: time.Duration(dc.sim.Now()),
-	}
-	_ = d
-	dc.switches[s.sw].InjectLocal(p)
+	dc.rig.Inject(s, d, bytes)
 	return nil
 }
 
 // Run advances virtual time by d, processing all scheduled work.
-func (dc *DataCenter) Run(d time.Duration) { dc.sim.RunFor(d) }
+func (dc *DataCenter) Run(d time.Duration) { dc.rig.Sim().RunFor(d) }
 
 // Now returns the current virtual time.
-func (dc *DataCenter) Now() time.Duration { return dc.sim.Now().Duration() }
+func (dc *DataCenter) Now() time.Duration { return dc.rig.Now() }
 
 // FailSwitch injects a switch (node) failure into the underlay.
-func (dc *DataCenter) FailSwitch(id SwitchID) { dc.net.FailNode(id) }
+func (dc *DataCenter) FailSwitch(id SwitchID) { dc.rig.Crash(id) }
 
 // RecoverSwitch reboots a failed switch and informs the controller
 // (§III-E3 reboot-and-resync): the switch comes back cold — volatile
 // tables wiped, L-FIB incarnation epoch advanced so its post-reboot
 // advertisements dominate the pre-failure versions receivers still
 // hold — its hosts re-attach from the hypervisor's view, and the
-// controller re-pushes its group view.
-func (dc *DataCenter) RecoverSwitch(id SwitchID) {
-	dc.net.HealNode(id)
-	if sw, ok := dc.switches[id]; ok {
-		sw.Reboot()
-		// Re-attach the switch's hosts in deterministic order (the
-		// directory map iterates randomly; the DES must not).
-		var hosts []HostID
-		for h, rec := range dc.hosts {
-			if rec.sw == id {
-				hosts = append(hosts, h)
-			}
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		for _, h := range hosts {
-			rec := dc.hosts[h]
-			sw.AttachHost(model.HostMAC(h), model.HostIP(h), rec.vlan)
-		}
-	}
-	// The hypervisor's recovery signal goes to whoever holds the master
-	// role right now — after a takeover that is the promoted standby,
-	// and during a dispute both masters hear it (the stale one's
-	// re-pushes are fenced by the fabric anyway).
-	if reps := dc.replicaControllers(); reps != nil {
-		for _, r := range reps {
-			if r.IsMaster() {
-				r.MarkRecovered(id)
-			}
-		}
-		return
-	}
-	dc.ctrl.MarkRecovered(id)
-}
+// current master re-pushes its group view.
+func (dc *DataCenter) RecoverSwitch(id SwitchID) { dc.rig.Restart(id) }
 
 // Master returns the address of the controller replica currently
 // holding the master role: ControllerNode in a single-controller
 // deployment, and model.NoSwitch while the role is disputed (mid
 // split-brain, before the fence demotes the stale master).
 func (dc *DataCenter) Master() SwitchID {
-	if dc.standby == nil {
-		return ControllerNode
+	master := model.NoSwitch
+	for _, r := range dc.rig.Controllers() {
+		if r.IsMaster() {
+			if master != model.NoSwitch {
+				return model.NoSwitch
+			}
+			master = r.NodeID()
+		}
 	}
-	switch {
-	case dc.ctrl.IsMaster() && !dc.standby.IsMaster():
-		return dc.ctrl.NodeID()
-	case dc.standby.IsMaster() && !dc.ctrl.IsMaster():
-		return dc.standby.NodeID()
-	}
-	return model.NoSwitch
+	return master
 }
 
 // FailoverStats aggregates the replicated-controller counters: role
@@ -444,24 +308,11 @@ type FailoverStats struct {
 	EscalationsReflushed     uint64
 }
 
-// replicaControllers returns the controller replicas (nil without a
-// standby, so World falls back to the single-controller checks).
-func (dc *DataCenter) replicaControllers() []*controller.Controller {
-	if dc.standby == nil {
-		return nil
-	}
-	return []*controller.Controller{dc.ctrl, dc.standby}
-}
-
 // FailoverStats returns the replicated-controller summary (zero-valued
 // counters without Config.Standby).
 func (dc *DataCenter) FailoverStats() FailoverStats {
 	out := FailoverStats{Master: dc.Master()}
-	reps := []*controller.Controller{dc.ctrl}
-	if dc.standby != nil {
-		reps = append(reps, dc.standby)
-	}
-	for _, r := range reps {
+	for _, r := range dc.rig.Controllers() {
 		st := r.Stats()
 		out.Takeovers += st.Takeovers
 		out.StepDowns += st.StepDowns
@@ -469,7 +320,7 @@ func (dc *DataCenter) FailoverStats() FailoverStats {
 			out.Generation = r.Generation()
 		}
 	}
-	for _, sw := range dc.switches {
+	for _, sw := range dc.rig.Edges() {
 		st := sw.Stats()
 		out.StaleGenRejected += st.StaleGenRejected
 		out.DupEscalationsSuppressed += st.DupEscalationsSuppressed
@@ -480,10 +331,10 @@ func (dc *DataCenter) FailoverStats() FailoverStats {
 
 // FailLink injects a link failure between two nodes (use
 // ControllerNode for the control link).
-func (dc *DataCenter) FailLink(a, b SwitchID) { dc.net.FailLink(a, b) }
+func (dc *DataCenter) FailLink(a, b SwitchID) { dc.rig.Net().FailLink(a, b) }
 
 // HealLink restores a failed link.
-func (dc *DataCenter) HealLink(a, b SwitchID) { dc.net.HealLink(a, b) }
+func (dc *DataCenter) HealLink(a, b SwitchID) { dc.rig.Net().HealLink(a, b) }
 
 // ControllerNode is the controller's address for FailLink/HealLink.
 const ControllerNode = model.ControllerNode
@@ -495,12 +346,15 @@ const StandbyNode = model.StandbyNode
 // master role is disputed).
 const NoSwitch = model.NoSwitch
 
-// GroupOf returns the local control group of a switch.
-func (dc *DataCenter) GroupOf(sw SwitchID) GroupID { return dc.ctrl.Grouping().GroupOf(sw) }
+// GroupOf returns the local control group of a switch, as the current
+// master sees it.
+func (dc *DataCenter) GroupOf(sw SwitchID) GroupID {
+	return dc.rig.Active().Grouping().GroupOf(sw)
+}
 
-// Groups returns the current group membership map.
+// Groups returns the current master's group membership map.
 func (dc *DataCenter) Groups() map[GroupID][]SwitchID {
-	grp := dc.ctrl.Grouping()
+	grp := dc.rig.Active().Grouping()
 	out := make(map[GroupID][]SwitchID, grp.NumGroups())
 	for _, gid := range grp.GroupIDs() {
 		out[gid] = append([]SwitchID(nil), grp.Members(gid)...)
@@ -511,8 +365,8 @@ func (dc *DataCenter) Groups() map[GroupID][]SwitchID {
 // IsDesignated reports whether a switch currently holds its group's
 // designated role.
 func (dc *DataCenter) IsDesignated(sw SwitchID) bool {
-	s, ok := dc.switches[sw]
-	return ok && s.IsDesignated()
+	s := dc.rig.Edge(sw)
+	return s != nil && s.IsDesignated()
 }
 
 // Report summarizes the run.
@@ -529,13 +383,16 @@ type Report struct {
 	Regroupings        uint64
 }
 
-// Report returns the control-plane summary.
+// Report returns the control-plane summary of the replica currently
+// holding the master role (the request total spans both replicas: they
+// share one recorder).
 func (dc *DataCenter) Report() Report {
-	st := dc.ctrl.Stats()
+	ctrl := dc.rig.Active()
+	st := ctrl.Stats()
 	return Report{
 		Mode:               dc.cfg.Mode,
-		Groups:             dc.ctrl.Grouping().NumGroups(),
-		GroupingVersion:    dc.ctrl.GroupingVersion(),
+		Groups:             ctrl.Grouping().NumGroups(),
+		GroupingVersion:    ctrl.GroupingVersion(),
 		ControllerRequests: dc.rec.TotalWorkload(),
 		PacketIns:          st.PacketIns,
 		ARPRelays:          st.ARPRelays,

@@ -3,6 +3,10 @@ package lazyctrl
 import (
 	"testing"
 	"time"
+
+	"lazyctrl/internal/chaos"
+	"lazyctrl/internal/netsim"
+	"lazyctrl/internal/openflow"
 )
 
 // twoGroupDC builds a 6-switch data center with two tenants placed so
@@ -220,17 +224,17 @@ func TestEarlyRecoveryResyncsGroupView(t *testing.T) {
 	}
 	dc.Run(5 * time.Second)
 	victim := SwitchID(2)
-	if len(dc.switches[victim].Group().Members) == 0 {
+	if len(dc.rig.Edge(victim).Group().Members) == 0 {
 		t.Fatal("victim never received a group view")
 	}
 	dc.FailSwitch(victim)
 	dc.Run(6 * time.Second) // well inside the 15 s diagnosis window
 	dc.RecoverSwitch(victim)
-	if len(dc.switches[victim].Group().Members) != 0 {
+	if len(dc.rig.Edge(victim).Group().Members) != 0 {
 		t.Fatal("reboot did not clear the group view")
 	}
 	dc.Run(30 * time.Second)
-	if len(dc.switches[victim].Group().Members) == 0 {
+	if len(dc.rig.Edge(victim).Group().Members) == 0 {
 		t.Error("early-recovered switch never got its group view re-pushed")
 	}
 	// Traffic from its hosts must flow again.
@@ -238,7 +242,7 @@ func TestEarlyRecoveryResyncsGroupView(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Run(5 * time.Second)
-	if got := dc.switches[SwitchID(5)].Stats().Delivered; got == 0 {
+	if got := dc.rig.Edge(SwitchID(5)).Stats().Delivered; got == 0 {
 		t.Error("flow from the recovered switch was never delivered")
 	}
 }
@@ -268,7 +272,7 @@ func TestDeadMemberFilterRemovalReachesNonNeighbors(t *testing.T) {
 	dc.Run(time.Minute)
 	victim := SwitchID(4)
 	holders := 0
-	for id, sw := range dc.switches {
+	for id, sw := range dc.rig.Edges() {
 		if id == victim {
 			continue
 		}
@@ -281,7 +285,7 @@ func TestDeadMemberFilterRemovalReachesNonNeighbors(t *testing.T) {
 	}
 	dc.FailSwitch(victim)
 	dc.Run(3 * time.Minute)
-	for id, sw := range dc.switches {
+	for id, sw := range dc.rig.Edges() {
 		if id == victim {
 			continue
 		}
@@ -289,9 +293,82 @@ func TestDeadMemberFilterRemovalReachesNonNeighbors(t *testing.T) {
 			t.Errorf("switch %v still holds dead member %v's filter (version %d)", id, victim, v)
 		}
 	}
-	st := dc.ctrl.Stats()
+	st := dc.rig.Primary().Stats()
 	if st.FilterRemovalsSent == 0 {
 		t.Error("controller sent no filter tombstones after DiagSwitch")
+	}
+}
+
+// TestReportFollowsMasterAfterTakeover pins the DataCenter against a
+// controller failover: once the standby rules, Report, GroupOf and
+// Groups read the new master (not the killed primary's frozen
+// counters), the shared recorder keeps counting requests past the
+// handoff, and the promoted standby knows the tenants AddTenant
+// registered — its ARP relays carry the tenant, not 0.
+func TestReportFollowsMasterAfterTakeover(t *testing.T) {
+	dc, err := New(Config{Switches: 6, GroupSizeLimit: 3, Seed: 5, Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.AddTenant(1)
+	dc.AddTenant(2)
+	for i, sw := range []SwitchID{1, 2, 3} {
+		if err := dc.AddHost(HostID(10+i), 1, sw); err != nil {
+			t.Fatal(err)
+		}
+		if err := dc.AddHost(HostID(20+i), 2, sw+3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dc.SeedGroupingFromPlacement(); err != nil {
+		t.Fatal(err)
+	}
+	dc.Run(10 * time.Second)
+
+	// Kill the master replica and run past three missed 5 s heartbeats.
+	chaos.ControllerFailover{}.Apply(dc.Chaos())
+	dc.Run(30 * time.Second)
+	if dc.FailoverStats().Takeovers != 1 {
+		t.Fatal("standby never took over")
+	}
+	if len(dc.Groups()) != 2 || dc.GroupOf(1) == dc.GroupOf(4) {
+		t.Errorf("grouping lost across the takeover: %v", dc.Groups())
+	}
+	mid := dc.Report()
+
+	var relayTenants []TenantID
+	dc.rig.Net().Observer = func(from, to SwitchID, msg netsim.Message, delivered bool) {
+		if m, ok := msg.(*openflow.ARPRelay); ok && !delivered {
+			relayTenants = append(relayTenants, m.Tenant)
+		}
+	}
+	// An inter-group flow to a known host, and one to a host deployed
+	// this instant, which the C-LIB cannot know yet: the master must
+	// relay an ARP for it.
+	if err := dc.SendFlow(10, 21, 1400); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.AddHost(13, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.SendFlow(10, 13, 1400); err != nil {
+		t.Fatal(err)
+	}
+	dc.Run(time.Second)
+	after := dc.Report()
+	if after.PacketIns <= mid.PacketIns {
+		t.Errorf("PacketIns did not advance under the new master: %d -> %d", mid.PacketIns, after.PacketIns)
+	}
+	if after.ControllerRequests <= mid.ControllerRequests {
+		t.Errorf("ControllerRequests stopped counting at the handoff: %d -> %d", mid.ControllerRequests, after.ControllerRequests)
+	}
+	if len(relayTenants) == 0 {
+		t.Fatal("no ARPRelay observed for the unknown destination")
+	}
+	for _, tid := range relayTenants {
+		if tid != 1 {
+			t.Errorf("post-takeover ARPRelay carries tenant %d, want 1", tid)
+		}
 	}
 }
 
