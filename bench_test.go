@@ -166,7 +166,7 @@ func BenchmarkFig9(b *testing.B) {
 // comparison: LazyCtrl intra-group / inter-group vs OpenFlow.
 func BenchmarkColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := eval.ColdCache(eval.ColdCacheConfig{Seed: uint64(i) + 1})
+		res, err := eval.ColdCache(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func BenchmarkStorage(b *testing.B) {
 func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.RealLike(50_000, uint64(i)+1); err != nil {
+		if _, err := trace.Generate(trace.RealLikeConfig(50_000, uint64(i)+1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@
 //	experiments -run tableII
 //	experiments -run fig6a,fig6b
 //	experiments -run fig7 -scale 5000
+//	experiments -run fig7 -engine fluid -scale 1   # the paper run
 //	experiments -run coldcache,storage
 //	experiments -run chaos
 //	experiments -run failover
@@ -20,37 +21,30 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/eval"
-	"lazyctrl/internal/replay"
 )
 
+// runNames are the values -run accepts.
+var runNames = []string{"all", "tableII", "fig6a", "fig6b", "fig7", "fig8", "fig9", "coldcache", "storage", "chaos", "failover"}
+
 func main() {
-	runFlag := flag.String("run", "all", "comma-separated experiments: tableII,fig6a,fig6b,fig7,fig8,fig9,coldcache,storage,chaos,failover")
+	runFlag := flag.String("run", "all", "comma-separated experiments: "+strings.Join(runNames[1:], ","))
 	scale := flag.Int("scale", 5000, "divisor applied to the paper's flow counts (1 = paper scale; use -engine sampled/fluid)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	engineName := flag.String("engine", "des", "Fig7/8/9 replay engine: des, sampled, or fluid (docs/emulation.md)")
-	sampleP := flag.Float64("p", 0, "pair-sampling probability for the sampled engine / fluid probe (0 = engine default)")
-	hostSampling := flag.Bool("host-sampling", false, "host-level sampling for the sampled engine (q=√p per host)")
-	traceSample := flag.Float64("trace-sample", 0, "Fig7/8/9 causal-span head-sampling rate in (0,1]; 0 disables tracing (docs/observability.md)")
-	traceDump := flag.String("trace-dump", "", "write the real-static series' spans as JSONL to this file (requires -trace-sample)")
-	metricsDump := flag.String("metrics-dump", "", "write the real-static series' telemetry registry as JSONL to this file")
-	promDump := flag.String("prom-dump", "", "write a Prometheus-style snapshot of the real-static series' registry to this file")
+	cli := eval.RegisterCLI(nil)
 	flag.Parse()
-	engine, err := replay.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	eval.ExitOnUsage(cli.Validate())
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(*runFlag, ",") {
-		want[strings.ToLower(strings.TrimSpace(name))] = true
+		name = strings.TrimSpace(name)
+		eval.ExitOnUsage(eval.Choice("run", name, runNames...))
+		want[strings.ToLower(name)] = true
 	}
 	all := want["all"]
 	var fig789 *eval.Fig789Result
@@ -107,44 +101,21 @@ func main() {
 		return nil
 	})
 
-	need789 := all || want["fig7"] || want["fig8"] || want["fig9"] ||
-		*traceDump != "" || *metricsDump != "" || *promDump != ""
-	if need789 {
-		fmt.Printf("\n=== Fig7/8/9 emulations (scale %d, engine %s) ===\n", *scale, engine)
+	if all || want["fig7"] || want["fig8"] || want["fig9"] || cli.Dumps() {
+		fmt.Printf("\n=== Fig7/8/9 emulations (scale %d, engine %s) ===\n", *scale, cli.Engine())
 		start := time.Now()
-		res, err := eval.RunFig789(eval.Fig789Config{
-			Scale: *scale, Seed: *seed, Engine: engine, SampleProb: *sampleP,
-			HostSampling: *hostSampling, TraceSample: *traceSample,
-		})
+		res, err := eval.RunFig789(cli.Fig789(eval.Fig789Config{Scale: *scale, Seed: *seed}))
+		if err == nil {
+			// Exposition: the telemetry of the real-trace static-grouping
+			// series (the paper's headline configuration).
+			err = cli.Dump(res.Series[eval.SeriesRealStatic])
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fig789: %v\n", err)
 			os.Exit(1)
 		}
 		fig789 = res
 		fmt.Printf("(5 emulations in %v)\n", time.Since(start).Round(time.Millisecond))
-
-		// Exposition: the telemetry of the real-trace static-grouping
-		// series (the paper's headline configuration).
-		dump := func(path, what string, write func(io.Writer) error) {
-			if path == "" {
-				return
-			}
-			f, err := os.Create(path)
-			if err == nil {
-				err = write(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
-				os.Exit(1)
-			}
-		}
-		hero := res.Series[eval.SeriesRealStatic]
-		dump(*traceDump, "trace dump", hero.Spans.WriteJSONL)
-		dump(*metricsDump, "metrics dump", hero.Metrics.WriteJSONL)
-		dump(*promDump, "metrics snapshot", hero.Metrics.WriteProm)
 	}
 
 	seriesOrder := []string{
@@ -200,7 +171,7 @@ func main() {
 	}
 
 	runErr("ColdCache", func() error {
-		res, err := eval.ColdCache(eval.ColdCacheConfig{Seed: *seed})
+		res, err := eval.ColdCache(*seed)
 		if err != nil {
 			return err
 		}

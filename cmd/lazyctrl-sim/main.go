@@ -8,13 +8,17 @@
 //	lazyctrl-sim -mode openflow -scale 5000
 //	lazyctrl-sim -engine fluid -scale 1        # paper scale (271M flows)
 //	lazyctrl-sim -engine sampled -p 0.01 -scale 100
+//
+// Every run uses per-flow reactive rules, and -engine fluid means the
+// aggregate population fold plus the control fold: the paper
+// configuration (docs/emulation.md, "Mode matrix").
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"strings"
 	"time"
 
 	"lazyctrl/internal/controller"
@@ -25,27 +29,18 @@ import (
 
 func main() {
 	cli := trace.RegisterCLI(nil, "real", 5000)
+	run := eval.RegisterCLI(nil)
 	mode := flag.String("mode", "lazy", "control plane: lazy or openflow")
 	dynamic := flag.Bool("dynamic", false, "incremental regrouping under drift")
 	expanded := flag.Bool("expanded", false, "use the +30% expanded trace")
 	limit := flag.Int("limit", 46, "group size limit")
 	hours := flag.Int("hours", 24, "horizon in hours")
-	engineName := flag.String("engine", "des", "replay engine: des, sampled, or fluid (see docs/emulation.md)")
-	sampleP := flag.Float64("p", 0, "pair-sampling probability for the sampled engine / fluid probe (0 = engine default)")
-	hostSampling := flag.Bool("host-sampling", false, "host-level sampling for the sampled engine (q=√p per host; pair kept iff both ends kept)")
-	traceSample := flag.Float64("trace-sample", 0, "causal-span head-sampling rate in (0,1]; 0 disables tracing (docs/observability.md)")
-	traceDump := flag.String("trace-dump", "", "write completed spans as JSONL to this file (requires -trace-sample)")
-	metricsDump := flag.String("metrics-dump", "", "write the telemetry registry as JSONL to this file")
-	promDump := flag.String("prom-dump", "", "write a Prometheus-style text snapshot of the registry to this file")
 	flag.Parse()
-	engine, err := replay.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	eval.ExitOnUsage(run.Validate(), eval.Choice("mode", *mode, "lazy", "openflow"))
 
 	src := cli.MustStream()
 	if *expanded {
+		var err error
 		src, err = trace.ExpandStream(src, 0.30, 8, 24, cli.Seed()^0xe)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -53,51 +48,31 @@ func main() {
 		}
 	}
 	m := controller.ModeLazy
-	if *mode == "openflow" {
+	if strings.EqualFold(*mode, "openflow") {
 		m = controller.ModeLearning
 	}
 	info := src.Info()
 	fmt.Printf("emulating %s (%d flows streamed in %d windows of ≤%d, %d switches, %d hosts), mode=%s dynamic=%v limit=%d horizon=%dh engine=%s\n",
 		info.Name, info.TotalFlows, info.Windows, info.MaxWindowFlows,
 		len(info.Directory.Switches()), info.Directory.NumHosts(),
-		*mode, *dynamic, *limit, *hours, engine)
+		*mode, *dynamic, *limit, *hours, run.Engine())
 
 	start := time.Now()
-	res, err := eval.RunEmulation(eval.EmulationConfig{
+	res, err := eval.RunEmulation(run.Emulation(eval.EmulationConfig{
 		Source:         src,
 		Mode:           m,
 		Dynamic:        *dynamic,
 		GroupSizeLimit: *limit,
 		Horizon:        time.Duration(*hours) * time.Hour,
 		Seed:           cli.Seed(),
-		Engine:         engine,
-		SampleProb:     *sampleP,
-		HostSampling:   *hostSampling,
-		TraceSample:    *traceSample,
-	})
+	}))
+	if err == nil {
+		err = run.Dump(res)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dump := func(path, what string, write func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
-			os.Exit(1)
-		}
-	}
-	dump(*traceDump, "trace dump", res.Spans.WriteJSONL)
-	dump(*metricsDump, "metrics dump", res.Metrics.WriteJSONL)
-	dump(*promDump, "metrics snapshot", res.Metrics.WriteProm)
 	fmt.Printf("emulation completed in %v (%d sim events)\n\n",
 		time.Since(start).Round(time.Millisecond), res.SimEvents)
 

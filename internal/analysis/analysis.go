@@ -129,32 +129,3 @@ func All() []*Analyzer {
 		SpanBalance,
 	}
 }
-
-// ByName resolves a comma-separated analyzer list; an empty spec means
-// the full suite.
-func ByName(spec string) ([]*Analyzer, error) {
-	if spec == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	start := 0
-	for i := 0; i <= len(spec); i++ {
-		if i == len(spec) || spec[i] == ',' {
-			name := spec[start:i]
-			start = i + 1
-			if name == "" {
-				continue
-			}
-			a, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}

@@ -14,8 +14,8 @@ import (
 // through its injected environment (sim clock / netsim.Env) and
 // randomness only through explicitly seeded generators. One stray
 // time.Now or global rand.IntN silently turns a pinned differential
-// test into a flake. The live transport (netsim/live.go) is wall-clock
-// by design and carries per-line //lazyvet:allow escapes.
+// test into a flake. The few deliberate wall-clock reads (Fig. 6(b)
+// times real computation) carry per-line //lazyvet:allow escapes.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, global math/rand, and argless timer construction " +

@@ -114,7 +114,7 @@ func (ControllerBlackout) String() string { return "controller blackout" }
 // ControllerFailover fails the replica currently holding the master
 // role (resolved at fire time) off the underlay: its timers keep
 // running but every message to or from it drops, the standby's watch
-// heartbeats go unanswered, and after TakeoverMisses intervals the
+// heartbeats go unanswered, and after three silent intervals the
 // standby takes over under a bumped cluster generation. The undo heals
 // the old master, which returns believing it still rules — the fabric
 // fences its stale pushes and its corrective demotion is the

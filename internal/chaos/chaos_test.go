@@ -121,10 +121,8 @@ func TestMergeAndDescribe(t *testing.T) {
 // checker tests, mirroring the edge test rig.
 type ctrlSink struct{}
 
-func (ctrlSink) NodeID() model.SwitchID { return model.ControllerNode }
-func (ctrlSink) HandleMessage(from model.SwitchID, msg netsim.Message) {
-	netsim.HandleTimer(msg)
-}
+func (ctrlSink) NodeID() model.SwitchID                       { return model.ControllerNode }
+func (ctrlSink) HandleMessage(model.SwitchID, netsim.Message) {}
 
 func miniWorld(t *testing.T) (*sim.Simulator, *netsim.Network, *World) {
 	t.Helper()

@@ -52,10 +52,6 @@ type World struct {
 	// appends each violating node's tail to its report, so an invariant
 	// violation dumps the wire history that led up to it.
 	Flight func(sw model.SwitchID) []string
-	// FilterBits/FilterHashes override the G-FIB Bloom geometry used
-	// to build reference filters (zero = fib defaults).
-	FilterBits   uint64
-	FilterHashes uint32
 
 	// maxSeen tracks the highest G-FIB filter version each holder ever
 	// held per peer, and the highest C-LIB version per switch (keyed by
@@ -99,25 +95,13 @@ func (w *World) activeController() *controller.Controller {
 	return m
 }
 
-func (w *World) geometry() (uint64, uint32) {
-	bits, hashes := w.FilterBits, w.FilterHashes
-	if bits == 0 {
-		bits = fib.DefaultFilterBits
-	}
-	if hashes == 0 {
-		hashes = fib.DefaultFilterHashes
-	}
-	return bits, hashes
-}
-
 func (w *World) down(sw model.SwitchID) bool { return w.Down != nil && w.Down(sw) }
 
 // emptyFilter returns (and caches) the byte encoding of the empty-set
 // Bloom filter at the world's geometry.
 func (w *World) emptyFilter() []byte {
 	if w.emptyRef == nil {
-		bits, hashes := w.geometry()
-		w.emptyRef, _ = fib.FilterBytesFromWireEntries(nil, bits, hashes)
+		w.emptyRef, _ = fib.FilterBytesFromWireEntries(nil, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 	}
 	return w.emptyRef
 }
@@ -181,7 +165,6 @@ func (w *World) Diverged() []string {
 			out = append(out, fmt.Sprintf("controller: %d replicas hold the master role, want exactly 1", masters))
 		}
 	}
-	bits, hashes := w.geometry()
 	for _, id := range w.ids() {
 		if w.down(id) {
 			continue
@@ -252,7 +235,7 @@ func (w *World) Diverged() []string {
 				out = append(out, fmt.Sprintf("S%d: G-FIB missing filter for peer S%d", id, peer))
 				continue
 			}
-			ref, err := fib.FilterBytesFromWireEntries(w.Hosts(peer), bits, hashes)
+			ref, err := fib.FilterBytesFromWireEntries(w.Hosts(peer), fib.DefaultFilterBits, fib.DefaultFilterHashes)
 			if err != nil {
 				out = append(out, fmt.Sprintf("S%d: reference filter for S%d: %v", id, peer, err))
 				continue
@@ -394,12 +377,6 @@ func (w *World) Probe() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ResetProbe forgets the version and generation high-water marks —
-// call after a deliberate epoch reset that legitimately rewinds
-// versions (none of the shipped scenarios need it; reboots only
-// advance epochs).
-func (w *World) ResetProbe() { w.maxSeen, w.genSeen = nil, nil }
 
 // Snapshot renders the content fixpoint as a canonical string:
 // grouping structure, designated roles, every L-FIB binding, C-LIB

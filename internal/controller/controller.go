@@ -80,35 +80,12 @@ type Config struct {
 	GroupSizeLimit int
 	// Seed drives SGI and designated-switch selection.
 	Seed uint64
-	// ServiceRate is the controller's request-processing capacity in
-	// requests/second (unscaled). Zero selects 8000, a Floodlight-class
-	// controller on the paper's Core 2 Duo host.
-	ServiceRate float64
 	// LoadScale converts observed (scaled-down trace) request rates to
 	// estimated unscaled rates for the queueing model. Zero selects 1.
 	LoadScale int
 	// Dynamic enables incremental regrouping (Fig. 7's "dynamic"
 	// series). Static keeps the initial grouping for the whole run.
 	Dynamic bool
-	// RegroupMinInterval is the minimum time between regroupings (the
-	// paper uses 2 minutes to prevent oscillation).
-	RegroupMinInterval time.Duration
-	// RegroupGrowth triggers an early regrouping when controller
-	// workload has grown by this fraction since the last update (the
-	// paper uses 0.30); independent of growth, a regrouping attempt is
-	// made once RegroupMinInterval has elapsed, and Fig. 3's load
-	// thresholds decide whether IncUpdate actually changes anything.
-	RegroupGrowth float64
-	// RegroupCheckInterval is how often the trigger condition is
-	// evaluated. Zero selects 30 s.
-	RegroupCheckInterval time.Duration
-	// RegroupHighLoad and RegroupLowLoad are Fig. 3's thresholds on the
-	// normalized inter-group intensity. Zero selects 0.35 and 0.30 —
-	// above the scatter floor of a well-grouped data center, so updates
-	// fire on genuine degradation (the expanded trace) and stay quiet on
-	// a stable pattern.
-	RegroupHighLoad float64
-	RegroupLowLoad  float64
 	// RuleIdleTimeout is the idle timeout of installed flow rules. Zero
 	// selects 60 s.
 	RuleIdleTimeout time.Duration
@@ -116,17 +93,6 @@ type Config struct {
 	// GroupConfig. Zero selects 10 s and 5 s.
 	SyncInterval      time.Duration
 	KeepAliveInterval time.Duration
-	// PushRetryTimeout is the supervision deadline on GroupConfig
-	// pushes: a destination that has not acknowledged its config within
-	// it gets the push re-shipped, with exponential backoff (doubling
-	// per attempt, capped at 8× the base). Zero selects
-	// 2×KeepAliveInterval — faster than the 3-window keep-alive
-	// heuristics, so a lost push no longer strands a destination until
-	// the next regroup.
-	PushRetryTimeout time.Duration
-	// ARPTimeout bounds how long an unresolved destination stays pending.
-	// Zero selects 200 ms.
-	ARPTimeout time.Duration
 	// Peer is the node address of the other controller replica (zero:
 	// no replication). The primary journals state increments to it and
 	// heartbeats it; the standby watches those heartbeats and takes the
@@ -135,10 +101,6 @@ type Config struct {
 	// Standby starts this replica in the standby role: it mirrors state
 	// from the journal and runs no switch-facing duties until takeover.
 	Standby bool
-	// TakeoverMisses is how many consecutive missed primary heartbeat
-	// intervals the standby tolerates before taking over. Zero selects 3
-	// (matching the keep-alive failure heuristics).
-	TakeoverMisses int
 	// StateShards is the number of lock stripes for the controller's
 	// per-MAC hot state (learning-mode locations, pending flows) and the
 	// worker count of ProcessBurst. Rounded up to a power of two and
@@ -146,11 +108,6 @@ type Config struct {
 	// Final table state is shard-count independent for stable burst
 	// workloads (see ProcessBurst for the exact contract).
 	StateShards int
-	// FilterBits and FilterHashes set the Bloom geometry of G-FIB
-	// preloads and must match the edge switches' configured geometry
-	// (edge.Config). Zero selects the shared fib defaults.
-	FilterBits   uint64
-	FilterHashes uint32
 	// PerFlowRules selects the per-flow (5-tuple) reactive baseline for
 	// learning mode: the controller answers each escalation with the
 	// buffered packet only and installs no flow rule. A faithful
@@ -192,26 +149,8 @@ func (c Config) withDefaults() Config {
 	if c.GroupSizeLimit == 0 {
 		c.GroupSizeLimit = 46
 	}
-	if c.ServiceRate == 0 {
-		c.ServiceRate = 8000
-	}
 	if c.LoadScale < 1 {
 		c.LoadScale = 1
-	}
-	if c.RegroupMinInterval == 0 {
-		c.RegroupMinInterval = 2 * time.Minute
-	}
-	if c.RegroupGrowth == 0 {
-		c.RegroupGrowth = 0.30
-	}
-	if c.RegroupCheckInterval == 0 {
-		c.RegroupCheckInterval = 30 * time.Second
-	}
-	if c.RegroupHighLoad == 0 {
-		c.RegroupHighLoad = 0.35
-	}
-	if c.RegroupLowLoad == 0 {
-		c.RegroupLowLoad = 0.30
 	}
 	if c.RuleIdleTimeout == 0 {
 		c.RuleIdleTimeout = 60 * time.Second
@@ -222,29 +161,32 @@ func (c Config) withDefaults() Config {
 	if c.KeepAliveInterval == 0 {
 		c.KeepAliveInterval = 5 * time.Second
 	}
-	if c.ARPTimeout == 0 {
-		c.ARPTimeout = 200 * time.Millisecond
-	}
-	if c.TakeoverMisses == 0 {
-		c.TakeoverMisses = 3
-	}
-	if c.PushRetryTimeout == 0 {
-		c.PushRetryTimeout = 2 * c.KeepAliveInterval
-	}
 	if c.StateShards == 0 {
 		c.StateShards = 8
 	}
 	if c.StateShards > 1024 {
 		c.StateShards = 1024
 	}
-	if c.FilterBits == 0 {
-		c.FilterBits = fib.DefaultFilterBits
-	}
-	if c.FilterHashes == 0 {
-		c.FilterHashes = fib.DefaultFilterHashes
-	}
 	return c
 }
+
+// The paper's fixed parameters and this model's calibration constants:
+// values no caller varies, named once and read by everything.
+const (
+	serviceRate          = 8000                   // req/s unscaled: Floodlight on the paper's Core 2 Duo host
+	regroupMinInterval   = 2 * time.Minute        // §IV-B: minimum gap between regroupings, against oscillation
+	regroupCheckInterval = 30 * time.Second       // cadence of the §IV-B trigger evaluation
+	regroupHighLoad      = 0.35                   // Fig. 3 thresholds on normalized inter-group intensity: above a
+	regroupLowLoad       = 0.30                   // well-grouped DC's scatter floor, below the expanded trace's drift
+	arpTimeout           = 200 * time.Millisecond // pending-flow lifetime: many relay round trips, a bounded table
+	takeoverMisses       = 3                      // silent heartbeat intervals before takeover, as the keep-alive heuristics
+)
+
+// pushRetryTimeout is the supervision deadline on GroupConfig pushes,
+// doubling per attempt up to 8×: two keep-alive intervals, faster than
+// the 3-interval failure heuristics, so a lost push never strands a
+// destination until the next regroup.
+func (c *Controller) pushRetryTimeout() time.Duration { return 2 * c.cfg.KeepAliveInterval }
 
 // pendingFlow is a PacketIn awaiting host-location resolution.
 type pendingFlow struct {
@@ -303,7 +245,6 @@ type Controller struct {
 
 	// Regrouping state.
 	lastRegroupAt   time.Duration
-	rateAtRegroup   float64
 	groupingVersion uint64
 	// pushedMembers fingerprints the member list last pushed per group:
 	// a moved fingerprint means the group's switches will clear their
@@ -425,8 +366,8 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 	sgi, err := grouping.New(grouping.Config{
 		SizeLimit: c.GroupSizeLimit,
 		Seed:      c.Seed,
-		HighLoad:  c.RegroupHighLoad,
-		LowLoad:   c.RegroupLowLoad,
+		HighLoad:  regroupHighLoad,
+		LowLoad:   regroupLowLoad,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
@@ -508,19 +449,19 @@ func (c *Controller) Start() {
 		c.kaTask = netsim.EveryElidableOrReal(c.env, c.cfg.KeepAliveInterval,
 			func() { c.sendKeepAlives(); c.checkFailures() },
 			c.kaQuiet, c.kaCredit)
-		c.expireTask = netsim.EveryElidableOrReal(c.env, c.cfg.ARPTimeout,
+		c.expireTask = netsim.EveryElidableOrReal(c.env, arpTimeout,
 			c.expirePending, c.expireQuiet, func(int) {})
 		c.cancels = append(c.cancels, c.kaTask.Stop, c.expireTask.Stop)
 	} else {
 		c.cancels = append(c.cancels,
 			c.env.Every(c.cfg.KeepAliveInterval, c.sendKeepAlives),
 			c.env.Every(c.cfg.KeepAliveInterval, c.checkFailures),
-			c.env.Every(c.cfg.ARPTimeout, c.expirePending),
+			c.env.Every(arpTimeout, c.expirePending),
 		)
 	}
 	if c.cfg.Mode == ModeLazy && c.cfg.Dynamic {
 		c.cancels = append(c.cancels,
-			c.env.Every(c.cfg.RegroupCheckInterval, c.maybeRegroup))
+			c.env.Every(regroupCheckInterval, c.maybeRegroup))
 	}
 	if c.cfg.Peer != 0 {
 		// Standby-role duty: heartbeat the primary and take over when it
@@ -771,10 +712,8 @@ func (c *Controller) supervisePush(dest model.SwitchID, version uint64) {
 		}
 	}
 	p.version = version
-	d := c.cfg.PushRetryTimeout << uint(p.attempts)
-	if lim := c.cfg.PushRetryTimeout << 3; d > lim {
-		d = lim
-	}
+	base := c.pushRetryTimeout()
+	d := min(base<<uint(p.attempts), base<<3)
 	p.cancel = c.env.After(d, func() { c.retryPush(dest) })
 }
 
@@ -833,7 +772,7 @@ func (c *Controller) refreshPeerFilter(sw model.SwitchID) {
 		delete(c.pfPrev, sw)
 		return
 	}
-	f := fib.FilterFromWireEntries(entries, c.cfg.FilterBits, c.cfg.FilterHashes)
+	f := fib.FilterFromWireEntries(entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 	f.SetVersion(v)
 	data, err := f.MarshalBinary()
 	if err != nil {

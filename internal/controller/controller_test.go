@@ -326,12 +326,12 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := c.queueDelay()
-	c.lastRate = 0.9 * c.cfg.ServiceRate
+	c.lastRate = 0.9 * serviceRate
 	busy := c.queueDelay()
 	if busy <= idle {
 		t.Errorf("queueDelay: idle=%v busy=%v, want busy > idle", idle, busy)
 	}
-	c.lastRate = 100 * c.cfg.ServiceRate
+	c.lastRate = 100 * serviceRate
 	if got := c.queueDelay(); got > 200*time.Millisecond {
 		t.Errorf("queueDelay unbounded: %v", got)
 	}

@@ -31,8 +31,9 @@ import (
 // their outputs stay seed-identical.
 //
 // The caller must not deliver other messages to the controller while a
-// burst is in flight; in live mode that holds for free because bursts
-// arrive as openflow.Batch messages on the serialized mailbox.
+// burst is in flight. Under netsim that holds for free — a burst arrives
+// as one PacketInBurst and a node's handlers never run concurrently; a
+// bare driver (eval.Storm) replays its bursts one at a time.
 func (c *Controller) ProcessBurst(batch []openflow.PacketIn) {
 	n := len(batch)
 	if n == 0 {

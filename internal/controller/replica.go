@@ -62,7 +62,7 @@ func (c *Controller) currentTakeover() *TakeoverTimeline {
 // watchPrimary is the standby's periodic duty: heartbeat the primary
 // (which doubles as the bootstrap-snapshot request — a seq-1 heartbeat
 // tells the master this standby holds nothing) and take over once
-// TakeoverMisses heartbeat intervals pass without one back.
+// takeoverMisses heartbeat intervals pass without one back.
 func (c *Controller) watchPrimary() {
 	if c.cfg.Peer == 0 || !c.isStandby {
 		return
@@ -77,7 +77,7 @@ func (c *Controller) watchPrimary() {
 		c.peerLastKA = now
 		return
 	}
-	deadline := time.Duration(c.cfg.TakeoverMisses) * c.cfg.KeepAliveInterval
+	deadline := takeoverMisses * c.cfg.KeepAliveInterval
 	if now-c.peerLastKA >= deadline {
 		c.becomeMaster()
 	}

@@ -85,8 +85,8 @@ type escRecord struct {
 // escalationTTL bounds how long an unanswered escalation stays
 // pending: duplicates for the same flow are suppressed inside the
 // window, and a master change re-flushes only the unexpired residue.
-// Sized to cover the takeover detection window (TakeoverMisses
-// heartbeat intervals) with slack.
+// Sized to cover the takeover detection window (the controller's
+// takeoverMisses heartbeat intervals) with slack.
 const escalationTTL = 10 * time.Second
 
 // noteEscalation records a no-match escalation about to be sent and

@@ -19,9 +19,6 @@ type nodeRecorder struct {
 
 func (n *nodeRecorder) NodeID() model.SwitchID { return n.id }
 func (n *nodeRecorder) HandleMessage(from model.SwitchID, msg netsim.Message) {
-	if netsim.HandleTimer(msg) {
-		return
-	}
 	n.got = append(n.got, msg)
 }
 

@@ -1,11 +1,7 @@
 package edge
 
 import (
-	"time"
-
-	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/failover"
-	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
 )
@@ -82,7 +78,7 @@ func (s *Switch) checkKeepAlives() {
 		return
 	}
 	now := s.env.Now()
-	deadline := time.Duration(s.cfg.KeepAliveMisses) * s.group.KeepAliveInterval
+	deadline := keepAliveMisses * s.group.KeepAliveInterval
 	check := func(neighbor model.SwitchID, dir openflow.LossDirection) {
 		if neighbor == model.NoSwitch || neighbor == s.cfg.ID || s.reported[neighbor] {
 			return
@@ -172,18 +168,4 @@ func (s *Switch) broadcastFilterRemoval(suspect model.SwitchID) {
 		s.stats.GFIBRemovalsSent++
 		s.env.Send(member, tomb)
 	}
-}
-
-// filterFromEntries builds a Bloom filter over wire L-FIB entries.
-func filterFromEntries(entries []openflow.LFIBEntry, bits uint64, hashes uint32) *bloom.Filter {
-	f := bloom.New(bits, hashes)
-	for _, e := range entries {
-		f.AddUint64(fib.MACKey(e.MAC))
-		f.AddUint64(fib.IPKey(e.IP))
-	}
-	return f
-}
-
-func filterFromEntriesWire(entries []openflow.LFIBEntry, bits uint64, hashes uint32) *bloom.Filter {
-	return filterFromEntries(entries, bits, hashes)
 }

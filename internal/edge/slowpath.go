@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"lazyctrl/internal/bloom"
+	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
@@ -13,9 +14,6 @@ import (
 // HandleMessage implements netsim.Node: the Ctrl-IF and peer/state link
 // endpoints of the switch.
 func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
-	if netsim.HandleTimer(msg) {
-		return
-	}
 	switch m := msg.(type) {
 	case *model.Packet:
 		if m.Encapsulated() {
@@ -464,7 +462,7 @@ func (s *Switch) disseminateGFIB() {
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	delta := &openflow.GFIBDelta{Group: s.group.Group, Version: s.group.Version}
 	s.changedMembers(s.gfibSent, false, func(member model.SwitchID, entries []openflow.LFIBEntry, v uint64) {
-		f := filterFromEntries(entries, s.cfg.FilterBits, s.cfg.FilterHashes)
+		f := fib.FilterFromWireEntries(entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 		f.SetVersion(v)
 		prev := s.gfibPrev[member]
 		s.gfibPrev[member] = f
@@ -705,7 +703,7 @@ func (s *Switch) handleLFIBUpdate(from model.SwitchID, m *openflow.LFIBUpdate) {
 	}
 	// Build a filter from the update and install it for the origin at
 	// the update's version, so later deltas have a defined base.
-	f := filterFromEntriesWire(m.Entries, s.cfg.FilterBits, s.cfg.FilterHashes)
+	f := fib.FilterFromWireEntries(m.Entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 	f.SetVersion(m.Version)
 	if m.Origin != s.cfg.ID {
 		s.gfib.SetFilter(m.Origin, f)

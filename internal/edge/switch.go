@@ -17,10 +17,6 @@ type DeliverFunc func(p *model.Packet, at time.Duration)
 // Config parameterizes an edge switch.
 type Config struct {
 	ID model.SwitchID
-	// FilterBits and FilterHashes set the G-FIB Bloom geometry. Zero
-	// selects the paper's defaults (16×128-byte filters, 7 hashes).
-	FilterBits   uint64
-	FilterHashes uint32
 	// AdvertiseInterval is the state-advertisement cadence (member →
 	// designated). Zero selects 5 s.
 	AdvertiseInterval time.Duration
@@ -30,17 +26,6 @@ type Config struct {
 	// GFIBInterval is the designated switch's G-FIB dissemination
 	// cadence within the group. Zero selects ReportInterval.
 	GFIBInterval time.Duration
-	// SlowPathDelay models the user-space slow path (ovs-vswitchd) taken
-	// by first packets: G-FIB query, encap setup. Zero selects 400 µs
-	// (calibrated so the §V-E intra-group cold cache lands at ≈0.8 ms).
-	SlowPathDelay time.Duration
-	// KeepAliveMisses is the number of silent intervals after which a
-	// wheel neighbor is reported. Zero selects 3.
-	KeepAliveMisses int
-	// ReportFalsePositives enables the optional §III-D4 optimization:
-	// mis-forwarded packets are reported to the controller so it can
-	// install exact rules preventing recurrence.
-	ReportFalsePositives bool
 	// PacketInBatchMax enables the control-link micro-batching window
 	// when > 1: PacketIns buffer at the switch and flush as one
 	// PacketInBurst once the buffer reaches this count (or the window
@@ -86,12 +71,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FilterBits == 0 {
-		c.FilterBits = fib.DefaultFilterBits
-	}
-	if c.FilterHashes == 0 {
-		c.FilterHashes = fib.DefaultFilterHashes
-	}
 	if c.AdvertiseInterval == 0 {
 		c.AdvertiseInterval = 5 * time.Second
 	}
@@ -101,17 +80,20 @@ func (c Config) withDefaults() Config {
 	if c.GFIBInterval == 0 {
 		c.GFIBInterval = c.ReportInterval
 	}
-	if c.SlowPathDelay == 0 {
-		c.SlowPathDelay = 400 * time.Microsecond
-	}
-	if c.KeepAliveMisses == 0 {
-		c.KeepAliveMisses = 3
-	}
 	if c.PacketInBatchMax > 1 && c.PacketInBatchWindow == 0 {
 		c.PacketInBatchWindow = time.Millisecond
 	}
 	return c
 }
+
+const (
+	// slowPathDelay models the user-space slow path (ovs-vswitchd) of a
+	// first packet, calibrated so §V-E's intra-group cold cache is ≈0.8 ms.
+	slowPathDelay = 400 * time.Microsecond
+	// keepAliveMisses silent intervals report a wheel neighbor lost
+	// (§III-E1) and, from the controller, start degraded mode.
+	keepAliveMisses = 3
+)
 
 // Stats are the switch's datapath counters (exported via StatsReply).
 type Stats struct {
@@ -281,7 +263,6 @@ type Switch struct {
 	cancels   []func()
 	started   bool
 	stats     Stats
-	xid       uint32
 
 	// Control-fold task handles (nil without ControlFold): wake hooks
 	// re-materialize the timers whose quiet proof a state change
@@ -406,11 +387,6 @@ func (s *Switch) Stop() {
 	s.started = false
 }
 
-func (s *Switch) nextXID() uint32 {
-	s.xid++
-	return s.xid
-}
-
 // Reboot simulates a switch restart: every volatile table — L-FIB
 // bindings, G-FIB filters, flow rules, group view, aggregation and
 // delta-tracking state, keep-alive bookkeeping — is lost, and the
@@ -504,7 +480,7 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		if len(targets) > 1 {
 			s.stats.GFIBMulticopies += uint64(len(targets) - 1)
 		}
-		s.env.After(s.cfg.SlowPathDelay, func() {
+		s.env.After(slowPathDelay, func() {
 			for _, t := range targets {
 				s.encapTo(t, p)
 			}
@@ -533,9 +509,6 @@ func (s *Switch) handleOverlay(p *model.Packet) {
 	if e == nil {
 		// Mis-forwarded due to a Bloom-filter false positive: drop.
 		s.stats.FalsePositiveDrops++
-		if s.cfg.ReportFalsePositives {
-			s.packetIn(openflow.ReasonFalsePositive, &inner)
-		}
 		return
 	}
 	if inner.FlowSeq == 0 && src != model.NoSwitch {
@@ -647,7 +620,7 @@ func (s *Switch) controllerSilent() bool {
 	if !s.haveGroup || s.group.KeepAliveInterval <= 0 || !s.ctrlKASeen {
 		return false
 	}
-	deadline := time.Duration(s.cfg.KeepAliveMisses) * s.group.KeepAliveInterval
+	deadline := keepAliveMisses * s.group.KeepAliveInterval
 	last := s.ctrlLastKA
 	// Folded controller heartbeat rounds were credited only while the
 	// underlay was fault-free, so the broadcast is implicitly heard

@@ -19,9 +19,6 @@ type ctrlRecorder struct {
 func (c *ctrlRecorder) NodeID() model.SwitchID { return model.ControllerNode }
 
 func (c *ctrlRecorder) HandleMessage(from model.SwitchID, msg netsim.Message) {
-	if netsim.HandleTimer(msg) {
-		return
-	}
 	c.got = append(c.got, msg)
 }
 
@@ -288,23 +285,6 @@ func TestFalsePositiveDrop(t *testing.T) {
 	}
 }
 
-func TestFalsePositiveReportOptional(t *testing.T) {
-	s := sim.New(1)
-	n := netsim.New(s, netsim.DefaultLatencies())
-	ctrl := &ctrlRecorder{}
-	n.Attach(ctrl)
-	sw := New(Config{ID: 2, ReportFalsePositives: true}, n.Env(2))
-	n.Attach(sw)
-	p := pkt(10, 99, 0)
-	p.Encap = &model.EncapHeader{SrcSwitch: 1, DstSwitch: 2}
-	sw.HandleMessage(1, p)
-	s.Run()
-	pins := ctrl.packetIns()
-	if len(pins) != 1 || pins[0].Reason != openflow.ReasonFalsePositive {
-		t.Errorf("PacketIns = %+v, want one false-positive report", pins)
-	}
-}
-
 func TestDesignatedAggregationAndReport(t *testing.T) {
 	r := newRig(t, 1, 2, 3)
 	r.switches[1].AttachHost(model.HostMAC(10), model.HostIP(10), 1)
@@ -519,7 +499,7 @@ func TestPostRebootFilterAccepted(t *testing.T) {
 		peer.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, 1, 0)
 	}
 	install := func(l *fib.LFIB) {
-		f := l.Filter(sw.cfg.FilterBits, sw.cfg.FilterHashes)
+		f := l.Filter(fib.DefaultFilterBits, fib.DefaultFilterHashes)
 		data, err := f.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

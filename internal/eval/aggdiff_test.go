@@ -61,25 +61,22 @@ func TestAggregatePopulationDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(agg bool) *Fig789Result {
+			run := func(perFlowFold bool) *Fig789Result {
 				t.Helper()
-				res, err := RunFig789(Fig789Config{
-					Scale:               1,
-					Seed:                1,
-					Engine:              replay.EngineFluid,
-					SampleProb:          0.02,
-					Trace:               &tc.cfg,
-					PerFlowBaseline:     true,
-					ControlFold:         true,
-					AggregatePopulation: agg,
-				})
+				res, err := runFig789(Fig789Config{
+					Scale:      1,
+					Seed:       1,
+					Engine:     replay.EngineFluid,
+					SampleProb: 0.02,
+					Trace:      &tc.cfg,
+				}, perFlowFold)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			pf := run(false)
-			ag := run(true)
+			pf := run(true)
+			ag := run(false)
 			for _, name := range []string{
 				SeriesOpenFlow, SeriesRealStatic, SeriesRealDynamic,
 				SeriesExpandedStatic, SeriesExpandedDynamic,

@@ -9,6 +9,7 @@ import (
 
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/controller"
+	"lazyctrl/internal/model"
 )
 
 // soakSeeds expands LAZYCTRL_CHAOS_SOAK=N into N extra soak seeds —
@@ -219,6 +220,70 @@ func TestChaosFailoverDifferential(t *testing.T) {
 			// actually rejected something before demoting it.
 			if plan.Name == "stale-master-storm" && faulted.StaleGenRejected == 0 {
 				t.Errorf("seed %d: stale-master storm fenced nothing", seed)
+			}
+		}
+	}
+}
+
+// TestChaosRackAndChurnDifferential runs the two crash-cascade
+// scenarios docs/robustness.md lists beside chaos.Cascade through the
+// same differential: a rolling rack failure under a loss storm, and a
+// designated-churn storm. Both are sized against the 1 min keep-alive
+// (every victim stays down past the 3-miss detector) and must return
+// to the fault-free fixpoint. Swept over seeds (one in -short).
+func TestChaosRackAndChurnDifferential(t *testing.T) {
+	const at = 30 * time.Minute
+	seeds := []uint64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		// The rack is three switches of switch 1's group, read off the
+		// fault-free fixpoint (its first line is S1's group view).
+		base, err := RunEmulation(chaosConfig(t, seed, &chaos.Plan{Name: "fault-free"}))
+		if err != nil {
+			t.Fatalf("seed %d fault-free: %v", seed, err)
+		}
+		line, _, _ := strings.Cut(base.Fixpoint, "\n")
+		_, list, _ := strings.Cut(strings.TrimSuffix(line, "]"), "members=[")
+		var rack []model.SwitchID
+		for _, f := range strings.Fields(list) {
+			id, err := strconv.Atoi(strings.TrimPrefix(f, "S"))
+			if err != nil {
+				t.Fatalf("seed %d: fixpoint line %q: %v", seed, line, err)
+			}
+			rack = append(rack, model.SwitchID(id))
+		}
+		if len(rack) < 3 {
+			t.Fatalf("seed %d: switch 1's group %v has fewer than 3 members", seed, rack)
+		}
+		for _, plan := range []*chaos.Plan{
+			chaos.RackCascade(rack[:3], at, 2*time.Minute, 6*time.Minute, 0.4),
+			chaos.DesignatedChurnStorm(1, at, 7*time.Minute, 6*time.Minute, 3),
+		} {
+			res, err := ChaosDifferential(seed, false, plan)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, plan.Name, err)
+			}
+			f := res.Faulted
+			t.Logf("seed %d %s: drops %+v, recovered in %d rounds", seed, plan.Name, f.Drops, f.RecoveryRounds)
+			if f.Drops.Total() == 0 {
+				t.Errorf("seed %d %s: the faults dropped nothing", seed, plan.Name)
+			}
+			if !f.Converged {
+				t.Fatalf("seed %d %s: not converged within %d rounds:\n%s",
+					seed, plan.Name, chaos.DefaultRecoveryRoundBound, strings.Join(f.Divergences, "\n"))
+			}
+			if f.RecoveryRounds > chaos.DefaultRecoveryRoundBound {
+				t.Errorf("seed %d %s: recovery took %d rounds, bound %d",
+					seed, plan.Name, f.RecoveryRounds, chaos.DefaultRecoveryRoundBound)
+			}
+			if len(f.StaleAdoptions) != 0 {
+				t.Errorf("seed %d %s: stale adoptions:\n%s", seed, plan.Name, strings.Join(f.StaleAdoptions, "\n"))
+			}
+			if !res.FixpointMatch {
+				t.Errorf("seed %d %s: faulted fixpoint differs from fault-free fixpoint:\n--- fault-free ---\n%s\n--- faulted ---\n%s",
+					seed, plan.Name, res.Base.Fixpoint, f.Fixpoint)
 			}
 		}
 	}

@@ -13,48 +13,20 @@ import (
 	"lazyctrl/internal/tenant"
 )
 
-// ColdCacheConfig drives the §V-E cold-cache experiment: fresh flows
-// among newly deployed hosts, so no flow rule, C-LIB entry, or learned
-// location exists yet.
-type ColdCacheConfig struct {
-	// Switches is the edge-switch count (paper testbed: 272). Zero
-	// selects 272.
-	Switches int
-	// GroupSizeLimit for the lazy grouping. Zero selects 46.
-	GroupSizeLimit int
-	// FreshHosts is the number of newly deployed hosts (paper: 5). Zero
-	// selects 5.
-	FreshHosts int
-	// Seed drives the simulator.
-	Seed uint64
-	// BackgroundRPS is the unscaled controller load during the probe
-	// (the production controller is busy with the rest of the data
-	// center). Zero selects 7000 — near the paper's observed peak.
-	BackgroundRPS float64
-}
-
-func (c ColdCacheConfig) withDefaults() ColdCacheConfig {
-	if c.Switches == 0 {
-		c.Switches = 272
-	}
-	if c.GroupSizeLimit == 0 {
-		c.GroupSizeLimit = 46
-	}
-	if c.FreshHosts == 0 {
-		c.FreshHosts = 5
-	}
-	if c.BackgroundRPS == 0 {
-		c.BackgroundRPS = 7000
-	}
-	return c
-}
+// The §V-E cold-cache probe: fresh flows among newly deployed hosts, so
+// no flow rule, C-LIB entry, or learned location exists yet.
+const (
+	coldSwitches      = 272  // the paper testbed's edge switches
+	coldGroupLimit    = 46   // §V-D's group size
+	coldFreshHosts    = 5    // the paper's 5 new hosts, 45 flows among them
+	coldBackgroundRPS = 7000 // unscaled controller load during the probe, near Fig. 7's observed peak
+)
 
 // runColdCase measures the mean first-packet latency of fresh flows
 // among newly deployed hosts. For intra-group placement all hosts land
 // inside one LCG; otherwise they spread across groups.
-func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (time.Duration, error) {
-	c := cfg.withDefaults()
-	switchIDs := make([]model.SwitchID, c.Switches)
+func runColdCase(mode controller.Mode, intraGroup bool, seed uint64) (time.Duration, error) {
+	switchIDs := make([]model.SwitchID, coldSwitches)
 	for i := range switchIDs {
 		switchIDs[i] = model.SwitchID(i + 1)
 	}
@@ -65,8 +37,8 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 	var latencies []time.Duration
 	r, err := rig.New(dir, controller.Config{
 		Mode:              mode,
-		GroupSizeLimit:    c.GroupSizeLimit,
-		Seed:              c.Seed,
+		GroupSizeLimit:    coldGroupLimit,
+		Seed:              seed,
 		LoadScale:         1,
 		Recorder:          metrics.NewRecorder(time.Hour, time.Hour),
 		KeepAliveInterval: keepAliveInterval,
@@ -91,10 +63,9 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 	if mode == controller.ModeLazy {
 		// Block affinity: consecutive switches form natural groups.
 		m := grouping.NewIntensity()
-		limit := c.GroupSizeLimit
 		for i := 0; i < len(switchIDs); i++ {
 			m.AddSwitch(switchIDs[i])
-			if (i+1)%limit != 0 && i+1 < len(switchIDs) {
+			if (i+1)%coldGroupLimit != 0 && i+1 < len(switchIDs) {
 				m.Add(switchIDs[i], switchIDs[i+1], 100)
 			}
 		}
@@ -104,7 +75,7 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 	}
 
 	// Background load on the controller's queueing model.
-	ctrl.SetBackgroundLoad(c.BackgroundRPS)
+	ctrl.SetBackgroundLoad(coldBackgroundRPS)
 
 	// Let the setup-phase state reports drain BEFORE the fresh hosts
 	// appear: the C-LIB then genuinely does not know them, as in the
@@ -113,13 +84,13 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 
 	// Deploy fresh hosts: intra-group on the first few switches of
 	// group 1; inter-group spread one per group.
-	hosts := make([]*tenant.Host, c.FreshHosts)
+	hosts := make([]*tenant.Host, coldFreshHosts)
 	for i := range hosts {
 		var swid model.SwitchID
 		if intraGroup {
-			swid = switchIDs[i%c.GroupSizeLimit]
+			swid = switchIDs[i%coldGroupLimit]
 		} else {
-			swid = switchIDs[(i*c.GroupSizeLimit+i)%len(switchIDs)]
+			swid = switchIDs[(i*coldGroupLimit+i)%len(switchIDs)]
 		}
 		h := model.HostID(100000 + i)
 		if err := r.AddHost(h, 1, swid); err != nil {
@@ -161,16 +132,16 @@ func runColdCase(mode controller.Mode, intraGroup bool, cfg ColdCacheConfig) (ti
 }
 
 // ColdCache runs the three §V-E cases.
-func ColdCache(cfg ColdCacheConfig) (*ColdCacheResult, error) {
-	intra, err := runColdCase(controller.ModeLazy, true, cfg)
+func ColdCache(seed uint64) (*ColdCacheResult, error) {
+	intra, err := runColdCase(controller.ModeLazy, true, seed)
 	if err != nil {
 		return nil, fmt.Errorf("eval: intra: %w", err)
 	}
-	inter, err := runColdCase(controller.ModeLazy, false, cfg)
+	inter, err := runColdCase(controller.ModeLazy, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("eval: inter: %w", err)
 	}
-	of, err := runColdCase(controller.ModeLearning, false, cfg)
+	of, err := runColdCase(controller.ModeLearning, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("eval: openflow: %w", err)
 	}

@@ -185,7 +185,7 @@ func TestFig6bShape(t *testing.T) {
 }
 
 func TestColdCacheOrdering(t *testing.T) {
-	res, err := ColdCache(ColdCacheConfig{Seed: 9})
+	res, err := ColdCache(9)
 	if err != nil {
 		t.Fatal(err)
 	}

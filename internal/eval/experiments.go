@@ -232,7 +232,14 @@ const (
 )
 
 // Fig789Config drives the three trace-replay figures, which share the
-// same five emulation runs.
+// same five emulation runs. All five run per-flow (5-tuple) reactive
+// rules — the paper's rule granularity, applied uniformly so the
+// comparison is between control planes, not rule shapes: the reduction
+// then measures the fraction of escalations the group-local controllers
+// absorb and lands in the paper's 61–82% band, tracking each trace's
+// centrality (with exact-dst rules a 60 s idle timeout keeps every rule
+// warm at full pair density and both sides' workloads collapse — the
+// density artifact, docs/emulation.md).
 type Fig789Config struct {
 	// Scale divides the real trace's 271M flows. Benchmarks use 5000
 	// (54k flows); unit tests use much larger divisors. Scale 1 is the
@@ -245,7 +252,9 @@ type Fig789Config struct {
 	// GroupSizeLimit for LazyCtrl runs. Zero selects 46.
 	GroupSizeLimit int
 	// Engine and SampleProb select the replay engine for all five runs
-	// (see EmulationConfig).
+	// (see EmulationConfig). EngineFluid means both analytic folds — the
+	// aggregate population fold and the control fold (setEngine) — which
+	// is what makes Scale 1 reachable.
 	Engine     replay.Engine
 	SampleProb float64
 	// Trace overrides the replayed workload (nil selects the real
@@ -253,23 +262,6 @@ type Fig789Config struct {
 	// it by the +30% silent-pair expansion, and the warmup intensity
 	// samples a 10×-denser generation of the same config.
 	Trace *trace.GeneratorConfig
-	// PerFlowBaseline switches all five series to per-flow (5-tuple)
-	// reactive rules — the paper's rule granularity, applied uniformly
-	// so the comparison is between control planes, not rule shapes.
-	// Without it, exact-dst rules with a 60s idle timeout stay
-	// perpetually warm at full pair density and both sides' workloads
-	// collapse (the density artifact, docs/emulation.md); with it, the
-	// reduction measures what LazyCtrl actually changes — the fraction
-	// of escalations the group-local controllers absorb — and lands in
-	// the paper's 61–82% band, tracking each trace's centrality.
-	PerFlowBaseline bool
-	// ControlFold folds the quiescent control-plane background
-	// analytically in all five runs (EmulationConfig.ControlFold).
-	ControlFold bool
-	// AggregatePopulation folds the traffic population analytically in
-	// all five runs (EmulationConfig.AggregatePopulation; fluid engine
-	// only). Required for the Scale=1 synthetic sweeps.
-	AggregatePopulation bool
 	// WarmupScale overrides the warmup-intensity generation's scale
 	// divisor (0 keeps the default Scale/10, min 1). Full-scale sweeps
 	// set a coarser divisor: the warmup intensity only seeds the
@@ -299,9 +291,26 @@ type Fig789Result struct {
 // and Fig. 9): OpenFlow on the real trace, LazyCtrl static/dynamic on
 // the real trace, and LazyCtrl static/dynamic on the expanded trace
 // (+30% flows among previously silent pairs during hours 8–24).
-func RunFig789(cfg Fig789Config) (*Fig789Result, error) {
+func RunFig789(cfg Fig789Config) (*Fig789Result, error) { return runFig789(cfg, false) }
+
+// setEngine selects a driver run's replay engine, and is the one place
+// that says what the choice expands to (RunFig789 and the CLIs' -engine
+// both come through here): EngineFluid means the aggregate population
+// fold plus the control fold. Every generator and expanded stream
+// implements trace.AggStream, so the drivers never need the per-flow
+// fluid fold; it stays the reference the aggregate fold is pinned
+// against, reachable only by setting EmulationConfig's fields directly.
+func (c *EmulationConfig) setEngine(engine replay.Engine, sampleProb float64) {
+	c.Engine, c.SampleProb = engine, sampleProb
+	c.AggregatePopulation = engine == replay.EngineFluid
+	c.ControlFold = engine == replay.EngineFluid
+}
+
+// fig789Inputs builds what the five runs share: the real and expanded
+// streams and the warm-up intensity.
+func fig789Inputs(cfg Fig789Config) (real, expanded trace.Stream, warm *grouping.Intensity, err error) {
 	if cfg.Scale < 1 {
-		return nil, fmt.Errorf("eval: Scale must be ≥ 1")
+		return nil, nil, nil, fmt.Errorf("eval: Scale must be ≥ 1")
 	}
 	// The real→expanded stream chain and the warmup-intensity generation
 	// are independent: overlap them. Warmup sees the full (unscaled)
@@ -309,15 +318,11 @@ func RunFig789(cfg Fig789Config) (*Fig789Result, error) {
 	// traffic distribution (identical topology and pair pools under the
 	// same seed) — streamed, so only the first hour's windows of the
 	// denser trace are ever generated.
-	var (
-		real, expanded trace.Stream
-		warm           *grouping.Intensity
-	)
 	baseCfg := trace.RealLikeConfig(cfg.Scale, cfg.Seed)
 	if cfg.Trace != nil {
 		baseCfg = *cfg.Trace
 	}
-	err := parallelFor(2, func(i int) error {
+	err = parallelFor(2, func(i int) error {
 		switch i {
 		case 0:
 			var err error
@@ -345,6 +350,14 @@ func RunFig789(cfg Fig789Config) (*Fig789Result, error) {
 			return nil
 		}
 	})
+	return real, expanded, warm, err
+}
+
+// runFig789 is RunFig789 with the test seam: perFlowFold keeps the
+// fluid engine on the per-flow population fold, the reference
+// TestAggregatePopulationDifferential pins the aggregate fold against.
+func runFig789(cfg Fig789Config, perFlowFold bool) (*Fig789Result, error) {
+	real, expanded, warm, err := fig789Inputs(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -367,22 +380,23 @@ func RunFig789(cfg Fig789Config) (*Fig789Result, error) {
 	results := make([]*EmulationResult, len(runs))
 	err = parallelFor(len(runs), func(i int) error {
 		r := runs[i]
-		res, err := RunEmulation(EmulationConfig{
-			Source:              r.src,
-			Mode:                r.mode,
-			Dynamic:             r.dynamic,
-			GroupSizeLimit:      cfg.GroupSizeLimit,
-			Horizon:             cfg.Horizon,
-			Seed:                cfg.Seed,
-			WarmupIntensity:     warm,
-			Engine:              cfg.Engine,
-			SampleProb:          cfg.SampleProb,
-			PerFlowBaseline:     cfg.PerFlowBaseline,
-			ControlFold:         cfg.ControlFold,
-			AggregatePopulation: cfg.AggregatePopulation,
-			HostSampling:        cfg.HostSampling,
-			TraceSample:         cfg.TraceSample,
-		})
+		ec := EmulationConfig{
+			Source:          r.src,
+			Mode:            r.mode,
+			Dynamic:         r.dynamic,
+			GroupSizeLimit:  cfg.GroupSizeLimit,
+			Horizon:         cfg.Horizon,
+			Seed:            cfg.Seed,
+			WarmupIntensity: warm,
+			PerFlowBaseline: true,
+			HostSampling:    cfg.HostSampling,
+			TraceSample:     cfg.TraceSample,
+		}
+		ec.setEngine(cfg.Engine, cfg.SampleProb)
+		if perFlowFold {
+			ec.AggregatePopulation = false
+		}
+		res, err := RunEmulation(ec)
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", r.name, err)
 		}

@@ -38,15 +38,12 @@ func fullScaleBudget(t *testing.T) time.Duration {
 func synSweep(cfgT trace.GeneratorConfig) (*Fig789Result, error) {
 	cfgT.WindowsPerHour = 12
 	return RunFig789(Fig789Config{
-		Scale:               1,
-		Seed:                1,
-		Engine:              replay.EngineFluid,
-		SampleProb:          0.0003,
-		Trace:               &cfgT,
-		PerFlowBaseline:     true,
-		ControlFold:         true,
-		AggregatePopulation: true,
-		WarmupScale:         100,
+		Scale:       1,
+		Seed:        1,
+		Engine:      replay.EngineFluid,
+		SampleProb:  0.0003,
+		Trace:       &cfgT,
+		WarmupScale: 100,
 	})
 }
 

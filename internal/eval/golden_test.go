@@ -143,3 +143,41 @@ func TestGoldenDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestDriverDefaultIsPaperConfiguration pins what the drivers run: a
+// RunFig789 that names only the fluid engine is, series for series, the
+// run with per-flow rules, the aggregate population fold, and the
+// control fold all switched on by hand; and under any engine the
+// OpenFlow baseline installs nothing (per-flow rules).
+func TestDriverDefaultIsPaperConfiguration(t *testing.T) {
+	small := trace.SmallConfig("small", 5)
+	cfg := Fig789Config{Scale: 1, Seed: 5, Horizon: 6 * time.Hour, Engine: replay.EngineFluid, Trace: &small}
+	sweep, err := RunFig789(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, _, warm, err := fig789Inputs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := RunEmulation(EmulationConfig{
+		Source: real, Mode: controller.ModeLazy, Horizon: cfg.Horizon, Seed: cfg.Seed, WarmupIntensity: warm,
+		Engine: replay.EngineFluid, PerFlowBaseline: true, AggregatePopulation: true, ControlFold: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := goldenDigest(t, sweep.Series[SeriesRealStatic]), goldenDigest(t, direct); got != want {
+		t.Errorf("RunFig789{Engine: fluid} real-static digest %s, the hand-built paper configuration gives %s", got, want)
+	}
+
+	cfg.Engine = replay.EngineDES
+	sweep, err = RunFig789(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sweep.Series[SeriesOpenFlow].ControllerStats; st.PacketIns == 0 || st.FlowModsSent != 0 {
+		t.Errorf("DES OpenFlow baseline: %d PacketIns, %d FlowMods; per-flow rules escalate every flow and install nothing",
+			st.PacketIns, st.FlowModsSent)
+	}
+}

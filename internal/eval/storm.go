@@ -24,14 +24,16 @@ type StormConfig struct {
 	// Events is the burst size handed to one ProcessBurst call (zero
 	// selects 8192).
 	Events int
-	// UnknownFrac is the fraction of events whose destination was never
-	// learned, forcing the flood path (zero selects 0.02).
-	UnknownFrac float64
 	// Shards is the controller's StateShards.
 	Shards int
 	// Seed drives the deterministic event mix.
 	Seed uint64
 }
+
+// stormUnknownFrac is the fraction of storm events whose destination was
+// never learned, forcing the flood path: rare, as in a warmed data
+// center, but present in every burst.
+const stormUnknownFrac = 0.02
 
 func (c StormConfig) withDefaults() StormConfig {
 	if c.Switches == 0 {
@@ -42,9 +44,6 @@ func (c StormConfig) withDefaults() StormConfig {
 	}
 	if c.Events == 0 {
 		c.Events = 8192
-	}
-	if c.UnknownFrac == 0 {
-		c.UnknownFrac = 0.02
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -97,7 +96,7 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 	for i := range batch {
 		src := model.HostID(1 + rng.IntN(c.Hosts))
 		dst := model.HostID(1 + rng.IntN(c.Hosts))
-		if rng.Float64() < c.UnknownFrac {
+		if rng.Float64() < stormUnknownFrac {
 			dst = model.HostID(1_000_000 + rng.IntN(1000))
 		}
 		batch[i] = openflow.PacketIn{

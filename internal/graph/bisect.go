@@ -13,9 +13,11 @@ type BisectOptions struct {
 	MaxSideWeight int64
 	// Seed drives randomized choices.
 	Seed uint64
-	// Passes bounds FM sweeps. Zero selects 10.
-	Passes int
 }
+
+// bisectPasses bounds the FM sweeps of one bisection; a sweep that finds
+// no improving prefix ends refinement sooner.
+const bisectPasses = 10
 
 // Bisect splits g into two sides minimizing the cut subject to the side
 // weight cap, via greedy growing plus Fiduccia–Mattheyses refinement.
@@ -34,10 +36,6 @@ func Bisect(g *Graph, o BisectOptions) (Partition, int64, error) {
 	}
 	if 2*cap < total {
 		return nil, 0, fmt.Errorf("graph: infeasible bisection: 2×%d < total %d", cap, total)
-	}
-	passes := o.Passes
-	if passes == 0 {
-		passes = 10
 	}
 	rng := rand.New(rand.NewPCG(o.Seed, o.Seed^0xdeadbeefcafef00d))
 
@@ -69,7 +67,7 @@ func Bisect(g *Graph, o BisectOptions) (Partition, int64, error) {
 
 	// Greedy growing of side 0 to half the total weight.
 	part := growInitial(g, 2, cap, rng)
-	fmRefine(g, part, cap, passes, rng)
+	fmRefine(g, part, cap, rng)
 	if err := repair(g, part, 2, cap); err != nil {
 		return nil, 0, err
 	}
@@ -80,7 +78,7 @@ func Bisect(g *Graph, o BisectOptions) (Partition, int64, error) {
 // pass tentatively moves every vertex once in best-gain order (allowing
 // negative-gain moves to escape local minima), then rolls back to the
 // best prefix observed.
-func fmRefine(g *Graph, part Partition, cap int64, passes int, rng *rand.Rand) {
+func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 	n := g.N()
 	gain := make([]int64, n)
 	locked := make([]bool, n)
@@ -100,7 +98,7 @@ func fmRefine(g *Graph, part Partition, cap int64, passes int, rng *rand.Rand) {
 		_ = weights
 	}
 
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < bisectPasses; pass++ {
 		weights := g.PartWeights(part, 2)
 		computeGains(weights)
 		for i := range locked {

@@ -17,13 +17,14 @@ type PartitionOptions struct {
 	MaxPartWeight int64
 	// Seed drives all randomized choices; equal seeds give equal results.
 	Seed uint64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices. Zero selects max(20*K, 80).
-	CoarsenTo int
-	// RefinePasses bounds the number of refinement sweeps per level.
-	// Zero selects 8.
-	RefinePasses int
 }
+
+// refinePasses bounds the refinement sweeps per uncoarsening level.
+const refinePasses = 8
+
+// coarsenTo is the vertex count at which coarsening stops: enough
+// vertices per part for the initial partition to express affinity.
+func coarsenTo(k int) int { return max(20*k, 80) }
 
 func (o *PartitionOptions) withDefaults(g *Graph) (PartitionOptions, error) {
 	opts := *o
@@ -46,15 +47,6 @@ func (o *PartitionOptions) withDefaults(g *Graph) (PartitionOptions, error) {
 	}
 	if maxVW > opts.MaxPartWeight {
 		return opts, fmt.Errorf("graph: infeasible: vertex weight %d exceeds part cap %d", maxVW, opts.MaxPartWeight)
-	}
-	if opts.CoarsenTo == 0 {
-		opts.CoarsenTo = 20 * opts.K
-		if opts.CoarsenTo < 80 {
-			opts.CoarsenTo = 80
-		}
-	}
-	if opts.RefinePasses == 0 {
-		opts.RefinePasses = 8
 	}
 	return opts, nil
 }
@@ -82,7 +74,7 @@ func PartitionKWay(g *Graph, o PartitionOptions) (Partition, error) {
 	levels := []level{{g: g}}
 	cur := g
 	var cs coarsenScratch
-	for cur.N() > opts.CoarsenTo {
+	for cur.N() > coarsenTo(opts.K) {
 		coarse, cmap := coarsen(cur, opts.MaxPartWeight, rng, &cs)
 		if coarse.N() >= cur.N() || float64(coarse.N()) > 0.95*float64(cur.N()) {
 			break // matching stalled; stop coarsening
@@ -95,7 +87,7 @@ func PartitionKWay(g *Graph, o PartitionOptions) (Partition, error) {
 	// Initial partitioning on the coarsest graph.
 	coarsest := levels[len(levels)-1].g
 	part := growInitial(coarsest, opts.K, opts.MaxPartWeight, rng)
-	refine(coarsest, part, opts.K, opts.MaxPartWeight, opts.RefinePasses, rng)
+	refine(coarsest, part, opts.K, opts.MaxPartWeight, rng)
 
 	// Uncoarsening with refinement.
 	for i := len(levels) - 2; i >= 0; i-- {
@@ -106,7 +98,7 @@ func PartitionKWay(g *Graph, o PartitionOptions) (Partition, error) {
 			finePart[v] = part[cmap[v]]
 		}
 		part = finePart
-		refine(fine, part, opts.K, opts.MaxPartWeight, opts.RefinePasses, rng)
+		refine(fine, part, opts.K, opts.MaxPartWeight, rng)
 	}
 
 	if err := repair(g, part, opts.K, opts.MaxPartWeight); err != nil {
@@ -373,13 +365,13 @@ func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) Partition {
 // refine runs greedy boundary Kernighan–Lin sweeps: every pass visits
 // boundary vertices in random order and moves a vertex to the adjacent
 // part with the highest positive gain, subject to the weight cap.
-func refine(g *Graph, part Partition, k int, cap int64, passes int, rng *rand.Rand) {
+func refine(g *Graph, part Partition, k int, cap int64, rng *rand.Rand) {
 	n := g.N()
 	weights := g.PartWeights(part, k)
 	connTo := make([]int64, k)
 	var orderBuf []int
 
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
 		orderBuf = shuffledOrder(orderBuf, n, rng)
 		for _, v := range orderBuf {

@@ -23,10 +23,11 @@ type BargainConfig struct {
 	// patient party (higher δ) extracts a larger share.
 	ControllerDiscount float64
 	SwitchDiscount     float64
-	// MaxRounds bounds the explicit alternating-offers simulation used
-	// when the parties' proposals have not yet converged. Zero selects 16.
-	MaxRounds int
 }
+
+// maxBargainRounds bounds the explicit alternating-offers simulation
+// used while the parties' proposals have not yet converged.
+const maxBargainRounds = 16
 
 func (c BargainConfig) withDefaults() (BargainConfig, error) {
 	if c.ControllerLimit < 1 {
@@ -41,9 +42,6 @@ func (c BargainConfig) withDefaults() (BargainConfig, error) {
 	if c.ControllerDiscount <= 0 || c.ControllerDiscount >= 1 ||
 		c.SwitchDiscount <= 0 || c.SwitchDiscount >= 1 {
 		return c, errors.New("grouping: discount factors must lie in (0,1)")
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 16
 	}
 	return c, nil
 }
@@ -103,7 +101,7 @@ func AggregateOffers(offers []SwitchOffer) int {
 // controller, who computes groupings) the share (1-δs)/(1-δcδs); the
 // agreement is immediate in equilibrium, but for transparency the
 // explicit alternating-offers rounds are also simulated and must
-// converge to the same split within MaxRounds.
+// converge to the same split within maxBargainRounds.
 func Negotiate(switchLimit int, cfg BargainConfig) (int, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -123,7 +121,7 @@ func Negotiate(switchLimit int, cfg BargainConfig) (int, error) {
 	// handles pathological discount pairs by truncation).
 	offerC := float64(c.ControllerLimit)
 	offerS := float64(switchLimit)
-	for round := 0; round < c.MaxRounds && offerC-offerS > 0.5; round++ {
+	for round := 0; round < maxBargainRounds && offerC-offerS > 0.5; round++ {
 		if round%2 == 0 {
 			// Controller concedes toward the equilibrium.
 			offerC -= (1 - c.ControllerDiscount) * (offerC - offerS)

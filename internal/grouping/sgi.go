@@ -26,8 +26,6 @@ type Config struct {
 	// Defaults: 0.10 and 0.08.
 	HighLoad float64
 	LowLoad  float64
-	// MaxIterations bounds one IncUpdate invocation. Zero selects 32.
-	MaxIterations int
 	// Parallel enables the Appendix-B optimization: merge/split runs
 	// concurrently on disjoint group pairs.
 	Parallel bool
@@ -50,11 +48,13 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LowLoad > c.HighLoad {
 		return c, fmt.Errorf("grouping: LowLoad %v > HighLoad %v", c.LowLoad, c.HighLoad)
 	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 32
-	}
 	return c, nil
 }
+
+// maxIncIterations bounds the merge/split rounds of one IncUpdate call;
+// Fig. 3's loop normally ends sooner, on the LowLoad threshold or when
+// no pair improves the cut.
+const maxIncIterations = 32
 
 // SGI is the Size-constrained Grouping algorithm with Incremental update
 // support (Fig. 3 of the paper). It is stateful: IncUpdate compares the
@@ -300,7 +300,7 @@ func (s *SGI) incUpdate(grp *Grouping, cur intensityMatrix, load func(*Grouping)
 		load = func(*Grouping) float64 { return t.winter() }
 	}
 	ops := 0
-	for iter := 0; iter < s.cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIncIterations; iter++ {
 		if load(grp) <= s.cfg.HighLoad {
 			break
 		}

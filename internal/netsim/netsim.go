@@ -1,10 +1,8 @@
 // Package netsim provides the simulated network underlay of the LazyCtrl
 // prototype: a core–edge separated IP fabric giving one-hop logical
 // distance between edge switches (§III-B1), with configurable link
-// latencies, link/node failure injection, and two interchangeable
-// runtimes — a deterministic discrete-event mode used by all experiments
-// and a live goroutine mode (see live.go) that exercises the OpenFlow
-// codec and the concurrency behavior of the node state machines.
+// latencies and link/node failure injection, on the deterministic
+// discrete-event runtime every experiment, test and benchmark uses.
 package netsim
 
 import (
@@ -21,7 +19,7 @@ import (
 type Message any
 
 // Node is a network element attached to the underlay. Handlers run
-// single-threaded in both runtimes.
+// single-threaded.
 type Node interface {
 	// NodeID returns the node's address. The controller uses
 	// model.ControllerNode.
@@ -30,8 +28,8 @@ type Node interface {
 	HandleMessage(from model.SwitchID, msg Message)
 }
 
-// Env is the runtime handed to a node: virtual (or real) time, timers,
-// and message sending. Implementations guarantee all callbacks and
+// Env is the runtime handed to a node: virtual time, timers, and
+// message sending. Implementations guarantee all callbacks and
 // HandleMessage invocations of one node never run concurrently.
 type Env interface {
 	// Now returns the time since simulation start.
@@ -44,8 +42,7 @@ type Env interface {
 	// Send delivers msg to the node with the given address, applying
 	// link latency and loss.
 	Send(to model.SwitchID, msg Message)
-	// Rand returns a deterministic random source (sim mode) or a
-	// process-wide one (live mode).
+	// Rand returns the simulation's deterministic random source.
 	Rand() *rand.Rand
 }
 

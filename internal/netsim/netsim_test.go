@@ -1,20 +1,16 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/model"
-	"lazyctrl/internal/openflow"
 	"lazyctrl/internal/sim"
 )
 
 // recorder is a test node capturing deliveries.
 type recorder struct {
 	id   model.SwitchID
-	mu   sync.Mutex
 	got  []Message
 	from []model.SwitchID
 }
@@ -22,20 +18,11 @@ type recorder struct {
 func (r *recorder) NodeID() model.SwitchID { return r.id }
 
 func (r *recorder) HandleMessage(from model.SwitchID, msg Message) {
-	if HandleTimer(msg) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.got = append(r.got, msg)
 	r.from = append(r.from, from)
 }
 
-func (r *recorder) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.got)
-}
+func (r *recorder) count() int { return len(r.got) }
 
 func TestSimDelivery(t *testing.T) {
 	s := sim.New(1)
@@ -209,8 +196,6 @@ func TestFaultRuleReorder(t *testing.T) {
 	if b.count() != 2 {
 		t.Fatalf("delivered %d, want 2", b.count())
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.got[0] != "second" || b.got[1] != "first" {
 		t.Errorf("delivery order = %v, want [second first]", b.got)
 	}
@@ -328,211 +313,4 @@ func TestAttachDuplicatePanics(t *testing.T) {
 	n := New(s, DefaultLatencies())
 	n.Attach(&recorder{id: 1})
 	n.Attach(&recorder{id: 1})
-}
-
-func TestLiveDeliveryAndCodec(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond, Control: time.Millisecond, Peer: time.Millisecond})
-	defer n.Close()
-	a := &recorder{id: 1}
-	b := &recorder{id: 2}
-	n.Attach(a)
-	n.Attach(b)
-
-	// An openflow message must round-trip the codec.
-	ka := &openflow.KeepAlive{From: 1, Seq: 42}
-	n.Env(1).Send(2, ka)
-	// A raw data packet passes through as-is.
-	pkt := &model.Packet{SrcMAC: model.HostMAC(1), DstMAC: model.HostMAC(2), Bytes: 100}
-	n.Env(1).Send(2, pkt)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for b.count() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if b.count() != 2 {
-		t.Fatalf("b received %d messages, want 2", b.count())
-	}
-	if n.CodecErrors != 0 {
-		t.Errorf("CodecErrors = %d", n.CodecErrors)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	foundKA := false
-	for _, m := range b.got {
-		if got, ok := m.(*openflow.KeepAlive); ok {
-			foundKA = true
-			if got.From != 1 || got.Seq != 42 {
-				t.Errorf("KeepAlive = %+v after codec round trip", got)
-			}
-			if got == ka {
-				t.Error("message not round-tripped through codec (same pointer)")
-			}
-		}
-	}
-	if !foundKA {
-		t.Error("KeepAlive not delivered")
-	}
-}
-
-func TestLiveTimers(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond})
-	defer n.Close()
-	a := &recorder{id: 1}
-	n.Attach(a)
-	env := n.Env(1)
-
-	var mu sync.Mutex
-	var oneShot, canceled, ticks int
-	env.After(10*time.Millisecond, func() { mu.Lock(); oneShot++; mu.Unlock() })
-	cancel := env.After(20*time.Millisecond, func() { mu.Lock(); canceled++; mu.Unlock() })
-	cancel()
-	stop := env.Every(10*time.Millisecond, func() { mu.Lock(); ticks++; mu.Unlock() })
-	time.Sleep(120 * time.Millisecond)
-	stop()
-	time.Sleep(30 * time.Millisecond)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if oneShot != 1 {
-		t.Errorf("oneShot = %d, want 1", oneShot)
-	}
-	if canceled != 0 {
-		t.Error("canceled timer ran")
-	}
-	if ticks < 5 {
-		t.Errorf("ticks = %d, want ≥ 5", ticks)
-	}
-}
-
-func TestLiveLinkFailure(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond})
-	defer n.Close()
-	a := &recorder{id: 1}
-	b := &recorder{id: 2}
-	n.Attach(a)
-	n.Attach(b)
-	n.FailLink(1, 2)
-	n.Env(1).Send(2, "lost")
-	time.Sleep(20 * time.Millisecond)
-	if b.count() != 0 {
-		t.Error("message delivered over failed live link")
-	}
-	n.HealLink(1, 2)
-	n.Env(1).Send(2, "ok")
-	deadline := time.Now().Add(time.Second)
-	for b.count() < 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if b.count() != 1 {
-		t.Error("message not delivered after live heal")
-	}
-}
-
-func TestLiveCloseIdempotent(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond})
-	n.Attach(&recorder{id: 1})
-	n.Close()
-	n.Close() // must not panic or deadlock
-}
-
-// TestLiveBatchDelivery pushes a coalesced regroup message through the
-// live transport: the Batch must survive the codec round trip with its
-// sub-messages intact and in order, arriving as one delivery.
-func TestLiveBatchDelivery(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond, Control: time.Millisecond, Peer: time.Millisecond})
-	defer n.Close()
-	a := &recorder{id: 1}
-	b := &recorder{id: 2}
-	n.Attach(a)
-	n.Attach(b)
-
-	batch := &openflow.Batch{Msgs: []openflow.Message{
-		&openflow.GroupConfig{Group: 1, Members: []model.SwitchID{1, 2}, Designated: 1, Version: 3},
-		&openflow.LFIBUpdate{Origin: 2, Full: true, Entries: []openflow.LFIBEntry{
-			{MAC: model.HostMAC(20), IP: model.HostIP(20), VLAN: 1},
-		}, Version: 3},
-	}}
-	n.Env(1).Send(2, batch)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for b.count() < 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if b.count() != 1 {
-		t.Fatalf("b received %d messages, want 1 (the batch)", b.count())
-	}
-	if n.CodecErrors != 0 {
-		t.Errorf("CodecErrors = %d", n.CodecErrors)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	got, ok := b.got[0].(*openflow.Batch)
-	if !ok {
-		t.Fatalf("delivered %T, want *openflow.Batch", b.got[0])
-	}
-	if got == batch {
-		t.Fatal("batch not round-tripped through codec (same pointer)")
-	}
-	if len(got.Msgs) != 2 {
-		t.Fatalf("batch decoded %d sub-messages, want 2", len(got.Msgs))
-	}
-	if cfg, ok := got.Msgs[0].(*openflow.GroupConfig); !ok || cfg.Version != 3 {
-		t.Errorf("first sub-message = %+v, want the GroupConfig", got.Msgs[0])
-	}
-	if u, ok := got.Msgs[1].(*openflow.LFIBUpdate); !ok || len(u.Entries) != 1 {
-		t.Errorf("second sub-message = %+v, want the preload", got.Msgs[1])
-	}
-}
-
-// TestLiveDeltaProtocolDelivery round-trips the delta-protocol message
-// set through the live codec path — a coalesced GFIBUpdate+GFIBDelta
-// pair and a PacketInBurst — and checks the transport's bytes-on-wire
-// meter moves.
-func TestLiveDeltaProtocolDelivery(t *testing.T) {
-	n := NewLive(Latencies{Data: time.Millisecond, Control: time.Millisecond, Peer: time.Millisecond})
-	defer n.Close()
-	a := &recorder{id: 1}
-	b := &recorder{id: 2}
-	n.Attach(a)
-	n.Attach(b)
-
-	n.Env(1).Send(2, &openflow.Batch{Msgs: []openflow.Message{
-		&openflow.GFIBUpdate{Group: 1, Filters: []openflow.GFIBFilter{{Switch: 3, Filter: []byte{1}, Version: 4}}},
-		&openflow.GFIBDelta{Group: 1, Deltas: []openflow.GFIBFilterDelta{
-			{Switch: 4, BaseVersion: 1, TargetVersion: 2, Words: []bloom.WordDelta{{Index: 7, Word: 42}}},
-		}},
-	}})
-	n.Env(2).Send(1, &openflow.PacketInBurst{Switch: 2, Items: []openflow.BurstPacket{
-		{Reason: openflow.ReasonNoMatch, Packet: model.Packet{SrcMAC: model.HostMAC(1), DstMAC: model.HostMAC(2), VLAN: 1}},
-	}})
-
-	deadline := time.Now().Add(2 * time.Second)
-	for (a.count() < 1 || b.count() < 1) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if a.count() != 1 || b.count() != 1 {
-		t.Fatalf("deliveries = %d/%d, want 1/1", a.count(), b.count())
-	}
-	if n.CodecErrors != 0 {
-		t.Fatalf("CodecErrors = %d", n.CodecErrors)
-	}
-	if n.WireBytes() == 0 {
-		t.Error("WireBytes() = 0 after two control messages")
-	}
-	b.mu.Lock()
-	batch, ok := b.got[0].(*openflow.Batch)
-	b.mu.Unlock()
-	if !ok || len(batch.Msgs) != 2 {
-		t.Fatalf("delivered %T, want the 2-message batch", b.got[0])
-	}
-	d, ok := batch.Msgs[1].(*openflow.GFIBDelta)
-	if !ok || len(d.Deltas) != 1 || d.Deltas[0].Words[0].Word != 42 {
-		t.Errorf("delta after codec = %+v", batch.Msgs[1])
-	}
-	a.mu.Lock()
-	burst, ok := a.got[0].(*openflow.PacketInBurst)
-	a.mu.Unlock()
-	if !ok || burst.Switch != 2 || len(burst.Items) != 1 {
-		t.Errorf("burst after codec = %+v", a.got[0])
-	}
 }

@@ -14,18 +14,12 @@ import (
 //
 // The error model inherits pair sampling's weakness on heavy-tailed
 // pair masses: when a dominant pair is excluded, both the estimate and
-// the variance estimate miss its mass. The take-all stratum
-// (SetTakeAll) removes exactly that failure mode: the top-K pairs of
-// the trace profile are always sampled and counted at weight 1, so
-// only the light tail carries sampling error — the standard
-// certainty-stratum split of stratified HT estimation. See
-// docs/emulation.md for the guidance the differential tests pin.
+// the variance estimate miss its mass, so the nominal 95 % band covers
+// ≈80 % on a heavy tail. See docs/emulation.md for the guidance the
+// differential tests pin.
 type Estimator struct {
 	p       float64
 	buckets []map[uint64]uint64 // per bucket: pair key → sampled flows
-	cert    []uint64            // per bucket: take-all (certainty) flows
-	takeAll map[uint64]bool
-	total   uint64
 
 	// hostQ, when non-zero, marks host-level sampling (NewHostSampler):
 	// hosts were kept independently with probability q and a pair is in
@@ -43,11 +37,7 @@ func NewEstimator(p float64, buckets int) *Estimator {
 	if buckets < 1 {
 		buckets = 1
 	}
-	return &Estimator{
-		p:       p,
-		buckets: make([]map[uint64]uint64, buckets),
-		cert:    make([]uint64, buckets),
-	}
+	return &Estimator{p: p, buckets: make([]map[uint64]uint64, buckets)}
 }
 
 // NewHostEstimator builds the estimator paired with NewHostSampler(q,
@@ -60,12 +50,6 @@ func NewHostEstimator(q float64, buckets int) *Estimator {
 	return e
 }
 
-// SetTakeAll declares the certainty stratum: pair keys that the
-// sampler keeps with probability 1 (PairSampler.SetTakeAll must get
-// the same set). Their flows count exactly — no 1/p reweighting and no
-// variance contribution. Call before the first Observe.
-func (e *Estimator) SetTakeAll(keys map[uint64]bool) { e.takeAll = keys }
-
 // Observe records one sampled flow on pair key in the given bucket.
 func (e *Estimator) Observe(bucket int, key uint64) {
 	if bucket < 0 {
@@ -73,11 +57,6 @@ func (e *Estimator) Observe(bucket int, key uint64) {
 	}
 	if bucket >= len(e.buckets) {
 		bucket = len(e.buckets) - 1
-	}
-	e.total++
-	if e.takeAll[key] {
-		e.cert[bucket]++
-		return
 	}
 	m := e.buckets[bucket]
 	if m == nil {
@@ -87,26 +66,19 @@ func (e *Estimator) Observe(bucket int, key uint64) {
 	m[key]++
 }
 
-// SampledFlows returns the number of flows observed (the DES
-// population of the sampled run), certainty stratum included.
-func (e *Estimator) SampledFlows() int { return int(e.total) }
-
-// EstimatedTotal returns the stratified HT estimate of the full flow
-// population: certainty-stratum flows count exactly, sampled flows
-// scale by 1/p.
+// EstimatedTotal returns the HT estimate of the full flow population:
+// sampled flows scale by 1/p.
 func (e *Estimator) EstimatedTotal() float64 {
-	var cert, sampled uint64
-	for i, m := range e.buckets {
-		cert += e.cert[i]
+	if e.p <= 0 {
+		return 0
+	}
+	var sampled uint64
+	for _, m := range e.buckets {
 		for _, c := range m {
 			sampled += c
 		}
 	}
-	out := float64(cert)
-	if e.p > 0 {
-		out += float64(sampled) / e.p
-	}
-	return out
+	return float64(sampled) / e.p
 }
 
 // RelStdErr returns the per-bucket relative standard error of the HT
@@ -133,17 +105,15 @@ func (e *Estimator) RelStdErr() []float64 {
 			n += float64(c)
 			sq += float64(c) * float64(c)
 		}
-		nc := float64(e.cert[i])
 		if n == 0 {
-			continue // empty, or certainty-only: no sampling error
+			continue // empty bucket: no sampling error
 		}
 		if e.hostQ > 0 {
-			out[i] = math.Sqrt(e.hostVariance(keys, m, sq)) / (nc + n/e.p)
+			out[i] = math.Sqrt(e.hostVariance(keys, m, sq)) / (n / e.p)
 			continue
 		}
-		// Var̂(T̂) = (1−p)/p²·Σnᵢ² over the sampled stratum only;
-		// T̂ = N_cert + n/p ⇒ rel = √((1−p)·Σnᵢ²)/(p·N_cert + n).
-		out[i] = math.Sqrt((1-e.p)*sq) / (e.p*nc + n)
+		// Var̂(T̂) = (1−p)/p²·Σnᵢ² and T̂ = n/p ⇒ rel = √((1−p)·Σnᵢ²)/n.
+		out[i] = math.Sqrt((1-e.p)*sq) / n
 	}
 	return out
 }

@@ -104,14 +104,10 @@ func TestHostSamplerClosure(t *testing.T) {
 }
 
 // estimatorTrial runs one seeded sampling draw over a synthetic pair
-// population and reports the stratified HT estimate and its 3σ
-// half-width. takeAll (may be nil) is the certainty stratum, applied
-// to sampler and estimator alike.
-func estimatorTrial(weights []uint64, p float64, seed uint64, takeAll map[uint64]bool) (est, half float64) {
+// population and reports the HT estimate and its 3σ half-width.
+func estimatorTrial(weights []uint64, p float64, seed uint64) (est, half float64) {
 	s := NewPairSampler(p, seed)
-	s.SetTakeAll(takeAll)
 	e := NewEstimator(p, 1)
-	e.SetTakeAll(takeAll)
 	for i, w := range weights {
 		a, b := model.HostID(2*i+1), model.HostID(2*i+2)
 		if !s.Keep(a, b) {
@@ -189,9 +185,8 @@ func TestRelStdErrStable(t *testing.T) {
 // must be unbiased across seeds, 3σ bands on a moderately skewed
 // population must cover the truth in ≳90% of draws, and on a
 // population whose top pair alone carries ~12% of the mass — the
-// documented worst case for pair-level HT — plain sampling degrades to
-// the ≥75% level while the take-all stratum over the top-K pairs
-// (trace.Profile.TopPairs in production) restores ≳95% coverage.
+// documented worst case for pair-level HT — it degrades to the ≥75%
+// level (docs/emulation.md).
 //
 // The host-mode cases run the same contract for host-level sampling
 // (NewHostSampler/NewHostEstimator, π = q²) over an all-pairs 64-host
@@ -204,29 +199,19 @@ func TestEstimatorUnbiasedAndCovered(t *testing.T) {
 	const pairs = 2000
 	const p = 0.1
 	const trials = 200
-	const topK = 16
-	// The certainty stratum the profile would surface: the synthetic
-	// weights are strictly decreasing in i, so the top-K pairs are
-	// exactly indices 0..topK-1.
-	takeAll := make(map[uint64]bool, topK)
-	for i := 0; i < topK; i++ {
-		takeAll[PairKey(model.HostID(2*i+1), model.HostID(2*i+2))] = true
-	}
 	cases := []struct {
 		name        string
 		weight      func(i int) uint64
-		takeAll     map[uint64]bool
 		hostQ       float64 // 0 = pair-level sampling
 		minCoverage int
 	}{
-		{"moderate-skew", func(i int) uint64 { return uint64(1 + 200/(i+5)) }, nil, 0, trials * 88 / 100},
-		{"heavy-tail", func(i int) uint64 { return uint64(1 + 5000/(i+1)) }, nil, 0, trials * 75 / 100},
-		{"heavy-tail-take-all", func(i int) uint64 { return uint64(1 + 5000/(i+1)) }, takeAll, 0, trials * 95 / 100},
+		{"moderate-skew", func(i int) uint64 { return uint64(1 + 200/(i+5)) }, 0, trials * 88 / 100},
+		{"heavy-tail", func(i int) uint64 { return uint64(1 + 5000/(i+1)) }, 0, trials * 75 / 100},
 		// Host mode at q≈√p keeps a comparable pair fraction. The index
 		// ordering of hostPairList makes host 1 the hub of the heaviest
 		// 63 pairs, so the correlated-inclusion cross terms matter.
-		{"host-moderate-skew", func(i int) uint64 { return uint64(1 + 200/(i+5)) }, nil, 0.35, trials * 88 / 100},
-		{"host-uniform", func(i int) uint64 { return uint64(3 + i%5) }, nil, 0.35, trials * 90 / 100},
+		{"host-moderate-skew", func(i int) uint64 { return uint64(1 + 200/(i+5)) }, 0.35, trials * 88 / 100},
+		{"host-uniform", func(i int) uint64 { return uint64(3 + i%5) }, 0.35, trials * 90 / 100},
 	}
 	for _, tc := range cases {
 		n := pairs
@@ -246,7 +231,7 @@ func TestEstimatorUnbiasedAndCovered(t *testing.T) {
 			if tc.hostQ > 0 {
 				est, half = estimatorTrialHost(weights, tc.hostQ, seed)
 			} else {
-				est, half = estimatorTrial(weights, p, seed, tc.takeAll)
+				est, half = estimatorTrial(weights, p, seed)
 			}
 			sumEst += est
 			if math.Abs(est-truth) <= half {

@@ -16,7 +16,6 @@ type PairSampler struct {
 	p         float64
 	threshold uint64
 	salt      uint64
-	takeAll   map[uint64]bool
 
 	// host switches the sampling unit from pairs to hosts: a pair is
 	// kept iff BOTH endpoint hosts are hash-sampled, each with
@@ -86,36 +85,13 @@ func PairKey(a, b model.HostID) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// SetTakeAll declares pairs kept with probability 1 regardless of the
-// hash draw — the certainty stratum of the heavy-tail fix. The paired
-// Estimator must get the same set (Estimator.SetTakeAll) so these
-// pairs' flows are not reweighted by 1/p.
-func (s *PairSampler) SetTakeAll(keys map[uint64]bool) { s.takeAll = keys }
-
-// TakeAllKeys folds profile pairs (e.g. trace.Profile.TopPairs) into
-// the take-all key set SetTakeAll expects.
-func TakeAllKeys(pairs []model.FlowKey) map[uint64]bool {
-	if len(pairs) == 0 {
-		return nil
-	}
-	m := make(map[uint64]bool, len(pairs))
-	for _, k := range pairs {
-		m[PairKey(k.Src, k.Dst)] = true
-	}
-	return m
-}
-
 // Keep reports whether the pair (a, b) is in the sample.
 func (s *PairSampler) Keep(a, b model.HostID) bool {
 	if s.threshold == ^uint64(0) {
 		return true
 	}
-	key := PairKey(a, b)
-	if s.takeAll[key] {
-		return true
-	}
 	if s.host {
 		return s.keepHost(a) && s.keepHost(b)
 	}
-	return splitmix64(key^s.salt) < s.threshold
+	return splitmix64(PairKey(a, b)^s.salt) < s.threshold
 }

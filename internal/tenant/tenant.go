@@ -184,12 +184,14 @@ type PopulateConfig struct {
 	// (a small random subset), otherwise on a uniformly random switch.
 	// High colocation produces the skewed, group-local traffic of §II-A.
 	Colocation float64
-	// HomesPerTenant is the size of each tenant's home-switch subset.
-	// Zero selects 4.
-	HomesPerTenant int
 	// Seed drives the generator.
 	Seed uint64
 }
+
+// homesPerTenant is the size of each tenant's home-switch subset: small
+// enough that a tenant's traffic clusters (§II-A), large enough that one
+// tenant does not fill a rack.
+const homesPerTenant = 4
 
 // Populate fills the directory with a random multi-tenant population.
 // Host IDs are dense starting at 1; tenant VLANs are 1-based.
@@ -200,13 +202,7 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 	if len(d.switches) == 0 {
 		return errors.New("tenant: no switches to place on")
 	}
-	homes := cfg.HomesPerTenant
-	if homes <= 0 {
-		homes = 4
-	}
-	if homes > len(d.switches) {
-		homes = len(d.switches)
-	}
+	homes := min(homesPerTenant, len(d.switches))
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xfeedface))
 	next := model.HostID(1)
 	for ti := 1; ti <= cfg.Tenants; ti++ {

@@ -150,29 +150,6 @@ func (p *pairCounter) addWindow(flows []Flow) {
 	}
 }
 
-// topPairs returns the k heaviest canonical pairs, weight-descending,
-// ties broken by (Src, Dst) so the result is deterministic.
-func (p *pairCounter) topPairs(k int) []model.FlowKey {
-	pairs := make([]model.FlowKey, 0, len(p.counts))
-	for key := range p.counts {
-		pairs = append(pairs, key)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		ci, cj := p.counts[pairs[i]], p.counts[pairs[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		if pairs[i].Src != pairs[j].Src {
-			return pairs[i].Src < pairs[j].Src
-		}
-		return pairs[i].Dst < pairs[j].Dst
-	})
-	if len(pairs) > k {
-		pairs = pairs[:k:k]
-	}
-	return pairs
-}
-
 // centrality partitions the accumulated host traffic graph into k
 // balanced groups and returns the average group centrality.
 func (p *pairCounter) centrality(k int, seed uint64) (float64, error) {
@@ -285,15 +262,7 @@ type Profile struct {
 	Stats      Stats
 	Centrality float64
 	Intensity  *grouping.Intensity
-	// TopPairs is the TopPairsK heaviest host pairs (weight-descending,
-	// deterministic tie-break) — the sampled engines' take-all stratum
-	// (replay.TakeAllKeys).
-	TopPairs []model.FlowKey
 }
-
-// TopPairsK is how many heaviest pairs StreamProfile surfaces for the
-// sampled engines' take-all stratum.
-const TopPairsK = 16
 
 // StreamProfile runs the one-sweep characterization.
 func StreamProfile(s Stream, k int, seed uint64) (Profile, error) {
@@ -315,7 +284,7 @@ func StreamProfile(s Stream, k int, seed uint64) (Profile, error) {
 		p.addWindow(buf)
 		intensityFold(m, info.Directory, buf, 0, info.Duration, perFlow)
 	}
-	prof := Profile{Stats: a.Stats(info.Directory), Intensity: m, TopPairs: p.topPairs(TopPairsK)}
+	prof := Profile{Stats: a.Stats(info.Directory), Intensity: m}
 	c, err := p.centrality(k, seed)
 	if err != nil {
 		// Stats and intensity are still valid (centrality needs ≥ k

@@ -1,14 +1,10 @@
 package trace
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 )
-
-// ErrUnknownTrace reports a trace name outside the Table II set.
-var ErrUnknownTrace = errors.New("trace: unknown trace")
 
 // ConfigByName returns the preset generator configuration for a CLI
 // trace name: "real", "syn-a", "syn-b", or "syn-c".
@@ -23,29 +19,8 @@ func ConfigByName(name string, scale int, seed uint64) (GeneratorConfig, error) 
 	case "syn-c":
 		return SynCConfig(scale, seed), nil
 	default:
-		return GeneratorConfig{}, fmt.Errorf("%w %q (want real, syn-a, syn-b, or syn-c)", ErrUnknownTrace, name)
+		return GeneratorConfig{}, fmt.Errorf("trace: unknown trace %q (want real, syn-a, syn-b, or syn-c)", name)
 	}
-}
-
-// ByName generates one of the Table II traces by CLI name,
-// materialized. Large-scale consumers should use StreamByName.
-func ByName(name string, scale int, seed uint64) (*Trace, error) {
-	cfg, err := ConfigByName(name, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(cfg)
-}
-
-// StreamByName builds the streaming form of a Table II trace by CLI
-// name: flows are generated one window at a time, so memory stays flat
-// in trace length.
-func StreamByName(name string, scale int, seed uint64) (Stream, error) {
-	cfg, err := ConfigByName(name, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewStream(cfg)
 }
 
 // CLI bundles the trace-selection flags the cmd mains share (-trace,
@@ -71,45 +46,23 @@ func RegisterCLI(fs *flag.FlagSet, defaultTrace string, defaultScale int) *CLI {
 	}
 }
 
-// Trace generates the selected trace, materialized.
-func (c *CLI) Trace() (*Trace, error) { return ByName(*c.name, *c.scale, *c.seed) }
-
-// Stream builds the selected trace's stream (lazy, windowed flows).
-func (c *CLI) Stream() (Stream, error) { return StreamByName(*c.name, *c.scale, *c.seed) }
-
-// MustTrace generates the selected trace, printing the error to stderr
-// and exiting non-zero on failure (exit 2 for an unknown trace name,
-// matching flag-usage errors; 1 for generation failures).
-func (c *CLI) MustTrace() *Trace {
-	tr, err := c.Trace()
-	if err != nil {
-		exitTraceErr(err)
-	}
-	return tr
-}
-
-// MustStream is MustTrace's streaming counterpart.
+// MustStream builds the selected trace's stream (lazy, windowed flows),
+// printing the error to stderr and exiting non-zero on failure (exit 2
+// for an unknown trace name, matching flag-usage errors; 1 for
+// generation failures).
 func (c *CLI) MustStream() Stream {
-	s, err := c.Stream()
+	cfg, err := ConfigByName(*c.name, *c.scale, *c.seed)
 	if err != nil {
-		exitTraceErr(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	s, err := NewStream(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	return s
 }
-
-func exitTraceErr(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, ErrUnknownTrace) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
-
-// Name returns the selected trace name.
-func (c *CLI) Name() string { return *c.name }
-
-// Scale returns the selected flow-count divisor.
-func (c *CLI) Scale() int { return *c.scale }
 
 // Seed returns the selected random seed.
 func (c *CLI) Seed() uint64 { return *c.seed }

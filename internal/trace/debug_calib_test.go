@@ -14,7 +14,7 @@ func TestDebugCutComposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diagnostic")
 	}
-	tr, err := RealLike(5000, 1)
+	tr, err := Generate(RealLikeConfig(5000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,14 +227,3 @@ func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {
 	slices.SortFunc(win, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
-
-// Expand is the materialized form of ExpandStream, kept for small
-// tests and tools that hold the whole trace anyway: extra flows land
-// on pairs silent in the realized base flows.
-func Expand(base *Trace, extraFraction float64, fromHour, toHour int, seed uint64) (*Trace, error) {
-	s, err := ExpandStream(base.Stream(0), extraFraction, fromHour, toHour, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(s), nil
-}

@@ -31,18 +31,13 @@ const realTenants = 108
 // synTenants scales tenancy ×10 with the synthetic topologies.
 const synTenants = realTenants * SynScaleUp
 
-// RealLike synthesizes the paper's production trace from its published
-// statistics. Scale divides the flow count (Scale=1 would emit 271M
-// flows; tests use 10⁴–10⁶). All flows stay within the ~11.6k
+// RealLikeConfig synthesizes the paper's production trace from its
+// published statistics. Scale divides the flow count (Scale=1 would
+// emit 271M flows; tests use 10⁴–10⁶). All flows stay within the ~11.6k
 // communicating pairs; the scatter band carries the unclusterable
 // cross-group share that yields the measured 5-way centrality of 0.85.
-func RealLike(scale int, seed uint64) (*Trace, error) {
-	return Generate(RealLikeConfig(scale, seed))
-}
-
-// RealLikeConfig is the real-like preset's generator configuration;
-// pass it to NewStream to consume the trace windowed instead of
-// materialized.
+// Pass it to NewStream to consume the trace windowed, or to Generate to
+// materialize it.
 func RealLikeConfig(scale int, seed uint64) GeneratorConfig {
 	return GeneratorConfig{
 		Name:                "real",
@@ -66,35 +61,20 @@ func RealLikeConfig(scale int, seed uint64) GeneratorConfig {
 	}
 }
 
-// SynA generates the Syn-A trace of Table II: p=90, q=10, average
+// SynAConfig is the Syn-A trace of Table II: p=90, q=10, average
 // centrality ≈ 0.85.
-func SynA(scale int, seed uint64) (*Trace, error) {
-	return Generate(SynAConfig(scale, seed))
-}
-
-// SynAConfig is the Syn-A preset's generator configuration.
 func SynAConfig(scale int, seed uint64) GeneratorConfig {
 	return synConfig("syn-a", SynAFlows, 90, 10, 0.17, 0, scale, seed)
 }
 
-// SynB generates the Syn-B trace of Table II: p=70, q=20, average
+// SynBConfig is the Syn-B trace of Table II: p=70, q=20, average
 // centrality ≈ 0.72.
-func SynB(scale int, seed uint64) (*Trace, error) {
-	return Generate(SynBConfig(scale, seed))
-}
-
-// SynBConfig is the Syn-B preset's generator configuration.
 func SynBConfig(scale int, seed uint64) GeneratorConfig {
 	return synConfig("syn-b", SynBFlows, 70, 20, 0.38, 0, scale, seed)
 }
 
-// SynC generates the Syn-C trace of Table II: p=70, q=30, average
+// SynCConfig is the Syn-C trace of Table II: p=70, q=30, average
 // centrality ≈ 0.61.
-func SynC(scale int, seed uint64) (*Trace, error) {
-	return Generate(SynCConfig(scale, seed))
-}
-
-// SynCConfig is the Syn-C preset's generator configuration.
 func SynCConfig(scale int, seed uint64) GeneratorConfig {
 	return synConfig("syn-c", SynCFlows, 70, 30, 0.54, 0, scale, seed)
 }
@@ -120,22 +100,12 @@ func synConfig(name string, flows int64, p, q int, scatterFlow, noise float64, s
 	}
 }
 
-// SynANoisyConfig is the Syn-A preset with part of the uniform "rest"
+// SmallNoisyConfig is SmallConfig with part of the uniform "rest"
 // carried as true one-off noise pairs instead of fixed scatter pairs —
 // the paper's literal synthetic recipe, exercising the noise band
-// (NoiseFraction > 0) none of the plain presets use. Noise flows draw
-// from the hash-split noise half of the pair space, so the Expand
-// combinator stays sound on this preset (see ExpandStream).
-func SynANoisyConfig(scale int, seed uint64) GeneratorConfig {
-	cfg := SynAConfig(scale, seed)
-	cfg.Name = "syn-a-noisy"
-	cfg.ScatterFlowFraction = 0.12
-	cfg.NoiseFraction = 0.05
-	return cfg
-}
-
-// SmallNoisyConfig is SmallConfig with a noise band, the test-scale
-// twin of SynANoisyConfig.
+// (NoiseFraction > 0) none of the Table II presets use. Noise flows draw
+// from the hash-split noise half of the pair space, so ExpandStream
+// stays sound on it.
 func SmallNoisyConfig(name string, seed uint64) GeneratorConfig {
 	cfg := SmallConfig(name, seed)
 	cfg.ScatterFlowFraction = 0.06

@@ -14,19 +14,19 @@ func TestTableIICalibration(t *testing.T) {
 	}
 	type target struct {
 		name string
-		gen  func() (*Trace, error)
+		cfg  GeneratorConfig
 		want float64
 		tol  float64
 	}
 	targets := []target{
-		{"real", func() (*Trace, error) { return RealLike(5000, 1) }, 0.85, 0.10},
-		{"syn-a", func() (*Trace, error) { return SynA(50_000, 1) }, 0.85, 0.10},
-		{"syn-b", func() (*Trace, error) { return SynB(70_000, 1) }, 0.72, 0.10},
-		{"syn-c", func() (*Trace, error) { return SynC(100_000, 1) }, 0.61, 0.10},
+		{"real", RealLikeConfig(5000, 1), 0.85, 0.10},
+		{"syn-a", SynAConfig(50_000, 1), 0.85, 0.10},
+		{"syn-b", SynBConfig(70_000, 1), 0.72, 0.10},
+		{"syn-c", SynCConfig(100_000, 1), 0.61, 0.10},
 	}
 	got := make(map[string]float64, len(targets))
 	for _, tgt := range targets {
-		tr, err := tgt.gen()
+		tr, err := Generate(tgt.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tgt.name, err)
 		}
@@ -50,7 +50,7 @@ func TestRealLikePairStatistics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full real-like topology")
 	}
-	tr, err := RealLike(5000, 2)
+	tr, err := Generate(RealLikeConfig(5000, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,13 +75,6 @@ func (t *Trace) Window(from, to time.Duration) []Flow {
 	return t.Flows[lo:hi]
 }
 
-// Replay invokes fn for every flow in [from, to) in time order.
-func (t *Trace) Replay(from, to time.Duration, fn func(f Flow)) {
-	for _, f := range t.Window(from, to) {
-		fn(f)
-	}
-}
-
 // hourWeights is the diurnal load profile used by all generators: a
 // production-DC shape with a night trough and business-hour plateau
 // rising to an evening peak.
@@ -121,9 +114,6 @@ type GeneratorConfig struct {
 	Tenants  int
 	// MinVMs/MaxVMs bound tenant sizes (paper: 20–100).
 	MinVMs, MaxVMs int
-	// TargetHosts trims or pads tenant sizes so that the topology holds
-	// approximately this many hosts (0 = whatever Populate yields).
-	TargetHosts int
 	// PaperFlows is the unscaled flow count of the dataset; the
 	// generator emits PaperFlows/Scale flows.
 	PaperFlows int64

@@ -91,11 +91,6 @@ func TestWindowAndReplay(t *testing.T) {
 			t.Fatalf("window flow at %v outside [8h,10h)", w[i].Start)
 		}
 	}
-	count := 0
-	tr.Replay(8*h, 10*h, func(f Flow) { count++ })
-	if count != len(w) {
-		t.Errorf("Replay visited %d, want %d", count, len(w))
-	}
 	// Full-span window covers everything.
 	if got := len(tr.Window(0, tr.Duration)); got != tr.NumFlows() {
 		t.Errorf("full window = %d, want %d", got, tr.NumFlows())
@@ -204,10 +199,11 @@ func TestSwitchIntensity(t *testing.T) {
 
 func TestExpand(t *testing.T) {
 	base := smallTrace(t, 8)
-	exp, err := Expand(base, 0.30, 8, 24, 99)
+	s, err := ExpandStream(base.Stream(0), 0.30, 8, 24, 99)
 	if err != nil {
-		t.Fatalf("Expand: %v", err)
+		t.Fatalf("ExpandStream: %v", err)
 	}
+	exp := Materialize(s)
 	wantExtra := int(float64(base.NumFlows()) * 0.30)
 	if got := exp.NumFlows() - base.NumFlows(); got != wantExtra {
 		t.Errorf("extra flows = %d, want %d", got, wantExtra)
@@ -240,20 +236,21 @@ func TestExpand(t *testing.T) {
 			t.Fatal("expanded flows not sorted")
 		}
 	}
-	if _, err := Expand(base, -1, 8, 24, 1); err == nil {
+	if _, err := ExpandStream(base.Stream(0), -1, 8, 24, 1); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if _, err := Expand(base, 0.3, 20, 8, 1); err == nil {
+	if _, err := ExpandStream(base.Stream(0), 0.3, 20, 8, 1); err == nil {
 		t.Error("inverted hour window accepted")
 	}
 }
 
 func TestExpandLowersLocality(t *testing.T) {
 	base := smallTrace(t, 10)
-	exp, err := Expand(base, 0.5, 0, 24, 11)
+	s, err := ExpandStream(base.Stream(0), 0.5, 0, 24, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exp := Materialize(s)
 	cBase, err := AverageCentrality(base, 5, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,7 @@
 // The package exposes a simulated data center: a deterministic
 // discrete-event underlay carrying an extended OpenFlow control
 // protocol between an in-process Floodlight-style controller and Open
-// vSwitch-style edge switches. The same state machines also run in a
-// live goroutine mode used by the integration tests.
+// vSwitch-style edge switches.
 //
 // A minimal session:
 //
