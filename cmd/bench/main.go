@@ -116,7 +116,7 @@ func parseBenchLine(line, pkg string) *Result {
 
 func main() {
 	var (
-		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkIniGroup|BenchmarkIncUpdate|BenchmarkPartitionKWay|BenchmarkBisect|BenchmarkEventChurn|BenchmarkIntensityAdd|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias", "benchmark regex passed to go test -bench")
+		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias", "benchmark regex passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1x", "value for go test -benchtime")
 		count       = flag.Int("count", 1, "value for go test -count")
 		pkgs        = flag.String("pkg", "./...", "package pattern to benchmark")

@@ -112,7 +112,7 @@ func runDeterminism(pass *Pass) error {
 			case "math/rand", "math/rand/v2":
 				if !allowedRandFuncs[fn.Name()] {
 					pass.Reportf(call.Pos(),
-						"%s.%s draws from the shared global generator; use an explicitly seeded *rand.Rand (sim.Rand / netsim.Env.Rand)",
+						"%s.%s draws from the shared global generator; use an explicitly seeded *rand.Rand (sim.Simulator.Rand)",
 						fn.Pkg().Name(), fn.Name())
 				}
 			}

@@ -18,8 +18,9 @@ import (
 //     chain), or
 //   - escape — be passed to a call, stored into a field/map/slice,
 //     captured by a composite literal, or returned — which transfers
-//     the obligation to the new owner (the controller's pushSpans map
-//     is the canonical example: the span ends at ConfigAck time).
+//     the obligation to the new owner (the controller's per-switch
+//     pushSpan field is the canonical example: the span ends at
+//     ConfigAck time).
 //
 // A span discarded outright (expression statement, or assigned only to
 // _) can never be ended and is always an error. Deliberate leaks

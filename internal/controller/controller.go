@@ -32,6 +32,7 @@ package controller
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"lazyctrl/internal/bloom"
@@ -118,15 +119,13 @@ type Config struct {
 	// the per-flow cache model: every distinct flow's first packet
 	// escalates, which is what the paper's OpenFlow baseline measures.
 	PerFlowRules bool
-	// ControlFold enables analytic elision of the controller's
+	// FoldGate, when set, enables analytic elision of the controller's
 	// quiescent periodic rounds (keep-alive probing/failure checking,
 	// ARP expiry): runs of provably no-op rounds collapse into one bulk
-	// event crediting their aggregate effect (see fold.go). Takes
-	// effect only when the environment supports elision
-	// (netsim.ElidableScheduler).
-	ControlFold bool
-	// FoldGate reports whether folding is currently allowed; the
-	// harness wires it to the underlay's fault-free predicate.
+	// event crediting their aggregate effect (see fold.go). It reports
+	// whether folding is currently allowed — the harness wires it to the
+	// underlay's fault-free predicate — and takes effect only when the
+	// environment supports elision (netsim.ElidableScheduler).
 	FoldGate func() bool
 	// FoldMeter credits the wire bytes of messages a folded round would
 	// have sent (same contract as edge.FoldHooks.Meter).
@@ -251,37 +250,20 @@ type Controller struct {
 	// G-FIBs on the incoming GroupConfig, so their per-destination
 	// filter-version tracking must restart (full preloads).
 	pushedMembers map[model.GroupID]uint64
-	// pushedCfg fingerprints the group view last sent to each switch;
-	// an unchanged view is not re-sent. pushedFilters records, per
-	// destination switch, the filter version last pushed per peer —
-	// assumed delivered until a GFIBNack says otherwise — which is what
-	// lets a push round choose skip vs. delta vs. full per destination.
-	pushedCfg     map[model.SwitchID]uint64
-	pushedFilters map[model.SwitchID]map[model.SwitchID]uint64
-	// pfCur and pfPrev cache the newest and previous preload filter
-	// built per peer out of the C-LIB: pfCur is what full pushes ship,
-	// (pfPrev → pfCur) is the diff pair behind preload deltas.
-	pfCur  map[model.SwitchID]*peerFilter
-	pfPrev map[model.SwitchID]*peerFilter
+	// sw holds one record per configured switch (see switchRecord).
+	sw map[model.SwitchID]*switchRecord
 
 	// Failover.
 	detector *failover.Detector
-	lastAck  map[model.SwitchID]time.Duration
 	kaSeq    uint64
-	dead     map[model.SwitchID]bool
 
-	// Push supervision: per destination, the retry state of the last
-	// GroupConfig sent to it, cleared by its ConfigAck. pushing guards
-	// against a retry timer firing inside the push round that armed it
-	// (possible only under an env whose After runs callbacks
-	// synchronously, as some test harnesses do).
-	pushPending map[model.SwitchID]*pushRetry
-	pushing     bool
+	// pushing guards against a push-retry timer firing inside the push
+	// round that armed it (possible only under an env whose After runs
+	// callbacks synchronously, as some test harnesses do).
+	pushing bool
 
-	// Telemetry: open per-destination push spans (awaiting ConfigAck)
-	// and the regroup-round trace context push rounds attach to (zero
-	// outside a traced round). See trace.go.
-	pushSpans  map[model.SwitchID]*telemetry.Span
+	// regroupCtx is the regroup-round trace context push rounds attach
+	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
 	// ARP-relay target memoization, valid only inside one ProcessBurst
@@ -292,12 +274,41 @@ type Controller struct {
 
 	cancels []func()
 
-	// Control-fold task handles (nil without ControlFold).
+	// Control-fold task handles (nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
 	expireTask netsim.ElidableTask
 
 	// Stats.
 	stats Stats
+}
+
+// switchRecord is everything the controller tracks about one switch.
+// The records are built once in New over Config.Switches, so per-switch
+// state is bounded by construction: a message naming any other switch
+// finds no record and changes nothing.
+type switchRecord struct {
+	// pushedCfg fingerprints the group view last sent to the switch
+	// (zero: none); an unchanged view is not re-sent. pushedFilters
+	// records the filter version last pushed to it per group peer —
+	// assumed delivered until a GFIBNack says otherwise — which is what
+	// lets a push round choose skip vs. delta vs. full per destination.
+	pushedCfg     uint64
+	pushedFilters map[model.SwitchID]uint64
+	// pfCur and pfPrev cache the newest and previous preload filter
+	// built for the switch out of the C-LIB: pfCur is what full pushes
+	// ship to its peers, (pfPrev → pfCur) is the diff pair behind
+	// preload deltas.
+	pfCur, pfPrev *peerFilter
+	// lastAck is when the switch last proved itself alive (valid once
+	// acked); dead is the failover module's standing verdict.
+	lastAck time.Duration
+	acked   bool
+	dead    bool
+	// push is the retry state of the last GroupConfig sent to the
+	// switch, nil once its ConfigAck arrived; pushSpan is that push's
+	// open telemetry span (see trace.go).
+	push     *pushRetry
+	pushSpan *telemetry.Span
 }
 
 // Stats counts controller-side events.
@@ -383,6 +394,10 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 	if c.Standby {
 		addr = model.StandbyNode
 	}
+	records := make(map[model.SwitchID]*switchRecord, len(c.Switches))
+	for _, sw := range c.Switches {
+		records[sw] = &switchRecord{}
+	}
 	return &Controller{
 		cfg:  c,
 		env:  env,
@@ -400,16 +415,9 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		tenants:       make(map[model.VLAN]model.TenantID),
 		state:         newStateShards(c.StateShards),
 		pushedMembers: make(map[model.GroupID]uint64),
-		pushedCfg:     make(map[model.SwitchID]uint64),
-		pushedFilters: make(map[model.SwitchID]map[model.SwitchID]uint64),
-		pfCur:         make(map[model.SwitchID]*peerFilter),
-		pfPrev:        make(map[model.SwitchID]*peerFilter),
+		sw:            records,
 		arpCache:      make(map[model.VLAN][]model.SwitchID),
 		detector:      failover.NewDetector(3 * c.KeepAliveInterval),
-		lastAck:       make(map[model.SwitchID]time.Duration),
-		dead:          make(map[model.SwitchID]bool),
-		pushPending:   make(map[model.SwitchID]*pushRetry),
-		pushSpans:     make(map[model.SwitchID]*telemetry.Span),
 	}, nil
 }
 
@@ -430,7 +438,10 @@ func (c *Controller) GroupingVersion() uint64 { return c.groupingVersion }
 
 // IsDead reports whether the failover module currently considers a
 // switch dead.
-func (c *Controller) IsDead(sw model.SwitchID) bool { return c.dead[sw] }
+func (c *Controller) IsDead(sw model.SwitchID) bool {
+	rec := c.sw[sw]
+	return rec != nil && rec.dead
+}
 
 // RegisterTenant records a VLAN → tenant binding (tenant information
 // management module).
@@ -439,13 +450,14 @@ func (c *Controller) RegisterTenant(vlan model.VLAN, tenant model.TenantID) {
 }
 
 // Start begins periodic duties: keep-alives, failover checks, and (in
-// lazy dynamic mode) regroup-trigger evaluation. With ControlFold the
-// keep-alive send and failure check merge into one elidable task
-// (send-then-check, the order the separate registrations produced) and
-// ARP expiry becomes elidable; regroup evaluation always stays real —
-// it reads the intensity matrix, which folding cannot reason about.
+// lazy dynamic mode) regroup-trigger evaluation. With the control fold
+// (Config.FoldGate) the keep-alive send and failure check merge into
+// one elidable task (send-then-check, the order the separate
+// registrations produced) and ARP expiry becomes elidable; regroup
+// evaluation always stays real — it reads the intensity matrix, which
+// folding cannot reason about.
 func (c *Controller) Start() {
-	if c.cfg.ControlFold {
+	if c.cfg.FoldGate != nil {
 		c.kaTask = netsim.EveryElidableOrReal(c.env, c.cfg.KeepAliveInterval,
 			func() { c.sendKeepAlives(); c.checkFailures() },
 			c.kaQuiet, c.kaCredit)
@@ -494,6 +506,11 @@ func (c *Controller) SameGroup(a, b model.SwitchID) bool {
 func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 	if c.cfg.Mode != ModeLazy {
 		return nil
+	}
+	for _, sw := range m.Switches() {
+		if c.sw[sw] == nil {
+			return fmt.Errorf("controller: initial grouping: warmup intensity names unconfigured switch %v", sw)
+		}
 	}
 	// Every switch participates even if silent during warmup.
 	seeded := m.Clone()
@@ -604,6 +621,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 		// holds the previous version).
 		var diffs map[model.SwitchID][]bloom.WordDelta
 		for _, m := range members {
+			rec := c.sw[m]
 			prev, next := failover.Neighbors(wheel, m)
 			cfgMsg := &openflow.GroupConfig{
 				Group:             gid,
@@ -620,7 +638,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 			cfgFP := configFingerprint(cfgMsg)
 			var msgs []openflow.Message
 			sentCfg := false
-			if c.pushedCfg[m] != cfgFP || (kickDesignated && m == designated) {
+			if rec.pushedCfg != cfgFP || (kickDesignated && m == designated) {
 				msgs = append(msgs, cfgMsg)
 				sentCfg = true
 			}
@@ -632,13 +650,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 				// only the departed peers' acked versions are
 				// forgotten. If a kept filter was in fact lost (peer
 				// evidence eviction), the NACK/resync path repairs it.
-				if acked := c.pushedFilters[m]; acked != nil {
-					for peer := range acked {
-						if !memberSet[peer] {
-							delete(acked, peer)
-						}
-					}
-				}
+				maps.DeleteFunc(rec.pushedFilters, func(peer model.SwitchID, _ uint64) bool { return !memberSet[peer] })
 			}
 			var nFull, nDelta int
 			if len(members) > 1 {
@@ -657,7 +669,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 				c.tracePushSkip(m)
 				continue
 			}
-			c.pushedCfg[m] = cfgFP
+			rec.pushedCfg = cfgFP
 			sent++
 			if len(msgs) == 1 {
 				c.env.Send(m, msgs[0])
@@ -665,8 +677,8 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 				c.stats.BatchedPushes++
 				c.env.Send(m, &openflow.Batch{Generation: c.generation, Msgs: msgs})
 			}
-			c.tracePush(m, sentCfg && !c.dead[m], nFull, nDelta)
-			if sentCfg && !c.dead[m] {
+			c.tracePush(m, sentCfg && !rec.dead, nFull, nDelta)
+			if sentCfg && !rec.dead {
 				c.supervisePush(m, c.groupingVersion)
 			}
 		}
@@ -699,10 +711,11 @@ const maxPushAttempts = 6
 // fires instead, the destination's push tracking is forgotten and the
 // config is re-shipped, with the deadline doubling per attempt.
 func (c *Controller) supervisePush(dest model.SwitchID, version uint64) {
-	p := c.pushPending[dest]
+	rec := c.sw[dest]
+	p := rec.push
 	if p == nil {
 		p = &pushRetry{}
-		c.pushPending[dest] = p
+		rec.push = p
 	} else {
 		if p.cancel != nil {
 			p.cancel()
@@ -719,41 +732,77 @@ func (c *Controller) supervisePush(dest model.SwitchID, version uint64) {
 
 // retryPush re-ships an unacknowledged GroupConfig.
 func (c *Controller) retryPush(dest model.SwitchID) {
+	rec := c.sw[dest]
 	if c.pushing {
 		// Synchronous-After env: the timer fired inside the push round
 		// that armed it. Supervision is meaningless without real time.
-		delete(c.pushPending, dest)
+		rec.push = nil
 		return
 	}
-	p := c.pushPending[dest]
+	p := rec.push
 	if p == nil {
 		return
 	}
 	p.cancel = nil
-	if c.dead[dest] || p.attempts >= maxPushAttempts {
-		delete(c.pushPending, dest)
-		c.endPushSpan(dest, "abandoned")
+	if rec.dead || p.attempts >= maxPushAttempts {
+		c.endPush(dest, "abandoned")
 		return
 	}
 	p.attempts++
 	c.stats.PushRetries++
-	// Forget what was pushed to this destination; the push round then
-	// re-ships its config and preloads — and only to it, since every
-	// other destination's tracking is intact.
-	delete(c.pushedCfg, dest)
-	delete(c.pushedFilters, dest)
+	// The push round then re-ships the destination's config and
+	// preloads — and only to it, since every other destination's
+	// tracking is intact.
+	c.forgetPushed(dest)
 	c.pushGroupConfigs(false)
 }
 
-// cancelPush drops any pending push supervision for a switch.
-func (c *Controller) cancelPush(sw model.SwitchID) {
-	if p := c.pushPending[sw]; p != nil {
+// endPush closes a switch's push supervision — retry timer and open
+// push span, stamped with the outcome: acked, cancelled or abandoned.
+func (c *Controller) endPush(sw model.SwitchID, outcome string) {
+	rec := c.sw[sw]
+	if p := rec.push; p != nil {
 		if p.cancel != nil {
 			p.cancel()
 		}
-		delete(c.pushPending, sw)
+		rec.push = nil
 	}
-	c.endPushSpan(sw, "cancelled")
+	if sp := rec.pushSpan; sp != nil {
+		sp.Attr(outcome, 1).End()
+		rec.pushSpan = nil
+	}
+}
+
+// pushOutstanding reports whether any supervised push still awaits its
+// ConfigAck.
+func (c *Controller) pushOutstanding() bool {
+	for _, rec := range c.sw {
+		if rec.push != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// forgetPushed drops what the controller believes the given switches
+// hold, so the next push round re-ships their config and full preloads:
+// the one answer to everything that breaks per-destination tracking's
+// send == delivered assumption (a missing ack, a silent control link, a
+// reboot, a change of master).
+func (c *Controller) forgetPushed(dests ...model.SwitchID) {
+	for _, d := range dests {
+		rec := c.sw[d]
+		rec.pushedCfg, rec.pushedFilters = 0, nil
+	}
+}
+
+// repush is the "bump, journal, push" transition behind every change to
+// who may be designated: a new grouping version, the assignment
+// journalled to the standby under it, and a push round.
+func (c *Controller) repush(kickDesignated bool) {
+	c.groupingVersion++
+	c.journalGrouping()
+	c.pushGroupConfigs(kickDesignated)
 }
 
 // refreshPeerFilter rebuilds the cached preload filter for a switch
@@ -762,14 +811,14 @@ func (c *Controller) cancelPush(sw model.SwitchID) {
 // has no filter (and loses any cached one — e.g. after failover
 // eviction).
 func (c *Controller) refreshPeerFilter(sw model.SwitchID) {
+	rec := c.sw[sw]
 	v := c.clib.VersionOn(sw)
-	if cur := c.pfCur[sw]; cur != nil && cur.f.Version() == v {
+	if cur := rec.pfCur; cur != nil && cur.f.Version() == v {
 		return
 	}
 	entries := c.clib.EntriesOn(sw)
 	if len(entries) == 0 {
-		delete(c.pfCur, sw)
-		delete(c.pfPrev, sw)
+		rec.pfCur, rec.pfPrev = nil, nil
 		return
 	}
 	f := fib.FilterFromWireEntries(entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
@@ -778,10 +827,10 @@ func (c *Controller) refreshPeerFilter(sw model.SwitchID) {
 	if err != nil {
 		return // cannot happen: MarshalBinary has no failure path
 	}
-	if cur := c.pfCur[sw]; cur != nil {
-		c.pfPrev[sw] = cur
+	if rec.pfCur != nil {
+		rec.pfPrev = rec.pfCur
 	}
-	c.pfCur[sw] = &peerFilter{f: f, data: data, entries: len(entries)}
+	rec.pfCur = &peerFilter{f: f, data: data, entries: len(entries)}
 }
 
 // buildPreload assembles the G-FIB preload for one destination: per
@@ -792,25 +841,21 @@ func (c *Controller) refreshPeerFilter(sw model.SwitchID) {
 func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, members []model.SwitchID, diffs *map[model.SwitchID][]bloom.WordDelta) (*openflow.GFIBUpdate, *openflow.GFIBDelta) {
 	var update *openflow.GFIBUpdate
 	var delta *openflow.GFIBDelta
-	acked := c.pushedFilters[dest]
+	acked := c.sw[dest].pushedFilters
 	for _, peer := range members {
 		if peer == dest {
 			continue
 		}
-		cur := c.pfCur[peer]
+		src := c.sw[peer]
+		cur, prev := src.pfCur, src.pfPrev
 		if cur == nil {
 			continue
 		}
 		curV := cur.f.Version()
-		var ackedV uint64
-		var has bool
-		if acked != nil {
-			ackedV, has = acked[peer]
-		}
+		ackedV, has := acked[peer]
 		if has && ackedV == curV {
 			continue // destination is current for this peer
 		}
-		prev := c.pfPrev[peer]
 		if has && prev != nil && prev.f.Version() == ackedV {
 			if *diffs == nil {
 				*diffs = make(map[model.SwitchID][]bloom.WordDelta)
@@ -852,12 +897,11 @@ func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, member
 
 // markPushed records the filter version just shipped to a destination.
 func (c *Controller) markPushed(dest, peer model.SwitchID, v uint64) {
-	m := c.pushedFilters[dest]
-	if m == nil {
-		m = make(map[model.SwitchID]uint64)
-		c.pushedFilters[dest] = m
+	rec := c.sw[dest]
+	if rec.pushedFilters == nil {
+		rec.pushedFilters = make(map[model.SwitchID]uint64)
 	}
-	m[peer] = v
+	rec.pushedFilters[peer] = v
 }
 
 // membersFingerprint hashes a member list (FNV-1a over the IDs, which
@@ -905,9 +949,16 @@ func configFingerprint(m *openflow.GroupConfig) uint64 {
 // deterministic choice here is the live member with the smallest
 // management MAC.
 func (c *Controller) chooseDesignated(members []model.SwitchID) model.SwitchID {
+	return c.designatedIf(members, model.NoSwitch)
+}
+
+// designatedIf is chooseDesignated with one switch counted as live
+// whatever its dead mark says: the choice as it stood before that
+// switch was diagnosed.
+func (c *Controller) designatedIf(members []model.SwitchID, live model.SwitchID) model.SwitchID {
 	wheel := failover.BuildWheel(members)
 	for _, m := range wheel {
-		if !c.dead[m] {
+		if m == live || !c.IsDead(m) {
 			return m
 		}
 	}

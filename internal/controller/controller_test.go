@@ -292,13 +292,13 @@ func TestMarkRecovered(t *testing.T) {
 	b := groupedBench(t, false)
 	b.net.FailNode(1)
 	b.sim.RunFor(20 * time.Second)
-	if !b.ctrl.dead[1] {
+	if !b.ctrl.IsDead(1) {
 		t.Fatal("switch 1 not marked dead")
 	}
 	b.net.HealNode(1)
 	b.ctrl.MarkRecovered(1)
 	b.sim.RunFor(5 * time.Second)
-	if b.ctrl.dead[1] {
+	if b.ctrl.IsDead(1) {
 		t.Error("switch 1 still dead after recovery")
 	}
 	// Designated role returns to the lowest-MAC live member.

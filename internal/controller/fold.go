@@ -43,7 +43,7 @@ func (c *Controller) KACreditedThrough() time.Duration {
 // cadence), and the failure detector holds no open evidence whose
 // diagnosis window a folded check round would have closed.
 func (c *Controller) kaQuiet() int {
-	if c.cfg.FoldGate == nil || !c.cfg.FoldGate() {
+	if !c.cfg.FoldGate() {
 		return 0
 	}
 	// Replication and the control fold do not compose: folding the
@@ -54,8 +54,13 @@ func (c *Controller) kaQuiet() int {
 	if c.cfg.Peer != 0 {
 		return 0
 	}
-	if len(c.dead) > 0 || c.detector.Pending() > 0 {
+	if c.detector.Pending() > 0 {
 		return 0
+	}
+	for _, rec := range c.sw {
+		if rec.dead {
+			return 0
+		}
 	}
 	return foldCap
 }
@@ -84,7 +89,7 @@ func (c *Controller) kaCredit(rounds int) {
 // pending resolution. A new pending flow wakes the task at its append
 // site, so the first post-fold check runs within one timeout.
 func (c *Controller) expireQuiet() int {
-	if c.cfg.FoldGate == nil || !c.cfg.FoldGate() {
+	if !c.cfg.FoldGate() {
 		return 0
 	}
 	if c.state.pendingLen() > 0 {

@@ -18,9 +18,9 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 	case *openflow.PacketIn:
 		c.handlePacketIn(m)
 	case *openflow.PacketInBurst:
-		// An edge switch's micro-batched intake window: the burst goes
-		// straight into the sharded decide/apply pipeline.
-		c.ProcessBurst(m.PacketIns())
+		// An edge switch's micro-batched intake window: decided in
+		// input order, like the single PacketIns it stands for.
+		c.burst(m.PacketIns(), 1)
 	case *openflow.Batch:
 		c.handleBatch(from, m)
 	case *openflow.GFIBNack:
@@ -44,26 +44,18 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 			c.handlePeerKeepAlive(m)
 			return
 		}
-		c.lastAck[m.From] = c.env.Now()
-		c.detector.Clear(m.From)
-		c.resurrect(m.From)
+		c.proofOfLife(m.From)
 	case *openflow.RoleAnnounce:
 		c.adoptGeneration(m.Generation, m.From)
 	case *openflow.StateSyncRecord:
 		c.handleSyncRecord(from, m)
 	case *openflow.ConfigAck:
 		c.stats.ConfigAcks++
-		c.lastAck[m.From] = c.env.Now()
-		c.detector.Clear(m.From)
-		c.resurrect(m.From)
-		if p := c.pushPending[m.From]; p != nil && m.Version >= p.version {
-			if p.cancel != nil {
-				p.cancel()
-			}
-			delete(c.pushPending, m.From)
-			c.endPushSpan(m.From, "acked")
+		c.proofOfLife(m.From)
+		if rec := c.sw[m.From]; rec != nil && rec.push != nil && m.Version >= rec.push.version {
+			c.endPush(m.From, "acked")
 		}
-		if c.awaitingRepush && len(c.pushPending) == 0 {
+		if c.awaitingRepush && !c.pushOutstanding() {
 			c.awaitingRepush = false
 			if tl := c.currentTakeover(); tl != nil && tl.RepushedAt == 0 {
 				tl.RepushedAt = c.env.Now()
@@ -140,26 +132,9 @@ func (c *Controller) handlePacketIn(m *openflow.PacketIn) {
 	c.apply(m, d)
 }
 
-// handleBatch unpacks a coalesced message. A batch that is purely
-// PacketIns is a storm burst and fans out across the state shards; any
-// other content (config pushes, preloads) applies sequentially in
-// order.
+// handleBatch unpacks a coalesced message: its parts apply one by one,
+// in order (PacketIns included — only ProcessBurst fans out).
 func (c *Controller) handleBatch(from model.SwitchID, m *openflow.Batch) {
-	allPacketIns := len(m.Msgs) > 0
-	for _, sub := range m.Msgs {
-		if _, ok := sub.(*openflow.PacketIn); !ok {
-			allPacketIns = false
-			break
-		}
-	}
-	if allPacketIns {
-		batch := make([]openflow.PacketIn, len(m.Msgs))
-		for i, sub := range m.Msgs {
-			batch[i] = *sub.(*openflow.PacketIn)
-		}
-		c.ProcessBurst(batch)
-		return
-	}
 	for _, sub := range m.Msgs {
 		if _, nested := sub.(*openflow.Batch); nested {
 			continue // decode rejects nesting; ignore hand-built ones
@@ -344,12 +319,16 @@ func (c *Controller) designatedTargets(vlan model.VLAN) []model.SwitchID {
 // for exactly the peers it named.
 func (c *Controller) handleGFIBNack(m *openflow.GFIBNack) {
 	c.record(metrics.ReqStateReport, 1)
+	if c.sw[m.Origin] == nil {
+		return
+	}
 	update := &openflow.GFIBUpdate{Group: m.Group, Version: c.groupingVersion, Generation: c.generation}
 	for _, peer := range m.Peers {
-		cur := c.pfCur[peer]
-		if cur == nil {
+		rec := c.sw[peer]
+		if rec == nil || rec.pfCur == nil {
 			continue
 		}
+		cur := rec.pfCur
 		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: peer, Filter: cur.data, Version: cur.f.Version()})
 		c.markPushed(m.Origin, peer, cur.f.Version())
 	}
@@ -451,13 +430,10 @@ func (c *Controller) handleStateReport(m *openflow.StateReport) {
 // relay with a host binding.
 func (c *Controller) handleLFIBAnswer(from model.SwitchID, m *openflow.LFIBUpdate) {
 	c.record(metrics.ReqPacketIn, 1)
-	// The answer is proof of life from the sender: credit its keepalive
-	// state so a switch that is busy answering ARP relays is never
-	// falsely suspected just because heartbeats queued behind the
-	// answers were lost.
-	c.lastAck[from] = c.env.Now()
-	c.detector.Clear(from)
-	c.resurrect(from)
+	// A switch that is busy answering ARP relays is never falsely
+	// suspected just because heartbeats queued behind the answers were
+	// lost.
+	c.proofOfLife(from)
 	group := c.grp.GroupOf(m.Origin)
 	c.clib.ApplyLFIB(m.Origin, group, m)
 	c.journalLFIB(m)
@@ -554,7 +530,7 @@ func (c *Controller) sendKeepAlives() {
 	}
 	c.kaSeq++
 	for _, sw := range c.cfg.Switches {
-		if c.dead[sw] && c.kaSeq%deadProbeEvery != 0 {
+		if c.sw[sw].dead && c.kaSeq%deadProbeEvery != 0 {
 			continue
 		}
 		c.env.Send(sw, &openflow.KeepAlive{From: c.addr, Seq: c.kaSeq, Generation: c.generation})
@@ -567,25 +543,37 @@ func (c *Controller) sendKeepAlives() {
 	}
 }
 
-// resurrect brings back a switch marked dead from which proof of life
-// arrived: a false DiagSwitch (or one whose subject rebooted without a
-// harness MarkRecovered) must not strand a live switch outside the
-// control plane. The C-LIB and preload state evicted at diagnosis
-// repopulate from the switch's own advertisements within the normal
-// report rounds; the config re-push restarts its supervision.
-func (c *Controller) resurrect(sw model.SwitchID) {
-	if !c.dead[sw] {
+// proofOfLife credits a message only a live switch could have sent (a
+// keep-alive ack, a config ack, an ARP answer): its ack clock restarts,
+// open evidence against it is dropped, and a dead mark is reversed — a
+// false DiagSwitch, or one whose subject rebooted without a harness
+// MarkRecovered, must not strand a live switch outside the control
+// plane. What diagnosis evicted repopulates from the switch's own
+// advertisements within the normal report rounds.
+func (c *Controller) proofOfLife(sw model.SwitchID) {
+	rec := c.sw[sw]
+	if rec == nil {
 		return
 	}
-	delete(c.dead, sw)
-	c.stats.Resurrections++
-	c.lastAck[sw] = c.env.Now()
+	rec.lastAck, rec.acked = c.env.Now(), true
 	c.detector.Clear(sw)
+	if rec.dead {
+		c.stats.Resurrections++
+		c.revive(sw, rec)
+	}
+}
+
+// revive clears a switch's dead mark and re-pushes its group view cold
+// — config and full peer preloads, to it alone — which restarts its
+// push supervision. The reversal is journalled under the bumped
+// grouping version, ahead of the assignment.
+func (c *Controller) revive(sw model.SwitchID, rec *switchRecord) {
+	rec.dead = false
+	rec.lastAck, rec.acked = c.env.Now(), true
 	c.groupingVersion++
 	c.journalDead(sw, false)
 	c.journalGrouping()
-	delete(c.pushedCfg, sw)
-	delete(c.pushedFilters, sw)
+	c.forgetPushed(sw)
 	c.pushGroupConfigs(false)
 }
 
@@ -608,14 +596,15 @@ func (c *Controller) checkFailures() {
 		credited = c.kaTask.CreditedThrough()
 	}
 	for _, sw := range c.cfg.Switches {
-		if c.dead[sw] {
+		rec := c.sw[sw]
+		if rec.dead {
 			continue
 		}
-		last, seen := c.lastAck[sw]
-		if !seen {
-			c.lastAck[sw] = now
+		if !rec.acked {
+			rec.lastAck, rec.acked = now, true
 			continue
 		}
+		last := rec.lastAck
 		if credited > last {
 			last = credited
 		}
@@ -624,13 +613,8 @@ func (c *Controller) checkFailures() {
 			c.detector.ObserveCtrlLoss(sw, now)
 			// The control link to this switch is dropping messages, so
 			// the per-destination push tracking can no longer assume
-			// send == delivered: forget what was pushed, and the next
-			// push round re-ships the switch's config and preloads.
-			// (The old protocol re-sent every config every round, which
-			// repaired lost pushes implicitly; this is the targeted
-			// replacement.)
-			delete(c.pushedCfg, sw)
-			delete(c.pushedFilters, sw)
+			// send == delivered.
+			c.forgetPushed(sw)
 		}
 	}
 	// Act in sorted switch order: recovery emits messages (evictions,
@@ -650,12 +634,16 @@ func (c *Controller) checkFailures() {
 
 // actOnDiagnosis performs the control-plane side of recovery.
 func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagnosis) {
+	rec := c.sw[suspect]
+	if rec == nil {
+		return // evidence about a switch this controller does not control
+	}
 	switch diag {
 	case failover.DiagSwitch:
-		c.dead[suspect] = true
+		rec.dead = true
 		c.journalDead(suspect, true)
 		// A push retry for a dead destination would be wasted sends.
-		c.cancelPush(suspect)
+		c.endPush(suspect, "cancelled")
 		// Evict the per-MAC state pointing at the dead switch: learned
 		// locations would keep installing rules toward a black hole
 		// (flows must fall back to flooding until the host reappears),
@@ -669,10 +657,9 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 		c.clib.RemoveSwitch(suspect)
 		// The dead switch's preload filter must not be re-shipped, and
 		// destinations' acked versions for it are moot.
-		delete(c.pfCur, suspect)
-		delete(c.pfPrev, suspect)
-		for _, acked := range c.pushedFilters {
-			delete(acked, suspect)
+		rec.pfCur, rec.pfPrev = nil, nil
+		for _, other := range c.sw {
+			delete(other.pushedFilters, suspect)
 		}
 		// Broadcast the G-FIB tombstone to the dead switch's group:
 		// ring neighbors already evicted on peer evidence, but
@@ -688,7 +675,7 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 				Generation: c.generation,
 			}
 			for _, member := range c.grp.Members(gid) {
-				if member == suspect || c.dead[member] {
+				if member == suspect || c.IsDead(member) {
 					continue
 				}
 				c.stats.FilterRemovalsSent++
@@ -697,22 +684,15 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 		}
 		// If the failed switch was its group's designated switch, select
 		// a replacement and re-push the group view (§III-E3).
-		if gid != model.NoGroup {
-			members := c.grp.Members(gid)
-			if c.chooseDesignatedWas(members, suspect) {
-				c.groupingVersion++
-				c.journalGrouping()
-				c.pushGroupConfigs(true)
-			}
+		if gid != model.NoGroup && c.designatedIf(c.grp.Members(gid), suspect) == suspect {
+			c.repush(true)
 		}
 	case failover.DiagPeerLinkUp, failover.DiagPeerLinkDown:
 		// Only matters when a designated switch is an endpoint; the
 		// conservative response is a config re-push selecting designated
 		// switches afresh.
 		if gid := c.grp.GroupOf(suspect); gid != model.NoGroup {
-			c.groupingVersion++
-			c.journalGrouping()
-			c.pushGroupConfigs(true)
+			c.repush(true)
 		}
 	case failover.DiagControlLink:
 		// Relay via the ring predecessor is arranged by the harness.
@@ -720,21 +700,6 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 	if c.cfg.OnDiagnosis != nil {
 		c.cfg.OnDiagnosis(suspect, diag)
 	}
-}
-
-func (c *Controller) chooseDesignatedWas(members []model.SwitchID, suspect model.SwitchID) bool {
-	// Before marking dead the designated would have been the first live
-	// wheel member; afterwards the choice changes iff the suspect was it.
-	wheel := failover.BuildWheel(members)
-	for _, m := range wheel {
-		if m == suspect {
-			return true
-		}
-		if !c.dead[m] {
-			return false
-		}
-	}
-	return false
 }
 
 // MarkRecovered tells the controller a switch rebooted: the dead flag
@@ -746,16 +711,7 @@ func (c *Controller) chooseDesignatedWas(members []model.SwitchID, suspect model
 // configless forever (it answers keep-alives without one, so the
 // lost-push invalidation never fires either).
 func (c *Controller) MarkRecovered(sw model.SwitchID) {
-	delete(c.dead, sw)
-	c.lastAck[sw] = c.env.Now()
-	c.groupingVersion++
-	c.journalDead(sw, false)
-	c.journalGrouping()
-	// The rebooted switch comes back cold: forget what was pushed to it
-	// so the re-push carries its config and full peer preloads — and
-	// only to it, not to its whole group — instead of leaving it dark
-	// until the next dissemination round.
-	delete(c.pushedCfg, sw)
-	delete(c.pushedFilters, sw)
-	c.pushGroupConfigs(false)
+	if rec := c.sw[sw]; rec != nil {
+		c.revive(sw, rec)
+	}
 }

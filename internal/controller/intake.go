@@ -26,21 +26,27 @@ import (
 // last-write-wins, and a destination first introduced by another
 // packet of the same burst may classify as known or unknown depending
 // on worker interleaving — exactly as racing packets into any
-// multi-threaded controller would. The deterministic DES emulations
-// never take this path (switches deliver PacketIns one at a time), so
-// their outputs stay seed-identical.
+// multi-threaded controller would.
 //
-// The caller must not deliver other messages to the controller while a
-// burst is in flight. Under netsim that holds for free — a burst arrives
-// as one PacketInBurst and a node's handlers never run concurrently; a
-// bare driver (eval.Storm) replays its bursts one at a time.
+// The fan-out is chosen by entry point, not by a threshold: only this
+// exported method takes it (eval.Storm and the packetin-storm workload
+// call it with bursts of thousands, one at a time — the caller must
+// deliver nothing else while a burst is in flight). A burst arriving on
+// the wire — an edge micro-batch's PacketInBurst — goes through
+// HandleMessage, which decides it in input order, so the DES emulations
+// stay seed-identical at any shard count.
 func (c *Controller) ProcessBurst(batch []openflow.PacketIn) {
+	c.burst(batch, c.state.count())
+}
+
+// burst decides a batch with the given number of workers (one: in
+// input order on the caller's goroutine) and applies it in input order.
+func (c *Controller) burst(batch []openflow.PacketIn, workers int) {
 	n := len(batch)
 	if n == 0 {
 		return
 	}
 	decisions := make([]pinDecision, n)
-	workers := c.state.count()
 	if workers == 1 || n == 1 {
 		for i := range batch {
 			decisions[i] = c.decide(&batch[i])

@@ -23,14 +23,10 @@ import (
 type recordingEnv struct {
 	mu    sync.Mutex
 	sends map[model.SwitchID][]netsim.Message
-	rng   *rand.Rand
 }
 
 func newRecordingEnv() *recordingEnv {
-	return &recordingEnv{
-		sends: make(map[model.SwitchID][]netsim.Message),
-		rng:   rand.New(rand.NewPCG(1, 2)),
-	}
+	return &recordingEnv{sends: make(map[model.SwitchID][]netsim.Message)}
 }
 
 func (e *recordingEnv) Now() time.Duration { return 0 }
@@ -47,8 +43,6 @@ func (e *recordingEnv) Send(to model.SwitchID, msg netsim.Message) {
 	e.sends[to] = append(e.sends[to], msg)
 	e.mu.Unlock()
 }
-
-func (e *recordingEnv) Rand() *rand.Rand { return e.rng }
 
 func (e *recordingEnv) sendCounts() map[model.SwitchID]int {
 	e.mu.Lock()
@@ -205,7 +199,7 @@ func TestBurstShardDifferentialLazy(t *testing.T) {
 }
 
 // TestBatchOfPacketInsViaHandleMessage checks the mailbox entry point:
-// a Batch of PacketIns fans out through ProcessBurst.
+// every PacketIn of a Batch is handled.
 func TestBatchOfPacketInsViaHandleMessage(t *testing.T) {
 	c, _ := newDirectController(t, ModeLearning, 8)
 	warmLearning(c)
@@ -251,8 +245,7 @@ func TestBatchedGroupPush(t *testing.T) {
 	}
 	env.reset()
 	c.pushedMembers = make(map[model.GroupID]uint64)
-	c.pushedCfg = make(map[model.SwitchID]uint64)
-	c.pushedFilters = make(map[model.SwitchID]map[model.SwitchID]uint64)
+	c.forgetPushed(c.cfg.Switches...)
 	c.pushGroupConfigs(false)
 	counts := env.sendCounts()
 	if len(counts) == 0 {
@@ -359,7 +352,7 @@ func TestDeadSwitchEvictsLearnedAndPending(t *testing.T) {
 	n.FailNode(2)
 	ctrl.actOnDiagnosis(2, failover.DiagSwitch)
 	s.RunFor(4 * time.Second) // let the stale rule on switch 1 idle out
-	if !ctrl.dead[2] {
+	if !ctrl.IsDead(2) {
 		t.Fatal("switch 2 not marked dead")
 	}
 	if _, ok := ctrl.LearnedLocations()[model.HostMAC(50)]; ok {
@@ -401,7 +394,7 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.lastAck[1] = 0
+	c.sw[1].lastAck, c.sw[1].acked = 0, true
 	s.RunFor(2500 * time.Millisecond)
 	c.handleLFIBAnswer(1, &openflow.LFIBUpdate{
 		Origin:  1,
@@ -415,7 +408,7 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	if c.detector.Pending() != 0 {
 		t.Error("failure evidence accumulated against the answering switch")
 	}
-	if c.dead[1] {
+	if c.IsDead(1) {
 		t.Error("answering switch marked dead")
 	}
 }
@@ -494,6 +487,45 @@ func TestStateShardRoundUp(t *testing.T) {
 		idx := tbl.shardIndex(model.HostMAC(h))
 		if idx < 0 || idx >= tbl.count() {
 			t.Fatalf("shardIndex(%v) = %d out of range", model.HostMAC(h), idx)
+		}
+	}
+}
+
+// TestWireBurstMatchesSingleStripe pins wire-delivered bursts to input
+// order: the burst [A→B, C→A], with A never seen before, reaches the
+// controller as one PacketInBurst through HandleMessage. Decided in
+// input order the first packet teaches the controller where A lives and
+// the second finds it; fanned out across stripes the second packet's
+// worker usually wins the race and floods instead, so the outcome of a
+// "deterministic" emulation would hang on goroutine scheduling. Every
+// repetition at 8 stripes must equal the 1-stripe result.
+func TestWireBurstMatchesSingleStripe(t *testing.T) {
+	probe, _ := newDirectController(t, ModeLearning, 8)
+	a, b, c := model.HostID(1), model.HostID(2), model.HostID(3)
+	for probe.state.shardIndex(model.HostMAC(b)) == probe.state.shardIndex(model.HostMAC(a)) {
+		b += 2 // the race needs the two destinations on different stripes
+	}
+	item := func(src, dst model.HostID) openflow.BurstPacket {
+		return openflow.BurstPacket{
+			Reason: openflow.ReasonNoMatch,
+			Packet: model.Packet{SrcMAC: model.HostMAC(src), DstMAC: model.HostMAC(dst), VLAN: 1, Bytes: 1000},
+		}
+	}
+	run := func(shards int) Stats {
+		ctrl, _ := newDirectController(t, ModeLearning, shards)
+		ctrl.HandleMessage(1, &openflow.PacketInBurst{
+			Switch: 1,
+			Items:  []openflow.BurstPacket{item(a, b), item(c, a)},
+		})
+		return ctrl.Stats()
+	}
+	want := run(1)
+	if want.PacketIns != 2 || want.Floods != 1 || want.PacketOuts != 1 {
+		t.Fatalf("single-stripe reference %+v: want A→B flooded and C→A answered", want)
+	}
+	for i := 0; i < 500; i++ {
+		if got := run(8); got != want {
+			t.Fatalf("repetition %d at 8 stripes diverged from the single-stripe run:\n got  %+v\n want %+v", i, got, want)
 		}
 	}
 }

@@ -138,13 +138,10 @@ func (c *Controller) becomeMaster() {
 	c.awaitingRepush = true
 	// Re-push everything under the new generation: forgetting the
 	// per-destination tracking makes the round ship full configs and
-	// preloads, exactly like MarkRecovered does for one switch.
-	c.groupingVersion++
-	c.pushedCfg = make(map[model.SwitchID]uint64)
-	c.pushedFilters = make(map[model.SwitchID]map[model.SwitchID]uint64)
-	if c.grp.NumGroups() > 0 {
-		c.pushGroupConfigs(true)
-	}
+	// preloads, exactly like MarkRecovered does for one switch (repush
+	// journals nothing here: a just-promoted standby has no synced peer).
+	c.forgetPushed(c.cfg.Switches...)
+	c.repush(true)
 }
 
 // adoptGeneration folds an observed cluster generation into this
@@ -169,10 +166,9 @@ func (c *Controller) stepDown() {
 	c.isStandby = true
 	c.stats.StepDowns++
 	for _, sw := range c.cfg.Switches {
-		c.cancelPush(sw)
+		c.endPush(sw, "cancelled")
 	}
-	c.pushedCfg = make(map[model.SwitchID]uint64)
-	c.pushedFilters = make(map[model.SwitchID]map[model.SwitchID]uint64)
+	c.forgetPushed(c.cfg.Switches...)
 	c.peerSeen = false
 	c.peerSynced = false
 	c.standbySeq = 0
@@ -206,7 +202,7 @@ func (c *Controller) sendSnapshot() {
 		})
 	}
 	for _, sw := range c.cfg.Switches {
-		if c.dead[sw] {
+		if c.sw[sw].dead {
 			c.journalDead(sw, true)
 		}
 	}
@@ -293,16 +289,18 @@ func (c *Controller) handleSyncRecord(from model.SwitchID, m *openflow.StateSync
 	}
 	switch m.Kind {
 	case openflow.SyncGrouping:
+		// C-LIB group tags follow the mirrored grouping, exactly as
+		// pushGroupConfigs retags them on the primary. Only configured
+		// switches are mirrored: a takeover pushes to every member.
 		assign := make(map[model.SwitchID]model.GroupID, len(m.Assign))
 		for _, a := range m.Assign {
+			if c.sw[a.Switch] == nil {
+				continue
+			}
 			assign[a.Switch] = a.Group
-		}
-		c.grp = grouping.Rebuild(assign)
-		// C-LIB group tags follow the mirrored grouping, exactly as
-		// pushGroupConfigs retags them on the primary.
-		for _, a := range m.Assign {
 			c.clib.SetGroup(a.Switch, a.Group)
 		}
+		c.grp = grouping.Rebuild(assign)
 	case openflow.SyncLFIB:
 		u := &openflow.LFIBUpdate{
 			Origin:  m.Origin,
@@ -312,11 +310,11 @@ func (c *Controller) handleSyncRecord(from model.SwitchID, m *openflow.StateSync
 		}
 		c.clib.ApplyLFIB(m.Origin, c.grp.GroupOf(m.Origin), u)
 	case openflow.SyncTombstone:
+		if rec := c.sw[m.Origin]; rec != nil {
+			rec.dead = m.Full
+		}
 		if m.Full {
-			c.dead[m.Origin] = true
 			c.clib.RemoveSwitch(m.Origin)
-		} else {
-			delete(c.dead, m.Origin)
 		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 // The regroup trace covers one push round: a "regroup" root opened by
 // the trigger, a "regroup.mlkp" child around the grouping update, and
 // one push span per destination the round actually shipped to. Push
-// spans that await a ConfigAck stay open in pushSpans until the ack
-// arrives (supervision retries extend the same span), so their duration
-// is the paper's push→ack convergence time; preload-only pushes and
-// skipped destinations are recorded as instant spans.
+// spans that await a ConfigAck stay open in the destination's record
+// (switchRecord.pushSpan) until the ack arrives (supervision retries
+// extend the same span), so their duration is the paper's push→ack
+// convergence time; preload-only pushes and skipped destinations are
+// recorded as instant spans.
 
 // tracePushSkip records a destination a push round sent nothing to.
 func (c *Controller) tracePushSkip(dest model.SwitchID) {
@@ -46,22 +47,14 @@ func (c *Controller) tracePush(dest model.SwitchID, awaitAck bool, nFull, nDelta
 	// A newer round superseding an unacked push closes the old span;
 	// its duration then measures how long the stale config was in
 	// flight, not a lie about convergence.
-	if old := c.pushSpans[dest]; old != nil {
+	rec := c.sw[dest]
+	if old := rec.pushSpan; old != nil {
 		old.Attr("superseded", 1).End()
 	}
-	c.pushSpans[dest] = tr.StartSpan(c.regroupCtx, "regroup.push").
+	rec.pushSpan = tr.StartSpan(c.regroupCtx, "regroup.push").
 		Attr("sw", int64(dest)).
 		Attr("full", int64(nFull)).
 		Attr("delta", int64(nDelta))
-}
-
-// endPushSpan closes the open push span for a destination, if any,
-// stamping the outcome ("acked", "cancelled", "abandoned").
-func (c *Controller) endPushSpan(dest model.SwitchID, outcome string) {
-	if sp := c.pushSpans[dest]; sp != nil {
-		sp.Attr(outcome, 1).End()
-		delete(c.pushSpans, dest)
-	}
 }
 
 // traceCtrl records the controller's ordered apply step of one sampled

@@ -166,13 +166,12 @@ func TestIdleBeaconResyncsLostState(t *testing.T) {
 	r.sim.RunFor(12 * time.Second)
 
 	d := r.switches[2]
-	if _, held := d.memberLFIBs[3]; !held {
+	if d.role.members[3] == nil {
 		t.Fatal("setup: designated never aggregated S3")
 	}
 	// Simulate a lost bootstrap: the designated drops S3's aggregation
 	// without any keep-alive evidence (so no eviction unwind fires).
-	delete(d.memberLFIBs, 3)
-	delete(d.memberLFIBVersions, 3)
+	delete(d.role.members, 3)
 
 	// S3 is idle — no L-FIB change, no traffic — so only the beacon
 	// path can repair this. Within refreshEveryRounds advertise
@@ -181,14 +180,80 @@ func TestIdleBeaconResyncsLostState(t *testing.T) {
 	if r.switches[3].Stats().IdleRefreshes == 0 {
 		t.Fatal("idle member never sent a version beacon")
 	}
-	entries, held := d.memberLFIBs[3]
-	if !held {
+	rec := d.role.members[3]
+	if rec == nil {
 		t.Fatal("beacon mismatch did not resync the member's state")
 	}
-	if len(entries) != 1 || entries[0].MAC != model.HostMAC(30) {
+	if entries := rec.snapshot; len(entries) != 1 || entries[0].MAC != model.HostMAC(30) {
 		t.Fatalf("resynced aggregation wrong: %v", entries)
 	}
-	if v := d.memberLFIBVersions[3]; v != r.switches[3].LFIB().Version() {
+	if v := rec.version; v != r.switches[3].LFIB().Version() {
 		t.Fatalf("resynced version %d != member L-FIB version %d", v, r.switches[3].LFIB().Version())
+	}
+}
+
+// TestRepromotedDesignatedStartsFresh pins the role lifecycle at the
+// edge: the designated role moves 2 → 1 → 2 by GroupConfig alone, the
+// membership never changes, and S4 fails while S1 holds the role. S2's
+// second tenure must be built from what its members advertise after
+// the promotion — S4 must not reappear in any G-FIB, nor in any
+// StateReport S2 sends — instead of replaying the snapshot of S4 its
+// first tenure left behind.
+func TestRepromotedDesignatedStartsFresh(t *testing.T) {
+	r := newRig(t, 1, 2, 3, 4)
+	for id := model.SwitchID(1); id <= 4; id++ {
+		r.switches[id].AttachHost(model.HostMAC(model.HostID(10*id)), model.HostIP(model.HostID(10*id)), 1)
+	}
+	r.configureGroup(1, 2, 1, 2, 3, 4)
+	r.sim.RunFor(12 * time.Second)
+	if rec := r.switches[2].role.members[4]; rec == nil {
+		t.Fatal("setup: S2's first tenure never aggregated S4")
+	}
+
+	r.configureGroup(1, 1, 1, 2, 3, 4)
+	r.sim.RunFor(12 * time.Second)
+	if r.switches[2].IsDesignated() || !r.switches[1].IsDesignated() {
+		t.Fatal("setup: the role did not move to S1")
+	}
+	r.net.AddFault(netsim.FaultRule{A: 4, B: model.NoSwitch, Loss: 1.0})
+	r.sim.RunFor(12 * time.Second)
+	for id := model.SwitchID(1); id <= 3; id++ {
+		if _, held := r.switches[id].GFIB().PeerVersion(4); held {
+			t.Fatalf("setup: S%d still holds S4's filter after the eviction", id)
+		}
+	}
+
+	// Second promotion, membership unchanged. S4 is down, so only the
+	// live members hear the config.
+	mark := len(r.ctrl.got)
+	for _, m := range []model.SwitchID{1, 2, 3} {
+		cfg := r.switches[m].Group()
+		cfg.Designated = 2
+		r.switches[m].HandleMessage(model.ControllerNode, &cfg)
+	}
+	r.sim.RunFor(30 * time.Second)
+	if !r.switches[2].IsDesignated() {
+		t.Fatal("S2 was not promoted a second time")
+	}
+	for id := model.SwitchID(1); id <= 3; id++ {
+		if v, held := r.switches[id].GFIB().PeerVersion(4); held {
+			t.Errorf("S%d holds failed S4's filter again (version %d)", id, v)
+		}
+	}
+	reports := 0
+	for _, msg := range r.ctrl.got[mark:] {
+		sr, ok := msg.(*openflow.StateReport)
+		if !ok {
+			continue
+		}
+		reports++
+		for _, u := range sr.LFIBs {
+			if u.Origin == 4 {
+				t.Errorf("a report after the second promotion carries failed S4 (version %d, %d entries)", u.Version, len(u.Entries))
+			}
+		}
+	}
+	if reports == 0 {
+		t.Fatal("S2 sent no StateReport in its second tenure")
 	}
 }

@@ -79,48 +79,38 @@ func wakeTask(t netsim.ElidableTask) {
 // reporting. Cheap no-op when nothing is folded.
 func (s *Switch) noteLFIBChanged() {
 	wakeTask(s.advTask)
-	wakeTask(s.dissemTask)
-	wakeTask(s.reportTask)
+	s.role.wake()
 }
 
-// settleFoldTasks wakes every fold task so rounds already passed are
-// credited under the current state — called before a reconfiguration
+// WakeFoldTasks re-materializes all of the switch's folded timers:
+// any folded round whose boundary has passed is credited under the
+// current state, everything after runs as real events. The harness
+// calls it on every underlay fault change (passed rounds were still
+// fault-free); handleGroupConfig calls it before a reconfiguration
 // mutates the state the credit callbacks read.
-func (s *Switch) settleFoldTasks() {
+func (s *Switch) WakeFoldTasks() {
 	wakeTask(s.advTask)
 	wakeTask(s.kaSendTask)
 	wakeTask(s.kaCheckTask)
-	wakeTask(s.dissemTask)
-	wakeTask(s.reportTask)
+	s.role.wake()
 }
-
-// WakeFoldTasks re-materializes all of the switch's folded timers. The
-// harness calls it on every underlay fault change: any folded round
-// whose boundary has passed was still under fault-free conditions and
-// is credited; everything after the change runs as real events.
-func (s *Switch) WakeFoldTasks() { s.settleFoldTasks() }
 
 // MemberVersionCurrent reports whether this (designated) switch's
 // aggregation holds exactly the given member L-FIB version — the
 // oracle behind FoldHooks.BeaconCurrent.
 func (s *Switch) MemberVersionCurrent(member model.SwitchID, version uint64) bool {
-	if !s.IsDesignated() {
+	if s.role == nil {
 		return false
 	}
-	if _, ok := s.memberLFIBs[member]; !ok {
-		return false
-	}
-	return s.memberLFIBVersions[member] == version && !s.evictedMembers[member]
+	rec := s.role.members[member]
+	return rec != nil && rec.version == version
 }
 
 // NeedsLiveKAFrom reports whether this switch's failure bookkeeping
 // needs a real keep-alive from peer — the oracle behind
 // FoldHooks.PeerNeedsLiveKA.
 func (s *Switch) NeedsLiveKAFrom(peer model.SwitchID) bool {
-	if s.reported[peer] {
-		return true
-	}
-	return s.IsDesignated() && s.evictedMembers[peer]
+	return s.ring[peer].reported || (s.role != nil && s.role.evicted[peer])
 }
 
 // KACreditedThrough returns the boundary through which this switch's
@@ -158,10 +148,10 @@ func (s *Switch) advertiseQuiet() int {
 		// rebuilds the timers.
 		return foldCap
 	}
-	if s.lfib.Version() != s.lastAdvertisedVersion || len(s.pairFlows) > 0 {
+	if s.lfib.Version() != s.adv.lastVersion || len(s.pairFlows) > 0 {
 		return 0
 	}
-	if s.lastAdvertisedVersion == 0 {
+	if s.adv.lastVersion == 0 {
 		return foldCap // advertise() returns before doing anything
 	}
 	h := s.cfg.Fold
@@ -169,7 +159,7 @@ func (s *Switch) advertiseQuiet() int {
 		h.BeaconCurrent != nil && h.BeaconCurrent(s.group.Designated, s.cfg.ID, s.lfib.Version()) {
 		return foldCap
 	}
-	return refreshEveryRounds - s.idleAdvRounds - 1
+	return refreshEveryRounds - s.adv.idleRounds - 1
 }
 
 // advertiseCredit settles folded idle rounds: the idle-round counter
@@ -177,16 +167,16 @@ func (s *Switch) advertiseQuiet() int {
 // version beacon whose stats and wire bytes are credited (its receiver
 // effect was a proven no-op).
 func (s *Switch) advertiseCredit(rounds int) {
-	if !s.haveGroup || s.lastAdvertisedVersion == 0 {
+	if !s.haveGroup || s.adv.lastVersion == 0 {
 		return // the folded rounds were pure early returns
 	}
-	beacons := (s.idleAdvRounds + rounds) / refreshEveryRounds
-	s.idleAdvRounds = (s.idleAdvRounds + rounds) % refreshEveryRounds
+	beacons := (s.adv.idleRounds + rounds) / refreshEveryRounds
+	s.adv.idleRounds = (s.adv.idleRounds + rounds) % refreshEveryRounds
 	if beacons == 0 {
 		return
 	}
 	s.stats.IdleRefreshes += uint64(beacons)
-	if s.IsDesignated() || s.group.Designated == model.NoSwitch {
+	if s.role != nil || s.group.Designated == model.NoSwitch {
 		return // local hand-off, no wire traffic
 	}
 	if h := s.cfg.Fold; h != nil && h.Meter != nil {
@@ -213,16 +203,13 @@ func (s *Switch) kaSendQuiet() int {
 	if h.PeerNeedsLiveKA == nil {
 		return 0
 	}
-	needed := false
+	quiet := foldCap
 	s.ringNeighbors(func(n model.SwitchID) {
 		if h.PeerNeedsLiveKA(n, s.cfg.ID) {
-			needed = true
+			quiet = 0
 		}
 	})
-	if needed {
-		return 0
-	}
-	return foldCap
+	return quiet
 }
 
 // kaSendCredit settles folded heartbeat rounds: the sequence counter
@@ -245,45 +232,48 @@ func (s *Switch) kaSendCredit(rounds int) {
 }
 
 // kaCheckQuiet proves upcoming liveness-check rounds no-ops: while the
-// underlay is fault-free no neighbor can go silent, nothing is
-// currently reported, and every neighbor has an initialized baseline
-// (the grace-period branch writes state, so it must have run). The
-// next real check recovers freshness via PeerKACreditedThrough.
+// underlay is fault-free no neighbor can go silent, none is currently
+// reported, and every neighbor has an initialized baseline (the
+// grace-period branch writes state, so it must have run). The next
+// real check recovers freshness via PeerKACreditedThrough.
 func (s *Switch) kaCheckQuiet() int {
-	if !s.foldGateOpen() {
+	if !s.foldGateOpen() || !s.haveGroup || s.group.KeepAliveInterval <= 0 {
 		return 0
 	}
-	if !s.haveGroup || s.group.KeepAliveInterval <= 0 {
-		return 0
-	}
-	if len(s.reported) > 0 {
-		return 0
-	}
-	uninit := false
+	quiet := foldCap
 	s.ringNeighbors(func(n model.SwitchID) {
-		if _, seen := s.lastFrom[n]; !seen {
-			uninit = true
+		if rec, seen := s.ring[n]; !seen || rec.reported {
+			quiet = 0
 		}
 	})
-	if uninit {
-		return 0
-	}
-	return foldCap
+	return quiet
 }
 
 // membersChangedSince is the non-mutating form of changedMembers' gate:
 // it reports whether any member's aggregated snapshot moved past what
-// the sent-map recorded.
-func (s *Switch) membersChangedSince(sent map[model.SwitchID]uint64) bool {
+// the path's sent-mark recorded.
+func (s *Switch) membersChangedSince(path fanout) bool {
 	for _, member := range s.group.Members {
-		if _, ok := s.memberLFIBs[member]; !ok {
+		rec := s.role.members[member]
+		if rec == nil {
 			continue
 		}
-		if prev, seen := sent[member]; !seen || prev != s.memberLFIBVersions[member] {
+		if sent := rec.sent[path]; !sent.set || sent.version != rec.version {
 			return true
 		}
 	}
 	return false
+}
+
+// fanoutSettled reports whether a fan-out path has nothing to send: the
+// fold gate is open, the role is held, no eviction is pending, the own
+// snapshot is current, and no member moved past the path's sent-mark.
+func (s *Switch) fanoutSettled(path fanout) bool {
+	if !s.foldGateOpen() || s.role == nil || len(s.role.evicted) > 0 {
+		return false
+	}
+	own := s.role.members[s.cfg.ID]
+	return own != nil && own.version == s.lfib.Version() && !s.membersChangedSince(path)
 }
 
 // dissemQuiet proves upcoming dissemination rounds no-ops: no member
@@ -292,16 +282,7 @@ func (s *Switch) membersChangedSince(sent map[model.SwitchID]uint64) bool {
 // NACK/resync repair trigger, and receiver staleness is exactly what
 // this switch cannot prove away.
 func (s *Switch) dissemQuiet() int {
-	if !s.foldGateOpen() || !s.IsDesignated() {
-		return 0
-	}
-	if len(s.evictedMembers) > 0 {
-		return 0
-	}
-	if s.lfib.Version() != s.memberLFIBVersions[s.cfg.ID] {
-		return 0 // own snapshot refresh pending
-	}
-	if s.membersChangedSince(s.gfibSent) {
+	if !s.fanoutSettled(toGroup) {
 		return 0
 	}
 	return refreshEveryRounds - int(s.gfibRound%refreshEveryRounds) - 1
@@ -319,21 +300,13 @@ func (s *Switch) dissemCredit(rounds int) {
 // controller-side effect is a per-round counter. Anti-entropy full
 // rounds stay real.
 func (s *Switch) reportQuiet() int {
-	if !s.foldGateOpen() || !s.IsDesignated() {
+	if !s.fanoutSettled(toCtrl) || s.cfg.Fold.CreditStateReport == nil || s.ctrlRelay || len(s.role.pairs) > 0 {
 		return 0
 	}
-	h := s.cfg.Fold
-	if h.CreditStateReport == nil || s.ctrlRelay {
-		return 0
-	}
-	if len(s.memberPairs) > 0 || len(s.evictedMembers) > 0 {
-		return 0
-	}
-	if s.lfib.Version() != s.memberLFIBVersions[s.cfg.ID] {
-		return 0
-	}
-	if s.membersChangedSince(s.ctrlSent) || len(s.ctrlPending) > 0 {
-		return 0
+	for _, rec := range s.role.members {
+		if len(rec.pending) > 0 {
+			return 0
+		}
 	}
 	return refreshEveryRounds - int(s.ctrlRound%refreshEveryRounds) - 1
 }
@@ -342,15 +315,13 @@ func (s *Switch) reportQuiet() int {
 // round's report is credited at its own boundary time, and the round's
 // wire bytes once per round.
 func (s *Switch) reportCredit(rounds int) {
-	if !s.IsDesignated() || s.reportTask == nil {
+	r := s.role
+	if r == nil || r.reportTask == nil {
 		return
 	}
 	s.ctrlRound += uint64(rounds)
 	h := s.cfg.Fold
-	if h == nil {
-		return
-	}
-	ct := s.reportTask.CreditedThrough()
+	ct := r.reportTask.CreditedThrough()
 	if h.CreditStateReport != nil {
 		for i := rounds - 1; i >= 0; i-- {
 			h.CreditStateReport(ct - time.Duration(i)*s.cfg.ReportInterval)

@@ -14,12 +14,7 @@ func (s *Switch) sendKeepAlives() {
 	}
 	s.kaSeq++
 	ka := &openflow.KeepAlive{From: s.cfg.ID, Seq: s.kaSeq}
-	if s.group.RingPrev != model.NoSwitch && s.group.RingPrev != s.cfg.ID {
-		s.env.Send(s.group.RingPrev, ka)
-	}
-	if s.group.RingNext != model.NoSwitch && s.group.RingNext != s.cfg.ID {
-		s.env.Send(s.group.RingNext, ka)
-	}
+	s.ringNeighbors(func(n model.SwitchID) { s.env.Send(n, ka) })
 }
 
 // handleKeepAlive records heartbeats from ring neighbors and from the
@@ -32,7 +27,7 @@ func (s *Switch) sendKeepAlives() {
 // its group view: handleGroupConfig resets the member's advertisement
 // state, so its next advertisement is a full snapshot that rebuilds
 // the dropped aggregation and filter state.
-func (s *Switch) handleKeepAlive(from model.SwitchID, m *openflow.KeepAlive) {
+func (s *Switch) handleKeepAlive(m *openflow.KeepAlive) {
 	if model.IsControllerAddr(m.From) {
 		if s.fenced(m.Generation, m.From) {
 			return
@@ -45,24 +40,25 @@ func (s *Switch) handleKeepAlive(from model.SwitchID, m *openflow.KeepAlive) {
 		s.env.Send(m.From, &openflow.KeepAlive{From: s.cfg.ID, Seq: m.Seq})
 		return
 	}
-	s.lastFrom[m.From] = s.env.Now()
-	delete(s.reported, m.From)
-	if s.IsDesignated() && s.evictedMembers[m.From] {
+	if m.From == s.group.RingPrev || m.From == s.group.RingNext {
+		s.ring[m.From] = ringNeighbor{lastFrom: s.env.Now()}
+	}
+	if s.role != nil && s.role.evicted[m.From] {
 		s.resyncMember(m.From)
 	}
-	_ = from
 }
 
 // resyncMember re-sends a member its group view (with its ring
 // neighbors recomputed), which resets the member's advertisement state
 // so its next advertisement is a full bootstrap snapshot. Used by the
 // false-alarm unwind (resumed keep-alive after a peer-evidence
-// eviction) and by the idle-beacon mismatch path.
+// eviction) and by the idle-beacon mismatch path — designated switch
+// only.
 func (s *Switch) resyncMember(member model.SwitchID) {
 	if member == s.cfg.ID {
 		return
 	}
-	delete(s.evictedMembers, member)
+	delete(s.role.evicted, member)
 	cfg := s.group
 	cfg.RingPrev, cfg.RingNext = failover.Neighbors(failover.BuildWheel(cfg.Members), member)
 	s.env.Send(member, &cfg)
@@ -80,16 +76,20 @@ func (s *Switch) checkKeepAlives() {
 	now := s.env.Now()
 	deadline := keepAliveMisses * s.group.KeepAliveInterval
 	check := func(neighbor model.SwitchID, dir openflow.LossDirection) {
-		if neighbor == model.NoSwitch || neighbor == s.cfg.ID || s.reported[neighbor] {
+		if neighbor == model.NoSwitch || neighbor == s.cfg.ID {
 			return
 		}
-		last, seen := s.lastFrom[neighbor]
+		n, seen := s.ring[neighbor]
+		if n.reported {
+			return
+		}
 		if !seen {
 			// Grace period: neighbor has never spoken; give it a full
 			// deadline from group configuration.
-			s.lastFrom[neighbor] = now
+			s.ring[neighbor] = ringNeighbor{lastFrom: now}
 			return
 		}
+		last := n.lastFrom
 		// A neighbor whose heartbeat rounds were folded is implicitly
 		// heard through the credited boundary: rounds are only credited
 		// while the underlay was fault-free, so genuine silence (which
@@ -100,7 +100,8 @@ func (s *Switch) checkKeepAlives() {
 			}
 		}
 		if now-last >= deadline {
-			s.reported[neighbor] = true
+			n.reported = true
+			s.ring[neighbor] = n
 			s.sendCtrl(&openflow.FailureReport{
 				Observer:  s.cfg.ID,
 				Suspect:   neighbor,
@@ -132,7 +133,7 @@ func (s *Switch) evictSuspect(suspect model.SwitchID) {
 		s.gfib.RemoveFilter(suspect)
 		s.stats.PeerFiltersEvicted++
 	}
-	if s.IsDesignated() {
+	if s.role != nil {
 		s.dropMemberAggregation(suspect)
 		s.broadcastFilterRemoval(suspect)
 	}
@@ -142,15 +143,10 @@ func (s *Switch) evictSuspect(suspect model.SwitchID) {
 // and delta-tracking state (designated switch only) and marks it for
 // the false-alarm unwind.
 func (s *Switch) dropMemberAggregation(suspect model.SwitchID) {
-	delete(s.memberLFIBs, suspect)
-	delete(s.memberLFIBVersions, suspect)
-	delete(s.gfibSent, suspect)
-	delete(s.ctrlSent, suspect)
-	delete(s.gfibPrev, suspect)
-	s.evictedMembers[suspect] = true
+	delete(s.role.members, suspect)
+	s.role.evicted[suspect] = true
 	// Pending evictions keep dissemination/report rounds real.
-	wakeTask(s.dissemTask)
-	wakeTask(s.reportTask)
+	s.role.wake()
 }
 
 // broadcastFilterRemoval ships the G-FIB tombstone for a lost member

@@ -1,9 +1,9 @@
 package edge
 
 import (
+	"slices"
 	"time"
 
-	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
@@ -52,13 +52,13 @@ func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		if s.fenced(m.Generation, from) {
 			return
 		}
-		s.handleLFIBUpdate(from, m)
+		s.handleLFIBUpdate(m)
 	case *openflow.RoleAnnounce:
 		s.adoptGeneration(m.Generation, m.From)
 	case *openflow.ARPRelay:
 		s.handleARPRelay(m)
 	case *openflow.KeepAlive:
-		s.handleKeepAlive(from, m)
+		s.handleKeepAlive(m)
 	case *openflow.EchoRequest:
 		s.env.Send(from, &openflow.EchoReply{Data: m.Data})
 	case *openflow.StatsRequest:
@@ -122,16 +122,13 @@ func (s *Switch) handleGroupConfig(m *openflow.GroupConfig) {
 	// Settle folded rounds under the old group view before anything is
 	// mutated: credit callbacks read the state the fold was proven
 	// against.
-	s.settleFoldTasks()
-	membersChanged := !sameMembers(s.group.Members, m.Members) || !s.haveGroup
+	s.WakeFoldTasks()
+	membersChanged := !slices.Equal(s.group.Members, m.Members) || !s.haveGroup
 	ringChanged := s.group.RingPrev != m.RingPrev || s.group.RingNext != m.RingNext
 	s.group = *m
 	s.haveGroup = true
 	if membersChanged || ringChanged {
-		// Fresh keep-alive bookkeeping: new wheel neighbors get a full
-		// grace period instead of inheriting stale timestamps.
-		s.lastFrom = make(map[model.SwitchID]time.Duration)
-		s.reported = make(map[model.SwitchID]bool)
+		s.ring = newRing()
 	}
 	// Only a membership change invalidates G-FIB state, and even then
 	// only selectively: filters of peers that stayed in the group are
@@ -142,46 +139,36 @@ func (s *Switch) handleGroupConfig(m *openflow.GroupConfig) {
 	// departed peers are dropped (those hosts are inter-group now and
 	// must go through the controller). Regroupings that leave this
 	// group intact (the common case) keep everything warm — the
-	// Appendix-B "preload for seamless grouping update" effect. The
-	// designated-switch aggregation and diff-base caches reset
-	// wholesale: a possibly-new designated rebuilds them from the
-	// members' bootstrap advertisements.
+	// Appendix-B "preload for seamless grouping update" effect.
 	if membersChanged {
-		current := make(map[model.SwitchID]bool, len(m.Members))
-		for _, member := range m.Members {
-			current[member] = true
-		}
 		for _, peer := range s.gfib.Peers() {
-			if !current[peer] {
+			if !slices.Contains(m.Members, peer) {
 				s.gfib.RemoveFilter(peer)
 			}
 		}
-		s.memberLFIBs = make(map[model.SwitchID][]openflow.LFIBEntry)
-		s.memberLFIBVersions = make(map[model.SwitchID]uint64)
-		s.memberPairs = make(map[model.SwitchPair]uint32)
-		s.gfibPrev = make(map[model.SwitchID]*bloom.Filter)
-		s.ctrlPending = make(map[model.SwitchID][]openflow.LFIBEntry)
-		s.ctrlNeedFull = make(map[model.SwitchID]bool)
-		s.evictedMembers = make(map[model.SwitchID]bool)
 	}
-	// Any reconfiguration restarts delta tracking: the next dissemination
-	// and controller report re-examine every member (peers may have
-	// cleared their G-FIBs, and the controller re-tags C-LIB groups).
-	// Where the diff base survived (members unchanged), the re-send
-	// degrades to cheap deltas or version beacons, and receivers that
-	// lost state anyway recover through the NACK/resync path.
-	s.gfibSent = make(map[model.SwitchID]uint64)
-	s.ctrlSent = make(map[model.SwitchID]uint64)
-	// Restart group timers.
+	// The designated role follows the config: losing it drops its state;
+	// gaining it, or keeping it across a membership change, starts it
+	// fresh, rebuilt from the members' bootstrap advertisements. A
+	// holder whose membership stayed only restarts delta tracking (peers
+	// may have cleared their G-FIBs, and the controller re-tags C-LIB
+	// groups); receivers that lost state recover through NACK/resync.
+	switch {
+	case m.Designated != s.cfg.ID:
+		s.role = nil
+	case s.role == nil || membersChanged:
+		s.role = newDesignatedRole()
+	default:
+		s.role.restartDeltaTracking()
+	}
 	s.restartGroupTimers()
 	// Acknowledge the push: the controller supervises configs with a
 	// retry timer, and this is what cancels it.
 	s.sendCtrl(&openflow.ConfigAck{From: s.cfg.ID, Version: m.Version})
 	// Immediate advertisement bootstraps the new group's state.
-	s.lastAdvertisedVersion = 0
-	s.idleAdvRounds = 0
+	s.adv = advertState{}
 	s.advertise()
-	if s.IsDesignated() {
+	if s.role != nil {
 		// First dissemination shortly after members advertise.
 		s.env.After(s.cfg.AdvertiseInterval/2+time.Millisecond, func() {
 			s.disseminateGFIB()
@@ -190,26 +177,8 @@ func (s *Switch) handleGroupConfig(m *openflow.GroupConfig) {
 	}
 }
 
-func sameMembers(a, b []model.SwitchID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-var _ = time.Second // keep time imported when defaults change
-
 func (s *Switch) restartGroupTimers() {
-	for _, c := range s.cancels {
-		c()
-	}
-	s.cancels = s.cancels[:0]
-	s.advTask, s.kaSendTask, s.kaCheckTask, s.dissemTask, s.reportTask = nil, nil, nil, nil, nil
+	s.cancelTimers()
 	s.advTask = s.registerPeriodic(s.cfg.AdvertiseInterval, s.advertise,
 		s.advertiseQuiet, s.advertiseCredit)
 	if s.group.KeepAliveInterval > 0 && len(s.group.Members) > 1 {
@@ -218,10 +187,10 @@ func (s *Switch) restartGroupTimers() {
 		s.kaCheckTask = s.registerPeriodic(s.group.KeepAliveInterval, s.checkKeepAlives,
 			s.kaCheckQuiet, func(int) {})
 	}
-	if s.IsDesignated() {
-		s.dissemTask = s.registerPeriodic(s.cfg.GFIBInterval, s.disseminateGFIB,
+	if r := s.role; r != nil {
+		r.dissemTask = s.registerPeriodic(s.cfg.GFIBInterval, s.disseminateGFIB,
 			s.dissemQuiet, s.dissemCredit)
-		s.reportTask = s.registerPeriodic(s.cfg.ReportInterval, s.reportToController,
+		r.reportTask = s.registerPeriodic(s.cfg.ReportInterval, s.reportToController,
 			s.reportQuiet, s.reportCredit)
 	}
 }
@@ -239,16 +208,16 @@ func (s *Switch) advertise() {
 	if !s.haveGroup {
 		return
 	}
-	changed := s.lfib.Version() != s.lastAdvertisedVersion
+	changed := s.lfib.Version() != s.adv.lastVersion
 	beacon := false
 	if !changed && len(s.pairFlows) == 0 {
-		if s.lastAdvertisedVersion == 0 {
+		if s.adv.lastVersion == 0 {
 			return // nothing ever advertised, nothing to repair
 		}
-		// Idle anti-entropy: advSinceFull only guards *changed*
+		// Idle anti-entropy: adv.sinceFull only guards *changed*
 		// advertisements, so a bootstrap full advertisement lost on a
 		// faulty peer link would never be repaired — the member goes
-		// quiet once lfib.Version() == lastAdvertisedVersion and the
+		// quiet once lfib.Version() == adv.lastVersion and the
 		// designated switch holds nothing for it. Every
 		// refreshEveryRounds-th idle interval sends a version beacon: a
 		// zero-entry increment asserting the current L-FIB version. A
@@ -256,14 +225,14 @@ func (s *Switch) advertise() {
 		// that lost the member's state resyncs it (group-view re-send →
 		// full bootstrap advertisement). The common idle case costs a
 		// version comparison, not a snapshot.
-		s.idleAdvRounds++
-		if s.idleAdvRounds < refreshEveryRounds {
+		s.adv.idleRounds++
+		if s.adv.idleRounds < refreshEveryRounds {
 			return
 		}
 		beacon = true
 		s.stats.IdleRefreshes++
 	}
-	s.idleAdvRounds = 0
+	s.adv.idleRounds = 0
 	report := &openflow.StateReport{
 		Group:   s.group.Group,
 		Pairs:   s.drainPairStats(),
@@ -277,12 +246,12 @@ func (s *Switch) advertise() {
 	}
 	if changed {
 		entries, full := s.lfib.DrainChanges()
-		s.advSinceFull++
-		if s.lastAdvertisedVersion == 0 || s.advSinceFull >= refreshEveryRounds {
+		s.adv.sinceFull++
+		if s.adv.lastVersion == 0 || s.adv.sinceFull >= refreshEveryRounds {
 			entries, full = s.lfib.WireEntries(), true
 		}
 		if full {
-			s.advSinceFull = 0
+			s.adv.sinceFull = 0
 		}
 		report.LFIBs = []openflow.LFIBUpdate{{
 			Origin:  s.cfg.ID,
@@ -290,9 +259,9 @@ func (s *Switch) advertise() {
 			Entries: entries,
 			Version: s.lfib.Version(),
 		}}
-		s.lastAdvertisedVersion = s.lfib.Version()
+		s.adv.lastVersion = s.lfib.Version()
 	}
-	if s.IsDesignated() {
+	if s.role != nil {
 		s.handleMemberReport(s.cfg.ID, report)
 		return
 	}
@@ -309,7 +278,7 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 	for other, n := range s.pairFlows {
 		out = append(out, openflow.PairStat{A: s.cfg.ID, B: other, NewFlows: n})
 	}
-	s.pairFlows = make(map[model.SwitchID]uint32)
+	clear(s.pairFlows)
 	return out
 }
 
@@ -319,53 +288,53 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 // controller report so the state link forwards them instead of
 // re-snapshotting.
 func (s *Switch) handleMemberReport(from model.SwitchID, m *openflow.StateReport) {
-	if !s.IsDesignated() || m.Group != s.group.Group {
+	r := s.role
+	if r == nil || m.Group != s.group.Group {
 		return
 	}
 	for i := range m.LFIBs {
 		u := &m.LFIBs[i]
-		if u.Full {
-			s.memberLFIBs[u.Origin] = u.Entries
-			s.ctrlNeedFull[u.Origin] = true
-			delete(s.ctrlPending, u.Origin)
-			delete(s.evictedMembers, u.Origin)
-		} else {
-			base, known := s.memberLFIBs[u.Origin]
-			if len(u.Entries) == 0 {
-				// Idle version beacon: the member asserts its current
-				// L-FIB version without shipping entries. Current
-				// aggregation → no-op; anything else (no snapshot held,
-				// stale version) means advertisements were lost — resync
-				// the member so its next advertisement is a full
-				// bootstrap snapshot.
-				if !known || s.memberLFIBVersions[u.Origin] != u.Version {
-					s.resyncMember(u.Origin)
-				}
-				continue
+		rec := r.members[u.Origin]
+		switch {
+		case u.Full:
+			if rec == nil {
+				rec = &memberRecord{}
+				r.members[u.Origin] = rec
 			}
-			if !known {
-				// An increment without a base snapshot (the member was
-				// evicted on peer evidence, or its bootstrap full
-				// advertisement was lost) must not be adopted as the
-				// member's whole state: version-stamping an incomplete
-				// entry set would poison everything built from it. The
-				// member stays absent until its next full advertisement
-				// (keep-alive resumption or member-side anti-entropy
-				// triggers one).
-				continue
+			rec.snapshot, rec.needFull, rec.pending = u.Entries, true, nil
+			delete(r.evicted, u.Origin)
+		case len(u.Entries) == 0:
+			// Idle version beacon: the member asserts its current
+			// L-FIB version without shipping entries. Current
+			// aggregation → no-op; anything else (no snapshot held,
+			// stale version) means advertisements were lost — resync
+			// the member so its next advertisement is a full
+			// bootstrap snapshot.
+			if rec == nil || rec.version != u.Version {
+				s.resyncMember(u.Origin)
 			}
-			s.memberLFIBs[u.Origin] = mergeWireEntries(base, u.Entries)
-			s.ctrlPending[u.Origin] = append(s.ctrlPending[u.Origin], u.Entries...)
+			continue
+		case rec == nil:
+			// An increment without a base snapshot (the member was
+			// evicted on peer evidence, or its bootstrap full
+			// advertisement was lost) must not be adopted as the
+			// member's whole state: version-stamping an incomplete
+			// entry set would poison everything built from it. The
+			// member stays absent until its next full advertisement
+			// (keep-alive resumption or member-side anti-entropy
+			// triggers one).
+			continue
+		default:
+			rec.snapshot = mergeWireEntries(rec.snapshot, u.Entries)
+			rec.pending = append(rec.pending, u.Entries...)
 		}
-		s.memberLFIBVersions[u.Origin] = u.Version
+		rec.version = u.Version
 	}
 	for _, p := range m.Pairs {
-		s.memberPairs[model.MakeSwitchPair(p.A, p.B)] += p.NewFlows
+		r.pairs[model.MakeSwitchPair(p.A, p.B)] += p.NewFlows
 	}
-	// A member spoke: aggregated versions or pair stats may have moved,
-	// so folded dissemination/report rounds must re-prove quietness.
-	wakeTask(s.dissemTask)
-	wakeTask(s.reportTask)
+	// A member spoke: aggregated versions or pair stats may have moved.
+	r.wake()
 }
 
 // mergeWireEntries merges an increment into a MAC-sorted snapshot,
@@ -400,30 +369,33 @@ func mergeWireEntries(old, inc []openflow.LFIBEntry) []openflow.LFIBEntry {
 // L-FIB actually changed.
 func (s *Switch) refreshOwnSnapshot() {
 	v := s.lfib.Version()
-	if s.memberLFIBs[s.cfg.ID] == nil || s.memberLFIBVersions[s.cfg.ID] != v {
-		s.memberLFIBs[s.cfg.ID] = s.lfib.WireEntries()
-		s.memberLFIBVersions[s.cfg.ID] = v
+	rec := s.role.members[s.cfg.ID]
+	if rec == nil {
+		rec = &memberRecord{}
+		s.role.members[s.cfg.ID] = rec
+	} else if rec.version == v {
+		return
 	}
+	rec.snapshot, rec.version = s.lfib.WireEntries(), v
 }
 
 // changedMembers yields every member whose aggregated L-FIB snapshot
 // must be included this round — its advertised version moved past what
-// the given sent-map recorded, or full is set (anti-entropy refresh) —
-// and records the yielded version in the sent-map. The gate is shared
-// by G-FIB dissemination and controller reporting so the two delta
-// paths cannot diverge.
-func (s *Switch) changedMembers(sent map[model.SwitchID]uint64, full bool, yield func(member model.SwitchID, entries []openflow.LFIBEntry, v uint64)) {
+// the path's sent-mark recorded, or full is set (anti-entropy refresh)
+// — and records the yielded version in the mark. The gate is shared by
+// G-FIB dissemination and controller reporting so the two delta paths
+// cannot diverge.
+func (s *Switch) changedMembers(path fanout, full bool, yield func(member model.SwitchID, rec *memberRecord)) {
 	for _, member := range s.group.Members {
-		entries, ok := s.memberLFIBs[member]
-		if !ok {
+		rec := s.role.members[member]
+		if rec == nil {
 			continue
 		}
-		v := s.memberLFIBVersions[member]
-		if prev, seen := sent[member]; !full && seen && prev == v {
+		if sent := rec.sent[path]; !full && sent.set && sent.version == rec.version {
 			continue // unchanged since the last round
 		}
-		yield(member, entries, v)
-		sent[member] = v
+		yield(member, rec)
+		rec.sent[path] = sentMark{version: rec.version, set: true}
 	}
 }
 
@@ -451,7 +423,8 @@ const refreshEveryRounds = 10
 // version beacon that bounds staleness after a lost delta (see
 // refreshEveryRounds).
 func (s *Switch) disseminateGFIB() {
-	if !s.IsDesignated() {
+	r := s.role
+	if r == nil {
 		return
 	}
 	// Own L-FIB participates too.
@@ -461,11 +434,19 @@ func (s *Switch) disseminateGFIB() {
 	beacon := s.gfibRound%refreshEveryRounds == 0
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	delta := &openflow.GFIBDelta{Group: s.group.Group, Version: s.group.Version}
-	s.changedMembers(s.gfibSent, false, func(member model.SwitchID, entries []openflow.LFIBEntry, v uint64) {
-		f := fib.FilterFromWireEntries(entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
+	s.changedMembers(toGroup, beacon, func(member model.SwitchID, rec *memberRecord) {
+		v := rec.version
+		if rec.gfibPrev != nil && rec.sent[toGroup] == (sentMark{version: v, set: true}) {
+			// Version beacon: assert the current version of a filter
+			// that did not change. Holders no-op; stale or empty
+			// receivers NACK and get a full resync.
+			delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
+			return
+		}
+		f := fib.FilterFromWireEntries(rec.snapshot, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 		f.SetVersion(v)
-		prev := s.gfibPrev[member]
-		s.gfibPrev[member] = f
+		prev := rec.gfibPrev
+		rec.gfibPrev = f
 		if prev != nil && !s.cfg.GFIBFullPush {
 			if words, err := f.DiffWords(prev); err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(f.SizeBytes()) {
 				s.stats.GFIBDeltasSent++
@@ -485,29 +466,6 @@ func (s *Switch) disseminateGFIB() {
 		s.stats.GFIBFullsSent++
 		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: member, Filter: data, Version: v})
 	})
-	if beacon {
-		// Version beacon: assert the current version of every member
-		// filter not already covered by this round's items. Holders
-		// no-op; stale or empty receivers NACK and get a full resync.
-		covered := make(map[model.SwitchID]bool, len(update.Filters)+len(delta.Deltas))
-		for _, f := range update.Filters {
-			covered[f.Switch] = true
-		}
-		for _, d := range delta.Deltas {
-			covered[d.Switch] = true
-		}
-		for _, member := range s.group.Members {
-			f := s.gfibPrev[member]
-			if f == nil || covered[member] {
-				continue
-			}
-			delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{
-				Switch:        member,
-				BaseVersion:   f.Version(),
-				TargetVersion: f.Version(),
-			})
-		}
-	}
 	var msgs []openflow.Message
 	if len(update.Filters) > 0 {
 		msgs = append(msgs, update)
@@ -522,21 +480,14 @@ func (s *Switch) disseminateGFIB() {
 	if len(msgs) > 1 {
 		out = &openflow.Batch{Msgs: msgs}
 	}
-	// onlyOwn reports whether every item of the round concerns the
-	// receiver's own filter — such a message tells it nothing (a switch
-	// never installs its own filter), so it is not sent.
-	onlyOwn := func(member model.SwitchID) bool {
-		for _, f := range update.Filters {
-			if f.Switch != member {
-				return false
-			}
-		}
-		for _, d := range delta.Deltas {
-			if d.Switch != member {
-				return false
-			}
-		}
-		return true
+	// A round names each member at most once, so a round of one item
+	// tells the member it names nothing (a switch never installs its own
+	// filter) and is not sent to it.
+	sole := model.NoSwitch
+	if len(update.Filters) == 1 && len(delta.Deltas) == 0 {
+		sole = update.Filters[0].Switch
+	} else if len(update.Filters) == 0 && len(delta.Deltas) == 1 {
+		sole = delta.Deltas[0].Switch
 	}
 	for _, member := range s.group.Members {
 		if member == s.cfg.ID {
@@ -546,7 +497,7 @@ func (s *Switch) disseminateGFIB() {
 			}
 			continue
 		}
-		if onlyOwn(member) {
+		if member == sole {
 			continue
 		}
 		s.env.Send(member, out)
@@ -557,7 +508,8 @@ func (s *Switch) disseminateGFIB() {
 // designated switch: the aggregated L-FIB changes and pair statistics
 // go to the controller over the state link.
 func (s *Switch) reportToController() {
-	if !s.IsDesignated() {
+	r := s.role
+	if r == nil {
 		return
 	}
 	s.refreshOwnSnapshot()
@@ -572,19 +524,18 @@ func (s *Switch) reportToController() {
 	// (bootstrap, removals) or when no increment trail exists. Every
 	// refreshEveryRounds-th report is full for every member, bounding
 	// staleness after a report lost on a failing control link.
-	s.changedMembers(s.ctrlSent, fullRound, func(member model.SwitchID, entries []openflow.LFIBEntry, v uint64) {
-		u := openflow.LFIBUpdate{Origin: member, Full: true, Entries: entries, Version: v}
-		if pending := s.ctrlPending[member]; !fullRound && !s.ctrlNeedFull[member] && len(pending) > 0 {
-			u.Full, u.Entries = false, pending
+	s.changedMembers(toCtrl, fullRound, func(member model.SwitchID, rec *memberRecord) {
+		u := openflow.LFIBUpdate{Origin: member, Full: true, Entries: rec.snapshot, Version: rec.version}
+		if !fullRound && !rec.needFull && len(rec.pending) > 0 {
+			u.Full, u.Entries = false, rec.pending
 		}
-		delete(s.ctrlPending, member)
-		delete(s.ctrlNeedFull, member)
+		rec.pending, rec.needFull = nil, false
 		report.LFIBs = append(report.LFIBs, u)
 	})
-	for pair, n := range s.memberPairs {
+	for pair, n := range r.pairs {
 		report.Pairs = append(report.Pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
 	}
-	s.memberPairs = make(map[model.SwitchPair]uint32)
+	clear(r.pairs)
 	s.sendCtrl(report)
 }
 
@@ -635,7 +586,7 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 			s.gfib.RemoveFilter(peer)
 			s.stats.GFIBRemovalsApplied++
 		}
-		if s.IsDesignated() {
+		if s.role != nil {
 			s.dropMemberAggregation(peer)
 		}
 	}
@@ -669,15 +620,16 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 // filter cache; NACKs against controller preloads are answered by the
 // controller itself.
 func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
-	if !s.haveGroup || m.Group != s.group.Group || !s.IsDesignated() {
+	if s.role == nil || m.Group != s.group.Group {
 		return
 	}
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	for _, peer := range m.Peers {
-		f := s.gfibPrev[peer]
-		if f == nil {
+		rec := s.role.members[peer]
+		if rec == nil || rec.gfibPrev == nil {
 			continue // nothing disseminated for this peer yet
 		}
+		f := rec.gfibPrev
 		data, err := f.MarshalBinary()
 		if err != nil {
 			continue
@@ -697,7 +649,7 @@ func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
 
 // handleLFIBUpdate merges a peer's incremental L-FIB push (used by the
 // controller when preloading state after regrouping).
-func (s *Switch) handleLFIBUpdate(from model.SwitchID, m *openflow.LFIBUpdate) {
+func (s *Switch) handleLFIBUpdate(m *openflow.LFIBUpdate) {
 	if !s.haveGroup {
 		return
 	}
@@ -719,7 +671,7 @@ func (s *Switch) handleARPRelay(m *openflow.ARPRelay) {
 	if s.answerARP(&m.Packet) {
 		return
 	}
-	if s.IsDesignated() {
+	if s.role != nil {
 		for _, member := range s.group.Members {
 			if member != s.cfg.ID {
 				s.env.Send(member, m)

@@ -3,7 +3,6 @@ package edge
 import (
 	"time"
 
-	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
@@ -43,15 +42,13 @@ type Config struct {
 	// the measurement baseline for the delta protocol and as an escape
 	// hatch; the delta path is on by default.
 	GFIBFullPush bool
-	// ControlFold enables analytic elision of quiescent periodic
+	// Fold, when set, enables analytic elision of quiescent periodic
 	// rounds (keep-alives, idle advertisements, empty reports): runs of
 	// provably no-op rounds collapse into one bulk event that credits
-	// their aggregate effect in closed form (see fold.go). Takes effect
-	// only when the environment supports elision
-	// (netsim.ElidableScheduler) and Fold supplies the oracles.
-	ControlFold bool
-	// Fold supplies the harness-side oracles the fold's quiet proofs
-	// need (global fault gate, peer freshness, wire metering).
+	// their aggregate effect in closed form (see fold.go). It supplies
+	// the harness-side oracles the fold's quiet proofs need (global
+	// fault gate, peer freshness, wire metering) and takes effect only
+	// when the environment supports elision (netsim.ElidableScheduler).
 	Fold *FoldHooks
 	// TrackEscalations enables failover escalation bookkeeping (see
 	// fencing.go): unanswered no-match PacketIns are remembered per
@@ -176,37 +173,16 @@ type Switch struct {
 	group     openflow.GroupConfig
 	haveGroup bool
 
-	// Designated-switch state: the latest full L-FIB snapshot and pair
-	// stats from each member, plus the advertised L-FIB version per
-	// member. gfibSent and ctrlSent record the version last folded into a
-	// G-FIB dissemination / controller report, so an unchanged snapshot
-	// is never re-encoded, re-sent, or re-decoded interval after interval.
-	memberLFIBs        map[model.SwitchID][]openflow.LFIBEntry
-	memberLFIBVersions map[model.SwitchID]uint64
-	gfibSent           map[model.SwitchID]uint64
-	ctrlSent           map[model.SwitchID]uint64
-	memberPairs        map[model.SwitchPair]uint32
-	// gfibPrev caches the last disseminated filter per member (tagged
-	// with its version), the diff base for word-level deltas and the
-	// full-state source for NACK-driven resyncs.
-	gfibPrev map[model.SwitchID]*bloom.Filter
-	// ctrlPending accumulates per-member L-FIB increments received
-	// since the last controller report, so the state link forwards
-	// increments instead of re-snapshotting; ctrlNeedFull marks members
-	// whose next report must be a full snapshot (they advertised one).
-	ctrlPending  map[model.SwitchID][]openflow.LFIBEntry
-	ctrlNeedFull map[model.SwitchID]bool
-	// evictedMembers marks members whose aggregation state this
-	// (designated) switch dropped on peer evidence; a false alarm is
-	// unwound by re-sending the member its group view when its
-	// keep-alives resume, which makes it bootstrap a full
-	// advertisement (see evictSuspect / handleKeepAlive).
-	evictedMembers map[model.SwitchID]bool
+	// role is the designated-switch state, nil unless this switch is
+	// its group's designated switch (see role.go).
+	role *designatedRole
 	// gfibRound/ctrlRound count dissemination/report rounds. On the
 	// controller-report path every refreshEveryRounds-th round ignores
 	// the sent-version gate (anti-entropy); on the dissemination path
 	// the same cadence sends only a version beacon — stale receivers
 	// NACK and get exactly the filters they miss re-sent in full.
+	// Lifetime counters, not role state: nothing ever resets them, and
+	// every pinned run depends on the cadence phase they fix.
 	gfibRound uint64
 	ctrlRound uint64
 
@@ -225,14 +201,8 @@ type Switch struct {
 	// switches (counted at decap of first packets).
 	pairFlows map[model.SwitchID]uint32
 
-	lastAdvertisedVersion uint64
-	// advSinceFull counts incremental advertisements since the last
-	// full one (the member-side anti-entropy that bounds designated-
-	// switch staleness after a lost increment); idleAdvRounds counts
-	// consecutive advertise intervals with nothing to say, driving the
-	// idle anti-entropy refresh (see advertise).
-	advSinceFull  int
-	idleAdvRounds int
+	// adv is the member-side advertisement bookkeeping (role.go).
+	adv advertState
 
 	// Degraded-mode state: ctrlLastKA is the arrival time of the last
 	// controller keep-alive (valid once ctrlKASeen); when the controller
@@ -255,23 +225,21 @@ type Switch struct {
 	ctrlGen    uint64
 	escPending map[escKey]escRecord
 
-	// Keep-alive bookkeeping.
+	// Keep-alive bookkeeping: ring holds an entry per wheel neighbor
+	// heard or checked since the ring last changed, at most two.
 	kaSeq     uint64
-	lastFrom  map[model.SwitchID]time.Duration
-	reported  map[model.SwitchID]bool
+	ring      map[model.SwitchID]ringNeighbor
 	ctrlRelay bool // control link down: relay via ring predecessor
 	cancels   []func()
 	started   bool
 	stats     Stats
 
-	// Control-fold task handles (nil without ControlFold): wake hooks
+	// Control-fold task handles (nil without Config.Fold): wake hooks
 	// re-materialize the timers whose quiet proof a state change
-	// invalidates.
+	// invalidates. The designated duties' handles live in the role.
 	advTask     netsim.ElidableTask
 	kaSendTask  netsim.ElidableTask
 	kaCheckTask netsim.ElidableTask
-	dissemTask  netsim.ElidableTask
-	reportTask  netsim.ElidableTask
 }
 
 // New constructs a switch bound to its environment. Call Start to begin
@@ -279,24 +247,14 @@ type Switch struct {
 func New(cfg Config, env netsim.Env) *Switch {
 	c := cfg.withDefaults()
 	return &Switch{
-		cfg:                c,
-		env:                env,
-		master:             model.ControllerNode,
-		lfib:               fib.NewLFIB(),
-		gfib:               fib.NewGFIB(),
-		flows:              newFlowTable(),
-		memberLFIBs:        make(map[model.SwitchID][]openflow.LFIBEntry),
-		memberLFIBVersions: make(map[model.SwitchID]uint64),
-		gfibSent:           make(map[model.SwitchID]uint64),
-		ctrlSent:           make(map[model.SwitchID]uint64),
-		gfibPrev:           make(map[model.SwitchID]*bloom.Filter),
-		ctrlPending:        make(map[model.SwitchID][]openflow.LFIBEntry),
-		ctrlNeedFull:       make(map[model.SwitchID]bool),
-		evictedMembers:     make(map[model.SwitchID]bool),
-		memberPairs:        make(map[model.SwitchPair]uint32),
-		pairFlows:          make(map[model.SwitchID]uint32),
-		lastFrom:           make(map[model.SwitchID]time.Duration),
-		reported:           make(map[model.SwitchID]bool),
+		cfg:       c,
+		env:       env,
+		master:    model.ControllerNode,
+		lfib:      fib.NewLFIB(),
+		gfib:      fib.NewGFIB(),
+		flows:     newFlowTable(),
+		pairFlows: make(map[model.SwitchID]uint32),
+		ring:      newRing(),
 	}
 }
 
@@ -327,9 +285,7 @@ func (s *Switch) Group() openflow.GroupConfig { return s.group }
 
 // IsDesignated reports whether this switch is its group's designated
 // switch.
-func (s *Switch) IsDesignated() bool {
-	return s.haveGroup && s.group.Designated == s.cfg.ID
-}
+func (s *Switch) IsDesignated() bool { return s.role != nil }
 
 // AttachHost seeds the L-FIB with a locally attached VM (the hypervisor
 // knows its virtual interfaces).
@@ -365,7 +321,7 @@ func (s *Switch) Start() {
 // fold is enabled; the task's cancel joins the group-timer teardown
 // either way (ElidableTask.Stop settles pending folds first).
 func (s *Switch) registerPeriodic(interval time.Duration, run func(), quiet func() int, credit func(int)) netsim.ElidableTask {
-	if !s.cfg.ControlFold || s.cfg.Fold == nil {
+	if s.cfg.Fold == nil {
 		s.cancels = append(s.cancels, s.env.Every(interval, run))
 		return nil
 	}
@@ -379,12 +335,20 @@ func (s *Switch) registerPeriodic(interval time.Duration, run func(), quiet func
 // folds before state teardown (their Stop credits passed rounds).
 func (s *Switch) Stop() {
 	s.flushPacketIns()
+	s.cancelTimers()
+	s.started = false
+}
+
+// cancelTimers stops every periodic duty and drops the fold handles.
+func (s *Switch) cancelTimers() {
 	for _, c := range s.cancels {
 		c()
 	}
-	s.cancels = nil
-	s.advTask, s.kaSendTask, s.kaCheckTask, s.dissemTask, s.reportTask = nil, nil, nil, nil, nil
-	s.started = false
+	s.cancels = s.cancels[:0]
+	s.advTask, s.kaSendTask, s.kaCheckTask = nil, nil, nil
+	if s.role != nil {
+		s.role.dissemTask, s.role.reportTask = nil, nil
+	}
 }
 
 // Reboot simulates a switch restart: every volatile table — L-FIB
@@ -412,21 +376,10 @@ func (s *Switch) Reboot() {
 	s.flows = newFlowTable()
 	s.group = openflow.GroupConfig{}
 	s.haveGroup = false
-	s.memberLFIBs = make(map[model.SwitchID][]openflow.LFIBEntry)
-	s.memberLFIBVersions = make(map[model.SwitchID]uint64)
-	s.gfibSent = make(map[model.SwitchID]uint64)
-	s.ctrlSent = make(map[model.SwitchID]uint64)
-	s.gfibPrev = make(map[model.SwitchID]*bloom.Filter)
-	s.ctrlPending = make(map[model.SwitchID][]openflow.LFIBEntry)
-	s.ctrlNeedFull = make(map[model.SwitchID]bool)
-	s.evictedMembers = make(map[model.SwitchID]bool)
-	s.memberPairs = make(map[model.SwitchPair]uint32)
-	s.pairFlows = make(map[model.SwitchID]uint32)
-	s.lastFrom = make(map[model.SwitchID]time.Duration)
-	s.reported = make(map[model.SwitchID]bool)
-	s.lastAdvertisedVersion = 0
-	s.advSinceFull = 0
-	s.idleAdvRounds = 0
+	s.role = nil
+	s.ring = newRing()
+	s.adv = advertState{}
+	clear(s.pairFlows)
 	s.ctrlRelay = false
 	// A crash ends any degraded window (the switch is down, not
 	// degraded); the accumulated counters survive the reboot.
@@ -679,8 +632,9 @@ func (s *Switch) sendCtrl(msg netsim.Message) {
 }
 
 // relayEnvelope carries a control message via a ring neighbor while the
-// origin's control link is down (§III-E2). It never crosses the live
-// codec because relays stay inside the DES harness experiments.
+// origin's control link is down (§III-E2). It is not an openflow
+// message and has no wire encoding: the in-memory underlays hand it
+// over as a Go value, and the wire meter does not count it.
 type relayEnvelope struct {
 	Origin model.SwitchID
 	Msg    netsim.Message

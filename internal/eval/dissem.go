@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -29,9 +28,6 @@ type DissemConfig struct {
 	// FullPush disables the word-delta path (the measurement baseline):
 	// every changed filter ships in full.
 	FullPush bool
-	// Seed drives nothing random today but keeps the config stable as
-	// the harness grows.
-	Seed uint64
 }
 
 func (c DissemConfig) withDefaults() DissemConfig {
@@ -43,9 +39,6 @@ func (c DissemConfig) withDefaults() DissemConfig {
 	}
 	if c.HostsPerSwitch == 0 {
 		c.HostsPerSwitch = 24
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -72,7 +65,6 @@ type dissemNet struct {
 	periodic map[model.SwitchID][]func()
 	deferred []func()
 	now      time.Duration
-	rng      *rand.Rand
 
 	// Drop, when set, discards a message (after metering zero bytes
 	// for it — a dropped message never crossed the wire). The NACK/
@@ -85,11 +77,10 @@ type dissemNet struct {
 	maxPasses int
 }
 
-func newDissemNet(seed uint64) *dissemNet {
+func newDissemNet() *dissemNet {
 	return &dissemNet{
 		nodes:    make(map[model.SwitchID]netsim.Node),
 		periodic: make(map[model.SwitchID][]func()),
-		rng:      rand.New(rand.NewPCG(seed, 0xd155)),
 	}
 }
 
@@ -156,8 +147,6 @@ func (e *dissemEnv) Every(d time.Duration, fn func()) func() {
 
 func (e *dissemEnv) Send(to model.SwitchID, msg netsim.Message) { e.net.send(e.id, to, msg) }
 
-func (e *dissemEnv) Rand() *rand.Rand { return e.net.rng }
-
 // drainDeferred runs callbacks scheduled with After, including any
 // they schedule in turn.
 func (n *dissemNet) drainDeferred() {
@@ -181,7 +170,7 @@ func NewDissem(cfg DissemConfig) (*Dissem, error) {
 	}
 	d := &Dissem{
 		cfg:      c,
-		net:      newDissemNet(c.Seed),
+		net:      newDissemNet(),
 		Switches: make(map[model.SwitchID]*edge.Switch, c.Switches),
 		hosts:    make(map[model.SwitchID][]model.HostID),
 	}

@@ -157,8 +157,10 @@ type EmulationConfig struct {
 	Chaos *chaos.Plan
 
 	// StateShards overrides the controller's lock-stripe count (0 =
-	// controller default). Results are shard-count-independent; the
-	// telemetry differential tests pin that span trees are too.
+	// controller default). Results are shard-count-independent by
+	// construction — wire-delivered bursts are decided in input order,
+	// only the exported ProcessBurst fans out — and the telemetry
+	// differential tests pin that span trees are too.
 	StateShards int
 	// TraceSample enables the causal span tracer at the given
 	// head-sampling rate in (0,1]: kept traces follow each PacketIn
@@ -520,8 +522,8 @@ func (e *emulation) buildRig() error {
 	}
 	if c.ControlFold {
 		hooks := e.foldHooks()
-		ctrl.ControlFold, ctrl.FoldGate, ctrl.FoldMeter = true, hooks.Gate, hooks.Meter
-		sw.ControlFold, sw.Fold = true, hooks
+		ctrl.FoldGate, ctrl.FoldMeter = hooks.Gate, hooks.Meter
+		sw.Fold = hooks
 	}
 	r, err := rig.New(e.info.Directory, ctrl, sw, c.Standby)
 	if err != nil {

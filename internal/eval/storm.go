@@ -70,7 +70,7 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 	for i := range switches {
 		switches[i] = model.SwitchID(i + 1)
 	}
-	sink := &sinkEnv{rng: rand.New(rand.NewPCG(c.Seed, 0x57f))}
+	sink := &sinkEnv{}
 	ctrl, err := controller.New(controller.Config{
 		Mode:        controller.ModeLearning,
 		Switches:    switches,
@@ -126,7 +126,6 @@ func (s *Storm) MessagesOut() uint64 { return s.sink.sends.Load() }
 // timers inline, isolating the controller hot path from any underlay.
 type sinkEnv struct {
 	sends atomic.Uint64
-	rng   *rand.Rand
 }
 
 func (e *sinkEnv) Now() time.Duration { return 0 }
@@ -139,5 +138,3 @@ func (e *sinkEnv) After(d time.Duration, fn func()) func() {
 func (e *sinkEnv) Every(d time.Duration, fn func()) func() { return func() {} }
 
 func (e *sinkEnv) Send(to model.SwitchID, msg netsim.Message) { e.sends.Add(1) }
-
-func (e *sinkEnv) Rand() *rand.Rand { return e.rng }

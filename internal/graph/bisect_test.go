@@ -141,34 +141,12 @@ func TestBisectDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkPartitionKWay(b *testing.B) {
-	g, _ := clusteredGraph(b, 10, 30, 21)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PartitionKWay(g, PartitionOptions{K: 10, MaxPartWeight: 36, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMinCut(b *testing.B) {
 	g, _ := clusteredGraph(b, 2, 20, 13)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := MinCut(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBisect(b *testing.B) {
-	g, _ := clusteredGraph(b, 2, 30, 19)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Bisect(g, BisectOptions{MaxSideWeight: 36, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,59 +21,6 @@ func benchMatrix(b *testing.B, nGroups, groupSize int) (*Intensity, *Intensity) 
 	return m, cur
 }
 
-// BenchmarkIniGroup measures the full initial-grouping path: buildGraph
-// over the indexed matrix plus MLkP.
-func BenchmarkIniGroup(b *testing.B) {
-	m, _ := benchMatrix(b, 10, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := New(Config{SizeLimit: 24, Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.IniGroup(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncUpdate measures the incremental path the paper cites as
-// ~100× cheaper than IniGroup: cut-tracker construction plus
-// delta-maintained merge/split rounds.
-func BenchmarkIncUpdate(b *testing.B) {
-	m, cur := benchMatrix(b, 10, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := New(Config{SizeLimit: 24, Seed: uint64(i) + 1, HighLoad: 0.02, LowLoad: 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		grp, err := s.IniGroup(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := s.IncUpdate(grp, cur, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIntensityAdd measures the O(degree) point-update path of the
-// indexed adjacency structure.
-func BenchmarkIntensityAdd(b *testing.B) {
-	rng := rand.New(rand.NewPCG(31, 37))
-	m := NewIntensity()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Add(model.SwitchID(1+rng.IntN(300)), model.SwitchID(1+rng.IntN(300)), rng.Float64())
-	}
-}
-
 // BenchmarkForEachPair measures a full deterministic scan over a
 // read-only matrix (the cached-iteration fast path).
 func BenchmarkForEachPair(b *testing.B) {

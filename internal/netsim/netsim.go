@@ -42,8 +42,6 @@ type Env interface {
 	// Send delivers msg to the node with the given address, applying
 	// link latency and loss.
 	Send(to model.SwitchID, msg Message)
-	// Rand returns the simulation's deterministic random source.
-	Rand() *rand.Rand
 }
 
 // LinkKind classifies a logical channel for latency selection and
@@ -415,8 +413,6 @@ func (e *simEnv) Every(d time.Duration, fn func()) func() {
 }
 
 func (e *simEnv) Send(to model.SwitchID, msg Message) { e.net.send(e.id, to, msg) }
-
-func (e *simEnv) Rand() *rand.Rand { return e.net.sim.Rand() }
 
 // ElidableTask is the handle of a periodic task that may fold
 // quiescent rounds analytically (see sim.Elider). The zero-cost

@@ -20,8 +20,9 @@
 // micro-batched PacketIns into one control message. The message set,
 // versioning rules, and framing are documented in docs/protocol.md.
 //
-// The binary codec is exercised on every message crossing the live
-// (goroutine) transport, and by the protocol round-trip tests.
+// The in-memory underlays hand messages over as Go values; the binary
+// codec runs where bytes are the point: the wire meter, the
+// dissemination harness (eval.Dissem), and the round-trip tests.
 package openflow
 
 import (

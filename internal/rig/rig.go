@@ -77,7 +77,7 @@ func New(dir *tenant.Directory, ctrl controller.Config, sw edge.Config, standby 
 		// elision already yields to replication on the primary).
 		sb := ctrl
 		sb.Peer, sb.Standby = model.ControllerNode, true
-		sb.ControlFold, sb.FoldGate, sb.FoldMeter, sb.OnRegroup = false, nil, nil, nil
+		sb.FoldGate, sb.FoldMeter, sb.OnRegroup = nil, nil, nil
 		replica, err := controller.New(sb, r.net.Env(model.StandbyNode))
 		if err != nil {
 			return nil, fmt.Errorf("standby: %w", err)

@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-// BenchmarkEventChurn measures steady-state schedule/fire cost: each
-// executed event schedules its successor, which is the dominant pattern
-// of the emulation harness. With the event free-list this loop should
-// not grow the heap per event.
-func BenchmarkEventChurn(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	remaining := b.N
-	var tick func()
-	tick = func() {
-		if remaining--; remaining > 0 {
-			s.After(time.Millisecond, tick)
-		}
-	}
-	s.After(time.Millisecond, tick)
-	b.ResetTimer()
-	s.Run()
-}
-
 // BenchmarkTimerStopChurn measures the schedule-then-cancel pattern
 // (rule idle timeouts, ARP expiry): canceled events must also recycle.
 func BenchmarkTimerStopChurn(b *testing.B) {

@@ -299,6 +299,64 @@ func TestDeadMemberFilterRemovalReachesNonNeighbors(t *testing.T) {
 	}
 }
 
+// TestDesignatedTenureStateReleased pins the designated role's
+// lifecycle through the public API: S2 is promoted when S1 fails,
+// demoted when S1 recovers, and promoted a second time — with the
+// membership unchanged — when S1 fails again. S4 dies in between. The
+// second tenure must be built from what the live members advertise, not
+// from the first tenure's snapshot of S4: a re-promoted switch that
+// re-disseminated a dead member's filter and re-reported its bindings
+// would make first packets toward S4 encapsulate into a black hole
+// instead of escalating.
+func TestDesignatedTenureStateReleased(t *testing.T) {
+	dc, err := New(Config{Switches: 4, GroupSizeLimit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.AddTenant(1)
+	for i := 1; i <= 4; i++ {
+		if err := dc.AddHost(HostID(i), 1, SwitchID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dc.SeedGroupingFromPlacement(); err != nil {
+		t.Fatal(err)
+	}
+	dc.Run(time.Minute)
+	if !dc.IsDesignated(1) {
+		t.Fatal("setup: S1 is not the designated switch")
+	}
+	dc.FailSwitch(1)
+	dc.Run(time.Minute)
+	if !dc.IsDesignated(2) {
+		t.Fatal("setup: S2 was not promoted when S1 failed")
+	}
+	dc.RecoverSwitch(1)
+	dc.Run(time.Minute)
+	if !dc.IsDesignated(1) || dc.IsDesignated(2) {
+		t.Fatal("setup: the role did not return to S1 on recovery")
+	}
+	dc.FailSwitch(4)
+	dc.Run(time.Minute)
+	ctrl := dc.rig.Primary()
+	if !ctrl.IsDead(4) || ctrl.CLIB().HostsOn(4) != 0 {
+		t.Fatalf("setup: S4 not diagnosed (dead %v, %d C-LIB bindings)", ctrl.IsDead(4), ctrl.CLIB().HostsOn(4))
+	}
+	dc.FailSwitch(1)
+	dc.Run(time.Minute)
+	if !dc.IsDesignated(2) {
+		t.Fatal("S2 was not promoted a second time")
+	}
+	for _, id := range []SwitchID{2, 3} {
+		if v, held := dc.rig.Edge(id).GFIB().PeerVersion(4); held {
+			t.Errorf("switch %v holds dead S4's filter again (version %d)", id, v)
+		}
+	}
+	if n := ctrl.CLIB().HostsOn(4); n != 0 || !ctrl.IsDead(4) {
+		t.Errorf("C-LIB attributes %d bindings to S4 (dead %v), want 0 on a dead switch", n, ctrl.IsDead(4))
+	}
+}
+
 // TestReportFollowsMasterAfterTakeover pins the DataCenter against a
 // controller failover: once the standby rules, Report, GroupOf and
 // Groups read the new master (not the killed primary's frozen
