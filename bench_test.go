@@ -292,7 +292,11 @@ func TestTraceStreamMemoryReduction(t *testing.T) {
 // so this number is exactly reproducible across machines — it is the
 // metric CI enforces (-gatemetrics allocs), for the same reason the
 // baseline gates only compare allocs/op there: a shared single-core
-// runner cannot time anything to 3%.
+// runner cannot time anything to 3%. allocs-per-run is the enabled
+// arm's allocation count for one emulation, which cmd/bench gates
+// against the previous report in place of the benchmark's own
+// allocs/op — that column sums over however many measurement blocks
+// the box's noise made the benchmark run.
 //
 // overhead-pct is the relative growth in process CPU time, enforced on
 // local full-gate runs (-gatemetrics includes ns). Measurement: rusage
@@ -356,9 +360,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		return cpu, mallocs() - m0
 	}
 	var pct, allocPct float64
+	var offAllocs, onAllocs uint64
 	for i := 0; i < b.N; i++ {
 		pct = math.Inf(1)
-		var offAllocs, onAllocs uint64
 		for blk := 0; blk < blocks; blk++ {
 			minOff, minOn := math.Inf(1), math.Inf(1)
 			for r := 0; r < reps; r++ {
@@ -387,6 +391,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.ReportMetric(pct, "overhead-pct")
 	b.ReportMetric(allocPct, "alloc-overhead-pct")
+	b.ReportMetric(float64(onAllocs), "allocs-per-run")
 }
 
 // BenchmarkHostSamplingBias measures the learning-baseline latency

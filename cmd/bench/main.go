@@ -4,9 +4,8 @@
 //
 // With no flags it finds the latest BENCH_<n>.json, writes BENCH_<n+1>,
 // embeds the previous report as the baseline, and gates the headline
-// benchmarks (-gate, default Fig6b and Fig7) against it: a >10%
-// (-maxregress) regression in wall-clock or allocs/op exits non-zero,
-// which is what CI keys off.
+// benchmarks (-gate) against it: a >10% (-maxregress) regression in
+// wall-clock or allocs/op exits non-zero, which is what CI keys off.
 //
 // Wall-clock violations are remeasured before they count: a single
 // -benchtime 1x shot of a microsecond-scale benchmark cannot be timed
@@ -116,14 +115,14 @@ func parseBenchLine(line, pkg string) *Result {
 
 func main() {
 	var (
-		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias", "benchmark regex passed to go test -bench")
+		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias|BenchmarkPeriodicRounds|BenchmarkSortedBurst", "benchmark regex passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1x", "value for go test -benchtime")
 		count       = flag.Int("count", 1, "value for go test -count")
 		pkgs        = flag.String("pkg", "./...", "package pattern to benchmark")
 		out         = flag.String("out", "", "output JSON path (default: BENCH_<latest+1>.json)")
 		dir         = flag.String("dir", "", "directory to run go test in (default: current; use to benchmark another checkout)")
 		baseline    = flag.String("baseline", "", "previous report JSON to embed and gate against (default: latest BENCH_<n>.json; \"none\" disables)")
-		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkTelemetryOverhead,BenchmarkHostSamplingBias", "comma-separated benchmark names gated against the baseline")
+		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst", "comma-separated benchmark names gated against the baseline")
 		maxregress  = flag.Float64("maxregress", 0.10, "maximum tolerated fractional regression in ns/op or allocs/op for gated benchmarks")
 		gatemetrics = flag.String("gatemetrics", "ns,allocs", "metrics the gate enforces: ns, allocs, or both; allocs/op is the only metric comparable across machines, so CI gates allocs only")
 		remeasure   = flag.Int("remeasure", 4, "re-runs of ns-gate violators (min wall-clock wins) before a timing violation counts")
@@ -306,6 +305,16 @@ var absoluteGates = []struct {
 	{"BenchmarkTelemetryOverhead", "alloc-overhead-pct", "allocs", 3},
 }
 
+// extraGates are deterministic custom metrics gated against the
+// baseline like allocs/op (class "allocs", same -maxregress).
+// BenchmarkTelemetryOverhead is gated here and by absoluteGates only,
+// not through -gate: its -benchmem allocs/op and ns/op sum over a
+// noise-dependent number of measurement blocks, while allocs-per-run is
+// one emulation's count.
+var extraGates = []struct{ bench, unit string }{
+	{"BenchmarkTelemetryOverhead", "allocs-per-run"},
+}
+
 // gateAbsolute checks the absolute ceilings against the fresh run,
 // limited to the metric classes selected by -gatemetrics.
 func gateAbsolute(r *Report, metrics string) []string {
@@ -372,6 +381,34 @@ func gateAgainstBaseline(r *Report, gate, metrics string, maxregress float64, qu
 		return nil
 	}
 	var violations []string
+	for _, g := range extraGates {
+		cur, base := find(r.Benchmarks, g.bench), find(r.Baseline.Benchmarks, g.bench)
+		if !gateAllocs || cur == nil {
+			continue // a subset -bench run stays usable
+		}
+		v, ok := cur.Extra[g.unit]
+		if !ok {
+			violations = append(violations, fmt.Sprintf("%s: extra metric %q missing from the run", g.bench, g.unit))
+			continue
+		}
+		var was float64
+		if base != nil {
+			was = base.Extra[g.unit]
+		}
+		if was == 0 {
+			if !quiet {
+				fmt.Printf("bench: gate %s %s: no baseline value, skipping\n", g.bench, g.unit)
+			}
+			continue
+		}
+		if !quiet {
+			fmt.Printf("bench: gate %-18s %s %.0f -> %.0f (%+.1f%%)\n", g.bench, g.unit, was, v, 100*(v/was-1))
+		}
+		if v > was*(1+maxregress) {
+			violations = append(violations, fmt.Sprintf("%s: %s %.0f -> %.0f exceeds +%.0f%%",
+				g.bench, g.unit, was, v, 100*maxregress))
+		}
+	}
 	for _, name := range strings.Split(gate, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {

@@ -35,7 +35,8 @@ type Config struct {
 	// the window's latency explicitly — replay.ExpectedBatchDelay).
 	PacketInBatchMax int
 	// PacketInBatchWindow is the flush deadline of the micro-batching
-	// window. Zero with batching enabled selects 1 ms.
+	// window. Zero with batching enabled selects
+	// DefaultPacketInBatchWindow.
 	PacketInBatchWindow time.Duration
 	// GFIBFullPush disables the word-level delta path of G-FIB
 	// dissemination: every changed filter ships in full. It exists as
@@ -78,7 +79,7 @@ func (c Config) withDefaults() Config {
 		c.GFIBInterval = c.ReportInterval
 	}
 	if c.PacketInBatchMax > 1 && c.PacketInBatchWindow == 0 {
-		c.PacketInBatchWindow = time.Millisecond
+		c.PacketInBatchWindow = DefaultPacketInBatchWindow
 	}
 	return c
 }
@@ -90,6 +91,9 @@ const (
 	// keepAliveMisses silent intervals report a wheel neighbor lost
 	// (§III-E1) and, from the controller, start degraded mode.
 	keepAliveMisses = 3
+	// DefaultPacketInBatchWindow is the micro-batching flush deadline
+	// every emulation runs with; eval models its latency from it.
+	DefaultPacketInBatchWindow = time.Millisecond
 )
 
 // Stats are the switch's datapath counters (exported via StatsReply).

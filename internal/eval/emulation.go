@@ -99,14 +99,12 @@ type EmulationConfig struct {
 	// docs/emulation.md). Estimator confidence bands widen to account
 	// for the host-level correlation. Requires EngineSampled.
 	HostSampling bool
-	// PacketInBatchMax and PacketInBatchWindow configure the edge
-	// switches' control-link micro-batching window. Zero selects the
-	// default — on, 8 packets / 1 ms, now that the batching delay is
+	// PacketInBatchMax configures the edge switches' control-link
+	// micro-batching. Zero selects the default — on, 8 packets inside
+	// edge.DefaultPacketInBatchWindow, now that the batching delay is
 	// modeled explicitly in the latency accounting (see
-	// replay.ExpectedBatchDelay); a negative PacketInBatchMax disables
-	// batching.
-	PacketInBatchMax    int
-	PacketInBatchWindow time.Duration
+	// replay.ExpectedBatchDelay); a negative value disables batching.
+	PacketInBatchMax int
 
 	// ControlFold folds quiescent control-plane background rounds
 	// (keep-alives, idle advertisements/beacons, empty reports) into
@@ -228,10 +226,6 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	}
 	if c.PacketInBatchMax < 0 {
 		c.PacketInBatchMax = 1 // ≤1 ships every PacketIn immediately
-	}
-	if c.PacketInBatchMax > 1 && c.PacketInBatchWindow == 0 {
-		// Keep the modeled window in lockstep with edge.Config's default.
-		c.PacketInBatchWindow = time.Millisecond
 	}
 	if c.FlightDepth == 0 && c.Chaos != nil {
 		// The chaos checker embeds the recorder tails in its reports.
@@ -508,11 +502,10 @@ func (e *emulation) buildRig() error {
 		Tracer:            res.Spans,
 	}
 	sw := edge.Config{
-		AdvertiseInterval:   advertiseInterval,
-		ReportInterval:      c.ReportInterval,
-		PacketInBatchMax:    c.PacketInBatchMax,
-		PacketInBatchWindow: c.PacketInBatchWindow,
-		Tracer:              res.Spans,
+		AdvertiseInterval: advertiseInterval,
+		ReportInterval:    c.ReportInterval,
+		PacketInBatchMax:  c.PacketInBatchMax,
+		Tracer:            res.Spans,
 		OnDeliver: func(p *model.Packet, at time.Duration) {
 			if p.FlowSeq == 0 {
 				res.FlowsDelivered++
@@ -601,7 +594,7 @@ func (e *emulation) summarise() {
 	if c.PacketInBatchMax > 1 && waited > 0 {
 		res.BatchDelayObserved = wait / time.Duration(waited)
 		rate := float64(waited) / (float64(len(edges)) * c.Horizon.Seconds())
-		res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, c.PacketInBatchWindow, c.PacketInBatchMax)
+		res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, edge.DefaultPacketInBatchWindow, c.PacketInBatchMax)
 	}
 	if c.Standby {
 		for _, r := range e.rig.Controllers() {

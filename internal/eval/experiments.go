@@ -249,8 +249,6 @@ type Fig789Config struct {
 	Seed  uint64
 	// Horizon truncates the day (0 = 24h).
 	Horizon time.Duration
-	// GroupSizeLimit for LazyCtrl runs. Zero selects 46.
-	GroupSizeLimit int
 	// Engine and SampleProb select the replay engine for all five runs
 	// (see EmulationConfig). EngineFluid means both analytic folds — the
 	// aggregate population fold and the control fold (setEngine) — which
@@ -384,7 +382,6 @@ func runFig789(cfg Fig789Config, perFlowFold bool) (*Fig789Result, error) {
 			Source:          r.src,
 			Mode:            r.mode,
 			Dynamic:         r.dynamic,
-			GroupSizeLimit:  cfg.GroupSizeLimit,
 			Horizon:         cfg.Horizon,
 			Seed:            cfg.Seed,
 			WarmupIntensity: warm,

@@ -60,8 +60,8 @@ func (d *deferredFold) run() {
 
 // scheduleWindows starts the window chain: window w loads when the
 // clock reaches the start of window w−1 — one full window of lead, so
-// every flow event is in the heap before its time comes while the heap
-// never holds more than ~two windows of flows. It returns the tail
+// every flow event is queued before its time comes while the event
+// queue never holds more than ~two windows of flows. It returns the tail
 // flush, which folds the windows whose end lay at or past the horizon,
 // and the source's release.
 func (e *emulation) scheduleWindows() (flush, release func()) {

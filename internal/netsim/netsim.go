@@ -8,6 +8,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"lazyctrl/internal/model"
@@ -290,12 +291,9 @@ func (n *Network) AddFault(r FaultRule) (remove func()) {
 	n.faults = append(n.faults, rule)
 	n.faultChanged()
 	return func() {
-		for i, f := range n.faults {
-			if f == rule {
-				n.faults = append(n.faults[:i], n.faults[i+1:]...)
-				n.faultChanged()
-				return
-			}
+		if i := slices.Index(n.faults, rule); i >= 0 {
+			n.faults = slices.Delete(n.faults, i, i+1) // clears the vacated tail slot
+			n.faultChanged()
 		}
 	}
 }
@@ -317,12 +315,9 @@ func (n *Network) Partition(sideA, sideB []model.SwitchID) (heal func()) {
 	n.partitions = append(n.partitions, p)
 	n.faultChanged()
 	return func() {
-		for i, q := range n.partitions {
-			if q == p {
-				n.partitions = append(n.partitions[:i], n.partitions[i+1:]...)
-				n.faultChanged()
-				return
-			}
+		if i := slices.Index(n.partitions, p); i >= 0 {
+			n.partitions = slices.Delete(n.partitions, i, i+1) // clears the vacated tail slot
+			n.faultChanged()
 		}
 	}
 }

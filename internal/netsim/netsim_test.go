@@ -227,6 +227,25 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// TestRemovalReleasesTailSlot pins that removing a fault rule or healing
+// a partition leaves no stale pointer behind the slice's new length.
+func TestRemovalReleasesTailSlot(t *testing.T) {
+	n := New(sim.New(1), DefaultLatencies())
+	remove := n.AddFault(FaultRule{Loss: 1})
+	n.AddFault(FaultRule{Loss: 0.5})
+	heal := n.Partition([]model.SwitchID{1}, []model.SwitchID{2})
+	n.Partition([]model.SwitchID{3}, []model.SwitchID{4})
+	remove()
+	heal()
+	remove() // a second call finds nothing and changes nothing
+	if len(n.faults) != 1 || n.faults[0].Loss != 0.5 || n.faults[:2][1] != nil {
+		t.Errorf("faults after removal: %v, vacated slot %v; want the second rule and nil", n.faults, n.faults[:2][1])
+	}
+	if len(n.partitions) != 1 || !n.partitions[0].a[3] || n.partitions[:2][1] != nil {
+		t.Errorf("partitions after heal: %d left, vacated slot %v; want the second cut and nil", len(n.partitions), n.partitions[:2][1])
+	}
+}
+
 func TestSimUnknownDestination(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, DefaultLatencies())

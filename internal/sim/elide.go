@@ -42,6 +42,7 @@ type Elider struct {
 	// elided is the number of folded rounds covered by the pending
 	// bulk event; 0 means the next fire is an ordinary real round.
 	elided  int
+	lane    *lane // takes the re-arms; one that lands below its tail falls to the heap
 	timer   Timer
 	stopped bool
 }
@@ -62,9 +63,15 @@ func (s *Simulator) EveryElidable(interval time.Duration, run func(), quiet func
 		quiet:    quiet,
 		credit:   credit,
 		lastFire: s.now,
+		lane:     s.queue.lane(Time(interval)),
 	}
-	e.timer = s.At(e.lastFire+e.interval, e.fire)
+	e.arm(e.lastFire + e.interval)
 	return e
+}
+
+// arm schedules the next fire, real or bulk, at time at.
+func (e *Elider) arm(at Time) {
+	e.timer = e.sim.schedule(at, e.lane, e.fire)
 }
 
 func (e *Elider) fire() {
@@ -91,9 +98,9 @@ func (e *Elider) fire() {
 	}
 	if n > 0 {
 		e.elided = n
-		e.timer = e.sim.At(e.lastFire+Time(n+1)*e.interval, e.fire)
+		e.arm(e.lastFire + Time(n+1)*e.interval)
 	} else {
-		e.timer = e.sim.At(e.lastFire+e.interval, e.fire)
+		e.arm(e.lastFire + e.interval)
 	}
 }
 
@@ -130,7 +137,7 @@ func (e *Elider) Wake() {
 	}
 	e.settle()
 	e.timer.Stop()
-	e.timer = e.sim.At(e.lastFire+e.interval, e.fire)
+	e.arm(e.lastFire + e.interval)
 }
 
 // Stop cancels the task. Folded rounds whose boundaries have passed

@@ -112,19 +112,9 @@ func TestElideStopSettles(t *testing.T) {
 	if credited != 6 {
 		t.Fatalf("stop settled %d rounds, want 6 (boundaries 2s..7s)", credited)
 	}
-	if got := len(simPendingReal(s)); got != 0 {
+	if got := s.Pending(); got != 0 {
 		t.Fatalf("stopped task left %d live events", got)
 	}
-}
-
-func simPendingReal(s *Simulator) []*event {
-	var out []*event
-	for _, ev := range s.queue {
-		if !ev.canceled {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // TestElideCapBounds pins the fold-span cap: an unbounded quiet answer

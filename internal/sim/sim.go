@@ -7,11 +7,13 @@
 // timestamp order (ties broken by scheduling order). Components built on
 // the simulator are therefore written as plain state machines without
 // internal locking.
+//
+// Pending events wait in a heap plus one FIFO lane per periodic
+// interval (queue.go); the split changes what an event costs, never
+// the order.
 package sim
 
 import (
-	"container/heap"
-	"fmt"
 	"math/rand/v2"
 	"time"
 )
@@ -30,56 +32,18 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds reports the virtual time in seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// event is a scheduled callback. Events are pooled: once executed or
-// collected after cancellation they return to the simulator's free list
-// and are recycled by later At/After calls, so steady-state scheduling
-// does not allocate. The generation counter distinguishes a recycled
-// event from the one a Timer was issued for.
+// event is a scheduled callback; its place in the order, (at, seq),
+// lives in the queue slot that points at it. Events are pooled: once
+// executed or collected after cancellation they return to the
+// simulator's free list and are recycled by later At/After calls, so
+// steady-state scheduling does not allocate. The generation counter
+// distinguishes a recycled event from the one a Timer was issued for:
+// an event leaves the queue only to be released, so a matching
+// generation also means "still queued".
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
-
-	canceled bool
-	index    int    // heap index, maintained by eventHeap
+	fn       func()
 	gen      uint32 // incremented on every recycle
-}
-
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		panic(fmt.Sprintf("sim: eventHeap.Push got %T, want *event", x))
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	canceled bool
 }
 
 // Simulator is a discrete-event simulation kernel. The zero value is not
@@ -87,7 +51,7 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   queue
 	rng     *rand.Rand
 	stopped bool
 	free    []*event // recycled events (see event)
@@ -114,7 +78,6 @@ func (s *Simulator) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
 	s.free = append(s.free, ev)
 }
 
@@ -140,11 +103,11 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // canceled.
 func (s *Simulator) Pending() int {
 	n := 0
-	for _, ev := range s.queue {
+	s.queue.each(func(ev *event) {
 		if !ev.canceled {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -160,7 +123,7 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the timer was still pending
 // (false if it already fired or was already stopped).
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.canceled || t.ev.index == -1 {
+	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.canceled {
 		return false
 	}
 	t.ev.canceled = true
@@ -170,15 +133,18 @@ func (t *Timer) Stop() bool {
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past (at < Now) runs the event at the current time, preserving order.
 func (s *Simulator) At(at Time, fn func()) Timer {
+	return s.schedule(at, nil, fn)
+}
+
+// schedule queues fn at time at, offering the slot to lane l (nil: none).
+func (s *Simulator) schedule(at Time, l *lane, fn func()) Timer {
 	if at < s.now {
 		at = s.now
 	}
 	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.seq
 	ev.fn = fn
+	s.queue.push(l, slot{at: at, seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.queue, ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -196,7 +162,7 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic("sim: Every requires a positive interval")
 	}
-	tk := &Ticker{sim: s, interval: interval, fn: fn}
+	tk := &Ticker{sim: s, interval: interval, fn: fn, lane: s.queue.lane(Time(interval))}
 	tk.schedule()
 	return tk
 }
@@ -206,12 +172,13 @@ type Ticker struct {
 	sim      *Simulator
 	interval time.Duration
 	fn       func()
+	lane     *lane // takes the re-arms: each is at now + interval, so they arrive sorted
 	timer    Timer
 	stopped  bool
 }
 
 func (tk *Ticker) schedule() {
-	tk.timer = tk.sim.After(tk.interval, func() {
+	tk.timer = tk.sim.schedule(tk.sim.now+Time(tk.interval), tk.lane, func() {
 		if tk.stopped {
 			return
 		}
@@ -233,27 +200,30 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // step executes the next pending event, if any, and reports whether one ran.
 func (s *Simulator) step(limit Time, bounded bool) bool {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.canceled {
-			heap.Pop(&s.queue)
-			s.release(next)
+	for {
+		src, next, ok := s.queue.peek()
+		if !ok {
+			return false
+		}
+		ev := next.ev
+		if ev.canceled {
+			s.queue.pop(src)
+			s.release(ev)
 			continue
 		}
 		if bounded && next.at > limit {
 			return false
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop(src)
 		s.now = next.at
 		s.executed++
-		fn := next.fn
+		fn := ev.fn
 		// Recycle before running so fn's own scheduling can reuse the
-		// slot; the generation bump already invalidated its Timers.
-		s.release(next)
+		// event; the generation bump already invalidated its Timers.
+		s.release(ev)
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue is empty or Stop is called.
