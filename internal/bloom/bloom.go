@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Filter is a Bloom filter over byte-string keys. The zero value is not
@@ -29,15 +30,19 @@ type Filter struct {
 	version uint64
 }
 
+// MaxHashes bounds a filter's hash count. NewWithEstimates at p = 10⁻¹²
+// asks for 40, so 64 is generous; the bound exists because a lookup
+// costs k probes and k arrives off the wire (UnmarshalBinary).
+const MaxHashes = 64
+
 // New returns a filter with m bits and k hash functions. m is rounded up
-// to a multiple of 64.
+// to a multiple of 64 and k clamped to [1, MaxHashes], so every filter
+// that marshals also decodes.
 func New(m uint64, k uint32) *Filter {
 	if m == 0 {
 		m = 64
 	}
-	if k == 0 {
-		k = 1
-	}
+	k = min(max(k, 1), MaxHashes)
 	words := (m + 63) / 64
 	return &Filter{bits: make([]uint64, words), m: words * 64, k: k}
 }
@@ -96,10 +101,30 @@ func fnv1a64(data []byte) uint64 {
 	return h
 }
 
-// indexes derives the k bit positions for data via double hashing.
+// index derives the i-th bit position of a hashed key via double
+// hashing (Kirsch–Mitzenmacher): g_i(x) = h1 + i·h2 (mod m). When m is
+// a power of two the reduction is a mask — the same residue as %, so
+// the bit positions (and the false-positive set) do not depend on
+// which form ran.
 func (f *Filter) index(h1, h2 uint64, i uint32) uint64 {
-	// Kirsch–Mitzenmacher: g_i(x) = h1 + i·h2 (mod m).
-	return (h1 + uint64(i)*h2) % f.m
+	x := h1 + uint64(i)*h2
+	if f.m&(f.m-1) == 0 {
+		return x & (f.m - 1)
+	}
+	return x % f.m
+}
+
+// Key is a key hashed once. The hash does not depend on any filter's
+// geometry, so one Key tests any number of filters (TestKey) — the
+// G-FIB hashes a destination once per lookup instead of once per peer.
+type Key struct{ h1, h2 uint64 }
+
+// HashUint64 hashes a uint64 key exactly as AddUint64/TestUint64 do.
+func HashUint64(v uint64) Key {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	h1, h2 := splitHash(b[:])
+	return Key{h1, h2}
 }
 
 func splitHash(data []byte) (h1, h2 uint64) {
@@ -133,20 +158,21 @@ func (f *Filter) AddUint64(v uint64) {
 // possible; false negatives are not.
 func (f *Filter) Test(data []byte) bool {
 	h1, h2 := splitHash(data)
+	return f.TestKey(Key{h1, h2})
+}
+
+// TestUint64 reports whether a uint64 key is possibly in the set.
+func (f *Filter) TestUint64(v uint64) bool { return f.TestKey(HashUint64(v)) }
+
+// TestKey is Test for a key hashed beforehand.
+func (f *Filter) TestKey(key Key) bool {
 	for i := uint32(0); i < f.k; i++ {
-		idx := f.index(h1, h2, i)
+		idx := f.index(key.h1, key.h2, i)
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// TestUint64 reports whether a uint64 key is possibly in the set.
-func (f *Filter) TestUint64(v uint64) bool {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return f.Test(b[:])
 }
 
 // Clear resets the filter to empty, retaining its capacity.
@@ -174,18 +200,9 @@ func (f *Filter) Union(other *Filter) error {
 func (f *Filter) FillRatio() float64 {
 	ones := 0
 	for _, w := range f.bits {
-		ones += popcount(w)
+		ones += bits.OnesCount64(w)
 	}
 	return float64(ones) / float64(f.m)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // EstimatedFPP returns the expected false-positive probability given the
@@ -243,7 +260,9 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	m := binary.BigEndian.Uint64(data[8:16])
 	k := binary.BigEndian.Uint32(data[16:20])
 	words := int(m / 64)
-	if m%64 != 0 || len(data) != 20+words*8 || k == 0 {
+	// m and k come off the wire: m = 0 would divide by zero in index,
+	// and a lookup costs k probes.
+	if m < 64 || m%64 != 0 || len(data) != 20+words*8 || k == 0 || k > MaxHashes {
 		return ErrCorrupt
 	}
 	bits := f.bits

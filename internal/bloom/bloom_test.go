@@ -3,6 +3,7 @@ package bloom
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,77 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 	if err := f.UnmarshalBinary(data[:len(data)-4]); err == nil {
 		t.Error("UnmarshalBinary succeeded on truncated input")
+	}
+	// Well-formed but hostile geometry: m = 0 divides by zero on the
+	// next lookup, and k is the per-lookup probe count.
+	header := func(m uint64, k uint32, words int) []byte {
+		b := make([]byte, 20+8*words)
+		binary.BigEndian.PutUint64(b[0:8], marshalMagic)
+		binary.BigEndian.PutUint64(b[8:16], m)
+		binary.BigEndian.PutUint32(b[16:20], k)
+		for i := 20; i < len(b); i++ {
+			b[i] = 0xff
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"m=0", header(0, 1, 0)},
+		{"k=2^32-1", header(64, 0xffffffff, 1)},
+		{"k=MaxHashes+1", header(64, MaxHashes+1, 1)},
+	} {
+		if err := f.UnmarshalBinary(c.data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: UnmarshalBinary = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	if err := f.UnmarshalBinary(header(64, MaxHashes, 1)); err != nil {
+		t.Errorf("k=MaxHashes: UnmarshalBinary = %v, want accepted", err)
+	}
+	// New clamps to the same bound, so whatever marshals also decodes.
+	big := New(64, 1<<20)
+	if big.K() != MaxHashes {
+		t.Fatalf("New(64, 1<<20).K() = %d, want %d", big.K(), MaxHashes)
+	}
+	data, _ = big.MarshalBinary()
+	if err := f.UnmarshalBinary(data); err != nil {
+		t.Errorf("clamped filter does not round-trip: %v", err)
+	}
+}
+
+// TestKeyMatchesTest pins the hashed-key form to Test bit for bit on
+// power-of-two (mask) and other (modulo) geometries: same positions,
+// same false-positive set.
+func TestKeyMatchesTest(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, m := range []uint64{64, 128, 192, 1024, 1984, 16384, 16448} {
+		f := New(m, 1+uint32(rng.IntN(9)))
+		var probes []uint64 // every member, then 4000 strangers
+		for i := 0; i < int(m)/16; i++ {
+			probes = append(probes, rng.Uint64())
+			f.AddUint64(probes[i])
+		}
+		for i := 0; i < 4000; i++ {
+			probes = append(probes, rng.Uint64())
+		}
+		for _, v := range probes {
+			want := true
+			h1, h2 := splitHash(key(v))
+			for j := uint32(0); j < f.k; j++ {
+				idx := (h1 + uint64(j)*h2) % f.m
+				if f.bits[idx/64]&(1<<(idx%64)) == 0 {
+					want = false
+					break
+				}
+			}
+			if got := f.TestKey(HashUint64(v)); got != want {
+				t.Fatalf("m=%d k=%d key %#x: TestKey = %v, reference %% probe = %v", m, f.k, v, got, want)
+			}
+			if got := f.TestUint64(v); got != want {
+				t.Fatalf("m=%d k=%d key %#x: TestUint64 = %v, want %v", m, f.k, v, got, want)
+			}
+		}
 	}
 }
 

@@ -330,8 +330,8 @@ func (w *World) Probe() []string {
 			continue
 		}
 		sw := w.Switches[id]
-		for _, peer := range sw.GFIB().Peers() {
-			v, _ := sw.GFIB().PeerVersion(peer)
+		for i, g := 0, sw.GFIB(); i < g.Len(); i++ {
+			peer, v := g.At(i)
 			key := [2]model.SwitchID{id, peer}
 			if prev := w.maxSeen[key]; v < prev {
 				out = append(out, fmt.Sprintf("S%d: adopted stale filter for S%d: %#x after %#x (epoch %d < %d)",

@@ -129,8 +129,7 @@ func (s *Switch) checkKeepAlives() {
 // view, its bootstrap advertisement repopulates the aggregation state,
 // and the version gate re-disseminates its filter to everyone.
 func (s *Switch) evictSuspect(suspect model.SwitchID) {
-	if _, held := s.gfib.PeerVersion(suspect); held {
-		s.gfib.RemoveFilter(suspect)
+	if s.gfib.RemoveFilter(suspect) {
 		s.stats.PeerFiltersEvicted++
 	}
 	if s.role != nil {

@@ -141,8 +141,8 @@ func (s *Switch) handleGroupConfig(m *openflow.GroupConfig) {
 	// group intact (the common case) keep everything warm — the
 	// Appendix-B "preload for seamless grouping update" effect.
 	if membersChanged {
-		for _, peer := range s.gfib.Peers() {
-			if !slices.Contains(m.Members, peer) {
+		for i := s.gfib.Len() - 1; i >= 0; i-- {
+			if peer, _ := s.gfib.At(i); !s.isMember(peer) {
 				s.gfib.RemoveFilter(peer)
 			}
 		}
@@ -548,7 +548,7 @@ func (s *Switch) handleGFIBUpdate(m *openflow.GFIBUpdate) {
 		return
 	}
 	for _, f := range m.Filters {
-		if f.Switch == s.cfg.ID {
+		if f.Switch == s.cfg.ID || !s.isMember(f.Switch) {
 			continue
 		}
 		// A full filter older than what this switch already holds is a
@@ -582,8 +582,7 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 		if peer == s.cfg.ID {
 			continue
 		}
-		if _, held := s.gfib.PeerVersion(peer); held {
-			s.gfib.RemoveFilter(peer)
+		if s.gfib.RemoveFilter(peer) {
 			s.stats.GFIBRemovalsApplied++
 		}
 		if s.role != nil {
@@ -650,16 +649,21 @@ func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
 // handleLFIBUpdate merges a peer's incremental L-FIB push (used by the
 // controller when preloading state after regrouping).
 func (s *Switch) handleLFIBUpdate(m *openflow.LFIBUpdate) {
-	if !s.haveGroup {
+	if !s.haveGroup || m.Origin == s.cfg.ID || !s.isMember(m.Origin) {
 		return
 	}
 	// Build a filter from the update and install it for the origin at
 	// the update's version, so later deltas have a defined base.
 	f := fib.FilterFromWireEntries(m.Entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 	f.SetVersion(m.Version)
-	if m.Origin != s.cfg.ID {
-		s.gfib.SetFilter(m.Origin, f)
-	}
+	s.gfib.SetFilter(m.Origin, f)
+}
+
+// isMember reports whether a switch is in this switch's group view.
+// Only members get a G-FIB filter, which is what bounds the table at
+// group size − 1 whatever a message names.
+func (s *Switch) isMember(id model.SwitchID) bool {
+	return slices.Contains(s.group.Members, id)
 }
 
 // handleARPRelay processes a controller-relayed ARP query (§III-D3

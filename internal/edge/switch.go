@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"slices"
 	"time"
 
 	"lazyctrl/internal/fib"
@@ -173,6 +174,9 @@ type Switch struct {
 	lfib  *fib.LFIB
 	gfib  *fib.GFIB
 	flows *flowTable
+	// candidates is the G-FIB lookup scratch of the slow path: valid
+	// only until the next lookup, so nothing deferred may hold it.
+	candidates []model.SwitchID
 
 	group     openflow.GroupConfig
 	haveGroup bool
@@ -433,10 +437,18 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 	}
 	// 3. G-FIB: candidate peers in the group (may include false
 	// positives; all candidates get a copy).
-	if targets := s.gfib.Query(p.DstMAC); len(targets) > 0 {
-		if len(targets) > 1 {
-			s.stats.GFIBMulticopies += uint64(len(targets) - 1)
-		}
+	s.candidates = s.gfib.AppendQuery(s.candidates[:0], p.DstMAC)
+	switch len(s.candidates) {
+	case 0:
+	case 1:
+		// The encap runs slowPathDelay from now and another first packet
+		// may reuse the scratch before then: capture the target by value.
+		target := s.candidates[0]
+		s.env.After(slowPathDelay, func() { s.encapTo(target, p) })
+		return
+	default:
+		targets := slices.Clone(s.candidates)
+		s.stats.GFIBMulticopies += uint64(len(targets) - 1)
 		s.env.After(slowPathDelay, func() {
 			for _, t := range targets {
 				s.encapTo(t, p)

@@ -3,7 +3,7 @@ package fib
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/model"
@@ -19,8 +19,16 @@ import (
 // instead of whole filters; ApplyDelta rejects a delta whose base
 // version this G-FIB does not hold, which is the receiver's cue to
 // NACK and request a full resync.
+//
+// The table is dense and ascending by peer: peers[i]'s filter is
+// filters[i], held by value so a lookup's scan touches one header and
+// then the bit array, with no pointer hop in between. Ascending order
+// is a property of the structure — lookups and walks read it off, and
+// only an install or a removal of a peer pays for it (a binary search
+// and a shift of at most group size − 1 entries).
 type GFIB struct {
-	filters map[model.SwitchID]*bloom.Filter
+	peers   []model.SwitchID
+	filters []bloom.Filter
 	version uint64
 }
 
@@ -29,13 +37,27 @@ type GFIB struct {
 var ErrDeltaBase = errors.New("fib: G-FIB delta base version not held")
 
 // NewGFIB returns an empty G-FIB.
-func NewGFIB() *GFIB {
-	return &GFIB{filters: make(map[model.SwitchID]*bloom.Filter)}
+func NewGFIB() *GFIB { return &GFIB{} }
+
+// filter returns the installed filter of a peer, nil if none. The
+// pointer is into the table: valid until the next install or removal.
+func (g *GFIB) filter(peer model.SwitchID) *bloom.Filter {
+	if i, ok := slices.BinarySearch(g.peers, peer); ok {
+		return &g.filters[i]
+	}
+	return nil
 }
 
-// SetFilter installs or replaces the filter for a peer switch.
+// SetFilter installs or replaces the filter for a peer switch. The
+// G-FIB takes the filter over (its bit array is not copied).
 func (g *GFIB) SetFilter(peer model.SwitchID, f *bloom.Filter) {
-	g.filters[peer] = f
+	i, ok := slices.BinarySearch(g.peers, peer)
+	if ok {
+		g.filters[i] = *f
+	} else {
+		g.peers = slices.Insert(g.peers, i, peer)
+		g.filters = slices.Insert(g.filters, i, *f)
+	}
 	g.version++
 }
 
@@ -44,7 +66,7 @@ func (g *GFIB) SetFilter(peer model.SwitchID, f *bloom.Filter) {
 // existing filter for the peer is decoded into in place (same geometry
 // ⇒ no allocation); decode errors leave the previous filter untouched.
 func (g *GFIB) SetFilterBytes(peer model.SwitchID, data []byte, version uint64) error {
-	if f := g.filters[peer]; f != nil {
+	if f := g.filter(peer); f != nil {
 		if err := f.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("fib: G-FIB filter for %v: %w", peer, err)
 		}
@@ -64,8 +86,8 @@ func (g *GFIB) SetFilterBytes(peer model.SwitchID, data []byte, version uint64) 
 // PeerVersion returns the state version of the installed filter for a
 // peer, if any.
 func (g *GFIB) PeerVersion(peer model.SwitchID) (uint64, bool) {
-	f, ok := g.filters[peer]
-	if !ok {
+	f := g.filter(peer)
+	if f == nil {
 		return 0, false
 	}
 	return f.Version(), true
@@ -84,8 +106,8 @@ func (g *GFIB) PeerVersion(peer model.SwitchID) (uint64, bool) {
 // from the patch itself surface unchanged and leave the filter
 // untouched.
 func (g *GFIB) ApplyDelta(peer model.SwitchID, base, target uint64, words []bloom.WordDelta) error {
-	f, ok := g.filters[peer]
-	if !ok {
+	f := g.filter(peer)
+	if f == nil {
 		return ErrDeltaBase
 	}
 	if f.Version() >= target {
@@ -106,18 +128,9 @@ func (g *GFIB) ApplyDelta(peer model.SwitchID, base, target uint64, words []bloo
 // keyed by peer. The delta/full differential tests compare these for
 // byte identity.
 func (g *GFIB) SnapshotBytes() map[model.SwitchID][]byte {
-	// Marshal in sorted peer order. The result map is keyed, so the
-	// content cannot depend on order, but keeping every encode loop on
-	// the collect-sort-iterate idiom is what lets lazyvet's maporder
-	// check stay a flat rule with no per-site judgment calls.
-	peers := make([]model.SwitchID, 0, len(g.filters))
-	for peer := range g.filters {
-		peers = append(peers, peer)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	out := make(map[model.SwitchID][]byte, len(g.filters))
-	for _, peer := range peers {
-		data, err := g.filters[peer].MarshalBinary()
+	out := make(map[model.SwitchID][]byte, len(g.peers))
+	for i, peer := range g.peers {
+		data, err := g.filters[i].MarshalBinary()
 		if err != nil {
 			continue // cannot happen: MarshalBinary has no failure path
 		}
@@ -126,64 +139,79 @@ func (g *GFIB) SnapshotBytes() map[model.SwitchID][]byte {
 	return out
 }
 
-// RemoveFilter drops the filter of a peer (peer left the group).
-func (g *GFIB) RemoveFilter(peer model.SwitchID) {
-	if _, ok := g.filters[peer]; ok {
-		delete(g.filters, peer)
-		g.version++
+// RemoveFilter drops the filter of a peer (peer left the group) and
+// reports whether one was held.
+func (g *GFIB) RemoveFilter(peer model.SwitchID) bool {
+	i, ok := slices.BinarySearch(g.peers, peer)
+	if !ok {
+		return false
 	}
+	g.peers = slices.Delete(g.peers, i, i+1)
+	g.filters = slices.Delete(g.filters, i, i+1)
+	g.version++
+	return true
 }
 
 // Clear drops all filters (regrouping).
 func (g *GFIB) Clear() {
-	if len(g.filters) == 0 {
+	if len(g.peers) == 0 {
 		return
 	}
-	g.filters = make(map[model.SwitchID]*bloom.Filter)
+	clear(g.filters) // release the bit arrays, keep the table
+	g.peers, g.filters = g.peers[:0], g.filters[:0]
 	g.version++
 }
 
 // Query returns the peers whose filters report (possibly falsely) that
 // they host the MAC, in ascending switch order.
 func (g *GFIB) Query(mac model.MAC) []model.SwitchID {
-	return g.queryKey(MACKey(mac))
+	return g.appendKey(nil, MACKey(mac))
+}
+
+// AppendQuery is Query into a caller-owned slice: the candidates are
+// appended to dst (ascending) and the extended slice returned, so a
+// caller that reuses its scratch looks up without allocating.
+func (g *GFIB) AppendQuery(dst []model.SwitchID, mac model.MAC) []model.SwitchID {
+	return g.appendKey(dst, MACKey(mac))
 }
 
 // QueryIP returns the peers that possibly host the IP (ARP targets).
 func (g *GFIB) QueryIP(ip model.IP) []model.SwitchID {
-	return g.queryKey(IPKey(ip))
+	return g.appendKey(nil, IPKey(ip))
 }
 
-func (g *GFIB) queryKey(key uint64) []model.SwitchID {
-	var out []model.SwitchID
-	for peer, f := range g.filters {
-		if f.TestUint64(key) {
-			out = append(out, peer)
+// appendKey hashes the key once and tests it against every filter in
+// table order, which is ascending peer order.
+func (g *GFIB) appendKey(dst []model.SwitchID, key uint64) []model.SwitchID {
+	h := bloom.HashUint64(key)
+	for i := range g.filters {
+		if g.filters[i].TestKey(h) {
+			dst = append(dst, g.peers[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // Peers returns the switches with installed filters, ascending.
 func (g *GFIB) Peers() []model.SwitchID {
-	out := make([]model.SwitchID, 0, len(g.filters))
-	for peer := range g.filters {
-		out = append(out, peer)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(g.peers)
+}
+
+// At returns the i-th peer in ascending order and the state version of
+// its filter, 0 ≤ i < Len — the walk that copies nothing.
+func (g *GFIB) At(i int) (peer model.SwitchID, version uint64) {
+	return g.peers[i], g.filters[i].Version()
 }
 
 // Len returns the number of peer filters.
-func (g *GFIB) Len() int { return len(g.filters) }
+func (g *GFIB) Len() int { return len(g.peers) }
 
 // SizeBytes returns the total storage of all filters — the quantity the
 // paper's storage-overhead analysis bounds (§V-D).
 func (g *GFIB) SizeBytes() int {
 	total := 0
-	for _, f := range g.filters {
-		total += f.SizeBytes()
+	for i := range g.filters {
+		total += g.filters[i].SizeBytes()
 	}
 	return total
 }
