@@ -34,11 +34,10 @@ var runNames = []string{"all", "tableII", "fig6a", "fig6b", "fig7", "fig8", "fig
 
 func main() {
 	runFlag := flag.String("run", "all", "comma-separated experiments: "+strings.Join(runNames[1:], ","))
-	scale := flag.Int("scale", 5000, "divisor applied to the paper's flow counts (1 = paper scale; use -engine sampled/fluid)")
-	seed := flag.Uint64("seed", 1, "random seed")
 	cli := eval.RegisterCLI(nil)
 	flag.Parse()
 	eval.ExitOnUsage(cli.Validate())
+	scale, seed := cli.Scale(), cli.Seed()
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(*runFlag, ",") {
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	runErr("TableII", func() error {
-		rows, err := eval.TableII(*scale, *seed)
+		rows, err := eval.TableII(scale, seed)
 		if err != nil {
 			return err
 		}
@@ -77,7 +76,7 @@ func main() {
 	})
 
 	runErr("Fig6a", func() error {
-		points, err := eval.Fig6a(*scale*6, *seed, []int{5, 10, 20, 40, 60, 80, 100, 120, 140})
+		points, err := eval.Fig6a(scale*6, seed, []int{5, 10, 20, 40, 60, 80, 100, 120, 140})
 		if err != nil {
 			return err
 		}
@@ -89,7 +88,7 @@ func main() {
 	})
 
 	runErr("Fig6b", func() error {
-		points, err := eval.Fig6b(*scale*6, *seed, []int{50, 100, 200, 300, 400, 500, 600})
+		points, err := eval.Fig6b(scale*6, seed, []int{50, 100, 200, 300, 400, 500, 600})
 		if err != nil {
 			return err
 		}
@@ -102,9 +101,9 @@ func main() {
 	})
 
 	if all || want["fig7"] || want["fig8"] || want["fig9"] || cli.Dumps() {
-		fmt.Printf("\n=== Fig7/8/9 emulations (scale %d, engine %s) ===\n", *scale, cli.Engine())
+		fmt.Printf("\n=== Fig7/8/9 emulations (scale %d, engine %s) ===\n", scale, cli.Engine())
 		start := time.Now()
-		res, err := eval.RunFig789(cli.Fig789(eval.Fig789Config{Scale: *scale, Seed: *seed}))
+		res, err := eval.RunFig789(cli.Fig789(eval.Fig789Config{Scale: scale, Seed: seed}))
 		if err == nil {
 			// Exposition: the telemetry of the real-trace static-grouping
 			// series (the paper's headline configuration).
@@ -171,7 +170,7 @@ func main() {
 	}
 
 	runErr("ColdCache", func() error {
-		res, err := eval.ColdCache(*seed)
+		res, err := eval.ColdCache(seed)
 		if err != nil {
 			return err
 		}
@@ -182,7 +181,7 @@ func main() {
 	})
 
 	runErr("Chaos", func() error {
-		res, err := eval.ChaosDifferential(*seed, false, chaos.Cascade(1, 30*time.Minute))
+		res, err := eval.ChaosDifferential(seed, false, chaos.Cascade(1, 30*time.Minute))
 		if err != nil {
 			return err
 		}
@@ -212,7 +211,7 @@ func main() {
 			}
 			return int((d + round - 1) / round)
 		}
-		res, err := eval.ChaosDifferential(*seed, true, eval.FailoverPlans(faultAt)[0])
+		res, err := eval.ChaosDifferential(seed, true, eval.FailoverPlans(faultAt)[0])
 		if err != nil {
 			return err
 		}

@@ -28,24 +28,25 @@ import (
 )
 
 func main() {
-	cli := trace.RegisterCLI(nil, "real", 5000)
 	run := eval.RegisterCLI(nil)
+	traceName := flag.String("trace", "real", "trace to generate: real, syn-a, syn-b, syn-c")
 	mode := flag.String("mode", "lazy", "control plane: lazy or openflow")
 	dynamic := flag.Bool("dynamic", false, "incremental regrouping under drift")
 	expanded := flag.Bool("expanded", false, "use the +30% expanded trace")
 	limit := flag.Int("limit", 46, "group size limit")
 	hours := flag.Int("hours", 24, "horizon in hours")
 	flag.Parse()
-	eval.ExitOnUsage(run.Validate(), eval.Choice("mode", *mode, "lazy", "openflow"))
+	traceCfg, traceErr := trace.ConfigByName(*traceName, run.Scale(), run.Seed())
+	eval.ExitOnUsage(run.Validate(), traceErr, eval.Choice("mode", *mode, "lazy", "openflow"),
+		atLeastOne("limit", *limit), atLeastOne("hours", *hours))
 
-	src := cli.MustStream()
-	if *expanded {
-		var err error
-		src, err = trace.ExpandStream(src, 0.30, 8, 24, cli.Seed()^0xe)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	src, err := trace.NewStream(traceCfg)
+	if err == nil && *expanded {
+		src, err = trace.ExpandStream(src, 0.30, 8, 24, run.Seed()^0xe)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	m := controller.ModeLazy
 	if strings.EqualFold(*mode, "openflow") {
@@ -64,7 +65,7 @@ func main() {
 		Dynamic:        *dynamic,
 		GroupSizeLimit: *limit,
 		Horizon:        time.Duration(*hours) * time.Hour,
-		Seed:           cli.Seed(),
+		Seed:           run.Seed(),
 	}))
 	if err == nil {
 		err = run.Dump(res)
@@ -110,4 +111,13 @@ func main() {
 	st := res.ControllerStats
 	fmt.Printf("controller: packetIns=%d arpRelays=%d stateReports=%d floods=%d flowMods=%d regroupings=%d unresolved=%d\n",
 		st.PacketIns, st.ARPRelays, st.StateReports, st.Floods, st.FlowModsSent, st.Regroupings, st.Unresolved)
+}
+
+// atLeastOne is the usage check of a count flag whose zero value the
+// emulation would silently replace with its default.
+func atLeastOne(flagName string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("-%s %d: want ≥ 1", flagName, v)
+	}
+	return nil
 }

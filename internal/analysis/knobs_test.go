@@ -15,8 +15,8 @@ import (
 // exported field of an exported *Config / *Options struct under
 // internal/ and the root package needs at least one keyed-literal or
 // assignment writer somewhere in the module (production, benchmark/,
-// examples/, tests) outside withDefaults/validate. A field nobody sets
-// is a constant: name it next to the code that reads it.
+// examples/quickstart, tests) outside withDefaults/validate. A field
+// nobody sets is a constant: name it next to the code that reads it.
 //
 // Writers are keyed on (struct, field) wherever the syntax names the
 // struct: a keyed element of pkg.T{…}, T{…}, &T{…}, or of an elided

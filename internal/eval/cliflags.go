@@ -10,13 +10,14 @@ import (
 	"lazyctrl/internal/replay"
 )
 
-// CLI bundles the emulation flags cmd/experiments and cmd/lazyctrl-sim
-// share, beside trace.CLI's trace-selection flags: registration,
-// validation, what -engine means, and the dump files live in one place
-// so the binaries cannot drift apart.
+// CLI bundles the flags cmd/experiments and cmd/lazyctrl-sim share:
+// registration, validation, what -engine means, and the dump files live
+// in one place so the binaries cannot drift apart.
 type CLI struct {
 	engine                           replay.Engine // set by Validate
 	engineName                       *string
+	scale                            *int
+	seed                             *uint64
 	sampleP, traceSample             *float64
 	hostSampling                     *bool
 	traceDump, metricsDump, promDump *string
@@ -29,6 +30,8 @@ func RegisterCLI(fs *flag.FlagSet) *CLI {
 		fs = flag.CommandLine
 	}
 	return &CLI{
+		scale:        fs.Int("scale", 5000, "divisor applied to the paper's flow counts (1 = paper scale; use -engine sampled/fluid)"),
+		seed:         fs.Uint64("seed", 1, "random seed"),
 		engineName:   fs.String("engine", "des", "replay engine: des, sampled, or fluid (docs/emulation.md)"),
 		sampleP:      fs.Float64("p", 0, "pair-sampling probability for the sampled engine / fluid probe (0 = engine default)"),
 		hostSampling: fs.Bool("host-sampling", false, "host-level sampling for the sampled engine (q=√p per host; pair kept iff both ends kept)"),
@@ -39,9 +42,17 @@ func RegisterCLI(fs *flag.FlagSet) *CLI {
 	}
 }
 
-// Validate checks the parsed values; an error is a usage error.
+// Validate checks the parsed values; an error is a usage error. The
+// negated range tests also reject NaN.
 func (c *CLI) Validate() (err error) {
-	if *c.traceDump != "" && *c.traceSample <= 0 {
+	switch {
+	case *c.scale < 1:
+		return fmt.Errorf("-scale %d: want ≥ 1", *c.scale)
+	case !(*c.sampleP >= 0 && *c.sampleP <= 1):
+		return fmt.Errorf("-p %g: want a probability in (0,1], or 0 for the engine default", *c.sampleP)
+	case !(*c.traceSample >= 0 && *c.traceSample <= 1):
+		return fmt.Errorf("-trace-sample %g: want a rate in [0,1]", *c.traceSample)
+	case *c.traceDump != "" && *c.traceSample <= 0:
 		return fmt.Errorf("-trace-dump %s: no spans to write without -trace-sample in (0,1]", *c.traceDump)
 	}
 	c.engine, err = replay.ParseEngine(*c.engineName)
@@ -72,6 +83,12 @@ func ExitOnUsage(errs ...error) {
 
 // Engine returns the selected replay engine.
 func (c *CLI) Engine() replay.Engine { return c.engine }
+
+// Scale returns the divisor applied to the paper's flow counts.
+func (c *CLI) Scale() int { return *c.scale }
+
+// Seed returns the selected random seed.
+func (c *CLI) Seed() uint64 { return *c.seed }
 
 // Emulation completes one run's config from the flags: per-flow
 // reactive rules, as in RunFig789, and the selected engine with

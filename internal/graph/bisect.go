@@ -83,7 +83,7 @@ func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 	gain := make([]int64, n)
 	locked := make([]bool, n)
 
-	computeGains := func(weights []int64) {
+	computeGains := func() {
 		for v := 0; v < n; v++ {
 			var internal, external int64
 			for _, e := range g.Adj(v) {
@@ -95,12 +95,11 @@ func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 			}
 			gain[v] = external - internal
 		}
-		_ = weights
 	}
 
 	for pass := 0; pass < bisectPasses; pass++ {
 		weights := g.PartWeights(part, 2)
-		computeGains(weights)
+		computeGains()
 		for i := range locked {
 			locked[i] = false
 		}

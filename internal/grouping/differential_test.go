@@ -119,71 +119,69 @@ func canonicalGrouping(g *Grouping) string {
 // the legacy map-based matrix under the same seeds and asserts the
 // resulting groupings are byte-identical at every step.
 func TestSGIDifferentialByteIdenticalGroupings(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
-			idx := NewIntensity()
-			leg := newLegacyIntensity()
-			// Community traffic: 6 communities of 12 switches.
-			id := func(c, i int) model.SwitchID { return model.SwitchID(1 + c*12 + i) }
-			for c := 0; c < 6; c++ {
-				for i := 0; i < 12; i++ {
-					for j := i + 1; j < 12; j++ {
-						if rng.Float64() < 0.6 {
-							w := 40 + rng.Float64()*80
-							idx.Add(id(c, i), id(c, j), w)
-							leg.Add(id(c, i), id(c, j), w)
-						}
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
+		idx := NewIntensity()
+		leg := newLegacyIntensity()
+		// Community traffic: 6 communities of 12 switches.
+		id := func(c, i int) model.SwitchID { return model.SwitchID(1 + c*12 + i) }
+		for c := 0; c < 6; c++ {
+			for i := 0; i < 12; i++ {
+				for j := i + 1; j < 12; j++ {
+					if rng.Float64() < 0.6 {
+						w := 40 + rng.Float64()*80
+						idx.Add(id(c, i), id(c, j), w)
+						leg.Add(id(c, i), id(c, j), w)
 					}
 				}
 			}
-			cfg := Config{SizeLimit: 14, Seed: seed, HighLoad: 0.02, LowLoad: 0.01, Parallel: parallel}
-			sgiIdx, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		}
+		cfg := Config{SizeLimit: 14, Seed: seed, HighLoad: 0.02, LowLoad: 0.01}
+		sgiIdx, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sgiLeg, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grpIdx, err := sgiIdx.iniGroup(idx)
+		if err != nil {
+			t.Fatalf("indexed IniGroup: %v", err)
+		}
+		grpLeg, err := sgiLeg.iniGroup(leg)
+		if err != nil {
+			t.Fatalf("legacy IniGroup: %v", err)
+		}
+		if a, b := canonicalGrouping(grpIdx), canonicalGrouping(grpLeg); a != b {
+			t.Fatalf("seed %d: IniGroup diverged:\n%s\nvs\n%s", seed, a, b)
+		}
+
+		// Three drift + IncUpdate rounds.
+		for round := 0; round < 3; round++ {
+			for e := 0; e < 120; e++ {
+				a := model.SwitchID(1 + rng.IntN(72))
+				b := model.SwitchID(1 + rng.IntN(72))
+				w := 30 + rng.Float64()*60
+				idx.Add(a, b, w)
+				leg.Add(a, b, w)
 			}
-			sgiLeg, err := New(cfg)
+			opsIdx, err := sgiIdx.incUpdate(grpIdx, idx, nil)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("indexed IncUpdate: %v", err)
 			}
-			grpIdx, err := sgiIdx.iniGroup(idx)
+			opsLeg, err := sgiLeg.incUpdate(grpLeg, leg, nil)
 			if err != nil {
-				t.Fatalf("indexed IniGroup: %v", err)
+				t.Fatalf("legacy IncUpdate: %v", err)
 			}
-			grpLeg, err := sgiLeg.iniGroup(leg)
-			if err != nil {
-				t.Fatalf("legacy IniGroup: %v", err)
+			if opsIdx != opsLeg {
+				t.Fatalf("seed %d round %d: ops %d vs %d", seed, round, opsIdx, opsLeg)
 			}
 			if a, b := canonicalGrouping(grpIdx), canonicalGrouping(grpLeg); a != b {
-				t.Fatalf("parallel=%v seed %d: IniGroup diverged:\n%s\nvs\n%s", parallel, seed, a, b)
+				t.Fatalf("seed %d round %d: groupings diverged:\n%s\nvs\n%s", seed, round, a, b)
 			}
-
-			// Three drift + IncUpdate rounds.
-			for round := 0; round < 3; round++ {
-				for e := 0; e < 120; e++ {
-					a := model.SwitchID(1 + rng.IntN(72))
-					b := model.SwitchID(1 + rng.IntN(72))
-					w := 30 + rng.Float64()*60
-					idx.Add(a, b, w)
-					leg.Add(a, b, w)
-				}
-				opsIdx, err := sgiIdx.incUpdate(grpIdx, idx, nil)
-				if err != nil {
-					t.Fatalf("indexed IncUpdate: %v", err)
-				}
-				opsLeg, err := sgiLeg.incUpdate(grpLeg, leg, nil)
-				if err != nil {
-					t.Fatalf("legacy IncUpdate: %v", err)
-				}
-				if opsIdx != opsLeg {
-					t.Fatalf("parallel=%v seed %d round %d: ops %d vs %d", parallel, seed, round, opsIdx, opsLeg)
-				}
-				if a, b := canonicalGrouping(grpIdx), canonicalGrouping(grpLeg); a != b {
-					t.Fatalf("parallel=%v seed %d round %d: groupings diverged:\n%s\nvs\n%s", parallel, seed, round, a, b)
-				}
-				if err := grpIdx.Validate(cfg.SizeLimit); err != nil {
-					t.Fatalf("invalid grouping: %v", err)
-				}
+			if err := grpIdx.Validate(cfg.SizeLimit); err != nil {
+				t.Fatalf("invalid grouping: %v", err)
 			}
 		}
 	}

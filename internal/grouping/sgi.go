@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"lazyctrl/internal/graph"
 	"lazyctrl/internal/model"
@@ -26,13 +25,6 @@ type Config struct {
 	// Defaults: 0.10 and 0.08.
 	HighLoad float64
 	LowLoad  float64
-	// Parallel enables the Appendix-B optimization: merge/split runs
-	// concurrently on disjoint group pairs.
-	Parallel bool
-	// ExcludedSwitches are left out of grouping; their traffic is always
-	// handled by the controller (Appendix B "host exclusion", lifted to
-	// switch granularity at the intensity matrix).
-	ExcludedSwitches map[model.SwitchID]bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -79,22 +71,6 @@ func New(cfg Config) (*SGI, error) {
 
 // Config returns the effective configuration.
 func (s *SGI) Config() Config { return s.cfg }
-
-// filtered returns the switches that participate in grouping, honoring
-// exclusions.
-func (s *SGI) filtered(m intensityMatrix) []model.SwitchID {
-	all := m.Switches()
-	if len(s.cfg.ExcludedSwitches) == 0 {
-		return all
-	}
-	out := all[:0:0]
-	for _, sw := range all {
-		if !s.cfg.ExcludedSwitches[sw] {
-			out = append(out, sw)
-		}
-	}
-	return out
-}
 
 // buildGraph converts the intensity matrix restricted to the given
 // switches into a weighted graph plus the vertex ↔ switch mapping. It
@@ -157,7 +133,7 @@ func (s *SGI) IniGroup(m *Intensity) (*Grouping, error) {
 }
 
 func (s *SGI) iniGroup(m intensityMatrix) (*Grouping, error) {
-	switches := s.filtered(m)
+	switches := m.Switches()
 	grp := NewGrouping()
 	if len(switches) == 0 {
 		s.prev = m.cloneMatrix()
@@ -308,31 +284,20 @@ func (s *SGI) incUpdate(grp *Grouping, cur intensityMatrix, load func(*Grouping)
 		if len(changes) == 0 {
 			break
 		}
-		if s.cfg.Parallel {
-			n, err := s.parallelRound(grp, cur, t, changes)
-			if err != nil {
-				return ops, err
-			}
-			if n == 0 {
-				break
-			}
-			ops += n
-		} else {
-			c := changes[0]
-			before := t.winter()
-			changed, err := s.mergeSplit(grp, cur, t, c.a, c.b)
-			if err != nil {
-				return ops, err
-			}
-			if !changed {
-				// The worst pair is already optimally split: further
-				// iterations would churn without converging.
-				break
-			}
-			ops++
-			if t.winter() >= before {
-				break
-			}
+		c := changes[0]
+		before := t.winter()
+		changed, err := s.mergeSplit(grp, cur, t, c.a, c.b)
+		if err != nil {
+			return ops, err
+		}
+		if !changed {
+			// The worst pair is already optimally split: further
+			// iterations would churn without converging.
+			break
+		}
+		ops++
+		if t.winter() >= before {
+			break
 		}
 		if load(grp) < s.cfg.LowLoad {
 			break
@@ -340,83 +305,6 @@ func (s *SGI) incUpdate(grp *Grouping, cur intensityMatrix, load func(*Grouping)
 	}
 	if ops > 0 {
 		s.prev = cur.cloneMatrix()
-	}
-	return ops, nil
-}
-
-// parallelRound applies merge/split concurrently to disjoint group pairs
-// (Appendix B, "acceleration by parallelism"). Pairs are taken greedily
-// in descending change order, skipping any pair that shares a group with
-// an already selected pair.
-func (s *SGI) parallelRound(grp *Grouping, cur intensityMatrix, t *cutTracker, changes []groupPairChange) (int, error) {
-	used := make(map[model.GroupID]bool)
-	var selected []groupPairChange
-	for _, c := range changes {
-		if used[c.a] || used[c.b] {
-			continue
-		}
-		used[c.a] = true
-		used[c.b] = true
-		selected = append(selected, c)
-	}
-	if len(selected) == 0 {
-		return 0, nil
-	}
-
-	// Each worker bisects its own subgraph; mutation of grp is serialized
-	// afterwards because Grouping is not concurrency-safe.
-	type result struct {
-		pair  groupPairChange
-		side0 []model.SwitchID
-		side1 []model.SwitchID
-		err   error
-	}
-	results := make([]result, len(selected))
-	var wg sync.WaitGroup
-	for i, c := range selected {
-		seed := s.nextSeed() // draw seeds serially for determinism
-		wg.Add(1)
-		go func(i int, c groupPairChange, seed uint64) {
-			defer wg.Done()
-			union := make([]model.SwitchID, 0, len(grp.Members(c.a))+len(grp.Members(c.b)))
-			union = append(union, grp.Members(c.a)...)
-			union = append(union, grp.Members(c.b)...)
-			g, orig := buildGraph(cur, union)
-			part, _, err := graph.Bisect(g, graph.BisectOptions{
-				MaxSideWeight: int64(s.cfg.SizeLimit),
-				Seed:          seed,
-			})
-			if err != nil {
-				results[i] = result{pair: c, err: err}
-				return
-			}
-			var s0, s1 []model.SwitchID
-			for v, p := range part {
-				if p == 0 {
-					s0 = append(s0, orig[v])
-				} else {
-					s1 = append(s1, orig[v])
-				}
-			}
-			results[i] = result{pair: c, side0: s0, side1: s1}
-		}(i, c, seed)
-	}
-	wg.Wait()
-
-	ops := 0
-	for _, r := range results {
-		if r.err != nil {
-			return ops, r.err
-		}
-		if samePartition(grp, r.pair.a, r.pair.b, r.side0, r.side1) {
-			continue
-		}
-		grp.RemoveGroup(r.pair.a)
-		grp.RemoveGroup(r.pair.b)
-		g0 := grp.AddGroup(r.side0)
-		g1 := grp.AddGroup(r.side1)
-		t.regroup(r.pair.a, r.pair.b, r.side0, g0, r.side1, g1)
-		ops++
 	}
 	return ops, nil
 }

@@ -106,28 +106,6 @@ func TestIniGroupSingleSwitch(t *testing.T) {
 	}
 }
 
-func TestIniGroupExclusion(t *testing.T) {
-	m, _ := communityIntensity(2, 10, 9)
-	s, err := New(Config{
-		SizeLimit:        12,
-		Seed:             1,
-		ExcludedSwitches: map[model.SwitchID]bool{1: true, 2: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grp, err := s.IniGroup(m)
-	if err != nil {
-		t.Fatalf("IniGroup: %v", err)
-	}
-	if grp.GroupOf(1) != model.NoGroup || grp.GroupOf(2) != model.NoGroup {
-		t.Error("excluded switches were grouped")
-	}
-	if grp.NumSwitches() != 18 {
-		t.Errorf("NumSwitches = %d, want 18", grp.NumSwitches())
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{SizeLimit: 0}); err == nil {
 		t.Error("SizeLimit 0 accepted")
@@ -203,32 +181,6 @@ func TestIncUpdateNoopWhenUnderloaded(t *testing.T) {
 	}
 	if ops != 0 {
 		t.Errorf("ops = %d, want 0 when load below HighLoad", ops)
-	}
-}
-
-func TestIncUpdateParallelMatchesInvariants(t *testing.T) {
-	m, _ := communityIntensity(6, 8, 29)
-	s, err := New(Config{SizeLimit: 12, Seed: 5, HighLoad: 0.02, LowLoad: 0.01, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grp, err := s.IniGroup(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []model.SwitchID
-	for i := 1; i <= 48; i++ {
-		all = append(all, model.SwitchID(i))
-	}
-	cur := driftTraffic(m, all[:10], all[20:30], 60, 31)
-	if _, err := s.IncUpdate(grp, cur, nil); err != nil {
-		t.Fatalf("parallel IncUpdate: %v", err)
-	}
-	if err := grp.Validate(12); err != nil {
-		t.Fatalf("grouping invalid after parallel IncUpdate: %v", err)
-	}
-	if grp.NumSwitches() != 48 {
-		t.Errorf("NumSwitches = %d, want 48 (no switch lost)", grp.NumSwitches())
 	}
 }
 

@@ -103,19 +103,6 @@ func ComputeStats(t *Trace) Stats {
 	return a.Stats(t.Directory)
 }
 
-// StreamStats characterizes a stream window by window, never holding
-// more than one window of flows.
-func StreamStats(s Stream) Stats {
-	info := s.Info()
-	a := NewStatsAccumulator()
-	buf := make([]Flow, 0, info.MaxWindowFlows)
-	for w := 0; w < info.Windows; w++ {
-		buf = s.GenWindow(w, buf[:0])
-		a.AddWindow(buf)
-	}
-	return a.Stats(info.Directory)
-}
-
 // TopPairsShare returns the fraction of flows carried by the n busiest
 // host pairs. Use n = 10% of the communicating-pair pool to check the
 // paper's skew statistic independently of trace scale (at reduced scale
@@ -252,47 +239,6 @@ func StreamCentrality(s Stream, k int, seed uint64) (float64, error) {
 		p.addWindow(buf)
 	}
 	return p.centrality(k, seed)
-}
-
-// Profile characterizes a stream completely in a single window sweep:
-// pair statistics, k-way average centrality, and the full-span
-// switch-intensity matrix. Tools that report all three (cmd/tracegen)
-// use it so a full-scale trace is generated once, not three times.
-type Profile struct {
-	Stats      Stats
-	Centrality float64
-	Intensity  *grouping.Intensity
-}
-
-// StreamProfile runs the one-sweep characterization.
-func StreamProfile(s Stream, k int, seed uint64) (Profile, error) {
-	info := s.Info()
-	a := NewStatsAccumulator()
-	p := newPairCounter()
-	m := grouping.NewIntensity()
-	for _, sw := range info.Directory.Switches() {
-		m.AddSwitch(sw)
-	}
-	perFlow := 0.0
-	if secs := info.Duration.Seconds(); secs > 0 {
-		perFlow = 1.0 / secs
-	}
-	buf := make([]Flow, 0, info.MaxWindowFlows)
-	for w := 0; w < info.Windows; w++ {
-		buf = s.GenWindow(w, buf[:0])
-		a.AddWindow(buf)
-		p.addWindow(buf)
-		intensityFold(m, info.Directory, buf, 0, info.Duration, perFlow)
-	}
-	prof := Profile{Stats: a.Stats(info.Directory), Intensity: m}
-	c, err := p.centrality(k, seed)
-	if err != nil {
-		// Stats and intensity are still valid (centrality needs ≥ k
-		// active hosts; tiny traces legitimately fail it).
-		return prof, err
-	}
-	prof.Centrality = c
-	return prof, nil
 }
 
 // intensityFold adds one window's flows to the intensity matrix.

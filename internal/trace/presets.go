@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Paper dataset constants (Table II and §V-A/B).
 const (
@@ -77,6 +80,23 @@ func SynBConfig(scale int, seed uint64) GeneratorConfig {
 // centrality ≈ 0.61.
 func SynCConfig(scale int, seed uint64) GeneratorConfig {
 	return synConfig("syn-c", SynCFlows, 70, 30, 0.54, 0, scale, seed)
+}
+
+// ConfigByName returns the preset generator configuration for a CLI
+// trace name: "real", "syn-a", "syn-b", or "syn-c".
+func ConfigByName(name string, scale int, seed uint64) (GeneratorConfig, error) {
+	switch name {
+	case "real":
+		return RealLikeConfig(scale, seed), nil
+	case "syn-a":
+		return SynAConfig(scale, seed), nil
+	case "syn-b":
+		return SynBConfig(scale, seed), nil
+	case "syn-c":
+		return SynCConfig(scale, seed), nil
+	default:
+		return GeneratorConfig{}, fmt.Errorf("trace: unknown trace %q (want real, syn-a, syn-b, or syn-c)", name)
+	}
 }
 
 func synConfig(name string, flows int64, p, q int, scatterFlow, noise float64, scale int, seed uint64) GeneratorConfig {

@@ -45,8 +45,8 @@ type Flow struct {
 
 // FlowBytes is the in-memory footprint of one Flow record, the unit of
 // the streaming pipeline's peak-memory accounting (the benchmarks'
-// peak-B/op metric, tracegen's peak-window figure). A test pins it to
-// unsafe.Sizeof(Flow{}).
+// peak-B/op metric, TestSynAFullScaleStream's peak-window figure). A
+// test pins it to unsafe.Sizeof(Flow{}).
 const FlowBytes = 24
 
 // Trace is a complete traffic trace plus the topology it runs over.

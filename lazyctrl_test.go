@@ -430,6 +430,57 @@ func TestReportFollowsMasterAfterTakeover(t *testing.T) {
 	}
 }
 
+// TestFailoverMidRecoveryFencesAndConverges drives a scripted chaos plan
+// through the public API (docs/robustness.md#failover): S2 crashes, and
+// while its diagnosis is still open the master replica dies for 60 s.
+// The standby takes over under a bumped generation and serves a flow
+// sent mid-window. When the old primary heals, still believing it is
+// the master, the edges must fence its stale-generation pushes, the
+// promoted standby must keep the role, and the fabric must come back to
+// the fault-free fixpoint.
+func TestFailoverMidRecoveryFencesAndConverges(t *testing.T) {
+	dc, err := New(Config{Switches: 6, GroupSizeLimit: 3, Seed: 3, Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.AddTenant(1)
+	for i := 0; i < 6; i++ {
+		if err := dc.AddHost(HostID(10+i), 1, SwitchID(1+i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dc.SeedGroupingFromPlacement(); err != nil {
+		t.Fatal(err)
+	}
+	dc.Run(10 * time.Second)
+
+	t0 := dc.Now()
+	plan := &chaos.Plan{Name: "master crash mid-recovery"}
+	plan.Add(t0+time.Second, 45*time.Second, chaos.Crash{Switch: 2})
+	plan.Add(t0+3*time.Second, 60*time.Second, chaos.ControllerFailover{})
+	plan.Add(t0+30*time.Second, 0, chaos.Func{
+		Name: "send a flow under the new master",
+		Run: func(chaos.Harness) func() {
+			if err := dc.SendFlow(10, 12, 1400); err != nil {
+				t.Errorf("mid-window SendFlow: %v", err)
+			}
+			return nil
+		},
+	})
+	dc.RunScenario(plan, 45*time.Second)
+
+	st := dc.FailoverStats()
+	if st.StaleGenRejected == 0 {
+		t.Error("the healed stale master was never fenced")
+	}
+	if m := dc.Master(); m != StandbyNode {
+		t.Errorf("master is %v, want the promoted standby %v", m, StandbyNode)
+	}
+	for _, d := range dc.CheckConvergence() {
+		t.Errorf("divergence: %s", d)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	if _, err := New(Config{Switches: 0}); err == nil {
 		t.Error("zero switches accepted")
