@@ -14,6 +14,7 @@ import (
 
 	"lazyctrl/internal/controller"
 	"lazyctrl/internal/eval"
+	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/replay"
 	"lazyctrl/internal/trace"
@@ -68,6 +69,44 @@ func BenchmarkFig6b(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkIncUpdate times one IncUpdate on drifted traffic, the scenario
+// Fig. 6(b)'s IncUpdate column stands for: Syn-A at scale 60000, seed 1,
+// grouped by IniGroup at size limit 50 on the first half of the day, then
+// updated against the whole day. Every iteration starts from the same
+// grouping and SGI state, so allocs/op is deterministic; cmd/bench gates
+// it. updates/op is the number of merge/splits applied.
+func BenchmarkIncUpdate(b *testing.B) {
+	s, err := trace.NewStream(trace.SynAConfig(60_000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := s.Info().Duration
+	sgi, err := grouping.New(grouping.Config{SizeLimit: 50, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grp, err := sgi.IniGroup(trace.StreamIntensity(s, 0, day/2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	whole := trace.StreamIntensity(s, 0, day)
+	var ops int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run, g := *sgi, grp.Clone()
+		b.StartTimer()
+		if ops, err = run.IncUpdate(g, whole, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if ops == 0 {
+		b.Fatal("IncUpdate applied no merge/split: the instance does not drift")
+	}
+	b.ReportMetric(float64(ops), "updates/op")
 }
 
 // benchFig789 shares the five-run emulation among the Fig. 7/8/9

@@ -215,25 +215,3 @@ func (g *Graph) Validate(p Partition, k int) error {
 	}
 	return nil
 }
-
-// SubgraphOf extracts the induced subgraph over the given vertices.
-// It returns the subgraph and the mapping from subgraph vertex index to
-// original vertex index.
-func (g *Graph) SubgraphOf(vertices []int) (*Graph, []int) {
-	index := make(map[int]int, len(vertices))
-	orig := make([]int, len(vertices))
-	for i, v := range vertices {
-		index[v] = i
-		orig[i] = v
-	}
-	b := NewBuilder(len(vertices))
-	for i, v := range vertices {
-		b.SetVertexWeight(i, g.vwgt[v])
-		for _, e := range g.adj[v] {
-			if j, ok := index[e.To]; ok && v < e.To {
-				b.AddEdge(i, j, e.W)
-			}
-		}
-	}
-	return b.Build(), orig
-}

@@ -86,29 +86,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSubgraphOf(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 2)
-	b.AddEdge(2, 3, 3)
-	b.AddEdge(3, 4, 4)
-	b.SetVertexWeight(2, 9)
-	g := b.Build()
-	sub, orig := g.SubgraphOf([]int{1, 2, 3})
-	if sub.N() != 3 {
-		t.Fatalf("sub.N() = %d, want 3", sub.N())
-	}
-	if sub.TotalEdgeWeight() != 5 { // edges 1-2 (2) and 2-3 (3)
-		t.Errorf("sub.TotalEdgeWeight() = %d, want 5", sub.TotalEdgeWeight())
-	}
-	if sub.TotalVertexWeight() != 11 { // 1 + 9 + 1
-		t.Errorf("sub.TotalVertexWeight() = %d, want 11", sub.TotalVertexWeight())
-	}
-	if len(orig) != 3 || orig[0] != 1 || orig[1] != 2 || orig[2] != 3 {
-		t.Errorf("orig = %v, want [1 2 3]", orig)
-	}
-}
-
 // clusteredGraph builds nClusters dense clusters of size clusterSize with
 // heavy intra-cluster edges and sparse light inter-cluster edges; the
 // natural partition is the clusters.

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -108,15 +107,18 @@ func PartitionKWay(g *Graph, o PartitionOptions) (Partition, error) {
 }
 
 // coarsenScratch holds the buffers coarsen reuses across levels: the
-// matching state, the shuffled visit order, the constituent lists, and
-// the duplicate-merging position markers. Only cmap and the coarse
-// graph itself outlive a level, so only they are freshly allocated.
+// matching state, the shuffled visit order, the constituent lists, the
+// duplicate-merging position markers, and the unsorted coarse adjacency.
+// Only cmap and the coarse graph itself outlive a level, so only they are
+// freshly allocated.
 type coarsenScratch struct {
 	match  []int
 	order  []int
-	first  []int // coarse vertex -> first fine constituent
-	second []int // coarse vertex -> matched partner, or -1
-	pos    []int // coarse target -> position in the list under construction
+	first  []int  // coarse vertex -> first fine constituent
+	second []int  // coarse vertex -> matched partner, or -1
+	pos    []int  // coarse target -> position in the list under construction
+	edges  []Edge // unsorted coarse lists, list c at edges[start[c]:start[c+1]]
+	start  []int
 }
 
 func intsOf(buf []int, n int) []int {
@@ -141,9 +143,10 @@ func shuffledOrder(buf []int, n int, rng *rand.Rand) []int {
 
 // coarsen contracts a heavy-edge matching of g. Matches whose combined
 // vertex weight would exceed cap are skipped so that feasibility is
-// preserved through the hierarchy. The coarse graph is assembled
-// directly into an edge arena — no dedup map — so a contraction costs
-// two allocations plus cmap instead of one map entry per coarse edge.
+// preserved through the hierarchy. The coarse lists are merged without a
+// dedup map into the scratch buffer, then transposed into one exactly
+// sized edge arena, so a contraction allocates cmap, the vertex weights,
+// the arena, the list headers and the Graph, and sorts nothing.
 func coarsen(g *Graph, cap int64, rng *rand.Rand, cs *coarsenScratch) (*Graph, []int) {
 	n := g.N()
 	match := intsOf(cs.match, n)
@@ -208,12 +211,13 @@ func coarsen(g *Graph, cap int64, rng *rand.Rand, cs *coarsenScratch) (*Graph, [
 		pos[i] = -1
 	}
 	// Every coarse directed edge comes from at least one fine directed
-	// edge, so the arena never reallocates and the sub-slices below stay
-	// valid.
-	arena := make([]Edge, 0, directed)
-	adj := make([][]Edge, nc)
+	// edge, so the first (largest) level sizes the buffer for all.
+	edges := slices.Grow(cs.edges[:0], directed)
+	start := intsOf(cs.start, nc+1)
+	cs.start = start
 	for c := 0; c < nc; c++ {
-		start := len(arena)
+		s := len(edges)
+		start[c] = s
 		for _, u := range [2]int{first[c], second[c]} {
 			if u < 0 {
 				continue
@@ -224,30 +228,140 @@ func coarsen(g *Graph, cap int64, rng *rand.Rand, cs *coarsenScratch) (*Graph, [
 					continue // contracted: internal edge disappears
 				}
 				if p := pos[tc]; p >= 0 {
-					arena[start+p].W += e.W
+					edges[s+p].W += e.W
 				} else {
-					pos[tc] = len(arena) - start
-					arena = append(arena, Edge{To: tc, W: e.W})
+					pos[tc] = len(edges) - s
+					edges = append(edges, Edge{To: tc, W: e.W})
 				}
 			}
 		}
-		list := arena[start:len(arena):len(arena)]
-		for _, e := range list {
+		for _, e := range edges[s:] {
 			pos[e.To] = -1
 		}
-		// Ascending neighbor order, matching what the Builder produced:
-		// greedy tie-breaks downstream are order-sensitive, so adjacency
-		// order is part of the deterministic contract.
-		slices.SortFunc(list, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
-		adj[c] = list
+	}
+	start[nc] = len(edges)
+	cs.edges = edges
+
+	// Transpose: visiting sources in ascending order appends ascending
+	// targets, so every list comes out in the ascending neighbor order the
+	// Builder produced — greedy tie-breaks downstream are order-sensitive,
+	// so adjacency order is part of the deterministic contract. The lists
+	// are symmetric (integer weights summed in any order agree), so list
+	// c's length is also the number of lists that name c.
+	arena := make([]Edge, len(edges))
+	adj := make([][]Edge, nc)
+	off := 0
+	for c := range adj {
+		d := start[c+1] - start[c]
+		adj[c] = arena[off : off : off+d]
+		off += d
+	}
+	for c := 0; c < nc; c++ {
+		for _, e := range edges[start[c]:start[c+1]] {
+			adj[e.To] = append(adj[e.To], Edge{To: c, W: e.W})
+		}
 	}
 	return NewFromAdjacency(adj, vwgt), cmap
+}
+
+// frontier is the growing part's frontier: an indexed binary max-heap
+// holding each offered vertex once, keyed by connectivity to the part
+// (descending) and then by entry order (ascending) — the vertex a scan of
+// the frontier in entry order with a strict > would pick.
+type frontier struct {
+	conn    []int64 // connectivity to the part being grown
+	seq     []int32 // entry order into the frontier; 0 = never entered
+	at      []int32 // heap position + 1; 0 = not in the heap
+	heap    []int32
+	entered int32
+}
+
+func newFrontier(n int) *frontier {
+	return &frontier{conn: make([]int64, n), seq: make([]int32, n), at: make([]int32, n)}
+}
+
+func (f *frontier) reset() {
+	clear(f.conn)
+	clear(f.seq)
+	clear(f.at)
+	f.heap = f.heap[:0]
+	f.entered = 0
+}
+
+func (f *frontier) outranks(u, v int32) bool {
+	if f.conn[u] != f.conn[v] {
+		return f.conn[u] > f.conn[v]
+	}
+	return f.seq[u] < f.seq[v]
+}
+
+// offer adds w to v's connectivity, entering v on its first offer. A
+// vertex already popped — assigned, or too heavy for this part — stays
+// out.
+func (f *frontier) offer(v int32, w int64) {
+	f.conn[v] += w
+	switch {
+	case f.seq[v] == 0:
+		f.entered++
+		f.seq[v] = f.entered
+		f.heap = append(f.heap, v)
+		f.up(len(f.heap) - 1)
+	case f.at[v] > 0:
+		f.up(int(f.at[v]) - 1) // a key only grows, so it only rises
+	}
+}
+
+// pop removes and returns the top vertex.
+func (f *frontier) pop() int32 {
+	h := f.heap
+	top, last := h[0], h[len(h)-1]
+	f.at[top] = 0
+	h = h[:len(h)-1]
+	f.heap = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && f.outranks(h[c+1], h[c]) {
+			c++
+		}
+		if !f.outranks(h[c], last) {
+			break
+		}
+		h[i] = h[c]
+		f.at[h[i]] = int32(i + 1)
+		i = c
+	}
+	h[i] = last
+	f.at[last] = int32(i + 1)
+	return top
+}
+
+func (f *frontier) up(i int) {
+	h := f.heap
+	v := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !f.outranks(v, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		f.at[h[i]] = int32(i + 1)
+		i = parent
+	}
+	h[i] = v
+	f.at[v] = int32(i + 1)
 }
 
 // growInitial produces a feasible initial k-way partition by greedy graph
 // growing: each part grows from a random seed, absorbing the unassigned
 // neighbor with the strongest connection until the part reaches its
-// weight target.
+// weight target. Ties go to the neighbor that entered the frontier first.
 func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) Partition {
 	n := g.N()
 	part := make(Partition, n)
@@ -261,7 +375,7 @@ func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) Partition {
 
 	unassigned := n
 	weights := make([]int64, k)
-	conn := make([]int64, n) // connectivity to the part being grown
+	f := newFrontier(n)
 
 	for p := 0; p < k && unassigned > 0; p++ {
 		// Pick a random unassigned seed.
@@ -277,60 +391,44 @@ func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) Partition {
 		if seed == Unassigned {
 			break
 		}
-		for i := range conn {
-			conn[i] = 0
-		}
-		frontier := []int{seed}
-		assign := func(v int) {
+		f.reset()
+		v := seed
+		for {
 			part[v] = p
 			weights[p] += g.VertexWeight(v)
 			unassigned--
 			for _, e := range g.Adj(v) {
 				if part[e.To] == Unassigned {
-					conn[e.To] += e.W
-					frontier = append(frontier, e.To)
+					f.offer(int32(e.To), e.W)
 				}
 			}
-		}
-		assign(seed)
-		for weights[p] < target && unassigned > 0 {
+			if weights[p] >= target || unassigned == 0 {
+				break
+			}
 			// Choose the frontier vertex with max connectivity that fits.
-			best, bestConn := Unassigned, int64(-1)
-			for _, v := range frontier {
-				if part[v] != Unassigned {
-					continue
-				}
-				if weights[p]+g.VertexWeight(v) > cap {
-					continue
-				}
-				if conn[v] > bestConn {
-					best, bestConn = v, conn[v]
+			// weights[p] only grows, so a vertex that does not fit now
+			// never fits this part and is dropped.
+			v = Unassigned
+			for len(f.heap) > 0 {
+				if u := int(f.pop()); weights[p]+g.VertexWeight(u) <= cap {
+					v = u
+					break
 				}
 			}
-			if best == Unassigned {
+			if v == Unassigned {
 				break // disconnected or no fitting vertex: stop growing
-			}
-			assign(best)
-			// Compact the frontier occasionally to bound growth.
-			if len(frontier) > 4*n {
-				compact := frontier[:0]
-				for _, v := range frontier {
-					if part[v] == Unassigned {
-						compact = append(compact, v)
-					}
-				}
-				frontier = compact
 			}
 		}
 	}
 
 	// Place leftovers: strongest-connected feasible part, else lightest
 	// feasible part.
+	connTo := make([]int64, k)
 	for v := 0; v < n; v++ {
 		if part[v] != Unassigned {
 			continue
 		}
-		connTo := make([]int64, k)
+		clear(connTo)
 		for _, e := range g.Adj(v) {
 			if part[e.To] != Unassigned {
 				connTo[part[e.To]] += e.W

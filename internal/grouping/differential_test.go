@@ -192,7 +192,7 @@ func naiveGroupCut(m intensityMatrix, assign func(model.SwitchID) model.GroupID)
 	pairW = make(map[gpKey]float64)
 	m.ForEachPair(func(p model.SwitchPair, w float64) {
 		ga, gb := assign(p.A), assign(p.B)
-		if crossing(ga, gb) {
+		if refCrossing(ga, gb) {
 			inter += w
 			if ga != model.NoGroup && gb != model.NoGroup {
 				pairW[makeGPKey(ga, gb)] += w
@@ -248,20 +248,21 @@ func TestCutTrackerMatchesNaiveRescan(t *testing.T) {
 			if math.Abs(tr.inter-wantInter) > 1e-9*(1+math.Abs(wantInter)) {
 				t.Fatalf("seed %d %s: inter = %v, want %v", seed, step, tr.inter, wantInter)
 			}
+			cur, prevW := tr.trackedPairs()
 			for k, w := range wantPair {
-				if math.Abs(tr.cur[k]-w) > 1e-9*(1+math.Abs(w)) {
-					t.Fatalf("seed %d %s: cur[%v] = %v, want %v", seed, step, k, tr.cur[k], w)
+				if math.Abs(cur[k]-w) > 1e-9*(1+math.Abs(w)) {
+					t.Fatalf("seed %d %s: cur[%v] = %v, want %v", seed, step, k, cur[k], w)
 				}
 			}
-			for k, w := range tr.cur {
+			for k, w := range cur {
 				if _, ok := wantPair[k]; !ok && math.Abs(w) > 1e-9 {
 					t.Fatalf("seed %d %s: stale pair %v = %v", seed, step, k, w)
 				}
 			}
 			_, wantPrev := naiveGroupCut(prev, tr.groupOf)
 			for k, w := range wantPrev {
-				if math.Abs(tr.prevW[k]-w) > 1e-9*(1+math.Abs(w)) {
-					t.Fatalf("seed %d %s: prevW[%v] = %v, want %v", seed, step, k, tr.prevW[k], w)
+				if math.Abs(prevW[k]-w) > 1e-9*(1+math.Abs(w)) {
+					t.Fatalf("seed %d %s: prevW[%v] = %v, want %v", seed, step, k, prevW[k], w)
 				}
 			}
 		}
@@ -288,9 +289,9 @@ func TestCutTrackerMatchesNaiveRescan(t *testing.T) {
 				}
 				a, b := gids[i], gids[j]
 				var union []model.SwitchID
-				for ix, g := range tr.assign {
-					if g == a || g == b {
-						union = append(union, tr.ids[ix])
+				for _, s := range tr.ids {
+					if g := tr.groupOf(s); g == a || g == b {
+						union = append(union, s)
 					}
 				}
 				if len(union) < 2 {

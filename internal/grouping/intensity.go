@@ -191,7 +191,9 @@ func (m *Intensity) Switches() []model.SwitchID {
 	return m.sorted
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The neighbor lists share one arena, each
+// clipped to its own length, so a later Add reallocates only the list it
+// grows.
 func (m *Intensity) Clone() *Intensity {
 	c := &Intensity{
 		idx:     make(map[model.SwitchID]int32, len(m.idx)),
@@ -204,9 +206,17 @@ func (m *Intensity) Clone() *Intensity {
 	for s, i := range m.idx {
 		c.idx[s] = i
 	}
+	size := 0
+	for _, list := range m.adj {
+		size += len(list)
+	}
+	arena := make([]nbr, size)
+	off := 0
 	for i, list := range m.adj {
 		if len(list) > 0 {
-			c.adj[i] = append([]nbr(nil), list...)
+			end := off + copy(arena[off:], list)
+			c.adj[i] = arena[off:end:end]
+			off = end
 		}
 	}
 	// The caches are immutable once built; share them.

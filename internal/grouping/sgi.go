@@ -1,11 +1,8 @@
 package grouping
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 
 	"lazyctrl/internal/graph"
 	"lazyctrl/internal/model"
@@ -75,52 +72,68 @@ func (s *SGI) Config() Config { return s.cfg }
 // buildGraph converts the intensity matrix restricted to the given
 // switches into a weighted graph plus the vertex ↔ switch mapping. It
 // walks only the adjacency of the requested switches — O(Σ degree), not
-// O(P) — and assembles the graph directly into an edge arena: matrix
-// adjacency has no duplicate neighbors, so the Builder's dedup map is
-// unnecessary. Per-vertex lists are sorted ascending to preserve the
-// Builder's deterministic adjacency order (greedy tie-breaks downstream
-// depend on it).
+// O(P) — through the matrix's dense view, and assembles the graph
+// directly into an edge arena: matrix adjacency has no duplicate
+// neighbors, so the Builder's dedup map is unnecessary. Its allocation
+// count does not depend on the number of switches.
 func buildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
+	view, _ := denseViews(m, nil)
 	n := len(switches)
-	index := make(map[model.SwitchID]int, n)
-	for i, sw := range switches {
-		index[sw] = i
+	// sub maps a matrix index to its vertex, or -1 outside switches;
+	// src maps a vertex back, or -1 for a switch the matrix lacks.
+	sub := make([]int32, len(view.ids))
+	for i := range sub {
+		sub[i] = -1
 	}
-	scale := weightScale(m.MaxPair())
+	src := make([]int32, n)
+	for j, sw := range switches {
+		src[j] = -1
+		if i, ok := view.ix[sw]; ok {
+			sub[i], src[j] = int32(j), i
+		}
+	}
 	deg := make([]int, n)
-	for i, sw := range switches {
-		m.ForEachNeighbor(sw, func(t model.SwitchID, w float64) {
-			if _, ok := index[t]; ok {
-				deg[i]++
-			}
-		})
-	}
 	total := 0
-	for _, d := range deg {
-		total += d
+	for j, i := range src {
+		if i < 0 {
+			continue
+		}
+		for _, e := range view.adj[i] {
+			if sub[e.to] >= 0 {
+				deg[j]++
+				total++
+			}
+		}
 	}
 	backing := make([]graph.Edge, total)
 	adj := make([][]graph.Edge, n)
 	vwgt := make([]int64, n)
 	off := 0
-	for i := range adj {
-		adj[i] = backing[off : off : off+deg[i]]
-		off += deg[i]
-		vwgt[i] = 1
+	for j := range adj {
+		adj[j] = backing[off : off : off+deg[j]]
+		off += deg[j]
+		vwgt[j] = 1
 	}
-	for i, sw := range switches {
-		m.ForEachNeighbor(sw, func(t model.SwitchID, w float64) {
-			j, ok := index[t]
-			if !ok {
-				return
+	// Transpose: visiting sources in ascending vertex order appends
+	// ascending targets, so every list comes out in the Builder's
+	// ascending adjacency order (greedy tie-breaks downstream depend on
+	// it) without a sort. Both halves of a pair hold the same weight.
+	scale := weightScale(m.MaxPair())
+	for j, i := range src {
+		if i < 0 {
+			continue
+		}
+		for _, e := range view.adj[i] {
+			t := sub[e.to]
+			if t < 0 {
+				continue
 			}
-			wi := int64(w * scale)
+			wi := int64(e.w * scale)
 			if wi < 1 {
 				wi = 1
 			}
-			adj[i] = append(adj[i], graph.Edge{To: j, W: wi})
-		})
-		slices.SortFunc(adj[i], func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
+			adj[t] = append(adj[t], graph.Edge{To: j, W: wi})
+		}
 	}
 	return graph.NewFromAdjacency(adj, vwgt), switches
 }
@@ -152,17 +165,14 @@ func (s *SGI) iniGroup(m intensityMatrix) (*Grouping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("grouping: initial partition: %w", err)
 	}
-	byPart := make(map[int][]model.SwitchID)
+	byPart := make([][]model.SwitchID, k)
 	for v, p := range part {
 		byPart[p] = append(byPart[p], orig[v])
 	}
-	parts := make([]int, 0, len(byPart))
-	for p := range byPart {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		grp.AddGroup(byPart[p])
+	for _, members := range byPart {
+		if len(members) > 0 {
+			grp.AddGroup(members)
+		}
 	}
 	s.prev = m.cloneMatrix()
 	return grp, nil
@@ -188,7 +198,8 @@ type groupPairChange struct {
 // changes count as updates (Fig. 8) and reach the switches. On a change,
 // the cut tracker is updated with the delta.
 func (s *SGI) mergeSplit(grp *Grouping, cur intensityMatrix, t *cutTracker, a, b model.GroupID) (changed bool, err error) {
-	union := make([]model.SwitchID, 0, len(grp.Members(a))+len(grp.Members(b)))
+	la := len(grp.Members(a))
+	union := make([]model.SwitchID, 0, la+len(grp.Members(b)))
 	union = append(union, grp.Members(a)...)
 	union = append(union, grp.Members(b)...)
 	if len(union) < 2 {
@@ -202,6 +213,9 @@ func (s *SGI) mergeSplit(grp *Grouping, cur intensityMatrix, t *cutTracker, a, b
 	if err != nil {
 		return false, fmt.Errorf("grouping: bisect: %w", err)
 	}
+	if samePartition(part, la) {
+		return false, nil
+	}
 	var side0, side1 []model.SwitchID
 	for v, p := range part {
 		if p == 0 {
@@ -209,9 +223,6 @@ func (s *SGI) mergeSplit(grp *Grouping, cur intensityMatrix, t *cutTracker, a, b
 		} else {
 			side1 = append(side1, orig[v])
 		}
-	}
-	if samePartition(grp, a, b, side0, side1) {
-		return false, nil
 	}
 	grp.RemoveGroup(a)
 	grp.RemoveGroup(b)
@@ -221,27 +232,17 @@ func (s *SGI) mergeSplit(grp *Grouping, cur intensityMatrix, t *cutTracker, a, b
 	return true, nil
 }
 
-// samePartition reports whether {side0, side1} equals the existing
-// {members(a), members(b)} split (in either orientation).
-func samePartition(grp *Grouping, a, b model.GroupID, side0, side1 []model.SwitchID) bool {
-	sameSet := func(members []model.SwitchID, side []model.SwitchID) bool {
-		if len(members) != len(side) {
+// samePartition reports whether a bisection of the union members(a) ++
+// members(b), with la ≥ 1 vertices from a, reproduces the existing
+// {members(a), members(b)} split in either orientation: the first la
+// vertices on one side and every other vertex on the other.
+func samePartition(part graph.Partition, la int) bool {
+	for v, p := range part {
+		if (p == part[0]) != (v < la) {
 			return false
 		}
-		set := make(map[model.SwitchID]struct{}, len(members))
-		for _, m := range members {
-			set[m] = struct{}{}
-		}
-		for _, m := range side {
-			if _, ok := set[m]; !ok {
-				return false
-			}
-		}
-		return true
 	}
-	ma, mb := grp.Members(a), grp.Members(b)
-	return (sameSet(ma, side0) && sameSet(mb, side1)) ||
-		(sameSet(ma, side1) && sameSet(mb, side0))
+	return true
 }
 
 // LoadFunc reports the controller's current normalized load for the
