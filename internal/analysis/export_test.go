@@ -5,7 +5,6 @@ package analysis
 // func for deferring.
 
 const (
-	HandledByNone       = handledByNone
 	HandledByEdge       = handledByEdge
 	HandledByController = handledByController
 )

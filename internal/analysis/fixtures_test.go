@@ -141,7 +141,6 @@ func TestMapOrderNetsimSend(t *testing.T) {
 
 func TestWireProtoCodecFixture(t *testing.T) {
 	restore := analysis.SwapWireprotoHandlers(map[string]int{
-		"TypeHello":    analysis.HandledByNone,
 		"TypePacketIn": analysis.HandledByEdge,
 		"TypeFlowMod":  analysis.HandledByController,
 		// Stale on purpose: no such constant in the fixture codec.
@@ -154,7 +153,6 @@ func TestWireProtoCodecFixture(t *testing.T) {
 
 func TestWireProtoApplySwitchFixture(t *testing.T) {
 	restore := analysis.SwapWireprotoHandlers(map[string]int{
-		"TypeHello":    analysis.HandledByNone,
 		"TypePacketIn": analysis.HandledByEdge,
 		"TypeFlowMod":  analysis.HandledByEdge,
 	})

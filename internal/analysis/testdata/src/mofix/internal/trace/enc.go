@@ -31,7 +31,7 @@ func FlaggedMarshal(m map[uint64]uint64) *rec {
 func FlaggedRealCodec(m map[uint32]uint32) [][]byte {
 	var out [][]byte
 	for _, xid := range m {
-		b, err := openflow.Encode(&openflow.Hello{}, xid) // want `wire encoding inside range over a map`
+		b, err := openflow.Encode(&openflow.KeepAlive{}, xid) // want `wire encoding inside range over a map`
 		if err == nil {
 			out = append(out, b)
 		}

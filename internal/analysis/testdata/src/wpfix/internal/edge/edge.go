@@ -1,6 +1,6 @@
 // Package edge is a wireproto apply-switch fixture. The test's handler
 // table assigns TypePacketIn and TypeFlowMod to the edge; the switch
-// below only handles Hello and PacketIn, so FlowMod must be reported
+// below only handles Mystery and PacketIn, so FlowMod must be reported
 // as silently dropped.
 package edge
 
@@ -10,7 +10,7 @@ type Switch struct{ seen int }
 
 func (s *Switch) HandleMessage(m openflow.Message) {
 	switch m.(type) { // want `no case for \*openflow\.FlowMod`
-	case *openflow.Hello:
+	case *openflow.Mystery:
 		s.seen++
 	case *openflow.PacketIn:
 		s.seen++

@@ -1,22 +1,17 @@
 // Package openflow is a wireproto codec fixture. The test swaps the
-// handler table to: TypeHello→none, TypePacketIn→edge,
-// TypeFlowMod→controller, plus a stale TypeGhost entry.
+// handler table to: TypePacketIn→edge, TypeFlowMod→controller, plus a
+// stale TypeGhost entry.
 package openflow
 
 type MsgType uint8 // want `handler table names TypeGhost but the codec declares no such MsgType constant`
 
 const (
-	TypeHello    MsgType = 1
-	TypePacketIn MsgType = 2 // want `missing from msgTypeNames`
-	TypeFlowMod  MsgType = 3 // want `no decode case in newMessage`
+	TypePacketIn MsgType = 2
+	TypeFlowMod  MsgType = 3 // want `no entry in msgTypes`
 	TypeMystery  MsgType = 4 // want `not assigned to an apply switch`
 )
 
 type Message interface{ MsgType() MsgType }
-
-type Hello struct{}
-
-func (*Hello) MsgType() MsgType { return TypeHello }
 
 type PacketIn struct{}
 
@@ -30,26 +25,14 @@ type Mystery struct{}
 
 func (*Mystery) MsgType() MsgType { return TypeMystery }
 
-var msgTypeNames = map[MsgType]string{
-	TypeHello:   "Hello",
-	TypeFlowMod: "FlowMod",
-	TypeMystery: "Mystery",
+var msgTypes = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypePacketIn: {"PacketIn", func() Message { return &PacketIn{} }},
+	TypeMystery:  {"Mystery", func() Message { return &Mystery{} }},
+	7:            {"Orphan", func() Message { return &Mystery{} }}, // want `not keyed by a MsgType constant`
 }
 
-// Name stringifies a message type (keeps msgTypeNames referenced).
-func Name(t MsgType) string { return msgTypeNames[t] }
-
-func newMessage(t MsgType) Message {
-	switch t {
-	case TypeHello:
-		return &Hello{}
-	case TypePacketIn:
-		return &PacketIn{}
-	case TypeMystery:
-		return &Mystery{}
-	}
-	return nil
-}
-
-// New keeps newMessage referenced.
-func New(t MsgType) Message { return newMessage(t) }
+// New keeps msgTypes referenced.
+func New(t MsgType) Message { return msgTypes[t].new() }

@@ -92,7 +92,6 @@ var versionStampSetters = map[string][]stampWriter{
 		{fn: "internal/fib:GFIB.SetFilterBytes"},
 		{fn: "internal/fib:GFIB.ApplyDelta"},
 		{fn: "internal/edge:Switch.disseminateGFIB"},
-		{fn: "internal/edge:Switch.handleLFIBUpdate"},
 		{fn: "internal/controller:Controller.refreshPeerFilter"},
 	},
 }

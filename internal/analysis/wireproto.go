@@ -9,37 +9,35 @@ import (
 
 // WireProto cross-checks the openflow codec and its apply switches:
 //
-//  1. every MsgType constant has a decode case in newMessage and an
-//     entry in msgTypeNames (a type that decodes but stringifies as
-//     MsgType(31) hides itself from every log line);
+//  1. the codec's msgTypes table (name + constructor per wire code) has
+//     an entry for every MsgType constant and an entry only for them (a
+//     type missing from it neither decodes nor stringifies — it would
+//     log as MsgType(31));
 //  2. every MsgType constant is assigned a receiver in the handler
-//     table below — edge, controller, both, or explicitly neither —
-//     and the HandleMessage type-switch of each handler package
-//     actually carries a case for everything assigned to it (the
-//     Batch apply path recurses through HandleMessage on both sides,
-//     so switch coverage is batch-apply coverage);
+//     table below — edge, controller, or both — and the HandleMessage
+//     type-switch of each handler package actually carries a case for
+//     everything assigned to it (the edge's Batch apply path recurses
+//     through its HandleMessage, so switch coverage is batch-apply
+//     coverage);
 //  3. count fields decoded from the wire (uvarint/u16/u32) are
 //     bounds-checked against the remaining payload before they size an
 //     allocation — a crafted count must not reach make().
 //
 // Adding a wire message therefore fails the build until the codec
-// map, the decode switch, the handler table, and the apply switch of
-// the receiving side all agree — the cross-package drift this catches
-// used to surface only as a silently dropped message in a chaos run.
+// table, the handler table, and the apply switch of the receiving side
+// all agree — the cross-package drift this catches used to surface
+// only as a silently dropped message in a chaos run.
 var WireProto = &Analyzer{
 	Name: "wireproto",
-	Doc: "cross-check codec registration (newMessage, msgTypeNames), apply-switch " +
+	Doc: "cross-check codec registration (msgTypes), apply-switch " +
 		"coverage in edge/controller, and pre-allocation bounds checks on decoded counts",
 	Run: runWireProto,
 }
 
 // Handler assignment for each wire message type: which side's
-// HandleMessage must carry a case for it. Types marked neither are
-// deliberate: Hello is a connection pleasantry both sides accept by
-// ignoring, and FlowRemoved is informational telemetry the controller
-// drops by design (docs/analysis.md#wireproto records both).
+// HandleMessage must carry a case for it. Every type has a receiver:
+// the codec holds only messages some node sends.
 const (
-	handledByNone       = 0
 	handledByEdge       = 1 << 0
 	handledByController = 1 << 1
 )
@@ -49,22 +47,16 @@ const (
 // missing here, and fails edge/controller when an assigned case is
 // missing from their type switch.
 var wireprotoHandlers = map[string]int{
-	"TypeHello":         handledByNone,
-	"TypeEchoRequest":   handledByEdge,
-	"TypeEchoReply":     handledByController,
 	"TypePacketIn":      handledByController,
 	"TypePacketOut":     handledByEdge,
 	"TypeFlowMod":       handledByEdge,
-	"TypeFlowRemoved":   handledByNone,
-	"TypeStatsRequest":  handledByEdge,
-	"TypeStatsReply":    handledByController,
 	"TypeGroupConfig":   handledByEdge,
-	"TypeLFIBUpdate":    handledByEdge | handledByController,
+	"TypeLFIBUpdate":    handledByController,
 	"TypeGFIBUpdate":    handledByEdge,
 	"TypeStateReport":   handledByEdge | handledByController,
 	"TypeKeepAlive":     handledByEdge | handledByController,
 	"TypeARPRelay":      handledByEdge,
-	"TypeBatch":         handledByEdge | handledByController,
+	"TypeBatch":         handledByEdge,
 	"TypeGFIBDelta":     handledByEdge,
 	"TypeGFIBNack":      handledByEdge | handledByController,
 	"TypePacketInBurst": handledByController,
@@ -115,66 +107,49 @@ func checkCodec(pass *Pass) {
 		}
 	}
 
-	named := make(map[string]bool)      // keys of msgTypeNames
-	registered := make(map[string]bool) // cases of newMessage
+	// Keys of the msgTypes composite literal. A key that is not a
+	// MsgType constant is an entry no constant names.
+	entries := make(map[string]bool)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				for i, n := range vs.Names {
+					if n.Name != "msgTypes" || i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.CompositeLit)
 					if !ok {
 						continue
 					}
-					for i, n := range vs.Names {
-						if n.Name != "msgTypeNames" || i >= len(vs.Values) {
-							continue
-						}
-						lit, ok := vs.Values[i].(*ast.CompositeLit)
-						if !ok {
-							continue
-						}
-						for _, el := range lit.Elts {
-							kv, ok := el.(*ast.KeyValueExpr)
-							if !ok {
+					for _, el := range lit.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && consts[id.Name] != nil {
+								entries[id.Name] = true
 								continue
 							}
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								named[id.Name] = true
-							}
 						}
+						pass.Reportf(el.Pos(), "msgTypes entry is not keyed by a MsgType constant; name its code with one")
 					}
 				}
-			case *ast.FuncDecl:
-				if d.Name.Name != "newMessage" || d.Body == nil {
-					continue
-				}
-				ast.Inspect(d.Body, func(n ast.Node) bool {
-					cc, ok := n.(*ast.CaseClause)
-					if !ok {
-						return true
-					}
-					for _, e := range cc.List {
-						if id, ok := e.(*ast.Ident); ok {
-							registered[id.Name] = true
-						}
-					}
-					return true
-				})
 			}
 		}
 	}
 
 	for name, c := range consts {
 		pos := c.Pos()
-		if !registered[name] {
-			pass.Reportf(pos, "message type %s has no decode case in newMessage; it cannot cross the wire", name)
-		}
-		if !named[name] {
-			pass.Reportf(pos, "message type %s missing from msgTypeNames; it would log as MsgType(%s)", name, c.Val().String())
+		if !entries[name] {
+			pass.Reportf(pos, "message type %s has no entry in msgTypes; it neither decodes nor stringifies (it would log as MsgType(%s))", name, c.Val().String())
 		}
 		if _, ok := wireprotoHandlers[name]; !ok {
-			pass.Reportf(pos, "message type %s not assigned to an apply switch in lazyvet's handler table (internal/analysis/wireproto.go); decide who receives it — edge, controller, both, or explicitly neither", name)
+			pass.Reportf(pos, "message type %s not assigned to an apply switch in lazyvet's handler table (internal/analysis/wireproto.go); decide who receives it — edge, controller, or both", name)
 		}
 	}
 	for name := range wireprotoHandlers {
@@ -235,7 +210,7 @@ func checkApplySwitch(pass *Pass, side int) {
 		typeName := strings.TrimPrefix(constName, "Type")
 		if !handled[typeName] {
 			pass.Reportf(switchPos,
-				"HandleMessage type switch has no case for *openflow.%s, which lazyvet's handler table assigns to this side; the message would be silently dropped (Batch apply recurses through this switch)",
+				"HandleMessage type switch has no case for *openflow.%s, which lazyvet's handler table assigns to this side; the message would be silently dropped (the edge's Batch apply recurses through its switch)",
 				typeName)
 		}
 	}

@@ -25,7 +25,7 @@
 // # Batched pushes
 //
 // Group reconfiguration coalesces everything a switch must receive in
-// a regroup round — its GroupConfig plus L-FIB preloads of its new
+// a regroup round — its GroupConfig plus G-FIB preloads of its new
 // peers out of the C-LIB — into one openflow.Batch per destination, so
 // each round encodes and sends at most one control message per switch.
 package controller

@@ -133,7 +133,7 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 			break
 		}
 	}
-	c.handleGFIBNack(&openflow.GFIBNack{Group: gid, Origin: member, Peers: []model.SwitchID{1}})
+	c.handleGFIBNack(member, &openflow.GFIBNack{Group: gid, Origin: member, Peers: []model.SwitchID{1}})
 	env.mu.Lock()
 	defer env.mu.Unlock()
 	msgs := env.sends[member]
@@ -146,6 +146,37 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 	}
 	if c.Stats().PreloadNacks == 0 {
 		t.Error("resync not counted")
+	}
+}
+
+// TestPreloadNackAnsweredOnlyToOrigin: a NACK whose Origin is not the
+// node that delivered it is ignored. Answering it would ship full
+// filters to a switch that never asked, and markPushed would record
+// versions there that it never received.
+func TestPreloadNackAnsweredOnlyToOrigin(t *testing.T) {
+	c, env := lazyGrouped(t)
+	c.pushGroupConfigs(false)
+	gid := c.grp.GroupOf(1)
+	named := model.NoSwitch
+	for _, m := range c.grp.Members(gid) {
+		if m != 1 {
+			named = m
+			break
+		}
+	}
+	sender := named%16 + 1 // any other configured switch
+	env.reset()
+	c.HandleMessage(sender, &openflow.GFIBNack{Group: gid, Origin: named, Peers: []model.SwitchID{1}})
+	if got := env.sendCounts(); len(got) != 0 {
+		t.Errorf("NACK from %v naming %v was answered: %v", sender, named, got)
+	}
+	if got := c.Stats().PreloadNacks; got != 0 {
+		t.Errorf("PreloadNacks = %d, want 0", got)
+	}
+	// The same NACK from its origin is answered.
+	c.HandleMessage(named, &openflow.GFIBNack{Group: gid, Origin: named, Peers: []model.SwitchID{1}})
+	if got := env.sendCounts(); len(got) != 1 || got[named] != 1 {
+		t.Errorf("NACK from its origin answered with %v, want one message to %v", got, named)
 	}
 }
 

@@ -21,10 +21,8 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		// An edge switch's micro-batched intake window: decided in
 		// input order, like the single PacketIns it stands for.
 		c.burst(m.PacketIns(), 1)
-	case *openflow.Batch:
-		c.handleBatch(from, m)
 	case *openflow.GFIBNack:
-		c.handleGFIBNack(m)
+		c.handleGFIBNack(from, m)
 	case *openflow.StateReport:
 		c.handleStateReport(m)
 	case *openflow.LFIBUpdate:
@@ -61,10 +59,6 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 				tl.RepushedAt = c.env.Now()
 			}
 		}
-	case *openflow.EchoReply:
-		// Liveness only.
-	case *openflow.StatsReply:
-		// Collected by tooling; nothing to do inline.
 	}
 }
 
@@ -130,17 +124,6 @@ func (c *Controller) respond(fn func()) {
 func (c *Controller) handlePacketIn(m *openflow.PacketIn) {
 	d := c.decide(m)
 	c.apply(m, d)
-}
-
-// handleBatch unpacks a coalesced message: its parts apply one by one,
-// in order (PacketIns included — only ProcessBurst fans out).
-func (c *Controller) handleBatch(from model.SwitchID, m *openflow.Batch) {
-	for _, sub := range m.Msgs {
-		if _, nested := sub.(*openflow.Batch); nested {
-			continue // decode rejects nesting; ignore hand-built ones
-		}
-		c.HandleMessage(from, sub)
-	}
 }
 
 // decisionKind classifies the outcome of the decide phase.
@@ -316,10 +299,12 @@ func (c *Controller) designatedTargets(vlan model.VLAN) []model.SwitchID {
 // handleGFIBNack answers a resync request against controller-pushed
 // preloads: the receiver could not apply a preload delta (its held
 // version did not match the base), so it gets the current full filters
-// for exactly the peers it named.
-func (c *Controller) handleGFIBNack(m *openflow.GFIBNack) {
+// for exactly the peers it named. Only a NACK from its own origin
+// counts: markPushed would otherwise record, for a switch that never
+// asked, versions it never received.
+func (c *Controller) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
 	c.record(metrics.ReqStateReport, 1)
-	if c.sw[m.Origin] == nil {
+	if m.Origin != from || c.sw[m.Origin] == nil {
 		return
 	}
 	update := &openflow.GFIBUpdate{Group: m.Group, Version: c.groupingVersion, Generation: c.generation}
@@ -402,16 +387,24 @@ func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Pack
 
 // handleStateReport merges a designated switch's aggregated report:
 // C-LIB maintenance plus intensity-matrix updates (the input to SGI).
+// L-FIBs and pairs naming a switch without a record are skipped, so
+// neither table grows past Config.Switches (see switchRecord).
 func (c *Controller) handleStateReport(m *openflow.StateReport) {
 	c.record(metrics.ReqStateReport, 1)
 	c.stats.StateReports++
 	for i := range m.LFIBs {
 		u := &m.LFIBs[i]
+		if c.sw[u.Origin] == nil {
+			continue
+		}
 		group := c.grp.GroupOf(u.Origin)
 		c.clib.ApplyLFIB(u.Origin, group, u)
 		c.journalLFIB(u)
 	}
 	for _, pair := range m.Pairs {
+		if c.sw[pair.A] == nil || c.sw[pair.B] == nil {
+			continue
+		}
 		c.intensity.Add(pair.A, pair.B, float64(pair.NewFlows))
 	}
 	// A fresh post-takeover report from this group closes its slice of
@@ -427,13 +420,18 @@ func (c *Controller) handleStateReport(m *openflow.StateReport) {
 }
 
 // handleLFIBAnswer resolves pending flows when a switch answers an ARP
-// relay with a host binding.
+// relay with a host binding. A binding on a switch without a record is
+// dropped: it would place the host, and install rules, toward a switch
+// that does not exist.
 func (c *Controller) handleLFIBAnswer(from model.SwitchID, m *openflow.LFIBUpdate) {
 	c.record(metrics.ReqPacketIn, 1)
 	// A switch that is busy answering ARP relays is never falsely
 	// suspected just because heartbeats queued behind the answers were
 	// lost.
 	c.proofOfLife(from)
+	if c.sw[m.Origin] == nil {
+		return
+	}
 	group := c.grp.GroupOf(m.Origin)
 	c.clib.ApplyLFIB(m.Origin, group, m)
 	c.journalLFIB(m)
@@ -695,7 +693,8 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 			c.repush(true)
 		}
 	case failover.DiagControlLink:
-		// Relay via the ring predecessor is arranged by the harness.
+		// Nothing to act on: §III-E2's ring relay is not modelled, and
+		// the switch falls back to degraded mode on its own.
 	}
 	if c.cfg.OnDiagnosis != nil {
 		c.cfg.OnDiagnosis(suspect, diag)

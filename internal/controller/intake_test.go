@@ -198,24 +198,6 @@ func TestBurstShardDifferentialLazy(t *testing.T) {
 	}
 }
 
-// TestBatchOfPacketInsViaHandleMessage checks the mailbox entry point:
-// every PacketIn of a Batch is handled.
-func TestBatchOfPacketInsViaHandleMessage(t *testing.T) {
-	c, _ := newDirectController(t, ModeLearning, 8)
-	warmLearning(c)
-	batch := stormBatch(64, 3)
-	msgs := make([]openflow.Message, len(batch))
-	for i := range batch {
-		pi := batch[i]
-		msgs[i] = &pi
-	}
-	before := c.Stats().PacketIns
-	c.HandleMessage(5, &openflow.Batch{Msgs: msgs})
-	if got := c.Stats().PacketIns - before; got != 64 {
-		t.Errorf("batch of 64 PacketIns counted %d", got)
-	}
-}
-
 // TestBatchedGroupPush asserts the regroup push invariant: at most one
 // OpenFlow message per destination switch per round, with the
 // GroupConfig leading its preloads.
@@ -410,6 +392,45 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	}
 	if c.IsDead(1) {
 		t.Error("answering switch marked dead")
+	}
+}
+
+// TestIntakeBoundedBySwitches pins switchRecord's "bounded by
+// construction" rule on the three intakes that name switches: a state
+// report, an ARP answer and a standby's journal record naming S9999,
+// which Config.Switches does not hold, grow neither the intensity
+// matrix nor the C-LIB. A C-LIB binding there would make the next
+// PacketIn install an Encap toward a switch that does not exist.
+func TestIntakeBoundedBySwitches(t *testing.T) {
+	const ghost = model.SwitchID(9999)
+	binding := func(h model.HostID) []openflow.LFIBEntry {
+		return []openflow.LFIBEntry{{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1}}
+	}
+	c, _ := newDirectController(t, ModeLazy, 4)
+	c.HandleMessage(1, &openflow.StateReport{
+		Group: 1,
+		LFIBs: []openflow.LFIBUpdate{{Origin: ghost, Full: true, Entries: binding(777), Version: 1}},
+		Pairs: []openflow.PairStat{{A: 1, B: ghost, NewFlows: 5}},
+	})
+	c.HandleMessage(1, &openflow.LFIBUpdate{Origin: ghost, Entries: binding(778)})
+	if got := c.intensity.NumSwitches(); got != 16 {
+		t.Errorf("intensity matrix holds %d switches, want 16", got)
+	}
+	for _, h := range []model.HostID{777, 778} {
+		if sw, ok := c.CLIB().Locate(model.HostMAC(h)); ok {
+			t.Errorf("C-LIB places host %d on %v", h, sw)
+		}
+	}
+
+	standby, err := New(Config{Mode: ModeLazy, Switches: switchList(16), Standby: true, Peer: model.ControllerNode}, newRecordingEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.HandleMessage(model.ControllerNode, &openflow.StateSyncRecord{
+		Kind: openflow.SyncLFIB, Generation: 1, Origin: ghost, Full: true, Version: 1, Entries: binding(779),
+	})
+	if sw, ok := standby.CLIB().Locate(model.HostMAC(779)); ok {
+		t.Errorf("standby C-LIB places host 779 on %v", sw)
 	}
 }
 

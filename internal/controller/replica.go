@@ -302,6 +302,9 @@ func (c *Controller) handleSyncRecord(from model.SwitchID, m *openflow.StateSync
 		}
 		c.grp = grouping.Rebuild(assign)
 	case openflow.SyncLFIB:
+		if c.sw[m.Origin] == nil {
+			break // mirrored like the primary's intake: configured switches only
+		}
 		u := &openflow.LFIBUpdate{
 			Origin:  m.Origin,
 			Full:    m.Full,

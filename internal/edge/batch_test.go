@@ -11,7 +11,7 @@ import (
 )
 
 // TestBatchedConfigPreloadsGFIB delivers a controller-style coalesced
-// push — GroupConfig followed by a peer L-FIB preload — and checks the
+// push — GroupConfig followed by a peer G-FIB preload — and checks the
 // switch can forward to the preloaded peer immediately, without waiting
 // for a dissemination round.
 func TestBatchedConfigPreloadsGFIB(t *testing.T) {
@@ -31,10 +31,9 @@ func TestBatchedConfigPreloadsGFIB(t *testing.T) {
 			KeepAliveInterval: time.Second,
 			Version:           2,
 		},
-		&openflow.LFIBUpdate{
-			Origin:  2,
-			Full:    true,
-			Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(20), IP: model.HostIP(20), VLAN: 1}},
+		&openflow.GFIBUpdate{
+			Group:   1,
+			Filters: []openflow.GFIBFilter{{Switch: 2, Filter: filterBytes(t, 20), Version: 2}},
 			Version: 2,
 		},
 	}}

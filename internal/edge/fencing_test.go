@@ -64,10 +64,9 @@ func TestStaleGenerationBatchNoPartialApply(t *testing.T) {
 			KeepAliveInterval: time.Second,
 			Version:           9,
 		},
-		&openflow.LFIBUpdate{
-			Origin:  2,
-			Full:    true,
-			Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(20), IP: model.HostIP(20), VLAN: 1}},
+		&openflow.GFIBUpdate{
+			Group:   1,
+			Filters: []openflow.GFIBFilter{{Switch: 2, Filter: filterBytes(t, 20), Version: 9}},
 			Version: 9,
 		},
 	}}

@@ -300,7 +300,7 @@ func (s *Switch) dissemCredit(rounds int) {
 // controller-side effect is a per-round counter. Anti-entropy full
 // rounds stay real.
 func (s *Switch) reportQuiet() int {
-	if !s.fanoutSettled(toCtrl) || s.cfg.Fold.CreditStateReport == nil || s.ctrlRelay || len(s.role.pairs) > 0 {
+	if !s.fanoutSettled(toCtrl) || s.cfg.Fold.CreditStateReport == nil || len(s.role.pairs) > 0 {
 		return 0
 	}
 	for _, rec := range s.role.members {

@@ -75,15 +75,37 @@ func TestGFIBBoundedByMembership(t *testing.T) {
 	for id := model.SwitchID(100); id < 10_100; id++ {
 		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: id, Filter: data, Version: 1})
 	}
-	update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: 3, Filter: data, Version: 1})
+	update.Filters = append(update.Filters,
+		openflow.GFIBFilter{Switch: 2, Filter: data, Version: 1},
+		openflow.GFIBFilter{Switch: 3, Filter: data, Version: 1})
 	sw.HandleMessage(2, update)
-	sw.HandleMessage(model.ControllerNode, &openflow.LFIBUpdate{Origin: 500, Full: true, Version: 1,
-		Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(50), IP: model.HostIP(50), VLAN: 1}}})
-	sw.HandleMessage(model.ControllerNode, &openflow.LFIBUpdate{Origin: 2, Full: true, Version: 1,
-		Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(21), IP: model.HostIP(21), VLAN: 1}}})
 
 	if got, want := sw.GFIB().Peers(), []model.SwitchID{2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("G-FIB peers = %v, want %v (members only)", got, want)
+	}
+}
+
+// TestGFIBNackAnsweredOnlyToOrigin: the designated switch ignores a
+// NACK whose Origin is not the member that sent it, and answers the
+// same NACK from its origin.
+func TestGFIBNackAnsweredOnlyToOrigin(t *testing.T) {
+	r := newRig(t, 1, 2, 3)
+	for _, h := range []model.HostID{10, 20, 30} {
+		r.switches[model.SwitchID(uint32(h)/10)].AttachHost(model.HostMAC(h), model.HostIP(h), 1)
+	}
+	r.configureGroup(1, 1, 1, 2, 3)
+	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated every filter
+	designated := r.switches[1]
+	before := designated.Stats().GFIBResyncs
+
+	nack := &openflow.GFIBNack{Group: 1, Origin: 3, Peers: []model.SwitchID{2}}
+	designated.HandleMessage(2, nack)
+	if got := designated.Stats().GFIBResyncs - before; got != 0 {
+		t.Errorf("NACK from 2 naming 3 resent %d filters, want 0", got)
+	}
+	designated.HandleMessage(3, nack)
+	if got := designated.Stats().GFIBResyncs - before; got != 1 {
+		t.Errorf("NACK from its origin resent %d filters, want 1", got)
 	}
 }
 

@@ -47,31 +47,18 @@ func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		}
 		s.handleGFIBDelta(from, m)
 	case *openflow.GFIBNack:
-		s.handleGFIBNack(m)
-	case *openflow.LFIBUpdate:
-		if s.fenced(m.Generation, from) {
-			return
-		}
-		s.handleLFIBUpdate(m)
+		s.handleGFIBNack(from, m)
 	case *openflow.RoleAnnounce:
 		s.adoptGeneration(m.Generation, m.From)
 	case *openflow.ARPRelay:
 		s.handleARPRelay(m)
 	case *openflow.KeepAlive:
 		s.handleKeepAlive(m)
-	case *openflow.EchoRequest:
-		s.env.Send(from, &openflow.EchoReply{Data: m.Data})
-	case *openflow.StatsRequest:
-		s.env.Send(from, s.statsReply())
-	case *relayEnvelope:
-		// Pass a neighbor's control message on to the controller this
-		// switch follows (§III-E2 control-link failover).
-		s.env.Send(s.master, m.Msg)
 	case *openflow.Batch:
 		// A regroup round's coalesced push: fence the whole batch once
 		// before anything applies — a stale master's push must not
 		// partially land — then apply in order, so the GroupConfig that
-		// resets G-FIB/aggregation state lands before the L-FIB
+		// resets G-FIB/aggregation state lands before the G-FIB
 		// preloads that repopulate it.
 		if s.fenced(m.Generation, from) {
 			return
@@ -608,7 +595,7 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 	s.stats.GFIBNacksSent++
 	nack := &openflow.GFIBNack{Group: s.group.Group, Origin: s.cfg.ID, Peers: stale}
 	if from == s.cfg.ID {
-		s.handleGFIBNack(nack)
+		s.handleGFIBNack(s.cfg.ID, nack)
 		return
 	}
 	s.env.Send(from, nack)
@@ -617,9 +604,11 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 // handleGFIBNack re-sends full filters for the peers a receiver could
 // not patch. Only the group's designated switch holds the disseminated
 // filter cache; NACKs against controller preloads are answered by the
-// controller itself.
-func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
-	if s.role == nil || m.Group != s.group.Group {
+// controller itself. A NACK is answered only to the node that sent it:
+// one naming another origin would ship filters that node never asked
+// for.
+func (s *Switch) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
+	if s.role == nil || m.Group != s.group.Group || m.Origin != from {
 		return
 	}
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
@@ -644,19 +633,6 @@ func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
 		return
 	}
 	s.env.Send(m.Origin, update)
-}
-
-// handleLFIBUpdate merges a peer's incremental L-FIB push (used by the
-// controller when preloading state after regrouping).
-func (s *Switch) handleLFIBUpdate(m *openflow.LFIBUpdate) {
-	if !s.haveGroup || m.Origin == s.cfg.ID || !s.isMember(m.Origin) {
-		return
-	}
-	// Build a filter from the update and install it for the origin at
-	// the update's version, so later deltas have a defined base.
-	f := fib.FilterFromWireEntries(m.Entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
-	f.SetVersion(m.Version)
-	s.gfib.SetFilter(m.Origin, f)
 }
 
 // isMember reports whether a switch is in this switch's group view.
@@ -696,17 +672,4 @@ func (s *Switch) answerARP(p *model.Packet) bool {
 		Version: s.lfib.Version(),
 	})
 	return true
-}
-
-func (s *Switch) statsReply() *openflow.StatsReply {
-	return &openflow.StatsReply{
-		Switch:       s.cfg.ID,
-		FlowCount:    uint32(s.flows.len()),
-		PacketsSeen:  s.stats.PacketsSeen,
-		BytesSeen:    s.stats.BytesSeen,
-		LFIBEntries:  uint32(s.lfib.Len()),
-		GFIBFilters:  uint32(s.gfib.Len()),
-		GFIBBytes:    uint64(s.gfib.SizeBytes()),
-		EncapPackets: s.stats.EncapSent,
-	}
 }

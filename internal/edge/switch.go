@@ -97,7 +97,7 @@ const (
 	DefaultPacketInBatchWindow = time.Millisecond
 )
 
-// Stats are the switch's datapath counters (exported via StatsReply).
+// Stats are the switch's datapath counters.
 type Stats struct {
 	PacketsSeen        uint64
 	BytesSeen          uint64
@@ -235,12 +235,11 @@ type Switch struct {
 
 	// Keep-alive bookkeeping: ring holds an entry per wheel neighbor
 	// heard or checked since the ring last changed, at most two.
-	kaSeq     uint64
-	ring      map[model.SwitchID]ringNeighbor
-	ctrlRelay bool // control link down: relay via ring predecessor
-	cancels   []func()
-	started   bool
-	stats     Stats
+	kaSeq   uint64
+	ring    map[model.SwitchID]ringNeighbor
+	cancels []func()
+	started bool
+	stats   Stats
 
 	// Control-fold task handles (nil without Config.Fold): wake hooks
 	// re-materialize the timers whose quiet proof a state change
@@ -388,7 +387,6 @@ func (s *Switch) Reboot() {
 	s.ring = newRing()
 	s.adv = advertState{}
 	clear(s.pairFlows)
-	s.ctrlRelay = false
 	// A crash ends any degraded window (the switch is down, not
 	// degraded); the accumulated counters survive the reboot.
 	if s.degraded {
@@ -515,9 +513,8 @@ func (s *Switch) encapTo(remote model.SwitchID, p *model.Packet) {
 	s.env.Send(remote, &out)
 }
 
-// packetIn forwards a packet to the controller over the control link
-// (relayed via the ring predecessor while the control link is down,
-// §III-E2). With the micro-batching window enabled the packet buffers
+// packetIn forwards a packet to the controller over the control link.
+// With the micro-batching window enabled the packet buffers
 // at the switch and flushes as part of a PacketInBurst once the count
 // threshold or the window deadline is hit, so a storm arrives at the
 // controller as bursts instead of a message per flow.
@@ -636,29 +633,13 @@ func (s *Switch) exitDegraded() {
 	s.degraded = false
 }
 
+// sendCtrl sends a control message to the controller this switch
+// follows. Nothing is relayed around a lost control link (§III-E2's
+// ring relay is not modelled); degraded mode (degradeFlood) is what
+// keeps first packets flowing while the controller is silent.
 func (s *Switch) sendCtrl(msg netsim.Message) {
-	if s.ctrlRelay && s.haveGroup {
-		prev := s.group.RingPrev
-		if prev != model.NoSwitch && prev != s.cfg.ID {
-			s.env.Send(prev, &relayEnvelope{Origin: s.cfg.ID, Msg: msg})
-			return
-		}
-	}
 	s.env.Send(s.master, msg)
 }
-
-// relayEnvelope carries a control message via a ring neighbor while the
-// origin's control link is down (§III-E2). It is not an openflow
-// message and has no wire encoding: the in-memory underlays hand it
-// over as a Go value, and the wire meter does not count it.
-type relayEnvelope struct {
-	Origin model.SwitchID
-	Msg    netsim.Message
-}
-
-// SetControlRelay switches control-channel traffic onto the ring
-// predecessor (true) or back to the direct control link (false).
-func (s *Switch) SetControlRelay(on bool) { s.ctrlRelay = on }
 
 func (s *Switch) applyActions(actions []openflow.Action, p *model.Packet) {
 	for _, a := range actions {

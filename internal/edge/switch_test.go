@@ -424,49 +424,6 @@ func TestARPRelayAnswered(t *testing.T) {
 	}
 }
 
-func TestEchoAndStats(t *testing.T) {
-	r := newRig(t, 1)
-	r.switches[1].AttachHost(model.HostMAC(10), model.HostIP(10), 1)
-	r.net.Env(model.ControllerNode).Send(1, &openflow.EchoRequest{Data: []byte("x")})
-	r.net.Env(model.ControllerNode).Send(1, &openflow.StatsRequest{})
-	r.sim.RunFor(2 * time.Second)
-	var echo *openflow.EchoReply
-	var stats *openflow.StatsReply
-	for _, m := range r.ctrl.got {
-		switch v := m.(type) {
-		case *openflow.EchoReply:
-			echo = v
-		case *openflow.StatsReply:
-			stats = v
-		}
-	}
-	if echo == nil || string(echo.Data) != "x" {
-		t.Errorf("echo = %+v", echo)
-	}
-	if stats == nil || stats.LFIBEntries != 1 || stats.Switch != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-func TestControlRelayViaRingPredecessor(t *testing.T) {
-	r := newRig(t, 1, 2)
-	r.switches[1].AttachHost(model.HostMAC(10), model.HostIP(10), 1)
-	r.configureGroup(1, 2, 1, 2)
-	r.sim.RunFor(time.Second)
-	r.ctrl.got = nil
-	// Switch 1's control link fails; it relays via its ring predecessor.
-	r.net.FailLink(1, model.ControllerNode)
-	r.switches[1].SetControlRelay(true)
-	r.switches[1].InjectLocal(pkt(10, 99, 0))
-	r.sim.RunFor(time.Second)
-	if len(r.ctrl.packetIns()) != 1 {
-		t.Fatalf("relayed PacketIns = %d, want 1", len(r.ctrl.packetIns()))
-	}
-	if r.ctrl.packetIns()[0].Switch != 1 {
-		t.Errorf("relayed PacketIn origin = %v, want 1", r.ctrl.packetIns()[0].Switch)
-	}
-}
-
 func TestDetachHostStopsDelivery(t *testing.T) {
 	r := newRig(t, 1)
 	sw := r.switches[1]

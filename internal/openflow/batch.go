@@ -4,11 +4,11 @@ import "fmt"
 
 // Batch coalesces several control messages to one destination into a
 // single OpenFlow message, so a regroup round encodes and ships at most
-// one message per switch instead of one per change (group config, rule
-// preloads, L-FIB preloads). Receivers apply the contained messages in
-// order, which preserves the exact semantics of the unbatched stream —
-// e.g. a GroupConfig that resets G-FIB state is applied before the
-// L-FIB preloads that repopulate it.
+// one message per switch instead of one per change (group config, G-FIB
+// preloads). Only edges receive batches. Receivers apply the contained
+// messages in order, which preserves the exact semantics of the
+// unbatched stream — e.g. a GroupConfig that resets G-FIB state is
+// applied before the G-FIB preloads that repopulate it.
 //
 // Wire format of the body:
 //

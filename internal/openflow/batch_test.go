@@ -66,7 +66,7 @@ func TestBatchEmpty(t *testing.T) {
 }
 
 func TestBatchRejectsNesting(t *testing.T) {
-	inner := &Batch{Msgs: []Message{&Hello{}}}
+	inner := &Batch{Msgs: []Message{&KeepAlive{From: 1, Seq: 1}}}
 	outer := &Batch{Msgs: []Message{inner}}
 	data, err := Encode(outer, 0)
 	if err != nil {

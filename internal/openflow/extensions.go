@@ -122,9 +122,10 @@ func decodeLFIBEntries(r *reader) []LFIBEntry {
 	return entries
 }
 
-// LFIBUpdate propagates a switch's L-FIB over peer links (switch →
-// designated switch → group peers) and state links (designated switch →
-// controller), per §III-D3.
+// LFIBUpdate carries a switch's L-FIB: as the legs of a StateReport
+// over peer links (member → designated switch) and state links
+// (designated switch → controller), per §III-D3, and on its own as a
+// switch's answer to an ARP relay.
 type LFIBUpdate struct {
 	Origin model.SwitchID
 	// Full marks a complete snapshot (replaces prior state); otherwise
@@ -132,8 +133,8 @@ type LFIBUpdate struct {
 	Full    bool
 	Entries []LFIBEntry
 	Version uint64
-	// Generation fences controller-issued preloads (0 = unfenced; edge
-	// and designated-switch senders leave it 0).
+	// Generation is a fencing stamp no sender sets (0 = unfenced):
+	// controller preloads travel as GFIBUpdate. It keeps its wire slot.
 	Generation uint64
 }
 

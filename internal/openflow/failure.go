@@ -45,9 +45,6 @@ type FailureReport struct {
 	MissedSeq uint64
 }
 
-// TypeFailureReport extends the LazyCtrl message set.
-const TypeFailureReport MsgType = 32
-
 // MsgType implements Message.
 func (*FailureReport) MsgType() MsgType { return TypeFailureReport }
 
@@ -77,9 +74,6 @@ type ConfigAck struct {
 	// Version echoes the grouping version of the adopted GroupConfig.
 	Version uint64
 }
-
-// TypeConfigAck extends the LazyCtrl message set.
-const TypeConfigAck MsgType = 33
 
 // MsgType implements Message.
 func (*ConfigAck) MsgType() MsgType { return TypeConfigAck }

@@ -13,12 +13,20 @@ import (
 	"lazyctrl/internal/model"
 )
 
-// fuzzSeedMessages returns one representative instance of every message
-// type, including the size-adaptive encodings (dense and flat pair
-// sections, delta and full filter pushes) so the committed corpus
-// starts the fuzzer inside each decoder branch rather than leaving
-// coverage discovery to mutation.
-func fuzzSeedMessages() []Message {
+// fuzzSeed is one seed message and the number of its committed corpus
+// file. Numbers are never reused: a retired message type leaves a gap,
+// so the surviving files keep their names.
+type fuzzSeed struct {
+	n int
+	m Message
+}
+
+// fuzzSeeds returns one representative instance of every message type,
+// including the size-adaptive encodings (dense and flat pair sections,
+// delta and full filter pushes) so the committed corpus starts the
+// fuzzer inside each decoder branch rather than leaving coverage
+// discovery to mutation.
+func fuzzSeeds() []fuzzSeed {
 	pkt := model.Packet{
 		SrcMAC: model.HostMAC(3),
 		DstMAC: model.HostMAC(9),
@@ -27,24 +35,18 @@ func fuzzSeedMessages() []Message {
 		VLAN:   12,
 		Ether:  model.EtherTypeIPv4,
 	}
-	return []Message{
-		&Hello{},
-		&EchoRequest{Data: []byte("ping")},
-		&EchoReply{Data: []byte("pong")},
-		&PacketIn{Switch: 42, Reason: ReasonNoMatch, Packet: pkt},
-		&PacketOut{Actions: []Action{Output(3), Encap(7)}, Packet: pkt},
-		&FlowMod{
+	return []fuzzSeed{
+		{3, &PacketIn{Switch: 42, Reason: ReasonNoMatch, Packet: pkt}},
+		{4, &PacketOut{Actions: []Action{Output(3), Encap(7)}, Packet: pkt}},
+		{5, &FlowMod{
 			Command:     FlowAdd,
 			Match:       ExactDst(model.HostMAC(9), 12),
 			Priority:    100,
 			IdleTimeout: 30 * time.Second,
 			HardTimeout: 5 * time.Minute,
 			Actions:     []Action{Encap(7)},
-		},
-		&FlowRemoved{Match: ExactDst(model.HostMAC(5), 1), Priority: 10, Packets: 1000, Bytes: 1 << 20},
-		&StatsRequest{},
-		&StatsReply{Switch: 4, FlowCount: 17, PacketsSeen: 12345, BytesSeen: 1 << 24, LFIBEntries: 9, GFIBFilters: 3, GFIBBytes: 6144, EncapPackets: 77},
-		&GroupConfig{
+		}},
+		{9, &GroupConfig{
 			Group:             2,
 			Members:           []model.SwitchID{1, 2, 3},
 			Designated:        2,
@@ -54,8 +56,8 @@ func fuzzSeedMessages() []Message {
 			SyncInterval:      time.Second,
 			KeepAliveInterval: 100 * time.Millisecond,
 			Version:           5,
-		},
-		&LFIBUpdate{
+		}},
+		{10, &LFIBUpdate{
 			Origin: 3,
 			Full:   true,
 			Entries: []LFIBEntry{
@@ -63,17 +65,17 @@ func fuzzSeedMessages() []Message {
 				{MAC: model.HostMAC(2), IP: 0x0a000002, VLAN: 12},
 			},
 			Version: 9,
-		},
-		&GFIBUpdate{
+		}},
+		{11, &GFIBUpdate{
 			Group: 2,
 			Filters: []GFIBFilter{
 				{Switch: 1, Filter: []byte{0xde, 0xad, 0xbe, 0xef}, Version: 4},
 				{Switch: 3, Filter: []byte{0x01, 0x02}, Version: 7},
 			},
 			Version: 5,
-		},
+		}},
 		// Dense pair section: ≥3 pairs over few distinct switches.
-		&StateReport{
+		{12, &StateReport{
 			Group: 2,
 			LFIBs: []LFIBUpdate{{Origin: 1, Entries: []LFIBEntry{{MAC: model.HostMAC(1), IP: 0x0a000001, VLAN: 12}}, Version: 3}},
 			Pairs: []PairStat{
@@ -82,45 +84,45 @@ func fuzzSeedMessages() []Message {
 				{A: 2, B: 3, NewFlows: 6},
 			},
 			Version: 5,
-		},
+		}},
 		// Flat pair section: too few pairs for the dense table to pay.
-		&StateReport{Group: 2, Pairs: []PairStat{{A: 1, B: 9, NewFlows: 1}}, Version: 5},
-		&KeepAlive{From: 3, Seq: 42},
-		&ARPRelay{Tenant: 7, Packet: pkt},
-		&Batch{Msgs: []Message{
+		{13, &StateReport{Group: 2, Pairs: []PairStat{{A: 1, B: 9, NewFlows: 1}}, Version: 5}},
+		{14, &KeepAlive{From: 3, Seq: 42}},
+		{15, &ARPRelay{Tenant: 7, Packet: pkt}},
+		{16, &Batch{Msgs: []Message{
 			&GroupConfig{Group: 1, Members: []model.SwitchID{1, 2}, Designated: 1, RingPrev: 2, RingNext: 2, SyncInterval: time.Second, KeepAliveInterval: time.Second, Version: 2},
 			&KeepAlive{From: 1, Seq: 1},
-		}},
-		&GFIBDelta{
+		}}},
+		{17, &GFIBDelta{
 			Group: 2,
 			Deltas: []GFIBFilterDelta{
 				{Switch: 1, BaseVersion: 3, TargetVersion: 4, Words: []bloom.WordDelta{{Index: 5, Word: 0xff00ff00ff00ff00}}},
 			},
 			Removals: []model.SwitchID{9},
 			Version:  5,
-		},
-		&GFIBNack{Group: 2, Origin: 3, Peers: []model.SwitchID{1, 4}},
+		}},
+		{18, &GFIBNack{Group: 2, Origin: 3, Peers: []model.SwitchID{1, 4}}},
 		// Replication set: role handoff and the three journal-record
 		// kinds, plus a generation-stamped keep-alive (the replica
 		// heartbeat that doubles as the bootstrap-snapshot request).
-		&RoleAnnounce{From: model.StandbyNode, Generation: 7},
-		&KeepAlive{From: model.StandbyNode, Seq: 1, Generation: 7},
-		&StateSyncRecord{
+		{19, &RoleAnnounce{From: model.StandbyNode, Generation: 7}},
+		{20, &KeepAlive{From: model.StandbyNode, Seq: 1, Generation: 7}},
+		{21, &StateSyncRecord{
 			Kind: SyncLFIB, Generation: 7, GroupingVersion: 4,
 			Origin: 3, Full: true, Version: 9,
 			Entries: []LFIBEntry{{MAC: model.HostMAC(1), IP: 0x0a000001, VLAN: 12}},
-		},
-		&StateSyncRecord{
+		}},
+		{22, &StateSyncRecord{
 			Kind: SyncGrouping, Generation: 7, GroupingVersion: 5,
 			Assign: []SyncAssign{{Switch: 1, Group: 2}, {Switch: 3, Group: 2}},
-		},
-		&StateSyncRecord{Kind: SyncTombstone, Generation: 7, GroupingVersion: 5, Origin: 4, Full: true},
-		&PacketInBurst{Switch: 3, Items: []BurstPacket{
+		}},
+		{23, &StateSyncRecord{Kind: SyncTombstone, Generation: 7, GroupingVersion: 5, Origin: 4, Full: true}},
+		{24, &PacketInBurst{Switch: 3, Items: []BurstPacket{
 			{Reason: ReasonNoMatch, Packet: pkt},
 			{Reason: ReasonARP, Packet: pkt},
-		}},
-		&FailureReport{Observer: 2, Suspect: 3, Direction: LossDown, MissedSeq: 17},
-		&ConfigAck{From: 3, Version: 5},
+		}}},
+		{25, &FailureReport{Observer: 2, Suspect: 3, Direction: LossDown, MissedSeq: 17}},
+		{26, &ConfigAck{From: 3, Version: 5}},
 	}
 }
 
@@ -136,10 +138,10 @@ func fuzzSeedMessages() []Message {
 // enforces are what keeps crafted count fields from turning into
 // gigabyte make() calls here.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, m := range fuzzSeedMessages() {
-		data, err := Encode(m, 0xdead0000|uint32(m.MsgType()))
+	for _, s := range fuzzSeeds() {
+		data, err := Encode(s.m, 0xdead0000|uint32(s.m.MsgType()))
 		if err != nil {
-			f.Fatalf("encoding seed %v: %v", m.MsgType(), err)
+			f.Fatalf("encoding seed %v: %v", s.m.MsgType(), err)
 		}
 		f.Add(data)
 	}
@@ -181,8 +183,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 const fuzzCorpusDir = "testdata/fuzz/FuzzCodecRoundTrip"
 
 // corpusFileName derives a stable name for a seed corpus entry.
-func corpusFileName(i int, m Message) string {
-	return fmt.Sprintf("seed-%02d-%s", i, msgTypeNames[m.MsgType()])
+func corpusFileName(s fuzzSeed) string {
+	return fmt.Sprintf("seed-%02d-%v", s.n, s.m.MsgType())
 }
 
 // corpusEntry renders data in the "go test fuzz v1" corpus file format.
@@ -192,7 +194,7 @@ func corpusEntry(data []byte) []byte {
 
 // TestFuzzCorpusCommitted checks that the committed seed corpus under
 // testdata/fuzz/FuzzCodecRoundTrip matches the current encodings of
-// fuzzSeedMessages, so a wire-format change cannot silently strand the
+// fuzzSeeds, so a wire-format change cannot silently strand the
 // corpus on stale bytes. Regenerate with:
 //
 //	LAZYCTRL_WRITE_CORPUS=1 go test ./internal/openflow -run TestFuzzCorpusCommitted
@@ -203,12 +205,12 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, m := range fuzzSeedMessages() {
-		data, err := Encode(m, 0xdead0000|uint32(m.MsgType()))
+	for _, s := range fuzzSeeds() {
+		data, err := Encode(s.m, 0xdead0000|uint32(s.m.MsgType()))
 		if err != nil {
-			t.Fatalf("encoding seed %v: %v", m.MsgType(), err)
+			t.Fatalf("encoding seed %v: %v", s.m.MsgType(), err)
 		}
-		path := filepath.Join(fuzzCorpusDir, corpusFileName(i, m))
+		path := filepath.Join(fuzzCorpusDir, corpusFileName(s))
 		want := corpusEntry(data)
 		if write {
 			if err := os.WriteFile(path, want, 0o644); err != nil {
@@ -221,7 +223,7 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 			t.Fatalf("seed corpus entry missing (regenerate with LAZYCTRL_WRITE_CORPUS=1): %v", err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale: committed corpus does not match current encoding of %v; regenerate with LAZYCTRL_WRITE_CORPUS=1", path, m.MsgType())
+			t.Errorf("%s is stale: committed corpus does not match current encoding of %v; regenerate with LAZYCTRL_WRITE_CORPUS=1", path, s.m.MsgType())
 		}
 	}
 }

@@ -7,52 +7,6 @@ import (
 	"lazyctrl/internal/telemetry"
 )
 
-// Hello opens a control connection.
-type Hello struct{}
-
-// MsgType implements Message.
-func (*Hello) MsgType() MsgType             { return TypeHello }
-func (*Hello) encodeBody(dst []byte) []byte { return dst }
-func (*Hello) decodeBody(src []byte) error  { r := &reader{src: src}; return r.done() }
-
-// EchoRequest is a liveness probe.
-type EchoRequest struct {
-	Data []byte
-}
-
-// MsgType implements Message.
-func (*EchoRequest) MsgType() MsgType { return TypeEchoRequest }
-
-func (m *EchoRequest) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(len(m.Data)))
-	return append(dst, m.Data...)
-}
-
-func (m *EchoRequest) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Data = r.bytes(int(r.u32()))
-	return r.done()
-}
-
-// EchoReply answers an EchoRequest with the same payload.
-type EchoReply struct {
-	Data []byte
-}
-
-// MsgType implements Message.
-func (*EchoReply) MsgType() MsgType { return TypeEchoReply }
-
-func (m *EchoReply) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(len(m.Data)))
-	return append(dst, m.Data...)
-}
-
-func (m *EchoReply) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Data = r.bytes(int(r.u32()))
-	return r.done()
-}
-
 // PacketInReason explains why a packet reached the controller.
 type PacketInReason uint8
 
@@ -151,79 +105,5 @@ func (m *FlowMod) decodeBody(src []byte) error {
 	m.IdleTimeout = time.Duration(r.u64())
 	m.HardTimeout = time.Duration(r.u64())
 	m.Actions = decodeActions(r)
-	return r.done()
-}
-
-// FlowRemoved notifies the controller that a rule expired.
-type FlowRemoved struct {
-	Match    Match
-	Priority uint16
-	Packets  uint64
-	Bytes    uint64
-}
-
-// MsgType implements Message.
-func (*FlowRemoved) MsgType() MsgType { return TypeFlowRemoved }
-
-func (m *FlowRemoved) encodeBody(dst []byte) []byte {
-	dst = m.Match.encode(dst)
-	dst = putU16(dst, m.Priority)
-	dst = putU64(dst, m.Packets)
-	return putU64(dst, m.Bytes)
-}
-
-func (m *FlowRemoved) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Match = decodeMatch(r)
-	m.Priority = r.u16()
-	m.Packets = r.u64()
-	m.Bytes = r.u64()
-	return r.done()
-}
-
-// StatsRequest asks a switch for its counters.
-type StatsRequest struct{}
-
-// MsgType implements Message.
-func (*StatsRequest) MsgType() MsgType             { return TypeStatsRequest }
-func (*StatsRequest) encodeBody(dst []byte) []byte { return dst }
-func (*StatsRequest) decodeBody(src []byte) error  { r := &reader{src: src}; return r.done() }
-
-// StatsReply reports switch counters.
-type StatsReply struct {
-	Switch       model.SwitchID
-	FlowCount    uint32
-	PacketsSeen  uint64
-	BytesSeen    uint64
-	LFIBEntries  uint32
-	GFIBFilters  uint32
-	GFIBBytes    uint64
-	EncapPackets uint64
-}
-
-// MsgType implements Message.
-func (*StatsReply) MsgType() MsgType { return TypeStatsReply }
-
-func (m *StatsReply) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Switch))
-	dst = putU32(dst, m.FlowCount)
-	dst = putU64(dst, m.PacketsSeen)
-	dst = putU64(dst, m.BytesSeen)
-	dst = putU32(dst, m.LFIBEntries)
-	dst = putU32(dst, m.GFIBFilters)
-	dst = putU64(dst, m.GFIBBytes)
-	return putU64(dst, m.EncapPackets)
-}
-
-func (m *StatsReply) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Switch = model.SwitchID(r.u32())
-	m.FlowCount = r.u32()
-	m.PacketsSeen = r.u64()
-	m.BytesSeen = r.u64()
-	m.LFIBEntries = r.u32()
-	m.GFIBFilters = r.u32()
-	m.GFIBBytes = r.u64()
-	m.EncapPackets = r.u64()
 	return r.done()
 }

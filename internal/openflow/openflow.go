@@ -1,9 +1,11 @@
 // Package openflow implements the control-channel wire protocol of the
-// LazyCtrl prototype: an OpenFlow v1.0-style message set (Hello, Echo,
-// PacketIn, PacketOut, FlowMod, Stats) extended with the LazyCtrl vendor
+// LazyCtrl prototype: the OpenFlow v1.0 messages the model exchanges
+// (PacketIn, PacketOut, FlowMod) extended with the LazyCtrl vendor
 // messages (§IV of the paper): group configuration, L-FIB/G-FIB
-// dissemination, designated-switch state reports, ring keep-alives, and
-// scoped ARP relay. It also defines the flow-table match/action model,
+// dissemination, designated-switch state reports, ring keep-alives,
+// scoped ARP relay, failure reports and controller replication. The
+// set holds only messages some node sends; msgTypes declares it once.
+// It also defines the flow-table match/action model,
 // including the Encap action that extends OpenFlow v1.0 with GRE-like
 // overlay encapsulation.
 //
@@ -42,79 +44,83 @@ const Version uint8 = 0x01 | 0x80
 // MsgType identifies a control message.
 type MsgType uint8
 
-// Message types. The first block mirrors OpenFlow v1.0; the second block
-// holds the LazyCtrl extensions.
+// Message types: only what some node sends. The first block is the
+// OpenFlow v1.0 subset the model uses; the rest are the LazyCtrl
+// extensions. Codes are wire-stable: a retired type leaves its code
+// unassigned instead of renumbering the types after it.
 const (
-	TypeHello MsgType = iota + 1
-	TypeEchoRequest
-	TypeEchoReply
-	TypePacketIn
-	TypePacketOut
-	TypeFlowMod
-	TypeFlowRemoved
-	TypeStatsRequest
-	TypeStatsReply
+	TypePacketIn  MsgType = 4
+	TypePacketOut MsgType = 5
+	TypeFlowMod   MsgType = 6
 
 	// LazyCtrl extensions.
-	TypeGroupConfig
-	TypeLFIBUpdate
-	TypeGFIBUpdate
-	TypeStateReport
-	TypeKeepAlive
-	TypeARPRelay
+	TypeGroupConfig MsgType = 10
+	TypeLFIBUpdate  MsgType = 11
+	TypeGFIBUpdate  MsgType = 12
+	TypeStateReport MsgType = 13
+	TypeKeepAlive   MsgType = 14
+	TypeARPRelay    MsgType = 15
 	// TypeBatch coalesces several messages to one destination (one
 	// encode and one send per switch per regroup round, see Batch).
-	TypeBatch
+	TypeBatch MsgType = 16
 	// TypeGFIBDelta ships only the changed words of changed filters
 	// (the incremental half of G-FIB distribution, see GFIBDelta).
-	TypeGFIBDelta
+	TypeGFIBDelta MsgType = 17
 	// TypeGFIBNack requests a full resync after a delta whose base
 	// version the receiver does not hold (see GFIBNack).
-	TypeGFIBNack
+	TypeGFIBNack MsgType = 18
 	// TypePacketInBurst carries an edge switch's micro-batched
 	// PacketIns in one control message (see PacketInBurst).
-	TypePacketInBurst
+	TypePacketInBurst MsgType = 19
+	// Failure handling (failure.go) and controller replication
+	// (replication.go).
+	TypeFailureReport   MsgType = 32
+	TypeConfigAck       MsgType = 33
+	TypeRoleAnnounce    MsgType = 34
+	TypeStateSyncRecord MsgType = 35
 )
 
-var msgTypeNames = map[MsgType]string{
-	TypeHello:           "Hello",
-	TypeEchoRequest:     "EchoRequest",
-	TypeEchoReply:       "EchoReply",
-	TypePacketIn:        "PacketIn",
-	TypePacketOut:       "PacketOut",
-	TypeFlowMod:         "FlowMod",
-	TypeFlowRemoved:     "FlowRemoved",
-	TypeStatsRequest:    "StatsRequest",
-	TypeStatsReply:      "StatsReply",
-	TypeGroupConfig:     "GroupConfig",
-	TypeLFIBUpdate:      "LFIBUpdate",
-	TypeGFIBUpdate:      "GFIBUpdate",
-	TypeStateReport:     "StateReport",
-	TypeKeepAlive:       "KeepAlive",
-	TypeARPRelay:        "ARPRelay",
-	TypeBatch:           "Batch",
-	TypeGFIBDelta:       "GFIBDelta",
-	TypeGFIBNack:        "GFIBNack",
-	TypePacketInBurst:   "PacketInBurst",
-	TypeFailureReport:   "FailureReport",
-	TypeConfigAck:       "ConfigAck",
-	TypeRoleAnnounce:    "RoleAnnounce",
-	TypeStateSyncRecord: "StateSyncRecord",
+// msgTypes is the codec's message set, indexed by wire code: the name
+// String prints and the constructor Decode fills. A code without an
+// entry does not decode.
+var msgTypes = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypePacketIn:        {"PacketIn", func() Message { return &PacketIn{} }},
+	TypePacketOut:       {"PacketOut", func() Message { return &PacketOut{} }},
+	TypeFlowMod:         {"FlowMod", func() Message { return &FlowMod{} }},
+	TypeGroupConfig:     {"GroupConfig", func() Message { return &GroupConfig{} }},
+	TypeLFIBUpdate:      {"LFIBUpdate", func() Message { return &LFIBUpdate{} }},
+	TypeGFIBUpdate:      {"GFIBUpdate", func() Message { return &GFIBUpdate{} }},
+	TypeStateReport:     {"StateReport", func() Message { return &StateReport{} }},
+	TypeKeepAlive:       {"KeepAlive", func() Message { return &KeepAlive{} }},
+	TypeARPRelay:        {"ARPRelay", func() Message { return &ARPRelay{} }},
+	TypeBatch:           {"Batch", func() Message { return &Batch{} }},
+	TypeGFIBDelta:       {"GFIBDelta", func() Message { return &GFIBDelta{} }},
+	TypeGFIBNack:        {"GFIBNack", func() Message { return &GFIBNack{} }},
+	TypePacketInBurst:   {"PacketInBurst", func() Message { return &PacketInBurst{} }},
+	TypeFailureReport:   {"FailureReport", func() Message { return &FailureReport{} }},
+	TypeConfigAck:       {"ConfigAck", func() Message { return &ConfigAck{} }},
+	TypeRoleAnnounce:    {"RoleAnnounce", func() Message { return &RoleAnnounce{} }},
+	TypeStateSyncRecord: {"StateSyncRecord", func() Message { return &StateSyncRecord{} }},
 }
 
 // The flight recorders (internal/telemetry) store message types as
 // numeric codes to keep their hot path pointer-free; register the
 // render names once so tails print the wire names.
 func init() {
-	for t, s := range msgTypeNames {
-		telemetry.RegisterFlightType(uint8(t), s)
+	for t, e := range msgTypes {
+		if e.name != "" {
+			telemetry.RegisterFlightType(uint8(t), e.name)
+		}
 	}
 }
 
 // String returns the message type name.
 func (t MsgType) String() string {
-	if s, ok := msgTypeNames[t]; ok {
-		return s
+	if int(t) < len(msgTypes) && msgTypes[t].name != "" {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
@@ -161,56 +167,10 @@ func Encode(m Message, xid uint32) ([]byte, error) {
 
 // newMessage allocates an empty message of the given type.
 func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeEchoRequest:
-		return &EchoRequest{}, nil
-	case TypeEchoReply:
-		return &EchoReply{}, nil
-	case TypePacketIn:
-		return &PacketIn{}, nil
-	case TypePacketOut:
-		return &PacketOut{}, nil
-	case TypeFlowMod:
-		return &FlowMod{}, nil
-	case TypeFlowRemoved:
-		return &FlowRemoved{}, nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsReply:
-		return &StatsReply{}, nil
-	case TypeGroupConfig:
-		return &GroupConfig{}, nil
-	case TypeLFIBUpdate:
-		return &LFIBUpdate{}, nil
-	case TypeGFIBUpdate:
-		return &GFIBUpdate{}, nil
-	case TypeStateReport:
-		return &StateReport{}, nil
-	case TypeKeepAlive:
-		return &KeepAlive{}, nil
-	case TypeARPRelay:
-		return &ARPRelay{}, nil
-	case TypeBatch:
-		return &Batch{}, nil
-	case TypeGFIBDelta:
-		return &GFIBDelta{}, nil
-	case TypeGFIBNack:
-		return &GFIBNack{}, nil
-	case TypePacketInBurst:
-		return &PacketInBurst{}, nil
-	case TypeFailureReport:
-		return &FailureReport{}, nil
-	case TypeConfigAck:
-		return &ConfigAck{}, nil
-	case TypeRoleAnnounce:
-		return &RoleAnnounce{}, nil
-	case TypeStateSyncRecord:
-		return &StateSyncRecord{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
+	if int(t) < len(msgTypes) && msgTypes[t].new != nil {
+		return msgTypes[t].new(), nil
 	}
+	return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 }
 
 // Decode parses one complete message, returning it with its transaction

@@ -44,23 +44,6 @@ func samplePacket() model.Packet {
 	}
 }
 
-func TestHelloRoundTrip(t *testing.T) {
-	roundTrip(t, &Hello{}, 1)
-}
-
-func TestEchoRoundTrip(t *testing.T) {
-	req := &EchoRequest{Data: []byte("ping")}
-	got, ok := roundTrip(t, req, 2).(*EchoRequest)
-	if !ok || !bytes.Equal(got.Data, req.Data) {
-		t.Errorf("EchoRequest round trip = %+v, want %+v", got, req)
-	}
-	rep := &EchoReply{Data: []byte("pong")}
-	gotRep, ok := roundTrip(t, rep, 3).(*EchoReply)
-	if !ok || !bytes.Equal(gotRep.Data, rep.Data) {
-		t.Errorf("EchoReply round trip = %+v, want %+v", gotRep, rep)
-	}
-}
-
 func TestPacketInRoundTrip(t *testing.T) {
 	m := &PacketIn{Switch: 42, Reason: ReasonNoMatch, Packet: samplePacket()}
 	got, ok := roundTrip(t, m, 7).(*PacketIn)
@@ -115,26 +98,6 @@ func TestFlowModRoundTrip(t *testing.T) {
 	got, ok := roundTrip(t, m, 13).(*FlowMod)
 	if !ok || !reflect.DeepEqual(got, m) {
 		t.Errorf("FlowMod round trip = %+v, want %+v", got, m)
-	}
-}
-
-func TestFlowRemovedRoundTrip(t *testing.T) {
-	m := &FlowRemoved{Match: ExactDst(model.HostMAC(5), 1), Priority: 10, Packets: 1000, Bytes: 1 << 30}
-	got, ok := roundTrip(t, m, 14).(*FlowRemoved)
-	if !ok || !reflect.DeepEqual(got, m) {
-		t.Errorf("FlowRemoved round trip = %+v, want %+v", got, m)
-	}
-}
-
-func TestStatsRoundTrip(t *testing.T) {
-	roundTrip(t, &StatsRequest{}, 15)
-	m := &StatsReply{
-		Switch: 4, FlowCount: 9, PacketsSeen: 100, BytesSeen: 200,
-		LFIBEntries: 24, GFIBFilters: 45, GFIBBytes: 92160, EncapPackets: 88,
-	}
-	got, ok := roundTrip(t, m, 16).(*StatsReply)
-	if !ok || !reflect.DeepEqual(got, m) {
-		t.Errorf("StatsReply round trip = %+v, want %+v", got, m)
 	}
 }
 
@@ -240,7 +203,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode(make([]byte, 5)); err == nil {
 		t.Error("Decode(short) succeeded")
 	}
-	data, err := Encode(&Hello{}, 1)
+	data, err := Encode(&KeepAlive{From: 1, Seq: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,25 +305,6 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgType(200).String() != "MsgType(200)" {
 		t.Errorf("unknown String() = %q", MsgType(200).String())
-	}
-}
-
-func TestPropertyEchoRoundTrip(t *testing.T) {
-	f := func(data []byte, xid uint32) bool {
-		m := &EchoRequest{Data: data}
-		enc, err := Encode(m, xid)
-		if err != nil {
-			return false
-		}
-		dec, gotXID, err := Decode(enc)
-		if err != nil || gotXID != xid {
-			return false
-		}
-		got, ok := dec.(*EchoRequest)
-		return ok && bytes.Equal(got.Data, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -23,9 +23,6 @@ type RoleAnnounce struct {
 	Generation uint64
 }
 
-// TypeRoleAnnounce extends the LazyCtrl message set.
-const TypeRoleAnnounce MsgType = 34
-
 // MsgType implements Message.
 func (*RoleAnnounce) MsgType() MsgType { return TypeRoleAnnounce }
 
@@ -105,9 +102,6 @@ type StateSyncRecord struct {
 	// SyncGrouping payload: the full assignment.
 	Assign []SyncAssign
 }
-
-// TypeStateSyncRecord extends the LazyCtrl message set.
-const TypeStateSyncRecord MsgType = 35
 
 // MsgType implements Message.
 func (*StateSyncRecord) MsgType() MsgType { return TypeStateSyncRecord }
