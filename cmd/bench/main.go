@@ -122,7 +122,7 @@ func main() {
 		out         = flag.String("out", "", "output JSON path (default: BENCH_<latest+1>.json)")
 		dir         = flag.String("dir", "", "directory to run go test in (default: current; use to benchmark another checkout)")
 		baseline    = flag.String("baseline", "", "previous report JSON to embed and gate against (default: latest BENCH_<n>.json; \"none\" disables)")
-		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkGFIBQuery,BenchmarkGFIBWalk", "comma-separated benchmark names gated against the baseline")
+		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkDissemFull,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkGFIBQuery,BenchmarkGFIBWalk", "comma-separated benchmark names gated against the baseline")
 		maxregress  = flag.Float64("maxregress", 0.10, "maximum tolerated fractional regression in ns/op or allocs/op for gated benchmarks")
 		gatemetrics = flag.String("gatemetrics", "ns,allocs", "metrics the gate enforces: ns, allocs, or both; allocs/op is the only metric comparable across machines, so CI gates allocs only")
 		remeasure   = flag.Int("remeasure", 4, "re-runs of ns-gate violators (min wall-clock wins) before a timing violation counts")
@@ -310,9 +310,12 @@ var absoluteGates = []struct {
 // BenchmarkTelemetryOverhead is gated here and by absoluteGates only,
 // not through -gate: its -benchmem allocs/op and ns/op sum over a
 // noise-dependent number of measurement blocks, while allocs-per-run is
-// one emulation's count.
+// one emulation's count. The dissemination benchmarks' wire-B/op is the
+// G-FIB delta rule's bytes on the wire.
 var extraGates = []struct{ bench, unit string }{
 	{"BenchmarkTelemetryOverhead", "allocs-per-run"},
+	{"BenchmarkDissemDelta", "wire-B/op"},
+	{"BenchmarkDissemFull", "wire-B/op"},
 }
 
 // gateAbsolute checks the absolute ceilings against the fresh run,

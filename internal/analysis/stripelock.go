@@ -8,21 +8,21 @@ import (
 	"strings"
 )
 
-// StripeLock enforces the lock-striping discipline of the sharded hot
-// tables (controller stateShards, fib CLIB): single-entry operations
-// take exactly one stripe lock, and the only sanctioned multi-stripe
-// shape is sequential ascending-index iteration. Concretely:
+// StripeLock enforces the lock-striping discipline of the controller's
+// sharded per-MAC state (stateShards): single-entry operations take
+// exactly one stripe lock, and the only sanctioned multi-stripe shape
+// is sequential ascending-index iteration. Concretely:
 //
 //  1. acquiring a stripe mutex while another stripe of the same table
 //     is held is an error unless BOTH indices are compile-time
 //     constants in strictly ascending order (the one shape that cannot
 //     deadlock against itself);
 //  2. calling a re-entrant entry point (a function that takes stripe
-//     locks itself: CLIB.Locate, Controller.ProcessBurst, and the
-//     other table methods) while holding a stripe lock is an error —
-//     on a 1-stripe table (StateShards=1 is a valid config) re-entry
-//     is an instant self-deadlock, and on larger tables it is a
-//     lock-order roulette.
+//     locks itself: Controller.ProcessBurst and the stateShards
+//     methods) while holding a stripe lock is an error — on a
+//     1-stripe table (StateShards=1 is a valid config) re-entry is an
+//     instant self-deadlock, and on larger tables it is a lock-order
+//     roulette.
 //
 // Stripe types and re-entrant entry points are named in tables below;
 // tests extend them with fixture paths.
@@ -38,17 +38,12 @@ var StripeLock = &Analyzer{
 // "<pkg-suffix>.<Type>".
 var stripeTypes = map[string]bool{
 	"internal/controller.stateShard": true,
-	"internal/fib.clibShard":         true,
 }
 
 // stripeReentrant names functions that acquire stripe locks
 // internally and therefore must never be called while one is held.
 // Keyed by "<pkg-suffix>.<Type>.<method>".
 var stripeReentrant = map[string]bool{
-	"internal/fib.CLIB.Locate":                      true,
-	"internal/fib.CLIB.Lookup":                      true,
-	"internal/fib.CLIB.Update":                      true,
-	"internal/fib.CLIB.ApplyLFIB":                   true,
 	"internal/controller.Controller.ProcessBurst":   true,
 	"internal/controller.stateShards.learn":         true,
 	"internal/controller.stateShards.locate":        true,

@@ -221,6 +221,12 @@ func FPPFor(m uint64, k uint32, n uint64) float64 {
 
 const marshalMagic = 0x4c435f4246 // "LC_BF"
 
+// marshalHeaderLen is the encoding's fixed prefix: magic (8), m (8), k (4).
+const marshalHeaderLen = 20
+
+// MarshaledLen is the length of MarshalBinary's encoding.
+func (f *Filter) MarshaledLen() int { return marshalHeaderLen + f.SizeBytes() }
+
 // MarshalBinary encodes the filter for dissemination over peer/state
 // links: magic, geometry, and the bit array. The element count is
 // sender-local metadata (it only feeds the owner's FPP estimate) and
@@ -228,7 +234,7 @@ const marshalMagic = 0x4c435f4246 // "LC_BF"
 // always encode identically — the invariant the delta-protocol
 // differential tests pin.
 func (f *Filter) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 8+8+4+len(f.bits)*8)
+	buf := make([]byte, 0, f.MarshaledLen())
 	var scratch [8]byte
 	binary.BigEndian.PutUint64(scratch[:], marshalMagic)
 	buf = append(buf, scratch[:]...)
@@ -251,7 +257,7 @@ var ErrCorrupt = errors.New("bloom: corrupt encoding")
 // into in place, so periodic re-dissemination does not allocate. The
 // decoded filter's element count is zero (counts do not travel).
 func (f *Filter) UnmarshalBinary(data []byte) error {
-	if len(data) < 20 {
+	if len(data) < marshalHeaderLen {
 		return ErrCorrupt
 	}
 	if binary.BigEndian.Uint64(data[0:8]) != marshalMagic {
@@ -262,14 +268,14 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	words := int(m / 64)
 	// m and k come off the wire: m = 0 would divide by zero in index,
 	// and a lookup costs k probes.
-	if m < 64 || m%64 != 0 || len(data) != 20+words*8 || k == 0 || k > MaxHashes {
+	if m < 64 || m%64 != 0 || len(data) != marshalHeaderLen+words*8 || k == 0 || k > MaxHashes {
 		return ErrCorrupt
 	}
 	bits := f.bits
 	if len(bits) != words {
 		bits = make([]uint64, words)
 	}
-	payload := data[20:]
+	payload := data[marshalHeaderLen:]
 	for i := range bits {
 		bits[i] = binary.BigEndian.Uint64(payload[i*8 : i*8+8])
 	}

@@ -8,13 +8,12 @@
 //
 // # Sharded hot state
 //
-// The controller's per-MAC hot state — the C-LIB (fib.CLIB), the
-// learning-mode location table, and the pending-flow table — is
-// lock-striped into power-of-two shards keyed by a Fibonacci hash of
-// the MAC (Config.StateShards stripes for the controller tables, a
-// fixed 16 for the C-LIB). Packet-in handling is split into a decide
-// phase (hash, shard-local reads/writes, forwarding decision) and an
-// apply phase (workload accounting, intensity updates, message
+// The controller's learning-mode location table and pending-flow table
+// are lock-striped into Config.StateShards power-of-two shards keyed by
+// a Fibonacci hash of the MAC; the C-LIB (fib.CLIB) is one unlocked
+// table the decide phase only reads. Packet-in handling is split into a
+// decide phase (hash, shard-local reads/writes, forwarding decision)
+// and an apply phase (workload accounting, intensity updates, message
 // emission). ProcessBurst fans the decide phase of a packet-in storm
 // out across per-shard workers and then applies the decisions
 // sequentially in input order, so shared non-sharded state (queueing
@@ -860,16 +859,16 @@ func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, member
 			if *diffs == nil {
 				*diffs = make(map[model.SwitchID][]bloom.WordDelta)
 			}
+			// An unchanged bit array (a reboot re-attaching the same
+			// hosts moves only the version) is a zero-word delta.
 			words, ok := (*diffs)[peer]
+			var err error
 			if !ok {
-				var err error
-				words, err = cur.f.DiffWords(prev.f)
-				if err != nil {
-					words = nil
+				if words, err = cur.f.DiffWords(prev.f); err == nil {
+					(*diffs)[peer] = words
 				}
-				(*diffs)[peer] = words
 			}
-			if words != nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(len(cur.data)) {
+			if err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(cur.f) {
 				if delta == nil {
 					delta = &openflow.GFIBDelta{Group: gid, Version: c.groupingVersion, Generation: c.generation}
 				}

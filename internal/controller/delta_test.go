@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lazyctrl/internal/failover"
+	"lazyctrl/internal/fib"
 	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
@@ -200,6 +201,58 @@ func TestMarkRecoveredPushesOnlyRecovered(t *testing.T) {
 	}
 	if _, ok := b.Msgs[0].(*openflow.GroupConfig); !ok {
 		t.Error("recovery batch does not lead with the GroupConfig")
+	}
+}
+
+// TestRecoveredUnchangedHostsPreloadZeroWordDelta: a switch that reboots
+// and re-attaches the same hosts reports them under a new epoch, so its
+// L-FIB version moves while its filter's bits do not. Recovery preloads
+// it to its peers as a zero-word delta, not as a full filter.
+func TestRecoveredUnchangedHostsPreloadZeroWordDelta(t *testing.T) {
+	c, env := lazyGrouped(t)
+	c.pushGroupConfigs(false) // peers hold switch 2's filter at version 1
+	entries := c.clib.EntriesOn(2)
+	rebooted := uint64(1)<<fib.VersionEpochShift | uint64(len(entries))
+	c.clib.ApplyLFIB(2, c.grp.GroupOf(2), &openflow.LFIBUpdate{Full: true, Entries: entries, Version: rebooted})
+	env.reset()
+	before := c.Stats()
+	c.MarkRecovered(2)
+
+	gid := c.grp.GroupOf(2)
+	var peers int
+	env.mu.Lock()
+	for _, m := range c.grp.Members(gid) {
+		if m == 2 {
+			continue
+		}
+		peers++
+		msgs := env.sends[m]
+		if len(msgs) != 1 {
+			t.Errorf("peer %v got %d messages, want 1", m, len(msgs))
+			continue
+		}
+		d, ok := msgs[0].(*openflow.GFIBDelta)
+		if !ok {
+			t.Errorf("peer %v got %T, want *openflow.GFIBDelta", m, msgs[0])
+			continue
+		}
+		if len(d.Deltas) != 1 || d.Deltas[0].Switch != 2 || d.Deltas[0].BaseVersion != 1 ||
+			d.Deltas[0].TargetVersion != rebooted || len(d.Deltas[0].Words) != 0 {
+			t.Errorf("delta to %v = %+v, want one zero-word item for switch 2, 1 → %d", m, d.Deltas, rebooted)
+		}
+	}
+	env.mu.Unlock()
+	if peers == 0 {
+		t.Fatal("setup: switch 2 has no group peers")
+	}
+	after := c.Stats()
+	if got := after.PreloadDeltas - before.PreloadDeltas; got != uint64(peers) {
+		t.Errorf("PreloadDeltas moved by %d, want %d", got, peers)
+	}
+	// The only full filters are the peers' own, shipped to switch 2,
+	// whose per-destination tracking the recovery forgets.
+	if got := after.PreloadFulls - before.PreloadFulls; got != uint64(peers) {
+		t.Errorf("PreloadFulls moved by %d, want %d (the peers' filters to switch 2)", got, peers)
 	}
 }
 

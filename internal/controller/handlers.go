@@ -138,6 +138,9 @@ const (
 	decideBounce
 	// decidePend queues the flow and relays a scoped ARP query (lazy).
 	decidePend
+	// decideDrop skips a PacketIn whose ingress is not a configured
+	// switch: it reaches no state, counter or send.
+	decideDrop
 )
 
 // pinDecision is the shard-local outcome of one PacketIn: what to do,
@@ -151,9 +154,14 @@ type pinDecision struct {
 
 // decide runs the shard-local half of PacketIn handling: learn the
 // source (learning mode), locate the destination, classify. It takes at
-// most two shard locks, never nested, and touches no unsharded state —
+// most two shard locks, never nested, and writes no unsharded state —
 // which is what lets ProcessBurst run it from many goroutines at once.
+// The switch-record lookup is a concurrent read of a map nothing writes
+// after New.
 func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
+	if c.sw[m.Switch] == nil {
+		return pinDecision{kind: decideDrop}
+	}
 	if c.cfg.Mode == ModeLearning {
 		// The pre-learn read feeds intensity accounting (the sequential
 		// path always estimated intensity before learning the source).
@@ -185,6 +193,9 @@ func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
 // unsharded state (queueing model, intensity matrix, stats) merged in a
 // deterministic order regardless of the shard count.
 func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
+	if d.kind == decideDrop {
+		return
+	}
 	c.record(metrics.ReqPacketIn, 1)
 	c.stats.PacketIns++
 	c.traceCtrl(m.Span, d.kind)

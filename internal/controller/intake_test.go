@@ -434,6 +434,57 @@ func TestIntakeBoundedBySwitches(t *testing.T) {
 	}
 }
 
+// ghostPacketIns delivers a PacketIn and a one-item PacketInBurst whose
+// ingress is not a configured switch, from a source host 777 toward
+// host 1, which the controller knows on switch 1. It reports the
+// controller's sends.
+func ghostPacketIns(c *Controller, env *recordingEnv) map[model.SwitchID]int {
+	const ghost = model.SwitchID(9999)
+	p := model.Packet{SrcMAC: model.HostMAC(777), DstMAC: model.HostMAC(1), SrcIP: model.HostIP(777), DstIP: model.HostIP(1), VLAN: 1, Ether: model.EtherTypeIPv4}
+	env.reset()
+	c.HandleMessage(ghost, &openflow.PacketIn{Switch: ghost, Reason: openflow.ReasonNoMatch, Packet: p})
+	c.HandleMessage(ghost, &openflow.PacketInBurst{Switch: ghost, Items: []openflow.BurstPacket{{Reason: openflow.ReasonNoMatch, Packet: p}}})
+	return env.sendCounts()
+}
+
+// TestPacketInBoundedBySwitchesLazy: a lazy controller skips a PacketIn
+// from a switch outside Config.Switches; it used to register the switch
+// in the intensity matrix.
+func TestPacketInBoundedBySwitchesLazy(t *testing.T) {
+	c, env := newDirectController(t, ModeLazy, 4)
+	c.CLIB().Update(model.HostMAC(1), model.HostIP(1), 1, 1, 1)
+	if sends := ghostPacketIns(c, env); len(sends) != 0 {
+		t.Errorf("ghost PacketIns caused sends: %v", sends)
+	}
+	if got := c.intensity.NumSwitches(); got != 16 {
+		t.Errorf("intensity matrix holds %d switches, want 16", got)
+	}
+	if got := c.Stats().PacketIns; got != 0 {
+		t.Errorf("PacketIns = %d, want 0", got)
+	}
+}
+
+// TestPacketInBoundedBySwitchesLearning: a learning controller skips a
+// PacketIn from a switch outside Config.Switches; it used to learn the
+// source host on that switch.
+func TestPacketInBoundedBySwitchesLearning(t *testing.T) {
+	c, env := newDirectController(t, ModeLearning, 4)
+	c.HandleMessage(1, &openflow.PacketIn{Switch: 1, Packet: model.Packet{SrcMAC: model.HostMAC(1), DstMAC: model.HostMAC(2), VLAN: 1}})
+	before := c.Stats().PacketIns
+	if sends := ghostPacketIns(c, env); len(sends) != 0 {
+		t.Errorf("ghost PacketIns caused sends: %v", sends)
+	}
+	if sw, ok := c.LearnedLocations()[model.HostMAC(777)]; ok {
+		t.Errorf("learned host 777 on %v", sw)
+	}
+	if got := c.intensity.NumSwitches(); got != 16 {
+		t.Errorf("intensity matrix holds %d switches, want 16", got)
+	}
+	if got := c.Stats().PacketIns - before; got != 0 {
+		t.Errorf("PacketIns counted %d ghost events, want 0", got)
+	}
+}
+
 // TestExpirePendingAliasSafe is the regression test for the flows[:0]
 // rebuild: expiry must never write into a backing array a previous
 // takePending caller may still hold.

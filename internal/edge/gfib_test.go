@@ -109,6 +109,61 @@ func TestGFIBNackAnsweredOnlyToOrigin(t *testing.T) {
 	}
 }
 
+// TestDisseminationDeltaAgainstEncodedFull: the designated switch ships
+// a changed member filter as a delta whenever the delta item is smaller
+// than the encoded full item, the marshaled filter with its header. For
+// the 2,048-byte default filter a 205-word diff is a 2,072-byte delta
+// against a 2,084-byte full item.
+func TestDisseminationDeltaAgainstEncodedFull(t *testing.T) {
+	r := newRig(t, 1, 2, 3)
+	r.switches[2].AttachHost(model.HostMAC(20), model.HostIP(20), 1)
+	r.configureGroup(1, 1, 1, 2, 3)
+	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated S2's filter
+	d := r.switches[1]
+	rec := d.role.members[2]
+	if rec == nil || rec.gfibPrev == nil {
+		t.Fatal("setup: designated never disseminated S2's filter")
+	}
+
+	// Grow S2's snapshot, skipping hosts that would overshoot, until its
+	// rebuilt filter differs from the disseminated one in 205 words.
+	const want = 205
+	snapshot := slices.Clone(rec.snapshot)
+	for h := model.HostID(1000); ; h++ {
+		if h == 100_000 {
+			t.Fatalf("no snapshot found with a %d-word diff", want)
+		}
+		next := append(slices.Clone(snapshot), openflow.LFIBEntry{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1})
+		words, err := fib.FilterFromWireEntries(next, fib.DefaultFilterBits, fib.DefaultFilterHashes).DiffWords(rec.gfibPrev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(words) > want {
+			continue
+		}
+		snapshot = next
+		if len(words) == want {
+			break
+		}
+	}
+	rec.snapshot = snapshot
+	rec.version++
+
+	before, recvBefore := d.Stats(), r.switches[3].Stats()
+	d.disseminateGFIB()
+	r.sim.RunFor(time.Second)
+	after, recvAfter := d.Stats(), r.switches[3].Stats()
+	if got := after.GFIBDeltasSent - before.GFIBDeltasSent; got != 1 {
+		t.Errorf("GFIBDeltasSent moved by %d, want 1", got)
+	}
+	if got := after.GFIBFullsSent - before.GFIBFullsSent; got != 0 {
+		t.Errorf("GFIBFullsSent moved by %d, want 0", got)
+	}
+	if got := recvAfter.GFIBDeltasApplied - recvBefore.GFIBDeltasApplied; got != 1 {
+		t.Errorf("S3 applied %d deltas, want 1", got)
+	}
+}
+
 // TestSlowPathTargetSetsNotAliased injects two first packets inside one
 // slowPathDelay, each with two G-FIB candidates. The lookup scratch is
 // reused by the second lookup before the first encap runs, so each

@@ -435,7 +435,7 @@ func (s *Switch) disseminateGFIB() {
 		prev := rec.gfibPrev
 		rec.gfibPrev = f
 		if prev != nil && !s.cfg.GFIBFullPush {
-			if words, err := f.DiffWords(prev); err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(f.SizeBytes()) {
+			if words, err := f.DiffWords(prev); err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(f) {
 				s.stats.GFIBDeltasSent++
 				delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{
 					Switch:        member,

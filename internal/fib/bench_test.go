@@ -2,6 +2,7 @@ package fib
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"lazyctrl/internal/bloom"
@@ -25,12 +26,38 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
+// parkThreads leaves n more idle OS threads in the scheduler. Both
+// benchmarks are gated at zero allocs/op, and the timer's own
+// stop-the-world restarts the world on an idle thread: when none is
+// parked (on a loaded machine one may still be on its way there), the
+// runtime creates one, and its five allocations (m, g0, gsignal and two
+// profiling stacks: 5,248 B) land in the timed region. Each goroutine
+// holds its own thread until all n are locked at once; unlocking before
+// exit returns the thread to the idle list. Call it well before the
+// timer starts, so the threads have parked by then.
+func parkThreads(n int) {
+	var locked, release sync.WaitGroup
+	locked.Add(n)
+	release.Add(1)
+	for range n {
+		go func() {
+			runtime.LockOSThread()
+			locked.Done()
+			release.Wait()
+			runtime.UnlockOSThread()
+		}()
+	}
+	locked.Wait()
+	release.Done()
+}
+
 func benchHost(sw, h int) model.MAC { return model.HostMAC(model.HostID(sw*benchHosts + h + 1)) }
 
 // benchTables builds the population; table i holds switches i+1 … i+45
 // (mod 272) as its peers.
 func benchTables(b *testing.B) []*GFIB {
 	b.Helper()
+	parkThreads(2 * runtime.GOMAXPROCS(0))
 	wire := make([][]byte, benchSwitches)
 	for sw := range wire {
 		f := bloom.New(DefaultFilterBits, DefaultFilterHashes)
@@ -50,6 +77,7 @@ func benchTables(b *testing.B) []*GFIB {
 			}
 		}
 	}
+	runtime.GC() // collect the set-up garbage before the timer starts
 	return tables
 }
 

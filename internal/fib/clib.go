@@ -1,9 +1,7 @@
 package fib
 
 import (
-	"math/bits"
 	"sort"
-	"sync"
 
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
@@ -19,110 +17,66 @@ type CLIBEntry struct {
 	Group  model.GroupID
 }
 
-// clibShardCount is the number of lock stripes. A fixed power of two
-// keeps the MAC→shard mapping branch-free; 16 stripes are enough that
-// concurrent packet-in intake workers (bounded by GOMAXPROCS) rarely
-// collide, while the per-shard map overhead stays negligible.
-const clibShardCount = 16
-
-// clibShard holds the slice of the C-LIB whose entries' MACs hash to
-// this stripe. All four indexes of an entry live in the same shard (the
-// shard of its MAC), so every single-entry operation takes exactly one
-// lock and cross-shard operations never need nested locking.
-type clibShard struct {
-	mu       sync.RWMutex
-	byMAC    map[model.MAC]*CLIBEntry
-	byIP     map[model.IP]*CLIBEntry
-	bySwitch map[model.SwitchID]map[model.MAC]struct{}
-	byVLAN   map[model.VLAN]map[model.SwitchID]int // VLAN -> switch -> host count
-}
-
 // CLIB is the Central Location Information Base: the union of all
 // switches' L-FIBs, maintained by the controller from designated-switch
 // state reports (§III-B2). It answers inter-group location queries and
 // scopes ARP relay by tenant.
 //
-// The table is sharded by MAC hash into lock-striped stripes so the
-// controller's concurrent packet-in intake can resolve host locations
-// from many cores at once (the single-map layout serialized every
-// lookup behind one cache line). Aggregate queries (SwitchesWithVLAN,
-// HostsOn, Len) merge the stripes; their results are deterministic
-// because merging is commutative and ordered results are sorted.
+// The table has one owner goroutine (the controller's) and takes no
+// locks. Its only concurrent user is Controller.ProcessBurst's decide
+// phase, whose workers call Locate while nothing writes: every writer
+// runs on the owner goroutine, and the caller delivers nothing else
+// while a burst is in flight.
 type CLIB struct {
-	shards [clibShardCount]clibShard
+	byMAC    map[model.MAC]*CLIBEntry
+	bySwitch map[model.SwitchID]map[model.MAC]struct{}
+	byVLAN   map[model.VLAN]map[model.SwitchID]int // VLAN -> switch -> host count
 
 	// swVersions records, per origin switch, the highest L-FIB version
 	// folded into the C-LIB (from LFIBUpdate.Version). It is the
 	// version the controller stamps on G-FIB preload filters so edge
 	// receivers can match them against designated-switch dissemination
 	// and so preload deltas have well-defined base/target coordinates.
-	verMu      sync.RWMutex
 	swVersions map[model.SwitchID]uint64
 }
 
 // NewCLIB returns an empty C-LIB.
 func NewCLIB() *CLIB {
-	c := &CLIB{swVersions: make(map[model.SwitchID]uint64)}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.byMAC = make(map[model.MAC]*CLIBEntry)
-		s.byIP = make(map[model.IP]*CLIBEntry)
-		s.bySwitch = make(map[model.SwitchID]map[model.MAC]struct{})
-		s.byVLAN = make(map[model.VLAN]map[model.SwitchID]int)
+	return &CLIB{
+		byMAC:      make(map[model.MAC]*CLIBEntry),
+		bySwitch:   make(map[model.SwitchID]map[model.MAC]struct{}),
+		byVLAN:     make(map[model.VLAN]map[model.SwitchID]int),
+		swVersions: make(map[model.SwitchID]uint64),
 	}
-	return c
-}
-
-// clibShardShift selects the top log2(clibShardCount) hash bits, kept
-// in lockstep with the shard count so changing one cannot strand or
-// overrun stripes.
-var clibShardShift = uint(64 - bits.TrailingZeros(clibShardCount))
-
-// shardFor maps a MAC to its stripe. Fibonacci hashing spreads the
-// sequential low bits of the deterministic host MACs across stripes.
-func (c *CLIB) shardFor(mac model.MAC) *clibShard {
-	h := mac.Uint64() * 0x9E3779B97F4A7C15
-	return &c.shards[h>>clibShardShift]
 }
 
 // Update installs or moves a binding.
 func (c *CLIB) Update(mac model.MAC, ip model.IP, vlan model.VLAN, sw model.SwitchID, group model.GroupID) {
-	s := c.shardFor(mac)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.byMAC[mac]; ok {
+	if old, ok := c.byMAC[mac]; ok {
 		if old.IP == ip && old.VLAN == vlan && old.Switch == sw && old.Group == group {
 			return // binding unchanged; indexes already agree
 		}
-		s.unindex(old)
+		c.unindex(old)
 	}
-	e := &CLIBEntry{MAC: mac, IP: ip, VLAN: vlan, Switch: sw, Group: group}
-	s.byMAC[mac] = e
-	s.byIP[ip] = e
-	if s.bySwitch[sw] == nil {
-		s.bySwitch[sw] = make(map[model.MAC]struct{})
+	c.byMAC[mac] = &CLIBEntry{MAC: mac, IP: ip, VLAN: vlan, Switch: sw, Group: group}
+	if c.bySwitch[sw] == nil {
+		c.bySwitch[sw] = make(map[model.MAC]struct{})
 	}
-	s.bySwitch[sw][mac] = struct{}{}
-	if s.byVLAN[vlan] == nil {
-		s.byVLAN[vlan] = make(map[model.SwitchID]int)
+	c.bySwitch[sw][mac] = struct{}{}
+	if c.byVLAN[vlan] == nil {
+		c.byVLAN[vlan] = make(map[model.SwitchID]int)
 	}
-	s.byVLAN[vlan][sw]++
+	c.byVLAN[vlan][sw]++
 }
 
-// unindex removes an entry from the secondary indexes of its shard.
-// Callers hold the shard lock. Emptied sub-maps are kept, not deleted:
-// a shard holds 1/16th of a switch's hosts, so full-snapshot churn
-// (anti-entropy refreshes remove and re-add entries) empties sub-maps
-// constantly, and recreating them dominated the allocation profile.
-// The retained empties are bounded by #switches + #VLANs per shard.
-func (s *clibShard) unindex(e *CLIBEntry) {
-	if cur, ok := s.byIP[e.IP]; ok && cur == e {
-		delete(s.byIP, e.IP)
-	}
-	if set := s.bySwitch[e.Switch]; set != nil {
-		delete(set, e.MAC)
-	}
-	if m := s.byVLAN[e.VLAN]; m != nil {
+// unindex removes an entry from the secondary indexes. Emptied
+// sub-maps are kept, not deleted: full-snapshot churn (anti-entropy
+// refreshes remove and re-add entries) empties them constantly, and
+// recreating them dominated the allocation profile. The retained
+// empties are bounded by #switches + #VLANs.
+func (c *CLIB) unindex(e *CLIBEntry) {
+	delete(c.bySwitch[e.Switch], e.MAC)
+	if m := c.byVLAN[e.VLAN]; m != nil {
 		m[e.Switch]--
 		if m[e.Switch] <= 0 {
 			delete(m, e.Switch)
@@ -132,30 +86,19 @@ func (s *clibShard) unindex(e *CLIBEntry) {
 
 // Remove deletes a binding.
 func (c *CLIB) Remove(mac model.MAC) {
-	s := c.shardFor(mac)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.removeLocked(mac)
-}
-
-func (s *clibShard) removeLocked(mac model.MAC) {
-	e, ok := s.byMAC[mac]
+	e, ok := c.byMAC[mac]
 	if !ok {
 		return
 	}
-	s.unindex(e)
-	delete(s.byMAC, mac)
+	c.unindex(e)
+	delete(c.byMAC, mac)
 }
 
-// Lookup returns a copy of the entry for a MAC, or nil. Returning a
-// copy keeps callers race-free against concurrent Update/SetGroup; hot
-// paths that only need the hosting switch use Locate, which does not
-// allocate.
+// Lookup returns a copy of the entry for a MAC, or nil. The copy keeps
+// callers from writing through to the table; hot paths that only need
+// the hosting switch use Locate, which does not allocate.
 func (c *CLIB) Lookup(mac model.MAC) *CLIBEntry {
-	s := c.shardFor(mac)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.byMAC[mac]
+	e, ok := c.byMAC[mac]
 	if !ok {
 		return nil
 	}
@@ -166,33 +109,10 @@ func (c *CLIB) Lookup(mac model.MAC) *CLIBEntry {
 // Locate returns the switch hosting a MAC. It is the allocation-free
 // fast path of Lookup used by packet-in handling.
 func (c *CLIB) Locate(mac model.MAC) (model.SwitchID, bool) {
-	s := c.shardFor(mac)
-	s.mu.RLock()
-	e, ok := s.byMAC[mac]
-	var sw model.SwitchID
-	if ok {
-		sw = e.Switch
+	if e, ok := c.byMAC[mac]; ok {
+		return e.Switch, true
 	}
-	s.mu.RUnlock()
-	return sw, ok
-}
-
-// LookupIP returns a copy of the entry owning an IP, or nil. The entry
-// lives in the shard of its MAC, so the scan touches every stripe; the
-// call sits on the ARP slow path only.
-func (c *CLIB) LookupIP(ip model.IP) *CLIBEntry {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		e, ok := s.byIP[ip]
-		if ok {
-			cp := *e
-			s.mu.RUnlock()
-			return &cp
-		}
-		s.mu.RUnlock()
-	}
-	return nil
+	return 0, false
 }
 
 // ApplyLFIB merges an L-FIB snapshot or increment from a switch,
@@ -209,7 +129,6 @@ func (c *CLIB) ApplyLFIB(sw model.SwitchID, group model.GroupID, u *openflow.LFI
 	// whereas stamping an incomplete entry set with a high version
 	// would poison every receiver that trusts version equality.
 	if u.Full {
-		c.verMu.Lock()
 		if u.Version > 0 && u.Version == c.swVersions[sw] {
 			// Anti-entropy refresh of an unchanged L-FIB: the recorded
 			// version was stamped by an earlier full snapshot of the
@@ -219,32 +138,19 @@ func (c *CLIB) ApplyLFIB(sw model.SwitchID, group model.GroupID, u *openflow.LFI
 			// already folded in verbatim. Group retags ride SetGroup,
 			// not re-application. Skipping here is what keeps the
 			// every-Nth full refresh O(1) on quiescent switches.
-			c.verMu.Unlock()
 			return
 		}
 		if u.Version > c.swVersions[sw] {
 			c.swVersions[sw] = u.Version
 		}
-		c.verMu.Unlock()
-	}
-	if u.Full {
 		seen := make(map[model.MAC]struct{}, len(u.Entries))
 		for _, e := range u.Entries {
 			seen[e.MAC] = struct{}{}
 		}
-		for i := range c.shards {
-			s := &c.shards[i]
-			s.mu.Lock()
-			var stale []model.MAC
-			for mac := range s.bySwitch[sw] {
-				if _, ok := seen[mac]; !ok {
-					stale = append(stale, mac)
-				}
+		for mac := range c.bySwitch[sw] {
+			if _, ok := seen[mac]; !ok {
+				c.Remove(mac)
 			}
-			for _, mac := range stale {
-				s.removeLocked(mac)
-			}
-			s.mu.Unlock()
 		}
 	}
 	for _, e := range u.Entries {
@@ -255,15 +161,8 @@ func (c *CLIB) ApplyLFIB(sw model.SwitchID, group model.GroupID, u *openflow.LFI
 // SetGroup retags every binding on a switch with a new group (after
 // regrouping; the host-to-switch mapping itself is unchanged, §III-D3).
 func (c *CLIB) SetGroup(sw model.SwitchID, group model.GroupID) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for mac := range s.bySwitch[sw] {
-			if e := s.byMAC[mac]; e != nil {
-				e.Group = group
-			}
-		}
-		s.mu.Unlock()
+	for mac := range c.bySwitch[sw] {
+		c.byMAC[mac].Group = group
 	}
 }
 
@@ -271,17 +170,8 @@ func (c *CLIB) SetGroup(sw model.SwitchID, group model.GroupID) {
 // given VLAN (tenant), ascending. The controller uses it to scope ARP
 // relay (§III-D3 level iii).
 func (c *CLIB) SwitchesWithVLAN(vlan model.VLAN) []model.SwitchID {
-	set := make(map[model.SwitchID]struct{})
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for sw := range s.byVLAN[vlan] {
-			set[sw] = struct{}{}
-		}
-		s.mu.RUnlock()
-	}
-	out := make([]model.SwitchID, 0, len(set))
-	for sw := range set {
+	out := make([]model.SwitchID, 0, len(c.byVLAN[vlan]))
+	for sw := range c.byVLAN[vlan] {
 		out = append(out, sw)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -293,15 +183,9 @@ func (c *CLIB) SwitchesWithVLAN(vlan model.VLAN) []model.SwitchID {
 // into regrouped switches inside the batched group-config push.
 func (c *CLIB) EntriesOn(sw model.SwitchID) []openflow.LFIBEntry {
 	var out []openflow.LFIBEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for mac := range s.bySwitch[sw] {
-			if e := s.byMAC[mac]; e != nil {
-				out = append(out, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
-			}
-		}
-		s.mu.RUnlock()
+	for mac := range c.bySwitch[sw] {
+		e := c.byMAC[mac]
+		out = append(out, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
 	return out
@@ -309,11 +193,7 @@ func (c *CLIB) EntriesOn(sw model.SwitchID) []openflow.LFIBEntry {
 
 // VersionOn returns the highest L-FIB version folded into the C-LIB
 // for a switch (0 when the switch has never reported).
-func (c *CLIB) VersionOn(sw model.SwitchID) uint64 {
-	c.verMu.RLock()
-	defer c.verMu.RUnlock()
-	return c.swVersions[sw]
-}
+func (c *CLIB) VersionOn(sw model.SwitchID) uint64 { return c.swVersions[sw] }
 
 // RemoveSwitch drops every binding attributed to a switch and returns
 // how many were removed (failover eviction). The switch's recorded
@@ -321,46 +201,16 @@ func (c *CLIB) VersionOn(sw model.SwitchID) uint64 {
 // counter, so keeping the old high-water mark would silently discard
 // its fresh post-recovery reports.
 func (c *CLIB) RemoveSwitch(sw model.SwitchID) int {
-	c.verMu.Lock()
 	delete(c.swVersions, sw)
-	c.verMu.Unlock()
-	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		var macs []model.MAC
-		for mac := range s.bySwitch[sw] {
-			macs = append(macs, mac)
-		}
-		for _, mac := range macs {
-			s.removeLocked(mac)
-		}
-		removed += len(macs)
-		s.mu.Unlock()
+	removed := len(c.bySwitch[sw])
+	for mac := range c.bySwitch[sw] {
+		c.Remove(mac)
 	}
 	return removed
 }
 
 // HostsOn returns how many bindings are attributed to a switch.
-func (c *CLIB) HostsOn(sw model.SwitchID) int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.bySwitch[sw])
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *CLIB) HostsOn(sw model.SwitchID) int { return len(c.bySwitch[sw]) }
 
 // Len returns the total number of bindings.
-func (c *CLIB) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.byMAC)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *CLIB) Len() int { return len(c.byMAC) }

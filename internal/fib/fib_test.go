@@ -207,9 +207,6 @@ func TestCLIBUpdateLookup(t *testing.T) {
 	if e == nil || e.Switch != 10 || e.Group != 2 {
 		t.Fatalf("Lookup = %+v", e)
 	}
-	if e := c.LookupIP(model.HostIP(1)); e == nil || e.MAC != model.HostMAC(1) {
-		t.Errorf("LookupIP = %+v", e)
-	}
 	// Migration: binding moves to another switch.
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 11, 3)
 	if e := c.Lookup(model.HostMAC(1)); e.Switch != 11 || e.Group != 3 {
@@ -227,7 +224,7 @@ func TestCLIBRemove(t *testing.T) {
 	c := NewCLIB()
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 10, 2)
 	c.Remove(model.HostMAC(1))
-	if c.Lookup(model.HostMAC(1)) != nil || c.LookupIP(model.HostIP(1)) != nil {
+	if c.Lookup(model.HostMAC(1)) != nil {
 		t.Error("binding survives Remove")
 	}
 	if c.Len() != 0 {

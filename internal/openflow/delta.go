@@ -31,8 +31,9 @@ type GFIBFilterDelta struct {
 // DeltaWireCost returns the encoded size of a delta item carrying the
 // given words, or MaxInt when they cannot be delta-encoded (a word
 // index beyond the u16 wire format). FullWireCost returns the encoded
-// size of a full GFIBFilter item for a marshaled filter of the given
-// length. Senders compare the two to pick the cheaper encoding.
+// size of a full GFIBFilter item carrying the filter. Both G-FIB
+// senders (the designated switch and the controller's preload) ship a
+// delta exactly when it is the smaller of the two.
 func DeltaWireCost(words []bloom.WordDelta) int {
 	for _, w := range words {
 		if w.Index > math.MaxUint16 {
@@ -53,8 +54,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// FullWireCost is DeltaWireCost's counterpart for full filter items.
-func FullWireCost(filterBytes int) int { return 16 + filterBytes }
+// FullWireCost is DeltaWireCost's counterpart for full filter items:
+// switch (4) + version (8) + length (4) + the marshaled filter.
+func FullWireCost(f *bloom.Filter) int { return 16 + f.MarshaledLen() }
 
 // GFIBDelta carries sub-filter updates to group members: only the
 // changed words of the changed filters, so a single host arrival ships

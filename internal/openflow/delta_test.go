@@ -115,8 +115,19 @@ func TestDeltaWireCostBounds(t *testing.T) {
 	if got := DeltaWireCost(tooBig); got != math.MaxInt {
 		t.Errorf("DeltaWireCost(out-of-range index) = %d, want MaxInt", got)
 	}
-	if full := FullWireCost(2048); full <= 2048 {
-		t.Errorf("FullWireCost(2048) = %d", full)
+	// FullWireCost is the encoded full item: the marshaled filter, not
+	// only its bit array, plus the item header.
+	f := bloom.New(16384, 7)
+	data, _ := f.MarshalBinary()
+	m := &GFIBUpdate{Group: 1, Filters: []GFIBFilter{{Switch: 2, Filter: data, Version: 3}}}
+	enc, err := Encode(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// header(10) + group(4) + filter count(4) + version(8) + generation
+	// varint(1)
+	if got, want := len(enc)-(10+4+4+8+1), FullWireCost(f); got != want {
+		t.Errorf("encoded full item = %dB, FullWireCost = %d", got, want)
 	}
 }
 
