@@ -311,11 +311,16 @@ var absoluteGates = []struct {
 // not through -gate: its -benchmem allocs/op and ns/op sum over a
 // noise-dependent number of measurement blocks, while allocs-per-run is
 // one emulation's count. The dissemination benchmarks' wire-B/op is the
-// G-FIB delta rule's bytes on the wire.
+// G-FIB delta rule's bytes on the wire; ControlFold's wire-B/op and
+// events/op are the whole protocol's bytes and simulated events, and
+// Convergence's recovery-rounds is the cascade's repair time.
 var extraGates = []struct{ bench, unit string }{
 	{"BenchmarkTelemetryOverhead", "allocs-per-run"},
 	{"BenchmarkDissemDelta", "wire-B/op"},
 	{"BenchmarkDissemFull", "wire-B/op"},
+	{"BenchmarkControlFold", "wire-B/op"},
+	{"BenchmarkControlFold", "events/op"},
+	{"BenchmarkConvergence", "recovery-rounds"},
 }
 
 // gateAbsolute checks the absolute ceilings against the fresh run,

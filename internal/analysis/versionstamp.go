@@ -26,8 +26,9 @@ import (
 //     write must sit under an if whose condition mentions the guard
 //     field (CLIB.ApplyLFIB may stamp swVersions only under u.Full).
 //   - versionStampSetters: exported setter methods (bloom's
-//     Filter.SetVersion) and their approved callers — the snapshot
-//     and dissemination paths that own version assignment.
+//     Filter.SetVersion) and their approved callers — the G-FIB install
+//     paths and the senders' filter builder, which own version
+//     assignment.
 var VersionStamp = &Analyzer{
 	Name: "versionstamp",
 	Doc: "version fields are written only by approved snapshot/owner functions; " +
@@ -85,14 +86,13 @@ var versionStampFields = map[string][]stampWriter{
 }
 
 // versionStampSetters maps "<type-pkg-suffix>.<Type>.<method>" setter
-// methods to their approved callers: the three dissemination paths
-// that stamp owner-assigned versions onto filters.
+// methods to their approved callers: the G-FIB's two install paths and
+// PeerFilter.Rebuild, the one builder both G-FIB senders use.
 var versionStampSetters = map[string][]stampWriter{
 	"internal/bloom.Filter.SetVersion": {
 		{fn: "internal/fib:GFIB.SetFilterBytes"},
 		{fn: "internal/fib:GFIB.ApplyDelta"},
-		{fn: "internal/edge:Switch.disseminateGFIB"},
-		{fn: "internal/controller:Controller.refreshPeerFilter"},
+		{fn: "internal/fib:PeerFilter.Rebuild"},
 	},
 }
 

@@ -34,7 +34,6 @@ import (
 	"maps"
 	"time"
 
-	"lazyctrl/internal/bloom"
 	"lazyctrl/internal/failover"
 	"lazyctrl/internal/fib"
 	"lazyctrl/internal/grouping"
@@ -293,11 +292,9 @@ type switchRecord struct {
 	// lets a push round choose skip vs. delta vs. full per destination.
 	pushedCfg     uint64
 	pushedFilters map[model.SwitchID]uint64
-	// pfCur and pfPrev cache the newest and previous preload filter
-	// built for the switch out of the C-LIB: pfCur is what full pushes
-	// ship to its peers, (pfPrev → pfCur) is the diff pair behind
-	// preload deltas.
-	pfCur, pfPrev *peerFilter
+	// filter is the switch's preload filter, built out of the C-LIB and
+	// shipped to its peers.
+	filter fib.PeerFilter
 	// lastAck is when the switch last proved itself alive (valid once
 	// acked); dead is the failover module's standing verdict.
 	lastAck time.Duration
@@ -543,15 +540,6 @@ func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 	return nil
 }
 
-// peerFilter is one cached preload filter: the Bloom filter built from
-// a switch's C-LIB entries (version-stamped with the switch's reported
-// L-FIB version), its wire encoding, and the entry count it covers.
-type peerFilter struct {
-	f       *bloom.Filter
-	data    []byte
-	entries int
-}
-
 // pushGroupConfigs sends each switch its group view (§III-D1 setup
 // phase: designated selection, wheel ordering, timing parameters)
 // coalesced with G-FIB preloads of the switch's peers out of the C-LIB
@@ -607,18 +595,13 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 				memberSet[m] = true
 			}
 		}
-		// Refresh the per-peer filter cache for members whose reported
-		// L-FIB version moved; each filter is built and encoded once
-		// per round and shared across every destination.
+		// Refresh the preload filters of members whose reported L-FIB
+		// version moved; each is shared across every destination.
 		if len(members) > 1 {
 			for _, m := range members {
 				c.refreshPeerFilter(m)
 			}
 		}
-		// diffs memoizes the pfPrev→pfCur word diff per peer within the
-		// round (computed at most once, reused by every destination that
-		// holds the previous version).
-		var diffs map[model.SwitchID][]bloom.WordDelta
 		for _, m := range members {
 			rec := c.sw[m]
 			prev, next := failover.Neighbors(wheel, m)
@@ -653,7 +636,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 			}
 			var nFull, nDelta int
 			if len(members) > 1 {
-				update, delta := c.buildPreload(gid, m, members, &diffs)
+				update, delta := c.buildPreload(gid, m, members)
 				if update != nil {
 					msgs = append(msgs, update)
 					nFull = len(update.Filters)
@@ -804,40 +787,29 @@ func (c *Controller) repush(kickDesignated bool) {
 	c.pushGroupConfigs(kickDesignated)
 }
 
-// refreshPeerFilter rebuilds the cached preload filter for a switch
-// when the C-LIB's recorded L-FIB version for it moved, rotating the
-// old filter into the diff-base slot. A switch without C-LIB entries
-// has no filter (and loses any cached one — e.g. after failover
+// refreshPeerFilter rebuilds a switch's preload filter when the C-LIB's
+// recorded L-FIB version for it moved. A switch without C-LIB entries
+// has no filter (and loses any built one — e.g. after failover
 // eviction).
 func (c *Controller) refreshPeerFilter(sw model.SwitchID) {
 	rec := c.sw[sw]
 	v := c.clib.VersionOn(sw)
-	if cur := rec.pfCur; cur != nil && cur.f.Version() == v {
+	if built, ok := rec.filter.Version(); ok && built == v {
 		return
 	}
 	entries := c.clib.EntriesOn(sw)
 	if len(entries) == 0 {
-		rec.pfCur, rec.pfPrev = nil, nil
+		rec.filter.Reset()
 		return
 	}
-	f := fib.FilterFromWireEntries(entries, fib.DefaultFilterBits, fib.DefaultFilterHashes)
-	f.SetVersion(v)
-	data, err := f.MarshalBinary()
-	if err != nil {
-		return // cannot happen: MarshalBinary has no failure path
-	}
-	if rec.pfCur != nil {
-		rec.pfPrev = rec.pfCur
-	}
-	rec.pfCur = &peerFilter{f: f, data: data, entries: len(entries)}
+	rec.filter.Rebuild(entries, v)
 }
 
 // buildPreload assembles the G-FIB preload for one destination: per
 // peer, skip when the destination already holds the current filter
-// version, diff against the previous cached filter when it holds that,
-// and fall back to the full encoding otherwise. diffs memoizes word
-// diffs across destinations within the round.
-func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, members []model.SwitchID, diffs *map[model.SwitchID][]bloom.WordDelta) (*openflow.GFIBUpdate, *openflow.GFIBDelta) {
+// version, and otherwise ship what the peer's filter offers against
+// the version the destination holds — a delta or the full filter.
+func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, members []model.SwitchID) (*openflow.GFIBUpdate, *openflow.GFIBDelta) {
 	var update *openflow.GFIBUpdate
 	var delta *openflow.GFIBDelta
 	acked := c.sw[dest].pushedFilters
@@ -845,39 +817,21 @@ func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, member
 		if peer == dest {
 			continue
 		}
-		src := c.sw[peer]
-		cur, prev := src.pfCur, src.pfPrev
-		if cur == nil {
+		pf := &c.sw[peer].filter
+		curV, built := pf.Version()
+		if !built {
 			continue
 		}
-		curV := cur.f.Version()
 		ackedV, has := acked[peer]
 		if has && ackedV == curV {
 			continue // destination is current for this peer
 		}
-		if has && prev != nil && prev.f.Version() == ackedV {
-			if *diffs == nil {
-				*diffs = make(map[model.SwitchID][]bloom.WordDelta)
-			}
-			// An unchanged bit array (a reboot re-attaching the same
-			// hosts moves only the version) is a zero-word delta.
-			words, ok := (*diffs)[peer]
-			var err error
-			if !ok {
-				if words, err = cur.f.DiffWords(prev.f); err == nil {
-					(*diffs)[peer] = words
-				}
-			}
-			if err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(cur.f) {
+		if has {
+			if d, ok := pf.Delta(peer, ackedV); ok {
 				if delta == nil {
 					delta = &openflow.GFIBDelta{Group: gid, Version: c.groupingVersion, Generation: c.generation}
 				}
-				delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{
-					Switch:        peer,
-					BaseVersion:   ackedV,
-					TargetVersion: curV,
-					Words:         words,
-				})
+				delta.Deltas = append(delta.Deltas, d)
 				c.stats.PreloadDeltas++
 				c.markPushed(dest, peer, curV)
 				continue
@@ -886,9 +840,9 @@ func (c *Controller) buildPreload(gid model.GroupID, dest model.SwitchID, member
 		if update == nil {
 			update = &openflow.GFIBUpdate{Group: gid, Version: c.groupingVersion, Generation: c.generation}
 		}
-		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: peer, Filter: cur.data, Version: curV})
+		update.Filters = append(update.Filters, pf.Full(peer))
 		c.stats.PreloadFulls++
-		c.stats.RulesPreload += uint64(cur.entries)
+		c.stats.RulesPreload += uint64(pf.Entries())
 		c.markPushed(dest, peer, curV)
 	}
 	return update, delta

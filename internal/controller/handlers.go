@@ -321,12 +321,15 @@ func (c *Controller) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
 	update := &openflow.GFIBUpdate{Group: m.Group, Version: c.groupingVersion, Generation: c.generation}
 	for _, peer := range m.Peers {
 		rec := c.sw[peer]
-		if rec == nil || rec.pfCur == nil {
+		if rec == nil {
 			continue
 		}
-		cur := rec.pfCur
-		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: peer, Filter: cur.data, Version: cur.f.Version()})
-		c.markPushed(m.Origin, peer, cur.f.Version())
+		v, built := rec.filter.Version()
+		if !built {
+			continue
+		}
+		update.Filters = append(update.Filters, rec.filter.Full(peer))
+		c.markPushed(m.Origin, peer, v)
 	}
 	if len(update.Filters) == 0 {
 		return
@@ -666,7 +669,7 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 		c.clib.RemoveSwitch(suspect)
 		// The dead switch's preload filter must not be re-shipped, and
 		// destinations' acked versions for it are moot.
-		rec.pfCur, rec.pfPrev = nil, nil
+		rec.filter.Reset()
 		for _, other := range c.sw {
 			delete(other.pushedFilters, suspect)
 		}

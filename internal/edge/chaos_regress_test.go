@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -255,5 +256,29 @@ func TestRepromotedDesignatedStartsFresh(t *testing.T) {
 	}
 	if reports == 0 {
 		t.Fatal("S2 sent no StateReport in its second tenure")
+	}
+}
+
+// TestLateBeaconFromExMemberIgnored: group 1 keeps its ID across a
+// regroup that moves S3 to group 2, and an idle beacon S3 sent under
+// its old view reaches the designated switch S1 afterwards. S1 must not
+// answer it with group 1's view: S3 would adopt a view that does not
+// name it and ack the current grouping version, ending the supervision
+// of its real push.
+func TestLateBeaconFromExMemberIgnored(t *testing.T) {
+	r := newRig(t, 1, 2, 3, 4)
+	r.configureGroup(1, 1, 1, 2, 3)
+	r.sim.RunFor(time.Second)
+	r.configureGroup(1, 1, 1, 2)
+	r.configureGroup(2, 3, 3, 4)
+	r.sim.RunFor(time.Second)
+
+	r.switches[1].HandleMessage(3, &openflow.StateReport{
+		Group: 1,
+		LFIBs: []openflow.LFIBUpdate{{Origin: 3, Version: r.switches[3].LFIB().Version()}},
+	})
+	r.sim.RunFor(time.Second)
+	if g := r.switches[3].Group(); g.Group != 2 || !slices.Equal(g.Members, []model.SwitchID{3, 4}) {
+		t.Fatalf("S3 holds group %d with members %v, want group 2 with [3 4]", g.Group, g.Members)
 	}
 }

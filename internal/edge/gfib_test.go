@@ -121,9 +121,13 @@ func TestDisseminationDeltaAgainstEncodedFull(t *testing.T) {
 	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated S2's filter
 	d := r.switches[1]
 	rec := d.role.members[2]
-	if rec == nil || rec.gfibPrev == nil {
+	if rec == nil {
 		t.Fatal("setup: designated never disseminated S2's filter")
 	}
+	if v, built := rec.filter.Version(); !built || v != rec.version {
+		t.Fatal("setup: designated never disseminated S2's filter")
+	}
+	sent := fib.FilterFromWireEntries(rec.snapshot, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 
 	// Grow S2's snapshot, skipping hosts that would overshoot, until its
 	// rebuilt filter differs from the disseminated one in 205 words.
@@ -134,7 +138,7 @@ func TestDisseminationDeltaAgainstEncodedFull(t *testing.T) {
 			t.Fatalf("no snapshot found with a %d-word diff", want)
 		}
 		next := append(slices.Clone(snapshot), openflow.LFIBEntry{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1})
-		words, err := fib.FilterFromWireEntries(next, fib.DefaultFilterBits, fib.DefaultFilterHashes).DiffWords(rec.gfibPrev)
+		words, err := fib.FilterFromWireEntries(next, fib.DefaultFilterBits, fib.DefaultFilterHashes).DiffWords(sent)
 		if err != nil {
 			t.Fatal(err)
 		}

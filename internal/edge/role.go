@@ -3,7 +3,7 @@ package edge
 import (
 	"time"
 
-	"lazyctrl/internal/bloom"
+	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
@@ -45,10 +45,10 @@ type memberRecord struct {
 	// dissemination / controller report, so an unchanged snapshot is
 	// never re-encoded, re-sent, or re-decoded interval after interval.
 	sent [2]sentMark
-	// gfibPrev is the last disseminated filter (tagged with its
-	// version): the diff base for word-level deltas and the full-state
-	// source for NACK-driven resyncs.
-	gfibPrev *bloom.Filter
+	// filter is the member's filter as last disseminated: the diff base
+	// for word-level deltas and the full-state source for NACK-driven
+	// resyncs.
+	filter fib.PeerFilter
 	// pending accumulates the increments received since the last
 	// controller report, so the state link forwards increments instead
 	// of re-snapshotting; needFull marks a member whose next report

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
@@ -273,7 +272,11 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 // switch only): full snapshots replace the member's aggregated state,
 // increments merge into it, and the same increments queue for the next
 // controller report so the state link forwards them instead of
-// re-snapshotting.
+// re-snapshotting. A member speaks only for itself: a leg is taken only
+// from its own origin, and only while that origin is in the group view
+// (a group that kept its ID across a regroup still hears beacons its
+// departed members sent under the old view, and resyncing one would
+// hand it this group's view).
 func (s *Switch) handleMemberReport(from model.SwitchID, m *openflow.StateReport) {
 	r := s.role
 	if r == nil || m.Group != s.group.Group {
@@ -281,6 +284,9 @@ func (s *Switch) handleMemberReport(from model.SwitchID, m *openflow.StateReport
 	}
 	for i := range m.LFIBs {
 		u := &m.LFIBs[i]
+		if u.Origin != from || !s.isMember(from) {
+			continue
+		}
 		rec := r.members[u.Origin]
 		switch {
 		case u.Full:
@@ -423,35 +429,25 @@ func (s *Switch) disseminateGFIB() {
 	delta := &openflow.GFIBDelta{Group: s.group.Group, Version: s.group.Version}
 	s.changedMembers(toGroup, beacon, func(member model.SwitchID, rec *memberRecord) {
 		v := rec.version
-		if rec.gfibPrev != nil && rec.sent[toGroup] == (sentMark{version: v, set: true}) {
+		held, built := rec.filter.Version()
+		if built && rec.sent[toGroup] == (sentMark{version: v, set: true}) {
 			// Version beacon: assert the current version of a filter
 			// that did not change. Holders no-op; stale or empty
 			// receivers NACK and get a full resync.
 			delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
 			return
 		}
-		f := fib.FilterFromWireEntries(rec.snapshot, fib.DefaultFilterBits, fib.DefaultFilterHashes)
-		f.SetVersion(v)
-		prev := rec.gfibPrev
-		rec.gfibPrev = f
-		if prev != nil && !s.cfg.GFIBFullPush {
-			if words, err := f.DiffWords(prev); err == nil && openflow.DeltaWireCost(words) < openflow.FullWireCost(f) {
+		// Every member is assumed to hold what the last round sent.
+		rec.filter.Rebuild(rec.snapshot, v)
+		if built && !s.cfg.GFIBFullPush {
+			if d, ok := rec.filter.Delta(member, held); ok {
 				s.stats.GFIBDeltasSent++
-				delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{
-					Switch:        member,
-					BaseVersion:   prev.Version(),
-					TargetVersion: v,
-					Words:         words,
-				})
+				delta.Deltas = append(delta.Deltas, d)
 				return
 			}
 		}
-		data, err := f.MarshalBinary()
-		if err != nil {
-			return // cannot happen with valid geometry
-		}
 		s.stats.GFIBFullsSent++
-		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: member, Filter: data, Version: v})
+		update.Filters = append(update.Filters, rec.filter.Full(member))
 	})
 	var msgs []openflow.Message
 	if len(update.Filters) > 0 {
@@ -614,15 +610,13 @@ func (s *Switch) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	for _, peer := range m.Peers {
 		rec := s.role.members[peer]
-		if rec == nil || rec.gfibPrev == nil {
-			continue // nothing disseminated for this peer yet
-		}
-		f := rec.gfibPrev
-		data, err := f.MarshalBinary()
-		if err != nil {
+		if rec == nil {
 			continue
 		}
-		update.Filters = append(update.Filters, openflow.GFIBFilter{Switch: peer, Filter: data, Version: f.Version()})
+		if _, built := rec.filter.Version(); !built {
+			continue // nothing disseminated for this peer yet
+		}
+		update.Filters = append(update.Filters, rec.filter.Full(peer))
 	}
 	if len(update.Filters) == 0 {
 		return

@@ -456,8 +456,7 @@ func TestPostRebootFilterAccepted(t *testing.T) {
 		peer.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, 1, 0)
 	}
 	install := func(l *fib.LFIB) {
-		f := l.Filter(fib.DefaultFilterBits, fib.DefaultFilterHashes)
-		data, err := f.MarshalBinary()
+		data, err := fib.FilterBytesFromWireEntries(l.WireEntries(), fib.DefaultFilterBits, fib.DefaultFilterHashes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,22 +214,10 @@ func MACKey(mac model.MAC) uint64 { return mac.Uint64() }
 // MAC and IP key spaces disjoint (MACs occupy 48 bits).
 func IPKey(ip model.IP) uint64 { return 1<<50 | uint64(ip) }
 
-// Filter builds a Bloom filter over the MACs and IPs in the table using
-// the given geometry (m bits, k hashes). Including IP keys lets the
-// G-FIB recognize ARP targets (§III-D3 level ii).
-func (l *LFIB) Filter(m uint64, k uint32) *bloom.Filter {
-	f := bloom.New(m, k)
-	for mac, e := range l.byMAC {
-		f.AddUint64(MACKey(mac))
-		f.AddUint64(IPKey(e.IP))
-	}
-	return f
-}
-
 // FilterFromWireEntries builds the Bloom filter of a wire L-FIB
-// snapshot, keyed exactly as LFIB.Filter (MAC and IP keys). The
-// controller caches these per switch so a push round encodes each
-// filter once and diffs consecutive builds into word-level deltas.
+// snapshot using the given geometry (m bits, k hashes), over the MAC
+// and IP keys of every entry. Including IP keys lets the G-FIB
+// recognize ARP targets (§III-D3 level ii).
 func FilterFromWireEntries(entries []openflow.LFIBEntry, m uint64, k uint32) *bloom.Filter {
 	f := bloom.New(m, k)
 	for _, e := range entries {

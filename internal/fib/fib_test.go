@@ -104,7 +104,7 @@ func TestLFIBFilter(t *testing.T) {
 	for i := uint32(1); i <= 20; i++ {
 		l.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, 1, 0)
 	}
-	f := l.Filter(DefaultFilterBits, DefaultFilterHashes)
+	f := FilterFromWireEntries(l.WireEntries(), DefaultFilterBits, DefaultFilterHashes)
 	for i := uint32(1); i <= 20; i++ {
 		if !f.TestUint64(model.HostMAC(model.HostID(i)).Uint64()) {
 			t.Fatalf("filter missing host %d", i)

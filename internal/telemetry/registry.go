@@ -1,5 +1,5 @@
 // Package telemetry is the control plane's observability layer: a
-// unified metrics registry (typed counter/gauge/histogram handles,
+// metrics registry (snapshot-time readers over the owners' counters,
 // deterministic sorted snapshots), a causal span tracer driven by the
 // sim clock, and a per-node flight recorder that keeps the last few
 // protocol events for post-mortem dumps.
@@ -18,14 +18,13 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
-// Counter is a monotone event count. The zero-value/nil handle is a
-// no-op, so call sites cost one predictable branch when telemetry is
-// not wired. Increments are plain adds — instruments are owned by the
+// Counter is a monotone event count. The nil handle is a no-op.
+// Increments are plain adds — counters are owned by the
 // single-threaded sim loop, like every other mutable structure here.
 type Counter struct{ v uint64 }
 
@@ -33,13 +32,6 @@ type Counter struct{ v uint64 }
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
 	}
 }
 
@@ -51,224 +43,44 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// Gauge is a last-write-wins instantaneous value.
-type Gauge struct{ v float64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value reads the gauge (0 on a nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// histBuckets is the fixed bucket count of Histogram: one power-of-two
-// bucket per possible bit length of a uint64 observation, so Observe
-// is a bits.Len64 and an add — no search, no allocation.
-const histBuckets = 65
-
-// Histogram is a log2-bucketed distribution of uint64 observations
-// (bucket k holds values with bit length k, i.e. [2^(k-1), 2^k)).
-type Histogram struct {
-	buckets [histBuckets]uint64
-	count   uint64
-	sum     uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.buckets[bits.Len64(v)]++
-	h.count++
-	h.sum += v
-}
-
-// Count reports the number of observations (0 on a nil handle).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Mean reports the average observation. An empty (or nil) histogram
-// has an explicit zero mean — never NaN.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Quantile reports an upper bound for the q-quantile (the upper edge
-// of the bucket holding the q·count-th observation). Empty and nil
-// histograms report 0 for every q, as do q ≤ 0 and NaN; q ≥ 1 reports
-// the maximum bucket edge seen.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil || h.count == 0 || !(q > 0) { // !(q>0) also catches NaN
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen uint64
-	for k, n := range h.buckets {
-		seen += n
-		if n > 0 && seen > rank {
-			if k == 0 {
-				return 0
-			}
-			if k >= 64 {
-				return ^uint64(0)
-			}
-			return 1<<uint(k) - 1
-		}
-	}
-	return 0
-}
-
-// kind tags an instrument for exposition.
-type kind uint8
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-	kindFunc
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	default:
-		return "gauge" // funcs expose as gauges
-	}
-}
-
 // instrument is one registered metric.
 type instrument struct {
-	name    string
-	help    string
-	kind    kind
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64
+	name string
+	help string
+	fn   func() float64
 }
 
-// Registry holds the instruments. Registration happens once at
-// construction time; the hot path touches only the returned handles.
-// A nil *Registry hands out nil handles, so an unwired subsystem pays
-// a nil check per increment and nothing else.
+// Registry is the exposition of the run's counters. A counter lives in
+// its owner's Stats struct and is registered here as a reader, so the
+// hot path never touches the registry. A nil *Registry registers
+// nothing and exposes nothing.
 type Registry struct {
-	byName map[string]*instrument
-	order  []*instrument
+	ins []instrument // ascending by name
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*instrument)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) add(name, help string, k kind) *instrument {
-	if _, dup := r.byName[name]; dup {
-		panic("telemetry: duplicate instrument " + name)
-	}
-	in := &instrument{name: name, help: help, kind: k}
-	r.byName[name] = in
-	r.order = append(r.order, in)
-	return in
-}
-
-// Counter registers a counter and returns its handle.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	in := r.add(name, help, kindCounter)
-	in.counter = &Counter{}
-	return in.counter
-}
-
-// Gauge registers a gauge and returns its handle.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	in := r.add(name, help, kindGauge)
-	in.gauge = &Gauge{}
-	return in.gauge
-}
-
-// Histogram registers a histogram and returns its handle.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	in := r.add(name, help, kindHistogram)
-	in.hist = &Histogram{}
-	return in.hist
-}
-
-// Func registers a gauge computed at snapshot time. This is how the
-// pre-existing scattered counters (edge Stats, netsim DropStats,
-// controller Stats) re-home onto the registry without touching their
-// hot paths: the closure reads the struct field when a snapshot is
-// taken, and the run itself pays nothing.
+// Func registers a gauge computed at snapshot time: the closure reads
+// the owning struct's field when a snapshot is taken, and the run
+// itself pays nothing. Names are unique.
 func (r *Registry) Func(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.add(name, help, kindFunc).fn = fn
+	i, dup := slices.BinarySearchFunc(r.ins, name, func(in instrument, name string) int {
+		return strings.Compare(in.name, name)
+	})
+	if dup {
+		panic("telemetry: duplicate instrument " + name)
+	}
+	r.ins = slices.Insert(r.ins, i, instrument{name: name, help: help, fn: fn})
 }
 
 // Sample is one instrument's snapshot value.
 type Sample struct {
-	Name string
-	Kind string
-	// Value is the counter/gauge/func value, or the histogram sum.
+	Name  string
 	Value float64
-	// Count and Buckets are set for histograms only; Buckets holds
-	// (bitlen, count) pairs for the non-empty buckets in ascending
-	// order.
-	Count   uint64
-	Buckets [][2]uint64
-}
-
-func (in *instrument) sample() Sample {
-	s := Sample{Name: in.name, Kind: in.kind.String()}
-	switch in.kind {
-	case kindCounter:
-		s.Value = float64(in.counter.Value())
-	case kindGauge:
-		s.Value = in.gauge.Value()
-	case kindHistogram:
-		s.Value = float64(in.hist.sum)
-		s.Count = in.hist.count
-		for k, n := range in.hist.buckets {
-			if n > 0 {
-				s.Buckets = append(s.Buckets, [2]uint64{uint64(k), n})
-			}
-		}
-	case kindFunc:
-		s.Value = in.fn()
-	}
-	return s
 }
 
 // Snapshot returns every instrument's current value sorted by name —
@@ -277,11 +89,10 @@ func (r *Registry) Snapshot() []Sample {
 	if r == nil {
 		return nil
 	}
-	out := make([]Sample, 0, len(r.order))
-	for _, in := range r.order {
-		out = append(out, in.sample())
+	out := make([]Sample, len(r.ins))
+	for i, in := range r.ins {
+		out[i] = Sample{Name: in.name, Value: in.fn()}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -292,47 +103,19 @@ func formatValue(v float64) string {
 }
 
 // WriteProm writes a Prometheus-style text snapshot: HELP/TYPE pairs
-// and one sample line per instrument, histogram buckets as cumulative
-// le-labelled series on power-of-two edges. This is the exposition the
-// future live transport scrapes; in-sim it backs the -metrics dump
-// flags.
+// and one sample line per instrument. In-sim it backs the -metrics
+// dump flags.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	helps := make(map[string]string, len(r.byName))
-	for name, in := range r.byName {
-		helps[name] = in.help
-	}
-	for _, s := range r.Snapshot() {
-		if h := helps[s.Name]; h != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.Name, h); err != nil {
+	for _, in := range r.ins {
+		if in.help != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", in.name, in.help); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Kind); err != nil {
-			return err
-		}
-		if s.Kind != "histogram" {
-			if _, err := fmt.Fprintf(w, "%s %s\n", s.Name, formatValue(s.Value)); err != nil {
-				return err
-			}
-			continue
-		}
-		var cum uint64
-		for _, b := range s.Buckets {
-			cum += b[1]
-			edge := "0"
-			if k := b[0]; k > 0 && k < 64 {
-				edge = strconv.FormatUint(1<<uint(k)-1, 10)
-			} else if k >= 64 {
-				edge = "+Inf"
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", s.Name, edge, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", s.Name, formatValue(s.Value), s.Name, s.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", in.name, in.name, formatValue(in.fn())); err != nil {
 			return err
 		}
 	}
@@ -345,28 +128,8 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	for _, s := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, `{"name":%q,"kind":%q,"value":%s`, s.Name, s.Kind, formatValue(s.Value)); err != nil {
-			return err
-		}
-		if s.Kind == "histogram" {
-			if _, err := fmt.Fprintf(w, `,"count":%d,"buckets":[`, s.Count); err != nil {
-				return err
-			}
-			for i, b := range s.Buckets {
-				sep := ""
-				if i > 0 {
-					sep = ","
-				}
-				if _, err := fmt.Fprintf(w, "%s[%d,%d]", sep, b[0], b[1]); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, "]"); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "}\n"); err != nil {
+	for _, in := range r.ins {
+		if _, err := fmt.Fprintf(w, "{\"name\":%q,\"kind\":\"gauge\",\"value\":%s}\n", in.name, formatValue(in.fn())); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 )
@@ -10,33 +10,15 @@ import (
 func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		c := r.Counter("zeta.count", "last registered, first sorted check")
-		g := r.Gauge("alpha.gauge", "")
-		h := r.Histogram("mid.hist", "latencies")
+		r.Func("zeta.count", "last registered, first sorted check", func() float64 { return 4 })
+		r.Func("alpha.gauge", "", func() float64 { return -2.25 })
 		r.Func("beta.func", "derived", func() float64 { return 7.5 })
-		c.Add(3)
-		c.Inc()
-		g.Set(-2.25)
-		for _, v := range []uint64{0, 1, 5, 5, 900} {
-			h.Observe(v)
-		}
 		return r
 	}
 	r := build()
-	snap := r.Snapshot()
-	var names []string
-	for _, s := range snap {
-		names = append(names, s.Name)
-	}
-	want := []string{"alpha.gauge", "beta.func", "mid.hist", "zeta.count"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Fatalf("snapshot order = %v, want %v", names, want)
-	}
-	if snap[3].Value != 4 || snap[0].Value != -2.25 || snap[1].Value != 7.5 {
-		t.Fatalf("snapshot values wrong: %+v", snap)
-	}
-	if snap[2].Count != 5 || snap[2].Value != 911 {
-		t.Fatalf("histogram sample = %+v, want count 5 sum 911", snap[2])
+	want := []Sample{{"alpha.gauge", -2.25}, {"beta.func", 7.5}, {"zeta.count", 4}}
+	if snap := r.Snapshot(); !slices.Equal(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
 	}
 
 	var a, b, prom bytes.Buffer
@@ -49,65 +31,44 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("JSONL dump not reproducible:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
 	}
+	wantJSONL := `{"name":"alpha.gauge","kind":"gauge","value":-2.25}
+{"name":"beta.func","kind":"gauge","value":7.5}
+{"name":"zeta.count","kind":"gauge","value":4}
+`
+	if a.String() != wantJSONL {
+		t.Fatalf("JSONL dump:\n%s\nwant:\n%s", a.String(), wantJSONL)
+	}
 	if err := r.WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	for _, needle := range []string{
-		"# TYPE zeta.count counter",
-		"zeta.count 4",
-		"# HELP mid.hist latencies",
-		"mid.hist_count 5",
-		`mid.hist_bucket{le="0"} 1`,
-	} {
-		if !strings.Contains(prom.String(), needle) {
-			t.Errorf("prom output missing %q:\n%s", needle, prom.String())
-		}
+	wantProm := `# TYPE alpha.gauge gauge
+alpha.gauge -2.25
+# HELP beta.func derived
+# TYPE beta.func gauge
+beta.func 7.5
+# HELP zeta.count last registered, first sorted check
+# TYPE zeta.count gauge
+zeta.count 4
+`
+	if prom.String() != wantProm {
+		t.Fatalf("prom output:\n%s\nwant:\n%s", prom.String(), wantProm)
 	}
 }
 
 func TestNilHandlesNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
-	g := r.Gauge("y", "")
-	var h *Histogram
+	var c *Counter
 	c.Inc()
-	c.Add(5)
-	g.Set(1)
-	h.Observe(9)
 	r.Func("z", "", nil)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("nil handles must read as zero")
+	if c.Value() != 0 {
+		t.Fatal("nil counter must read as zero")
 	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
-}
-
-func TestHistogramQuantileSemantics(t *testing.T) {
-	h := &Histogram{}
-	// Empty: explicit zero for every q, including the degenerate ones.
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := h.Quantile(q); got != 0 {
-			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
-		}
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(3) // bucket bitlen 2, edge 3
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000) // bucket bitlen 10, edge 1023
-	}
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("q50 = %d, want 3", got)
-	}
-	if got := h.Quantile(0.99); got != 1023 {
-		t.Fatalf("q99 = %d, want 1023", got)
-	}
-	if got := h.Quantile(5); got != 1023 {
-		t.Fatalf("q>1 = %d, want max edge 1023", got)
-	}
-	if m := h.Mean(); m < 102 || m > 103 {
-		t.Fatalf("mean = %v, want ≈102.7", m)
+	var out bytes.Buffer
+	if r.WriteProm(&out) != nil || r.WriteJSONL(&out) != nil || out.Len() != 0 {
+		t.Fatal("nil registry must write nothing")
 	}
 }
 
