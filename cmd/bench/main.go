@@ -115,14 +115,14 @@ func parseBenchLine(line, pkg string) *Result {
 
 func main() {
 	var (
-		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkIncUpdate|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias|BenchmarkPeriodicRounds|BenchmarkSortedBurst|BenchmarkGFIBQuery|BenchmarkGFIBWalk", "benchmark regex passed to go test -bench")
+		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkIncUpdate|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias|BenchmarkPeriodicRounds|BenchmarkSortedBurst|BenchmarkGFIBQuery|BenchmarkGFIBWalk|BenchmarkWorldProbe", "benchmark regex passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1x", "value for go test -benchtime")
 		count       = flag.Int("count", 1, "value for go test -count")
 		pkgs        = flag.String("pkg", "./...", "package pattern to benchmark")
 		out         = flag.String("out", "", "output JSON path (default: BENCH_<latest+1>.json)")
 		dir         = flag.String("dir", "", "directory to run go test in (default: current; use to benchmark another checkout)")
 		baseline    = flag.String("baseline", "", "previous report JSON to embed and gate against (default: latest BENCH_<n>.json; \"none\" disables)")
-		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkDissemFull,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkGFIBQuery,BenchmarkGFIBWalk", "comma-separated benchmark names gated against the baseline")
+		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkDissemFull,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkGFIBQuery,BenchmarkGFIBWalk,BenchmarkWorldProbe", "comma-separated benchmark names gated against the baseline")
 		maxregress  = flag.Float64("maxregress", 0.10, "maximum tolerated fractional regression in ns/op or allocs/op for gated benchmarks")
 		gatemetrics = flag.String("gatemetrics", "ns,allocs", "metrics the gate enforces: ns, allocs, or both; allocs/op is the only metric comparable across machines, so CI gates allocs only")
 		remeasure   = flag.Int("remeasure", 4, "re-runs of ns-gate violators (min wall-clock wins) before a timing violation counts")
@@ -444,7 +444,7 @@ func gateAgainstBaseline(r *Report, gate, metrics string, maxregress float64, qu
 				name, base.NsPerOp, cur.NsPerOp, 100*maxregress))
 		}
 		// No base > 0 guard: an allocation-free baseline (the G-FIB
-		// lookup and walk) is gated at zero.
+		// lookup and walk, the chaos probe) is gated at zero.
 		if gateAllocs && float64(cur.AllocsPerOp) > float64(base.AllocsPerOp)*limit {
 			violations = append(violations, fmt.Sprintf("%s: allocs/op %d -> %d exceeds +%.0f%%",
 				name, base.AllocsPerOp, cur.AllocsPerOp, 100*maxregress))

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Filter is a Bloom filter over byte-string keys. The zero value is not
@@ -234,19 +235,21 @@ func (f *Filter) MarshaledLen() int { return marshalHeaderLen + f.SizeBytes() }
 // always encode identically — the invariant the delta-protocol
 // differential tests pin.
 func (f *Filter) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, f.MarshaledLen())
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], marshalMagic)
-	buf = append(buf, scratch[:]...)
-	binary.BigEndian.PutUint64(scratch[:], f.m)
-	buf = append(buf, scratch[:]...)
-	binary.BigEndian.PutUint32(scratch[:4], f.k)
-	buf = append(buf, scratch[:4]...)
+	return f.AppendBinary(make([]byte, 0, f.MarshaledLen()))
+}
+
+// AppendBinary appends MarshalBinary's encoding to b and returns the
+// extended slice (encoding.BinaryAppender), so a caller that reuses its
+// buffer encodes without allocating. It has no failure path.
+func (f *Filter) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, f.MarshaledLen())
+	b = binary.BigEndian.AppendUint64(b, marshalMagic)
+	b = binary.BigEndian.AppendUint64(b, f.m)
+	b = binary.BigEndian.AppendUint32(b, f.k)
 	for _, w := range f.bits {
-		binary.BigEndian.PutUint64(scratch[:], w)
-		buf = append(buf, scratch[:]...)
+		b = binary.BigEndian.AppendUint64(b, w)
 	}
-	return buf, nil
+	return b, nil
 }
 
 // ErrCorrupt reports a malformed filter encoding.

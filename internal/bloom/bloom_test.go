@@ -135,6 +135,29 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBinary pins the encoding MarshalBinary and AppendBinary
+// share: magic, m, k, then the words, all big-endian, appended after
+// whatever dst already holds.
+func TestAppendBinary(t *testing.T) {
+	f := New(128, 3)
+	f.AddUint64(42)
+	want := []byte{0xee,
+		0, 0, 0, 0x4c, 0x43, 0x5f, 0x42, 0x46, // "LC_BF"
+		0, 0, 0, 0, 0, 0, 0, 128, // m
+		0, 0, 0, 3, // k
+	}
+	for _, w := range f.bits {
+		want = binary.BigEndian.AppendUint64(want, w)
+	}
+	got, err := f.AppendBinary([]byte{0xee})
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("AppendBinary = %x, %v; want %x", got, err, want)
+	}
+	if data, _ := f.MarshalBinary(); !bytes.Equal(data, want[1:]) || len(data) != f.MarshaledLen() {
+		t.Fatalf("MarshalBinary = %x, want %x", data, want[1:])
+	}
+}
+
 func TestUnmarshalCorrupt(t *testing.T) {
 	var f Filter
 	cases := [][]byte{

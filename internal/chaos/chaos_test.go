@@ -200,9 +200,15 @@ func TestWorldProbeFlagsVersionRegression(t *testing.T) {
 	}
 	// Rewind S1's view of S3 to a pre-epoch version: a stale-snapshot
 	// adoption the invariant forbids.
-	cur, _ := w.Switches[1].GFIB().PeerVersion(3)
-	data := w.Switches[1].GFIB().SnapshotBytes()[3]
-	if err := w.Switches[1].GFIB().SetFilterBytes(3, data, cur-1); err != nil {
+	g := w.Switches[1].GFIB()
+	cur, _ := g.PeerVersion(3)
+	var data []byte
+	for i := 0; i < g.Len(); i++ {
+		if peer, _ := g.At(i); peer == 3 {
+			data = g.AppendFilter(nil, i)
+		}
+	}
+	if err := g.SetFilterBytes(3, data, cur-1); err != nil {
 		t.Fatal(err)
 	}
 	v := w.Probe()

@@ -1,10 +1,14 @@
 package chaos
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"lazyctrl/internal/controller"
@@ -32,6 +36,9 @@ const DefaultRecoveryRoundBound = 35
 // host directory defines, so it detects both missing state (a lost
 // snapshot never repaired) and ghost state (a tombstoned filter
 // resurrected, a dead switch's bindings lingering in the C-LIB).
+//
+// The set of switches (and of replicas) is read on the first call and
+// must not change afterwards; their state may change freely.
 type World struct {
 	Controller *controller.Controller
 	// Replicas lists the controller replicas of a replicated stack;
@@ -53,26 +60,70 @@ type World struct {
 	// violation dumps the wire history that led up to it.
 	Flight func(sw model.SwitchID) []string
 
-	// maxSeen tracks the highest G-FIB filter version each holder ever
-	// held per peer, and the highest C-LIB version per switch (keyed by
-	// replica address), across Probe calls — the
-	// no-stale-epoch-adoption invariant is "these never regress".
-	maxSeen map[[2]model.SwitchID]uint64
-	// genSeen tracks the highest cluster generation each holder (edge
-	// or replica) ever observed; the failover fencing invariant is
-	// "generations never regress within an incarnation" (an edge reboot
-	// legitimately resets its fence, detected via the L-FIB epoch).
-	genSeen map[model.SwitchID]genMark
-	// emptyRef caches the empty-set filter encoding (see emptyFilter).
+	// ids lists Switches ascending and sws holds the switch at each
+	// position; ctrls lists the controllers whose C-LIBs Probe tracks
+	// (every replica, or the single controller). All three are built on
+	// the first call (see index), and every per-switch table below is
+	// indexed by a switch's position in ids.
+	ids   []model.SwitchID
+	sws   []*edge.Switch
+	ctrls []*controller.Controller
+	// The Probe high-water marks — the no-stale-epoch-adoption
+	// invariant is "these never regress". gfibSeen[i] holds the highest
+	// G-FIB filter version holder ids[i] ever held per peer, ascending
+	// by peer; a peer no longer held keeps its mark. clibSeen[r][i] is
+	// the highest C-LIB version replica r ever recorded for ids[i].
+	gfibSeen [][]peerMark
+	clibSeen [][]uint64
+	// genSeen[i] and replicaGen[r] track the highest cluster generation
+	// switch ids[i] and replica r ever observed; the failover fencing
+	// invariant is "generations never regress within an incarnation"
+	// (an edge reboot legitimately resets its fence, detected via the
+	// L-FIB epoch).
+	genSeen    []genMark
+	replicaGen []genMark
+	// emptyRef caches the empty-set filter encoding (see emptyFilter),
+	// and buf is the reused buffer held filters are encoded into.
 	emptyRef []byte
+	buf      []byte
+}
+
+// peerMark is one G-FIB high-water mark: the highest filter version a
+// holder ever held for one peer.
+type peerMark struct {
+	peer    model.SwitchID
+	version uint64
 }
 
 // genMark is one holder's generation high-water mark, tagged with the
 // L-FIB incarnation epoch it was observed in (always 0 for replicas —
-// controller replicas do not reboot).
+// controller replicas do not reboot). The zero mark is "never seen".
 type genMark struct {
 	epoch uint64
 	gen   uint64
+}
+
+// index builds the sorted switch list and sizes the mark tables, once.
+func (w *World) index() {
+	if w.ids != nil {
+		return
+	}
+	w.ids = slices.Sorted(maps.Keys(w.Switches))
+	w.sws = make([]*edge.Switch, len(w.ids))
+	for i, id := range w.ids {
+		w.sws[i] = w.Switches[id]
+	}
+	w.gfibSeen = make([][]peerMark, len(w.ids))
+	w.genSeen = make([]genMark, len(w.ids))
+	w.ctrls = w.Replicas
+	if len(w.Replicas) == 0 && w.Controller != nil {
+		w.ctrls = []*controller.Controller{w.Controller}
+	}
+	w.clibSeen = make([][]uint64, len(w.ctrls))
+	for r := range w.clibSeen {
+		w.clibSeen[r] = make([]uint64, len(w.ids))
+	}
+	w.replicaGen = make([]genMark, len(w.Replicas))
 }
 
 // activeController resolves the controller whose state the invariants
@@ -104,15 +155,6 @@ func (w *World) emptyFilter() []byte {
 		w.emptyRef, _ = fib.FilterBytesFromWireEntries(nil, fib.DefaultFilterBits, fib.DefaultFilterHashes)
 	}
 	return w.emptyRef
-}
-
-func (w *World) ids() []model.SwitchID {
-	out := make([]model.SwitchID, 0, len(w.Switches))
-	for id := range w.Switches {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func entriesEqual(a, b []openflow.LFIBEntry) bool {
@@ -151,7 +193,12 @@ func sortedEntries(in []openflow.LFIBEntry) []openflow.LFIBEntry {
 // A replicated stack (Replicas set) adds the role-handoff fixpoint:
 // exactly one replica holds the master role, and every live switch
 // follows that replica at its generation.
+//
+// Ground truth is read once per live switch per call, and each peer's
+// reference filter is built at most once per call, however many
+// holders compare against it.
 func (w *World) Diverged() []string {
+	w.index()
 	var out []string
 	ctrl := w.activeController()
 	if len(w.Replicas) > 0 {
@@ -165,12 +212,19 @@ func (w *World) Diverged() []string {
 			out = append(out, fmt.Sprintf("controller: %d replicas hold the master role, want exactly 1", masters))
 		}
 	}
-	for _, id := range w.ids() {
+	truth := make([][]openflow.LFIBEntry, len(w.ids)) // H(S), live switches only
+	for i, id := range w.ids {
+		if !w.down(id) {
+			truth[i] = w.Hosts(id)
+		}
+	}
+	refs := make([][]byte, len(w.ids)) // reference encodings, built on first use
+	for i, id := range w.ids {
 		if w.down(id) {
 			continue
 		}
-		sw := w.Switches[id]
-		want := sortedEntries(w.Hosts(id))
+		sw := w.sws[i]
+		want := sortedEntries(truth[i])
 
 		if got := sortedEntries(sw.LFIB().WireEntries()); !entriesEqual(got, want) {
 			out = append(out, fmt.Sprintf("S%d: L-FIB has %d entries, ground truth %d", id, len(got), len(want)))
@@ -212,55 +266,60 @@ func (w *World) Diverged() []string {
 		}
 
 		// G-FIB: exactly the live host-bearing peers, right bytes,
-		// right versions.
-		wantPeers := make(map[model.SwitchID]bool)
-		memberSet := make(map[model.SwitchID]bool)
-		for _, peer := range group.Members {
-			memberSet[peer] = true
-			if peer == id || w.down(peer) {
-				continue
+		// right versions. The members (deduplicated) and the table are
+		// merge-walked, both ascending by peer; a held peer that is no
+		// member is a ghost.
+		members := slices.Compact(slices.Sorted(slices.Values(group.Members)))
+		g := sw.GFIB()
+		j := 0
+		for _, peer := range members {
+			for ; j < g.Len(); j++ {
+				p, _ := g.At(j)
+				if p >= peer {
+					break
+				}
+				out = append(out, fmt.Sprintf("S%d: G-FIB holds ghost filter for S%d", id, p))
 			}
-			if _, ok := w.Switches[peer]; !ok {
-				continue
+			held := false
+			if j < g.Len() {
+				p, _ := g.At(j)
+				held = p == peer
 			}
-			if len(w.Hosts(peer)) == 0 {
-				continue // a hostless peer never advertises, so no filter
+			pi, live := slices.BinarySearch(w.ids, peer) // live: one of Switches, and up
+			live = live && !w.down(peer)
+			switch {
+			case peer != id && live && len(truth[pi]) > 0:
+				if !held {
+					out = append(out, fmt.Sprintf("S%d: G-FIB missing filter for peer S%d", id, peer))
+					break
+				}
+				if refs[pi] == nil {
+					refs[pi], _ = fib.FilterBytesFromWireEntries(truth[pi], fib.DefaultFilterBits, fib.DefaultFilterHashes)
+				}
+				if w.buf = g.AppendFilter(w.buf[:0], j); !bytes.Equal(w.buf, refs[pi]) {
+					out = append(out, fmt.Sprintf("S%d: G-FIB filter for S%d diverges from ground-truth bytes", id, peer))
+				}
+				if _, v := g.At(j); v != w.sws[pi].LFIB().Version() {
+					out = append(out, fmt.Sprintf("S%d: G-FIB version for S%d is %#x, peer L-FIB at %#x",
+						id, peer, v, w.sws[pi].LFIB().Version()))
+				}
+			case held:
+				// The controller preloads an *empty* filter for a live,
+				// hostless member (its C-LIB slice is empty). An empty
+				// filter matches nothing, so it is semantically absence —
+				// not a ghost.
+				w.buf = g.AppendFilter(w.buf[:0], j)
+				if !live || len(truth[pi]) != 0 || !bytes.Equal(w.buf, w.emptyFilter()) {
+					out = append(out, fmt.Sprintf("S%d: G-FIB holds ghost filter for S%d", id, peer))
+				}
 			}
-			wantPeers[peer] = true
+			if held {
+				j++
+			}
 		}
-		held := sw.GFIB().SnapshotBytes()
-		for peer := range wantPeers {
-			data, ok := held[peer]
-			if !ok {
-				out = append(out, fmt.Sprintf("S%d: G-FIB missing filter for peer S%d", id, peer))
-				continue
-			}
-			ref, err := fib.FilterBytesFromWireEntries(w.Hosts(peer), fib.DefaultFilterBits, fib.DefaultFilterHashes)
-			if err != nil {
-				out = append(out, fmt.Sprintf("S%d: reference filter for S%d: %v", id, peer, err))
-				continue
-			}
-			if string(data) != string(ref) {
-				out = append(out, fmt.Sprintf("S%d: G-FIB filter for S%d diverges from ground-truth bytes", id, peer))
-			}
-			if v, _ := sw.GFIB().PeerVersion(peer); v != w.Switches[peer].LFIB().Version() {
-				out = append(out, fmt.Sprintf("S%d: G-FIB version for S%d is %#x, peer L-FIB at %#x",
-					id, peer, v, w.Switches[peer].LFIB().Version()))
-			}
-		}
-		for peer, data := range held {
-			if wantPeers[peer] {
-				continue
-			}
-			// The controller preloads an *empty* filter for a live,
-			// hostless member (its C-LIB slice is empty). An empty
-			// filter matches nothing, so it is semantically absence —
-			// not a ghost.
-			if _, live := w.Switches[peer]; live && !w.down(peer) && memberSet[peer] &&
-				len(w.Hosts(peer)) == 0 && string(data) == string(w.emptyFilter()) {
-				continue
-			}
-			out = append(out, fmt.Sprintf("S%d: G-FIB holds ghost filter for S%d", id, peer))
+		for ; j < g.Len(); j++ {
+			p, _ := g.At(j)
+			out = append(out, fmt.Sprintf("S%d: G-FIB holds ghost filter for S%d", id, p))
 		}
 	}
 	sort.Strings(out)
@@ -309,73 +368,80 @@ func switchSetEqual(a, b []model.SwitchID) bool {
 // adopted a snapshot from a superseded epoch/version, and a cluster
 // generation that regressed within a holder's incarnation means a view
 // applied a fenced (stale-master) message. Call it periodically while
-// faults are active; absence of state (an evicted filter, a removed
-// C-LIB switch) is not a regression — only adopting *older* state is,
-// and an edge reboot (detected by its advanced L-FIB epoch)
-// legitimately restarts its generation fence at zero.
+// faults are active and while the world settles; absence of state (an
+// evicted filter, a removed C-LIB switch) is not a regression — only
+// adopting *older* state is, and an edge reboot (detected by its
+// advanced L-FIB epoch) legitimately restarts its generation fence at
+// zero. A probe that finds nothing allocates nothing once every mark
+// exists.
 func (w *World) Probe() []string {
-	if w.maxSeen == nil {
-		w.maxSeen = make(map[[2]model.SwitchID]uint64)
-	}
-	if w.genSeen == nil {
-		w.genSeen = make(map[model.SwitchID]genMark)
-	}
+	w.index()
 	var out []string
-	ctrls := w.Replicas
-	if len(ctrls) == 0 && w.Controller != nil {
-		ctrls = []*controller.Controller{w.Controller}
-	}
-	for _, id := range w.ids() {
+	for i, id := range w.ids {
 		if w.down(id) {
 			continue
 		}
-		sw := w.Switches[id]
-		for i, g := 0, sw.GFIB(); i < g.Len(); i++ {
-			peer, v := g.At(i)
-			key := [2]model.SwitchID{id, peer}
-			if prev := w.maxSeen[key]; v < prev {
-				out = append(out, fmt.Sprintf("S%d: adopted stale filter for S%d: %#x after %#x (epoch %d < %d)",
-					id, peer, v, prev, v>>fib.VersionEpochShift, prev>>fib.VersionEpochShift))
-			} else {
-				w.maxSeen[key] = v
-			}
-		}
+		sw := w.sws[i]
+		w.gfibSeen[i], out = probeGFIB(w.gfibSeen[i], id, sw.GFIB(), out)
 		// C-LIB versions are tracked per replica: each mirror advances
 		// on its own journal/report stream, and a standby legitimately
 		// lags the master it mirrors.
-		for _, r := range ctrls {
-			key := [2]model.SwitchID{r.NodeID(), id}
-			if v := r.CLIB().VersionOn(id); v != 0 {
-				if prev := w.maxSeen[key]; v < prev {
-					out = append(out, fmt.Sprintf("C-LIB(%d): adopted stale version for S%d: %#x after %#x", r.NodeID(), id, v, prev))
+		for r, c := range w.ctrls {
+			if v := c.CLIB().VersionOn(id); v != 0 {
+				if prev := w.clibSeen[r][i]; v < prev {
+					out = append(out, fmt.Sprintf("C-LIB(%d): adopted stale version for S%d: %#x after %#x", c.NodeID(), id, v, prev))
 				} else {
-					w.maxSeen[key] = v
+					w.clibSeen[r][i] = v
 				}
 			}
 		}
 		if g := sw.CtrlGeneration(); g != 0 {
 			ep := sw.LFIB().Version() >> fib.VersionEpochShift
-			m, known := w.genSeen[id]
-			switch {
-			case known && ep == m.epoch && g < m.gen:
+			if m := w.genSeen[i]; ep == m.epoch && g < m.gen {
 				out = append(out, fmt.Sprintf("S%d: regressed to generation %d after %d — applied a fenced message", id, g, m.gen))
-			default:
-				w.genSeen[id] = genMark{epoch: ep, gen: g}
+			} else {
+				w.genSeen[i] = genMark{epoch: ep, gen: g}
 			}
 		}
 	}
 	// Replica generations are strictly monotone: controllers do not
 	// reboot, and adoptGeneration only moves up.
-	for _, r := range w.Replicas {
-		g := r.Generation()
-		if m, known := w.genSeen[r.NodeID()]; known && g < m.gen {
-			out = append(out, fmt.Sprintf("controller %d: generation regressed to %d after %d", r.NodeID(), g, m.gen))
+	for r, c := range w.Replicas {
+		if g, m := c.Generation(), w.replicaGen[r]; g < m.gen {
+			out = append(out, fmt.Sprintf("controller %d: generation regressed to %d after %d", c.NodeID(), g, m.gen))
 		} else {
-			w.genSeen[r.NodeID()] = genMark{gen: g}
+			w.replicaGen[r] = genMark{gen: g}
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// probeGFIB merge-walks one holder's table against its marks, both
+// ascending by peer: a held version below its peer's mark is a stale
+// adoption, any other raises the mark, and a peer held for the first
+// time gets one. A mark whose peer is no longer held stays — absence is
+// not a regression, but a later install below the mark still is.
+func probeGFIB(marks []peerMark, holder model.SwitchID, g *fib.GFIB, out []string) ([]peerMark, []string) {
+	k := 0
+	for j := 0; j < g.Len(); j++ {
+		peer, v := g.At(j)
+		for k < len(marks) && marks[k].peer < peer {
+			k++
+		}
+		switch {
+		case k == len(marks) || marks[k].peer != peer:
+			marks = slices.Insert(marks, k, peerMark{peer: peer, version: v})
+		case v < marks[k].version:
+			prev := marks[k].version
+			out = append(out, fmt.Sprintf("S%d: adopted stale filter for S%d: %#x after %#x (epoch %d < %d)",
+				holder, peer, v, prev, v>>fib.VersionEpochShift, prev>>fib.VersionEpochShift))
+		default:
+			marks[k].version = v
+		}
+		k++
+	}
+	return marks, out
 }
 
 // Snapshot renders the content fixpoint as a canonical string:
@@ -390,43 +456,85 @@ func (w *World) Probe() []string {
 // once converged (the differential acceptance test). Version, role,
 // and generation coherence are checked separately, within-run, by
 // Diverged and Probe.
+//
+// Holders of one group mostly hold the same filter for a peer, so each
+// distinct encoding is hashed once per call (equal bytes, equal hash).
 func (w *World) Snapshot() string {
+	w.index()
 	ctrl := w.activeController()
-	var b strings.Builder
-	for _, id := range w.ids() {
+	sums := make(map[string][sha256.Size]byte)
+	var b []byte
+	for i, id := range w.ids {
 		if w.down(id) {
 			continue
 		}
-		sw := w.Switches[id]
+		sw := w.sws[i]
 		group := sw.Group()
-		members := append([]model.SwitchID(nil), group.Members...)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		fmt.Fprintf(&b, "S%d group=%d designated=%d members=%v\n", id, group.Group, group.Designated, members)
-		for _, e := range sortedEntries(sw.LFIB().WireEntries()) {
-			fmt.Fprintf(&b, "  lfib %s %s %d\n", e.MAC, e.IP, e.VLAN)
+		b = append(b, 'S')
+		b = strconv.AppendUint(b, uint64(id), 10)
+		b = append(b, " group="...)
+		b = strconv.AppendUint(b, uint64(group.Group), 10)
+		b = append(b, " designated="...)
+		b = strconv.AppendUint(b, uint64(group.Designated), 10)
+		b = append(b, " members=["...)
+		for k, m := range slices.Sorted(slices.Values(group.Members)) {
+			if k > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, m.String()...)
 		}
-		held := sw.GFIB().SnapshotBytes()
-		peers := make([]model.SwitchID, 0, len(held))
-		for p := range held {
+		b = append(b, "]\n"...)
+		for _, e := range sortedEntries(sw.LFIB().WireEntries()) {
+			b = appendEntry(append(b, "  lfib "...), e)
+		}
+		g := sw.GFIB()
+		for j := 0; j < g.Len(); j++ {
 			// An empty filter is semantically absence (see Diverged);
 			// whether one lingers depends on preload/tombstone history,
 			// so it must not influence the content fixpoint.
-			if string(held[p]) == string(w.emptyFilter()) {
+			if w.buf = g.AppendFilter(w.buf[:0], j); bytes.Equal(w.buf, w.emptyFilter()) {
 				continue
 			}
-			peers = append(peers, p)
-		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-		for _, p := range peers {
-			fmt.Fprintf(&b, "  gfib S%d %x\n", p, sha256.Sum256(held[p]))
+			sum, ok := sums[string(w.buf)]
+			if !ok {
+				sum = sha256.Sum256(w.buf)
+				sums[string(w.buf)] = sum
+			}
+			peer, _ := g.At(j)
+			b = append(b, "  gfib S"...)
+			b = strconv.AppendUint(b, uint64(peer), 10)
+			b = append(b, ' ')
+			b = append(hex.AppendEncode(b, sum[:]), '\n')
 		}
 		if ctrl != nil {
 			for _, e := range sortedEntries(ctrl.CLIB().EntriesOn(id)) {
-				fmt.Fprintf(&b, "  clib %s %s %d\n", e.MAC, e.IP, e.VLAN)
+				b = appendEntry(append(b, "  clib "...), e)
 			}
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendEntry appends "<mac> <ip> <vlan>\n", the MAC and IP rendered as
+// their String methods do.
+func appendEntry(b []byte, e openflow.LFIBEntry) []byte {
+	const digits = "0123456789abcdef"
+	for k, x := range e.MAC {
+		if k > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, digits[x>>4], digits[x&0xf])
+	}
+	b = append(b, ' ')
+	for k, shift := range [4]uint{24, 16, 8, 0} {
+		if k > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(byte(e.IP>>shift)), 10)
+	}
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(e.VLAN), 10)
+	return append(b, '\n')
 }
 
 // Settle runs the convergence loop: advance the clock one round at a

@@ -88,8 +88,13 @@ func TestEvictionDuringLossWindowNoResurrect(t *testing.T) {
 	// both hosts, not just the increment's.
 	removeLoss()
 	r.sim.RunFor(20 * time.Second)
-	got := r.switches[1].GFIB().SnapshotBytes()[3]
-	if _, held := r.switches[1].GFIB().PeerVersion(3); !held {
+	var got []byte
+	for i, g := 0, r.switches[1].GFIB(); i < g.Len(); i++ {
+		if peer, _ := g.At(i); peer == 3 {
+			got = g.AppendFilter(nil, i)
+		}
+	}
+	if got == nil {
 		t.Fatal("S3's filter never rebuilt after the loss window")
 	}
 	want, err := fib.FilterBytesFromWireEntries([]openflow.LFIBEntry{

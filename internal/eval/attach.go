@@ -95,7 +95,8 @@ func (e *emulation) attachFlights() {
 
 // attachChaos schedules the fault plan against the live stack, builds
 // the convergence checker, and arms the no-stale-adoption probe for the
-// fault window, one sample per dissemination round.
+// fault window, one sample per dissemination round (settleChaos probes
+// from there on).
 func (e *emulation) attachChaos() {
 	plan := e.c.Chaos
 	if plan == nil {
@@ -112,7 +113,7 @@ func (e *emulation) attachChaos() {
 	s, end := e.rig.Sim(), plan.End()
 	var probe func()
 	probe = func() {
-		e.res.StaleAdoptions = append(e.res.StaleAdoptions, e.world.Probe()...)
+		e.probe()
 		if e.rig.Now() < end {
 			s.After(advertiseInterval, probe)
 		}
@@ -120,10 +121,18 @@ func (e *emulation) attachChaos() {
 	s.After(advertiseInterval, probe)
 }
 
+// probe records the no-stale-adoption probe's violations.
+func (e *emulation) probe() {
+	e.res.StaleAdoptions = append(e.res.StaleAdoptions, e.world.Probe()...)
+}
+
 // settleChaos is the convergence check: run past the last fault's undo,
 // then settle in dissemination/report rounds until every view matches
 // the fault-free fixpoint or the documented round bound is exhausted
-// (docs/robustness.md).
+// (docs/robustness.md). The probe runs before the first round and after
+// every round, so a stale adoption that lands after the last undo — a
+// delayed or reordered message — is still reported. Probing schedules
+// no events.
 func (e *emulation) settleChaos() {
 	if e.world == nil {
 		return
@@ -133,7 +142,12 @@ func (e *emulation) settleChaos() {
 		s.RunUntil(sim.Time(end))
 	}
 	round := max(advertiseInterval, e.c.ReportInterval)
+	e.probe()
+	step := func(d time.Duration) {
+		s.RunFor(d)
+		e.probe()
+	}
 	e.res.RecoveryRounds, e.res.Converged, e.res.Divergences =
-		e.world.Settle(chaos.DefaultRecoveryRoundBound, s.RunFor, round)
+		e.world.Settle(chaos.DefaultRecoveryRoundBound, step, round)
 	e.res.Fixpoint = e.world.Snapshot()
 }

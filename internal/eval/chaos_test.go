@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/controller"
 	"lazyctrl/internal/model"
+	"lazyctrl/internal/rig"
 )
 
 // soakSeeds expands LAZYCTRL_CHAOS_SOAK=N into N extra soak seeds —
@@ -165,6 +168,87 @@ func BenchmarkConvergence(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(last.RecoveryRounds), "recovery-rounds")
 	b.ReportMetric(float64(last.DegradedWindow.Milliseconds()), "degraded-window-ms")
+}
+
+// TestChaosProbeCoversSettle pins the probe past the last undo: a G-FIB
+// version rewound one round after the plan ends — after the fault
+// window's probe has stopped — must still be reported as a stale
+// adoption, by the probes the settle loop runs.
+func TestChaosProbeCoversSettle(t *testing.T) {
+	const end = 40 * time.Minute
+	round := max(advertiseInterval, reportInterval)
+	var stale string
+	plan := (&chaos.Plan{Name: "late-rewind"}).Add(end, 0, chaos.Func{
+		Name: "rewind one G-FIB filter version, one round later",
+		Run: func(h chaos.Harness) func() {
+			h.After(round, func() {
+				r := h.(*rig.Rig)
+				for _, id := range r.Switches() {
+					if g := r.Edge(id).GFIB(); g.Len() > 0 {
+						peer, v := g.At(0)
+						if err := g.SetFilterBytes(peer, g.AppendFilter(nil, 0), v-1); err != nil {
+							t.Error(err)
+						}
+						stale = fmt.Sprintf("S%d: adopted stale filter for S%d", id, peer)
+						return
+					}
+				}
+			})
+			return nil
+		},
+	})
+	cfg := chaosConfig(t, 1, plan)
+	cfg.Horizon = end + round + time.Second
+	res, err := RunEmulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale == "" {
+		t.Fatal("no switch held a G-FIB filter to rewind")
+	}
+	if !slices.ContainsFunc(res.StaleAdoptions, func(v string) bool { return strings.HasPrefix(v, stale) }) {
+		t.Fatalf("rewind after the plan's end not reported (want %q...):\n%s", stale, strings.Join(res.StaleAdoptions, "\n"))
+	}
+}
+
+// BenchmarkWorldProbe is the checker as a layer: one Probe of a warmed
+// checker over the cascade's converged world. Gated in cmd/bench at
+// 0 allocs/op — a probe that finds nothing allocates nothing.
+func BenchmarkWorldProbe(b *testing.B) {
+	var r *rig.Rig // the emulation's rig, captured by the plan's first step
+	plan := chaos.Cascade(1, 30*time.Minute).Add(0, 0, chaos.Func{
+		Name: "capture the rig",
+		Run: func(h chaos.Harness) func() {
+			r = h.(*rig.Rig)
+			return nil
+		},
+	})
+	res, err := RunEmulation(EmulationConfig{
+		Source:         smallTrace(b, 1).Stream(0),
+		Mode:           controller.ModeLazy,
+		GroupSizeLimit: 6,
+		Horizon:        40 * time.Minute,
+		BucketWidth:    20 * time.Minute,
+		Seed:           1,
+		Chaos:          plan,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !res.Converged {
+		b.Fatalf("cascade did not converge:\n%s", strings.Join(res.Divergences, "\n"))
+	}
+	w := r.World()
+	if v := w.Probe(); len(v) != 0 {
+		b.Fatalf("warm-up probe flagged: %v", v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := w.Probe(); len(v) != 0 {
+			b.Fatalf("probe flagged: %v", v)
+		}
+	}
 }
 
 // TestChaosFailoverDifferential is the replicated-controller

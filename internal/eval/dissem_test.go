@@ -5,16 +5,27 @@ import (
 	"reflect"
 	"testing"
 
+	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
 )
 
+// gfibBytes reads one G-FIB's filter encodings, keyed by peer.
+func gfibBytes(g *fib.GFIB) map[model.SwitchID][]byte {
+	out := make(map[model.SwitchID][]byte, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		peer, _ := g.At(i)
+		out[peer] = g.AppendFilter(nil, i)
+	}
+	return out
+}
+
 // snapshotAll collects every switch's G-FIB filter bytes.
 func snapshotAll(d *Dissem) map[model.SwitchID]map[model.SwitchID][]byte {
 	out := make(map[model.SwitchID]map[model.SwitchID][]byte, len(d.Switches))
 	for id, sw := range d.Switches {
-		out[id] = sw.GFIB().SnapshotBytes()
+		out[id] = gfibBytes(sw.GFIB())
 	}
 	return out
 }
@@ -125,8 +136,8 @@ func TestDissemDroppedDeltaResync(t *testing.T) {
 		t.Fatal("drop hook never saw a GFIBDelta — churn did not take the delta path")
 	}
 	designated := model.SwitchID(1)
-	refBytes := d.Switches[designated].GFIB().SnapshotBytes()[origin]
-	if got := d.Switches[victim].GFIB().SnapshotBytes()[origin]; reflect.DeepEqual(got, refBytes) {
+	refBytes := gfibBytes(d.Switches[designated].GFIB())[origin]
+	if got := gfibBytes(d.Switches[victim].GFIB())[origin]; reflect.DeepEqual(got, refBytes) {
 		t.Fatal("victim converged despite the dropped delta; the test setup is wrong")
 	}
 
@@ -134,8 +145,8 @@ func TestDissemDroppedDeltaResync(t *testing.T) {
 	// must NACK and be resynced with a full filter within the round.
 	d.Arrive(origin)
 	d.Round()
-	refBytes = d.Switches[designated].GFIB().SnapshotBytes()[origin]
-	if got := d.Switches[victim].GFIB().SnapshotBytes()[origin]; !reflect.DeepEqual(got, refBytes) {
+	refBytes = gfibBytes(d.Switches[designated].GFIB())[origin]
+	if got := gfibBytes(d.Switches[victim].GFIB())[origin]; !reflect.DeepEqual(got, refBytes) {
 		t.Error("victim did not reconverge through NACK/resync")
 	}
 	if d.Switches[victim].Stats().GFIBNacksSent == 0 {
@@ -168,8 +179,8 @@ func TestDissemBeaconRepairsIdleStaleness(t *testing.T) {
 
 	designated := model.SwitchID(1)
 	converged := func() bool {
-		ref := d.Switches[designated].GFIB().SnapshotBytes()[origin]
-		got := d.Switches[victim].GFIB().SnapshotBytes()[origin]
+		ref := gfibBytes(d.Switches[designated].GFIB())[origin]
+		got := gfibBytes(d.Switches[victim].GFIB())[origin]
 		return reflect.DeepEqual(got, ref)
 	}
 	if converged() {

@@ -367,11 +367,49 @@ func TestGFIBApplyDelta(t *testing.T) {
 		t.Errorf("PeerVersion after delta = %d, want 2", v)
 	}
 	want, _ := v2.MarshalBinary()
-	if got := g.SnapshotBytes()[9]; !bytes.Equal(got, want) {
+	if got := snapshotBytes(g)[9]; !bytes.Equal(got, want) {
 		t.Error("delta-applied filter differs from full install")
 	}
 	if got := g.Query(model.HostMAC(3)); len(got) != 1 || got[0] != 9 {
 		t.Errorf("Query(3) after delta = %v, want [9]", got)
+	}
+}
+
+// snapshotBytes reads every installed filter's encoding through
+// AppendFilter, keyed by peer.
+func snapshotBytes(g *GFIB) map[model.SwitchID][]byte {
+	out := make(map[model.SwitchID][]byte, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		peer, _ := g.At(i)
+		out[peer] = g.AppendFilter(nil, i)
+	}
+	return out
+}
+
+// TestGFIBAppendFilter pins the byte walk: AppendFilter extends dst
+// with exactly MarshalBinary's encoding of the i-th filter, and a
+// reused buffer makes the walk allocation-free.
+func TestGFIBAppendFilter(t *testing.T) {
+	g := NewGFIB()
+	for _, peer := range []model.SwitchID{7, 3, 5} {
+		f := bloom.New(DefaultFilterBits, DefaultFilterHashes)
+		f.AddUint64(MACKey(model.HostMAC(model.HostID(peer))))
+		g.SetFilter(peer, f)
+	}
+	for i := 0; i < g.Len(); i++ {
+		peer, _ := g.At(i)
+		want, _ := g.filter(peer).MarshalBinary()
+		if got := g.AppendFilter([]byte("xy"), i); string(got) != "xy"+string(want) {
+			t.Fatalf("AppendFilter(%d) for S%d is not the prefix followed by the encoding", i, peer)
+		}
+	}
+	buf := g.AppendFilter(nil, 0)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < g.Len(); i++ {
+			buf = g.AppendFilter(buf[:0], i)
+		}
+	}); n != 0 {
+		t.Errorf("AppendFilter into a reused buffer: %v allocs per walk, want 0", n)
 	}
 }
 

@@ -124,21 +124,6 @@ func (g *GFIB) ApplyDelta(peer model.SwitchID, base, target uint64, words []bloo
 	return nil
 }
 
-// SnapshotBytes returns the serialized form of every installed filter,
-// keyed by peer. The delta/full differential tests compare these for
-// byte identity.
-func (g *GFIB) SnapshotBytes() map[model.SwitchID][]byte {
-	out := make(map[model.SwitchID][]byte, len(g.peers))
-	for i, peer := range g.peers {
-		data, err := g.filters[i].MarshalBinary()
-		if err != nil {
-			continue // cannot happen: MarshalBinary has no failure path
-		}
-		out[peer] = data
-	}
-	return out
-}
-
 // RemoveFilter drops the filter of a peer (peer left the group) and
 // reports whether one was held.
 func (g *GFIB) RemoveFilter(peer model.SwitchID) bool {
@@ -201,6 +186,14 @@ func (g *GFIB) Peers() []model.SwitchID {
 // its filter, 0 ≤ i < Len — the walk that copies nothing.
 func (g *GFIB) At(i int) (peer model.SwitchID, version uint64) {
 	return g.peers[i], g.filters[i].Version()
+}
+
+// AppendFilter appends the wire encoding of the i-th filter (At's
+// order) to dst, 0 ≤ i < Len — the byte walk, which allocates only
+// when dst must grow.
+func (g *GFIB) AppendFilter(dst []byte, i int) []byte {
+	dst, _ = g.filters[i].AppendBinary(dst) // AppendBinary has no failure path
+	return dst
 }
 
 // Len returns the number of peer filters.
