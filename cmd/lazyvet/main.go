@@ -1,5 +1,5 @@
 // Command lazyvet runs the repo's invariant analyzers (determinism,
-// maporder, wireproto, versionstamp, stripelock, spanbalance — see
+// maporder, wireproto, versionstamp, spanbalance — see
 // docs/analysis.md) over Go packages. It speaks two protocols:
 //
 //	go vet -vettool=$(go env GOBIN)/lazyvet ./...   (or any built path)

@@ -1,8 +1,7 @@
-// Package analysis is the repo's static-analysis suite: six custom
+// Package analysis is the repo's static-analysis suite: five custom
 // analyzers (determinism, maporder, wireproto, versionstamp,
-// stripelock, spanbalance) that turn the invariants the differential
-// tests enforce
-// at runtime — byte-identical groupings across shard counts,
+// spanbalance) that turn the invariants the differential tests enforce
+// at runtime — byte-identical results for the same seed,
 // faulted-vs-fault-free fixpoint equality, "equal bits ⇒ equal bytes"
 // delta channels — into compile-time errors. docs/analysis.md states
 // each analyzer's invariant and why it holds the system together.
@@ -125,7 +124,6 @@ func All() []*Analyzer {
 		MapOrder,
 		WireProto,
 		VersionStamp,
-		StripeLock,
 		SpanBalance,
 	}
 }

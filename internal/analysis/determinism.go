@@ -8,7 +8,7 @@ import (
 
 // Determinism flags wall-clock and global-randomness escapes inside
 // the simulated subsystems. Every differential invariant of this
-// reproduction — byte-identical groupings across shard counts,
+// reproduction — byte-identical results for the same seed,
 // faulted-vs-fault-free fixpoint equality, streamed-vs-materialized
 // trace identity — assumes that simulated code observes time only
 // through its injected environment (sim clock / netsim.Env) and

@@ -170,11 +170,6 @@ func TestVersionStampFixture(t *testing.T) {
 	}
 }
 
-func TestStripeLockFixture(t *testing.T) {
-	pkg, diags := runFixture(t, "slfix/internal/controller", analysis.StripeLock)
-	checkWants(t, pkg, "slfix/internal/controller", diags)
-}
-
 // TestAllowPolicy pins the suppression contract directly (not via want
 // comments, whose own syntax would collide with the malformed allow
 // comments under test): an allow without a reason is an error, a bare

@@ -6,20 +6,17 @@
 // "learning switch" mode that reproduces the original Floodlight
 // behavior the paper compares against.
 //
-// # Sharded hot state
+// # Hot state
 //
-// The controller's learning-mode location table and pending-flow table
-// are lock-striped into Config.StateShards power-of-two shards keyed by
-// a Fibonacci hash of the MAC; the C-LIB (fib.CLIB) is one unlocked
-// table the decide phase only reads. Packet-in handling is split into a
-// decide phase (hash, shard-local reads/writes, forwarding decision)
-// and an apply phase (workload accounting, intensity updates, message
-// emission). ProcessBurst fans the decide phase of a packet-in storm
-// out across per-shard workers and then applies the decisions
-// sequentially in input order, so shared non-sharded state (queueing
-// model, intensity matrix, stats) is merged in a deterministic order
-// and the final table state matches the single-shard run for stable
-// workloads.
+// The controller's learning-mode location table, pending-flow table
+// and C-LIB (fib.CLIB) are plain maps with one owner and no locks.
+// Packet-in handling is split into a decide phase that only reads them
+// (destination lookup, forwarding decision) and an apply phase that
+// holds every write (source learning, workload accounting, intensity
+// updates, pending flows, message emission). ProcessBurst fans the
+// decide phase of a packet-in storm out across contiguous chunks and
+// then applies the decisions sequentially in input order, so its
+// outcome does not depend on the worker count.
 //
 // # Batched pushes
 //
@@ -100,13 +97,6 @@ type Config struct {
 	// Standby starts this replica in the standby role: it mirrors state
 	// from the journal and runs no switch-facing duties until takeover.
 	Standby bool
-	// StateShards is the number of lock stripes for the controller's
-	// per-MAC hot state (learning-mode locations, pending flows) and the
-	// worker count of ProcessBurst. Rounded up to a power of two and
-	// capped at 1024 (a stripe per core is plenty); zero selects 8.
-	// Final table state is shard-count independent for stable burst
-	// workloads (see ProcessBurst for the exact contract).
-	StateShards int
 	// PerFlowRules selects the per-flow (5-tuple) reactive baseline for
 	// learning mode: the controller answers each escalation with the
 	// buffered packet only and installs no flow rule. A faithful
@@ -131,8 +121,8 @@ type Config struct {
 	// Recorder receives workload accounting (may be nil).
 	Recorder *metrics.Recorder
 	// Tracer receives causal spans (may be nil). Spans are created only
-	// in ordered code — the apply phase and periodic duties, never the
-	// concurrent decide phase — so the dump stays deterministic.
+	// in ordered code — the apply phase and periodic duties, never
+	// ProcessBurst's parallel decide — so the dump stays deterministic.
 	Tracer *telemetry.Tracer
 	// OnDiagnosis is invoked when the failover module reaches a
 	// diagnosis; the harness wires recovery actions that need to touch
@@ -157,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KeepAliveInterval == 0 {
 		c.KeepAliveInterval = 5 * time.Second
-	}
-	if c.StateShards == 0 {
-		c.StateShards = 8
-	}
-	if c.StateShards > 1024 {
-		c.StateShards = 1024
 	}
 	return c
 }
@@ -230,9 +214,9 @@ type Controller struct {
 	// Tenant information management: VLAN → tenant.
 	tenants map[model.VLAN]model.TenantID
 
-	// Lock-striped per-MAC hot state: the learning-mode location table
-	// and the pending-flow table (see shard.go).
-	state *stateShards
+	// Per-MAC hot state: the learning-mode location table and the
+	// pending-flow table (see hotstate.go).
+	state hotState
 
 	// Queueing model state.
 	reqWindowStart time.Duration
@@ -264,8 +248,8 @@ type Controller struct {
 	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
-	// ARP-relay target memoization, valid only inside one ProcessBurst
-	// apply phase (see designatedTargets).
+	// ARP-relay target memoization, valid only inside one burst's apply
+	// phase (see withARPMemo and designatedTargets).
 	arpCache    map[model.VLAN][]model.SwitchID
 	arpCacheVer uint64
 	arpCacheOn  bool
@@ -324,7 +308,7 @@ type Stats struct {
 	// rounds (≤1 per destination switch per round).
 	BatchedPushes uint64
 	// LearnedEvicted and PendingEvicted count entries purged from the
-	// sharded tables when a switch is diagnosed dead.
+	// hot-state tables when a switch is diagnosed dead.
 	LearnedEvicted uint64
 	PendingEvicted uint64
 	// PreloadFulls and PreloadDeltas count per-destination preload
@@ -409,7 +393,7 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		sgi:           sgi,
 		intensity:     intensity,
 		tenants:       make(map[model.VLAN]model.TenantID),
-		state:         newStateShards(c.StateShards),
+		state:         newHotState(),
 		pushedMembers: make(map[model.GroupID]uint64),
 		sw:            records,
 		arpCache:      make(map[model.VLAN][]model.SwitchID),

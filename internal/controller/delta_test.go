@@ -15,7 +15,7 @@ import (
 // warm C-LIB (4 hosts per switch at L-FIB version 1).
 func lazyGrouped(t *testing.T) (*Controller, *recordingEnv) {
 	t.Helper()
-	c, env := newDirectController(t, ModeLazy, 4)
+	c, env := newDirectController(t, ModeLazy)
 	m := grouping.NewIntensity()
 	m.Add(1, 2, 100)
 	m.Add(3, 4, 100)
@@ -36,10 +36,10 @@ func lazyGrouped(t *testing.T) (*Controller, *recordingEnv) {
 }
 
 // TestPacketInBurstViaHandleMessage checks the PacketInBurst mailbox
-// entry point fans out through ProcessBurst.
+// entry point handles every item of the burst.
 func TestPacketInBurstViaHandleMessage(t *testing.T) {
-	c, _ := newDirectController(t, ModeLearning, 8)
-	warmLearning(c)
+	c, _ := newDirectController(t, ModeLearning)
+	warmLearning(c, 256)
 	batch := stormBatch(64, 3)
 	burst := &openflow.PacketInBurst{Switch: batch[0].Switch}
 	for i := range batch {
@@ -105,7 +105,6 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 	}
 	// Only switch 1's group peers hear about it.
 	gid := c.grp.GroupOf(1)
-	env.mu.Lock()
 	for to, msgs := range env.sends {
 		if c.grp.GroupOf(to) != gid {
 			t.Errorf("destination %v outside group %v received %d messages", to, gid, len(msgs))
@@ -123,7 +122,6 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 			t.Errorf("delta to %v carries no words", to)
 		}
 	}
-	env.mu.Unlock()
 
 	// A member that lost its state NACKs; it gets the full filter.
 	env.reset()
@@ -135,8 +133,6 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 		}
 	}
 	c.handleGFIBNack(member, &openflow.GFIBNack{Group: gid, Origin: member, Peers: []model.SwitchID{1}})
-	env.mu.Lock()
-	defer env.mu.Unlock()
 	msgs := env.sends[member]
 	if len(msgs) != 1 {
 		t.Fatalf("NACK answered with %d messages, want 1", len(msgs))
@@ -193,8 +189,6 @@ func TestMarkRecoveredPushesOnlyRecovered(t *testing.T) {
 	if len(counts) != 1 || counts[2] != 1 {
 		t.Fatalf("recovery push went to %v, want exactly one message to switch 2", counts)
 	}
-	env.mu.Lock()
-	defer env.mu.Unlock()
 	b, ok := env.sends[2][0].(*openflow.Batch)
 	if !ok {
 		t.Fatalf("recovery push = %T, want a Batch (config + preloads)", env.sends[2][0])
@@ -220,7 +214,6 @@ func TestRecoveredUnchangedHostsPreloadZeroWordDelta(t *testing.T) {
 
 	gid := c.grp.GroupOf(2)
 	var peers int
-	env.mu.Lock()
 	for _, m := range c.grp.Members(gid) {
 		if m == 2 {
 			continue
@@ -241,7 +234,6 @@ func TestRecoveredUnchangedHostsPreloadZeroWordDelta(t *testing.T) {
 			t.Errorf("delta to %v = %+v, want one zero-word item for switch 2, 1 → %d", m, d.Deltas, rebooted)
 		}
 	}
-	env.mu.Unlock()
 	if peers == 0 {
 		t.Fatal("setup: switch 2 has no group peers")
 	}
@@ -263,7 +255,7 @@ func TestRecoveredUnchangedHostsPreloadZeroWordDelta(t *testing.T) {
 func TestBurstMatchesSequentialWithARPMemo(t *testing.T) {
 	batch := stormBatch(1024, 23)
 	warm := func() (*Controller, *recordingEnv) {
-		c, env := newDirectController(t, ModeLazy, 4)
+		c, env := newDirectController(t, ModeLazy)
 		for h := model.HostID(1); h <= 256; h++ {
 			c.CLIB().Update(model.HostMAC(h), model.HostIP(h), 1, model.SwitchID(uint32(h)%16+1), 1)
 		}
@@ -276,7 +268,7 @@ func TestBurstMatchesSequentialWithARPMemo(t *testing.T) {
 		seqC.HandleMessage(pi.Switch, &pi)
 	}
 	burstC, burstEnv := warm()
-	burstC.ProcessBurst(batch)
+	burstC.ProcessBurst(batch, 2)
 
 	if seqC.Stats() != burstC.Stats() {
 		t.Errorf("stats differ:\nseq:   %+v\nburst: %+v", seqC.Stats(), burstC.Stats())
@@ -284,7 +276,7 @@ func TestBurstMatchesSequentialWithARPMemo(t *testing.T) {
 	if !reflect.DeepEqual(seqEnv.sendCounts(), burstEnv.sendCounts()) {
 		t.Error("send counts differ between sequential and burst paths")
 	}
-	if !reflect.DeepEqual(seqC.state.snapshotPending(), burstC.state.snapshotPending()) {
+	if !reflect.DeepEqual(seqC.state.pending, burstC.state.pending) {
 		t.Error("pending tables differ between sequential and burst paths")
 	}
 	if burstC.arpCacheOn || len(burstC.arpCache) != 0 {

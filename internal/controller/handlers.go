@@ -18,9 +18,14 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 	case *openflow.PacketIn:
 		c.handlePacketIn(m)
 	case *openflow.PacketInBurst:
-		// An edge switch's micro-batched intake window: decided in
-		// input order, like the single PacketIns it stands for.
-		c.burst(m.PacketIns(), 1)
+		// An edge switch's micro-batched intake window: handled item by
+		// item, like the single PacketIns it stands for.
+		pins := m.PacketIns()
+		c.withARPMemo(func() {
+			for i := range pins {
+				c.handlePacketIn(&pins[i])
+			}
+		})
 	case *openflow.GFIBNack:
 		c.handleGFIBNack(from, m)
 	case *openflow.StateReport:
@@ -117,10 +122,11 @@ func (c *Controller) respond(fn func()) {
 	c.env.After(c.queueDelay(), fn)
 }
 
-// handlePacketIn is the Ctrl-IF entry point for both modes: a
-// shard-local decide phase followed by the ordered apply phase. The
-// split is what ProcessBurst parallelizes; the sequential path runs the
-// same two phases back to back so both paths share one semantics.
+// handlePacketIn is the Ctrl-IF entry point for both modes: the
+// read-only decide phase followed by the apply phase, which holds every
+// write. The split is what ProcessBurst parallelizes; the sequential
+// path runs the same two phases back to back so both paths share one
+// semantics.
 func (c *Controller) handlePacketIn(m *openflow.PacketIn) {
 	d := c.decide(m)
 	c.apply(m, d)
@@ -143,38 +149,41 @@ const (
 	decideDrop
 )
 
-// pinDecision is the shard-local outcome of one PacketIn: what to do,
+// pinDecision is the outcome of deciding one PacketIn: what to do,
 // where the destination was located for rule installation, and the
-// pre-learn location used for intensity accounting.
+// location read before the source is learned, used for intensity
+// accounting.
 type pinDecision struct {
 	kind decisionKind
 	dst  model.SwitchID
 	loc  model.SwitchID
 }
 
-// decide runs the shard-local half of PacketIn handling: learn the
-// source (learning mode), locate the destination, classify. It takes at
-// most two shard locks, never nested, and writes no unsharded state —
-// which is what lets ProcessBurst run it from many goroutines at once.
-// The switch-record lookup is a concurrent read of a map nothing writes
-// after New.
+// decide runs the read-only half of PacketIn handling: locate the
+// destination and classify. It writes nothing, which is what lets
+// ProcessBurst run it from many goroutines at once; the reads are of
+// maps nothing writes while a burst is decided.
 func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
 	if c.sw[m.Switch] == nil {
 		return pinDecision{kind: decideDrop}
 	}
 	if c.cfg.Mode == ModeLearning {
-		// The pre-learn read feeds intensity accounting (the sequential
-		// path always estimated intensity before learning the source).
-		loc0, _ := c.state.locate(m.Packet.DstMAC)
-		c.state.learn(m.Packet.SrcMAC, m.Switch)
-		dst, known := c.state.locate(m.Packet.DstMAC)
+		// One read serves both intensity accounting (taken before the
+		// source is learned) and forwarding (as if after): apply's learn
+		// moves only the source's entry, so the answers differ only for
+		// a host addressing itself, which is found on the ingress.
+		loc, known := c.state.learned[m.Packet.DstMAC]
+		dst := loc
+		if m.Packet.DstMAC == m.Packet.SrcMAC {
+			dst, known = m.Switch, true
+		}
 		switch {
 		case known && dst != m.Switch:
-			return pinDecision{kind: decideInstall, dst: dst, loc: loc0}
+			return pinDecision{kind: decideInstall, dst: dst, loc: loc}
 		case known:
-			return pinDecision{kind: decideBounce, loc: loc0}
+			return pinDecision{kind: decideBounce, loc: loc}
 		default:
-			return pinDecision{kind: decideFlood, loc: loc0}
+			return pinDecision{kind: decideFlood, loc: loc}
 		}
 	}
 	loc, ok := c.clib.Locate(m.Packet.DstMAC)
@@ -187,14 +196,17 @@ func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
 	return pinDecision{kind: decidePend, loc: loc}
 }
 
-// apply performs the ordered half of PacketIn handling: workload
-// accounting, intensity estimation, and message emission. ProcessBurst
-// calls it sequentially in input order, which is what keeps shared
-// unsharded state (queueing model, intensity matrix, stats) merged in a
-// deterministic order regardless of the shard count.
+// apply performs the ordered half of PacketIn handling: source learning,
+// workload accounting, intensity estimation, and message emission.
+// ProcessBurst calls it sequentially in input order, which is what
+// keeps every table, the queueing model and the stats merged in a
+// deterministic order regardless of the worker count.
 func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 	if d.kind == decideDrop {
 		return
+	}
+	if c.cfg.Mode == ModeLearning {
+		c.state.learned[m.Packet.SrcMAC] = m.Switch
 	}
 	c.record(metrics.ReqPacketIn, 1)
 	c.stats.PacketIns++
@@ -244,7 +256,8 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 		// Unknown (or local-only) destination: relay an ARP query to the
 		// designated switches of every group hosting the packet's tenant
 		// (VLAN).
-		c.state.appendPending(m.Packet.DstMAC, pendingFlow{
+		dst := m.Packet.DstMAC
+		c.state.pending[dst] = append(c.state.pending[dst], pendingFlow{
 			ingress: m.Switch,
 			packet:  m.Packet,
 			since:   c.env.Now(),
@@ -280,8 +293,8 @@ func (c *Controller) relayARP(p model.Packet) {
 }
 
 // designatedTargets resolves the designated switches an ARP query for
-// a VLAN fans out to. Inside a ProcessBurst apply phase the resolution
-// is memoized per (VLAN, grouping version): a storm of unresolved
+// a VLAN fans out to. Inside a burst's apply phase the resolution is
+// memoized per (VLAN, grouping version): a storm of unresolved
 // flows on one tenant resolves the C-LIB placement scan and the
 // per-group designated election once instead of per pending flow. The
 // cache never outlives the burst — C-LIB placements may move between
@@ -434,16 +447,18 @@ func (c *Controller) handleStateReport(m *openflow.StateReport) {
 }
 
 // handleLFIBAnswer resolves pending flows when a switch answers an ARP
-// relay with a host binding. A binding on a switch without a record is
-// dropped: it would place the host, and install rules, toward a switch
-// that does not exist.
+// relay with a host binding. Only a switch's answer for its own hosts
+// counts: an answer whose origin is not its sender would place the host,
+// journal the binding and install rules toward a switch that never
+// claimed it. A binding on a switch without a record is dropped for the
+// same reason.
 func (c *Controller) handleLFIBAnswer(from model.SwitchID, m *openflow.LFIBUpdate) {
 	c.record(metrics.ReqPacketIn, 1)
 	// A switch that is busy answering ARP relays is never falsely
 	// suspected just because heartbeats queued behind the answers were
 	// lost.
 	c.proofOfLife(from)
-	if c.sw[m.Origin] == nil {
+	if m.Origin != from || c.sw[m.Origin] == nil {
 		return
 	}
 	group := c.grp.GroupOf(m.Origin)

@@ -3,7 +3,6 @@ package controller
 import (
 	"math/rand/v2"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,10 +17,9 @@ import (
 
 // recordingEnv is a minimal netsim.Env for direct controller tests:
 // timers fire immediately, sends are recorded per destination, and
-// time stands still. Sends may arrive from the burst apply phase and
-// from immediate timer callbacks on the same goroutine only.
+// time stands still. Every send comes from the controller's own
+// goroutine (the apply phase and immediate timer callbacks).
 type recordingEnv struct {
-	mu    sync.Mutex
 	sends map[model.SwitchID][]netsim.Message
 }
 
@@ -39,14 +37,10 @@ func (e *recordingEnv) After(d time.Duration, fn func()) func() {
 func (e *recordingEnv) Every(d time.Duration, fn func()) func() { return func() {} }
 
 func (e *recordingEnv) Send(to model.SwitchID, msg netsim.Message) {
-	e.mu.Lock()
 	e.sends[to] = append(e.sends[to], msg)
-	e.mu.Unlock()
 }
 
 func (e *recordingEnv) sendCounts() map[model.SwitchID]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make(map[model.SwitchID]int, len(e.sends))
 	for to, msgs := range e.sends {
 		out[to] = len(msgs)
@@ -55,9 +49,7 @@ func (e *recordingEnv) sendCounts() map[model.SwitchID]int {
 }
 
 func (e *recordingEnv) reset() {
-	e.mu.Lock()
 	e.sends = make(map[model.SwitchID][]netsim.Message)
-	e.mu.Unlock()
 }
 
 func switchList(n int) []model.SwitchID {
@@ -68,14 +60,13 @@ func switchList(n int) []model.SwitchID {
 	return ids
 }
 
-func newDirectController(t *testing.T, mode Mode, shards int) (*Controller, *recordingEnv) {
+func newDirectController(t *testing.T, mode Mode) (*Controller, *recordingEnv) {
 	t.Helper()
 	env := newRecordingEnv()
 	c, err := New(Config{
-		Mode:        mode,
-		Switches:    switchList(16),
-		Seed:        7,
-		StateShards: shards,
+		Mode:     mode,
+		Switches: switchList(16),
+		Seed:     7,
 	}, env)
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +103,11 @@ func stormBatch(events int, seed uint64) []openflow.PacketIn {
 	return batch
 }
 
-// warmLearning teaches the controller every host location through the
-// sequential path, so burst decisions are interleaving-independent.
-func warmLearning(c *Controller) {
-	for h := model.HostID(1); h <= 256; h++ {
+// warmLearning teaches the controller the locations of hosts 1..hosts
+// through the sequential path; the storm's other hosts stay unknown
+// until a burst introduces them.
+func warmLearning(c *Controller, hosts model.HostID) {
+	for h := model.HostID(1); h <= hosts; h++ {
 		c.HandleMessage(model.SwitchID(uint32(h)%16+1), &openflow.PacketIn{
 			Switch: model.SwitchID(uint32(h)%16 + 1),
 			Packet: model.Packet{
@@ -127,73 +119,112 @@ func warmLearning(c *Controller) {
 	}
 }
 
-// TestBurstShardDifferential drives the same storm through a
-// single-shard controller and an 8-shard controller and asserts the
-// final C-LIB, learned, and pending state — and the visible stats —
-// are identical (learning mode).
+// burstWorkers are the ProcessBurst worker counts the differentials
+// compare; the first is the reference.
+var burstWorkers = []int{1, 2, 8}
+
+// TestBurstShardDifferential drives the same storm through ProcessBurst
+// at 1, 2 and 8 workers and asserts the final C-LIB, learned and pending
+// state, the stats and the sends are identical (learning mode). A
+// quarter of the storm's hosts are not warmed, so their first packets
+// in the burst introduce them: every decision is made against the
+// tables as they stood when the burst arrived, so a packet toward such
+// a host floods at every worker count.
 func TestBurstShardDifferential(t *testing.T) {
+	const warmed = 192
 	batch := stormBatch(4096, 11)
-	run := func(shards int) (*Controller, *recordingEnv) {
-		c, env := newDirectController(t, ModeLearning, shards)
-		warmLearning(c)
+	run := func(workers int) (*Controller, *recordingEnv) {
+		c, env := newDirectController(t, ModeLearning)
+		warmLearning(c, warmed)
 		env.reset()
-		c.ProcessBurst(batch)
+		c.ProcessBurst(batch, workers)
 		return c, env
 	}
-	c1, env1 := run(1)
-	c8, env8 := run(8)
-	if c1.StateShardCount() != 1 || c8.StateShardCount() != 8 {
-		t.Fatalf("shard counts = %d/%d, want 1/8", c1.StateShardCount(), c8.StateShardCount())
+	ref, refEnv := run(burstWorkers[0])
+	for _, w := range burstWorkers[1:] {
+		c, env := run(w)
+		if !reflect.DeepEqual(ref.LearnedLocations(), c.LearnedLocations()) {
+			t.Errorf("learned tables differ at %d workers", w)
+		}
+		if !reflect.DeepEqual(ref.state.pending, c.state.pending) {
+			t.Errorf("pending tables differ at %d workers", w)
+		}
+		if c.CLIB().Len() != 0 {
+			t.Errorf("learning mode touched the C-LIB at %d workers", w)
+		}
+		if ref.Stats() != c.Stats() {
+			t.Errorf("stats differ:\n 1 worker:  %+v\n %d workers: %+v", ref.Stats(), w, c.Stats())
+		}
+		if !reflect.DeepEqual(refEnv.sendCounts(), env.sendCounts()) {
+			t.Errorf("send counts differ at %d workers: %v vs %v", w, refEnv.sendCounts(), env.sendCounts())
+		}
 	}
-	if !reflect.DeepEqual(c1.LearnedLocations(), c8.LearnedLocations()) {
-		t.Error("learned tables differ between shard counts")
+	st := ref.Stats()
+	if st.PacketIns != 4096+warmed { // storm + warmup
+		t.Errorf("PacketIns = %d, want %d", st.PacketIns, 4096+warmed)
 	}
-	if !reflect.DeepEqual(c1.state.snapshotPending(), c8.state.snapshotPending()) {
-		t.Error("pending tables differ between shard counts")
+	// Floods: the warmup's, plus every storm packet whose destination
+	// was unknown when the burst arrived, including hosts the burst
+	// itself introduced. A host addressing itself bounces instead.
+	host := make(map[model.MAC]model.HostID, 256)
+	for h := model.HostID(1); h <= 256; h++ {
+		host[model.HostMAC(h)] = h
 	}
-	if c1.CLIB().Len() != 0 || c8.CLIB().Len() != 0 {
-		t.Error("learning mode touched the C-LIB")
+	wantFloods, introduced := uint64(warmed), 0
+	for i := range batch {
+		p := &batch[i].Packet
+		if p.DstMAC == p.SrcMAC {
+			continue
+		}
+		if h, ok := host[p.DstMAC]; !ok || h > warmed {
+			wantFloods++
+			if ok {
+				introduced++
+			}
+		}
 	}
-	if c1.Stats() != c8.Stats() {
-		t.Errorf("stats differ:\n 1 shard: %+v\n 8 shards: %+v", c1.Stats(), c8.Stats())
+	if introduced == 0 {
+		t.Fatal("storm introduced no destination mid-burst")
 	}
-	if !reflect.DeepEqual(env1.sendCounts(), env8.sendCounts()) {
-		t.Errorf("send counts differ: %v vs %v", env1.sendCounts(), env8.sendCounts())
+	if st.Floods != wantFloods {
+		t.Errorf("Floods = %d, want %d: destinations introduced mid-burst must flood", st.Floods, wantFloods)
 	}
-	if got := c1.Stats().PacketIns; got != 4096+256 { // storm + warmup
-		t.Errorf("PacketIns = %d, want %d", got, 4096+256)
-	}
-	if c1.Stats().Floods == 0 || c1.Stats().FlowModsSent == 0 {
-		t.Errorf("storm exercised no floods or installs: %+v", c1.Stats())
+	if st.FlowModsSent == 0 {
+		t.Errorf("storm exercised no installs: %+v", st)
 	}
 }
 
 // TestBurstShardDifferentialLazy repeats the differential in lazy mode:
 // C-LIB hits install rules, misses queue pending flows; both tables
-// must match the single-shard result, including per-MAC queue order.
+// must match the 1-worker result at 2 and 8 workers, including per-MAC
+// queue order. A quarter of the hosts are missing from the C-LIB.
 func TestBurstShardDifferentialLazy(t *testing.T) {
 	batch := stormBatch(4096, 13)
-	run := func(shards int) *Controller {
-		c, _ := newDirectController(t, ModeLazy, shards)
-		for h := model.HostID(1); h <= 256; h++ {
+	run := func(workers int) (*Controller, *recordingEnv) {
+		c, env := newDirectController(t, ModeLazy)
+		for h := model.HostID(1); h <= 192; h++ {
 			c.CLIB().Update(model.HostMAC(h), model.HostIP(h), 1, model.SwitchID(uint32(h)%16+1), 1)
 		}
-		c.ProcessBurst(batch)
-		return c
+		c.ProcessBurst(batch, workers)
+		return c, env
 	}
-	c1 := run(1)
-	c8 := run(8)
-	p1, p8 := c1.state.snapshotPending(), c8.state.snapshotPending()
-	if !reflect.DeepEqual(p1, p8) {
-		t.Errorf("pending tables differ: %d vs %d MACs", len(p1), len(p8))
+	ref, refEnv := run(burstWorkers[0])
+	for _, w := range burstWorkers[1:] {
+		c, env := run(w)
+		if !reflect.DeepEqual(ref.state.pending, c.state.pending) {
+			t.Errorf("pending tables differ at %d workers: %d vs %d MACs", w, len(ref.state.pending), len(c.state.pending))
+		}
+		if ref.CLIB().Len() != c.CLIB().Len() {
+			t.Errorf("C-LIB sizes differ at %d workers", w)
+		}
+		if ref.Stats() != c.Stats() {
+			t.Errorf("stats differ:\n 1 worker:  %+v\n %d workers: %+v", ref.Stats(), w, c.Stats())
+		}
+		if !reflect.DeepEqual(refEnv.sendCounts(), env.sendCounts()) {
+			t.Errorf("send counts differ at %d workers", w)
+		}
 	}
-	if c1.CLIB().Len() != c8.CLIB().Len() {
-		t.Error("C-LIB sizes differ")
-	}
-	if c1.Stats() != c8.Stats() {
-		t.Errorf("stats differ:\n 1 shard: %+v\n 8 shards: %+v", c1.Stats(), c8.Stats())
-	}
-	if c1.PendingFlows() == 0 {
+	if ref.PendingFlows() == 0 {
 		t.Error("storm queued no pending flows")
 	}
 }
@@ -202,7 +233,7 @@ func TestBurstShardDifferentialLazy(t *testing.T) {
 // OpenFlow message per destination switch per round, with the
 // GroupConfig leading its preloads.
 func TestBatchedGroupPush(t *testing.T) {
-	c, env := newDirectController(t, ModeLazy, 4)
+	c, env := newDirectController(t, ModeLazy)
 	m := grouping.NewIntensity()
 	m.Add(1, 2, 100)
 	m.Add(3, 4, 100)
@@ -243,8 +274,6 @@ func TestBatchedGroupPush(t *testing.T) {
 	}
 	// Every batch leads with the GroupConfig, followed by the group's
 	// preloaded G-FIB filters (encoded once, shared across receivers).
-	env.mu.Lock()
-	defer env.mu.Unlock()
 	sawBatch := false
 	for to, msgs := range env.sends {
 		b, ok := msgs[0].(*openflow.Batch)
@@ -326,7 +355,7 @@ func TestDeadSwitchEvictsLearnedAndPending(t *testing.T) {
 	}
 	// Seed a pending flow from the soon-dead ingress (the lazy-path
 	// table is mode-independent state).
-	ctrl.state.appendPending(model.HostMAC(99), pendingFlow{ingress: 2, since: s.Now().Duration()})
+	ctrl.state.pending[model.HostMAC(99)] = []pendingFlow{{ingress: 2, since: s.Now().Duration()}}
 
 	// Kill the switch and close the diagnosis (ungrouped learning mode
 	// has no ring evidence, so Table I alone cannot conclude DiagSwitch;
@@ -395,6 +424,45 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	}
 }
 
+// TestLFIBAnswerTrustedOnlyFromOrigin: an ARP answer binds hosts only to
+// the switch that sent it. S7 answering with Origin S5 used to place
+// the host on S5 and send the pending flow's ingress S3 a FlowMod and a
+// PacketOut toward S5; only S5's own answer may resolve the flow.
+func TestLFIBAnswerTrustedOnlyFromOrigin(t *testing.T) {
+	c, env := newDirectController(t, ModeLazy)
+	target := model.HostID(42)
+	c.HandleMessage(3, &openflow.PacketIn{Switch: 3, Reason: openflow.ReasonNoMatch, Packet: model.Packet{
+		SrcMAC: model.HostMAC(1), DstMAC: model.HostMAC(target), DstIP: model.HostIP(target), VLAN: 1, Ether: model.EtherTypeIPv4,
+	}})
+	if c.PendingFlows() != 1 {
+		t.Fatalf("PendingFlows = %d, want the one unresolved flow", c.PendingFlows())
+	}
+	answer := func(from model.SwitchID) {
+		env.reset()
+		c.HandleMessage(from, &openflow.LFIBUpdate{
+			Origin:  5,
+			Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(target), IP: model.HostIP(target), VLAN: 1}},
+		})
+	}
+	answer(7)
+	if sw, ok := c.CLIB().Locate(model.HostMAC(target)); ok {
+		t.Errorf("S7's answer for S5 placed the host on %v", sw)
+	}
+	if sends := env.sendCounts(); len(sends) != 0 {
+		t.Errorf("S7's answer for S5 caused sends: %v", sends)
+	}
+	if c.PendingFlows() != 1 {
+		t.Errorf("S7's answer for S5 resolved the pending flow")
+	}
+	answer(5)
+	if sw, ok := c.CLIB().Locate(model.HostMAC(target)); !ok || sw != 5 {
+		t.Errorf("S5's own answer placed the host on %v (found %v), want S5", sw, ok)
+	}
+	if got := env.sendCounts()[3]; got != 2 {
+		t.Errorf("S5's own answer sent %d messages to the ingress, want a FlowMod and a PacketOut", got)
+	}
+}
+
 // TestIntakeBoundedBySwitches pins switchRecord's "bounded by
 // construction" rule on the three intakes that name switches: a state
 // report, an ARP answer and a standby's journal record naming S9999,
@@ -406,7 +474,7 @@ func TestIntakeBoundedBySwitches(t *testing.T) {
 	binding := func(h model.HostID) []openflow.LFIBEntry {
 		return []openflow.LFIBEntry{{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1}}
 	}
-	c, _ := newDirectController(t, ModeLazy, 4)
+	c, _ := newDirectController(t, ModeLazy)
 	c.HandleMessage(1, &openflow.StateReport{
 		Group: 1,
 		LFIBs: []openflow.LFIBUpdate{{Origin: ghost, Full: true, Entries: binding(777), Version: 1}},
@@ -451,7 +519,7 @@ func ghostPacketIns(c *Controller, env *recordingEnv) map[model.SwitchID]int {
 // from a switch outside Config.Switches; it used to register the switch
 // in the intensity matrix.
 func TestPacketInBoundedBySwitchesLazy(t *testing.T) {
-	c, env := newDirectController(t, ModeLazy, 4)
+	c, env := newDirectController(t, ModeLazy)
 	c.CLIB().Update(model.HostMAC(1), model.HostIP(1), 1, 1, 1)
 	if sends := ghostPacketIns(c, env); len(sends) != 0 {
 		t.Errorf("ghost PacketIns caused sends: %v", sends)
@@ -468,7 +536,7 @@ func TestPacketInBoundedBySwitchesLazy(t *testing.T) {
 // PacketIn from a switch outside Config.Switches; it used to learn the
 // source host on that switch.
 func TestPacketInBoundedBySwitchesLearning(t *testing.T) {
-	c, env := newDirectController(t, ModeLearning, 4)
+	c, env := newDirectController(t, ModeLearning)
 	c.HandleMessage(1, &openflow.PacketIn{Switch: 1, Packet: model.Packet{SrcMAC: model.HostMAC(1), DstMAC: model.HostMAC(2), VLAN: 1}})
 	before := c.Stats().PacketIns
 	if sends := ghostPacketIns(c, env); len(sends) != 0 {
@@ -489,115 +557,55 @@ func TestPacketInBoundedBySwitchesLearning(t *testing.T) {
 // rebuild: expiry must never write into a backing array a previous
 // takePending caller may still hold.
 func TestExpirePendingAliasSafe(t *testing.T) {
-	c, _ := newDirectController(t, ModeLazy, 1)
+	c, _ := newDirectController(t, ModeLazy)
 	mac := model.HostMAC(1)
 	old := pendingFlow{ingress: 7, since: 0}
 	fresh := pendingFlow{ingress: 8, since: 90 * time.Millisecond}
-	c.state.appendPending(mac, old)
-	c.state.appendPending(mac, fresh)
+	c.state.pending[mac] = []pendingFlow{old, fresh}
 	// Hold the internal backing array, as a resolver iterating flows
 	// handed out by takePending would.
-	held := c.state.shardFor(mac).pending[mac]
+	held := c.state.pending[mac]
 	if n := c.state.expirePending(100*time.Millisecond, 50*time.Millisecond); n != 1 {
 		t.Fatalf("expired %d flows, want 1", n)
 	}
 	if held[0].ingress != 7 {
 		t.Errorf("expiry overwrote a held slice: ingress = %v, want 7", held[0].ingress)
 	}
-	kept := c.state.snapshotPending()[mac]
+	kept := c.state.pending[mac]
 	if len(kept) != 1 || kept[0].ingress != 8 {
 		t.Errorf("kept flows = %+v, want the fresh flow only", kept)
 	}
 }
 
-// TestPendingConcurrentChurn exercises append/take/expire from many
-// goroutines; under -race it proves the pending path is stripe-safe.
-func TestPendingConcurrentChurn(t *testing.T) {
-	c, _ := newDirectController(t, ModeLazy, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				mac := model.HostMAC(model.HostID(i % 37))
-				c.state.appendPending(mac, pendingFlow{
-					ingress: model.SwitchID(g + 1),
-					since:   time.Duration(i) * time.Millisecond,
-				})
-				if i%3 == 0 {
-					for _, f := range c.state.takePending(mac) {
-						_ = f.ingress
-					}
-				}
-				if i%7 == 0 {
-					c.state.expirePending(time.Duration(i)*time.Millisecond, 100*time.Millisecond)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestStateShardRoundUp pins the power-of-two rounding.
-func TestStateShardRoundUp(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
-	} {
-		if got := newStateShards(tc.in).count(); got != tc.want {
-			t.Errorf("newStateShards(%d) = %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-	// Absurd shard requests are capped (the burst workers index shards
-	// with uint16 ids; a stripe per core is plenty anyway).
-	if got := (Config{Mode: ModeLazy, StateShards: 1 << 20}).withDefaults().StateShards; got != 1024 {
-		t.Errorf("StateShards cap = %d, want 1024", got)
-	}
-	// Every MAC must land inside the table for odd sizes too.
-	tbl := newStateShards(4)
-	for h := model.HostID(0); h < 10_000; h++ {
-		idx := tbl.shardIndex(model.HostMAC(h))
-		if idx < 0 || idx >= tbl.count() {
-			t.Fatalf("shardIndex(%v) = %d out of range", model.HostMAC(h), idx)
-		}
-	}
-}
-
-// TestWireBurstMatchesSingleStripe pins wire-delivered bursts to input
-// order: the burst [A→B, C→A], with A never seen before, reaches the
-// controller as one PacketInBurst through HandleMessage. Decided in
-// input order the first packet teaches the controller where A lives and
-// the second finds it; fanned out across stripes the second packet's
-// worker usually wins the race and floods instead, so the outcome of a
-// "deterministic" emulation would hang on goroutine scheduling. Every
-// repetition at 8 stripes must equal the 1-stripe result.
+// TestWireBurstMatchesSingleStripe pins wire-delivered bursts to the
+// single-PacketIn path: the burst [A→B, C→A], with A never seen before,
+// reaches the controller as one PacketInBurst through HandleMessage.
+// Handled in input order, the first packet teaches the controller where
+// A lives and the second finds it, exactly as when the same two
+// PacketIns arrive one by one.
 func TestWireBurstMatchesSingleStripe(t *testing.T) {
-	probe, _ := newDirectController(t, ModeLearning, 8)
 	a, b, c := model.HostID(1), model.HostID(2), model.HostID(3)
-	for probe.state.shardIndex(model.HostMAC(b)) == probe.state.shardIndex(model.HostMAC(a)) {
-		b += 2 // the race needs the two destinations on different stripes
+	items := []openflow.BurstPacket{
+		{Reason: openflow.ReasonNoMatch, Packet: model.Packet{SrcMAC: model.HostMAC(a), DstMAC: model.HostMAC(b), VLAN: 1, Bytes: 1000}},
+		{Reason: openflow.ReasonNoMatch, Packet: model.Packet{SrcMAC: model.HostMAC(c), DstMAC: model.HostMAC(a), VLAN: 1, Bytes: 1000}},
 	}
-	item := func(src, dst model.HostID) openflow.BurstPacket {
-		return openflow.BurstPacket{
-			Reason: openflow.ReasonNoMatch,
-			Packet: model.Packet{SrcMAC: model.HostMAC(src), DstMAC: model.HostMAC(dst), VLAN: 1, Bytes: 1000},
-		}
+	single, singleEnv := newDirectController(t, ModeLearning)
+	for _, it := range items {
+		single.HandleMessage(1, &openflow.PacketIn{Switch: 1, Reason: it.Reason, Packet: it.Packet})
 	}
-	run := func(shards int) Stats {
-		ctrl, _ := newDirectController(t, ModeLearning, shards)
-		ctrl.HandleMessage(1, &openflow.PacketInBurst{
-			Switch: 1,
-			Items:  []openflow.BurstPacket{item(a, b), item(c, a)},
-		})
-		return ctrl.Stats()
-	}
-	want := run(1)
+	want := single.Stats()
 	if want.PacketIns != 2 || want.Floods != 1 || want.PacketOuts != 1 {
-		t.Fatalf("single-stripe reference %+v: want A→B flooded and C→A answered", want)
+		t.Fatalf("one-by-one reference %+v: want A→B flooded and C→A answered", want)
 	}
-	for i := 0; i < 500; i++ {
-		if got := run(8); got != want {
-			t.Fatalf("repetition %d at 8 stripes diverged from the single-stripe run:\n got  %+v\n want %+v", i, got, want)
-		}
+	burst, burstEnv := newDirectController(t, ModeLearning)
+	burst.HandleMessage(1, &openflow.PacketInBurst{Switch: 1, Items: items})
+	if got := burst.Stats(); got != want {
+		t.Errorf("wire burst diverged from the one-by-one run:\n got  %+v\n want %+v", got, want)
+	}
+	if !reflect.DeepEqual(burst.LearnedLocations(), single.LearnedLocations()) {
+		t.Error("learned tables differ between the wire burst and the one-by-one run")
+	}
+	if !reflect.DeepEqual(burstEnv.sendCounts(), singleEnv.sendCounts()) {
+		t.Errorf("send counts differ: %v vs %v", burstEnv.sendCounts(), singleEnv.sendCounts())
 	}
 }

@@ -30,7 +30,7 @@ type Config struct {
 	// when > 1: PacketIns buffer at the switch and flush as one
 	// PacketInBurst once the buffer reaches this count (or the window
 	// deadline passes), so a packet-in storm crosses the control link
-	// as a few bursts that feed the controller's sharded burst intake.
+	// as a few bursts instead of one message per PacketIn.
 	// Zero or one ships every PacketIn immediately (the raw default;
 	// the eval emulation harness turns batching on and accounts for
 	// the window's latency explicitly — replay.ExpectedBatchDelay).

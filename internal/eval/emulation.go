@@ -154,12 +154,6 @@ type EmulationConfig struct {
 	// fault-free side of the differential test.
 	Chaos *chaos.Plan
 
-	// StateShards overrides the controller's lock-stripe count (0 =
-	// controller default). Results are shard-count-independent by
-	// construction — wire-delivered bursts are decided in input order,
-	// only the exported ProcessBurst fans out — and the telemetry
-	// differential tests pin that span trees are too.
-	StateShards int
 	// TraceSample enables the causal span tracer at the given
 	// head-sampling rate in (0,1]: kept traces follow each PacketIn
 	// (and regroup round, and failover) through the control stack on
@@ -498,7 +492,6 @@ func (e *emulation) buildRig() error {
 		SyncInterval:      syncInterval,
 		PerFlowRules:      c.PerFlowBaseline,
 		OnRegroup:         onRegroup,
-		StateShards:       c.StateShards,
 		Tracer:            res.Spans,
 	}
 	sw := edge.Config{

@@ -24,7 +24,8 @@ type StormConfig struct {
 	// Events is the burst size handed to one ProcessBurst call (zero
 	// selects 8192).
 	Events int
-	// Shards is the controller's StateShards.
+	// Shards is the number of workers Run's ProcessBurst decides the
+	// burst with; the outcome does not depend on it.
 	Shards int
 	// Seed drives the deterministic event mix.
 	Seed uint64
@@ -53,14 +54,15 @@ func (c StormConfig) withDefaults() StormConfig {
 
 // Storm is a reusable packet-in-storm driver: a learning-mode
 // controller warmed with every host location plus a deterministic
-// burst. Run replays the burst through the sharded intake; the
-// controller's outputs land in a message-counting sink, so the work
-// measured is exactly the controller hot path (hashing, shard locks,
-// table reads/writes, decision application).
+// burst. Run replays the burst through ProcessBurst; the controller's
+// outputs land in a message-counting sink, so the work measured is
+// exactly the controller hot path (table reads, decisions, ordered
+// application).
 type Storm struct {
-	Ctrl  *controller.Controller
-	Batch []openflow.PacketIn
-	sink  *sinkEnv
+	Ctrl    *controller.Controller
+	Batch   []openflow.PacketIn
+	workers int
+	sink    *sinkEnv
 }
 
 // NewStorm builds a storm driver.
@@ -72,10 +74,9 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 	}
 	sink := &sinkEnv{}
 	ctrl, err := controller.New(controller.Config{
-		Mode:        controller.ModeLearning,
-		Switches:    switches,
-		Seed:        c.Seed,
-		StateShards: c.Shards,
+		Mode:     controller.ModeLearning,
+		Switches: switches,
+		Seed:     c.Seed,
 	}, sink)
 	if err != nil {
 		return nil, fmt.Errorf("storm: %w", err)
@@ -83,8 +84,7 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 	hostSwitch := func(h model.HostID) model.SwitchID {
 		return model.SwitchID(uint32(h)%uint32(c.Switches) + 1)
 	}
-	// Warm sequentially: every host location learned before the storm,
-	// so burst results are interleaving-independent.
+	// Warm sequentially: every host location learned before the storm.
 	for h := model.HostID(1); h <= model.HostID(c.Hosts); h++ {
 		ctrl.HandleMessage(hostSwitch(h), &openflow.PacketIn{
 			Switch: hostSwitch(h),
@@ -113,11 +113,11 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 			},
 		}
 	}
-	return &Storm{Ctrl: ctrl, Batch: batch, sink: sink}, nil
+	return &Storm{Ctrl: ctrl, Batch: batch, workers: c.Shards, sink: sink}, nil
 }
 
 // Run replays the burst once.
-func (s *Storm) Run() { s.Ctrl.ProcessBurst(s.Batch) }
+func (s *Storm) Run() { s.Ctrl.ProcessBurst(s.Batch, s.workers) }
 
 // MessagesOut reports how many messages the controller emitted.
 func (s *Storm) MessagesOut() uint64 { return s.sink.sends.Load() }

@@ -44,9 +44,9 @@ func benchmarkStorm(b *testing.B, procs int) {
 	b.ReportMetric(float64(len(st.Batch))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkPacketInStormP1 and ...P4 measure the sharded packet-in
+// BenchmarkPacketInStormP1 and ...P4 measure the packet-in burst
 // intake pinned to one and four cores; the P4/P1 ratio is the scaling
-// the sharding buys (meaningful only on a machine with ≥4 cores).
+// the parallel decide buys (meaningful only on a machine with ≥4 cores).
 func BenchmarkPacketInStormP1(b *testing.B) { benchmarkStorm(b, 1) }
 
 // BenchmarkPacketInStormP4 — see BenchmarkPacketInStormP1.

@@ -71,37 +71,6 @@ func TestTelemetryDumpDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpanTreeShardIndependent pins the causal span structure
-// shard-count-independent: the controller's decide phase is the only
-// concurrent region, and spans are created exclusively in ordered code,
-// so a 1-stripe and an 8-stripe run must produce identical trees.
-func TestSpanTreeShardIndependent(t *testing.T) {
-	run := func(shards int) string {
-		tr := smallTrace(t, 11)
-		res, err := RunEmulation(EmulationConfig{
-			Source:         tr.Stream(0),
-			Mode:           controller.ModeLazy,
-			GroupSizeLimit: 6,
-			Horizon:        2 * time.Hour,
-			BucketWidth:    time.Hour,
-			Seed:           11,
-			TraceSample:    1,
-			StateShards:    shards,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		tree := res.Spans.TreeString()
-		if tree == "" {
-			t.Fatalf("shards=%d: empty span forest", shards)
-		}
-		return tree
-	}
-	if a, b := run(1), run(8); a != b {
-		t.Errorf("span trees differ between 1 and 8 shards:\n--- 1 shard\n%.2000s\n--- 8 shards\n%.2000s", a, b)
-	}
-}
-
 // TestHostSamplingEngineMode exercises satellite host-level sampling
 // end to end: the mode runs under EngineSampled, keeps SampleProb's
 // meaning as the pair inclusion probability, and is rejected outside

@@ -210,8 +210,8 @@ type BurstPacket struct {
 // control message. Edge switches fill it from their micro-batching
 // intake window (flush on count or deadline), so a packet-in storm
 // crosses the control link as a handful of bursts instead of thousands
-// of messages, and the controller feeds each burst straight into its
-// sharded ProcessBurst intake.
+// of messages; the controller handles the items in order, as it would
+// the single PacketIns.
 type PacketInBurst struct {
 	Switch model.SwitchID
 	Items  []BurstPacket

@@ -239,9 +239,8 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // TreeString renders every completed trace as an indented tree of
 // "name [start end] attrs" lines, children ordered by start time then
 // completion order, traces ordered by root start time. IDs are
-// deliberately omitted: the rendering is the shard-count-independent
-// shape the 1-vs-8-shard differential compares (IDs depend on the
-// global mint sequence; the causal structure must not).
+// deliberately omitted: the rendering is the causal shape alone (IDs
+// depend on the global mint sequence; the causal structure must not).
 func (t *Tracer) TreeString() string {
 	if t == nil {
 		return ""
