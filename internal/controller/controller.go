@@ -227,11 +227,6 @@ type Controller struct {
 	// Regrouping state.
 	lastRegroupAt   time.Duration
 	groupingVersion uint64
-	// pushedMembers fingerprints the member list last pushed per group:
-	// a moved fingerprint means the group's switches will clear their
-	// G-FIBs on the incoming GroupConfig, so their per-destination
-	// filter-version tracking must restart (full preloads).
-	pushedMembers map[model.GroupID]uint64
 	// sw holds one record per configured switch (see switchRecord).
 	sw map[model.SwitchID]*switchRecord
 
@@ -386,18 +381,17 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		// sentinel): a standby that never heard the primary still takes
 		// over at a strictly greater generation than the one it started
 		// with, and a solo controller's pushes are fenceable from t=0.
-		generation:    1,
-		isStandby:     c.Standby,
-		clib:          fib.NewCLIB(),
-		grp:           grouping.NewGrouping(),
-		sgi:           sgi,
-		intensity:     intensity,
-		tenants:       make(map[model.VLAN]model.TenantID),
-		state:         newHotState(),
-		pushedMembers: make(map[model.GroupID]uint64),
-		sw:            records,
-		arpCache:      make(map[model.VLAN][]model.SwitchID),
-		detector:      failover.NewDetector(3 * c.KeepAliveInterval),
+		generation: 1,
+		isStandby:  c.Standby,
+		clib:       fib.NewCLIB(),
+		grp:        grouping.NewGrouping(),
+		sgi:        sgi,
+		intensity:  intensity,
+		tenants:    make(map[model.VLAN]model.TenantID),
+		state:      newHotState(),
+		sw:         records,
+		arpCache:   make(map[model.VLAN][]model.SwitchID),
+		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
 	}, nil
 }
 
@@ -534,7 +528,9 @@ func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 // fingerprinted per destination; each peer filter is version-tracked
 // per destination and sent as a word-level delta when the destination
 // holds the previous cached version, in full when it holds nothing
-// usable, and not at all when it is current.
+// usable, and not at all when it is current. Every round first prunes
+// each destination's acked versions to its group's current members, so
+// a peer that left and came back is preloaded in full.
 //
 // kickDesignated forces the config through to every group's designated
 // switch even when its view is unchanged: receiving a GroupConfig
@@ -550,11 +546,6 @@ func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 	c.pushing = true
 	defer func() { c.pushing = false }()
-	// Membership fingerprints are rebuilt from scratch each round:
-	// groups that disappeared don't linger, and a reused group ID can't
-	// inherit a stale fingerprint.
-	freshFPs := make(map[model.GroupID]uint64, c.grp.NumGroups())
-	defer func() { c.pushedMembers = freshFPs }()
 	sent := 0
 	for _, gid := range c.grp.GroupIDs() {
 		members := c.grp.Members(gid)
@@ -567,16 +558,6 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 					backups = append(backups, m)
 					break
 				}
-			}
-		}
-		fp := membersFingerprint(members)
-		membersChanged := c.pushedMembers[gid] != fp
-		freshFPs[gid] = fp
-		var memberSet map[model.SwitchID]bool
-		if membersChanged {
-			memberSet = make(map[model.SwitchID]bool, len(members))
-			for _, m := range members {
-				memberSet[m] = true
 			}
 		}
 		// Refresh the preload filters of members whose reported L-FIB
@@ -608,16 +589,12 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 				msgs = append(msgs, cfgMsg)
 				sentCfg = true
 			}
-			if membersChanged {
-				// The incoming GroupConfig makes this switch drop the
-				// filters of peers that left its group; filters of
-				// peers that stayed survive at equal-or-newer versions
-				// (edge.handleGroupConfig invalidates selectively), so
-				// only the departed peers' acked versions are
-				// forgotten. If a kept filter was in fact lost (peer
-				// evidence eviction), the NACK/resync path repairs it.
-				maps.DeleteFunc(rec.pushedFilters, func(peer model.SwitchID, _ uint64) bool { return !memberSet[peer] })
-			}
+			// Forget the acked versions of peers that left the group:
+			// the switch drops their filters when it applies this view
+			// and keeps the others (edge.handleGroupConfig invalidates
+			// selectively). A kept filter that was in fact lost (peer
+			// evidence eviction) is repaired by the NACK path.
+			maps.DeleteFunc(rec.pushedFilters, func(peer model.SwitchID, _ uint64) bool { return c.grp.GroupOf(peer) != gid })
 			var nFull, nDelta int
 			if len(members) > 1 {
 				update, delta := c.buildPreload(gid, m, members)
@@ -839,18 +816,6 @@ func (c *Controller) markPushed(dest, peer model.SwitchID, v uint64) {
 		rec.pushedFilters = make(map[model.SwitchID]uint64)
 	}
 	rec.pushedFilters[peer] = v
-}
-
-// membersFingerprint hashes a member list (FNV-1a over the IDs, which
-// arrive in deterministic order) so pushGroupConfigs can tell whether a
-// group's membership moved since its last push.
-func membersFingerprint(members []model.SwitchID) uint64 {
-	h := uint64(1469598103934665603)
-	for _, m := range members {
-		h ^= uint64(m)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // configFingerprint hashes everything a destination learns from its

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"lazyctrl/internal/failover"
@@ -174,6 +175,86 @@ func TestPreloadNackAnsweredOnlyToOrigin(t *testing.T) {
 	c.HandleMessage(named, &openflow.GFIBNack{Group: gid, Origin: named, Peers: []model.SwitchID{1}})
 	if got := env.sendCounts(); len(got) != 1 || got[named] != 1 {
 		t.Errorf("NACK from its origin answered with %v, want one message to %v", got, named)
+	}
+}
+
+// regroupTo installs a hand-made grouping of switches 1–16 (every switch
+// not named goes to group 1) and runs the push round a regroup runs.
+func regroupTo(c *Controller, groups map[model.SwitchID]model.GroupID) {
+	assign := make(map[model.SwitchID]model.GroupID, 16)
+	for sw := model.SwitchID(1); sw <= 16; sw++ {
+		assign[sw] = 1
+		if g, ok := groups[sw]; ok {
+			assign[sw] = g
+		}
+	}
+	c.grp = grouping.Rebuild(assign)
+	c.repush(false)
+}
+
+// preloadsTo returns the peers whose filters the messages sent to dest
+// carried, in full and as deltas.
+func preloadsTo(env *recordingEnv, dest model.SwitchID) (full, delta []model.SwitchID) {
+	var walk func(openflow.Message)
+	walk = func(m openflow.Message) {
+		switch m := m.(type) {
+		case *openflow.Batch:
+			for _, part := range m.Msgs {
+				walk(part)
+			}
+		case *openflow.GFIBUpdate:
+			for _, f := range m.Filters {
+				full = append(full, f.Switch)
+			}
+		case *openflow.GFIBDelta:
+			for _, d := range m.Deltas {
+				delta = append(delta, d.Switch)
+			}
+		}
+	}
+	for _, m := range env.sends[dest] {
+		walk(m.(openflow.Message))
+	}
+	return full, delta
+}
+
+// TestPreloadNackForNonMemberIgnored: a NACK naming a peer outside the
+// origin's group is not answered. The switch ignores filters of
+// non-members, so a recorded push would be false, and the regroup that
+// later makes that peer a member would skip its preload.
+func TestPreloadNackForNonMemberIgnored(t *testing.T) {
+	const d, p = model.SwitchID(1), model.SwitchID(9)
+	c, env := lazyGrouped(t)
+	regroupTo(c, map[model.SwitchID]model.GroupID{p: 2, p + 1: 2}) // p's filter is built
+	env.reset()
+	c.HandleMessage(d, &openflow.GFIBNack{Group: c.grp.GroupOf(d), Origin: d, Peers: []model.SwitchID{p}})
+	if got := env.sendCounts(); len(got) != 0 {
+		t.Errorf("NACK from %v naming non-member %v was answered: %v", d, p, got)
+	}
+	// The regroup that puts p with d must preload p's (unchanged)
+	// filter to d in full.
+	env.reset()
+	regroupTo(c, nil)
+	full, _ := preloadsTo(env, d)
+	if !slices.Contains(full, p) {
+		t.Errorf("regroup preloaded %v in full to %v, want %v among them", full, d, p)
+	}
+}
+
+// TestPreloadPeerLeavesAndReturns pins the per-round prune of acked
+// versions: a peer that leaves a destination's group and comes back with
+// an unchanged filter is preloaded in full (the destination dropped it
+// when the peer left), while a peer that stayed is skipped.
+func TestPreloadPeerLeavesAndReturns(t *testing.T) {
+	const d, p, q = model.SwitchID(1), model.SwitchID(2), model.SwitchID(3)
+	c, env := lazyGrouped(t)
+	regroupTo(c, map[model.SwitchID]model.GroupID{d: 2, p: 2, q: 2})
+	regroupTo(c, map[model.SwitchID]model.GroupID{d: 2, q: 2})
+	env.reset()
+	regroupTo(c, map[model.SwitchID]model.GroupID{d: 2, p: 2, q: 2})
+	full, delta := preloadsTo(env, d)
+	if !slices.Equal(full, []model.SwitchID{p}) || len(delta) != 0 {
+		t.Errorf("return of %v preloaded full %v, delta %v to %v; want full [%v] only", p, full, delta, d, p)
 	}
 }
 

@@ -324,17 +324,23 @@ func (c *Controller) designatedTargets(vlan model.VLAN) []model.SwitchID {
 // preloads: the receiver could not apply a preload delta (its held
 // version did not match the base), so it gets the current full filters
 // for exactly the peers it named. Only a NACK from its own origin
-// counts: markPushed would otherwise record, for a switch that never
-// asked, versions it never received.
+// counts, and only for peers in the origin's current group: markPushed
+// would otherwise record versions the switch never received (it
+// ignores filters of non-members), and a later regroup that makes such
+// a peer a member would skip its preload.
 func (c *Controller) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
 	c.record(metrics.ReqStateReport, 1)
 	if m.Origin != from || c.sw[m.Origin] == nil {
 		return
 	}
+	gid := c.grp.GroupOf(m.Origin)
+	if gid == model.NoGroup {
+		return
+	}
 	update := &openflow.GFIBUpdate{Group: m.Group, Version: c.groupingVersion, Generation: c.generation}
 	for _, peer := range m.Peers {
 		rec := c.sw[peer]
-		if rec == nil {
+		if rec == nil || peer == m.Origin || c.grp.GroupOf(peer) != gid {
 			continue
 		}
 		v, built := rec.filter.Version()

@@ -248,16 +248,14 @@ func TestBatchedGroupPush(t *testing.T) {
 			t.Errorf("initial push sent %d messages to %v, want 1", n, sw)
 		}
 	}
-	// Populate the C-LIB and re-push as a membership-changing regroup
-	// round (clearing every push fingerprint stands in for SGI having
-	// reshaped every group; an unchanged destination is skipped by
-	// design).
+	// Populate the C-LIB and re-push as if SGI had reshaped every group
+	// (forgetting what every switch holds; an unchanged destination is
+	// skipped by design).
 	for h := model.HostID(1); h <= 64; h++ {
 		sw := model.SwitchID(uint32(h)%16 + 1)
 		c.CLIB().Update(model.HostMAC(h), model.HostIP(h), 1, sw, c.Grouping().GroupOf(sw))
 	}
 	env.reset()
-	c.pushedMembers = make(map[model.GroupID]uint64)
 	c.forgetPushed(c.cfg.Switches...)
 	c.pushGroupConfigs(false)
 	counts := env.sendCounts()

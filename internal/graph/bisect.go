@@ -21,8 +21,6 @@ const bisectPasses = 10
 
 // Bisect splits g into two sides minimizing the cut subject to the side
 // weight cap, via greedy growing plus Fiduccia–Mattheyses refinement.
-// When the cap is loose it first tries Stoer–Wagner: a global min cut
-// that happens to satisfy the constraint is optimal.
 func Bisect(g *Graph, o BisectOptions) (Partition, int64, error) {
 	n := g.N()
 	if n < 2 {
@@ -38,32 +36,6 @@ func Bisect(g *Graph, o BisectOptions) (Partition, int64, error) {
 		return nil, 0, fmt.Errorf("graph: infeasible bisection: 2×%d < total %d", cap, total)
 	}
 	rng := rand.New(rand.NewPCG(o.Seed, o.Seed^0xdeadbeefcafef00d))
-
-	// Try the global min cut first: if it is feasible it cannot be
-	// beaten. Stoer–Wagner is cubic, so only attempt it on small merges;
-	// large instances go straight to greedy growing + FM.
-	const minCutMaxVertices = 128
-	if n <= minCutMaxVertices {
-		if cutW, side, err := MinCut(g); err == nil {
-			var w0, w1 int64
-			for v, s := range side {
-				if s {
-					w1 += g.VertexWeight(v)
-				} else {
-					w0 += g.VertexWeight(v)
-				}
-			}
-			if w0 <= cap && w1 <= cap && w0 > 0 && w1 > 0 {
-				part := make(Partition, n)
-				for v, s := range side {
-					if s {
-						part[v] = 1
-					}
-				}
-				return part, cutW, nil
-			}
-		}
-	}
 
 	// Greedy growing of side 0 to half the total weight.
 	part := growInitial(g, 2, cap, rng)

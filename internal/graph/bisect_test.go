@@ -38,8 +38,9 @@ func TestBisectTwoClusters(t *testing.T) {
 	}
 }
 
-func TestBisectUsesMinCutWhenFeasible(t *testing.T) {
-	// Two triangles + weight-1 bridge; cap large enough for the min cut.
+func TestBisectFindsBridgeWhenBalanced(t *testing.T) {
+	// Two triangles + weight-1 bridge; the cap admits the 3/3 split, so
+	// growing plus FM must find the bridge, the global min cut.
 	b := NewBuilder(6)
 	for _, e := range [][3]int64{{0, 1, 10}, {1, 2, 10}, {0, 2, 10}, {3, 4, 10}, {4, 5, 10}, {3, 5, 10}, {2, 3, 1}} {
 		b.AddEdge(int(e[0]), int(e[1]), e[2])
@@ -50,12 +51,13 @@ func TestBisectUsesMinCutWhenFeasible(t *testing.T) {
 		t.Fatalf("Bisect: %v", err)
 	}
 	if cut != 1 {
-		t.Errorf("cut = %d, want 1 (global min cut feasible)", cut)
+		t.Errorf("cut = %d, want 1 (the bridge)", cut)
 	}
 }
 
-func TestBisectBalancedWhenMinCutInfeasible(t *testing.T) {
-	// A star: min cut isolates one leaf, but the cap forces balance.
+func TestBisectStarBalancedUnderCap(t *testing.T) {
+	// A star: the global min cut isolates one leaf, but the cap forces
+	// balance.
 	b := NewBuilder(10)
 	for v := 1; v < 10; v++ {
 		b.AddEdge(0, v, 1)

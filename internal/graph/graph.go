@@ -1,8 +1,8 @@
 // Package graph implements the weighted-graph machinery behind LazyCtrl's
 // switch grouping: a from-scratch multilevel k-way partitioner (MLkP, after
-// Karypis & Kumar), a Stoer–Wagner global minimum cut, and a
-// size-constrained Fiduccia–Mattheyses balanced bisection. The grouping
-// package composes these into the SGI algorithm.
+// Karypis & Kumar) and a size-constrained Fiduccia–Mattheyses balanced
+// bisection, which the grouping package composes into the SGI algorithm,
+// plus a Stoer–Wagner global minimum cut kept for benchmarking.
 package graph
 
 import (

@@ -7,9 +7,14 @@ import "errors"
 // SGI). It returns the cut weight and the side assignment (true for
 // vertices on one side). The graph must have at least 2 vertices.
 //
+// No production path calls it: Bisect's re-split is size-constrained,
+// and on measured IncUpdate inputs the global min cut never met the
+// side cap. It stays for the benchmark's graph.mincut_ms driver and
+// BenchmarkMinCut.
+//
 // The maximum adjacency search scans a dense n×n weight matrix, so a call
-// costs O(V³) time and O(V²) memory: ample for the ≤ 128-vertex merges
-// Bisect hands it, and every buffer is allocated once per call.
+// costs O(V³) time and O(V²) memory; every buffer is allocated once per
+// call.
 func MinCut(g *Graph) (int64, []bool, error) {
 	n := g.N()
 	if n < 2 {

@@ -382,8 +382,7 @@ func sameGraphs(a, b *Graph) error {
 }
 
 // TestMinCutMatchesReference compares cut weight and side assignment
-// with the map-based reference on random graphs up to Bisect's 128-vertex
-// limit's scale.
+// with the map-based reference on random graphs of up to 40 vertices.
 func TestMinCutMatchesReference(t *testing.T) {
 	for prog := 0; prog < 1200; prog++ {
 		rng := rand.New(rand.NewPCG(uint64(prog), 47))
