@@ -243,12 +243,6 @@ type Controller struct {
 	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
-	// ARP-relay target memoization, valid only inside one burst's apply
-	// phase (see withARPMemo and designatedTargets).
-	arpCache    map[model.VLAN][]model.SwitchID
-	arpCacheVer uint64
-	arpCacheOn  bool
-
 	cancels []func()
 
 	// Control-fold task handles (nil without Config.FoldGate).
@@ -390,7 +384,6 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		tenants:    make(map[model.VLAN]model.TenantID),
 		state:      newHotState(),
 		sw:         records,
-		arpCache:   make(map[model.VLAN][]model.SwitchID),
 		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
 	}, nil
 }

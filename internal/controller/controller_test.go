@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"lazyctrl/internal/metrics"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
+	"lazyctrl/internal/openflow"
 	"lazyctrl/internal/sim"
 )
 
@@ -343,5 +345,51 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode has empty name")
+	}
+}
+
+// arpOrderEnv records the destinations of ARPRelay sends in send order.
+type arpOrderEnv struct {
+	*recordingEnv
+	relays []model.SwitchID
+}
+
+func (e *arpOrderEnv) Send(to model.SwitchID, msg netsim.Message) {
+	if _, ok := msg.(*openflow.ARPRelay); ok {
+		e.relays = append(e.relays, to)
+	}
+}
+
+// TestARPRelayTargetsAscending pins the relay fan-out order for a
+// tenant spread over several groups. Each send draws jitter from the
+// simulator's RNG, so an order taken from map iteration would make
+// delivery times depend on Go's map randomization.
+func TestARPRelayTargetsAscending(t *testing.T) {
+	env := &arpOrderEnv{recordingEnv: newRecordingEnv()}
+	c, err := New(Config{Mode: ModeLazy, Switches: switchList(9), Seed: 7}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.grp = grouping.NewGrouping()
+	for g := 0; g < 3; g++ {
+		base := model.SwitchID(3*g + 1)
+		c.grp.AddGroup([]model.SwitchID{base, base + 1, base + 2})
+	}
+	// VLAN 1 has a host behind one switch of each group.
+	for _, sw := range []model.SwitchID{2, 5, 8} {
+		h := model.HostID(sw)
+		c.CLIB().Update(model.HostMAC(h), model.HostIP(h), 1, sw, 1)
+	}
+	const relays = 20
+	for i := 0; i < relays; i++ {
+		c.relayARP(*pkt(2, 99))
+	}
+	if len(env.relays) != 3*relays {
+		t.Fatalf("%d ARPRelay sends, want %d", len(env.relays), 3*relays)
+	}
+	for i := 0; i < len(env.relays); i += 3 {
+		if got := env.relays[i : i+3]; !slices.IsSorted(got) {
+			t.Fatalf("relay %d sent to %v, want ascending", i/3, got)
+		}
 	}
 }

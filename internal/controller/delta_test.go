@@ -329,11 +329,10 @@ func TestRecoveredUnchangedHostsPreloadZeroWordDelta(t *testing.T) {
 	}
 }
 
-// TestBurstMatchesSequentialWithARPMemo proves the per-burst ARP-target
-// memo changes nothing observable: the same lazy-mode storm through the
-// sequential path and through ProcessBurst yields identical stats,
-// sends, and pending state.
-func TestBurstMatchesSequentialWithARPMemo(t *testing.T) {
+// TestBurstMatchesSequentialLazy pins ProcessBurst to the sequential
+// path on a lazy-mode storm whose unresolved flows pend and relay ARP
+// queries: identical stats, sends, and pending state.
+func TestBurstMatchesSequentialLazy(t *testing.T) {
 	batch := stormBatch(1024, 23)
 	warm := func() (*Controller, *recordingEnv) {
 		c, env := newDirectController(t, ModeLazy)
@@ -359,8 +358,5 @@ func TestBurstMatchesSequentialWithARPMemo(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seqC.state.pending, burstC.state.pending) {
 		t.Error("pending tables differ between sequential and burst paths")
-	}
-	if burstC.arpCacheOn || len(burstC.arpCache) != 0 {
-		t.Error("ARP memo leaked past the burst")
 	}
 }

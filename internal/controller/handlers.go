@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -21,11 +22,9 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		// An edge switch's micro-batched intake window: handled item by
 		// item, like the single PacketIns it stands for.
 		pins := m.PacketIns()
-		c.withARPMemo(func() {
-			for i := range pins {
-				c.handlePacketIn(&pins[i])
-			}
-		})
+		for i := range pins {
+			c.handlePacketIn(&pins[i])
+		}
 	case *openflow.GFIBNack:
 		c.handleGFIBNack(from, m)
 	case *openflow.StateReport:
@@ -282,7 +281,11 @@ func (c *Controller) relayARP(p model.Packet) {
 			Injected:  p.Injected,
 		},
 	}
-	targets := c.designatedTargets(p.VLAN)
+	targets := c.designatedForVLAN(p.VLAN)
+	if len(targets) == 0 {
+		// No known placement yet: query every designated switch.
+		targets = c.allDesignated()
+	}
 	c.stats.ARPRelays += uint64(len(targets))
 	c.record(metrics.ReqARPRelay, uint64(len(targets)))
 	c.respond(func() {
@@ -290,34 +293,6 @@ func (c *Controller) relayARP(p model.Packet) {
 			c.env.Send(d, arp)
 		}
 	})
-}
-
-// designatedTargets resolves the designated switches an ARP query for
-// a VLAN fans out to. Inside a burst's apply phase the resolution is
-// memoized per (VLAN, grouping version): a storm of unresolved
-// flows on one tenant resolves the C-LIB placement scan and the
-// per-group designated election once instead of per pending flow. The
-// cache never outlives the burst — C-LIB placements may move between
-// bursts — and is dropped if a regrouping bumps the version mid-burst.
-func (c *Controller) designatedTargets(vlan model.VLAN) []model.SwitchID {
-	if c.arpCacheOn {
-		if c.arpCacheVer != c.groupingVersion {
-			c.arpCacheVer = c.groupingVersion
-			clear(c.arpCache)
-		}
-		if targets, ok := c.arpCache[vlan]; ok {
-			return targets
-		}
-	}
-	targets := c.designatedForVLAN(vlan)
-	if len(targets) == 0 {
-		// No known placement yet: query every designated switch.
-		targets = c.allDesignated()
-	}
-	if c.arpCacheOn {
-		c.arpCache[vlan] = targets
-	}
-	return targets
 }
 
 // handleGFIBNack answers a resync request against controller-pushed
@@ -358,7 +333,8 @@ func (c *Controller) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
 }
 
 // designatedForVLAN returns the designated switches of groups hosting
-// the VLAN.
+// the VLAN, in ascending order: relayARP sends in this order, and each
+// send draws jitter from the simulator's RNG.
 func (c *Controller) designatedForVLAN(vlan model.VLAN) []model.SwitchID {
 	groups := make(map[model.GroupID]bool)
 	for _, sw := range c.clib.SwitchesWithVLAN(vlan) {
@@ -370,6 +346,7 @@ func (c *Controller) designatedForVLAN(vlan model.VLAN) []model.SwitchID {
 	for g := range groups {
 		out = append(out, c.chooseDesignated(c.grp.Members(g)))
 	}
+	slices.Sort(out)
 	return out
 }
 

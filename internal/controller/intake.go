@@ -45,22 +45,9 @@ func (c *Controller) ProcessBurst(batch []openflow.PacketIn, workers int) {
 		}()
 	}
 	wg.Wait()
-	c.withARPMemo(func() {
-		for i := range batch {
-			c.apply(&batch[i], decisions[i])
-		}
-	})
-}
-
-// withARPMemo runs one burst's apply phase with ARP relay targets
-// memoized (see designatedTargets): one designated-switch resolution
-// per (VLAN, grouping version) instead of one per pending flow.
-func (c *Controller) withARPMemo(applyAll func()) {
-	c.arpCacheOn = true
-	c.arpCacheVer = c.groupingVersion
-	applyAll()
-	c.arpCacheOn = false
-	clear(c.arpCache)
+	for i := range batch {
+		c.apply(&batch[i], decisions[i])
+	}
 }
 
 // LearnedLocations returns a copy of the learning-mode location table

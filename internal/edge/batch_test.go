@@ -81,9 +81,8 @@ func TestPacketInMicroBatching(t *testing.T) {
 	ctrl := &ctrlRecorder{}
 	n.Attach(ctrl)
 	sw := New(Config{
-		ID:                  1,
-		PacketInBatchMax:    4,
-		PacketInBatchWindow: 2 * time.Millisecond,
+		ID:               1,
+		PacketInBatchMax: 4,
 	}, n.Env(1))
 	n.Attach(sw)
 	sw.AttachHost(model.HostMAC(10), model.HostIP(10), 1)
@@ -112,7 +111,7 @@ func TestPacketInBatchFlushOnStop(t *testing.T) {
 	n := netsim.New(s, netsim.DefaultLatencies())
 	ctrl := &ctrlRecorder{}
 	n.Attach(ctrl)
-	sw := New(Config{ID: 1, PacketInBatchMax: 8, PacketInBatchWindow: time.Hour}, n.Env(1))
+	sw := New(Config{ID: 1, PacketInBatchMax: 8}, n.Env(1))
 	n.Attach(sw)
 	sw.AttachHost(model.HostMAC(10), model.HostIP(10), 1)
 	sw.InjectLocal(pkt(10, 50, 0))

@@ -152,7 +152,7 @@ func TestEscalationDedupAndReflush(t *testing.T) {
 	// The new master resolves the escalation; the next no-match packet
 	// for the pair escalates fresh (to the new master).
 	sw.HandleMessage(model.StandbyNode, &openflow.PacketOut{
-		Actions: []openflow.Action{openflow.Output(1)},
+		Actions: []openflow.Action{openflow.Flood()},
 		Packet:  *pkt(10, 20, 0),
 	})
 	sw.InjectLocal(pkt(10, 20, 2))

@@ -14,113 +14,54 @@ import (
 
 // flowRule is an installed flow-table entry.
 type flowRule struct {
-	match       openflow.Match
-	priority    uint16
 	actions     []openflow.Action
 	idleTimeout time.Duration
-	hardTimeout time.Duration
-	installedAt time.Duration
 	lastHit     time.Duration
-	packets     uint64
-	bytes       uint64
 }
 
-func (r *flowRule) expired(now time.Duration) bool {
-	if r.hardTimeout > 0 && now-r.installedAt > r.hardTimeout {
-		return true
-	}
-	if r.idleTimeout > 0 && now-r.lastHit > r.idleTimeout {
-		return true
-	}
-	return false
-}
-
-// exactKey indexes the common LazyCtrl rule shape: exact (dstMAC, VLAN)
-// with everything else wildcarded.
-type exactKey struct {
+// flowKey is the one rule shape the controller installs (§IV-B): exact
+// (dstMAC, VLAN) with everything else wildcarded.
+type flowKey struct {
 	dst  model.MAC
 	vlan model.VLAN
 }
 
-// flowTable holds a switch's OpenFlow rules: a hash index for exact-dst
-// rules plus an ordered scan list for arbitrary matches.
+// flowTable holds a switch's controller-installed inter-group rules,
+// at most one per (dstMAC, VLAN). Priorities, hard timeouts, wildcard
+// matches and per-rule counters are not modelled: no controller sends
+// or reads them.
 type flowTable struct {
-	exact    map[exactKey]*flowRule
-	wildcard []*flowRule
+	rules map[flowKey]*flowRule
 }
 
 func newFlowTable() *flowTable {
-	return &flowTable{exact: make(map[exactKey]*flowRule)}
+	return &flowTable{rules: make(map[flowKey]*flowRule)}
 }
 
-func isExactDst(m openflow.Match) (exactKey, bool) {
-	want := openflow.WildcardAll &^ (openflow.WildcardDstMAC | openflow.WildcardVLAN)
-	if m.Wildcards == want {
-		return exactKey{dst: m.DstMAC, vlan: m.VLAN}, true
+// install adds or replaces the rule for m. A match of any other shape
+// than openflow.ExactDst is ignored.
+func (t *flowTable) install(m openflow.Match, r *flowRule) {
+	if m == openflow.ExactDst(m.DstMAC, m.VLAN) {
+		t.rules[flowKey{dst: m.DstMAC, vlan: m.VLAN}] = r
 	}
-	return exactKey{}, false
 }
 
-// install adds or replaces a rule.
-func (t *flowTable) install(r *flowRule) {
-	if key, ok := isExactDst(r.match); ok {
-		t.exact[key] = r
-		return
-	}
-	for i, old := range t.wildcard {
-		if old.match == r.match {
-			t.wildcard[i] = r
-			return
-		}
-	}
-	t.wildcard = append(t.wildcard, r)
-}
-
-// remove deletes rules matching the given match exactly.
-func (t *flowTable) remove(m openflow.Match) {
-	if key, ok := isExactDst(m); ok {
-		delete(t.exact, key)
-		return
-	}
-	keep := t.wildcard[:0]
-	for _, r := range t.wildcard {
-		if r.match != m {
-			keep = append(keep, r)
-		}
-	}
-	t.wildcard = keep
-}
-
-// lookup returns the highest-priority live rule matching p, evicting
-// expired rules it encounters.
+// lookup returns the live rule for p's destination, evicting it if it
+// has idled out.
 func (t *flowTable) lookup(p *model.Packet, now time.Duration) *flowRule {
-	var best *flowRule
-	if r, ok := t.exact[exactKey{dst: p.DstMAC, vlan: p.VLAN}]; ok {
-		if r.expired(now) {
-			delete(t.exact, exactKey{dst: p.DstMAC, vlan: p.VLAN})
-		} else {
-			best = r
-		}
+	key := flowKey{dst: p.DstMAC, vlan: p.VLAN}
+	r, ok := t.rules[key]
+	if !ok {
+		return nil
 	}
-	keep := t.wildcard[:0]
-	for _, r := range t.wildcard {
-		if r.expired(now) {
-			continue
-		}
-		keep = append(keep, r)
-		if r.match.Matches(p) && (best == nil || r.priority > best.priority) {
-			best = r
-		}
+	if r.idleTimeout > 0 && now-r.lastHit > r.idleTimeout {
+		delete(t.rules, key)
+		return nil
 	}
-	t.wildcard = keep
-	if best != nil {
-		best.lastHit = now
-		best.packets++
-		best.bytes += uint64(p.Bytes)
-	}
-	return best
+	r.lastHit = now
+	return r
 }
 
-// len returns the number of live rules (including not-yet-evicted
+// len returns the number of installed rules (including not-yet-evicted
 // expired ones).
-func (t *flowTable) len() int { return len(t.exact) + len(t.wildcard) }
+func (t *flowTable) len() int { return len(t.rules) }

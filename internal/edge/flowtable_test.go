@@ -8,19 +8,13 @@ import (
 	"lazyctrl/internal/openflow"
 )
 
-func rule(match openflow.Match, prio uint16, idle time.Duration, actions ...openflow.Action) *flowRule {
-	return &flowRule{
-		match:       match,
-		priority:    prio,
-		actions:     actions,
-		idleTimeout: idle,
-	}
+func rule(idle time.Duration, actions ...openflow.Action) *flowRule {
+	return &flowRule{actions: actions, idleTimeout: idle}
 }
 
 func TestFlowTableExactLookup(t *testing.T) {
 	ft := newFlowTable()
-	m := openflow.ExactDst(model.HostMAC(1), 5)
-	ft.install(rule(m, 10, time.Minute, openflow.Encap(2)))
+	ft.install(openflow.ExactDst(model.HostMAC(1), 5), rule(time.Minute, openflow.Encap(2)))
 	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 5}
 	r := ft.lookup(p, 0)
 	if r == nil || r.actions[0].Remote != 2 {
@@ -33,46 +27,11 @@ func TestFlowTableExactLookup(t *testing.T) {
 	}
 }
 
-func TestFlowTableWildcardPriority(t *testing.T) {
-	ft := newFlowTable()
-	all := openflow.Match{Wildcards: openflow.WildcardAll}
-	srcOnly := openflow.Match{
-		Wildcards: openflow.WildcardAll &^ openflow.WildcardSrcMAC,
-		SrcMAC:    model.HostMAC(7),
-	}
-	ft.install(rule(all, 1, 0, openflow.Drop()))
-	ft.install(rule(srcOnly, 50, 0, openflow.Output(3)))
-
-	p := &model.Packet{SrcMAC: model.HostMAC(7)}
-	r := ft.lookup(p, 0)
-	if r == nil || r.actions[0].Type != openflow.ActionTypeOutput {
-		t.Fatalf("high-priority wildcard not selected: %+v", r)
-	}
-	other := &model.Packet{SrcMAC: model.HostMAC(8)}
-	r = ft.lookup(other, 0)
-	if r == nil || r.actions[0].Type != openflow.ActionTypeDrop {
-		t.Fatalf("catch-all not selected: %+v", r)
-	}
-}
-
-func TestFlowTableExactBeatsWildcardOnPriority(t *testing.T) {
-	ft := newFlowTable()
-	exact := openflow.ExactDst(model.HostMAC(1), 1)
-	all := openflow.Match{Wildcards: openflow.WildcardAll}
-	ft.install(rule(exact, 10, 0, openflow.Encap(9)))
-	ft.install(rule(all, 99, 0, openflow.Drop()))
-	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 1}
-	r := ft.lookup(p, 0)
-	if r == nil || r.actions[0].Type != openflow.ActionTypeDrop {
-		t.Fatalf("priority ordering violated: %+v", r)
-	}
-}
-
-func TestFlowTableReplaceAndRemove(t *testing.T) {
+func TestFlowTableReplace(t *testing.T) {
 	ft := newFlowTable()
 	m := openflow.ExactDst(model.HostMAC(1), 1)
-	ft.install(rule(m, 10, 0, openflow.Encap(2)))
-	ft.install(rule(m, 10, 0, openflow.Encap(3))) // replace
+	ft.install(m, rule(0, openflow.Encap(2)))
+	ft.install(m, rule(0, openflow.Encap(3)))
 	if ft.len() != 1 {
 		t.Fatalf("len = %d after replace, want 1", ft.len())
 	}
@@ -80,33 +39,12 @@ func TestFlowTableReplaceAndRemove(t *testing.T) {
 	if r := ft.lookup(p, 0); r == nil || r.actions[0].Remote != 3 {
 		t.Fatalf("replacement not effective: %+v", r)
 	}
-	ft.remove(m)
-	if ft.lookup(p, 0) != nil {
-		t.Error("rule survives remove")
-	}
-
-	// Wildcard replace and remove.
-	w := openflow.Match{Wildcards: openflow.WildcardAll &^ openflow.WildcardEther, Ether: model.EtherTypeARP}
-	ft.install(rule(w, 5, 0, openflow.ToController()))
-	ft.install(rule(w, 7, 0, openflow.Drop()))
-	if ft.len() != 1 {
-		t.Fatalf("wildcard replace duplicated: len=%d", ft.len())
-	}
-	ft.remove(w)
-	if ft.len() != 0 {
-		t.Error("wildcard rule survives remove")
-	}
 }
 
 func TestFlowTableTimeouts(t *testing.T) {
 	ft := newFlowTable()
-	idle := rule(openflow.ExactDst(model.HostMAC(1), 1), 10, time.Second, openflow.Encap(2))
-	idle.installedAt = 0
-	idle.lastHit = 0
-	ft.install(idle)
-	hard := rule(openflow.Match{Wildcards: openflow.WildcardAll}, 1, 0, openflow.Drop())
-	hard.hardTimeout = 3 * time.Second
-	ft.install(hard)
+	ft.install(openflow.ExactDst(model.HostMAC(1), 1), rule(time.Second, openflow.Encap(2)))
+	ft.install(openflow.ExactDst(model.HostMAC(2), 1), rule(0, openflow.Encap(3)))
 
 	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 1}
 	// Keep the idle rule warm by hitting it.
@@ -116,32 +54,60 @@ func TestFlowTableTimeouts(t *testing.T) {
 	if r := ft.lookup(p, 1200*time.Millisecond); r == nil {
 		t.Fatal("refreshed idle rule expired prematurely")
 	}
-	// Let it idle out.
-	other := &model.Packet{DstMAC: model.HostMAC(9), VLAN: 1}
-	if r := ft.lookup(other, 2500*time.Millisecond); r == nil || r.actions[0].Type != openflow.ActionTypeDrop {
-		t.Fatal("catch-all missing before hard timeout")
-	}
-	if r := ft.lookup(p, 3*time.Second); r != nil && r.actions[0].Type == openflow.ActionTypeEncap {
+	// Let it idle out: the lookup evicts it.
+	if r := ft.lookup(p, 3*time.Second); r != nil {
 		t.Error("idle rule not expired")
 	}
-	// Hard timeout kills the catch-all regardless of hits.
-	if r := ft.lookup(other, 4*time.Second); r != nil {
-		t.Errorf("hard-timeout rule still alive: %+v", r)
+	if ft.len() != 1 {
+		t.Errorf("len = %d after idle eviction, want 1", ft.len())
+	}
+	// A zero idle timeout never expires.
+	if ft.lookup(&model.Packet{DstMAC: model.HostMAC(2), VLAN: 1}, time.Hour) == nil {
+		t.Error("rule without idle timeout expired")
 	}
 }
 
-func TestFlowTableHitCounters(t *testing.T) {
-	ft := newFlowTable()
-	m := openflow.ExactDst(model.HostMAC(1), 1)
-	r := rule(m, 10, 0, openflow.Encap(2))
-	ft.install(r)
-	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 1, Bytes: 500}
-	ft.lookup(p, 0)
-	ft.lookup(p, time.Second)
-	if r.packets != 2 || r.bytes != 1000 {
-		t.Errorf("counters = %d pkts %d bytes, want 2/1000", r.packets, r.bytes)
+// TestFlowTableIgnoresUninstalledShapes pins the table to the one rule
+// shape the controller installs. A hostile or confused sender's
+// wildcard adds, deletes and modifies are ignored: the table cannot be
+// grown past one rule per (dstMAC, VLAN), and the installed rule keeps
+// forwarding.
+func TestFlowTableIgnoresUninstalledShapes(t *testing.T) {
+	r := newRig(t, 1, 2)
+	sw := r.switches[1]
+	sw.AttachHost(model.HostMAC(10), model.HostIP(10), 1)
+	r.switches[2].AttachHost(model.HostMAC(20), model.HostIP(20), 1)
+
+	installed := openflow.ExactDst(model.HostMAC(20), 1)
+	sw.HandleMessage(model.ControllerNode, &openflow.FlowMod{
+		Command: openflow.FlowAdd, Match: installed, Priority: 100,
+		Actions: []openflow.Action{openflow.Encap(2)},
+	})
+	for i := uint32(0); i < 10_000; i++ {
+		sw.HandleMessage(model.ControllerNode, &openflow.FlowMod{
+			Command: openflow.FlowAdd,
+			Match: openflow.Match{
+				Wildcards: openflow.WildcardAll &^ openflow.WildcardSrcIP,
+				SrcIP:     model.IP(i),
+			},
+			Priority: 200,
+			Actions:  []openflow.Action{{Type: openflow.ActionTypeDrop}},
+		})
 	}
-	if r.lastHit != time.Second {
-		t.Errorf("lastHit = %v, want 1s", r.lastHit)
+	sw.HandleMessage(model.ControllerNode, &openflow.FlowMod{Command: openflow.FlowDelete, Match: installed})
+	sw.HandleMessage(model.ControllerNode, &openflow.FlowMod{
+		Command: openflow.FlowModify, Match: installed,
+		Actions: []openflow.Action{{Type: openflow.ActionTypeDrop}},
+	})
+	if c := sw.FlowCount(); c != 1 {
+		t.Fatalf("FlowCount = %d, want 1 (only the installed exact-destination rule)", c)
+	}
+	sw.InjectLocal(pkt(10, 20, 0))
+	r.sim.RunFor(time.Second)
+	if len(r.delivered[2]) != 1 {
+		t.Fatalf("installed rule delivered %d packets, want 1", len(r.delivered[2]))
+	}
+	if st := sw.Stats(); st.EncapSent != 1 || st.PacketIns != 0 {
+		t.Errorf("EncapSent %d PacketIns %d, want 1/0", st.EncapSent, st.PacketIns)
 	}
 }

@@ -81,21 +81,18 @@ func (s *Switch) emitApplySpan(ctx telemetry.SpanContext) {
 	}
 }
 
+// handleFlowMod installs a controller rule. The controller only ever
+// adds exact-destination Encap rules (§IV-B); every other command, and
+// the priority and hard timeout the message carries, are ignored.
 func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
-	switch m.Command {
-	case openflow.FlowAdd, openflow.FlowModify:
-		s.flows.install(&flowRule{
-			match:       m.Match,
-			priority:    m.Priority,
-			actions:     append([]openflow.Action(nil), m.Actions...),
-			idleTimeout: m.IdleTimeout,
-			hardTimeout: m.HardTimeout,
-			installedAt: s.env.Now(),
-			lastHit:     s.env.Now(),
-		})
-	case openflow.FlowDelete:
-		s.flows.remove(m.Match)
+	if m.Command != openflow.FlowAdd {
+		return
 	}
+	s.flows.install(m.Match, &flowRule{
+		actions:     append([]openflow.Action(nil), m.Actions...),
+		idleTimeout: m.IdleTimeout,
+		lastHit:     s.env.Now(),
+	})
 }
 
 // handleGroupConfig adopts a (re)grouping decision from the controller

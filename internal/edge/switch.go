@@ -35,10 +35,6 @@ type Config struct {
 	// the eval emulation harness turns batching on and accounts for
 	// the window's latency explicitly — replay.ExpectedBatchDelay).
 	PacketInBatchMax int
-	// PacketInBatchWindow is the flush deadline of the micro-batching
-	// window. Zero with batching enabled selects
-	// DefaultPacketInBatchWindow.
-	PacketInBatchWindow time.Duration
 	// GFIBFullPush disables the word-level delta path of G-FIB
 	// dissemination: every changed filter ships in full. It exists as
 	// the measurement baseline for the delta protocol and as an escape
@@ -79,9 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.GFIBInterval == 0 {
 		c.GFIBInterval = c.ReportInterval
 	}
-	if c.PacketInBatchMax > 1 && c.PacketInBatchWindow == 0 {
-		c.PacketInBatchWindow = DefaultPacketInBatchWindow
-	}
 	return c
 }
 
@@ -92,8 +85,8 @@ const (
 	// keepAliveMisses silent intervals report a wheel neighbor lost
 	// (§III-E1) and, from the controller, start degraded mode.
 	keepAliveMisses = 3
-	// DefaultPacketInBatchWindow is the micro-batching flush deadline
-	// every emulation runs with; eval models its latency from it.
+	// DefaultPacketInBatchWindow is the micro-batching flush deadline:
+	// no buffered PacketIn waits longer. eval models its latency from it.
 	DefaultPacketInBatchWindow = time.Millisecond
 )
 
@@ -455,7 +448,7 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		return
 	}
 	// 4. Controller.
-	s.packetIn(openflow.ReasonNoMatch, p)
+	s.packetIn(p)
 }
 
 // handleOverlay processes an encapsulated packet arriving from the
@@ -518,22 +511,22 @@ func (s *Switch) encapTo(remote model.SwitchID, p *model.Packet) {
 // at the switch and flushes as part of a PacketInBurst once the count
 // threshold or the window deadline is hit, so a storm arrives at the
 // controller as bursts instead of a message per flow.
-func (s *Switch) packetIn(reason openflow.PacketInReason, p *model.Packet) {
-	if reason == openflow.ReasonNoMatch && s.degradeFlood(p) {
+func (s *Switch) packetIn(p *model.Packet) {
+	if s.degradeFlood(p) {
 		return
 	}
-	if reason == openflow.ReasonNoMatch && s.cfg.TrackEscalations && s.noteEscalation(p) {
+	if s.cfg.TrackEscalations && s.noteEscalation(p) {
 		return
 	}
 	s.stats.PacketIns++
 	root := s.cfg.Tracer.StartTrace("pktin").
-		Attr("sw", int64(s.cfg.ID)).Attr("reason", int64(reason))
+		Attr("sw", int64(s.cfg.ID)).Attr("reason", int64(openflow.ReasonNoMatch))
 	if s.cfg.PacketInBatchMax <= 1 {
 		root.End() // no batch residence: the root closes at ingress
-		s.sendCtrl(&openflow.PacketIn{Switch: s.cfg.ID, Reason: reason, Packet: *p, Span: root.Context()})
+		s.sendCtrl(&openflow.PacketIn{Switch: s.cfg.ID, Reason: openflow.ReasonNoMatch, Packet: *p, Span: root.Context()})
 		return
 	}
-	s.pinBuf = append(s.pinBuf, openflow.BurstPacket{Reason: reason, Packet: *p, Span: root.Context()})
+	s.pinBuf = append(s.pinBuf, openflow.BurstPacket{Reason: openflow.ReasonNoMatch, Packet: *p, Span: root.Context()})
 	s.pinAt = append(s.pinAt, s.env.Now())
 	if root != nil {
 		s.pinSpans = append(s.pinSpans, root)
@@ -543,7 +536,7 @@ func (s *Switch) packetIn(reason openflow.PacketInReason, p *model.Packet) {
 		return
 	}
 	if s.pinFlushCancel == nil {
-		s.pinFlushCancel = s.env.After(s.cfg.PacketInBatchWindow, s.flushPacketIns)
+		s.pinFlushCancel = s.env.After(DefaultPacketInBatchWindow, s.flushPacketIns)
 	}
 }
 
@@ -641,19 +634,17 @@ func (s *Switch) sendCtrl(msg netsim.Message) {
 	s.env.Send(s.master, msg)
 }
 
+// applyActions runs a rule's or PacketOut's actions. The controller
+// sends only Encap (inter-group rules and their first packets) and
+// Flood (the OpenFlow baseline's broadcast); other action types are
+// ignored.
 func (s *Switch) applyActions(actions []openflow.Action, p *model.Packet) {
 	for _, a := range actions {
 		switch a.Type {
-		case openflow.ActionTypeOutput:
-			s.deliver(p)
 		case openflow.ActionTypeEncap:
 			s.encapTo(a.Remote, p)
-		case openflow.ActionTypeController:
-			s.packetIn(openflow.ReasonNoMatch, p)
 		case openflow.ActionTypeFlood:
 			s.handleFlood(p)
-		case openflow.ActionTypeDrop:
-			return
 		}
 	}
 }

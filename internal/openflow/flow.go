@@ -45,29 +45,6 @@ func ExactDst(dst model.MAC, vlan model.VLAN) Match {
 	}
 }
 
-// Matches reports whether the packet satisfies the match.
-func (m Match) Matches(p *model.Packet) bool {
-	if m.Wildcards&WildcardSrcMAC == 0 && p.SrcMAC != m.SrcMAC {
-		return false
-	}
-	if m.Wildcards&WildcardDstMAC == 0 && p.DstMAC != m.DstMAC {
-		return false
-	}
-	if m.Wildcards&WildcardVLAN == 0 && p.VLAN != m.VLAN {
-		return false
-	}
-	if m.Wildcards&WildcardEther == 0 && p.Ether != m.Ether {
-		return false
-	}
-	if m.Wildcards&WildcardSrcIP == 0 && p.SrcIP != m.SrcIP {
-		return false
-	}
-	if m.Wildcards&WildcardDstIP == 0 && p.DstIP != m.DstIP {
-		return false
-	}
-	return true
-}
-
 func (m Match) encode(dst []byte) []byte {
 	dst = putU32(dst, uint32(m.Wildcards))
 	dst = append(dst, m.SrcMAC[:]...)
@@ -114,21 +91,12 @@ type Action struct {
 	Remote model.SwitchID
 }
 
-// Output returns an output-to-port action.
-func Output(port uint16) Action { return Action{Type: ActionTypeOutput, Port: port} }
-
 // Encap returns the LazyCtrl encapsulation action targeting a remote
 // edge switch.
 func Encap(remote model.SwitchID) Action { return Action{Type: ActionTypeEncap, Remote: remote} }
 
 // Flood returns a flood action.
 func Flood() Action { return Action{Type: ActionTypeFlood} }
-
-// Drop returns a drop action.
-func Drop() Action { return Action{Type: ActionTypeDrop} }
-
-// ToController returns a send-to-controller action.
-func ToController() Action { return Action{Type: ActionTypeController} }
 
 // String renders the action.
 func (a Action) String() string {

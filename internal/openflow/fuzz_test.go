@@ -37,7 +37,7 @@ func fuzzSeeds() []fuzzSeed {
 	}
 	return []fuzzSeed{
 		{3, &PacketIn{Switch: 42, Reason: ReasonNoMatch, Packet: pkt}},
-		{4, &PacketOut{Actions: []Action{Output(3), Encap(7)}, Packet: pkt}},
+		{4, &PacketOut{Actions: []Action{{Type: ActionTypeOutput, Port: 3}, Encap(7)}, Packet: pkt}},
 		{5, &FlowMod{
 			Command:     FlowAdd,
 			Match:       ExactDst(model.HostMAC(9), 12),

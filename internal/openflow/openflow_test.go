@@ -77,7 +77,7 @@ func TestARPPacketRoundTrip(t *testing.T) {
 
 func TestPacketOutRoundTrip(t *testing.T) {
 	m := &PacketOut{
-		Actions: []Action{Output(3), Encap(12), Flood()},
+		Actions: []Action{{Type: ActionTypeOutput, Port: 3}, Encap(12), Flood()},
 		Packet:  samplePacket(),
 	}
 	got, ok := roundTrip(t, m, 11).(*PacketOut)
@@ -227,7 +227,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeTruncatedBodies(t *testing.T) {
 	msgs := []Message{
 		&PacketIn{Switch: 1, Reason: ReasonNoMatch, Packet: samplePacket()},
-		&FlowMod{Command: FlowAdd, Match: ExactDst(model.HostMAC(1), 1), Actions: []Action{Output(1)}},
+		&FlowMod{Command: FlowAdd, Match: ExactDst(model.HostMAC(1), 1), Actions: []Action{{Type: ActionTypeOutput, Port: 1}}},
 		&GroupConfig{Group: 1, Members: []model.SwitchID{1, 2}},
 		&LFIBUpdate{Origin: 1, Entries: []LFIBEntry{{MAC: model.HostMAC(1)}}},
 		&StateReport{Group: 1, Pairs: []PairStat{{A: 1, B: 2, NewFlows: 3}}},
@@ -249,47 +249,15 @@ func TestDecodeTruncatedBodies(t *testing.T) {
 	}
 }
 
-func TestMatchSemantics(t *testing.T) {
-	p := samplePacket()
-	all := Match{Wildcards: WildcardAll}
-	if !all.Matches(&p) {
-		t.Error("wildcard-all match failed")
-	}
-	exact := ExactDst(p.DstMAC, p.VLAN)
-	if !exact.Matches(&p) {
-		t.Error("exact dst match failed")
-	}
-	other := ExactDst(model.HostMAC(99), p.VLAN)
-	if other.Matches(&p) {
-		t.Error("mismatched dst MAC matched")
-	}
-	wrongVLAN := ExactDst(p.DstMAC, p.VLAN+1)
-	if wrongVLAN.Matches(&p) {
-		t.Error("mismatched VLAN matched")
-	}
-	srcMatch := Match{Wildcards: WildcardAll &^ WildcardSrcMAC, SrcMAC: p.SrcMAC}
-	if !srcMatch.Matches(&p) {
-		t.Error("src match failed")
-	}
-	ipMatch := Match{Wildcards: WildcardAll &^ (WildcardSrcIP | WildcardDstIP), SrcIP: p.SrcIP, DstIP: p.DstIP}
-	if !ipMatch.Matches(&p) {
-		t.Error("IP match failed")
-	}
-	etherMatch := Match{Wildcards: WildcardAll &^ WildcardEther, Ether: model.EtherTypeARP}
-	if etherMatch.Matches(&p) {
-		t.Error("ARP ether match hit an IPv4 packet")
-	}
-}
-
 func TestActionStrings(t *testing.T) {
 	tests := []struct {
 		a    Action
 		want string
 	}{
-		{Output(3), "output:3"},
+		{Action{Type: ActionTypeOutput, Port: 3}, "output:3"},
 		{Flood(), "flood"},
-		{Drop(), "drop"},
-		{ToController(), "controller"},
+		{Action{Type: ActionTypeDrop}, "drop"},
+		{Action{Type: ActionTypeController}, "controller"},
 		{Encap(9), "encap:S9"},
 	}
 	for _, tt := range tests {
