@@ -12,9 +12,7 @@ package bloom
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -182,28 +180,6 @@ func (f *Filter) Clear() {
 		f.bits[i] = 0
 	}
 	f.count = 0
-}
-
-// Union ORs other into f. Both filters must have identical geometry.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: union geometry mismatch: (m=%d,k=%d) vs (m=%d,k=%d)",
-			f.m, f.k, other.m, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.count += other.count
-	return nil
-}
-
-// FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.bits {
-		ones += bits.OnesCount64(w)
-	}
-	return float64(ones) / float64(f.m)
 }
 
 // EstimatedFPP returns the expected false-positive probability given the

@@ -78,34 +78,6 @@ func TestClear(t *testing.T) {
 	if f.Count() != 0 {
 		t.Errorf("Count() = %d after Clear, want 0", f.Count())
 	}
-	if f.FillRatio() != 0 {
-		t.Errorf("FillRatio() = %v after Clear, want 0", f.FillRatio())
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := New(2048, 3)
-	b := New(2048, 3)
-	a.Add(key(1))
-	b.Add(key(2))
-	if err := a.Union(b); err != nil {
-		t.Fatalf("Union: %v", err)
-	}
-	if !a.Test(key(1)) || !a.Test(key(2)) {
-		t.Error("union lost an element")
-	}
-}
-
-func TestUnionGeometryMismatch(t *testing.T) {
-	a := New(2048, 3)
-	b := New(4096, 3)
-	if err := a.Union(b); err == nil {
-		t.Error("Union with mismatched m succeeded, want error")
-	}
-	c := New(2048, 4)
-	if err := a.Union(c); err == nil {
-		t.Error("Union with mismatched k succeeded, want error")
-	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {

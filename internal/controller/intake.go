@@ -1,10 +1,8 @@
 package controller
 
 import (
-	"maps"
 	"sync"
 
-	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
 )
 
@@ -49,13 +47,3 @@ func (c *Controller) ProcessBurst(batch []openflow.PacketIn, workers int) {
 		c.apply(&batch[i], decisions[i])
 	}
 }
-
-// LearnedLocations returns a copy of the learning-mode location table
-// (introspection and differential testing).
-func (c *Controller) LearnedLocations() map[model.MAC]model.SwitchID {
-	return maps.Clone(c.state.learned)
-}
-
-// PendingFlows reports how many flows are queued awaiting location
-// resolution.
-func (c *Controller) PendingFlows() int { return c.state.pendingLen() }

@@ -61,7 +61,3 @@ func (t *flowTable) lookup(p *model.Packet, now time.Duration) *flowRule {
 	r.lastHit = now
 	return r
 }
-
-// len returns the number of installed rules (including not-yet-evicted
-// expired ones).
-func (t *flowTable) len() int { return len(t.rules) }

@@ -249,31 +249,26 @@ func (s *Switch) kaCheckQuiet() int {
 	return quiet
 }
 
-// membersChangedSince is the non-mutating form of changedMembers' gate:
-// it reports whether any member's aggregated snapshot moved past what
-// the path's sent-mark recorded.
-func (s *Switch) membersChangedSince(path fanout) bool {
-	for _, member := range s.group.Members {
-		rec := s.role.members[member]
-		if rec == nil {
-			continue
-		}
-		if sent := rec.sent[path]; !sent.set || sent.version != rec.version {
-			return true
-		}
-	}
-	return false
-}
-
-// fanoutSettled reports whether a fan-out path has nothing to send: the
-// fold gate is open, the role is held, no eviction is pending, the own
-// snapshot is current, and no member moved past the path's sent-mark.
-func (s *Switch) fanoutSettled(path fanout) bool {
+// fanoutSettled reports whether the role's fan-out can be quiet: the
+// fold gate is open, the role is held, no eviction is pending and the
+// own snapshot is current. Each path adds that no member is stale on it.
+func (s *Switch) fanoutSettled() bool {
 	if !s.foldGateOpen() || s.role == nil || len(s.role.evicted) > 0 {
 		return false
 	}
 	own := s.role.members[s.cfg.ID]
-	return own != nil && own.version == s.lfib.Version() && !s.membersChangedSince(path)
+	return own != nil && own.version == s.lfib.Version()
+}
+
+// anyStale reports whether some member of the group view has a record
+// the predicate calls stale.
+func (s *Switch) anyStale(stale func(*memberRecord) bool) bool {
+	for _, member := range s.group.Members {
+		if rec := s.role.members[member]; rec != nil && stale(rec) {
+			return true
+		}
+	}
+	return false
 }
 
 // dissemQuiet proves upcoming dissemination rounds no-ops: no member
@@ -282,7 +277,7 @@ func (s *Switch) fanoutSettled(path fanout) bool {
 // NACK/resync repair trigger, and receiver staleness is exactly what
 // this switch cannot prove away.
 func (s *Switch) dissemQuiet() int {
-	if !s.fanoutSettled(toGroup) {
+	if !s.fanoutSettled() || s.anyStale(s.role.dissemStale) {
 		return 0
 	}
 	return refreshEveryRounds - int(s.gfibRound%refreshEveryRounds) - 1
@@ -300,7 +295,8 @@ func (s *Switch) dissemCredit(rounds int) {
 // controller-side effect is a per-round counter. Anti-entropy full
 // rounds stay real.
 func (s *Switch) reportQuiet() int {
-	if !s.fanoutSettled(toCtrl) || s.cfg.Fold.CreditStateReport == nil || len(s.role.pairs) > 0 {
+	if !s.fanoutSettled() || s.anyStale(s.role.reportStale) ||
+		s.cfg.Fold.CreditStateReport == nil || len(s.role.pairs) > 0 {
 		return 0
 	}
 	for _, rec := range s.role.members {

@@ -86,26 +86,75 @@ func TestGFIBBoundedByMembership(t *testing.T) {
 }
 
 // TestGFIBNackAnsweredOnlyToOrigin: the designated switch ignores a
-// NACK whose Origin is not the member that sent it, and answers the
-// same NACK from its origin.
+// NACK whose Origin is not the member that sent it or is outside its
+// group view, answers the same NACK from its origin, and never sends
+// the origin its own filter.
 func TestGFIBNackAnsweredOnlyToOrigin(t *testing.T) {
-	r := newRig(t, 1, 2, 3)
+	r := newRig(t, 1, 2, 3, 4)
 	for _, h := range []model.HostID{10, 20, 30} {
 		r.switches[model.SwitchID(uint32(h)/10)].AttachHost(model.HostMAC(h), model.HostIP(h), 1)
 	}
 	r.configureGroup(1, 1, 1, 2, 3)
 	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated every filter
 	designated := r.switches[1]
-	before := designated.Stats().GFIBResyncs
+	resent := func(from model.SwitchID, nack *openflow.GFIBNack) uint64 {
+		before := designated.Stats().GFIBResyncs
+		designated.HandleMessage(from, nack)
+		return designated.Stats().GFIBResyncs - before
+	}
 
 	nack := &openflow.GFIBNack{Group: 1, Origin: 3, Peers: []model.SwitchID{2}}
-	designated.HandleMessage(2, nack)
-	if got := designated.Stats().GFIBResyncs - before; got != 0 {
+	if got := resent(2, nack); got != 0 {
 		t.Errorf("NACK from 2 naming 3 resent %d filters, want 0", got)
 	}
-	designated.HandleMessage(3, nack)
-	if got := designated.Stats().GFIBResyncs - before; got != 1 {
+	if got := resent(3, nack); got != 1 {
 		t.Errorf("NACK from its origin resent %d filters, want 1", got)
+	}
+	if got := resent(4, &openflow.GFIBNack{Group: 1, Origin: 4, Peers: []model.SwitchID{2, 3}}); got != 0 {
+		t.Errorf("NACK from non-member 4 resent %d filters, want 0", got)
+	}
+	if got := resent(2, &openflow.GFIBNack{Group: 1, Origin: 2, Peers: []model.SwitchID{2, 3}}); got != 1 {
+		t.Errorf("NACK from 2 naming 2 and 3 resent %d filters, want 1 (not its own)", got)
+	}
+}
+
+// TestRestartResendsEveryMember: a GroupConfig that keeps a designated
+// switch's membership restarts its delta tracking, so the next
+// dissemination carries a version item for every member (a zero-word
+// delta: the diff base survived) and the next controller report a leg
+// for every member, although no member's L-FIB moved.
+func TestRestartResendsEveryMember(t *testing.T) {
+	r := newRig(t, 1, 2, 3)
+	for _, h := range []model.HostID{10, 20, 30} {
+		r.switches[model.SwitchID(uint32(h)/10)].AttachHost(model.HostMAC(h), model.HostIP(h), 1)
+	}
+	r.configureGroup(1, 1, 1, 2, 3)
+	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated and reported every member
+	d := r.switches[1]
+	if (d.gfibRound+1)%refreshEveryRounds == 0 || (d.ctrlRound+1)%refreshEveryRounds == 0 {
+		t.Fatal("setup: the next round is a beacon or anti-entropy round")
+	}
+	cfg := d.group
+	cfg.Version++
+	before, reports := d.Stats(), len(r.ctrl.stateReports())
+	d.HandleMessage(model.ControllerNode, &cfg)
+	r.sim.RunFor(3 * time.Second) // the post-config dissemination and report
+
+	after := d.Stats()
+	if got := after.GFIBDeltasSent - before.GFIBDeltasSent; got != 3 {
+		t.Errorf("restart disseminated %d delta items, want 3 (one per member)", got)
+	}
+	if got := after.GFIBFullsSent - before.GFIBFullsSent; got != 0 {
+		t.Errorf("restart disseminated %d full filters, want 0", got)
+	}
+	var origins []model.SwitchID
+	for _, sr := range r.ctrl.stateReports()[reports:] {
+		for _, u := range sr.LFIBs {
+			origins = append(origins, u.Origin)
+		}
+	}
+	if want := []model.SwitchID{1, 2, 3}; !slices.Equal(origins, want) {
+		t.Errorf("report legs after restart = %v, want %v", origins, want)
 	}
 }
 

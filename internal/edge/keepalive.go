@@ -160,7 +160,6 @@ func (s *Switch) broadcastFilterRemoval(suspect model.SwitchID) {
 		if member == s.cfg.ID || member == suspect {
 			continue
 		}
-		s.stats.GFIBRemovalsSent++
 		s.env.Send(member, tomb)
 	}
 }

@@ -30,6 +30,9 @@ type designatedRole struct {
 	evicted map[model.SwitchID]bool
 	// pairs accumulates the members' pair statistics between reports.
 	pairs map[model.SwitchPair]uint32
+	// restart makes the next dissemination rebuild every member's
+	// filter, current or not (see restartDeltaTracking).
+	restart bool
 	// Control-fold handles of the role's two periodic duties.
 	dissemTask netsim.ElidableTask
 	reportTask netsim.ElidableTask
@@ -41,35 +44,22 @@ type memberRecord struct {
 	// at the L-FIB version it advertised.
 	snapshot []openflow.LFIBEntry
 	version  uint64
-	// sent records, per fan-out path, the version last folded into a
-	// dissemination / controller report, so an unchanged snapshot is
-	// never re-encoded, re-sent, or re-decoded interval after interval.
-	sent [2]sentMark
-	// filter is the member's filter as last disseminated: the diff base
-	// for word-level deltas and the full-state source for NACK-driven
+	// filter is the member's filter as last disseminated, stamped with
+	// the version it was built at: the dissemination gate (a filter
+	// behind version is stale, see dissemStale), the diff base for
+	// word-level deltas and the full-state source for NACK-driven
 	// resyncs.
 	filter fib.PeerFilter
+	// reported is one past the version last folded into a controller
+	// report; zero means none since the record was built or delta
+	// tracking restarted (see reportStale).
+	reported uint64
 	// pending accumulates the increments received since the last
 	// controller report, so the state link forwards increments instead
 	// of re-snapshotting; needFull marks a member whose next report
 	// must be a full snapshot (it advertised one).
 	pending  []openflow.LFIBEntry
 	needFull bool
-}
-
-// fanout names the designated switch's two delta-tracked paths.
-type fanout int
-
-const (
-	toGroup fanout = iota // G-FIB dissemination over the peer links
-	toCtrl                // state report over the state link
-)
-
-// sentMark is the version last sent down one fan-out path; unset means
-// nothing was sent since delta tracking last restarted.
-type sentMark struct {
-	version uint64
-	set     bool
 }
 
 func newDesignatedRole() *designatedRole {
@@ -80,13 +70,28 @@ func newDesignatedRole() *designatedRole {
 	}
 }
 
-// restartDeltaTracking forgets what was sent down both fan-out paths:
-// the next dissemination and report re-examine every member, and where
-// the diff base survived the re-send degrades to cheap deltas.
+// restartDeltaTracking makes the next dissemination rebuild every
+// member's filter and the next report carry every member's leg: the
+// re-send degrades to zero-word deltas where the diff base survived.
 func (r *designatedRole) restartDeltaTracking() {
+	r.restart = true
 	for _, rec := range r.members {
-		rec.sent = [2]sentMark{}
+		rec.reported = 0
 	}
+}
+
+// dissemStale reports whether a member's filter must be rebuilt and
+// disseminated this round: it was never built, it lags the member's
+// snapshot, or delta tracking restarted.
+func (r *designatedRole) dissemStale(rec *memberRecord) bool {
+	v, built := rec.filter.Version()
+	return r.restart || !built || v != rec.version
+}
+
+// reportStale reports whether a member's snapshot moved since it was
+// last folded into a controller report.
+func (r *designatedRole) reportStale(rec *memberRecord) bool {
+	return rec.reported != rec.version+1
 }
 
 // wake re-materializes the role's folded duties after a change to what

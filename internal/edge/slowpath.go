@@ -369,35 +369,15 @@ func (s *Switch) refreshOwnSnapshot() {
 	rec.snapshot, rec.version = s.lfib.WireEntries(), v
 }
 
-// changedMembers yields every member whose aggregated L-FIB snapshot
-// must be included this round — its advertised version moved past what
-// the path's sent-mark recorded, or full is set (anti-entropy refresh)
-// — and records the yielded version in the mark. The gate is shared by
-// G-FIB dissemination and controller reporting so the two delta paths
-// cannot diverge.
-func (s *Switch) changedMembers(path fanout, full bool, yield func(member model.SwitchID, rec *memberRecord)) {
-	for _, member := range s.group.Members {
-		rec := s.role.members[member]
-		if rec == nil {
-			continue
-		}
-		if sent := rec.sent[path]; !full && sent.set && sent.version == rec.version {
-			continue // unchanged since the last round
-		}
-		yield(member, rec)
-		rec.sent[path] = sentMark{version: rec.version, set: true}
-	}
-}
-
 // refreshEveryRounds is the staleness-bounding cadence of the two
 // designated-switch fan-out paths. On the controller-report path every
-// Nth round ignores the sent-version gate and resends full state
-// (anti-entropy). On the G-FIB dissemination path the Nth round sends
-// only a version beacon — zero-word deltas asserting every member's
-// current filter version — and receivers that do not hold a version
-// NACK for exactly the filters they miss, which the sender then
-// resends in full. A lost delta is therefore repaired within N rounds
-// at the cost of a version comparison, not a full re-push.
+// Nth round ignores the reported-version gate and resends full state
+// (anti-entropy). On the G-FIB dissemination path the Nth round adds a
+// version beacon — a zero-word delta asserting each unchanged filter's
+// version — and receivers that do not hold a version NACK for exactly
+// the filters they miss, which the sender then resends in full. A lost
+// delta is therefore repaired within N rounds at the cost of a version
+// comparison, not a full re-push.
 const refreshEveryRounds = 10
 
 // disseminateGFIB distributes the group's Bloom filters to every member
@@ -424,28 +404,35 @@ func (s *Switch) disseminateGFIB() {
 	beacon := s.gfibRound%refreshEveryRounds == 0
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	delta := &openflow.GFIBDelta{Group: s.group.Group, Version: s.group.Version}
-	s.changedMembers(toGroup, beacon, func(member model.SwitchID, rec *memberRecord) {
+	for _, member := range s.group.Members {
+		rec := r.members[member]
+		if rec == nil {
+			continue
+		}
 		v := rec.version
-		held, built := rec.filter.Version()
-		if built && rec.sent[toGroup] == (sentMark{version: v, set: true}) {
-			// Version beacon: assert the current version of a filter
-			// that did not change. Holders no-op; stale or empty
-			// receivers NACK and get a full resync.
-			delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
-			return
+		if !r.dissemStale(rec) {
+			if beacon {
+				// Version beacon: assert the current version of a
+				// filter that did not change. Holders no-op; stale or
+				// empty receivers NACK and get a full resync.
+				delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
+			}
+			continue
 		}
 		// Every member is assumed to hold what the last round sent.
+		held, built := rec.filter.Version()
 		rec.filter.Rebuild(rec.snapshot, v)
 		if built && !s.cfg.GFIBFullPush {
 			if d, ok := rec.filter.Delta(member, held); ok {
 				s.stats.GFIBDeltasSent++
 				delta.Deltas = append(delta.Deltas, d)
-				return
+				continue
 			}
 		}
 		s.stats.GFIBFullsSent++
 		update.Filters = append(update.Filters, rec.filter.Full(member))
-	})
+	}
+	r.restart = false
 	var msgs []openflow.Message
 	if len(update.Filters) > 0 {
 		msgs = append(msgs, update)
@@ -504,14 +491,18 @@ func (s *Switch) reportToController() {
 	// (bootstrap, removals) or when no increment trail exists. Every
 	// refreshEveryRounds-th report is full for every member, bounding
 	// staleness after a report lost on a failing control link.
-	s.changedMembers(toCtrl, fullRound, func(member model.SwitchID, rec *memberRecord) {
+	for _, member := range s.group.Members {
+		rec := r.members[member]
+		if rec == nil || !fullRound && !r.reportStale(rec) {
+			continue
+		}
 		u := openflow.LFIBUpdate{Origin: member, Full: true, Entries: rec.snapshot, Version: rec.version}
 		if !fullRound && !rec.needFull && len(rec.pending) > 0 {
 			u.Full, u.Entries = false, rec.pending
 		}
-		rec.pending, rec.needFull = nil, false
+		rec.pending, rec.needFull, rec.reported = nil, false, rec.version+1
 		report.LFIBs = append(report.LFIBs, u)
-	})
+	}
 	for pair, n := range r.pairs {
 		report.Pairs = append(report.Pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
 	}
@@ -562,9 +553,7 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 		if peer == s.cfg.ID {
 			continue
 		}
-		if s.gfib.RemoveFilter(peer) {
-			s.stats.GFIBRemovalsApplied++
-		}
+		s.gfib.RemoveFilter(peer)
 		if s.role != nil {
 			s.dropMemberAggregation(peer)
 		}
@@ -597,17 +586,17 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 // handleGFIBNack re-sends full filters for the peers a receiver could
 // not patch. Only the group's designated switch holds the disseminated
 // filter cache; NACKs against controller preloads are answered by the
-// controller itself. A NACK is answered only to the node that sent it:
-// one naming another origin would ship filters that node never asked
-// for.
+// controller itself. A NACK is answered only to the member that sent
+// it, never with its own filter: one naming another origin, or from
+// outside the group view, would ship filters nobody asked for.
 func (s *Switch) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
-	if s.role == nil || m.Group != s.group.Group || m.Origin != from {
+	if s.role == nil || m.Group != s.group.Group || m.Origin != from || !s.isMember(from) {
 		return
 	}
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
 	for _, peer := range m.Peers {
 		rec := s.role.members[peer]
-		if rec == nil {
+		if rec == nil || peer == m.Origin {
 			continue
 		}
 		if _, built := rec.filter.Version(); !built {

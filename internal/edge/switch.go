@@ -93,13 +93,11 @@ const (
 // Stats are the switch's datapath counters.
 type Stats struct {
 	PacketsSeen        uint64
-	BytesSeen          uint64
 	Delivered          uint64
 	EncapSent          uint64
 	GFIBMulticopies    uint64
 	FalsePositiveDrops uint64
 	PacketIns          uint64
-	FloodDrops         uint64
 	// PacketInBursts counts PacketInBurst messages flushed by the
 	// micro-batching window (each replaces ≥2 PacketIn messages).
 	PacketInBursts uint64
@@ -125,12 +123,6 @@ type Stats struct {
 	// its preloaded filter without waiting for the controller's
 	// diagnosis.
 	PeerFiltersEvicted uint64
-	// GFIBRemovalsSent counts filter tombstones a designated switch
-	// broadcast after evicting a member on peer evidence;
-	// GFIBRemovalsApplied counts tombstones this switch applied
-	// (filters dropped on a wire removal).
-	GFIBRemovalsSent    uint64
-	GFIBRemovalsApplied uint64
 	// DegradedFloods counts first packets flood-forwarded to the whole
 	// group instead of escalating, because the controller had gone
 	// silent (graceful degradation); DegradedWindow totals the time
@@ -179,8 +171,8 @@ type Switch struct {
 	role *designatedRole
 	// gfibRound/ctrlRound count dissemination/report rounds. On the
 	// controller-report path every refreshEveryRounds-th round ignores
-	// the sent-version gate (anti-entropy); on the dissemination path
-	// the same cadence sends only a version beacon — stale receivers
+	// the reported-version gate (anti-entropy); on the dissemination
+	// path the same cadence adds a version beacon — stale receivers
 	// NACK and get exactly the filters they miss re-sent in full.
 	// Lifetime counters, not role state: nothing ever resets them, and
 	// every pinned run depends on the cadence phase they fix.
@@ -276,9 +268,6 @@ func (s *Switch) Stats() Stats {
 	}
 	return st
 }
-
-// FlowCount returns the number of installed flow rules.
-func (s *Switch) FlowCount() int { return s.flows.len() }
 
 // Group returns the current group configuration.
 func (s *Switch) Group() openflow.GroupConfig { return s.group }
@@ -407,7 +396,6 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		p.Injected = now
 	}
 	s.stats.PacketsSeen++
-	s.stats.BytesSeen += uint64(p.Bytes)
 
 	// The switch learns the source address from any local transmission.
 	v := s.lfib.Version()
@@ -455,7 +443,6 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 // core (the second branch of Fig. 5).
 func (s *Switch) handleOverlay(p *model.Packet) {
 	s.stats.PacketsSeen++
-	s.stats.BytesSeen += uint64(p.Bytes)
 	src := model.NoSwitch
 	if p.Encap != nil {
 		src = p.Encap.SrcSwitch
@@ -484,9 +471,7 @@ func (s *Switch) handleOverlay(p *model.Packet) {
 func (s *Switch) handleFlood(p *model.Packet) {
 	if s.lfib.Lookup(p.DstMAC) != nil {
 		s.deliver(p)
-		return
 	}
-	s.stats.FloodDrops++
 }
 
 func (s *Switch) deliver(p *model.Packet) {

@@ -35,8 +35,8 @@ type LFIBEntry struct {
 // counter but bumps the epoch, so every post-reboot version is
 // strictly greater than every pre-reboot one. Receivers that order or
 // gate on versions (the C-LIB's snapshot stamp, the edge's
-// stale-full-filter guard, the designated switch's sent-version gates)
-// therefore keep working across reboots, and the rebooted switch's
+// stale-full-filter guard, the designated switch's filter-version and
+// reported-version gates) therefore keep working across reboots, and the rebooted switch's
 // advertisements stay delta-encodable instead of being refused until
 // a counter restarted at zero catches up — which in practice meant
 // full resyncs or, worse, stale filters pinned at the old version.

@@ -76,12 +76,8 @@ func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 			locked[i] = false
 		}
 
-		type move struct {
-			v        int
-			prevGain int64
-		}
 		var (
-			moves    []move
+			moves    []int
 			cumGain  int64
 			bestGain int64
 			bestIdx  = -1 // prefix length-1 of the best state
@@ -112,7 +108,7 @@ func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 			}
 			v := best
 			src, dst := part[v], 1-part[v]
-			moves = append(moves, move{v: v, prevGain: gain[v]})
+			moves = append(moves, v)
 			cumGain += gain[v]
 			weights[src] -= g.VertexWeight(v)
 			weights[dst] += g.VertexWeight(v)
@@ -135,7 +131,7 @@ func fmRefine(g *Graph, part Partition, cap int64, rng *rand.Rand) {
 
 		// Roll back moves after the best prefix.
 		for i := len(moves) - 1; i > bestIdx; i-- {
-			v := moves[i].v
+			v := moves[i]
 			part[v] = 1 - part[v]
 		}
 		if bestGain <= 0 {

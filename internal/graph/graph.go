@@ -148,26 +148,12 @@ func (g *Graph) TotalVertexWeight() int64 { return g.totalVW }
 // edge counted once.
 func (g *Graph) TotalEdgeWeight() int64 { return g.totalEW }
 
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Partition assigns each vertex to a part. Values are part indices ≥ 0,
 // or Unassigned.
 type Partition []int
 
 // Unassigned marks a vertex not yet placed in any part.
 const Unassigned = -1
-
-// NumParts returns 1 + the maximum part index (0 for an empty partition).
-func (p Partition) NumParts() int {
-	maxPart := -1
-	for _, part := range p {
-		if part > maxPart {
-			maxPart = part
-		}
-	}
-	return maxPart + 1
-}
 
 // Clone returns a copy of the partition.
 func (p Partition) Clone() Partition {

@@ -13,8 +13,8 @@ func TestBuilderMergesDuplicateEdges(t *testing.T) {
 	if g.TotalEdgeWeight() != 12 {
 		t.Errorf("TotalEdgeWeight() = %d, want 12", g.TotalEdgeWeight())
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Errorf("degrees = %d,%d, want 1,1", g.Degree(0), g.Degree(1))
+	if len(g.Adj(0)) != 1 || len(g.Adj(1)) != 1 {
+		t.Errorf("degrees = %d,%d, want 1,1", len(g.Adj(0)), len(g.Adj(1)))
 	}
 }
 
@@ -257,18 +257,11 @@ func TestPartitionKWayDisconnected(t *testing.T) {
 	}
 }
 
-func TestNumPartsAndClone(t *testing.T) {
+func TestPartitionClone(t *testing.T) {
 	p := Partition{0, 2, 1}
-	if p.NumParts() != 3 {
-		t.Errorf("NumParts() = %d, want 3", p.NumParts())
-	}
 	q := p.Clone()
 	q[0] = 5
 	if p[0] != 0 {
 		t.Error("Clone shares backing array")
-	}
-	var empty Partition
-	if empty.NumParts() != 0 {
-		t.Errorf("empty NumParts() = %d, want 0", empty.NumParts())
 	}
 }

@@ -13,8 +13,7 @@ import (
 // fixed horizon. It is single-threaded, like everything driven by the
 // discrete-event simulator.
 type Recorder struct {
-	horizon time.Duration
-	bucket  time.Duration
+	bucket time.Duration
 
 	// Controller request counts per bucket, by class.
 	workload map[RequestClass][]uint64
@@ -92,7 +91,6 @@ func NewRecorder(horizon, bucket time.Duration) *Recorder {
 		hours = 1
 	}
 	return &Recorder{
-		horizon:   horizon,
 		bucket:    bucket,
 		workload:  make(map[RequestClass][]uint64),
 		latSum:    make([]float64, n),
@@ -231,19 +229,6 @@ func (r *Recorder) WorkloadPerBucket() []uint64 {
 	return out
 }
 
-// WorkloadByClass returns the per-class totals over the horizon.
-func (r *Recorder) WorkloadByClass() map[RequestClass]uint64 {
-	out := make(map[RequestClass]uint64, len(r.workload))
-	for c, row := range r.workload {
-		var sum uint64
-		for _, v := range row {
-			sum += v
-		}
-		out[c] = sum
-	}
-	return out
-}
-
 // TotalWorkload returns the total request count.
 func (r *Recorder) TotalWorkload() uint64 {
 	var sum uint64
@@ -312,21 +297,6 @@ func (r *Recorder) AvgColdLatency() time.Duration {
 	for i := range r.coldSum {
 		sum += r.coldSum[i]
 		count += r.coldCount[i]
-	}
-	if count == 0 {
-		return 0
-	}
-	return time.Duration(sum / float64(count) * float64(time.Second))
-}
-
-// AvgLatency returns the mean latency over all packets (0 with no
-// samples — see AvgColdLatency for the empty-histogram contract).
-func (r *Recorder) AvgLatency() time.Duration {
-	var sum float64
-	var count uint64
-	for i := range r.latSum {
-		sum += r.latSum[i]
-		count += r.latCount[i]
 	}
 	if count == 0 {
 		return 0

@@ -40,10 +40,6 @@ func TestCountRequest(t *testing.T) {
 	if r.TotalWorkload() != 9 {
 		t.Errorf("TotalWorkload = %d, want 9", r.TotalWorkload())
 	}
-	byClass := r.WorkloadByClass()
-	if byClass[ReqPacketIn] != 7 || byClass[ReqFloodOut] != 2 {
-		t.Errorf("WorkloadByClass = %v", byClass)
-	}
 }
 
 func TestWorkloadRPS(t *testing.T) {
@@ -75,14 +71,11 @@ func TestLatencyAveraging(t *testing.T) {
 	if got := r.AvgColdLatency(); got != 4*time.Millisecond {
 		t.Errorf("AvgColdLatency = %v, want 4ms", got)
 	}
-	if got := r.AvgLatency(); got-want < -time.Microsecond || got-want > time.Microsecond {
-		t.Errorf("AvgLatency = %v, want %v", got, want)
-	}
 	// Zero/negative weights ignored.
 	r.RecordLatency(time.Hour, time.Second, 0)
 	r.RecordLatency(time.Hour, time.Second, -5)
-	if got := r.AvgLatency(); got-want < -time.Microsecond || got-want > time.Microsecond {
-		t.Errorf("AvgLatency after no-op records = %v, want %v", got, want)
+	if got := r.AvgLatencyPerBucket()[0]; got-want < -time.Microsecond || got-want > time.Microsecond {
+		t.Errorf("bucket avg after no-op records = %v, want %v", got, want)
 	}
 }
 
@@ -105,7 +98,7 @@ func TestUpdates(t *testing.T) {
 
 func TestEmptyRecorder(t *testing.T) {
 	r := NewRecorder(24*time.Hour, 2*time.Hour)
-	if r.AvgLatency() != 0 || r.AvgColdLatency() != 0 {
+	if r.AvgColdLatency() != 0 {
 		t.Error("empty recorder reports nonzero latency")
 	}
 	if r.TotalWorkload() != 0 || r.TotalUpdates() != 0 {
@@ -186,7 +179,6 @@ func TestEmptyHistogramZeroValues(t *testing.T) {
 		got  time.Duration
 	}{
 		{"AvgColdLatency", r.AvgColdLatency()},
-		{"AvgLatency", r.AvgLatency()},
 		{"ColdLatencyQuantile(0)", r.ColdLatencyQuantile(0)},
 		{"ColdLatencyQuantile(0.5)", r.ColdLatencyQuantile(0.5)},
 		{"ColdLatencyQuantile(1)", r.ColdLatencyQuantile(1)},
@@ -211,7 +203,7 @@ func TestEmptyHistogramZeroValues(t *testing.T) {
 			t.Errorf("ColdLatencyQuantile(%v) = 0 with one sample", q)
 		}
 	}
-	if r.AvgColdLatency() == 0 || r.AvgLatency() == 0 {
+	if r.AvgColdLatency() == 0 || r.AvgLatencyPerBucket()[0] == 0 {
 		t.Error("averages still 0 after one cold sample")
 	}
 }

@@ -18,9 +18,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsZero reports whether the address is all zeros.
-func (m MAC) IsZero() bool { return m == MAC{} }
-
 // Uint64 packs the address into the low 48 bits of a uint64.
 func (m MAC) Uint64() uint64 {
 	var b [8]byte
@@ -199,13 +196,6 @@ type Packet struct {
 	// carried on the wire so the live runtime preserves it too.
 	Injected time.Duration
 }
-
-// IsARP reports whether the packet is an ARP message.
-func (p *Packet) IsARP() bool { return p.Ether == EtherTypeARP }
-
-// IsBroadcast reports whether the packet is addressed to the broadcast
-// MAC.
-func (p *Packet) IsBroadcast() bool { return p.DstMAC == BroadcastMAC }
 
 // Encapsulated reports whether the packet carries an overlay outer
 // header.

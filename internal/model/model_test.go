@@ -48,17 +48,6 @@ func TestIPString(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	p := Packet{DstMAC: BroadcastMAC}
-	if !p.IsBroadcast() {
-		t.Error("IsBroadcast() = false for broadcast packet")
-	}
-	p.DstMAC = HostMAC(1)
-	if p.IsBroadcast() {
-		t.Error("IsBroadcast() = true for unicast packet")
-	}
-}
-
 func TestFlowKeyCanonical(t *testing.T) {
 	a := FlowKey{Src: 5, Dst: 3}
 	b := FlowKey{Src: 3, Dst: 5}

@@ -174,7 +174,3 @@ func (e *Elider) CreditedThrough() Time {
 	}
 	return e.creditedThrough
 }
-
-// Elided reports whether the task currently has rounds folded into a
-// pending bulk event.
-func (e *Elider) Elided() bool { return e != nil && e.elided > 0 }

@@ -69,8 +69,8 @@ func TestElideWakeRematerializes(t *testing.T) {
 
 	// First round runs real at 1s, then folds 1000 rounds.
 	s.RunUntil(Time(1 * time.Second))
-	if len(ran) != 1 || el.Elided() != true {
-		t.Fatalf("after first round: ran=%v elided=%v", ran, el.Elided())
+	if len(ran) != 1 {
+		t.Fatalf("after first round: ran=%v", ran)
 	}
 	// Wake mid-fold at 5.5s: rounds at 2,3,4,5s are settled.
 	s.At(Time(5500*time.Millisecond), func() { el.Wake() })
@@ -80,9 +80,6 @@ func TestElideWakeRematerializes(t *testing.T) {
 	}
 	if got := el.CreditedThrough(); got != Time(5*time.Second) {
 		t.Fatalf("CreditedThrough %v, want 5s", got)
-	}
-	if el.Elided() {
-		t.Fatal("still elided after wake")
 	}
 	// The next round is real at 6s — phase preserved.
 	s.RunUntil(Time(6 * time.Second))

@@ -136,9 +136,6 @@ func (d *Directory) HostsOn(sw model.SwitchID) []model.HostID { return d.bySwitc
 // NumHosts returns the total VM count.
 func (d *Directory) NumHosts() int { return len(d.hosts) }
 
-// NumTenants returns the tenant count.
-func (d *Directory) NumTenants() int { return len(d.tenants) }
-
 // SwitchOf returns the switch hosting a VM.
 func (d *Directory) SwitchOf(id model.HostID) (model.SwitchID, error) {
 	h, ok := d.hosts[id]

@@ -83,8 +83,8 @@ func TestPopulateShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumTenants() != 15 {
-		t.Errorf("NumTenants = %d, want 15", d.NumTenants())
+	if n := len(d.TenantIDs()); n != 15 {
+		t.Errorf("tenants = %d, want 15", n)
 	}
 	if d.NumHosts() < 15*20 || d.NumHosts() > 15*100 {
 		t.Errorf("NumHosts = %d, want within [300,1500]", d.NumHosts())

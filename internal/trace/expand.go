@@ -49,10 +49,9 @@ const ExpandIntraTenantShare = 0.7
 // merged window is re-sorted. Memory stays O(window) plus the silent-
 // pair exclusion set (bounded by the base's pair pool).
 type expandStream struct {
-	base     Stream
-	info     StreamInfo
-	fraction float64
-	seed     uint64
+	base Stream
+	info StreamInfo
+	seed uint64
 	// winFrom/winTo clip each window's extra flows to the injection
 	// span; extraCounts is the deterministic apportionment of the extra
 	// flows over the windows, proportional to overlap length (the extra
@@ -95,11 +94,10 @@ func ExpandStream(base Stream, extraFraction float64, fromHour, toHour int, seed
 	info := base.Info()
 	hourLen := info.Duration / 24
 	e := &expandStream{
-		base:     base,
-		fraction: extraFraction,
-		seed:     seed,
-		from:     time.Duration(fromHour) * hourLen,
-		to:       time.Duration(toHour) * hourLen,
+		base: base,
+		seed: seed,
+		from: time.Duration(fromHour) * hourLen,
+		to:   time.Duration(toHour) * hourLen,
 	}
 	if np, ok := base.(noisePairs); ok {
 		e.noiseExcl = np.noisePairExcluded

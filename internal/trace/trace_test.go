@@ -21,8 +21,8 @@ func TestGenerateBasicShape(t *testing.T) {
 	if tr.NumFlows() != 40_000 {
 		t.Errorf("NumFlows = %d, want 40000", tr.NumFlows())
 	}
-	if tr.Directory.NumTenants() != 12 {
-		t.Errorf("tenants = %d, want 12", tr.Directory.NumTenants())
+	if n := len(tr.Directory.TenantIDs()); n != 12 {
+		t.Errorf("tenants = %d, want 12", n)
 	}
 	// Sorted by start, all within duration.
 	for i := 1; i < len(tr.Flows); i++ {
