@@ -444,7 +444,8 @@ func gateAgainstBaseline(r *Report, gate, metrics string, maxregress float64, qu
 				name, base.NsPerOp, cur.NsPerOp, 100*maxregress))
 		}
 		// No base > 0 guard: an allocation-free baseline (the G-FIB
-		// lookup and walk, the chaos probe) is gated at zero.
+		// lookup and walk, the chaos probe, the periodic round) is gated
+		// at zero.
 		if gateAllocs && float64(cur.AllocsPerOp) > float64(base.AllocsPerOp)*limit {
 			violations = append(violations, fmt.Sprintf("%s: allocs/op %d -> %d exceeds +%.0f%%",
 				name, base.AllocsPerOp, cur.AllocsPerOp, 100*maxregress))

@@ -393,3 +393,72 @@ func TestARPRelayTargetsAscending(t *testing.T) {
 		}
 	}
 }
+
+// TestKeepAliveRoundShape pins the controller's probe round (the
+// Controller→Sn stream of Table I plus the master→standby heartbeat):
+// a switch marked dead is probed only every deadProbeEvery-th round,
+// every other switch and the peer get the round's From, Seq and
+// Generation, a new round never rewrites the last one's message (it
+// may still be in flight), and the round builds one message whatever
+// the switch count.
+func TestKeepAliveRoundShape(t *testing.T) {
+	env := newRecordingEnv()
+	c, err := New(Config{Mode: ModeLazy, Switches: switchList(16), Peer: model.StandbyNode}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = model.SwitchID(5)
+	c.sw[dead].dead = true
+	var last *openflow.KeepAlive
+	for round := 1; round <= 2*deadProbeEvery; round++ {
+		env.reset()
+		c.sendKeepAlives()
+		want := openflow.KeepAlive{From: c.addr, Seq: c.kaSeq, Generation: c.generation}
+		probeDead := c.kaSeq%deadProbeEvery == 0
+		receivers := append(switchList(16), model.StandbyNode)
+		if !probeDead {
+			receivers = slices.DeleteFunc(receivers, func(sw model.SwitchID) bool { return sw == dead })
+		}
+		if len(env.sends) != len(receivers) {
+			t.Errorf("round %d: %d receivers, want %d (dead switch probed: %v)", round, len(env.sends), len(receivers), probeDead)
+		}
+		for _, sw := range receivers {
+			msgs := env.sends[sw]
+			if len(msgs) != 1 {
+				t.Errorf("round %d: switch %v got %d messages, want 1", round, sw, len(msgs))
+				continue
+			}
+			ka, ok := msgs[0].(*openflow.KeepAlive)
+			if !ok || *ka != want {
+				t.Errorf("round %d: switch %v got %#v, want %+v", round, sw, msgs[0], want)
+				continue
+			}
+			if ka == last {
+				t.Errorf("round %d: switch %v got the previous round's KeepAlive", round, sw)
+			}
+		}
+		if last != nil && last.Seq != want.Seq-1 {
+			t.Errorf("round %d: the previous round's KeepAlive now reads Seq %d, want %d", round, last.Seq, want.Seq-1)
+		}
+		last = env.sends[1][0].(*openflow.KeepAlive)
+	}
+
+	allocs := func(switches int) float64 {
+		c, err := New(Config{Mode: ModeLazy, Switches: switchList(switches), Peer: model.StandbyNode}, discardEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, c.sendKeepAlives)
+	}
+	if small, large := allocs(16), allocs(256); small != large {
+		t.Errorf("a keep-alive round allocates %.0f times at 16 switches and %.0f at 256, want the same", small, large)
+	}
+}
+
+// discardEnv is an Env that drops every send and never fires a timer.
+type discardEnv struct{}
+
+func (discardEnv) Now() time.Duration                  { return 0 }
+func (discardEnv) After(time.Duration, func()) func()  { return func() {} }
+func (discardEnv) Every(time.Duration, func()) func()  { return func() {} }
+func (discardEnv) Send(model.SwitchID, netsim.Message) {}

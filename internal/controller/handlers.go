@@ -533,23 +533,27 @@ const deadProbeEvery = 3
 
 // sendKeepAlives probes every switch (the Controller→Sn stream of
 // Table I); switches marked dead are probed at a reduced cadence (see
-// deadProbeEvery).
+// deadProbeEvery). One KeepAlive serves the whole round, as the edge's
+// serves both ring neighbours: every receiver only reads it. It is
+// never reused across rounds, since the last round's may still be in
+// flight.
 func (c *Controller) sendKeepAlives() {
 	if c.isStandby {
 		return // standby runs no switch-facing duties
 	}
 	c.kaSeq++
+	ka := &openflow.KeepAlive{From: c.addr, Seq: c.kaSeq, Generation: c.generation}
 	for _, sw := range c.cfg.Switches {
 		if c.sw[sw].dead && c.kaSeq%deadProbeEvery != 0 {
 			continue
 		}
-		c.env.Send(sw, &openflow.KeepAlive{From: c.addr, Seq: c.kaSeq, Generation: c.generation})
+		c.env.Send(sw, ka)
 	}
 	if c.cfg.Peer != 0 {
 		// The master→standby heartbeat: the standby's takeover timer
 		// rearms on each one, and the carried generation keeps a healed
 		// stale replica fenced.
-		c.env.Send(c.cfg.Peer, &openflow.KeepAlive{From: c.addr, Seq: c.kaSeq, Generation: c.generation})
+		c.env.Send(c.cfg.Peer, ka)
 	}
 }
 

@@ -183,6 +183,7 @@ type Network struct {
 	sameGroup  func(a, b model.SwitchID) bool
 	faults     []*FaultRule
 	partitions []*partition
+	free       []*delivery // released deliveries (see delivery)
 
 	// Delivered counts messages delivered; Drops counts messages lost,
 	// by cause.
@@ -323,7 +324,9 @@ func (n *Network) Partition(sideA, sideB []model.SwitchID) (heal func()) {
 }
 
 // send delivers msg from → to with latency; drops on failed links,
-// failed nodes, active partitions, and injected loss.
+// failed nodes, active partitions, and injected loss. The message in
+// flight is a pooled delivery whose pre-bound run func is what the
+// simulator schedules (see delivery).
 func (n *Network) send(from, to model.SwitchID, msg Message) {
 	if n.downNodes[from] || n.downNodes[to] || n.downLinks[model.MakeSwitchPair(from, to)] {
 		n.Drops.DownAtSend++
@@ -369,19 +372,55 @@ func (n *Network) send(from, to model.SwitchID, msg Message) {
 		}
 	}
 	kind := classify(from, to, n.sameGroup)
-	d := n.lat.delay(kind, n.sim.Rand()) + extra
-	n.sim.After(d, func() {
-		// Re-check failure state at delivery time.
-		if n.downNodes[to] {
-			n.Drops.DownAtDelivery++
-			return
-		}
-		n.Delivered++
-		if observe {
-			n.Observer(from, to, msg, true)
-		}
-		dst.HandleMessage(from, msg)
-	})
+	delay := n.lat.delay(kind, n.sim.Rand()) + extra
+	d := n.takeDelivery()
+	d.from, d.to, d.msg, d.dst, d.observe = from, to, msg, dst, observe
+	n.sim.After(delay, d.run)
+}
+
+// delivery is one message in flight. Deliveries are pooled per
+// Network, and run — d.deliver, bound once when the delivery is made —
+// is the func the simulator schedules, so neither a send nor its
+// delivery allocates once the pool is warm.
+type delivery struct {
+	net      *Network
+	from, to model.SwitchID
+	msg      Message
+	dst      Node
+	observe  bool
+	run      func()
+}
+
+// takeDelivery takes a delivery from the free list, or makes one.
+func (n *Network) takeDelivery() *delivery {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return d
+	}
+	d := &delivery{net: n}
+	d.run = d.deliver
+	return d
+}
+
+// deliver hands the message to its destination. It returns the
+// delivery to the pool before calling the handler, so a handler that
+// sends reuses it; everything after that point reads locals only.
+func (d *delivery) deliver() {
+	n, from, to, msg, dst, observe := d.net, d.from, d.to, d.msg, d.dst, d.observe
+	d.msg, d.dst = nil, nil
+	n.free = append(n.free, d)
+	// Re-check failure state at delivery time.
+	if n.downNodes[to] {
+		n.Drops.DownAtDelivery++
+		return
+	}
+	n.Delivered++
+	if observe {
+		n.Observer(from, to, msg, true)
+	}
+	dst.HandleMessage(from, msg)
 }
 
 // Env returns the environment for a node address.

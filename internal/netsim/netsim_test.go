@@ -104,15 +104,36 @@ func TestSimFailureAtDeliveryTime(t *testing.T) {
 	b := &recorder{id: 2}
 	n.Attach(a)
 	n.Attach(b)
-	// Send, then fail the node before the in-flight delivery.
-	n.Env(1).Send(2, "in-flight")
+	// Send, then fail the node before the in-flight deliveries.
+	n.Env(1).Send(2, "in-flight-1")
+	n.Env(1).Send(2, "in-flight-2")
 	n.FailNode(2)
 	s.Run()
 	if b.count() != 0 {
 		t.Error("in-flight message delivered to node that failed before arrival")
 	}
-	if n.Drops.DownAtDelivery != 1 {
-		t.Errorf("Drops.DownAtDelivery = %d, want 1", n.Drops.DownAtDelivery)
+	if n.Drops.DownAtDelivery != 2 {
+		t.Errorf("Drops.DownAtDelivery = %d, want 2", n.Drops.DownAtDelivery)
+	}
+
+	// The dropped deliveries went back to the pool; the next sends
+	// reuse them and must carry only their own messages.
+	n.HealNode(2)
+	n.Env(1).Send(2, "ok-1")
+	n.Env(2).Send(1, "ok-2")
+	n.Env(1).Send(2, "ok-3")
+	s.Run()
+	if b.count() != 2 || a.count() != 1 {
+		t.Fatalf("after heal: node 2 got %d, node 1 got %d; want 2 and 1", b.count(), a.count())
+	}
+	got := map[Message]model.SwitchID{b.got[0]: b.from[0], b.got[1]: b.from[1], a.got[0]: a.from[0]}
+	for m, from := range map[Message]model.SwitchID{"ok-1": 1, "ok-3": 1, "ok-2": 2} {
+		if got[m] != from {
+			t.Errorf("%v delivered from %v, want %v", m, got[m], from)
+		}
+	}
+	if n.Delivered != 3 || n.Drops.DownAtDelivery != 2 {
+		t.Errorf("Delivered = %d, DownAtDelivery = %d; want 3 and 2", n.Delivered, n.Drops.DownAtDelivery)
 	}
 }
 

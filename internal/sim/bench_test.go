@@ -22,20 +22,16 @@ func BenchmarkTimerStopChurn(b *testing.B) {
 // perEvent reports a benchmark's cost per executed event next to the
 // per-op columns (one op is a fixed span of simulated work, so cmd/bench
 // can gate its allocs/op at -benchtime 1x).
-func perEvent(b *testing.B, events uint64, mallocs func() uint64) {
+func perEvent(b *testing.B, events, allocs uint64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(mallocs())/float64(events), "allocs/event")
+	b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
 }
 
-// mallocCounter returns the heap allocations made since it was created.
-func mallocCounter() func() uint64 {
-	read := func() uint64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
-	}
-	start := read()
-	return func() uint64 { return read() - start }
+// mallocs reports the heap allocations made so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // BenchmarkPeriodicRounds is the background-day shape: about 2,000
@@ -58,11 +54,11 @@ func BenchmarkPeriodicRounds(b *testing.B) {
 	s.RunFor(2 * time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
-	start, mallocs := s.Executed(), mallocCounter()
+	start, m0 := s.Executed(), mallocs()
 	for i := 0; i < b.N; i++ {
 		s.RunFor(100 * time.Second)
 	}
-	perEvent(b, s.Executed()-start, mallocs)
+	perEvent(b, s.Executed()-start, mallocs()-m0)
 }
 
 // BenchmarkSortedBurst is the replay shape: a window loader schedules
@@ -73,7 +69,7 @@ func BenchmarkSortedBurst(b *testing.B) {
 	const burst = 56_000
 	fn := func() {}
 	b.ReportAllocs()
-	mallocs := mallocCounter()
+	m0 := mallocs()
 	for i := 0; i < b.N; i++ {
 		s := New(1)
 		for j := 0; j < burst; j++ {
@@ -81,5 +77,5 @@ func BenchmarkSortedBurst(b *testing.B) {
 		}
 		s.Run()
 	}
-	perEvent(b, uint64(b.N)*burst, mallocs)
+	perEvent(b, uint64(b.N)*burst, mallocs()-m0)
 }

@@ -42,7 +42,8 @@ type Elider struct {
 	// elided is the number of folded rounds covered by the pending
 	// bulk event; 0 means the next fire is an ordinary real round.
 	elided  int
-	lane    *lane // takes the re-arms; one that lands below its tail falls to the heap
+	lane    *lane  // takes the re-arms; one that lands below its tail falls to the heap
+	fireFn  func() // e.fire, bound once so a re-arm does not allocate
 	timer   Timer
 	stopped bool
 }
@@ -65,13 +66,14 @@ func (s *Simulator) EveryElidable(interval time.Duration, run func(), quiet func
 		lastFire: s.now,
 		lane:     s.queue.lane(Time(interval)),
 	}
+	e.fireFn = e.fire
 	e.arm(e.lastFire + e.interval)
 	return e
 }
 
 // arm schedules the next fire, real or bulk, at time at.
 func (e *Elider) arm(at Time) {
-	e.timer = e.sim.schedule(at, e.lane, e.fire)
+	e.timer = e.sim.schedule(at, e.lane, e.fireFn)
 }
 
 func (e *Elider) fire() {

@@ -36,7 +36,10 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // lives in the queue slot that points at it. Events are pooled: once
 // executed or collected after cancellation they return to the
 // simulator's free list and are recycled by later At/After calls, so
-// steady-state scheduling does not allocate. The generation counter
+// scheduling a func that already exists does not allocate. Periodic
+// tasks (Ticker, Elider) and netsim deliveries bind their callback
+// once and re-schedule that same func, so a steady-state round costs
+// no allocation in this layer either. The generation counter
 // distinguishes a recycled event from the one a Timer was issued for:
 // an event leaves the queue only to be released, so a matching
 // generation also means "still queued".
@@ -72,8 +75,8 @@ func (s *Simulator) alloc() *event {
 }
 
 // release recycles an executed or collected event. The generation bump
-// invalidates any Timer still pointing at it; dropping fn releases the
-// captured closure.
+// invalidates any Timer still pointing at it; dropping fn lets a
+// one-shot closure go (a pre-bound callback lives on in its owner).
 func (s *Simulator) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -163,6 +166,7 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 		panic("sim: Every requires a positive interval")
 	}
 	tk := &Ticker{sim: s, interval: interval, fn: fn, lane: s.queue.lane(Time(interval))}
+	tk.fire = tk.tick
 	tk.schedule()
 	return tk
 }
@@ -172,21 +176,24 @@ type Ticker struct {
 	sim      *Simulator
 	interval time.Duration
 	fn       func()
-	lane     *lane // takes the re-arms: each is at now + interval, so they arrive sorted
+	lane     *lane  // takes the re-arms: each is at now + interval, so they arrive sorted
+	fire     func() // tk.tick, bound once so a re-arm does not allocate
 	timer    Timer
 	stopped  bool
 }
 
 func (tk *Ticker) schedule() {
-	tk.timer = tk.sim.schedule(tk.sim.now+Time(tk.interval), tk.lane, func() {
-		if tk.stopped {
-			return
-		}
-		tk.fn()
-		if !tk.stopped {
-			tk.schedule()
-		}
-	})
+	tk.timer = tk.sim.schedule(tk.sim.now+Time(tk.interval), tk.lane, tk.fire)
+}
+
+func (tk *Ticker) tick() {
+	if tk.stopped {
+		return
+	}
+	tk.fn()
+	if !tk.stopped {
+		tk.schedule()
+	}
 }
 
 // Stop cancels future ticks.

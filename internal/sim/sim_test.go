@@ -144,6 +144,38 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
+// TestSteadyStateRoundsDoNotAllocate pins that a warmed periodic round
+// costs no allocation: a Ticker round, an Elider real round, and an
+// Elider bulk round that credits three folded rounds and runs the
+// fourth. Each task re-arms the func it bound at creation.
+func TestSteadyStateRoundsDoNotAllocate(t *testing.T) {
+	cases := []struct {
+		name  string
+		start func(s *Simulator, run func())
+		span  time.Duration // one round of the task
+	}{
+		{"Every", func(s *Simulator, run func()) { s.Every(time.Second, run) }, time.Second},
+		{"EveryElidable real", func(s *Simulator, run func()) {
+			s.EveryElidable(time.Second, run, func() int { return 0 }, func(int) {})
+		}, time.Second},
+		{"EveryElidable bulk", func(s *Simulator, run func()) {
+			s.EveryElidable(time.Second, run, func() int { return 3 }, func(int) {})
+		}, 4 * time.Second},
+	}
+	for _, tc := range cases {
+		s := New(1)
+		runs := 0
+		tc.start(s, func() { runs++ })
+		s.RunFor(3 * tc.span)
+		if allocs := testing.AllocsPerRun(100, func() { s.RunFor(tc.span) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per round, want 0", tc.name, allocs)
+		}
+		if runs != 104 { // three warm rounds, AllocsPerRun's warm-up, 100
+			t.Errorf("%s: %d real runs, want 104", tc.name, runs)
+		}
+	}
+}
+
 func TestStopHaltsRun(t *testing.T) {
 	s := New(1)
 	var count int

@@ -142,6 +142,32 @@ func TestTracerSpansAndSampling(t *testing.T) {
 	}
 }
 
+// TestSpanAttrs pins that a span's first four attributes cost no
+// allocation beyond the span itself, and that a span with more keeps
+// them all, in order.
+func TestSpanAttrs(t *testing.T) {
+	var now time.Duration
+	tr := NewTracer(clockAt(&now), 1, 42)
+	ctx := tr.StartTrace("r").Context()
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.StartSpan(ctx, "s").Attr("a", 1).Attr("b", 2).Attr("c", 3).Attr("d", 4)
+	}); allocs != 1 {
+		t.Errorf("a span with four attributes costs %.1f allocations, want 1", allocs)
+	}
+
+	tr = NewTracer(clockAt(&now), 1, 42)
+	root := tr.StartTrace("r")
+	sp := tr.StartSpan(root.Context(), "s")
+	for i, key := range []string{"a", "b", "c", "d", "e", "f"} {
+		sp.Attr(key, int64(i))
+	}
+	sp.End()
+	root.End()
+	if got, want := tr.TreeString(), "r [0 0]\n  s [0 0] a=0 b=1 c=2 d=3 e=4 f=5\n"; got != want {
+		t.Errorf("tree:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTracerDumpReproducible(t *testing.T) {
 	run := func() []byte {
 		var now time.Duration

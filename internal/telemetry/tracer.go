@@ -46,6 +46,7 @@ type spanRec struct {
 type Span struct {
 	t   *Tracer
 	rec spanRec
+	buf [4]Attr // backs rec.attrs, so a span's first four Attr calls do not allocate
 }
 
 // Tracer mints causal spans against the sim clock. It is owned by the
@@ -174,6 +175,9 @@ func (s *Span) Context() SpanContext {
 // Attr attaches an attribute and returns the span for chaining.
 func (s *Span) Attr(key string, val int64) *Span {
 	if s != nil {
+		if s.rec.attrs == nil {
+			s.rec.attrs = s.buf[:0]
+		}
 		s.rec.attrs = append(s.rec.attrs, Attr{Key: key, Val: val})
 	}
 	return s
