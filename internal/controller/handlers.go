@@ -118,7 +118,7 @@ func (c *Controller) queueDelay() time.Duration {
 
 // respond schedules fn after the controller's processing delay.
 func (c *Controller) respond(fn func()) {
-	c.env.After(c.queueDelay(), fn)
+	netsim.Post(c.env, c.queueDelay(), fn)
 }
 
 // handlePacketIn is the Ctrl-IF entry point for both modes: the
@@ -240,16 +240,14 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 		// copy leaves the controller half a fan-out later.
 		c.stats.Floods++
 		c.record(metrics.ReqFloodOut, uint64(len(c.cfg.Switches)))
-		pkt := m.Packet
+		f := &flood{c: c, pkt: m.Packet, ingress: m.Switch}
+		f.run = f.sendNext
 		service := time.Duration(float64(time.Second) / serviceRate)
 		base := c.queueDelay()
 		for i, sw := range c.cfg.Switches {
-			if sw == m.Switch {
-				continue
+			if sw != m.Switch {
+				netsim.Post(c.env, base+time.Duration(i)*service, f.run)
 			}
-			sw := sw
-			p := pkt
-			c.env.After(base+time.Duration(i)*service, func() { c.env.Send(sw, &p) })
 		}
 	case decidePend:
 		// Unknown (or local-only) destination: relay an ARP query to the
@@ -264,6 +262,32 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 		wakeTask(c.expireTask) // a pending flow needs expiry rounds
 		c.relayARP(m.Packet)
 	}
+}
+
+// flood is one learning-mode flood in flight: a single object whose
+// pre-bound run is posted once per copy, so a flood allocates O(1)
+// objects however many switches it reaches. The copies are posted at
+// strictly increasing instants (base + i·service, service > 0), so the
+// k-th firing sends the k-th copy: sendNext walks cfg.Switches in the
+// order the posts were made, skipping the ingress. That walk is sound
+// because nothing writes cfg.Switches after New. Every copy is &pkt:
+// each receiver of a flooded packet (the edge's handleFlood and its
+// OnDeliver hooks, the wire meter) only reads it.
+type flood struct {
+	c       *Controller
+	pkt     model.Packet
+	ingress model.SwitchID
+	next    int // index in cfg.Switches of the next copy's target
+	run     func()
+}
+
+func (f *flood) sendNext() {
+	sw := f.c.cfg.Switches
+	for sw[f.next] == f.ingress {
+		f.next++
+	}
+	f.c.env.Send(sw[f.next], &f.pkt)
+	f.next++
 }
 
 // relayARP fans an ARP query out to designated switches of the groups

@@ -184,11 +184,15 @@ type Switch struct {
 	// accounting) and the pending flush deadline. pinSpans holds the
 	// open root spans of the sampled escalations in the window (ended
 	// at flush, so the root span duration is the batch residence);
-	// unsampled escalations append nothing.
+	// unsampled escalations append nothing. flushFn is flushPacketIns,
+	// bound at the first arm so re-arming builds no method value, and a
+	// switch that never escalates (most of a quiescent fabric) never
+	// binds it.
 	pinBuf         []openflow.BurstPacket
 	pinAt          []time.Duration
 	pinSpans       []*telemetry.Span
 	pinFlushCancel func()
+	flushFn        func()
 
 	// Own per-window pair stats: new flows observed from remote
 	// switches (counted at decap of first packets).
@@ -423,12 +427,12 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		// The encap runs slowPathDelay from now and another first packet
 		// may reuse the scratch before then: capture the target by value.
 		target := s.candidates[0]
-		s.env.After(slowPathDelay, func() { s.encapTo(target, p) })
+		netsim.Post(s.env, slowPathDelay, func() { s.encapTo(target, p) })
 		return
 	default:
 		targets := slices.Clone(s.candidates)
 		s.stats.GFIBMulticopies += uint64(len(targets) - 1)
-		s.env.After(slowPathDelay, func() {
+		netsim.Post(s.env, slowPathDelay, func() {
 			for _, t := range targets {
 				s.encapTo(t, p)
 			}
@@ -521,7 +525,10 @@ func (s *Switch) packetIn(p *model.Packet) {
 		return
 	}
 	if s.pinFlushCancel == nil {
-		s.pinFlushCancel = s.env.After(DefaultPacketInBatchWindow, s.flushPacketIns)
+		if s.flushFn == nil {
+			s.flushFn = s.flushPacketIns
+		}
+		s.pinFlushCancel = s.env.After(DefaultPacketInBatchWindow, s.flushFn)
 	}
 }
 

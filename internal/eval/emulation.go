@@ -351,6 +351,7 @@ type emulation struct {
 
 	flights map[model.SwitchID]*telemetry.Flight // nil without flight recorders
 	world   *chaos.World                         // nil without a chaos plan
+	injects *injectQueue                         // set by buildRig
 }
 
 // RunEmulation replays a trace against the full control stack and
@@ -516,6 +517,7 @@ func (e *emulation) buildRig() error {
 		return err
 	}
 	e.rig = r
+	e.injects = newInjectQueue(r)
 	registerMetrics(res.Metrics, r, res.Spans, res)
 	return nil
 }

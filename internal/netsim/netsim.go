@@ -36,7 +36,8 @@ type Env interface {
 	// Now returns the time since simulation start.
 	Now() time.Duration
 	// After schedules fn after d. The returned cancel function stops a
-	// pending callback.
+	// pending callback. A caller that drops the cancel uses Post, which
+	// does not build one.
 	After(d time.Duration, fn func()) (cancel func())
 	// Every schedules fn at a fixed period until canceled.
 	Every(d time.Duration, fn func()) (cancel func())
@@ -441,12 +442,34 @@ func (e *simEnv) After(d time.Duration, fn func()) func() {
 	return func() { t.Stop() }
 }
 
+// Post implements Poster: the Timer is dropped, so nothing escapes.
+func (e *simEnv) Post(d time.Duration, fn func()) { e.net.sim.After(d, fn) }
+
 func (e *simEnv) Every(d time.Duration, fn func()) func() {
 	t := e.net.sim.Every(d, fn)
 	return func() { t.Stop() }
 }
 
 func (e *simEnv) Send(to model.SwitchID, msg Message) { e.net.send(e.id, to, msg) }
+
+// Poster is implemented by environments (the DES simEnv) that can
+// schedule a callback nobody will cancel without building a cancel
+// func for it.
+type Poster interface {
+	Post(d time.Duration, fn func())
+}
+
+// Post schedules fn after d with no way to cancel it. On an env that
+// implements Poster it allocates nothing beyond what fn itself holds;
+// otherwise it is env.After with the cancel dropped. Either way fn runs
+// at the same instant, in the same order, as env.After would run it.
+func Post(env Env, d time.Duration, fn func()) {
+	if p, ok := env.(Poster); ok {
+		p.Post(d, fn)
+		return
+	}
+	env.After(d, fn)
+}
 
 // ElidableTask is the handle of a periodic task that may fold
 // quiescent rounds analytically (see sim.Elider). The zero-cost
