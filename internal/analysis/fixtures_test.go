@@ -161,6 +161,16 @@ func TestWireProtoApplySwitchFixture(t *testing.T) {
 	checkWants(t, pkg, "wpfix/internal/edge", diags)
 }
 
+func TestWireProtoAdmitGuardFixture(t *testing.T) {
+	restore := analysis.SwapWireprotoHandlers(map[string]int{
+		"TypePacketIn": analysis.HandledByController,
+		"TypeFlowMod":  analysis.HandledByEdge,
+	})
+	defer restore()
+	pkg, diags := runFixture(t, "wpfix/internal/controller", analysis.WireProto)
+	checkWants(t, pkg, "wpfix/internal/controller", diags)
+}
+
 func TestVersionStampFixture(t *testing.T) {
 	for _, p := range []string{"vsfix/internal/bloom", "vsfix/internal/fib"} {
 		t.Run(p, func(t *testing.T) {

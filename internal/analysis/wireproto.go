@@ -18,18 +18,20 @@ import (
 //     type-switch of each handler package actually carries a case for
 //     everything assigned to it (the edge's Batch apply path recurses
 //     through its HandleMessage, so switch coverage is batch-apply
-//     coverage);
+//     coverage); so does the package's admit type switch, its
+//     admission table, and HandleMessage's first statement is the
+//     guard that runs it;
 //  3. count fields decoded from the wire (uvarint/u16/u32) are
 //     bounds-checked against the remaining payload before they size an
 //     allocation — a crafted count must not reach make().
 //
 // Adding a wire message therefore fails the build until the codec
-// table, the handler table, and the apply switch of the receiving side
-// all agree — the cross-package drift this catches used to surface
+// table, the handler table, and the apply switch and admission table
+// of the receiving side all agree — the cross-package drift this catches used to surface
 // only as a silently dropped message in a chaos run.
 var WireProto = &Analyzer{
 	Name: "wireproto",
-	Doc: "cross-check codec registration (msgTypes), apply-switch " +
+	Doc: "cross-check codec registration (msgTypes), apply-switch and admission-table " +
 		"coverage in edge/controller, and pre-allocation bounds checks on decoded counts",
 	Run: runWireProto,
 }
@@ -162,18 +164,21 @@ func checkCodec(pass *Pass) {
 	}
 }
 
-// --- apply-switch coverage ---
+// --- apply-switch and admission coverage ---
 
-// checkApplySwitch verifies the package's HandleMessage type switches
-// cover every message type the handler table assigns to this side.
-func checkApplySwitch(pass *Pass, side int) {
-	handled := make(map[string]bool)
-	var switchPos token.Pos
+// typeSwitchCases collects the codec types named by the cases of the
+// type switches in the package's functions called name, with the
+// first such function and the position of its first type switch.
+func typeSwitchCases(pass *Pass, name string) (fn *ast.FuncDecl, switchPos token.Pos, cases map[string]bool) {
+	cases = make(map[string]bool)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "HandleMessage" || fd.Body == nil {
+			if !ok || fd.Name.Name != name || fd.Body == nil {
 				continue
+			}
+			if fn == nil {
+				fn = fd
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSwitchStmt)
@@ -190,7 +195,7 @@ func checkApplySwitch(pass *Pass, side int) {
 					}
 					for _, e := range cc.List {
 						if name, ok := codecCaseType(pass, e); ok {
-							handled[name] = true
+							cases[name] = true
 						}
 					}
 				}
@@ -198,10 +203,28 @@ func checkApplySwitch(pass *Pass, side int) {
 			})
 		}
 	}
-	if switchPos == token.NoPos {
+	return fn, switchPos, cases
+}
+
+// checkApplySwitch verifies the package's HandleMessage: its first
+// statement is the admission guard, and both its type switch and the
+// admit type switch behind the guard cover every message type the
+// handler table assigns to this side.
+func checkApplySwitch(pass *Pass, side int) {
+	handle, handlePos, handled := typeSwitchCases(pass, "HandleMessage")
+	if handlePos == token.NoPos {
 		// No HandleMessage in this package (e.g. a fixture slice or a
 		// refactor in flight elsewhere): nothing to check.
 		return
+	}
+	if !isAdmitGuard(handle) {
+		pass.Reportf(handle.Name.Pos(),
+			"HandleMessage's first statement is not the admission guard `if !%s.admit(%s) { return }`; a handler reached before admission acts on messages whose sender had no standing to send them",
+			recvName(handle), strings.Join(paramNames(handle), ", "))
+	}
+	_, admitPos, rows := typeSwitchCases(pass, "admit")
+	if admitPos == token.NoPos {
+		pass.Reportf(handle.Name.Pos(), "package has no admit type switch; every message type this side receives needs an admission row")
 	}
 	for constName, mask := range wireprotoHandlers {
 		if mask&side == 0 {
@@ -209,11 +232,76 @@ func checkApplySwitch(pass *Pass, side int) {
 		}
 		typeName := strings.TrimPrefix(constName, "Type")
 		if !handled[typeName] {
-			pass.Reportf(switchPos,
+			pass.Reportf(handlePos,
 				"HandleMessage type switch has no case for *openflow.%s, which lazyvet's handler table assigns to this side; the message would be silently dropped (the edge's Batch apply recurses through its switch)",
 				typeName)
 		}
+		if admitPos != token.NoPos && !rows[typeName] {
+			pass.Reportf(admitPos,
+				"admit type switch has no row for *openflow.%s, which lazyvet's handler table assigns to this side; say who may send it and which identity fields must name the sender",
+				typeName)
+		}
 	}
+}
+
+// isAdmitGuard reports whether fd's first statement is
+// `if !recv.admit(params...) { return }` over fd's own receiver and
+// parameters, in order.
+func isAdmitGuard(fd *ast.FuncDecl) bool {
+	if len(fd.Body.List) == 0 {
+		return false
+	}
+	is, ok := fd.Body.List[0].(*ast.IfStmt)
+	if !ok || is.Init != nil || is.Else != nil || len(is.Body.List) != 1 {
+		return false
+	}
+	if ret, ok := is.Body.List[0].(*ast.ReturnStmt); !ok || len(ret.Results) != 0 {
+		return false
+	}
+	not, ok := is.Cond.(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT {
+		return false
+	}
+	call, ok := not.X.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "admit" {
+		return false
+	}
+	if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != recvName(fd) {
+		return false
+	}
+	params := paramNames(fd)
+	if len(call.Args) != len(params) {
+		return false
+	}
+	for i, a := range call.Args {
+		if id, ok := a.(*ast.Ident); !ok || id.Name != params[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// recvName is fd's receiver name ("" for a function).
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return ""
+	}
+	return fd.Recv.List[0].Names[0].Name
+}
+
+// paramNames lists fd's parameter names in order.
+func paramNames(fd *ast.FuncDecl) []string {
+	var out []string
+	for _, f := range fd.Type.Params.List {
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+	}
+	return out
 }
 
 // codecCaseType extracts the codec type name from a case expression

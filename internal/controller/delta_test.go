@@ -133,7 +133,7 @@ func TestPreloadDeltaAndNack(t *testing.T) {
 			break
 		}
 	}
-	c.handleGFIBNack(member, &openflow.GFIBNack{Group: gid, Origin: member, Peers: []model.SwitchID{1}})
+	c.handleGFIBNack(&openflow.GFIBNack{Group: gid, Origin: member, Peers: []model.SwitchID{1}})
 	msgs := env.sends[member]
 	if len(msgs) != 1 {
 		t.Fatalf("NACK answered with %d messages, want 1", len(msgs))

@@ -13,8 +13,12 @@ import (
 	"lazyctrl/internal/telemetry"
 )
 
-// HandleMessage implements netsim.Node.
+// HandleMessage implements netsim.Node. Nothing reaches a handler
+// unadmitted (see admit).
 func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
+	if !c.admit(from, msg) {
+		return
+	}
 	switch m := msg.(type) {
 	case *openflow.PacketIn:
 		c.handlePacketIn(m)
@@ -26,11 +30,11 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 			c.handlePacketIn(&pins[i])
 		}
 	case *openflow.GFIBNack:
-		c.handleGFIBNack(from, m)
+		c.handleGFIBNack(m)
 	case *openflow.StateReport:
 		c.handleStateReport(m)
 	case *openflow.LFIBUpdate:
-		c.handleLFIBAnswer(from, m)
+		c.handleLFIBAnswer(m)
 	case *openflow.FailureReport:
 		// Failure reports are control-plane housekeeping, not
 		// traffic-driven workload.
@@ -54,7 +58,7 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 	case *openflow.ConfigAck:
 		c.stats.ConfigAcks++
 		c.proofOfLife(m.From)
-		if rec := c.sw[m.From]; rec != nil && rec.push != nil && m.Version >= rec.push.version {
+		if rec := c.sw[m.From]; rec.push != nil && m.Version >= rec.push.version {
 			c.endPush(m.From, "acked")
 		}
 		if c.awaitingRepush && !c.pushOutstanding() {
@@ -143,9 +147,6 @@ const (
 	decideBounce
 	// decidePend queues the flow and relays a scoped ARP query (lazy).
 	decidePend
-	// decideDrop skips a PacketIn whose ingress is not a configured
-	// switch: it reaches no state, counter or send.
-	decideDrop
 )
 
 // pinDecision is the outcome of deciding one PacketIn: what to do,
@@ -163,9 +164,6 @@ type pinDecision struct {
 // ProcessBurst run it from many goroutines at once; the reads are of
 // maps nothing writes while a burst is decided.
 func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
-	if c.sw[m.Switch] == nil {
-		return pinDecision{kind: decideDrop}
-	}
 	if c.cfg.Mode == ModeLearning {
 		// One read serves both intensity accounting (taken before the
 		// source is learned) and forwarding (as if after): apply's learn
@@ -201,9 +199,6 @@ func (c *Controller) decide(m *openflow.PacketIn) pinDecision {
 // keeps every table, the queueing model and the stats merged in a
 // deterministic order regardless of the worker count.
 func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
-	if d.kind == decideDrop {
-		return
-	}
 	if c.cfg.Mode == ModeLearning {
 		c.state.learned[m.Packet.SrcMAC] = m.Switch
 	}
@@ -322,16 +317,13 @@ func (c *Controller) relayARP(p model.Packet) {
 // handleGFIBNack answers a resync request against controller-pushed
 // preloads: the receiver could not apply a preload delta (its held
 // version did not match the base), so it gets the current full filters
-// for exactly the peers it named. Only a NACK from its own origin
-// counts, and only for peers in the origin's current group: markPushed
-// would otherwise record versions the switch never received (it
-// ignores filters of non-members), and a later regroup that makes such
-// a peer a member would skip its preload.
-func (c *Controller) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
+// for exactly the peers it named. admit takes a NACK only from its own
+// origin; it is answered only for peers in the origin's current group:
+// markPushed would otherwise record versions the switch never received
+// (it ignores filters of non-members), and a later regroup that makes
+// such a peer a member would skip its preload.
+func (c *Controller) handleGFIBNack(m *openflow.GFIBNack) {
 	c.record(metrics.ReqStateReport, 1)
-	if m.Origin != from || c.sw[m.Origin] == nil {
-		return
-	}
 	gid := c.grp.GroupOf(m.Origin)
 	if gid == model.NoGroup {
 		return
@@ -454,20 +446,16 @@ func (c *Controller) handleStateReport(m *openflow.StateReport) {
 }
 
 // handleLFIBAnswer resolves pending flows when a switch answers an ARP
-// relay with a host binding. Only a switch's answer for its own hosts
-// counts: an answer whose origin is not its sender would place the host,
+// relay with a host binding. admit takes an answer only from its origin,
+// a configured switch: one for another switch would place the host,
 // journal the binding and install rules toward a switch that never
-// claimed it. A binding on a switch without a record is dropped for the
-// same reason.
-func (c *Controller) handleLFIBAnswer(from model.SwitchID, m *openflow.LFIBUpdate) {
+// claimed it.
+func (c *Controller) handleLFIBAnswer(m *openflow.LFIBUpdate) {
 	c.record(metrics.ReqPacketIn, 1)
 	// A switch that is busy answering ARP relays is never falsely
 	// suspected just because heartbeats queued behind the answers were
 	// lost.
-	c.proofOfLife(from)
-	if m.Origin != from || c.sw[m.Origin] == nil {
-		return
-	}
+	c.proofOfLife(m.Origin)
 	group := c.grp.GroupOf(m.Origin)
 	c.clib.ApplyLFIB(m.Origin, group, m)
 	c.journalLFIB(m)
@@ -587,12 +575,10 @@ func (c *Controller) sendKeepAlives() {
 // false DiagSwitch, or one whose subject rebooted without a harness
 // MarkRecovered, must not strand a live switch outside the control
 // plane. What diagnosis evicted repopulates from the switch's own
-// advertisements within the normal report rounds.
+// advertisements within the normal report rounds. Only admitted
+// messages from configured switches reach it.
 func (c *Controller) proofOfLife(sw model.SwitchID) {
 	rec := c.sw[sw]
-	if rec == nil {
-		return
-	}
 	rec.lastAck, rec.acked = c.env.Now(), true
 	c.detector.Clear(sw)
 	if rec.dead {
@@ -670,12 +656,11 @@ func (c *Controller) checkFailures() {
 	}
 }
 
-// actOnDiagnosis performs the control-plane side of recovery.
+// actOnDiagnosis performs the control-plane side of recovery. The
+// detector holds evidence only about configured switches: admit takes
+// a FailureReport only for one, and the ack check walks Config.Switches.
 func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagnosis) {
 	rec := c.sw[suspect]
-	if rec == nil {
-		return // evidence about a switch this controller does not control
-	}
 	switch diag {
 	case failover.DiagSwitch:
 		rec.dead = true

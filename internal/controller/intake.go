@@ -44,6 +44,10 @@ func (c *Controller) ProcessBurst(batch []openflow.PacketIn, workers int) {
 	}
 	wg.Wait()
 	for i := range batch {
-		c.apply(&batch[i], decisions[i])
+		// Items carry no sender: each is admitted by the PacketIn row
+		// as if its ingress had sent it.
+		if c.admit(batch[i].Switch, &batch[i]) {
+			c.apply(&batch[i], decisions[i])
+		}
 	}
 }

@@ -405,7 +405,7 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	}
 	c.sw[1].lastAck, c.sw[1].acked = 0, true
 	s.RunFor(2500 * time.Millisecond)
-	c.handleLFIBAnswer(1, &openflow.LFIBUpdate{
+	c.handleLFIBAnswer(&openflow.LFIBUpdate{
 		Origin:  1,
 		Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(1), IP: model.HostIP(1), VLAN: 1}},
 	})

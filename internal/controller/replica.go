@@ -268,17 +268,11 @@ func (c *Controller) journalDead(sw model.SwitchID, dead bool) {
 	})
 }
 
-// handleSyncRecord applies one journal record on the standby. Records
-// fenced behind the replica's generation are rejected outright — a
-// partitioned-then-healed stale primary cannot roll the standby back —
-// and a master receiving a higher-generation record has been
-// superseded (adoptGeneration demotes it first, then the record
+// handleSyncRecord applies one journal record on the standby; admit has
+// already fenced it. A master receiving a higher-generation record has
+// been superseded (adoptGeneration demotes it first, then the record
 // applies to it as the new standby).
 func (c *Controller) handleSyncRecord(from model.SwitchID, m *openflow.StateSyncRecord) {
-	if m.Generation < c.generation {
-		c.stats.StaleSyncRejected++
-		return
-	}
 	c.adoptGeneration(m.Generation, from)
 	if !c.isStandby {
 		return

@@ -26,21 +26,19 @@ func (s *Switch) Master() model.SwitchID { return s.master }
 // has observed (0 until a generation-stamped controller has spoken).
 func (s *Switch) CtrlGeneration() uint64 { return s.ctrlGen }
 
-// adoptGeneration folds an observed cluster generation into the
-// switch: generations only move up, and a higher generation announced
-// by a controller address makes that address the master. The
-// keep-alive baseline restarts (the new master gets a full deadline
-// before the switch degrades, exactly the grace a fresh neighbor
-// gets), an open degraded window closes (a controller spoke), and on
-// an actual master change the pending-escalation residue re-flushes.
+// adoptGeneration folds a generation announced by a controller address
+// into the switch: generations only move up, and a higher one makes
+// that address the master. Only admitted controller messages reach it
+// (admit, fenced). The keep-alive baseline restarts (the new master
+// gets a full deadline before the switch degrades, exactly the grace a
+// fresh neighbor gets), an open degraded window closes (a controller
+// spoke), and on an actual master change the pending-escalation
+// residue re-flushes.
 func (s *Switch) adoptGeneration(gen uint64, from model.SwitchID) {
 	if gen <= s.ctrlGen {
 		return
 	}
 	s.ctrlGen = gen
-	if !model.IsControllerAddr(from) {
-		return
-	}
 	changed := s.master != from
 	s.master = from
 	s.ctrlKASeen = true
@@ -51,18 +49,22 @@ func (s *Switch) adoptGeneration(gen uint64, from model.SwitchID) {
 	}
 }
 
-// fenced applies the generation fence to one message: generation 0 is
-// unfenced (wheel and designated-switch traffic carries none), an
-// equal-or-higher generation passes (a higher one is adopted first),
-// and a lower one is rejected. A fenced controller sender gets a
-// corrective RoleAnnounce naming the master this switch follows, so a
-// stale master partitioned from its peer replica still learns of its
-// demotion from the fabric itself.
+// fenced applies the generation fence to one message, as part of its
+// admission row: generation 0 is unfenced (wheel and designated-switch
+// traffic carries none), the current generation passes, and a higher
+// one passes only from a controller address, which adopts it first.
+// Anything else is rejected: a lower stamp, or a higher one from a
+// switch, which has no standing to raise the generation (a view the
+// designated switch re-sends carries at most the generation it
+// adopted). A fenced controller sender gets a corrective RoleAnnounce
+// naming the master this switch follows, so a stale master partitioned
+// from its peer replica still learns of its demotion from the fabric
+// itself.
 func (s *Switch) fenced(gen uint64, from model.SwitchID) bool {
 	if gen == 0 {
 		return false
 	}
-	if gen >= s.ctrlGen {
+	if gen == s.ctrlGen || gen > s.ctrlGen && model.IsControllerAddr(from) {
 		s.adoptGeneration(gen, from)
 		return false
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // filterBytes is the wire form of a default-geometry filter over one host.
-func filterBytes(t *testing.T, h model.HostID) []byte {
+func filterBytes(t testing.TB, h model.HostID) []byte {
 	t.Helper()
 	data, err := fib.FilterBytesFromWireEntries(
 		[]openflow.LFIBEntry{{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1}},

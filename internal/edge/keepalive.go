@@ -18,10 +18,10 @@ func (s *Switch) sendKeepAlives() {
 }
 
 // handleKeepAlive records heartbeats from ring neighbors and from the
-// controller. Controller heartbeats are fenced first — a demoted
-// master's beacon must not rearm freshness — then acknowledged to the
-// replica that sent them so it can detect control-link loss, but only
-// the followed master's beacon counts as controller liveness. A
+// controller. Controller heartbeats were fenced by admit — a demoted
+// master's beacon must not rearm freshness — and are acknowledged to
+// the replica that sent them so it can detect control-link loss, but
+// only the followed master's beacon counts as controller liveness. A
 // designated switch that evicted a member on peer evidence treats the
 // member's resumed heartbeat as the false-alarm signal and re-sends it
 // its group view: handleGroupConfig resets the member's advertisement
@@ -29,9 +29,6 @@ func (s *Switch) sendKeepAlives() {
 // the dropped aggregation and filter state.
 func (s *Switch) handleKeepAlive(m *openflow.KeepAlive) {
 	if model.IsControllerAddr(m.From) {
-		if s.fenced(m.Generation, m.From) {
-			return
-		}
 		if m.From == s.master {
 			s.ctrlKASeen = true
 			s.ctrlLastKA = s.env.Now()

@@ -11,8 +11,12 @@ import (
 )
 
 // HandleMessage implements netsim.Node: the Ctrl-IF and peer/state link
-// endpoints of the switch.
+// endpoints of the switch. Nothing reaches a handler unadmitted (see
+// admit).
 func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
+	if !s.admit(from, msg) {
+		return
+	}
 	switch m := msg.(type) {
 	case *model.Packet:
 		if m.Encapsulated() {
@@ -29,24 +33,15 @@ func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		s.applyActions(m.Actions, &pkt)
 		s.emitApplySpan(m.Span)
 	case *openflow.GroupConfig:
-		if s.fenced(m.Generation, from) {
-			return
-		}
 		s.handleGroupConfig(m)
 	case *openflow.StateReport:
 		s.handleMemberReport(from, m)
 	case *openflow.GFIBUpdate:
-		if s.fenced(m.Generation, from) {
-			return
-		}
 		s.handleGFIBUpdate(m)
 	case *openflow.GFIBDelta:
-		if s.fenced(m.Generation, from) {
-			return
-		}
 		s.handleGFIBDelta(from, m)
 	case *openflow.GFIBNack:
-		s.handleGFIBNack(from, m)
+		s.handleGFIBNack(m)
 	case *openflow.RoleAnnounce:
 		s.adoptGeneration(m.Generation, m.From)
 	case *openflow.ARPRelay:
@@ -54,14 +49,11 @@ func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
 	case *openflow.KeepAlive:
 		s.handleKeepAlive(m)
 	case *openflow.Batch:
-		// A regroup round's coalesced push: fence the whole batch once
-		// before anything applies — a stale master's push must not
-		// partially land — then apply in order, so the GroupConfig that
-		// resets G-FIB/aggregation state lands before the G-FIB
-		// preloads that repopulate it.
-		if s.fenced(m.Generation, from) {
-			return
-		}
+		// A regroup round's coalesced push, fenced whole by admit before
+		// anything applies — a stale master's push must not partially
+		// land — then applied in order, so the GroupConfig that resets
+		// G-FIB/aggregation state lands before the G-FIB preloads that
+		// repopulate it.
 		for _, sub := range m.Msgs {
 			if _, nested := sub.(*openflow.Batch); nested {
 				continue // decode rejects nesting; ignore hand-built ones
@@ -269,11 +261,11 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 // switch only): full snapshots replace the member's aggregated state,
 // increments merge into it, and the same increments queue for the next
 // controller report so the state link forwards them instead of
-// re-snapshotting. A member speaks only for itself: a leg is taken only
-// from its own origin, and only while that origin is in the group view
-// (a group that kept its ID across a regroup still hears beacons its
+// re-snapshotting. admit has checked that every leg is the sender's
+// own; a leg is taken only while the sender is in the group view (a
+// group that kept its ID across a regroup still hears beacons its
 // departed members sent under the old view, and resyncing one would
-// hand it this group's view).
+// hand it this group's view), while its pair stats still count.
 func (s *Switch) handleMemberReport(from model.SwitchID, m *openflow.StateReport) {
 	r := s.role
 	if r == nil || m.Group != s.group.Group {
@@ -281,7 +273,7 @@ func (s *Switch) handleMemberReport(from model.SwitchID, m *openflow.StateReport
 	}
 	for i := range m.LFIBs {
 		u := &m.LFIBs[i]
-		if u.Origin != from || !s.isMember(from) {
+		if !s.isMember(from) {
 			continue
 		}
 		rec := r.members[u.Origin]
@@ -577,7 +569,7 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 	s.stats.GFIBNacksSent++
 	nack := &openflow.GFIBNack{Group: s.group.Group, Origin: s.cfg.ID, Peers: stale}
 	if from == s.cfg.ID {
-		s.handleGFIBNack(s.cfg.ID, nack)
+		s.handleGFIBNack(nack)
 		return
 	}
 	s.env.Send(from, nack)
@@ -586,11 +578,11 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 // handleGFIBNack re-sends full filters for the peers a receiver could
 // not patch. Only the group's designated switch holds the disseminated
 // filter cache; NACKs against controller preloads are answered by the
-// controller itself. A NACK is answered only to the member that sent
-// it, never with its own filter: one naming another origin, or from
-// outside the group view, would ship filters nobody asked for.
-func (s *Switch) handleGFIBNack(from model.SwitchID, m *openflow.GFIBNack) {
-	if s.role == nil || m.Group != s.group.Group || m.Origin != from || !s.isMember(from) {
+// controller itself. admit takes a NACK only from a member naming
+// itself as origin; it is answered to that origin, never with the
+// origin's own filter.
+func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
+	if s.role == nil || m.Group != s.group.Group {
 		return
 	}
 	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
