@@ -180,15 +180,7 @@ func (s *Switch) advertiseCredit(rounds int) {
 		return // local hand-off, no wire traffic
 	}
 	if h := s.cfg.Fold; h != nil && h.Meter != nil {
-		beacon := &openflow.StateReport{
-			Group:   s.group.Group,
-			Version: s.group.Version,
-			LFIBs: []openflow.LFIBUpdate{{
-				Origin:  s.cfg.ID,
-				Version: s.lfib.Version(),
-			}},
-		}
-		h.Meter(s.cfg.ID, s.group.Designated, beacon, uint64(beacons))
+		h.Meter(s.cfg.ID, s.group.Designated, s.idleBeacon(), uint64(beacons))
 	}
 }
 
@@ -225,7 +217,7 @@ func (s *Switch) kaSendCredit(rounds int) {
 	if h == nil || h.Meter == nil {
 		return
 	}
-	ka := &openflow.KeepAlive{From: s.cfg.ID, Seq: s.kaSeq}
+	ka := s.heartbeat(s.kaSeq)
 	s.ringNeighbors(func(n model.SwitchID) {
 		h.Meter(s.cfg.ID, n, ka, uint64(rounds))
 	})
@@ -324,7 +316,6 @@ func (s *Switch) reportCredit(rounds int) {
 		}
 	}
 	if h.Meter != nil {
-		empty := &openflow.StateReport{Group: s.group.Group, Version: s.group.Version}
-		h.Meter(s.cfg.ID, model.ControllerNode, empty, uint64(rounds))
+		h.Meter(s.cfg.ID, model.ControllerNode, s.emptyReport(), uint64(rounds))
 	}
 }

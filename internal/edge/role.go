@@ -33,6 +33,9 @@ type designatedRole struct {
 	// restart makes the next dissemination rebuild every member's
 	// filter, current or not (see restartDeltaTracking).
 	restart bool
+	// empty is the report of a round with nothing to carry (see
+	// emptyReport).
+	empty *openflow.StateReport
 	// Control-fold handles of the role's two periodic duties.
 	dissemTask netsim.ElidableTask
 	reportTask netsim.ElidableTask

@@ -208,16 +208,14 @@ func (s *Switch) advertise() {
 		s.stats.IdleRefreshes++
 	}
 	s.adv.idleRounds = 0
+	if beacon {
+		s.sendAdvert(s.idleBeacon())
+		return
+	}
 	report := &openflow.StateReport{
 		Group:   s.group.Group,
 		Pairs:   s.drainPairStats(),
 		Version: s.group.Version,
-	}
-	if beacon {
-		report.LFIBs = []openflow.LFIBUpdate{{
-			Origin:  s.cfg.ID,
-			Version: s.lfib.Version(),
-		}}
 	}
 	if changed {
 		entries, full := s.lfib.DrainChanges()
@@ -236,6 +234,12 @@ func (s *Switch) advertise() {
 		}}
 		s.adv.lastVersion = s.lfib.Version()
 	}
+	s.sendAdvert(report)
+}
+
+// sendAdvert hands an advertisement to the designated switch: locally
+// when this switch holds the role, over the peer link otherwise.
+func (s *Switch) sendAdvert(report *openflow.StateReport) {
 	if s.role != nil {
 		s.handleMemberReport(s.cfg.ID, report)
 		return
@@ -243,6 +247,25 @@ func (s *Switch) advertise() {
 	if s.group.Designated != model.NoSwitch {
 		s.env.Send(s.group.Designated, report)
 	}
+}
+
+// idleBeacon returns the version beacon of an idle advertise round: a
+// zero-entry increment asserting the current L-FIB version. Its content
+// is fixed by the group, the group version, this switch and its L-FIB
+// version, so one beacon serves every idle round until one of them
+// moves, and is then replaced, never edited: an earlier beacon may
+// still be in flight.
+func (s *Switch) idleBeacon() *openflow.StateReport {
+	b, v := s.beacon, s.lfib.Version()
+	if b == nil || b.Group != s.group.Group || b.Version != s.group.Version || b.LFIBs[0].Version != v {
+		b = &openflow.StateReport{
+			Group:   s.group.Group,
+			Version: s.group.Version,
+			LFIBs:   []openflow.LFIBUpdate{{Origin: s.cfg.ID, Version: v}},
+		}
+		s.beacon = b
+	}
+	return b
 }
 
 func (s *Switch) drainPairStats() []openflow.PairStat {
@@ -394,8 +417,12 @@ func (s *Switch) disseminateGFIB() {
 
 	s.gfibRound++
 	beacon := s.gfibRound%refreshEveryRounds == 0
-	update := &openflow.GFIBUpdate{Group: s.group.Group, Version: s.group.Version}
-	delta := &openflow.GFIBDelta{Group: s.group.Group, Version: s.group.Version}
+	var fulls []openflow.GFIBFilter
+	var deltas []openflow.GFIBFilterDelta
+	if beacon {
+		// A beacon round names every member it holds a record for.
+		deltas = make([]openflow.GFIBFilterDelta, 0, len(r.members))
+	}
 	for _, member := range s.group.Members {
 		rec := r.members[member]
 		if rec == nil {
@@ -407,7 +434,7 @@ func (s *Switch) disseminateGFIB() {
 				// Version beacon: assert the current version of a
 				// filter that did not change. Holders no-op; stale or
 				// empty receivers NACK and get a full resync.
-				delta.Deltas = append(delta.Deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
+				deltas = append(deltas, openflow.GFIBFilterDelta{Switch: member, BaseVersion: v, TargetVersion: v})
 			}
 			continue
 		}
@@ -417,23 +444,23 @@ func (s *Switch) disseminateGFIB() {
 		if built && !s.cfg.GFIBFullPush {
 			if d, ok := rec.filter.Delta(member, held); ok {
 				s.stats.GFIBDeltasSent++
-				delta.Deltas = append(delta.Deltas, d)
+				deltas = append(deltas, d)
 				continue
 			}
 		}
 		s.stats.GFIBFullsSent++
-		update.Filters = append(update.Filters, rec.filter.Full(member))
+		fulls = append(fulls, rec.filter.Full(member))
 	}
 	r.restart = false
-	var msgs []openflow.Message
-	if len(update.Filters) > 0 {
-		msgs = append(msgs, update)
-	}
-	if len(delta.Deltas) > 0 {
-		msgs = append(msgs, delta)
-	}
-	if len(msgs) == 0 {
+	if len(fulls) == 0 && len(deltas) == 0 {
 		return
+	}
+	var msgs []openflow.Message
+	if len(fulls) > 0 {
+		msgs = append(msgs, &openflow.GFIBUpdate{Group: s.group.Group, Filters: fulls, Version: s.group.Version})
+	}
+	if len(deltas) > 0 {
+		msgs = append(msgs, &openflow.GFIBDelta{Group: s.group.Group, Deltas: deltas, Version: s.group.Version})
 	}
 	var out netsim.Message = msgs[0]
 	if len(msgs) > 1 {
@@ -443,10 +470,10 @@ func (s *Switch) disseminateGFIB() {
 	// tells the member it names nothing (a switch never installs its own
 	// filter) and is not sent to it.
 	sole := model.NoSwitch
-	if len(update.Filters) == 1 && len(delta.Deltas) == 0 {
-		sole = update.Filters[0].Switch
-	} else if len(update.Filters) == 0 && len(delta.Deltas) == 1 {
-		sole = delta.Deltas[0].Switch
+	if len(fulls) == 1 && len(deltas) == 0 {
+		sole = fulls[0].Switch
+	} else if len(fulls) == 0 && len(deltas) == 1 {
+		sole = deltas[0].Switch
 	}
 	for _, member := range s.group.Members {
 		if member == s.cfg.ID {
@@ -474,7 +501,10 @@ func (s *Switch) reportToController() {
 	s.refreshOwnSnapshot()
 	s.ctrlRound++
 	fullRound := s.ctrlRound%refreshEveryRounds == 0
-	report := &openflow.StateReport{Group: s.group.Group, Version: s.group.Version}
+	var legs []openflow.LFIBUpdate
+	if fullRound {
+		legs = make([]openflow.LFIBUpdate, 0, len(r.members))
+	}
 	// The report itself goes out every interval (it is the state link's
 	// liveness and carries the pair statistics), but an L-FIB leg is
 	// attached only for members whose version moved since the last
@@ -493,13 +523,31 @@ func (s *Switch) reportToController() {
 			u.Full, u.Entries = false, rec.pending
 		}
 		rec.pending, rec.needFull, rec.reported = nil, false, rec.version+1
-		report.LFIBs = append(report.LFIBs, u)
+		legs = append(legs, u)
 	}
+	pairs := make([]openflow.PairStat, 0, len(r.pairs))
 	for pair, n := range r.pairs {
-		report.Pairs = append(report.Pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
+		pairs = append(pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
 	}
 	clear(r.pairs)
-	s.sendCtrl(report)
+	if len(legs) == 0 && len(pairs) == 0 {
+		s.sendCtrl(s.emptyReport())
+		return
+	}
+	s.sendCtrl(&openflow.StateReport{Group: s.group.Group, LFIBs: legs, Pairs: pairs, Version: s.group.Version})
+}
+
+// emptyReport returns the report of a round with nothing to carry. Its
+// content is fixed by the group and the group version, so one report
+// serves every empty round until either moves, and is then replaced,
+// never edited: an earlier one may still be in flight.
+func (s *Switch) emptyReport() *openflow.StateReport {
+	e := s.role.empty
+	if e == nil || e.Group != s.group.Group || e.Version != s.group.Version {
+		e = &openflow.StateReport{Group: s.group.Group, Version: s.group.Version}
+		s.role.empty = e
+	}
+	return e
 }
 
 // handleGFIBUpdate rebuilds the G-FIB from disseminated full filters

@@ -198,8 +198,10 @@ type Switch struct {
 	// switches (counted at decap of first packets).
 	pairFlows map[model.SwitchID]uint32
 
-	// adv is the member-side advertisement bookkeeping (role.go).
-	adv advertState
+	// adv is the member-side advertisement bookkeeping (role.go), and
+	// beacon the idle beacon last sent (see idleBeacon).
+	adv    advertState
+	beacon *openflow.StateReport
 
 	// Degraded-mode state: ctrlLastKA is the arrival time of the last
 	// controller keep-alive (valid once ctrlKASeen); when the controller
@@ -223,8 +225,11 @@ type Switch struct {
 	escPending map[escKey]escRecord
 
 	// Keep-alive bookkeeping: ring holds an entry per wheel neighbor
-	// heard or checked since the ring last changed, at most two.
+	// heard or checked since the ring last changed, at most two;
+	// kaBlock is the heartbeat block slots are taken from (see
+	// heartbeat).
 	kaSeq   uint64
+	kaBlock []openflow.KeepAlive
 	ring    map[model.SwitchID]ringNeighbor
 	cancels []func()
 	started bool

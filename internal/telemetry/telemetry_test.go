@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -143,8 +144,10 @@ func TestTracerSpansAndSampling(t *testing.T) {
 }
 
 // TestSpanAttrs pins that a span's first four attributes cost no
-// allocation beyond the span itself, and that a span with more keeps
-// them all, in order.
+// allocation beyond the span itself, that an emitted span's attributes
+// cost none of their own (they are copied into the tracer's block), and
+// that a span keeps all its attributes, in order, whatever is emitted
+// after it.
 func TestSpanAttrs(t *testing.T) {
 	var now time.Duration
 	tr := NewTracer(clockAt(&now), 1, 42)
@@ -154,6 +157,11 @@ func TestSpanAttrs(t *testing.T) {
 	}); allocs != 1 {
 		t.Errorf("a span with four attributes costs %.1f allocations, want 1", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.Emit(ctx, "e", 0, 0, Attr{"a", 1}, Attr{"b", 2}, Attr{"c", 3})
+	}); allocs != 0 {
+		t.Errorf("an emitted span with three attributes costs %.1f allocations, want 0", allocs)
+	}
 
 	tr = NewTracer(clockAt(&now), 1, 42)
 	root := tr.StartTrace("r")
@@ -162,8 +170,15 @@ func TestSpanAttrs(t *testing.T) {
 		sp.Attr(key, int64(i))
 	}
 	sp.End()
+	for i := range attrBlockLen + 1 {
+		tr.Emit(root.Context(), "e", 0, 0, Attr{"n", int64(i)})
+	}
 	root.End()
-	if got, want := tr.TreeString(), "r [0 0]\n  s [0 0] a=0 b=1 c=2 d=3 e=4 f=5\n"; got != want {
+	want := "r [0 0]\n  s [0 0] a=0 b=1 c=2 d=3 e=4 f=5\n"
+	for i := range attrBlockLen + 1 {
+		want += fmt.Sprintf("  e [0 0] n=%d\n", i)
+	}
+	if got := tr.TreeString(); got != want {
 		t.Errorf("tree:\n%s\nwant:\n%s", got, want)
 	}
 }

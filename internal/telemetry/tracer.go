@@ -61,6 +61,7 @@ type Tracer struct {
 	seq    uint64
 	thresh uint64 // head-sampling: keep a root iff its trace ID < thresh
 	spans  []spanRec
+	attrs  []Attr // the block Emit copies attributes into (see keepAttrs)
 
 	// Sampling decisions, for the registry.
 	Kept, Dropped Counter
@@ -143,8 +144,27 @@ func (t *Tracer) Emit(ctx SpanContext, name string, start, end time.Duration, at
 	}
 	t.spans = append(t.spans, spanRec{
 		trace: ctx.Trace, span: t.nextID(), parent: ctx.Span,
-		name: name, start: start, end: end, attrs: attrs,
+		name: name, start: start, end: end, attrs: t.keepAttrs(attrs),
 	})
+}
+
+// attrBlockLen is how many emitted attributes share one allocation.
+const attrBlockLen = 256
+
+// keepAttrs copies an emitted span's attributes into the tracer's
+// current block, so the caller's variadic slice does not escape and an
+// Emit allocates only its share of a block. Stored attributes are never
+// written again: a full block is left to the spans that point into it.
+func (t *Tracer) keepAttrs(attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	if cap(t.attrs)-len(t.attrs) < len(attrs) {
+		t.attrs = make([]Attr, 0, max(attrBlockLen, len(attrs)))
+	}
+	n := len(t.attrs)
+	t.attrs = append(t.attrs, attrs...)
+	return t.attrs[n:len(t.attrs):len(t.attrs)]
 }
 
 // EmitRoot records an already-closed root span with explicit start and
@@ -159,7 +179,7 @@ func (t *Tracer) EmitRoot(name string, start, end time.Duration, attrs ...Attr) 
 	id := t.nextID()
 	t.Kept.Inc()
 	t.spans = append(t.spans, spanRec{
-		trace: id, span: id, name: name, start: start, end: end, attrs: attrs,
+		trace: id, span: id, name: name, start: start, end: end, attrs: t.keepAttrs(attrs),
 	})
 	return SpanContext{Trace: id, Span: id}
 }
