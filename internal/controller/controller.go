@@ -278,6 +278,10 @@ type switchRecord struct {
 	// open telemetry span (see trace.go).
 	push     *pushRetry
 	pushSpan *telemetry.Span
+	// encap holds Encap(switch), the action list every rule and
+	// PacketOut toward the switch shares as encap[:]: a message handed to
+	// Send is never written again, and the edge copies a rule's actions.
+	encap [1]openflow.Action
 }
 
 // Stats counts controller-side events.
@@ -365,7 +369,7 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 	}
 	records := make(map[model.SwitchID]*switchRecord, len(c.Switches))
 	for _, sw := range c.Switches {
-		records[sw] = &switchRecord{}
+		records[sw] = &switchRecord{encap: [1]openflow.Action{openflow.Encap(sw)}}
 	}
 	return &Controller{
 		cfg:  c,
@@ -438,7 +442,7 @@ func (c *Controller) Start() {
 			c.env.Every(arpTimeout, c.expirePending),
 		)
 	}
-	if c.cfg.Mode == ModeLazy && c.cfg.Dynamic {
+	if c.regroups() {
 		c.cancels = append(c.cancels,
 			c.env.Every(regroupCheckInterval, c.maybeRegroup))
 	}
@@ -509,6 +513,14 @@ func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 		c.cfg.OnRegroup(c.groupingVersion, c.grp)
 	}
 	return nil
+}
+
+// regroups reports whether the controller re-evaluates its grouping at
+// run time (lazy dynamic mode). Only a regroup reads the intensity
+// matrix after InitialGrouping, which replaces it, so flows and report
+// pairs are counted into it only then.
+func (c *Controller) regroups() bool {
+	return c.cfg.Mode == ModeLazy && c.cfg.Dynamic
 }
 
 // pushGroupConfigs sends each switch its group view (§III-D1 setup

@@ -120,11 +120,6 @@ func (c *Controller) queueDelay() time.Duration {
 	return service + wait
 }
 
-// respond schedules fn after the controller's processing delay.
-func (c *Controller) respond(fn func()) {
-	netsim.Post(c.env, c.queueDelay(), fn)
-}
-
 // handlePacketIn is the Ctrl-IF entry point for both modes: the
 // read-only decide phase followed by the apply phase, which holds every
 // write. The split is what ProcessBurst parallelizes; the sequential
@@ -207,26 +202,17 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 	c.traceCtrl(m.Span, d.kind)
 
 	// Intensity estimation: the controller observes the flows it must
-	// handle itself.
-	if d.loc != model.NoSwitch && d.loc != m.Switch {
+	// handle itself, counted only where a regroup reads them.
+	if c.regroups() && d.loc != model.NoSwitch && d.loc != m.Switch {
 		c.intensity.Add(m.Switch, d.loc, 1)
 	}
 
 	switch d.kind {
 	case decideInstall:
-		ingress, dst, pkt, span := m.Switch, d.dst, m.Packet, m.Span
-		c.respond(func() { c.installAndForward(ingress, dst, pkt, span) })
+		c.installAndForward(m.Switch, d.dst, m.Packet, m.Span)
 	case decideBounce:
 		// Both endpoints local: bounce the packet back for delivery.
-		ingress, pkt, span := m.Switch, m.Packet, m.Span
-		c.respond(func() {
-			c.stats.PacketOuts++
-			c.env.Send(ingress, &openflow.PacketOut{
-				Actions: []openflow.Action{openflow.Flood()},
-				Packet:  pkt,
-				Span:    span,
-			})
-		})
+		c.forward(m.Switch, openflow.PacketOut{Actions: floodActions, Packet: m.Packet, Span: m.Span})
 	case decideFlood:
 		// Unknown destination: flood to all switches. Emitting one copy
 		// per switch serializes on the controller CPU, which is the
@@ -307,7 +293,7 @@ func (c *Controller) relayARP(p model.Packet) {
 	}
 	c.stats.ARPRelays += uint64(len(targets))
 	c.record(metrics.ReqARPRelay, uint64(len(targets)))
-	c.respond(func() {
+	netsim.Post(c.env, c.queueDelay(), func() {
 		for _, d := range targets {
 			c.env.Send(d, arp)
 		}
@@ -375,10 +361,17 @@ func (c *Controller) allDesignated() []model.SwitchID {
 	return out
 }
 
-// installAndForward installs the inter-group rule on the ingress switch
-// and returns the buffered packet with the Encap action (extending
-// OpenFlow v1.0, §IV-B).
+// floodActions is the action list of every bounced packet. Like a
+// switch's encap list it is shared and never written.
+var floodActions = []openflow.Action{openflow.Flood()}
+
+// installAndForward installs, after the processing delay, the
+// inter-group rule on the ingress switch and returns the buffered packet
+// with the Encap action (extending OpenFlow v1.0, §IV-B). dst is a
+// configured switch: locations are learned and reported only from
+// those.
 func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Packet, span telemetry.SpanContext) {
+	out := openflow.PacketOut{Actions: c.sw[dst].encap[:], Packet: p, Span: span}
 	if c.cfg.PerFlowRules {
 		// Per-flow baseline: forward the buffered packet without
 		// installing a rule. A 5-tuple rule would never absorb another
@@ -386,29 +379,50 @@ func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Pack
 		// the datapath — so the omitted install is exactly the
 		// always-miss cache the per-flow baseline measures (see
 		// Config.PerFlowRules).
-		c.stats.PacketOuts++
-		c.env.Send(ingress, &openflow.PacketOut{
-			Actions: []openflow.Action{openflow.Encap(dst)},
-			Packet:  p,
-			Span:    span,
-		})
+		c.forward(ingress, out)
 		return
 	}
-	c.stats.FlowModsSent++
-	c.stats.PacketOuts++
-	c.env.Send(ingress, &openflow.FlowMod{
+	in := &install{forwarding: forwarding{c: c, ingress: ingress, out: out}, mod: openflow.FlowMod{
 		Command:     openflow.FlowAdd,
 		Match:       openflow.ExactDst(p.DstMAC, p.VLAN),
 		Priority:    100,
 		IdleTimeout: c.cfg.RuleIdleTimeout,
-		Actions:     []openflow.Action{openflow.Encap(dst)},
+		Actions:     out.Actions,
 		Span:        span,
-	})
-	c.env.Send(ingress, &openflow.PacketOut{
-		Actions: []openflow.Action{openflow.Encap(dst)},
-		Packet:  p,
-		Span:    span,
-	})
+	}}
+	netsim.Post(c.env, c.queueDelay(), in.send)
+}
+
+// forward sends out to ingress after the processing delay: a PacketOut
+// with no rule, posted in one object as its bound send.
+func (c *Controller) forward(ingress model.SwitchID, out openflow.PacketOut) {
+	f := &forwarding{c: c, ingress: ingress, out: out}
+	netsim.Post(c.env, c.queueDelay(), f.send)
+}
+
+// forwarding is one PacketOut in flight (see forward).
+type forwarding struct {
+	c       *Controller
+	ingress model.SwitchID
+	out     openflow.PacketOut
+}
+
+func (f *forwarding) send() {
+	f.c.stats.PacketOuts++
+	f.c.env.Send(f.ingress, &f.out)
+}
+
+// install is a forwarding whose FlowMod installs the rule ahead of the
+// packet: both messages travel in one object, posted as its bound send.
+type install struct {
+	forwarding
+	mod openflow.FlowMod
+}
+
+func (in *install) send() {
+	in.c.stats.FlowModsSent++
+	in.c.env.Send(in.ingress, &in.mod)
+	in.forwarding.send()
 }
 
 // handleStateReport merges a designated switch's aggregated report:
@@ -428,7 +442,7 @@ func (c *Controller) handleStateReport(m *openflow.StateReport) {
 		c.journalLFIB(u)
 	}
 	for _, pair := range m.Pairs {
-		if c.sw[pair.A] == nil || c.sw[pair.B] == nil {
+		if !c.regroups() || c.sw[pair.A] == nil || c.sw[pair.B] == nil {
 			continue
 		}
 		c.intensity.Add(pair.A, pair.B, float64(pair.NewFlows))
@@ -465,11 +479,10 @@ func (c *Controller) handleLFIBAnswer(m *openflow.LFIBUpdate) {
 			if m.Origin == f.ingress {
 				continue // destination turned out local; switch handles it
 			}
-			f := f
 			// Lazy-mode resolutions are not traced end to end: the
 			// ingress escalation's span ended at its micro-batch flush,
 			// and the ARP round trip is not part of the PacketIn trace.
-			c.respond(func() { c.installAndForward(f.ingress, m.Origin, f.packet, telemetry.SpanContext{}) })
+			c.installAndForward(f.ingress, m.Origin, f.packet, telemetry.SpanContext{})
 		}
 	}
 }

@@ -30,6 +30,20 @@ func TestStormDeterministic(t *testing.T) {
 	}
 }
 
+// TestStormAllocationsPerPacketIn pins the apply path at about two
+// allocations per PacketIn: an install or a bounce is one object plus
+// its bound send, and a flood one object plus its bound sendNext.
+func TestStormAllocationsPerPacketIn(t *testing.T) {
+	st, err := NewStorm(StormConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPin := testing.AllocsPerRun(3, st.Run) / float64(len(st.Batch))
+	if perPin > 2.1 {
+		t.Errorf("%.3f allocations per storm PacketIn, want ≤ 2.1", perPin)
+	}
+}
+
 func benchmarkStorm(b *testing.B, procs int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	st, err := NewStorm(StormConfig{Shards: 8})
