@@ -42,8 +42,6 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
 	// Files are the package's non-test syntax trees. Test files are
 	// excluded on purpose: the invariants govern shipped code, and
 	// tests exercise nondeterminism (wall-clock deadlines, shuffled
@@ -53,9 +51,6 @@ type Pass struct {
 	TypesInfo *types.Info
 	report    func(Diagnostic)
 }
-
-// Report records a finding.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -88,8 +83,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Pkg,
 			TypesInfo: pkg.Info,

@@ -14,8 +14,6 @@ func (l *LFIB) Learn() { l.version++ }
 
 func (l *LFIB) Remove() { l.version++ }
 
-func (l *LFIB) Expire() { l.version++ }
-
 func (l *LFIB) Restart() {
 	l.version = 0
 	l.epoch++

@@ -47,9 +47,7 @@ type stampWriter struct {
 }
 
 // versionStampFields maps "<type-pkg-suffix>.<Type>.<field>" to its
-// approved writers. GFIB.version is deliberately absent: it is the
-// G-FIB's own structural change counter, not an owner-assigned state
-// version, and any GFIB method may bump it.
+// approved writers.
 var versionStampFields = map[string][]stampWriter{
 	"internal/bloom.Filter.version": {
 		{fn: "internal/bloom:Filter.SetVersion"},
@@ -58,7 +56,6 @@ var versionStampFields = map[string][]stampWriter{
 	"internal/fib.LFIB.version": {
 		{fn: "internal/fib:LFIB.Learn"},
 		{fn: "internal/fib:LFIB.Remove"},
-		{fn: "internal/fib:LFIB.Expire"},
 		{fn: "internal/fib:LFIB.Restart"},
 	},
 	"internal/fib.LFIB.epoch": {

@@ -17,21 +17,20 @@ import (
 )
 
 // Filter is a Bloom filter over byte-string keys. The zero value is not
-// usable; construct with New or NewWithEstimates.
+// usable; construct with New.
 type Filter struct {
-	bits  []uint64
-	m     uint64 // number of bits
-	k     uint32 // number of hash functions
-	count uint64 // number of Add calls (approximate cardinality)
+	bits []uint64
+	m    uint64 // number of bits
+	k    uint32 // number of hash functions
 	// version is the owner-assigned monotonic state version of the
 	// filter (see Version). It travels in the delta-protocol wire
 	// messages, not in MarshalBinary's blob.
 	version uint64
 }
 
-// MaxHashes bounds a filter's hash count. NewWithEstimates at p = 10⁻¹²
-// asks for 40, so 64 is generous; the bound exists because a lookup
-// costs k probes and k arrives off the wire (UnmarshalBinary).
+// MaxHashes bounds a filter's hash count. The textbook optimum at
+// p = 10⁻¹² is 40 hashes, so 64 is generous; the bound exists because
+// a lookup costs k probes and k arrives off the wire (UnmarshalBinary).
 const MaxHashes = 64
 
 // New returns a filter with m bits and k hash functions. m is rounded up
@@ -45,33 +44,6 @@ func New(m uint64, k uint32) *Filter {
 	words := (m + 63) / 64
 	return &Filter{bits: make([]uint64, words), m: words * 64, k: k}
 }
-
-// NewWithEstimates returns a filter sized for n elements at target false
-// positive probability p, using the textbook optimum m = -n·ln p / ln²2
-// and k = m/n·ln 2.
-func NewWithEstimates(n uint64, p float64) *Filter {
-	if n == 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.001
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := uint32(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k == 0 {
-		k = 1
-	}
-	return New(m, k)
-}
-
-// M returns the number of bits in the filter.
-func (f *Filter) M() uint64 { return f.m }
-
-// K returns the number of hash functions.
-func (f *Filter) K() uint32 { return f.k }
-
-// Count returns the number of elements added (including duplicates).
-func (f *Filter) Count() uint64 { return f.count }
 
 // Version returns the filter's state version. Versions are assigned by
 // the filter's owner (for a G-FIB filter, the origin switch's L-FIB
@@ -143,7 +115,6 @@ func (f *Filter) Add(data []byte) {
 		idx := f.index(h1, h2, i)
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
-	f.count++
 }
 
 // AddUint64 inserts a uint64 key (e.g. a packed MAC address).
@@ -153,17 +124,11 @@ func (f *Filter) AddUint64(v uint64) {
 	f.Add(b[:])
 }
 
-// Test reports whether data is possibly in the set. False positives are
-// possible; false negatives are not.
-func (f *Filter) Test(data []byte) bool {
-	h1, h2 := splitHash(data)
-	return f.TestKey(Key{h1, h2})
-}
-
 // TestUint64 reports whether a uint64 key is possibly in the set.
 func (f *Filter) TestUint64(v uint64) bool { return f.TestKey(HashUint64(v)) }
 
-// TestKey is Test for a key hashed beforehand.
+// TestKey reports whether a key hashed beforehand is possibly in the
+// set. False positives are possible; false negatives are not.
 func (f *Filter) TestKey(key Key) bool {
 	for i := uint32(0); i < f.k; i++ {
 		idx := f.index(key.h1, key.h2, i)
@@ -172,21 +137,6 @@ func (f *Filter) TestKey(key Key) bool {
 		}
 	}
 	return true
-}
-
-// Clear resets the filter to empty, retaining its capacity.
-func (f *Filter) Clear() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
-// EstimatedFPP returns the expected false-positive probability given the
-// number of inserted elements: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFPP() float64 {
-	n := float64(f.count)
-	return math.Pow(1-math.Exp(-float64(f.k)*n/float64(f.m)), float64(f.k))
 }
 
 // FPPFor returns the expected false-positive probability of a filter with
@@ -205,10 +155,8 @@ const marshalHeaderLen = 20
 func (f *Filter) MarshaledLen() int { return marshalHeaderLen + f.SizeBytes() }
 
 // MarshalBinary encodes the filter for dissemination over peer/state
-// links: magic, geometry, and the bit array. The element count is
-// sender-local metadata (it only feeds the owner's FPP estimate) and
-// deliberately stays off the wire, so two filters with the same bits
-// always encode identically — the invariant the delta-protocol
+// links: magic, geometry, and the bit array. Two filters with the same
+// bits always encode identically — the invariant the delta-protocol
 // differential tests pin.
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	return f.AppendBinary(make([]byte, 0, f.MarshaledLen()))
@@ -233,8 +181,7 @@ var ErrCorrupt = errors.New("bloom: corrupt encoding")
 
 // UnmarshalBinary decodes a filter produced by MarshalBinary. When the
 // receiver already holds a bit array of the right geometry it is decoded
-// into in place, so periodic re-dissemination does not allocate. The
-// decoded filter's element count is zero (counts do not travel).
+// into in place, so periodic re-dissemination does not allocate.
 func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) < marshalHeaderLen {
 		return ErrCorrupt
@@ -258,7 +205,7 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	for i := range bits {
 		bits[i] = binary.BigEndian.Uint64(payload[i*8 : i*8+8])
 	}
-	f.m, f.k, f.count, f.bits = m, k, 0, bits
+	f.m, f.k, f.bits = m, k, bits
 	return nil
 }
 
@@ -266,7 +213,7 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 func (f *Filter) Clone() *Filter {
 	bits := make([]uint64, len(f.bits))
 	copy(bits, f.bits)
-	return &Filter{bits: bits, m: f.m, k: f.k, count: f.count, version: f.version}
+	return &Filter{bits: bits, m: f.m, k: f.k, version: f.version}
 }
 
 // WordDelta is one changed 64-bit word of a filter's bit array: the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,12 +17,12 @@ func key(i uint64) []byte {
 }
 
 func TestNoFalseNegatives(t *testing.T) {
-	f := NewWithEstimates(1000, 0.01)
+	f := New(9586, 7) // the optimum for 1,000 keys at p = 0.01
 	for i := uint64(0); i < 1000; i++ {
 		f.Add(key(i))
 	}
 	for i := uint64(0); i < 1000; i++ {
-		if !f.Test(key(i)) {
+		if !f.TestUint64(i) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
@@ -29,14 +30,14 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestFalsePositiveRateNearTarget(t *testing.T) {
 	const n, target = 10000, 0.01
-	f := NewWithEstimates(n, target)
+	f := New(95851, 7) // the optimum for n keys at the target
 	for i := uint64(0); i < n; i++ {
 		f.Add(key(i))
 	}
 	fp := 0
 	const probes = 100000
 	for i := uint64(n); i < n+probes; i++ {
-		if f.Test(key(i)) {
+		if f.TestUint64(i) {
 			fp++
 		}
 	}
@@ -51,32 +52,17 @@ func TestEstimatedFPPMatchesObserved(t *testing.T) {
 	for i := uint64(0); i < 2000; i++ {
 		f.Add(key(i))
 	}
-	est := f.EstimatedFPP()
+	est := FPPFor(f.m, f.k, 2000)
 	fp := 0
 	const probes = 50000
 	for i := uint64(1 << 20); i < 1<<20+probes; i++ {
-		if f.Test(key(i)) {
+		if f.TestUint64(i) {
 			fp++
 		}
 	}
 	obs := float64(fp) / probes
 	if obs > 3*est+0.001 || (est > 0.005 && obs < est/3) {
 		t.Errorf("observed FPP %.5f far from estimate %.5f", obs, est)
-	}
-}
-
-func TestClear(t *testing.T) {
-	f := New(1024, 3)
-	f.Add(key(1))
-	if !f.Test(key(1)) {
-		t.Fatal("key missing before Clear")
-	}
-	f.Clear()
-	if f.Test(key(1)) {
-		t.Error("key present after Clear")
-	}
-	if f.Count() != 0 {
-		t.Errorf("Count() = %d after Clear, want 0", f.Count())
 	}
 }
 
@@ -93,15 +79,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := g.UnmarshalBinary(data); err != nil {
 		t.Fatalf("UnmarshalBinary: %v", err)
 	}
-	if g.M() != f.M() || g.K() != f.K() {
+	if g.m != f.m || g.k != f.k {
 		t.Fatalf("geometry mismatch after round trip: %+v vs %+v", g, f)
 	}
-	// The element count is sender-local metadata and does not travel.
-	if g.Count() != 0 {
-		t.Fatalf("Count() = %d after decode, want 0 (counts stay off the wire)", g.Count())
-	}
 	for i := uint64(0); i < 300; i++ {
-		if !g.Test(key(i * 7)) {
+		if !g.TestUint64(i * 7) {
 			t.Fatalf("decoded filter lost key %d", i*7)
 		}
 	}
@@ -180,8 +162,8 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 	// New clamps to the same bound, so whatever marshals also decodes.
 	big := New(64, 1<<20)
-	if big.K() != MaxHashes {
-		t.Fatalf("New(64, 1<<20).K() = %d, want %d", big.K(), MaxHashes)
+	if big.k != MaxHashes {
+		t.Fatalf("New(64, 1<<20).k = %d, want %d", big.k, MaxHashes)
 	}
 	data, _ = big.MarshalBinary()
 	if err := f.UnmarshalBinary(data); err != nil {
@@ -189,9 +171,9 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
-// TestKeyMatchesTest pins the hashed-key form to Test bit for bit on
-// power-of-two (mask) and other (modulo) geometries: same positions,
-// same false-positive set.
+// TestKeyMatchesTest pins TestKey and TestUint64 to a % probe bit for
+// bit on power-of-two (mask) and other (modulo) geometries: same
+// positions, same false-positive set.
 func TestKeyMatchesTest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for _, m := range []uint64{64, 128, 192, 1024, 1984, 16384, 16448} {
@@ -229,10 +211,10 @@ func TestClone(t *testing.T) {
 	f.Add(key(1))
 	g := f.Clone()
 	g.Add(key(2))
-	if f.Test(key(2)) {
+	if f.TestUint64(2) {
 		t.Error("mutation of clone visible in original")
 	}
-	if !g.Test(key(1)) {
+	if !g.TestUint64(1) {
 		t.Error("clone lost original element")
 	}
 }
@@ -243,38 +225,24 @@ func TestAddUint64Matches(t *testing.T) {
 	if !f.TestUint64(0xdeadbeef) {
 		t.Error("TestUint64 missed added key")
 	}
-	if !f.Test(key(0xdeadbeef)) {
+	g := New(2048, 3)
+	g.Add(key(0xdeadbeef))
+	if !slices.Equal(f.bits, g.bits) {
 		t.Error("AddUint64 and Add([8]byte) disagree")
-	}
-}
-
-func TestNewWithEstimatesGeometry(t *testing.T) {
-	f := NewWithEstimates(1000, 0.001)
-	// Optimal: m ≈ 14378 bits, k ≈ 10.
-	if f.M() < 14000 || f.M() > 15000 {
-		t.Errorf("M() = %d, want ≈14400", f.M())
-	}
-	if f.K() < 9 || f.K() > 11 {
-		t.Errorf("K() = %d, want ≈10", f.K())
 	}
 }
 
 func TestDegenerateParams(t *testing.T) {
 	f := New(0, 0)
 	f.Add(key(1))
-	if !f.Test(key(1)) {
+	if !f.TestUint64(1) {
 		t.Error("degenerate filter lost element")
-	}
-	g := NewWithEstimates(0, 2)
-	g.Add(key(1))
-	if !g.Test(key(1)) {
-		t.Error("degenerate estimate filter lost element")
 	}
 }
 
 func TestPropertyNoFalseNegatives(t *testing.T) {
 	f := func(keys []uint64) bool {
-		bf := NewWithEstimates(uint64(len(keys))+1, 0.01)
+		bf := New(10*uint64(len(keys)+1), 7)
 		for _, k := range keys {
 			bf.AddUint64(k)
 		}
@@ -337,7 +305,7 @@ func TestPaperStorageFigure(t *testing.T) {
 }
 
 func BenchmarkAdd(b *testing.B) {
-	f := NewWithEstimates(100000, 0.001)
+	f := New(1437759, 10) // the optimum for 100,000 keys at p = 0.001
 	rng := rand.New(rand.NewPCG(1, 2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -346,7 +314,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkTest(b *testing.B) {
-	f := NewWithEstimates(100000, 0.001)
+	f := New(1437759, 10) // the optimum for 100,000 keys at p = 0.001
 	for i := uint64(0); i < 100000; i++ {
 		f.AddUint64(i)
 	}

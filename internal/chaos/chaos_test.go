@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestRandomizedDeterministic(t *testing.T) {
 func TestMergeAndDescribe(t *testing.T) {
 	p := (&Plan{Name: "merged"}).Merge(
 		ControllerOutage(time.Minute, 30*time.Second),
-		FlappingControlLink(7, 0, 10*time.Second, 3),
+		flappingControlLink(7, 0, 10*time.Second, 3),
 	)
 	if len(p.Events) != 4 {
 		t.Fatalf("merged %d events, want 4", len(p.Events))
@@ -115,6 +116,17 @@ func TestMergeAndDescribe(t *testing.T) {
 	if !strings.Contains(d, "controller blackout") || !strings.Contains(d, "S7") {
 		t.Fatalf("Describe missing actions:\n%s", d)
 	}
+}
+
+// flappingControlLink flaps the sw<->controller link: flaps windows of
+// period/2 down, period/2 up. Exercises the push-retry/backoff
+// supervision and the false-suspicion paths of the Table I inference.
+func flappingControlLink(sw model.SwitchID, at, period time.Duration, flaps int) *Plan {
+	p := &Plan{Name: fmt.Sprintf("flapping-control-link-S%d", sw)}
+	for i := 0; i < flaps; i++ {
+		p.Add(at+time.Duration(i)*period, period/2, LinkDown{A: sw, B: model.ControllerNode})
+	}
+	return p
 }
 
 // miniWorld wires a 3-switch group (no live controller) for the

@@ -23,48 +23,6 @@ func ControllerOutage(at, dur time.Duration) *Plan {
 	return p.Add(at, dur, ControllerBlackout{})
 }
 
-// FlappingControlLink flaps the sw<->controller link: flaps windows of
-// period/2 down, period/2 up. Exercises the push-retry/backoff
-// supervision and the false-suspicion paths of the Table I inference.
-func FlappingControlLink(sw model.SwitchID, at, period time.Duration, flaps int) *Plan {
-	p := &Plan{Name: fmt.Sprintf("flapping-control-link-S%d", sw)}
-	for i := 0; i < flaps; i++ {
-		p.Add(at+time.Duration(i)*period, period/2, LinkDown{A: sw, B: model.ControllerNode})
-	}
-	return p
-}
-
-// RackCascade staggers crash-restarts across a rack of switches while
-// a correlated loss storm degrades every link touching the rack — the
-// classic rolling-failure cascade. Each switch is down for downFor;
-// crashes start stagger apart.
-func RackCascade(rack []model.SwitchID, at, stagger, downFor time.Duration, loss float64) *Plan {
-	p := &Plan{Name: "rack-cascade"}
-	stormLen := time.Duration(len(rack))*stagger + downFor
-	if loss > 0 {
-		for _, sw := range rack {
-			p.Add(at, stormLen, Fault{Rule: netsim.FaultRule{A: sw, B: model.NoSwitch, Loss: loss}})
-		}
-	}
-	for i, sw := range rack {
-		p.Add(at+time.Duration(i)*stagger, downFor, Crash{Switch: sw})
-	}
-	return p
-}
-
-// DesignatedChurnStorm repeatedly crashes whichever switch currently
-// holds the designated role of seed's group: every period a fresh
-// CrashDesignated fires, the victim stays down for downFor, and by the
-// time it restarts failover has rotated the role onto the next wheel
-// member — which the next round then kills.
-func DesignatedChurnStorm(seed model.SwitchID, at, period, downFor time.Duration, rounds int) *Plan {
-	p := &Plan{Name: fmt.Sprintf("designated-churn-S%d", seed)}
-	for i := 0; i < rounds; i++ {
-		p.Add(at+time.Duration(i)*period, downFor, CrashDesignated{Of: seed})
-	}
-	return p
-}
-
 // Cascade is the acceptance scenario: burst loss across seed's group's
 // peer links, a control-link partition cutting the whole group off the
 // controller, and a designated-switch crash landing mid-regroup while

@@ -86,14 +86,15 @@ func ctrlSnapshot(c *Controller) string {
 	fmt.Fprintf(&b, "%+v\ngen=%d standby=%v gv=%d takeovers=%d rebuild=%v repush=%v peer=%v/%v/%v/%d\n",
 		st, c.generation, c.isStandby, c.groupingVersion, len(c.takeovers), c.rebuildPending, c.awaitingRepush,
 		c.peerLastKA, c.peerSeen, c.peerSynced, c.standbySeq)
-	fmt.Fprintf(&b, "requests=%d learned=%v pending=%d detector=%d clib=%d intensity=%d/%d/%v\n",
+	fmt.Fprintf(&b, "requests=%d learned=%v pending=%d detector=%d intensity=%d/%v\n",
 		c.reqWindowCount, c.state.learned, c.state.pendingLen(), c.detector.Pending(),
-		c.clib.Len(), c.intensity.NumSwitches(), c.intensity.NumPairs(), c.intensity.Total())
+		c.intensity.NumSwitches(), c.intensity.Total())
+	c.intensity.ForEachPair(func(p model.SwitchPair, w float64) { fmt.Fprintf(&b, "%v-%v=%v ", p.A, p.B, w) })
 	for _, sw := range c.cfg.Switches {
 		rec := c.sw[sw]
 		v, built := rec.filter.Version()
-		fmt.Fprintf(&b, "S%v group=%v hosts=%d/%d dead=%v ack=%v/%v push=%v cfg=%x filters=%v filter=%d/%v\n",
-			sw, c.grp.GroupOf(sw), c.clib.HostsOn(sw), c.clib.VersionOn(sw), rec.dead, rec.lastAck, rec.acked,
+		fmt.Fprintf(&b, "S%v group=%v hosts=%v/%d dead=%v ack=%v/%v push=%v cfg=%x filters=%v filter=%d/%v\n",
+			sw, c.grp.GroupOf(sw), c.clib.EntriesOn(sw), c.clib.VersionOn(sw), rec.dead, rec.lastAck, rec.acked,
 			rec.push != nil, rec.pushedCfg, rec.pushedFilters, v, built)
 	}
 	return b.String()
@@ -349,7 +350,7 @@ func checkCtrlBounds(t *testing.T, c *Controller) {
 	if sw, ok := c.clib.Locate(model.HostMAC(777)); ok && c.sw[sw] == nil {
 		t.Errorf("C-LIB places host 777 on %v", sw)
 	}
-	if got := c.clib.HostsOn(9999); got != 0 {
+	if got := len(c.clib.EntriesOn(9999)); got != 0 {
 		t.Errorf("C-LIB holds %d hosts on an unconfigured switch", got)
 	}
 	if got := c.intensity.NumSwitches(); got != 16 {

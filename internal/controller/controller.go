@@ -243,8 +243,6 @@ type Controller struct {
 	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
-	cancels []func()
-
 	// Control-fold task handles (nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
 	expireTask netsim.ElidableTask
@@ -434,34 +432,20 @@ func (c *Controller) Start() {
 			c.kaQuiet, c.kaCredit)
 		c.expireTask = netsim.EveryElidableOrReal(c.env, arpTimeout,
 			c.expirePending, c.expireQuiet, func(int) {})
-		c.cancels = append(c.cancels, c.kaTask.Stop, c.expireTask.Stop)
 	} else {
-		c.cancels = append(c.cancels,
-			c.env.Every(c.cfg.KeepAliveInterval, c.sendKeepAlives),
-			c.env.Every(c.cfg.KeepAliveInterval, c.checkFailures),
-			c.env.Every(arpTimeout, c.expirePending),
-		)
+		c.env.Every(c.cfg.KeepAliveInterval, c.sendKeepAlives)
+		c.env.Every(c.cfg.KeepAliveInterval, c.checkFailures)
+		c.env.Every(arpTimeout, c.expirePending)
 	}
 	if c.regroups() {
-		c.cancels = append(c.cancels,
-			c.env.Every(regroupCheckInterval, c.maybeRegroup))
+		c.env.Every(regroupCheckInterval, c.maybeRegroup)
 	}
 	if c.cfg.Peer != 0 {
 		// Standby-role duty: heartbeat the primary and take over when it
 		// goes silent. Registered on both replicas — it gates on the
 		// current role, which changes at runtime (takeover, step-down).
-		c.cancels = append(c.cancels,
-			c.env.Every(c.cfg.KeepAliveInterval, c.watchPrimary))
+		c.env.Every(c.cfg.KeepAliveInterval, c.watchPrimary)
 	}
-}
-
-// Stop cancels periodic duties (elidable tasks settle pending folds).
-func (c *Controller) Stop() {
-	for _, cancel := range c.cancels {
-		cancel()
-	}
-	c.cancels = nil
-	c.kaTask, c.expireTask = nil, nil
 }
 
 // SameGroup reports whether two switches share a local control group —

@@ -184,7 +184,7 @@ func TestARPRelayResolvesUnknownDestination(t *testing.T) {
 	if b.ctrl.Stats().ARPRelays == 0 {
 		t.Error("no ARP relay was used")
 	}
-	if b.ctrl.CLIB().Lookup(model.HostMAC(99)) == nil {
+	if _, ok := b.ctrl.CLIB().Locate(model.HostMAC(99)); !ok {
 		t.Error("C-LIB not updated from ARP answer")
 	}
 }
@@ -192,12 +192,12 @@ func TestARPRelayResolvesUnknownDestination(t *testing.T) {
 func TestCLIBPopulatedFromStateReports(t *testing.T) {
 	b := groupedBench(t, false)
 	for _, h := range []model.HostID{10, 20, 30, 40} {
-		if b.ctrl.CLIB().Lookup(model.HostMAC(h)) == nil {
+		if _, ok := b.ctrl.CLIB().Locate(model.HostMAC(h)); !ok {
 			t.Errorf("C-LIB missing host %v", h)
 		}
 	}
-	if got := b.ctrl.CLIB().Lookup(model.HostMAC(30)); got != nil && got.Switch != 3 {
-		t.Errorf("host 30 located at %v, want S3", got.Switch)
+	if sw, ok := b.ctrl.CLIB().Locate(model.HostMAC(30)); ok && sw != 3 {
+		t.Errorf("host 30 located at %v, want S3", sw)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // intensityBits renders a matrix with every weight as its bit pattern.
 func intensityBits(m *grouping.Intensity) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "switches=%v total=%x max=%x pairs=%d\n",
-		m.Switches(), math.Float64bits(m.Total()), math.Float64bits(m.MaxPair()), m.NumPairs())
+	fmt.Fprintf(&b, "switches=%v total=%x max=%x\n",
+		m.Switches(), math.Float64bits(m.Total()), math.Float64bits(m.MaxPair()))
 	m.ForEachPair(func(p model.SwitchPair, w float64) { fmt.Fprintf(&b, "%v-%v=%x ", p.A, p.B, math.Float64bits(w)) })
 	return b.String()
 }

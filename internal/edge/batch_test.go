@@ -147,9 +147,6 @@ func TestPeerEvidenceFilterEviction(t *testing.T) {
 	if _, held := r.switches[3].GFIB().PeerVersion(2); held {
 		t.Error("switch 3 kept the dead neighbor's filter after reporting it")
 	}
-	if r.switches[3].Stats().PeerFiltersEvicted == 0 {
-		t.Error("eviction not counted")
-	}
 	// A flow toward the dead switch's host now escalates instead of
 	// encapping into the failed node.
 	before := len(r.ctrl.packetIns())
@@ -187,11 +184,8 @@ func TestPeerEvictionFalseAlarmRecovers(t *testing.T) {
 	// report and evict 2, then heals.
 	r.net.FailLink(1, 2)
 	r.sim.RunFor(10 * time.Second)
-	if r.switches[1].Stats().PeerFiltersEvicted == 0 {
-		t.Fatal("designated never evicted the silent member")
-	}
 	if _, held := r.switches[1].GFIB().PeerVersion(2); held {
-		t.Fatal("filter not dropped on eviction")
+		t.Fatal("designated never evicted the silent member's filter")
 	}
 	r.net.HealLink(1, 2)
 	// Member 2's keep-alives resume; the designated re-syncs it and its

@@ -8,6 +8,7 @@ import (
 
 	"lazyctrl/internal/fib"
 	"lazyctrl/internal/model"
+	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
 )
 
@@ -97,10 +98,9 @@ func TestGFIBNackAnsweredOnlyToOrigin(t *testing.T) {
 	r.configureGroup(1, 1, 1, 2, 3)
 	r.sim.RunFor(12 * time.Second) // designated 1 has disseminated every filter
 	designated := r.switches[1]
-	resent := func(from model.SwitchID, nack *openflow.GFIBNack) uint64 {
-		before := designated.Stats().GFIBResyncs
-		designated.HandleMessage(from, nack)
-		return designated.Stats().GFIBResyncs - before
+	resent := func(from model.SwitchID, nack *openflow.GFIBNack) int {
+		fulls, _ := r.gfibItems(1, func() { designated.HandleMessage(from, nack) })
+		return fulls
 	}
 
 	nack := &openflow.GFIBNack{Group: 1, Origin: 3, Peers: []model.SwitchID{2}}
@@ -136,16 +136,16 @@ func TestRestartResendsEveryMember(t *testing.T) {
 	}
 	cfg := d.group
 	cfg.Version++
-	before, reports := d.Stats(), len(r.ctrl.stateReports())
-	d.HandleMessage(model.ControllerNode, &cfg)
-	r.sim.RunFor(3 * time.Second) // the post-config dissemination and report
-
-	after := d.Stats()
-	if got := after.GFIBDeltasSent - before.GFIBDeltasSent; got != 3 {
-		t.Errorf("restart disseminated %d delta items, want 3 (one per member)", got)
+	reports := len(r.ctrl.stateReports())
+	fulls, deltas := r.gfibItems(1, func() {
+		d.HandleMessage(model.ControllerNode, &cfg)
+		r.sim.RunFor(3 * time.Second) // the post-config dissemination and report
+	})
+	if deltas != 3 {
+		t.Errorf("restart disseminated %d delta items, want 3 (one per member)", deltas)
 	}
-	if got := after.GFIBFullsSent - before.GFIBFullsSent; got != 0 {
-		t.Errorf("restart disseminated %d full filters, want 0", got)
+	if fulls != 0 {
+		t.Errorf("restart disseminated %d full filters, want 0", fulls)
 	}
 	var origins []model.SwitchID
 	for _, sr := range r.ctrl.stateReports()[reports:] {
@@ -202,18 +202,15 @@ func TestDisseminationDeltaAgainstEncodedFull(t *testing.T) {
 	rec.snapshot = snapshot
 	rec.version++
 
-	before, recvBefore := d.Stats(), r.switches[3].Stats()
-	d.disseminateGFIB()
-	r.sim.RunFor(time.Second)
-	after, recvAfter := d.Stats(), r.switches[3].Stats()
-	if got := after.GFIBDeltasSent - before.GFIBDeltasSent; got != 1 {
-		t.Errorf("GFIBDeltasSent moved by %d, want 1", got)
+	fulls, deltas := r.gfibItems(1, func() {
+		d.disseminateGFIB()
+		r.sim.RunFor(time.Second)
+	})
+	if deltas != 1 || fulls != 0 {
+		t.Errorf("disseminated %d delta items and %d full filters, want 1 and 0", deltas, fulls)
 	}
-	if got := after.GFIBFullsSent - before.GFIBFullsSent; got != 0 {
-		t.Errorf("GFIBFullsSent moved by %d, want 0", got)
-	}
-	if got := recvAfter.GFIBDeltasApplied - recvBefore.GFIBDeltasApplied; got != 1 {
-		t.Errorf("S3 applied %d deltas, want 1", got)
+	if v, _ := r.switches[3].GFIB().PeerVersion(2); v != rec.version {
+		t.Errorf("S3 holds S2's filter at version %d, want the delta's %d", v, rec.version)
 	}
 }
 
@@ -252,12 +249,42 @@ func TestSlowPathTargetSetsNotAliased(t *testing.T) {
 			t.Errorf("switch %d delivered %d packets, want exactly the one for host %d", id, len(got), dst)
 		}
 	}
-	if st := sw.Stats(); st.EncapSent != 4 || st.GFIBMulticopies != 2 {
-		t.Errorf("EncapSent = %d, GFIBMulticopies = %d, want 4 and 2", st.EncapSent, st.GFIBMulticopies)
+	if st := sw.Stats(); st.EncapSent != 4 {
+		t.Errorf("EncapSent = %d, want 4 (two copies per packet)", st.EncapSent)
 	}
 	for id := model.SwitchID(2); id <= 5; id++ {
 		if n := r.switches[id].Stats().FalsePositiveDrops; n != 0 {
 			t.Errorf("switch %d dropped %d misdirected copies", id, n)
 		}
 	}
+}
+
+// gfibItems counts the G-FIB items sender puts on the wire while run
+// runs: full filters and word deltas, each message counted once however
+// many members it goes to.
+func (r *rig) gfibItems(sender model.SwitchID, run func()) (fulls, deltas int) {
+	seen := make(map[netsim.Message]bool)
+	r.net.Observer = func(from, _ model.SwitchID, msg netsim.Message, delivered bool) {
+		if from != sender || delivered || seen[msg] {
+			return
+		}
+		seen[msg] = true
+		var msgs []openflow.Message
+		if b, ok := msg.(*openflow.Batch); ok {
+			msgs = b.Msgs
+		} else if m, ok := msg.(openflow.Message); ok {
+			msgs = []openflow.Message{m}
+		}
+		for _, m := range msgs {
+			switch m := m.(type) {
+			case *openflow.GFIBUpdate:
+				fulls += len(m.Filters)
+			case *openflow.GFIBDelta:
+				deltas += len(m.Deltas)
+			}
+		}
+	}
+	defer func() { r.net.Observer = nil }()
+	run()
+	return fulls, deltas
 }

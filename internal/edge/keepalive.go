@@ -143,9 +143,7 @@ func (s *Switch) checkKeepAlives() {
 // view, its bootstrap advertisement repopulates the aggregation state,
 // and the version gate re-disseminates its filter to everyone.
 func (s *Switch) evictSuspect(suspect model.SwitchID) {
-	if s.gfib.RemoveFilter(suspect) {
-		s.stats.PeerFiltersEvicted++
-	}
+	s.gfib.RemoveFilter(suspect)
 	if s.role != nil {
 		s.dropMemberAggregation(suspect)
 		s.broadcastFilterRemoval(suspect)

@@ -443,12 +443,10 @@ func (s *Switch) disseminateGFIB() {
 		rec.filter.Rebuild(rec.snapshot, v)
 		if built && !s.cfg.GFIBFullPush {
 			if d, ok := rec.filter.Delta(member, held); ok {
-				s.stats.GFIBDeltasSent++
 				deltas = append(deltas, d)
 				continue
 			}
 		}
-		s.stats.GFIBFullsSent++
 		fulls = append(fulls, rec.filter.Full(member))
 	}
 	r.restart = false
@@ -607,14 +605,11 @@ func (s *Switch) handleGFIBDelta(from model.SwitchID, m *openflow.GFIBDelta) {
 			// Base mismatch or a malformed patch: either way this
 			// filter needs the full state.
 			stale = append(stale, d.Switch)
-			continue
 		}
-		s.stats.GFIBDeltasApplied++
 	}
 	if len(stale) == 0 {
 		return
 	}
-	s.stats.GFIBNacksSent++
 	nack := &openflow.GFIBNack{Group: s.group.Group, Origin: s.cfg.ID, Peers: stale}
 	if from == s.cfg.ID {
 		s.handleGFIBNack(nack)
@@ -647,7 +642,6 @@ func (s *Switch) handleGFIBNack(m *openflow.GFIBNack) {
 	if len(update.Filters) == 0 {
 		return
 	}
-	s.stats.GFIBResyncs += uint64(len(update.Filters))
 	if m.Origin == s.cfg.ID {
 		s.handleGFIBUpdate(update)
 		return

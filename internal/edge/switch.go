@@ -95,7 +95,6 @@ type Stats struct {
 	PacketsSeen        uint64
 	Delivered          uint64
 	EncapSent          uint64
-	GFIBMulticopies    uint64
 	FalsePositiveDrops uint64
 	PacketIns          uint64
 	// PacketInBursts counts PacketInBurst messages flushed by the
@@ -107,22 +106,6 @@ type Stats struct {
 	// term (replay.ExpectedBatchDelay) is pinned against.
 	PinBatchWait   time.Duration
 	PinBatchWaited uint64
-	// GFIBDeltasSent and GFIBFullsSent count per-peer filter items a
-	// designated switch disseminated as word deltas vs. full filters.
-	GFIBDeltasSent uint64
-	GFIBFullsSent  uint64
-	// GFIBDeltasApplied counts delta items this switch patched into
-	// its G-FIB; GFIBNacksSent counts resync requests after a base-
-	// version mismatch; GFIBResyncs counts full filters re-sent by a
-	// designated switch in answer to a NACK.
-	GFIBDeltasApplied uint64
-	GFIBNacksSent     uint64
-	GFIBResyncs       uint64
-	// PeerFiltersEvicted counts G-FIB filters invalidated on peer
-	// evidence: the switch reported a ring neighbor lost and dropped
-	// its preloaded filter without waiting for the controller's
-	// diagnosis.
-	PeerFiltersEvicted uint64
 	// DegradedFloods counts first packets flood-forwarded to the whole
 	// group instead of escalating, because the controller had gone
 	// silent (graceful degradation); DegradedWindow totals the time
@@ -436,7 +419,6 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		return
 	default:
 		targets := slices.Clone(s.candidates)
-		s.stats.GFIBMulticopies += uint64(len(targets) - 1)
 		netsim.Post(s.env, slowPathDelay, func() {
 			for _, t := range targets {
 				s.encapTo(t, p)

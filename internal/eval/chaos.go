@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"lazyctrl/internal/chaos"
@@ -8,14 +10,13 @@ import (
 	"lazyctrl/internal/trace"
 )
 
-// ChaosDiffResult pairs a fault-free run with a faulted run of the same
-// seed (cmd/experiments -run chaos,failover; the same comparisons
+// ChaosDiffResult is a faulted run checked against a fault-free run of
+// the same seed (cmd/experiments -run chaos,failover; the same comparisons
 // TestChaosCascadeDifferential and TestChaosFailoverDifferential pin in
 // CI).
 type ChaosDiffResult struct {
-	// Base ran fault-free — with the standby attached when the
-	// differential is replicated; Faulted ran the plan.
-	Base, Faulted *EmulationResult
+	// Faulted ran the plan.
+	Faulted *EmulationResult
 	// FixpointMatch reports whether the faulted run settled on the
 	// byte-identical content fixpoint of the fault-free run (the
 	// snapshot excludes master identity and generation, so runs that
@@ -28,6 +29,8 @@ type ChaosDiffResult struct {
 // flow schedules and static grouping, so the fixpoints are comparable
 // byte for byte. standby selects the replicated stack (the FailoverPlans
 // scenarios need it; the chaos.Cascade acceptance scenario runs without).
+// A fault-free run that does not converge, or that takes over, leaves
+// nothing to compare against and is an error.
 func ChaosDifferential(seed uint64, standby bool, plan *chaos.Plan) (*ChaosDiffResult, error) {
 	tr, err := trace.Generate(trace.SmallConfig("small", seed))
 	if err != nil {
@@ -49,14 +52,15 @@ func ChaosDifferential(seed uint64, standby bool, plan *chaos.Plan) (*ChaosDiffR
 	if err != nil {
 		return nil, err
 	}
+	if !base.Converged || base.Takeovers != 0 {
+		return nil, fmt.Errorf("eval: fault-free run converged=%v with %d takeovers:\n%s",
+			base.Converged, base.Takeovers, strings.Join(base.Divergences, "\n"))
+	}
 	faulted, err := run(plan)
 	if err != nil {
 		return nil, err
 	}
-	return &ChaosDiffResult{
-		Base: base, Faulted: faulted,
-		FixpointMatch: faulted.Fixpoint == base.Fixpoint,
-	}, nil
+	return &ChaosDiffResult{Faulted: faulted, FixpointMatch: faulted.Fixpoint == base.Fixpoint}, nil
 }
 
 // FailoverPlans returns the three replicated-controller acceptance

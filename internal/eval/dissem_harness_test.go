@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lazyctrl/internal/edge"
@@ -275,17 +274,4 @@ func (d *Dissem) ResetCounters() {
 // SetDrop installs a message-drop hook (nil removes it).
 func (d *Dissem) SetDrop(fn func(from, to model.SwitchID, msg netsim.Message) bool) {
 	d.net.Drop = fn
-}
-
-// GroupOf returns the sorted member list of the group containing sw
-// (contiguous partitioning makes this arithmetic).
-func (d *Dissem) GroupOf(sw model.SwitchID) []model.SwitchID {
-	start := (int(sw) - 1) / d.cfg.GroupSize * d.cfg.GroupSize
-	end := start + d.cfg.GroupSize
-	if end > len(d.ids) {
-		end = len(d.ids)
-	}
-	members := append([]model.SwitchID(nil), d.ids[start:end]...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return members
 }

@@ -47,6 +47,20 @@ func TestDissemDeltaFullDifferential(t *testing.T) {
 		return d
 	}
 	delta, fullp := mk(false), mk(true)
+	var deltaWords, nacks int
+	delta.SetDrop(func(_, _ model.SwitchID, msg netsim.Message) bool {
+		for _, m := range flatten(msg) {
+			switch m := m.(type) {
+			case *openflow.GFIBDelta:
+				for _, d := range m.Deltas {
+					deltaWords += len(d.Words)
+				}
+			case *openflow.GFIBNack:
+				nacks++
+			}
+		}
+		return false
+	})
 
 	churn := func(d *Dissem, round int) {
 		sw := model.SwitchID(round*7%cfg.Switches + 1)
@@ -66,13 +80,10 @@ func TestDissemDeltaFullDifferential(t *testing.T) {
 	if delta.CodecErrors() != 0 || fullp.CodecErrors() != 0 {
 		t.Fatalf("codec errors: delta=%d full=%d", delta.CodecErrors(), fullp.CodecErrors())
 	}
-	// Sanity: the delta fabric actually took the delta path.
-	var deltasApplied uint64
-	for _, sw := range delta.Switches {
-		deltasApplied += sw.Stats().GFIBDeltasApplied
-	}
-	if deltasApplied == 0 {
-		t.Error("differential never exercised the delta path")
+	// Sanity: the delta fabric actually took the delta path, and no
+	// receiver fell back to a full resync.
+	if deltaWords == 0 || nacks != 0 {
+		t.Errorf("delta fabric shipped %d delta words and %d NACKs, want some and none", deltaWords, nacks)
 	}
 }
 
@@ -143,16 +154,17 @@ func TestDissemDroppedDeltaResync(t *testing.T) {
 
 	// Round 2: the next delta has a base the victim does not hold; it
 	// must NACK and be resynced with a full filter within the round.
+	nacks, resyncs := watchResync(d, victim, origin)
 	d.Arrive(origin)
 	d.Round()
 	refBytes = gfibBytes(d.Switches[designated].GFIB())[origin]
 	if got := gfibBytes(d.Switches[victim].GFIB())[origin]; !reflect.DeepEqual(got, refBytes) {
 		t.Error("victim did not reconverge through NACK/resync")
 	}
-	if d.Switches[victim].Stats().GFIBNacksSent == 0 {
+	if *nacks == 0 {
 		t.Error("victim never sent a NACK")
 	}
-	if d.Switches[designated].Stats().GFIBResyncs == 0 {
+	if *resyncs == 0 {
 		t.Error("designated switch answered no resync")
 	}
 }
@@ -187,15 +199,51 @@ func TestDissemBeaconRepairsIdleStaleness(t *testing.T) {
 		t.Fatal("victim converged despite the dropped delta")
 	}
 	// No further churn: only the beacon can repair the victim.
+	nacks, _ := watchResync(d, victim, origin)
 	for round := 0; round < 12 && !converged(); round++ {
 		d.Round()
 	}
 	if !converged() {
 		t.Error("version beacon never repaired the idle-stale victim")
 	}
-	if d.Switches[victim].Stats().GFIBNacksSent == 0 {
+	if *nacks == 0 {
 		t.Error("beacon repair did not go through the NACK path")
 	}
+}
+
+// flatten lists the messages msg carries, unwrapping a batch.
+func flatten(msg netsim.Message) []openflow.Message {
+	if b, ok := msg.(*openflow.Batch); ok {
+		return b.Msgs
+	}
+	if m, ok := msg.(openflow.Message); ok {
+		return []openflow.Message{m}
+	}
+	return nil
+}
+
+// watchResync counts, from now on, the NACKs victim sends and the full
+// filters of origin sent back to it.
+func watchResync(d *Dissem, victim, origin model.SwitchID) (nacks, resyncs *int) {
+	nacks, resyncs = new(int), new(int)
+	d.SetDrop(func(from, to model.SwitchID, msg netsim.Message) bool {
+		for _, m := range flatten(msg) {
+			switch m := m.(type) {
+			case *openflow.GFIBNack:
+				if from == victim {
+					*nacks++
+				}
+			case *openflow.GFIBUpdate:
+				for _, f := range m.Filters {
+					if to == victim && f.Switch == origin {
+						*resyncs++
+					}
+				}
+			}
+		}
+		return false
+	})
+	return nacks, resyncs
 }
 
 // benchmarkDissem measures the control-channel cost of single-host-

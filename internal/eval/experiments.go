@@ -436,8 +436,6 @@ type StorageRow struct {
 	// FPP is the false-positive probability at the given hosts/switch
 	// occupancy.
 	FPP float64
-	// HostsPerSwitch used for the FPP estimate.
-	HostsPerSwitch int
 }
 
 // Storage computes the Bloom-filter storage table for the given group
@@ -456,10 +454,9 @@ func Storage(groupSizes []int, hostsPerSwitch int) []StorageRow {
 			g.SetFilter(model.SwitchID(i), bloom.New(fib.DefaultFilterBits, fib.DefaultFilterHashes))
 		}
 		rows = append(rows, StorageRow{
-			GroupSize:      size,
-			GFIBBytes:      g.SizeBytes(),
-			FPP:            bloom.FPPFor(fib.DefaultFilterBits, fib.DefaultFilterHashes, uint64(2*hostsPerSwitch)),
-			HostsPerSwitch: hostsPerSwitch,
+			GroupSize: size,
+			GFIBBytes: g.SizeBytes(),
+			FPP:       bloom.FPPFor(fib.DefaultFilterBits, fib.DefaultFilterHashes, uint64(2*hostsPerSwitch)),
 		})
 	}
 	return rows

@@ -301,7 +301,7 @@ func (s *aggWindows) load(w int) func() {
 			if rng.IntN(2) == 0 {
 				src, dst = b, a
 			}
-			_, packets := trace.SamplePayload(rng)
+			packets := trace.SamplePayload(rng)
 			probe(start, src, dst, packets)
 		}
 	}

@@ -94,20 +94,8 @@ func (c *CLIB) Remove(mac model.MAC) {
 	delete(c.byMAC, mac)
 }
 
-// Lookup returns a copy of the entry for a MAC, or nil. The copy keeps
-// callers from writing through to the table; hot paths that only need
-// the hosting switch use Locate, which does not allocate.
-func (c *CLIB) Lookup(mac model.MAC) *CLIBEntry {
-	e, ok := c.byMAC[mac]
-	if !ok {
-		return nil
-	}
-	cp := *e
-	return &cp
-}
-
-// Locate returns the switch hosting a MAC. It is the allocation-free
-// fast path of Lookup used by packet-in handling.
+// Locate returns the switch hosting a MAC, without allocating (packet-in
+// handling).
 func (c *CLIB) Locate(mac model.MAC) (model.SwitchID, bool) {
 	if e, ok := c.byMAC[mac]; ok {
 		return e.Switch, true
@@ -208,9 +196,3 @@ func (c *CLIB) RemoveSwitch(sw model.SwitchID) int {
 	}
 	return removed
 }
-
-// HostsOn returns how many bindings are attributed to a switch.
-func (c *CLIB) HostsOn(sw model.SwitchID) int { return len(c.bySwitch[sw]) }
-
-// Len returns the total number of bindings.
-func (c *CLIB) Len() int { return len(c.byMAC) }

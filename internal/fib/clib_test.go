@@ -19,16 +19,6 @@ func TestCLIBLocateFastPath(t *testing.T) {
 	}
 }
 
-func TestCLIBLookupReturnsCopy(t *testing.T) {
-	c := NewCLIB()
-	c.Update(model.HostMAC(1), model.HostIP(1), 5, 11, 2)
-	e := c.Lookup(model.HostMAC(1))
-	e.Switch = 99 // must not write through to the table
-	if sw, _ := c.Locate(model.HostMAC(1)); sw != 11 {
-		t.Errorf("mutating a Lookup result changed the table: %v", sw)
-	}
-}
-
 func TestCLIBEntriesOnSorted(t *testing.T) {
 	c := NewCLIB()
 	// Insert in descending order; EntriesOn must come back ascending.
@@ -59,8 +49,8 @@ func TestCLIBRemoveSwitch(t *testing.T) {
 	if got := c.RemoveSwitch(2); got != 20 {
 		t.Errorf("RemoveSwitch(2) = %d, want 20", got)
 	}
-	if c.Len() != 20 || c.HostsOn(2) != 0 || c.HostsOn(1) != 20 {
-		t.Errorf("after eviction: len=%d on1=%d on2=%d", c.Len(), c.HostsOn(1), c.HostsOn(2))
+	if len(c.byMAC) != 20 || len(c.bySwitch[2]) != 0 || len(c.bySwitch[1]) != 20 {
+		t.Errorf("after eviction: len=%d on1=%d on2=%d", len(c.byMAC), len(c.bySwitch[1]), len(c.bySwitch[2]))
 	}
 	if got := c.SwitchesWithVLAN(1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("SwitchesWithVLAN = %v, want [1]", got)
@@ -83,8 +73,8 @@ func TestCLIBApplyLFIBFullPrunesEveryStaleHost(t *testing.T) {
 		u.Entries = append(u.Entries, openflow.LFIBEntry{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1})
 	}
 	c.ApplyLFIB(5, 1, u)
-	if c.Len() != 4 || c.HostsOn(5) != 4 {
-		t.Errorf("after full snapshot: len=%d on5=%d, want 4/4", c.Len(), c.HostsOn(5))
+	if len(c.byMAC) != 4 || len(c.bySwitch[5]) != 4 {
+		t.Errorf("after full snapshot: len=%d on5=%d, want 4/4", len(c.byMAC), len(c.bySwitch[5]))
 	}
 	for h := model.HostID(5); h <= 64; h++ {
 		if _, ok := c.Locate(model.HostMAC(h)); ok {

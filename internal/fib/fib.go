@@ -14,14 +14,12 @@ import (
 )
 
 // LFIBEntry is a host-location binding in an L-FIB: the host's
-// addresses, the local port it is attached to, and the time the binding
-// was last refreshed (for aging).
+// addresses and the local port it is attached to.
 type LFIBEntry struct {
-	MAC      model.MAC
-	IP       model.IP
-	VLAN     model.VLAN
-	Port     uint16
-	LastSeen time.Duration // virtual time of last refresh
+	MAC  model.MAC
+	IP   model.IP
+	VLAN model.VLAN
+	Port uint16
 }
 
 // LFIB is the Local Forwarding Information Base of one edge switch: a
@@ -69,22 +67,22 @@ func NewLFIB() *LFIB {
 
 // Learn inserts or refreshes a binding. It returns true when the L-FIB
 // changed structurally (new host or moved port), which is what triggers
-// asynchronous state dissemination.
-func (l *LFIB) Learn(mac model.MAC, ip model.IP, vlan model.VLAN, port uint16, now time.Duration) bool {
+// asynchronous state dissemination. The trailing time is ignored:
+// bindings do not age.
+func (l *LFIB) Learn(mac model.MAC, ip model.IP, vlan model.VLAN, port uint16, _ time.Duration) bool {
 	e, ok := l.byMAC[mac]
 	if ok {
 		changed := e.Port != port || e.IP != ip || e.VLAN != vlan
 		e.Port = port
 		e.IP = ip
 		e.VLAN = vlan
-		e.LastSeen = now
 		if changed {
 			l.version++
 			l.dirty[mac] = struct{}{}
 		}
 		return changed
 	}
-	l.byMAC[mac] = &LFIBEntry{MAC: mac, IP: ip, VLAN: vlan, Port: port, LastSeen: now}
+	l.byMAC[mac] = &LFIBEntry{MAC: mac, IP: ip, VLAN: vlan, Port: port}
 	l.version++
 	l.dirty[mac] = struct{}{}
 	return true
@@ -120,34 +118,10 @@ func (l *LFIB) Remove(mac model.MAC) bool {
 	return true
 }
 
-// Expire drops entries older than maxAge and returns how many were
-// removed.
-func (l *LFIB) Expire(now, maxAge time.Duration) int {
-	removed := 0
-	for mac, e := range l.byMAC {
-		if now-e.LastSeen > maxAge {
-			delete(l.byMAC, mac)
-			delete(l.dirty, mac)
-			removed++
-		}
-	}
-	if removed > 0 {
-		l.version++
-		l.removed = true
-	}
-	return removed
-}
-
-// Len returns the number of bindings.
-func (l *LFIB) Len() int { return len(l.byMAC) }
-
 // Version is the advertised state version: the incarnation epoch in
 // the high bits over the per-incarnation change counter. Dissemination
 // tags updates with it; it is strictly monotonic across reboots.
 func (l *LFIB) Version() uint64 { return l.epoch<<VersionEpochShift | l.version }
-
-// Epoch returns the incarnation epoch.
-func (l *LFIB) Epoch() uint64 { return l.epoch }
 
 // Restart simulates a reboot: every binding and the change journal are
 // lost (volatile state), the change counter resets, and the

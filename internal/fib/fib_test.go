@@ -25,9 +25,6 @@ func TestLFIBLearnAndLookup(t *testing.T) {
 	if l.Learn(mac, model.HostIP(1), 2, 3, time.Second) {
 		t.Error("refresh reported structural change")
 	}
-	if e := l.Lookup(mac); e.LastSeen != time.Second {
-		t.Errorf("LastSeen = %v, want 1s", e.LastSeen)
-	}
 	// Port move is structural.
 	if !l.Learn(mac, model.HostIP(1), 2, 9, 2*time.Second) {
 		t.Error("port move not reported")
@@ -47,6 +44,7 @@ func TestLFIBLookupIP(t *testing.T) {
 	}
 }
 
+// TestLFIBRemoveAndExpire pins Remove; bindings do not expire.
 func TestLFIBRemoveAndExpire(t *testing.T) {
 	l := NewLFIB()
 	l.Learn(model.HostMAC(1), model.HostIP(1), 1, 1, 0)
@@ -57,14 +55,8 @@ func TestLFIBRemoveAndExpire(t *testing.T) {
 	if l.Remove(model.HostMAC(1)) {
 		t.Error("Remove missing = true")
 	}
-	if n := l.Expire(65*time.Second, time.Minute); n != 0 {
-		t.Errorf("Expire removed %d, want 0 (entry is 60s old)", n)
-	}
-	if n := l.Expire(66*time.Second, time.Minute); n != 1 {
-		t.Errorf("Expire removed %d, want 1", n)
-	}
-	if l.Len() != 0 {
-		t.Errorf("Len = %d, want 0", l.Len())
+	if len(l.byMAC) != 1 {
+		t.Errorf("Len = %d, want 1", len(l.byMAC))
 	}
 }
 
@@ -188,10 +180,8 @@ func TestGFIBRemoveAndClear(t *testing.T) {
 	if peers := g.Peers(); len(peers) != 1 || peers[0] != 2 {
 		t.Errorf("Peers = %v, want [2]", peers)
 	}
-	v := g.Version()
-	g.RemoveFilter(99) // absent: no version bump
-	if g.Version() != v {
-		t.Error("RemoveFilter(absent) bumped version")
+	if g.RemoveFilter(99) {
+		t.Error("RemoveFilter(absent) = true")
 	}
 	g.Clear()
 	if g.Len() != 0 {
@@ -203,20 +193,20 @@ func TestGFIBRemoveAndClear(t *testing.T) {
 func TestCLIBUpdateLookup(t *testing.T) {
 	c := NewCLIB()
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 10, 2)
-	e := c.Lookup(model.HostMAC(1))
+	e := c.byMAC[model.HostMAC(1)]
 	if e == nil || e.Switch != 10 || e.Group != 2 {
 		t.Fatalf("Lookup = %+v", e)
 	}
 	// Migration: binding moves to another switch.
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 11, 3)
-	if e := c.Lookup(model.HostMAC(1)); e.Switch != 11 || e.Group != 3 {
+	if e := c.byMAC[model.HostMAC(1)]; e.Switch != 11 || e.Group != 3 {
 		t.Errorf("after move: %+v", e)
 	}
-	if c.HostsOn(10) != 0 {
-		t.Errorf("HostsOn(10) = %d after move, want 0", c.HostsOn(10))
+	if len(c.bySwitch[10]) != 0 {
+		t.Errorf("HostsOn(10) = %d after move, want 0", len(c.bySwitch[10]))
 	}
-	if c.HostsOn(11) != 1 {
-		t.Errorf("HostsOn(11) = %d, want 1", c.HostsOn(11))
+	if len(c.bySwitch[11]) != 1 {
+		t.Errorf("HostsOn(11) = %d, want 1", len(c.bySwitch[11]))
 	}
 }
 
@@ -224,11 +214,11 @@ func TestCLIBRemove(t *testing.T) {
 	c := NewCLIB()
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 10, 2)
 	c.Remove(model.HostMAC(1))
-	if c.Lookup(model.HostMAC(1)) != nil {
+	if c.byMAC[model.HostMAC(1)] != nil {
 		t.Error("binding survives Remove")
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+	if len(c.byMAC) != 0 {
+		t.Errorf("Len = %d, want 0", len(c.byMAC))
 	}
 	c.Remove(model.HostMAC(1)) // idempotent
 }
@@ -265,14 +255,14 @@ func TestCLIBApplyLFIBFullReplacesStale(t *testing.T) {
 		},
 	}
 	c.ApplyLFIB(10, 1, u)
-	if c.Lookup(model.HostMAC(1)) != nil {
+	if c.byMAC[model.HostMAC(1)] != nil {
 		t.Error("stale binding survived full snapshot")
 	}
-	if c.Lookup(model.HostMAC(3)) == nil {
+	if c.byMAC[model.HostMAC(3)] == nil {
 		t.Error("new binding missing")
 	}
-	if c.HostsOn(10) != 2 {
-		t.Errorf("HostsOn = %d, want 2", c.HostsOn(10))
+	if len(c.bySwitch[10]) != 2 {
+		t.Errorf("HostsOn = %d, want 2", len(c.bySwitch[10]))
 	}
 }
 
@@ -284,7 +274,7 @@ func TestCLIBApplyLFIBIncremental(t *testing.T) {
 		Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(2), IP: model.HostIP(2), VLAN: 1}},
 	}
 	c.ApplyLFIB(10, 1, u)
-	if c.Lookup(model.HostMAC(1)) == nil || c.Lookup(model.HostMAC(2)) == nil {
+	if c.byMAC[model.HostMAC(1)] == nil || c.byMAC[model.HostMAC(2)] == nil {
 		t.Error("incremental update dropped or missed bindings")
 	}
 }
@@ -295,10 +285,10 @@ func TestCLIBSetGroup(t *testing.T) {
 	c.Update(model.HostMAC(2), model.HostIP(2), 1, 10, 1)
 	c.Update(model.HostMAC(3), model.HostIP(3), 1, 11, 1)
 	c.SetGroup(10, 9)
-	if c.Lookup(model.HostMAC(1)).Group != 9 || c.Lookup(model.HostMAC(2)).Group != 9 {
+	if c.byMAC[model.HostMAC(1)].Group != 9 || c.byMAC[model.HostMAC(2)].Group != 9 {
 		t.Error("SetGroup missed bindings on switch 10")
 	}
-	if c.Lookup(model.HostMAC(3)).Group != 1 {
+	if c.byMAC[model.HostMAC(3)].Group != 1 {
 		t.Error("SetGroup touched another switch")
 	}
 }
@@ -423,15 +413,15 @@ func TestLFIBEpochMonotonicAcrossRestart(t *testing.T) {
 		l.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, 1, 0)
 	}
 	before := l.Version()
-	if before == 0 || l.Epoch() != 0 {
-		t.Fatalf("pre-restart version=%d epoch=%d", before, l.Epoch())
+	if before == 0 || l.epoch != 0 {
+		t.Fatalf("pre-restart version=%d epoch=%d", before, l.epoch)
 	}
 	l.Restart()
-	if l.Len() != 0 {
-		t.Errorf("Restart kept %d bindings", l.Len())
+	if len(l.byMAC) != 0 {
+		t.Errorf("Restart kept %d bindings", len(l.byMAC))
 	}
-	if l.Epoch() != 1 {
-		t.Errorf("epoch = %d, want 1", l.Epoch())
+	if l.epoch != 1 {
+		t.Errorf("epoch = %d, want 1", l.epoch)
 	}
 	if l.Version() <= before {
 		t.Errorf("post-restart version %d not above pre-restart %d", l.Version(), before)
@@ -444,8 +434,8 @@ func TestLFIBEpochMonotonicAcrossRestart(t *testing.T) {
 	}
 	// A second restart dominates again.
 	l.Restart()
-	if l.Epoch() != 2 || l.Version() <= v0 {
-		t.Errorf("second restart: epoch=%d version=%d", l.Epoch(), l.Version())
+	if l.epoch != 2 || l.Version() <= v0 {
+		t.Errorf("second restart: epoch=%d version=%d", l.epoch, l.Version())
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 type GFIB struct {
 	peers   []model.SwitchID
 	filters []bloom.Filter
-	version uint64
 }
 
 // ErrDeltaBase reports a filter delta whose base version the G-FIB
@@ -58,7 +57,6 @@ func (g *GFIB) SetFilter(peer model.SwitchID, f *bloom.Filter) {
 		g.peers = slices.Insert(g.peers, i, peer)
 		g.filters = slices.Insert(g.filters, i, *f)
 	}
-	g.version++
 }
 
 // SetFilterBytes decodes and installs a serialized filter at the given
@@ -71,7 +69,6 @@ func (g *GFIB) SetFilterBytes(peer model.SwitchID, data []byte, version uint64) 
 			return fmt.Errorf("fib: G-FIB filter for %v: %w", peer, err)
 		}
 		f.SetVersion(version)
-		g.version++
 		return nil
 	}
 	var f bloom.Filter
@@ -120,7 +117,6 @@ func (g *GFIB) ApplyDelta(peer model.SwitchID, base, target uint64, words []bloo
 		return fmt.Errorf("fib: G-FIB delta for %v: %w", peer, err)
 	}
 	f.SetVersion(target)
-	g.version++
 	return nil
 }
 
@@ -133,18 +129,13 @@ func (g *GFIB) RemoveFilter(peer model.SwitchID) bool {
 	}
 	g.peers = slices.Delete(g.peers, i, i+1)
 	g.filters = slices.Delete(g.filters, i, i+1)
-	g.version++
 	return true
 }
 
 // Clear drops all filters (regrouping).
 func (g *GFIB) Clear() {
-	if len(g.peers) == 0 {
-		return
-	}
 	clear(g.filters) // release the bit arrays, keep the table
 	g.peers, g.filters = g.peers[:0], g.filters[:0]
-	g.version++
 }
 
 // Query returns the peers whose filters report (possibly falsely) that
@@ -208,6 +199,3 @@ func (g *GFIB) SizeBytes() int {
 	}
 	return total
 }
-
-// Version counts structural changes.
-func (g *GFIB) Version() uint64 { return g.version }

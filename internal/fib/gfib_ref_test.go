@@ -19,7 +19,7 @@ import (
 // executable specification GFIB is checked against.
 type refGFIB struct {
 	filters map[model.SwitchID]*bloom.Filter
-	version uint64
+	version uint64 // structural changes: tells an applied delta from a late one
 }
 
 func newRefGFIB() *refGFIB {
@@ -132,7 +132,7 @@ func (g *refGFIB) SizeBytes() int {
 // TestGFIBMatchesReference drives GFIB and refGFIB with the same random
 // programs and compares everything observable after every step:
 // returned errors, candidate sets *and their order*, the peer walk,
-// per-peer versions, serialized filters, storage and both counters.
+// per-peer versions, serialized filters, storage and the peer count.
 func TestGFIBMatchesReference(t *testing.T) {
 	const (
 		programs = 1200
@@ -267,9 +267,9 @@ func TestGFIBMatchesReference(t *testing.T) {
 			if a := got.Peers(); !slices.Equal(a, peers) {
 				t.Fatalf("%s: Peers = %v, reference %v", at, a, peers)
 			}
-			if got.Len() != len(peers) || got.SizeBytes() != ref.SizeBytes() || got.Version() != ref.version {
-				t.Fatalf("%s: Len/SizeBytes/Version = %d/%d/%d, reference %d/%d/%d", at,
-					got.Len(), got.SizeBytes(), got.Version(), len(peers), ref.SizeBytes(), ref.version)
+			if got.Len() != len(peers) || got.SizeBytes() != ref.SizeBytes() {
+				t.Fatalf("%s: Len/SizeBytes = %d/%d, reference %d/%d", at,
+					got.Len(), got.SizeBytes(), len(peers), ref.SizeBytes())
 			}
 			for i, peer := range peers {
 				want, _ := ref.PeerVersion(peer)

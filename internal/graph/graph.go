@@ -5,10 +5,7 @@
 // plus a Stoer–Wagner global minimum cut kept for benchmarking.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Edge is one endpoint of a weighted undirected edge in an adjacency list.
 type Edge struct {
@@ -22,7 +19,6 @@ type Graph struct {
 	adj     [][]Edge
 	vwgt    []int64
 	totalVW int64
-	totalEW int64 // each undirected edge counted once
 }
 
 // Builder accumulates vertices and edges for a Graph. Duplicate edges are
@@ -45,19 +41,6 @@ func NewBuilder(n int) *Builder {
 		vwgt[i] = 1
 	}
 	return &Builder{n: n, vwgt: vwgt, edges: make(map[[2]int]int64)}
-}
-
-// SetVertexWeight sets the weight of vertex v (default 1). Weights model
-// switch capacity usage (e.g. attached host count) in the grouping
-// problem.
-func (b *Builder) SetVertexWeight(v int, w int64) {
-	if v < 0 || v >= b.n {
-		return
-	}
-	if w < 0 {
-		w = 0
-	}
-	b.vwgt[v] = w
 }
 
 // AddEdge adds weight w to the undirected edge (u,v). Zero or negative
@@ -106,7 +89,6 @@ func (b *Builder) Build() *Graph {
 		u, v := key[0], key[1]
 		g.adj[u] = append(g.adj[u], Edge{To: v, W: w})
 		g.adj[v] = append(g.adj[v], Edge{To: u, W: w})
-		g.totalEW += w
 	}
 	return g
 }
@@ -121,13 +103,6 @@ func NewFromAdjacency(adj [][]Edge, vwgt []int64) *Graph {
 	g := &Graph{adj: adj, vwgt: vwgt}
 	for _, w := range vwgt {
 		g.totalVW += w
-	}
-	for u, list := range adj {
-		for _, e := range list {
-			if u < e.To {
-				g.totalEW += e.W
-			}
-		}
 	}
 	return g
 }
@@ -144,23 +119,12 @@ func (g *Graph) VertexWeight(v int) int64 { return g.vwgt[v] }
 // TotalVertexWeight returns the sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() int64 { return g.totalVW }
 
-// TotalEdgeWeight returns the sum of all edge weights, each undirected
-// edge counted once.
-func (g *Graph) TotalEdgeWeight() int64 { return g.totalEW }
-
 // Partition assigns each vertex to a part. Values are part indices ≥ 0,
 // or Unassigned.
 type Partition []int
 
 // Unassigned marks a vertex not yet placed in any part.
 const Unassigned = -1
-
-// Clone returns a copy of the partition.
-func (p Partition) Clone() Partition {
-	q := make(Partition, len(p))
-	copy(q, p)
-	return q
-}
 
 // CutWeight returns the total weight of edges crossing parts under p.
 func (g *Graph) CutWeight(p Partition) int64 {
@@ -187,17 +151,4 @@ func (g *Graph) PartWeights(p Partition, k int) []int64 {
 		}
 	}
 	return w
-}
-
-// Validate checks that p is a complete partition into at most k parts.
-func (g *Graph) Validate(p Partition, k int) error {
-	if len(p) != g.N() {
-		return fmt.Errorf("graph: partition length %d, want %d", len(p), g.N())
-	}
-	for v, part := range p {
-		if part < 0 || part >= k {
-			return fmt.Errorf("graph: vertex %d assigned to part %d, want [0,%d)", v, part, k)
-		}
-	}
-	return nil
 }

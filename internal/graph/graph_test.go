@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -259,7 +260,7 @@ func TestPartitionKWayDisconnected(t *testing.T) {
 
 func TestPartitionClone(t *testing.T) {
 	p := Partition{0, 2, 1}
-	q := p.Clone()
+	q := slices.Clone(p)
 	q[0] = 5
 	if p[0] != 0 {
 		t.Error("Clone shares backing array")

@@ -15,8 +15,7 @@ type Grouping struct {
 	groups map[model.GroupID][]model.SwitchID
 	assign map[model.SwitchID]model.GroupID
 	nextID model.GroupID
-	// version increments on every structural change; the controller uses
-	// it to tag G-FIB dissemination rounds.
+	// version increments on every structural change (String shows it).
 	version uint64
 }
 
@@ -96,9 +95,6 @@ func (g *Grouping) NumGroups() int { return len(g.groups) }
 // NumSwitches returns the number of assigned switches.
 func (g *Grouping) NumSwitches() int { return len(g.assign) }
 
-// Version returns the structural version counter.
-func (g *Grouping) Version() uint64 { return g.version }
-
 // MaxGroupSize returns the size of the largest group.
 func (g *Grouping) MaxGroupSize() int {
 	maxSize := 0
@@ -108,23 +104,6 @@ func (g *Grouping) MaxGroupSize() int {
 		}
 	}
 	return maxSize
-}
-
-// Peers returns the other members of s's group (nil when ungrouped or
-// alone).
-func (g *Grouping) Peers(s model.SwitchID) []model.SwitchID {
-	id := g.assign[s]
-	if id == model.NoGroup {
-		return nil
-	}
-	members := g.groups[id]
-	peers := make([]model.SwitchID, 0, len(members)-1)
-	for _, m := range members {
-		if m != s {
-			peers = append(peers, m)
-		}
-	}
-	return peers
 }
 
 // Rebuild constructs a grouping from an explicit switch→group

@@ -146,25 +146,6 @@ func (m *Intensity) Add(a, b model.SwitchID, rate float64) {
 	m.total += rate
 }
 
-// Pair returns the intensity between two switches.
-func (m *Intensity) Pair(a, b model.SwitchID) float64 {
-	if a == b {
-		return 0
-	}
-	ia, ok := m.idx[a]
-	if !ok {
-		return 0
-	}
-	ib, ok := m.idx[b]
-	if !ok {
-		return 0
-	}
-	if pos, ok := findNbr(m.adj[ia], ib); ok {
-		return m.adj[ia][pos].w
-	}
-	return 0
-}
-
 // Total returns the sum of all pairwise intensities.
 func (m *Intensity) Total() float64 { return m.total }
 
@@ -175,9 +156,6 @@ func (m *Intensity) MaxPair() float64 { return m.maxPair }
 
 // NumSwitches returns the number of registered switches.
 func (m *Intensity) NumSwitches() int { return len(m.ids) }
-
-// NumPairs returns the number of switch pairs with positive intensity.
-func (m *Intensity) NumPairs() int { return m.npairs }
 
 // Switches returns the registered switches in ascending ID order. The
 // returned slice is a shared cache: the caller must not modify it.

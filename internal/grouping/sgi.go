@@ -66,9 +66,6 @@ func New(cfg Config) (*SGI, error) {
 	return &SGI{cfg: c, seed: c.Seed}, nil
 }
 
-// Config returns the effective configuration.
-func (s *SGI) Config() Config { return s.cfg }
-
 // buildGraph converts the intensity matrix restricted to the given
 // switches into a weighted graph plus the vertex ↔ switch mapping. It
 // walks only the adjacency of the requested switches — O(Σ degree), not

@@ -219,10 +219,6 @@ func TestGroupingBasics(t *testing.T) {
 	if len(members) != 3 || members[0] != 1 || members[2] != 3 {
 		t.Errorf("Members = %v, want sorted [1 2 3]", members)
 	}
-	peers := g.Peers(2)
-	if len(peers) != 2 {
-		t.Errorf("Peers(2) = %v, want 2 peers", peers)
-	}
 	if g.GroupOf(4) != id2 {
 		t.Errorf("GroupOf(4) = %v, want %v", g.GroupOf(4), id2)
 	}
@@ -231,7 +227,7 @@ func TestGroupingBasics(t *testing.T) {
 	}
 
 	// Moving a switch to a new group removes it from the old one.
-	v := g.Version()
+	v := g.version
 	id3 := g.AddGroup([]model.SwitchID{1})
 	if g.GroupOf(1) != id3 {
 		t.Error("switch not moved to new group")
@@ -239,7 +235,7 @@ func TestGroupingBasics(t *testing.T) {
 	if len(g.Members(id1)) != 2 {
 		t.Errorf("old group still has %d members, want 2", len(g.Members(id1)))
 	}
-	if g.Version() == v {
+	if g.version == v {
 		t.Error("version did not advance")
 	}
 	if err := g.Validate(5); err != nil {

@@ -104,9 +104,6 @@ func NewRecorder(horizon, bucket time.Duration) *Recorder {
 // Buckets returns the number of buckets.
 func (r *Recorder) Buckets() int { return len(r.latSum) }
 
-// BucketWidth returns the bucket duration.
-func (r *Recorder) BucketWidth() time.Duration { return r.bucket }
-
 func (r *Recorder) idx(at time.Duration) int {
 	i := int(at / r.bucket)
 	if i < 0 {
@@ -238,14 +235,10 @@ func (r *Recorder) TotalWorkload() uint64 {
 	return sum
 }
 
-// WorkloadRPS converts per-bucket counts to requests/second, optionally
-// multiplying by scale to undo a trace's flow-count scaling.
-func (r *Recorder) WorkloadRPS(scale int) []float64 {
-	return r.rpsOf(r.WorkloadPerBucket(), float64(scale))
-}
-
-// WorkloadRPSFor is WorkloadRPS restricted to the given request classes
-// (Fig. 7 counts received control requests, not flood fan-out sends).
+// WorkloadRPSFor converts the per-bucket counts of the given request
+// classes to requests/second, multiplied by scale to undo a trace's
+// flow-count scaling (Fig. 7 counts received control requests, not
+// flood fan-out sends).
 func (r *Recorder) WorkloadRPSFor(scale int, classes ...RequestClass) []float64 {
 	return r.WorkloadRPSForScaled(float64(scale), classes...)
 }

@@ -10,8 +10,8 @@ func TestBucketLayout(t *testing.T) {
 	if r.Buckets() != 12 {
 		t.Errorf("Buckets() = %d, want 12", r.Buckets())
 	}
-	if r.BucketWidth() != 2*time.Hour {
-		t.Errorf("BucketWidth() = %v", r.BucketWidth())
+	if r.bucket != 2*time.Hour {
+		t.Errorf("bucket width = %v", r.bucket)
 	}
 	// Degenerate inputs survive.
 	d := NewRecorder(0, 0)
@@ -45,11 +45,11 @@ func TestCountRequest(t *testing.T) {
 func TestWorkloadRPS(t *testing.T) {
 	r := NewRecorder(24*time.Hour, 2*time.Hour)
 	r.CountRequest(ReqPacketIn, time.Hour, 7200) // 1/s over a 2h bucket
-	rps := r.WorkloadRPS(1)
+	rps := r.WorkloadRPSFor(1, ReqPacketIn)
 	if rps[0] != 1 {
 		t.Errorf("rps[0] = %v, want 1", rps[0])
 	}
-	scaled := r.WorkloadRPS(1000)
+	scaled := r.WorkloadRPSFor(1000, ReqPacketIn)
 	if scaled[0] != 1000 {
 		t.Errorf("scaled rps[0] = %v, want 1000", scaled[0])
 	}

@@ -25,15 +25,6 @@ func (m MAC) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// MACFromUint64 unpacks the low 48 bits of v into a MAC.
-func MACFromUint64(v uint64) MAC {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	var m MAC
-	copy(m[:], b[2:])
-	return m
-}
-
 // BroadcastMAC is the Ethernet broadcast address.
 var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 

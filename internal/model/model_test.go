@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +11,16 @@ func TestMACString(t *testing.T) {
 	if got, want := m.String(), "02:1c:00:00:01:ff"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+}
+
+// MACFromUint64 unpacks the low 48 bits of v into a MAC: Uint64's
+// inverse.
+func MACFromUint64(v uint64) MAC {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	var m MAC
+	copy(m[:], b[2:])
+	return m
 }
 
 func TestMACUint64RoundTrip(t *testing.T) {

@@ -238,9 +238,6 @@ func (n *Network) Attach(node Node) {
 	n.nodes[id] = node
 }
 
-// Node returns a registered node, or nil.
-func (n *Network) Node(id model.SwitchID) Node { return n.nodes[id] }
-
 // faultChanged notifies the fault-change hook.
 func (n *Network) faultChanged() {
 	if n.OnFaultChange != nil {

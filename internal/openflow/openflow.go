@@ -24,7 +24,8 @@
 //
 // The in-memory underlays hand messages over as Go values; the binary
 // codec runs where bytes are the point: the wire meter, the
-// dissemination harness (eval.Dissem), and the round-trip tests.
+// dissemination harness in internal/eval's tests, and the round-trip
+// tests.
 package openflow
 
 import (

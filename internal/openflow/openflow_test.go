@@ -281,7 +281,7 @@ func TestPropertyLFIBUpdateRoundTrip(t *testing.T) {
 		m := &LFIBUpdate{Origin: model.SwitchID(origin), Full: full, Version: version}
 		for _, raw := range macs {
 			m.Entries = append(m.Entries, LFIBEntry{
-				MAC:  model.MACFromUint64(raw),
+				MAC:  model.MAC{byte(raw >> 40), byte(raw >> 32), byte(raw >> 24), byte(raw >> 16), byte(raw >> 8), byte(raw)},
 				IP:   model.IP(raw),
 				VLAN: model.VLAN(raw & 0xfff),
 			})

@@ -66,21 +66,6 @@ func (e *Estimator) Observe(bucket int, key uint64) {
 	m[key]++
 }
 
-// EstimatedTotal returns the HT estimate of the full flow population:
-// sampled flows scale by 1/p.
-func (e *Estimator) EstimatedTotal() float64 {
-	if e.p <= 0 {
-		return 0
-	}
-	var sampled uint64
-	for _, m := range e.buckets {
-		for _, c := range m {
-			sampled += c
-		}
-	}
-	return float64(sampled) / e.p
-}
-
 // RelStdErr returns the per-bucket relative standard error of the HT
 // flow-total estimate: σ̂(T̂)/T̂, or 0 for empty buckets. Traffic-driven
 // workload classes scale with the flow total, so the same relative

@@ -271,9 +271,3 @@ func (f *Fluid) TrafficRequests() []float64 {
 	}
 	return out
 }
-
-// PacketIns returns the per-bucket PacketIn counts.
-func (f *Fluid) PacketIns() []float64 { return append([]float64(nil), f.packetIns...) }
-
-// ARPRelays returns the per-bucket ARP-relay counts.
-func (f *Fluid) ARPRelays() []float64 { return append([]float64(nil), f.arpRelays...) }

@@ -13,7 +13,6 @@ import (
 // sample is identical no matter how the trace's windows are generated
 // or ordered.
 type PairSampler struct {
-	p         float64
 	threshold uint64
 	salt      uint64
 
@@ -32,7 +31,7 @@ func NewPairSampler(p float64, seed uint64) *PairSampler {
 	if p > 1 {
 		p = 1
 	}
-	s := &PairSampler{p: p, salt: splitmix64(seed ^ 0x70616972 /* "pair" */)}
+	s := &PairSampler{salt: splitmix64(seed ^ 0x70616972 /* "pair" */)}
 	if p >= 1 {
 		s.threshold = ^uint64(0)
 	} else {
@@ -58,7 +57,7 @@ func NewHostSampler(q float64, seed uint64) *PairSampler {
 	if q > 1 {
 		q = 1
 	}
-	s := &PairSampler{p: q * q, host: true, salt: splitmix64(seed ^ 0x686f7374 /* "host" */)}
+	s := &PairSampler{host: true, salt: splitmix64(seed ^ 0x686f7374 /* "host" */)}
 	if q >= 1 {
 		s.threshold = ^uint64(0)
 	} else {
@@ -66,10 +65,6 @@ func NewHostSampler(q float64, seed uint64) *PairSampler {
 	}
 	return s
 }
-
-// P returns the pair inclusion probability: p for a pair-level
-// sampler, q² for a host-level one.
-func (s *PairSampler) P() float64 { return s.p }
 
 // keepHost reports whether a single host is in a host-level sample.
 func (s *PairSampler) keepHost(h model.HostID) bool {

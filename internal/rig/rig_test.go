@@ -14,6 +14,20 @@ import (
 	"lazyctrl/internal/tenant"
 )
 
+// probeNode is a node that only has an address.
+type probeNode model.SwitchID
+
+func (p probeNode) NodeID() model.SwitchID                     { return model.SwitchID(p) }
+func (probeNode) HandleMessage(model.SwitchID, netsim.Message) {}
+
+// attached reports whether id is on r's underlay, through the panic
+// Attach raises on a duplicate address (a miss attaches the probe).
+func attached(r *Rig, id model.SwitchID) (dup bool) {
+	defer func() { dup = recover() != nil }()
+	r.Net().Attach(probeNode(id))
+	return false
+}
+
 // twoGroups builds a 6-switch rig with tenant 1 on S1–S3 and tenant 2
 // on S4–S6 (two hosts per switch), grouped {1,2,3} and {4,5,6}.
 func twoGroups(t *testing.T, standby bool) *Rig {
@@ -86,12 +100,12 @@ func TestWiring(t *testing.T) {
 			t.Errorf("standby=%v: the primary is not the active master at start", standby)
 		}
 		for _, id := range wantReplicas {
-			if r.Net().Node(id) == nil {
+			if !attached(r, id) {
 				t.Errorf("standby=%v: replica %v not on the underlay", standby, id)
 			}
 		}
 		for _, sw := range r.Switches() {
-			if r.Edge(sw) == nil || r.Net().Node(sw) == nil {
+			if r.Edge(sw) == nil || !attached(r, sw) {
 				t.Fatalf("standby=%v: S%d missing or not attached", standby, sw)
 			}
 			if got, want := lfib(r, sw), directoryHosts(r, sw); !reflect.DeepEqual(got, want) {

@@ -48,13 +48,11 @@ type refSim struct {
 	now      Time
 	seq      uint64
 	queue    refHeap
-	stopped  bool
 	executed uint64
 }
 
 func (s *refSim) Now() Time        { return s.now }
 func (s *refSim) Executed() uint64 { return s.executed }
-func (s *refSim) Stop()            { s.stopped = true }
 
 func (s *refSim) Pending() int {
 	n := 0
@@ -184,8 +182,7 @@ func (e *refElider) stopTask() {
 }
 
 func (s *refSim) RunUntil(until Time) {
-	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 {
+	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if !next.canceled && next.at > until {
 			break
@@ -199,7 +196,7 @@ func (s *refSim) RunUntil(until Time) {
 		s.executed++
 		next.fn()
 	}
-	if !s.stopped && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 }
@@ -213,7 +210,6 @@ type world interface {
 	Every(time.Duration, func()) (stop func())
 	EveryElidable(d time.Duration, run func(), quiet func() int, credit func(int)) (wake, stop func())
 	RunUntil(Time)
-	Stop()
 	Executed() uint64
 	Pending() int
 }
@@ -347,10 +343,6 @@ func (p *program) act(inCallback bool) {
 			} else {
 				e.wake()
 			}
-		}
-	default:
-		if inCallback && rng.IntN(4) == 0 {
-			w.Stop()
 		}
 	}
 }

@@ -29,9 +29,6 @@ func (t Time) String() string { return time.Duration(t).String() }
 // start.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds reports the virtual time in seconds.
-func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
 // event is a scheduled callback; its place in the order, (at, seq),
 // lives in the queue slot that points at it. Events are pooled: once
 // executed or collected after cancellation they return to the
@@ -52,12 +49,11 @@ type event struct {
 // Simulator is a discrete-event simulation kernel. The zero value is not
 // usable; construct with New.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	queue   queue
-	rng     *rand.Rand
-	stopped bool
-	free    []*event // recycled events (see event)
+	now   Time
+	seq   uint64
+	queue queue
+	rng   *rand.Rand
+	free  []*event // recycled events (see event)
 
 	// Stats.
 	executed uint64
@@ -202,9 +198,6 @@ func (tk *Ticker) Stop() {
 	tk.timer.Stop()
 }
 
-// Stop halts Run/RunUntil after the current event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // step executes the next pending event, if any, and reports whether one ran.
 func (s *Simulator) step(limit Time, bounded bool) bool {
 	for {
@@ -233,20 +226,18 @@ func (s *Simulator) step(limit Time, bounded bool) bool {
 	}
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.step(0, false) {
+	for s.step(0, false) {
 	}
 }
 
 // RunUntil executes events with timestamps ≤ until, then advances the
-// clock to until. It stops early if Stop is called.
+// clock to until.
 func (s *Simulator) RunUntil(until Time) {
-	s.stopped = false
-	for !s.stopped && s.step(until, true) {
+	for s.step(until, true) {
 	}
-	if !s.stopped && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 }

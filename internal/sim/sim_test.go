@@ -176,21 +176,6 @@ func TestSteadyStateRoundsDoNotAllocate(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	var count int
-	s.Every(time.Second, func() {
-		count++
-		if count == 2 {
-			s.Stop()
-		}
-	})
-	s.RunFor(time.Hour)
-	if count != 2 {
-		t.Errorf("count = %d, want 2 (Stop() honored)", count)
-	}
-}
-
 func TestDeterministicRand(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 100; i++ {

@@ -136,15 +136,6 @@ func (d *Directory) HostsOn(sw model.SwitchID) []model.HostID { return d.bySwitc
 // NumHosts returns the total VM count.
 func (d *Directory) NumHosts() int { return len(d.hosts) }
 
-// SwitchOf returns the switch hosting a VM.
-func (d *Directory) SwitchOf(id model.HostID) (model.SwitchID, error) {
-	h, ok := d.hosts[id]
-	if !ok {
-		return model.NoSwitch, fmt.Errorf("%w: %v", ErrUnknownHost, id)
-	}
-	return h.Switch, nil
-}
-
 // Migrate moves a VM to another switch (VM migration, §III-D3). It
 // returns the old switch.
 func (d *Directory) Migrate(id model.HostID, to model.SwitchID) (model.SwitchID, error) {

@@ -36,11 +36,8 @@ func TestAddTenantAndHost(t *testing.T) {
 	if _, err := d.AddHost(2, 99, 2); err == nil {
 		t.Error("host for unknown tenant accepted")
 	}
-	if got, err := d.SwitchOf(1); err != nil || got != 2 {
-		t.Errorf("SwitchOf = %v, %v", got, err)
-	}
-	if _, err := d.SwitchOf(42); err == nil {
-		t.Error("SwitchOf unknown host succeeded")
+	if d.Host(42) != nil {
+		t.Error("Host found an unknown host")
 	}
 }
 
@@ -56,8 +53,8 @@ func TestMigrate(t *testing.T) {
 	if err != nil || from != 1 {
 		t.Fatalf("Migrate = %v, %v", from, err)
 	}
-	if got, _ := d.SwitchOf(1); got != 3 {
-		t.Errorf("SwitchOf after migrate = %v, want 3", got)
+	if got := d.Host(1).Switch; got != 3 {
+		t.Errorf("switch after migrate = %v, want 3", got)
 	}
 	if len(d.HostsOn(1)) != 0 || len(d.HostsOn(3)) != 1 {
 		t.Errorf("HostsOn: from=%v to=%v", d.HostsOn(1), d.HostsOn(3))
@@ -139,8 +136,7 @@ func TestPopulateDeterministic(t *testing.T) {
 		t.Fatalf("host counts differ: %d vs %d", a.NumHosts(), b.NumHosts())
 	}
 	for hid := model.HostID(1); int(hid) <= a.NumHosts(); hid++ {
-		sa, _ := a.SwitchOf(hid)
-		sb, _ := b.SwitchOf(hid)
+		sa, sb := a.Host(hid).Switch, b.Host(hid).Switch
 		if sa != sb {
 			t.Fatalf("placement of %v differs: %v vs %v", hid, sa, sb)
 		}

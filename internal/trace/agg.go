@@ -77,11 +77,11 @@ type BackgroundStream interface {
 	BackgroundSample(w, k int, rng *rand.Rand) []Flow
 }
 
-// SamplePayload draws one flow's payload from the generators' shared
-// flow-size mix. Exported for the aggregate-population probe emitter,
-// which materializes the sampled probe flows itself and still needs
-// per-flow sizes for the fast-path latency accounting.
-func SamplePayload(rng *rand.Rand) (bytes int32, packets int16) {
+// SamplePayload draws one flow's packet count from the generators'
+// shared flow-size mix. Exported for the aggregate-population probe
+// emitter, which materializes the sampled probe flows itself and still
+// needs per-flow packet counts for the fast-path latency accounting.
+func SamplePayload(rng *rand.Rand) int16 {
 	return samplePayload(rng)
 }
 
@@ -422,12 +422,11 @@ func (e *expandStream) BackgroundSample(w, k int, rng *rand.Rand) []Flow {
 		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
 			continue
 		}
-		bytes, packets := samplePayload(rng)
+		packets := samplePayload(rng)
 		out = append(out, Flow{
 			Start:   spanFrom + time.Duration(rng.Float64()*span),
 			Src:     a,
 			Dst:     b,
-			Bytes:   bytes,
 			Packets: packets,
 		})
 		added++

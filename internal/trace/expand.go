@@ -210,12 +210,11 @@ func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {
 		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
 			continue
 		}
-		bytes, packets := samplePayload(rng)
+		packets := samplePayload(rng)
 		out = append(out, Flow{
 			Start:   spanFrom + time.Duration(rng.Float64()*span),
 			Src:     a,
 			Dst:     b,
-			Bytes:   bytes,
 			Packets: packets,
 		})
 		added++

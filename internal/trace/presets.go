@@ -120,19 +120,6 @@ func synConfig(name string, flows int64, p, q int, scatterFlow, noise float64, s
 	}
 }
 
-// SmallNoisyConfig is SmallConfig with part of the uniform "rest"
-// carried as true one-off noise pairs instead of fixed scatter pairs —
-// the paper's literal synthetic recipe, exercising the noise band
-// (NoiseFraction > 0) none of the Table II presets use. Noise flows draw
-// from the hash-split noise half of the pair space, so ExpandStream
-// stays sound on it.
-func SmallNoisyConfig(name string, seed uint64) GeneratorConfig {
-	cfg := SmallConfig(name, seed)
-	cfg.ScatterFlowFraction = 0.06
-	cfg.NoiseFraction = 0.05
-	return cfg
-}
-
 // SmallConfig returns a laptop-scale configuration with the same shape
 // as the real trace, for unit tests and examples.
 func SmallConfig(name string, seed uint64) GeneratorConfig {

@@ -34,12 +34,11 @@ import (
 )
 
 // Flow is one flow record: the first packet arrives at Start; the flow
-// carries Bytes in Packets packets.
+// is Packets packets long.
 type Flow struct {
 	Start   time.Duration
 	Src     model.HostID
 	Dst     model.HostID
-	Bytes   int32
 	Packets int16
 }
 
@@ -85,10 +84,11 @@ var hourWeights = [24]float64{
 	1.40, 1.38, 1.25, 1.00, 0.75, 0.55, // 18–23
 }
 
-// samplePayload draws a flow size: a heavy-tailed mix of short RPC-like
-// flows and occasional bulk transfers, matching data-center flow-size
-// measurements.
-func samplePayload(rng *rand.Rand) (int32, int16) {
+// samplePayload draws a flow size — a heavy-tailed mix of short
+// RPC-like flows and occasional bulk transfers, matching data-center
+// flow-size measurements — and returns its packet count. Every draw the
+// byte size takes is made, so the stream behind it does not move.
+func samplePayload(rng *rand.Rand) int16 {
 	u := rng.Float64()
 	var bytes int32
 	switch {
@@ -103,7 +103,7 @@ func samplePayload(rng *rand.Rand) (int32, int16) {
 	if packets > 64 {
 		packets = 64
 	}
-	return bytes, packets
+	return packets
 }
 
 // GeneratorConfig drives synthetic trace generation. Presets (RealLike,
@@ -571,12 +571,11 @@ func (g *genStream) GenWindow(w int, buf []Flow) []Flow {
 		if rng.IntN(2) == 0 {
 			key = model.FlowKey{Src: key.Dst, Dst: key.Src}
 		}
-		bytes, packets := samplePayload(rng)
+		packets := samplePayload(rng)
 		buf = append(buf, Flow{
 			Start:   start,
 			Src:     key.Src,
 			Dst:     key.Dst,
-			Bytes:   bytes,
 			Packets: packets,
 		})
 	}

@@ -339,8 +339,8 @@ func TestDesignatedTenureStateReleased(t *testing.T) {
 	dc.FailSwitch(4)
 	dc.Run(time.Minute)
 	ctrl := dc.rig.Primary()
-	if !ctrl.IsDead(4) || ctrl.CLIB().HostsOn(4) != 0 {
-		t.Fatalf("setup: S4 not diagnosed (dead %v, %d C-LIB bindings)", ctrl.IsDead(4), ctrl.CLIB().HostsOn(4))
+	if !ctrl.IsDead(4) || len(ctrl.CLIB().EntriesOn(4)) != 0 {
+		t.Fatalf("setup: S4 not diagnosed (dead %v, %d C-LIB bindings)", ctrl.IsDead(4), len(ctrl.CLIB().EntriesOn(4)))
 	}
 	dc.FailSwitch(1)
 	dc.Run(time.Minute)
@@ -352,7 +352,7 @@ func TestDesignatedTenureStateReleased(t *testing.T) {
 			t.Errorf("switch %v holds dead S4's filter again (version %d)", id, v)
 		}
 	}
-	if n := ctrl.CLIB().HostsOn(4); n != 0 || !ctrl.IsDead(4) {
+	if n := len(ctrl.CLIB().EntriesOn(4)); n != 0 || !ctrl.IsDead(4) {
 		t.Errorf("C-LIB attributes %d bindings to S4 (dead %v), want 0 on a dead switch", n, ctrl.IsDead(4))
 	}
 }
