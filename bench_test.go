@@ -55,10 +55,19 @@ func BenchmarkFig6a(b *testing.B) {
 
 // BenchmarkFig6b regenerates the grouping computation-time sweep of
 // Fig. 6(b): IniGroup wall time versus group size limit, plus the
-// IncUpdate speedup the paper cites.
+// IncUpdate speedup the paper cites. The Syn-A/B/C intensities (scale
+// 60000, seed 1) are built once, outside the timer, so it measures the
+// grouping and graph layers: IniGroup + IncUpdate make 95 % of its
+// allocs/op (5,659 of 5,983 at one iteration) and all of its profiled
+// CPU. BenchmarkTraceSetup times the set-up.
 func BenchmarkFig6b(b *testing.B) {
+	syn, err := eval.SynIntensities(60_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := eval.Fig6b(60_000, uint64(i)+1, []int{50, 200, 600})
+		points, err := eval.Fig6b(syn, 1, []int{50, 200, 600})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,6 +75,25 @@ func BenchmarkFig6b(b *testing.B) {
 			for _, p := range points {
 				b.Logf("%-6s limit=%-4d IniGroup=%v IncUpdate=%v",
 					p.Trace, p.SizeLimit, p.Elapsed.Round(time.Millisecond), p.IncElapsed.Round(time.Millisecond))
+			}
+		}
+	}
+}
+
+// BenchmarkTraceSetup times the three Syn NewStream calls behind
+// BenchmarkFig6b's inputs at scale 60000: tenant population, pair pools
+// and window plan, without the intensity fold. It measures the trace
+// layer: the pair pool's dedupe map makes 86 % of its allocs/op and the
+// tenant population 9 %.
+func BenchmarkTraceSetup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range []trace.GeneratorConfig{
+			trace.SynAConfig(60_000, 1),
+			trace.SynBConfig(60_000*14/10, 1),
+			trace.SynCConfig(60_000*19/10, 1),
+		} {
+			if _, err := trace.NewStream(cfg); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

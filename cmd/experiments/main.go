@@ -88,7 +88,11 @@ func main() {
 	})
 
 	runErr("Fig6b", func() error {
-		points, err := eval.Fig6b(scale*6, seed, []int{50, 100, 200, 300, 400, 500, 600})
+		syn, err := eval.SynIntensities(scale*6, seed)
+		if err != nil {
+			return err
+		}
+		points, err := eval.Fig6b(syn, seed, []int{50, 100, 200, 300, 400, 500, 600})
 		if err != nil {
 			return err
 		}

@@ -100,7 +100,7 @@ func miniCase(t *testing.T) *refCase {
 func rigCase(t *testing.T, standby bool) *refCase {
 	dir := tenant.NewDirectory([]model.SwitchID{1, 2, 3, 4, 5, 6})
 	for tid := model.TenantID(1); tid <= 2; tid++ {
-		if _, err := dir.AddTenant(tid, model.VLAN(tid)); err != nil {
+		if err := dir.AddTenant(tid, model.VLAN(tid)); err != nil {
 			t.Fatal(err)
 		}
 	}

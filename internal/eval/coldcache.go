@@ -31,7 +31,7 @@ func runColdCase(mode controller.Mode, intraGroup bool, seed uint64) (time.Durat
 		switchIDs[i] = model.SwitchID(i + 1)
 	}
 	dir := tenant.NewDirectory(switchIDs)
-	if _, err := dir.AddTenant(1, 1); err != nil {
+	if err := dir.AddTenant(1, 1); err != nil {
 		return 0, err
 	}
 	var latencies []time.Duration

@@ -170,7 +170,11 @@ func TestFig6bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-topology generators")
 	}
-	points, err := Fig6b(200_000, 7, []int{50, 300})
+	syn, err := SynIntensities(200_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := Fig6b(syn, 7, []int{50, 300})
 	if err != nil {
 		t.Fatal(err)
 	}

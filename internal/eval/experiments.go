@@ -90,28 +90,33 @@ func synConfigs(scale int, seed uint64) []struct {
 	}
 }
 
-// synIntensities streams the three synthetic traces concurrently and
+// SynIntensity is one Fig. 6 workload reduced to its whole-day
+// switch-intensity matrix.
+type SynIntensity struct {
+	Trace string
+	M     *grouping.Intensity
+}
+
+// SynIntensities streams the three synthetic traces concurrently and
 // reduces each to its switch-intensity matrix — the flows are never
 // materialized, only folded window by window. The returned matrices
 // are read-only from that point on, so sweep points can share them
 // across the worker pool.
-func synIntensities(scale int, seed uint64) ([]string, []*grouping.Intensity, error) {
+func SynIntensities(scale int, seed uint64) ([]SynIntensity, error) {
 	cfgs := synConfigs(scale, seed)
-	names := make([]string, len(cfgs))
-	ms := make([]*grouping.Intensity, len(cfgs))
+	out := make([]SynIntensity, len(cfgs))
 	err := parallelFor(len(cfgs), func(i int) error {
 		s, err := trace.NewStream(cfgs[i].cfg)
 		if err != nil {
 			return err
 		}
-		names[i] = cfgs[i].name
-		ms[i] = trace.StreamIntensity(s, 0, s.Info().Duration)
+		out[i] = SynIntensity{cfgs[i].name, trace.StreamIntensity(s, 0, s.Info().Duration)}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return names, ms, nil
+	return out, nil
 }
 
 // Fig6a sweeps the number of groups for each synthetic trace and
@@ -121,14 +126,14 @@ func synIntensities(scale int, seed uint64) ([]string, []*grouping.Intensity, er
 // independent partitioning problem, so the sweep fans out across the
 // worker pool; output order matches the sequential sweep.
 func Fig6a(scale int, seed uint64, groupCounts []int) ([]Fig6aPoint, error) {
-	names, ms, err := synIntensities(scale, seed)
+	syn, err := SynIntensities(scale, seed)
 	if err != nil {
 		return nil, err
 	}
 	type job struct{ ti, k int }
 	var jobs []job
-	for ti := range ms {
-		n := ms[ti].NumSwitches()
+	for ti := range syn {
+		n := syn[ti].M.NumSwitches()
 		for _, k := range groupCounts {
 			if k < 1 || k > n {
 				continue
@@ -139,7 +144,7 @@ func Fig6a(scale int, seed uint64, groupCounts []int) ([]Fig6aPoint, error) {
 	out := make([]Fig6aPoint, len(jobs))
 	err = parallelFor(len(jobs), func(j int) error {
 		ti, k := jobs[j].ti, jobs[j].k
-		m := ms[ti]
+		m := syn[ti].M
 		n := m.NumSwitches()
 		limit := (n + k - 1) / k
 		// Allow slack so the partitioner can express affinity while
@@ -151,10 +156,10 @@ func Fig6a(scale int, seed uint64, groupCounts []int) ([]Fig6aPoint, error) {
 		}
 		grp, err := sgi.IniGroup(m)
 		if err != nil {
-			return fmt.Errorf("eval: fig6a %s k=%d: %w", names[ti], k, err)
+			return fmt.Errorf("eval: fig6a %s k=%d: %w", syn[ti].Trace, k, err)
 		}
 		out[j] = Fig6aPoint{
-			Trace:     names[ti],
+			Trace:     syn[ti].Trace,
 			Groups:    grp.NumGroups(),
 			WinterPct: 100 * grouping.Winter(grp, m),
 		}
@@ -178,19 +183,14 @@ type Fig6bPoint struct {
 }
 
 // Fig6b measures switch-grouping computation time against the group
-// size limit. Trace generation fans out across the worker pool, but
-// the timed points themselves run sequentially: Fig. 6(b) is a
-// computation-time figure, and wall-clock measured under CPU
-// contention from sibling points would not be comparable across runs
-// or machines.
-func Fig6b(scale int, seed uint64, sizeLimits []int) ([]Fig6bPoint, error) {
-	names, ms, err := synIntensities(scale, seed)
-	if err != nil {
-		return nil, err
-	}
+// size limit over intensities SynIntensities built. The timed points
+// run sequentially: Fig. 6(b) is a computation-time figure, and
+// wall-clock measured under CPU contention from sibling points would
+// not be comparable across runs or machines.
+func Fig6b(syn []SynIntensity, seed uint64, sizeLimits []int) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
-	for ti := range ms {
-		m := ms[ti]
+	for _, si := range syn {
+		m := si.M
 		for _, limit := range sizeLimits {
 			if limit < 1 {
 				continue
@@ -202,7 +202,7 @@ func Fig6b(scale int, seed uint64, sizeLimits []int) ([]Fig6bPoint, error) {
 			start := time.Now() //lazyvet:allow determinism fig6b measures real IniGroup compute time; the duration is reported, never fed back into simulated state
 			grp, err := sgi.IniGroup(m)
 			if err != nil {
-				return nil, fmt.Errorf("eval: fig6b %s limit=%d: %w", names[ti], limit, err)
+				return nil, fmt.Errorf("eval: fig6b %s limit=%d: %w", si.Trace, limit, err)
 			}
 			elapsed := time.Since(start) //lazyvet:allow determinism fig6b reports wall time of the computation itself
 			// One IncUpdate round for the speed comparison.
@@ -212,7 +212,7 @@ func Fig6b(scale int, seed uint64, sizeLimits []int) ([]Fig6bPoint, error) {
 			}
 			incElapsed := time.Since(start) //lazyvet:allow determinism fig6b reports wall time of the computation itself
 			out = append(out, Fig6bPoint{
-				Trace:      names[ti],
+				Trace:      si.Trace,
 				SizeLimit:  limit,
 				Elapsed:    elapsed,
 				IncElapsed: incElapsed,

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math/rand/v2"
 	"time"
 
 	"lazyctrl/internal/controller"
@@ -278,8 +277,7 @@ func (s *aggWindows) load(w int) func() {
 	// probe-only window stream (the population fold never sees these —
 	// they exist to exercise the DES latency path).
 	const probeSalt = 0x9a0be5a17 // probe flows' per-window stream
-	s1 := trace.SplitMix64(e.c.Seed ^ probeSalt ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
-	rng := rand.New(rand.NewPCG(s1, trace.SplitMix64(s1^0xbf58476d1ce4e5b9)))
+	rng := trace.WindowRand(e.c.Seed, probeSalt, w)
 	span := float64(to - from)
 	probe := func(start time.Duration, src, dst *tenant.Host, packets int16) {
 		if start < e.c.Horizon {

@@ -151,14 +151,9 @@ func (f *Fluid) arpTargets(tid model.TenantID, view View, version uint64) int {
 	if n, ok := f.targets[tid]; ok {
 		return n
 	}
-	tn := f.cfg.Directory.Tenant(tid)
 	seen := make(map[model.GroupID]struct{}, 8)
-	if tn != nil {
-		for _, h := range tn.Hosts {
-			if host := f.cfg.Directory.Host(h); host != nil {
-				seen[view.GroupOf(host.Switch)] = struct{}{}
-			}
-		}
+	for _, h := range f.cfg.Directory.Tenant(tid).Hosts {
+		seen[view.GroupOf(f.cfg.Directory.Host(h).Switch)] = struct{}{}
 	}
 	f.targets[tid] = len(seen)
 	return len(seen)

@@ -15,7 +15,7 @@ import (
 func fluidTestDir(t *testing.T) *tenant.Directory {
 	t.Helper()
 	dir := tenant.NewDirectory([]model.SwitchID{1, 2, 3, 4})
-	if _, err := dir.AddTenant(1, 100); err != nil {
+	if err := dir.AddTenant(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {

@@ -391,18 +391,14 @@ func (f *Fluid) bgClassify(view View, intraShare float64) bgClass {
 	// inside it.
 	var intra bgClass
 	eligible := 0
-	for _, tid := range dir.TenantIDs() {
-		tn := dir.Tenant(tid)
-		if tn == nil || len(tn.Hosts) < 2 {
+	for _, tn := range dir.Tenants() {
+		if len(tn.Hosts) < 2 {
 			continue
 		}
 		clear(swOf)
 		clear(grOf)
 		for _, hid := range tn.Hosts {
 			h := dir.Host(hid)
-			if h == nil {
-				continue
-			}
 			swOf[uint64(h.Switch)]++
 			if view != nil {
 				grOf[uint64(view.GroupOf(h.Switch))]++
@@ -441,12 +437,11 @@ func (f *Fluid) bgARPTargets(view View, version uint64, intraShare float64) floa
 	}
 	var uniform, intra float64
 	eligible := 0
-	for _, tid := range dir.TenantIDs() {
-		tn := dir.Tenant(tid)
-		if tn == nil || len(tn.Hosts) == 0 {
+	for _, tn := range dir.Tenants() {
+		if len(tn.Hosts) == 0 {
 			continue
 		}
-		t := float64(f.arpTargets(tid, view, version))
+		t := float64(f.arpTargets(tn.ID, view, version))
 		uniform += t * float64(len(tn.Hosts)) / float64(numHosts)
 		if len(tn.Hosts) >= 2 {
 			intra += t

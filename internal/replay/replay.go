@@ -27,11 +27,7 @@
 // with micro-batching enabled.
 package replay
 
-import (
-	"fmt"
-
-	"lazyctrl/internal/trace"
-)
+import "fmt"
 
 // Engine selects how eval.RunEmulation turns trace flows into
 // controller load and latency estimates.
@@ -76,9 +72,3 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineDES, fmt.Errorf("replay: unknown engine %q (want des, sampled, or fluid)", s)
 	}
 }
-
-// splitmix64 is trace.SplitMix64 — the mixer the trace pipeline seeds
-// windows with; here it hashes pair keys so the sampling decision for
-// a pair is a pure function of (seed, pair) — stable across windows,
-// window order, and engines.
-func splitmix64(x uint64) uint64 { return trace.SplitMix64(x) }

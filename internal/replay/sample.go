@@ -2,11 +2,12 @@ package replay
 
 import (
 	"lazyctrl/internal/model"
+	"lazyctrl/internal/trace"
 )
 
 // PairSampler keeps a deterministic p-fraction of host pairs: a pair is
-// in the sample iff splitmix64 of its canonical key (salted by the run
-// seed) lands below p·2⁶⁴. Membership is decided per pair, not per
+// in the sample iff trace.SplitMix64 of its canonical key (salted by the
+// run seed) lands below p·2⁶⁴. Membership is decided per pair, not per
 // flow — every flow of a kept pair is kept, in both directions — so the
 // flow-table and C-LIB cache dynamics that drive the controller's
 // PacketIn rate are exact within the sampled subpopulation, and the
@@ -31,7 +32,7 @@ func NewPairSampler(p float64, seed uint64) *PairSampler {
 	if p > 1 {
 		p = 1
 	}
-	s := &PairSampler{salt: splitmix64(seed ^ 0x70616972 /* "pair" */)}
+	s := &PairSampler{salt: trace.SplitMix64(seed ^ 0x70616972 /* "pair" */)}
 	if p >= 1 {
 		s.threshold = ^uint64(0)
 	} else {
@@ -57,7 +58,7 @@ func NewHostSampler(q float64, seed uint64) *PairSampler {
 	if q > 1 {
 		q = 1
 	}
-	s := &PairSampler{host: true, salt: splitmix64(seed ^ 0x686f7374 /* "host" */)}
+	s := &PairSampler{host: true, salt: trace.SplitMix64(seed ^ 0x686f7374 /* "host" */)}
 	if q >= 1 {
 		s.threshold = ^uint64(0)
 	} else {
@@ -68,7 +69,7 @@ func NewHostSampler(q float64, seed uint64) *PairSampler {
 
 // keepHost reports whether a single host is in a host-level sample.
 func (s *PairSampler) keepHost(h model.HostID) bool {
-	return splitmix64(uint64(h)^s.salt) < s.threshold
+	return trace.SplitMix64(uint64(h)^s.salt) < s.threshold
 }
 
 // PairKey folds a host pair into its canonical 64-bit key (direction-
@@ -88,5 +89,5 @@ func (s *PairSampler) Keep(a, b model.HostID) bool {
 	if s.host {
 		return s.keepHost(a) && s.keepHost(b)
 	}
-	return splitmix64(PairKey(a, b)^s.salt) < s.threshold
+	return trace.SplitMix64(PairKey(a, b)^s.salt) < s.threshold
 }

@@ -94,8 +94,8 @@ func New(dir *tenant.Directory, ctrl controller.Config, sw edge.Config, standby 
 		r.net.Attach(e)
 		e.Start()
 	}
-	for _, tid := range dir.TenantIDs() {
-		r.registerTenant(dir.Tenant(tid))
+	for _, t := range dir.Tenants() {
+		r.registerTenant(t.ID, t.VLAN)
 	}
 	for _, c := range r.replicas {
 		c.Start()
@@ -113,9 +113,9 @@ func (r *Rig) attachHosts(sw model.SwitchID) {
 
 // registerTenant binds the tenant's VLAN on every replica, so a
 // promoted standby scopes its ARP relays exactly as the primary did.
-func (r *Rig) registerTenant(t *tenant.Tenant) {
+func (r *Rig) registerTenant(id model.TenantID, vlan model.VLAN) {
 	for _, c := range r.replicas {
-		c.RegisterTenant(t.VLAN, t.ID)
+		c.RegisterTenant(vlan, id)
 	}
 }
 
@@ -156,11 +156,10 @@ func (r *Rig) Edges() map[model.SwitchID]*edge.Switch { return r.edges }
 
 // AddTenant registers a tenant in the directory and on every replica.
 func (r *Rig) AddTenant(id model.TenantID, vlan model.VLAN) error {
-	t, err := r.dir.AddTenant(id, vlan)
-	if err != nil {
+	if err := r.dir.AddTenant(id, vlan); err != nil {
 		return err
 	}
-	r.registerTenant(t)
+	r.registerTenant(id, vlan)
 	return nil
 }
 

@@ -34,7 +34,7 @@ func twoGroups(t *testing.T, standby bool) *Rig {
 	t.Helper()
 	dir := tenant.NewDirectory([]model.SwitchID{1, 2, 3, 4, 5, 6})
 	for tid := model.TenantID(1); tid <= 2; tid++ {
-		if _, err := dir.AddTenant(tid, model.VLAN(tid)); err != nil {
+		if err := dir.AddTenant(tid, model.VLAN(tid)); err != nil {
 			t.Fatal(err)
 		}
 	}

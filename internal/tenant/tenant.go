@@ -7,10 +7,11 @@
 package tenant
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"lazyctrl/internal/model"
 )
@@ -33,30 +34,37 @@ type Tenant struct {
 }
 
 // Directory holds the tenant/host/placement state of a data center.
+//
+// Hosts are stored once, by value, in a table indexed by ID: fixed-size
+// pages allocated on first use, so a lone outlying ID costs one page.
+// A page never moves, so the *Host that Host returns stays valid across
+// later AddHost calls and sees every Migrate. Tenants are one slice,
+// ascending by ID; each tenant and each switch lists its hosts in
+// insertion order.
 type Directory struct {
-	tenants  map[model.TenantID]*Tenant
-	hosts    map[model.HostID]*Host
+	pages    []*hostPage
+	numHosts int
+	tenants  []Tenant
 	bySwitch map[model.SwitchID][]model.HostID
 	switches []model.SwitchID
-	// dense caches hosts with small numeric IDs for index lookup. The
-	// generators assign sequential IDs, so the replay engines' two
-	// Host calls per folded flow hit this array instead of the map —
-	// at full trace scale the map hashing alone dominated the fold.
-	dense []*Host
 }
 
-// denseHostCap bounds the dense index so one outlying large ID cannot
-// balloon the array; IDs past the cap stay map-only.
-const denseHostCap = 1 << 21
+// hostIDLimit bounds host IDs: legal IDs are 1 to hostIDLimit−1.
+// model.HostIP keeps 24 bits of the ID, so a larger ID would share a
+// smaller host's address, and 0 is the "no host" value.
+const hostIDLimit = 1 << 24
+
+// pageBits sizes a page of the host table: 4096 hosts, 112 KB.
+const pageBits = 12
+
+type hostPage [1 << pageBits]Host
 
 // NewDirectory returns an empty directory over the given edge switches.
 func NewDirectory(switches []model.SwitchID) *Directory {
-	sorted := append([]model.SwitchID(nil), switches...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(switches)
+	slices.Sort(sorted)
 	return &Directory{
-		tenants:  make(map[model.TenantID]*Tenant),
-		hosts:    make(map[model.HostID]*Host),
-		bySwitch: make(map[model.SwitchID][]model.HostID),
+		bySwitch: make(map[model.SwitchID][]model.HostID, len(sorted)),
 		switches: sorted,
 	}
 }
@@ -66,26 +74,42 @@ func NewDirectory(switches []model.SwitchID) *Directory {
 func (d *Directory) Switches() []model.SwitchID { return d.switches }
 
 // AddTenant registers a tenant with its VLAN.
-func (d *Directory) AddTenant(id model.TenantID, vlan model.VLAN) (*Tenant, error) {
-	if _, dup := d.tenants[id]; dup {
-		return nil, fmt.Errorf("tenant: duplicate tenant %v", id)
+func (d *Directory) AddTenant(id model.TenantID, vlan model.VLAN) error {
+	i, dup := d.tenantIndex(id)
+	if dup {
+		return fmt.Errorf("tenant: duplicate tenant %v", id)
 	}
-	t := &Tenant{ID: id, VLAN: vlan}
-	d.tenants[id] = t
-	return t, nil
+	d.tenants = slices.Insert(d.tenants, i, Tenant{ID: id, VLAN: vlan})
+	return nil
+}
+
+func (d *Directory) tenantIndex(id model.TenantID) (int, bool) {
+	return slices.BinarySearchFunc(d.tenants, id, func(t Tenant, id model.TenantID) int { return cmp.Compare(t.ID, id) })
 }
 
 // AddHost creates a VM for a tenant on a switch. Addresses are derived
 // deterministically from the host ID.
 func (d *Directory) AddHost(id model.HostID, tenantID model.TenantID, sw model.SwitchID) (*Host, error) {
-	t, ok := d.tenants[tenantID]
+	if id == 0 || id >= hostIDLimit {
+		return nil, fmt.Errorf("tenant: host ID %d outside [1, %d)", id, hostIDLimit)
+	}
+	ti, ok := d.tenantIndex(tenantID)
 	if !ok {
 		return nil, fmt.Errorf("tenant: unknown tenant %v", tenantID)
 	}
-	if _, dup := d.hosts[id]; dup {
+	p := int(id >> pageBits)
+	if p >= len(d.pages) {
+		d.pages = append(d.pages, make([]*hostPage, p+1-len(d.pages))...)
+	}
+	if d.pages[p] == nil {
+		d.pages[p] = new(hostPage)
+	}
+	h := &d.pages[p][id%(1<<pageBits)]
+	if h.ID != 0 {
 		return nil, fmt.Errorf("tenant: duplicate host %v", id)
 	}
-	h := &Host{
+	t := &d.tenants[ti]
+	*h = Host{
 		ID:     id,
 		MAC:    model.HostMAC(id),
 		IP:     model.HostIP(id),
@@ -93,13 +117,7 @@ func (d *Directory) AddHost(id model.HostID, tenantID model.TenantID, sw model.S
 		VLAN:   t.VLAN,
 		Switch: sw,
 	}
-	d.hosts[id] = h
-	if i := int(id); i >= 0 && i < denseHostCap {
-		for len(d.dense) <= i {
-			d.dense = append(d.dense, nil)
-		}
-		d.dense[i] = h
-	}
+	d.numHosts++
 	t.Hosts = append(t.Hosts, id)
 	d.bySwitch[sw] = append(d.bySwitch[sw], id)
 	return h, nil
@@ -110,37 +128,41 @@ var ErrUnknownHost = errors.New("tenant: unknown host")
 
 // Host returns the host record, or nil.
 func (d *Directory) Host(id model.HostID) *Host {
-	if i := int(id); i >= 0 && i < len(d.dense) {
-		return d.dense[i]
+	p := int(id >> pageBits)
+	if p >= len(d.pages) || d.pages[p] == nil {
+		return nil
 	}
-	return d.hosts[id]
+	if h := &d.pages[p][id%(1<<pageBits)]; h.ID != 0 {
+		return h
+	}
+	return nil
 }
 
-// Tenant returns the tenant record, or nil.
-func (d *Directory) Tenant(id model.TenantID) *Tenant { return d.tenants[id] }
-
-// TenantIDs returns all tenants, ascending.
-func (d *Directory) TenantIDs() []model.TenantID {
-	out := make([]model.TenantID, 0, len(d.tenants))
-	for id := range d.tenants {
-		out = append(out, id)
+// Tenant returns the tenant record, or nil. The pointer is valid until
+// the next AddTenant.
+func (d *Directory) Tenant(id model.TenantID) *Tenant {
+	if i, ok := d.tenantIndex(id); ok {
+		return &d.tenants[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
-// HostsOn returns the hosts attached to a switch. The caller must not
+// Tenants returns every tenant, ascending by ID. The caller must not
 // modify the returned slice.
+func (d *Directory) Tenants() []Tenant { return d.tenants }
+
+// HostsOn returns the hosts attached to a switch, in the order they
+// arrived. The caller must not modify the returned slice.
 func (d *Directory) HostsOn(sw model.SwitchID) []model.HostID { return d.bySwitch[sw] }
 
 // NumHosts returns the total VM count.
-func (d *Directory) NumHosts() int { return len(d.hosts) }
+func (d *Directory) NumHosts() int { return d.numHosts }
 
 // Migrate moves a VM to another switch (VM migration, §III-D3). It
 // returns the old switch.
 func (d *Directory) Migrate(id model.HostID, to model.SwitchID) (model.SwitchID, error) {
-	h, ok := d.hosts[id]
-	if !ok {
+	h := d.Host(id)
+	if h == nil {
 		return model.NoSwitch, fmt.Errorf("%w: %v", ErrUnknownHost, id)
 	}
 	from := h.Switch
@@ -148,12 +170,8 @@ func (d *Directory) Migrate(id model.HostID, to model.SwitchID) (model.SwitchID,
 		return from, nil
 	}
 	list := d.bySwitch[from]
-	for i, hid := range list {
-		if hid == id {
-			d.bySwitch[from] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(list, id)
+	d.bySwitch[from] = slices.Delete(list, i, i+1)
 	h.Switch = to
 	d.bySwitch[to] = append(d.bySwitch[to], id)
 	return from, nil
@@ -181,8 +199,9 @@ type PopulateConfig struct {
 // tenant does not fill a rack.
 const homesPerTenant = 4
 
-// Populate fills the directory with a random multi-tenant population.
-// Host IDs are dense starting at 1; tenant VLANs are 1-based.
+// Populate fills an empty directory with a random multi-tenant
+// population. Host IDs are dense starting at 1; tenant VLANs are
+// 1-based.
 func (d *Directory) Populate(cfg PopulateConfig) error {
 	if cfg.Tenants <= 0 || cfg.MinVMs <= 0 || cfg.MaxVMs < cfg.MinVMs {
 		return errors.New("tenant: invalid populate config")
@@ -190,36 +209,63 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 	if len(d.switches) == 0 {
 		return errors.New("tenant: no switches to place on")
 	}
+	if len(d.tenants) > 0 {
+		return errors.New("tenant: populate needs an empty directory")
+	}
 	homes := min(homesPerTenant, len(d.switches))
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xfeedface))
-	next := model.HostID(1)
-	for ti := 1; ti <= cfg.Tenants; ti++ {
-		id := model.TenantID(ti)
-		vlan := model.VLAN(ti % 4094)
-		if vlan == 0 {
-			vlan = 4094
+	// Draw every tenant's size and placement first, so each host list is
+	// sized once before the hosts arrive. perm is reset and shuffled per
+	// tenant, draw for draw what rng.Perm does; its first homes entries
+	// are the tenant's home switches.
+	sizes := make([]int, cfg.Tenants)
+	var placed []int // index into d.switches of each host, in ID order
+	perm := make([]int, len(d.switches))
+	for ti := range sizes {
+		for i := range perm {
+			perm[i] = i
 		}
-		if _, err := d.AddTenant(id, vlan); err != nil {
-			return err
-		}
-		// Choose home switches.
-		perm := rng.Perm(len(d.switches))
-		homeSet := make([]model.SwitchID, homes)
-		for i := 0; i < homes; i++ {
-			homeSet[i] = d.switches[perm[i]]
-		}
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		n := cfg.MinVMs
 		if cfg.MaxVMs > cfg.MinVMs {
 			n += rng.IntN(cfg.MaxVMs - cfg.MinVMs + 1)
 		}
-		for v := 0; v < n; v++ {
-			var sw model.SwitchID
+		sizes[ti] = n
+		for range n {
 			if rng.Float64() < cfg.Colocation {
-				sw = homeSet[rng.IntN(homes)]
+				placed = append(placed, perm[rng.IntN(homes)])
 			} else {
-				sw = d.switches[rng.IntN(len(d.switches))]
+				placed = append(placed, rng.IntN(len(d.switches)))
 			}
-			if _, err := d.AddHost(next, id, sw); err != nil {
+		}
+	}
+	perSwitch := make([]int, len(d.switches))
+	for _, si := range placed {
+		perSwitch[si]++
+	}
+	// One allocation holds every list: each gets capacity for exactly its
+	// hosts, so a later append past it copies instead of writing into
+	// the next list's room.
+	room := make([]model.HostID, 2*len(placed))
+	carve := func(n int) []model.HostID {
+		l := room[:0:n]
+		room = room[n:]
+		return l
+	}
+	for si, n := range perSwitch {
+		d.bySwitch[d.switches[si]] = carve(n)
+	}
+	d.tenants = make([]Tenant, 0, cfg.Tenants)
+	next := model.HostID(1)
+	for ti, n := range sizes {
+		id := model.TenantID(ti + 1)
+		vlan := model.VLAN(id % 4094)
+		if vlan == 0 {
+			vlan = 4094
+		}
+		d.tenants = append(d.tenants, Tenant{ID: id, VLAN: vlan, Hosts: carve(n)})
+		for range n {
+			if _, err := d.AddHost(next, id, d.switches[placed[next-1]]); err != nil {
 				return err
 			}
 			next++

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"lazyctrl/internal/model"
 )
@@ -75,14 +74,6 @@ type BackgroundStream interface {
 	// law as the per-flow form) using the caller's rng — the
 	// aggregate-population probe's thinned materialization.
 	BackgroundSample(w, k int, rng *rand.Rand) []Flow
-}
-
-// SamplePayload draws one flow's packet count from the generators'
-// shared flow-size mix. Exported for the aggregate-population probe
-// emitter, which materializes the sampled probe flows itself and still
-// needs per-flow packet counts for the fast-path latency accounting.
-func SamplePayload(rng *rand.Rand) int16 {
-	return samplePayload(rng)
 }
 
 // aggFlowSalt separates the aggregate emission's per-window random
@@ -194,8 +185,7 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	if count == 0 {
 		return buf
 	}
-	s1, s2 := windowSeeds(g.cfg.Seed, aggFlowSalt, w)
-	rng := rand.New(rand.NewPCG(s1, s2))
+	rng := WindowRand(g.cfg.Seed, aggFlowSalt, w)
 	from, to := g.info.WindowBounds(w)
 	mid := from + (to-from)/2
 
@@ -331,38 +321,11 @@ func (e *expandStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	if n == 0 {
 		return buf
 	}
-	excl := e.exclusion()
-	dir := e.info.Directory
-	numHosts := dir.NumHosts()
-	tenantIDs := dir.TenantIDs()
-	s1, s2 := windowSeeds(e.seed, expandAggSalt, w)
-	rng := rand.New(rand.NewPCG(s1, s2))
-	for added, tries := 0, 0; added < n; tries++ {
-		var a, b model.HostID
-		if rng.Float64() < ExpandIntraTenantShare && len(tenantIDs) > 0 {
-			tn := dir.Tenant(tenantIDs[rng.IntN(len(tenantIDs))])
-			if len(tn.Hosts) < 2 {
-				continue
-			}
-			a = tn.Hosts[rng.IntN(len(tn.Hosts))]
-			b = tn.Hosts[rng.IntN(len(tn.Hosts))]
-		} else {
-			a = model.HostID(1 + rng.IntN(numHosts))
-			b = model.HostID(1 + rng.IntN(numHosts))
-		}
-		if a == b {
-			continue
-		}
+	rng := WindowRand(e.seed, expandAggSalt, w)
+	for range n {
+		a, b := e.drawExtraPair(rng)
 		key := model.FlowKey{Src: a, Dst: b}.Canonical()
-		if _, dup := excl[key]; dup {
-			continue
-		}
-		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
-			continue
-		}
 		buf = append(buf, PairAgg{Src: key.Src, Dst: key.Dst, Flows: 1})
-		added++
-		tries = -1
 	}
 	return buf
 }
@@ -391,46 +354,5 @@ func (e *expandStream) BackgroundSample(w, k int, rng *rand.Rand) []Flow {
 	if k <= 0 || e.extraCounts[w] == 0 {
 		return nil
 	}
-	excl := e.exclusion()
-	dir := e.info.Directory
-	numHosts := dir.NumHosts()
-	tenantIDs := dir.TenantIDs()
-	wFrom, wTo := e.info.WindowBounds(w)
-	spanFrom, spanTo := max(wFrom, e.from), min(wTo, e.to)
-	span := float64(spanTo - spanFrom)
-	out := make([]Flow, 0, k)
-	for added, tries := 0, 0; added < k; tries++ {
-		var a, b model.HostID
-		if rng.Float64() < ExpandIntraTenantShare && len(tenantIDs) > 0 {
-			tn := dir.Tenant(tenantIDs[rng.IntN(len(tenantIDs))])
-			if len(tn.Hosts) < 2 {
-				continue
-			}
-			a = tn.Hosts[rng.IntN(len(tn.Hosts))]
-			b = tn.Hosts[rng.IntN(len(tn.Hosts))]
-		} else {
-			a = model.HostID(1 + rng.IntN(numHosts))
-			b = model.HostID(1 + rng.IntN(numHosts))
-		}
-		if a == b {
-			continue
-		}
-		key := model.FlowKey{Src: a, Dst: b}.Canonical()
-		if _, dup := excl[key]; dup {
-			continue
-		}
-		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
-			continue
-		}
-		packets := samplePayload(rng)
-		out = append(out, Flow{
-			Start:   spanFrom + time.Duration(rng.Float64()*span),
-			Src:     a,
-			Dst:     b,
-			Packets: packets,
-		})
-		added++
-		tries = -1
-	}
-	return out
+	return e.appendExtras(make([]Flow, 0, k), w, k, rng)
 }

@@ -164,37 +164,24 @@ func (e *expandStream) exclusion() map[model.FlowKey]struct{} {
 	return e.excl
 }
 
-// GenWindow implements Stream: the base window plus this window's
-// share of the extra flows, merged and sorted.
-func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {
-	start := len(buf)
-	out := e.base.GenWindow(w, buf)
-	n := e.extraCounts[w]
-	if n == 0 {
-		return out
-	}
+// drawExtraPair draws the pair of one extra flow, in draw order:
+// ExpandIntraTenantShare of the draws inside a uniformly chosen tenant,
+// the rest uniform over all hosts, never a pair of the base's pool.
+func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
 	excl := e.exclusion()
 	dir := e.info.Directory
-	numHosts := dir.NumHosts()
-	tenantIDs := dir.TenantIDs()
-	wFrom, wTo := e.info.WindowBounds(w)
-	spanFrom, spanTo := max(wFrom, e.from), min(wTo, e.to)
-	span := float64(spanTo - spanFrom)
-	s1, s2 := windowSeeds(e.seed, expandSalt, w)
-	rng := rand.New(rand.NewPCG(s1, s2))
-
-	for added, tries := 0, 0; added < n; tries++ {
-		var a, b model.HostID
-		if rng.Float64() < ExpandIntraTenantShare && len(tenantIDs) > 0 {
-			tn := dir.Tenant(tenantIDs[rng.IntN(len(tenantIDs))])
-			if len(tn.Hosts) < 2 {
+	tenants := dir.Tenants()
+	for tries := 0; ; tries++ {
+		if rng.Float64() < ExpandIntraTenantShare && len(tenants) > 0 {
+			hosts := tenants[rng.IntN(len(tenants))].Hosts
+			if len(hosts) < 2 {
 				continue
 			}
-			a = tn.Hosts[rng.IntN(len(tn.Hosts))]
-			b = tn.Hosts[rng.IntN(len(tn.Hosts))]
+			a = hosts[rng.IntN(len(hosts))]
+			b = hosts[rng.IntN(len(hosts))]
 		} else {
-			a = model.HostID(1 + rng.IntN(numHosts))
-			b = model.HostID(1 + rng.IntN(numHosts))
+			a = model.HostID(1 + rng.IntN(dir.NumHosts()))
+			b = model.HostID(1 + rng.IntN(dir.NumHosts()))
 		}
 		if a == b {
 			continue
@@ -210,16 +197,39 @@ func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {
 		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
 			continue
 		}
-		packets := samplePayload(rng)
+		return a, b
+	}
+}
+
+// appendExtras appends k extra flows of window w, drawn from rng: a
+// pair, a payload, then a start uniform over the window's part of the
+// injection span.
+func (e *expandStream) appendExtras(out []Flow, w, k int, rng *rand.Rand) []Flow {
+	wFrom, wTo := e.info.WindowBounds(w)
+	spanFrom, spanTo := max(wFrom, e.from), min(wTo, e.to)
+	span := float64(spanTo - spanFrom)
+	for range k {
+		a, b := e.drawExtraPair(rng)
+		packets := SamplePayload(rng)
 		out = append(out, Flow{
 			Start:   spanFrom + time.Duration(rng.Float64()*span),
 			Src:     a,
 			Dst:     b,
 			Packets: packets,
 		})
-		added++
-		tries = -1 // the escape bound is per extra flow
 	}
+	return out
+}
+
+// GenWindow implements Stream: the base window plus this window's
+// share of the extra flows, merged and sorted.
+func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {
+	start := len(buf)
+	out := e.base.GenWindow(w, buf)
+	if e.extraCounts[w] == 0 {
+		return out
+	}
+	out = e.appendExtras(out, w, e.extraCounts[w], WindowRand(e.seed, expandSalt, w))
 	win := out[start:]
 	slices.SortFunc(win, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
 	return out

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // regardless of trace length — which is what makes the paper's
 // full-scale synthetic traces (2.7–5.1B flows, §V) reachable at all.
 // Each generator window is re-seeded deterministically from
-// (seed, window index) via splitmix64, so any window is synthesizable
+// (seed, window index) by WindowRand, so any window is synthesizable
 // independently of its predecessors: windows can be generated lazily,
 // out of order, or in parallel on a bounded prefetch pipeline while
 // the consumer drains the previous one, and the result is always the
@@ -83,15 +84,13 @@ func SplitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func splitmix64(x uint64) uint64 { return SplitMix64(x) }
-
-// windowSeeds derives the two PCG seed words of window w from the
-// stream seed: splitmix over (seed, window), per-purpose salted so
-// combinators (Expand) draw from streams disjoint from the base
-// generator's.
-func windowSeeds(seed, salt uint64, w int) (uint64, uint64) {
-	x := splitmix64(seed ^ salt ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
-	return x, splitmix64(x ^ 0xbf58476d1ce4e5b9)
+// WindowRand returns window w's random stream for one purpose: a PCG
+// seeded by SplitMix64 over (seed, window), salted per purpose so
+// combinators (Expand) and the probe emitter draw from streams disjoint
+// from the base generator's.
+func WindowRand(seed, salt uint64, w int) *rand.Rand {
+	x := SplitMix64(seed ^ salt ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
+	return rand.New(rand.NewPCG(x, SplitMix64(x^0xbf58476d1ce4e5b9)))
 }
 
 // apportion splits total across len(weights) windows proportionally to

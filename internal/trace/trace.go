@@ -84,11 +84,13 @@ var hourWeights = [24]float64{
 	1.40, 1.38, 1.25, 1.00, 0.75, 0.55, // 18–23
 }
 
-// samplePayload draws a flow size — a heavy-tailed mix of short
+// SamplePayload draws a flow size — a heavy-tailed mix of short
 // RPC-like flows and occasional bulk transfers, matching data-center
 // flow-size measurements — and returns its packet count. Every draw the
-// byte size takes is made, so the stream behind it does not move.
-func samplePayload(rng *rand.Rand) int16 {
+// byte size takes is made, so the stream behind it does not move. The
+// aggregate-population probe emitter calls it for the flows it
+// materializes itself.
+func SamplePayload(rng *rand.Rand) int16 {
 	u := rng.Float64()
 	var bytes int32
 	switch {
@@ -266,7 +268,7 @@ func pairHash64(k model.FlowKey) uint64 {
 // noiseEligible reports whether a pair lies in the generator's noise
 // half of the all-pairs space.
 func (g *genStream) noiseEligible(k model.FlowKey) bool {
-	return splitmix64(pairHash64(k)^g.noiseSalt)&1 == 0
+	return SplitMix64(pairHash64(k)^g.noiseSalt)&1 == 0
 }
 
 // noisePairExcluded implements the Expand combinator's exclusion hook:
@@ -307,13 +309,13 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	g := &genStream{
 		cfg:       cfg,
 		numHosts:  dir.NumHosts(),
-		noiseSalt: splitmix64(cfg.Seed ^ noiseSplitSalt),
+		noiseSalt: SplitMix64(cfg.Seed ^ noiseSplitSalt),
 	}
 
 	// Communicating pair pool: an intra-tenant band (clusterable) and a
 	// scatter band of uniformly random pairs (expander-like).
 	seen := make(map[model.FlowKey]struct{}, cfg.CommunicatingPairs)
-	tenantIDs := dir.TenantIDs()
+	tenants := dir.Tenants()
 	intraCount := int(float64(cfg.CommunicatingPairs) * cfg.Locality)
 	scatterCount := cfg.CommunicatingPairs - intraCount
 	addPair := func(dst []model.FlowKey, a, b model.HostID) []model.FlowKey {
@@ -329,12 +331,12 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	}
 	intra := make([]model.FlowKey, 0, intraCount)
 	for len(intra) < intraCount {
-		tn := dir.Tenant(tenantIDs[rng.IntN(len(tenantIDs))])
-		if len(tn.Hosts) < 2 {
+		hosts := tenants[rng.IntN(len(tenants))].Hosts
+		if len(hosts) < 2 {
 			continue
 		}
-		a := tn.Hosts[rng.IntN(len(tn.Hosts))]
-		b := tn.Hosts[rng.IntN(len(tn.Hosts))]
+		a := hosts[rng.IntN(len(hosts))]
+		b := hosts[rng.IntN(len(hosts))]
 		intra = addPair(intra, a, b)
 	}
 	rng.Shuffle(len(intra), func(i, j int) { intra[i], intra[j] = intra[j], intra[i] })
@@ -382,7 +384,11 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	// damped enough that the heaviest hot pairs do not get woven into a
 	// single unclusterable core whose split would cut hot traffic as
 	// well.
-	pinWeight := make(map[model.HostID]float64, 2*len(g.hot))
+	// Populate numbers hosts 1..NumHosts, each tenant's consecutively,
+	// so the weights are a slice indexed by host ID, and walking tenants
+	// in Tenants order and their hosts in list order visits the pinned
+	// hosts by ascending tenant, then host ID.
+	pinWeight := make([]float64, g.numHosts+1)
 	for r, k := range g.hot {
 		w := 1 / float64(r+1)
 		pinWeight[k.Src] += w
@@ -392,54 +398,49 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	if pinExp == 0 {
 		pinExp = 1
 	}
-	if pinExp != 1 {
-		for h, w := range pinWeight {
-			pinWeight[h] = math.Pow(w, pinExp)
-		}
-	}
 	type tenantPins struct {
 		id    model.TenantID
 		hosts []model.HostID
 		cum   []float64 // cumulative pin weights over hosts
 		total float64
 	}
-	byTenant := make(map[model.TenantID]*tenantPins)
-	for h := range pinWeight {
-		tid := dir.Host(h).Tenant
-		tp := byTenant[tid]
-		if tp == nil {
-			tp = &tenantPins{id: tid}
-			byTenant[tid] = tp
-		}
-		tp.hosts = append(tp.hosts, h)
-	}
-	tenants := make([]*tenantPins, 0, len(byTenant))
-	for _, tp := range byTenant {
-		tenants = append(tenants, tp)
-	}
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].id < tenants[j].id })
-	tenantCum := make([]float64, len(tenants))
+	pinned := make([]tenantPins, 0, len(tenants))
+	tenantCum := make([]float64, 0, len(tenants))
 	var tenantTotal float64
-	for i, tp := range tenants {
-		sort.Slice(tp.hosts, func(a, b int) bool { return tp.hosts[a] < tp.hosts[b] })
-		tp.cum = make([]float64, len(tp.hosts))
-		for j, h := range tp.hosts {
-			tp.total += pinWeight[h]
-			tp.cum[j] = tp.total
+	pinnedHosts := make([]model.HostID, 0, 2*len(g.hot))
+	hostCum := make([]float64, 0, 2*len(g.hot))
+	for _, tn := range tenants {
+		first := len(pinnedHosts)
+		var total float64
+		for _, h := range tn.Hosts {
+			w := pinWeight[h]
+			if w == 0 {
+				continue
+			}
+			if pinExp != 1 {
+				w = math.Pow(w, pinExp)
+			}
+			total += w
+			pinnedHosts = append(pinnedHosts, h)
+			hostCum = append(hostCum, total)
 		}
-		tenantTotal += tp.total
-		tenantCum[i] = tenantTotal
+		if len(pinnedHosts) == first {
+			continue
+		}
+		pinned = append(pinned, tenantPins{tn.ID, pinnedHosts[first:], hostCum[first:], total})
+		tenantTotal += total
+		tenantCum = append(tenantCum, tenantTotal)
 	}
 	sampleTenant := func(rng *rand.Rand) *tenantPins {
 		u := rng.Float64() * tenantTotal
-		return tenants[sort.SearchFloat64s(tenantCum, u)]
+		return &pinned[sort.SearchFloat64s(tenantCum, u)]
 	}
 	sampleHost := func(rng *rand.Rand, tp *tenantPins) model.HostID {
 		u := rng.Float64() * tp.total
 		return tp.hosts[sort.SearchFloat64s(tp.cum, u)]
 	}
 	g.scatter = make([]model.FlowKey, 0, scatterCount)
-	if len(tenants) >= 2 {
+	if len(pinned) >= 2 {
 		for len(g.scatter) < scatterCount {
 			ta, tb := sampleTenant(rng), sampleTenant(rng)
 			if ta.id == tb.id {
@@ -535,8 +536,7 @@ func (g *genStream) GenWindow(w int, buf []Flow) []Flow {
 	if w < 0 || w >= g.info.Windows {
 		return buf
 	}
-	s1, s2 := windowSeeds(g.cfg.Seed, flowSalt, w)
-	rng := rand.New(rand.NewPCG(s1, s2))
+	rng := WindowRand(g.cfg.Seed, flowSalt, w)
 	from, to := g.info.WindowBounds(w)
 	span := float64(to - from)
 	base := len(buf)
@@ -571,7 +571,7 @@ func (g *genStream) GenWindow(w int, buf []Flow) []Flow {
 		if rng.IntN(2) == 0 {
 			key = model.FlowKey{Src: key.Dst, Dst: key.Src}
 		}
-		packets := samplePayload(rng)
+		packets := SamplePayload(rng)
 		buf = append(buf, Flow{
 			Start:   start,
 			Src:     key.Src,

@@ -21,7 +21,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	if tr.NumFlows() != 40_000 {
 		t.Errorf("NumFlows = %d, want 40000", tr.NumFlows())
 	}
-	if n := len(tr.Directory.TenantIDs()); n != 12 {
+	if n := len(tr.Directory.Tenants()); n != 12 {
 		t.Errorf("tenants = %d, want 12", n)
 	}
 	// Sorted by start, all within duration.

@@ -204,8 +204,8 @@ func (dc *DataCenter) intensity() *grouping.Intensity {
 // Applications with real traffic histories should use SeedGrouping.
 func (dc *DataCenter) SeedGroupingFromPlacement() error {
 	m, dir := dc.intensity(), dc.rig.Dir()
-	for _, tid := range dir.TenantIDs() {
-		hosts := dir.Tenant(tid).Hosts
+	for _, t := range dir.Tenants() {
+		hosts := t.Hosts
 		for i := range hosts {
 			for j := i + 1; j < len(hosts); j++ {
 				m.Add(dir.Host(hosts[i]).Switch, dir.Host(hosts[j]).Switch, 10)
