@@ -35,6 +35,13 @@ func fuzzSeeds() []fuzzSeed {
 		VLAN:   12,
 		Ether:  model.EtherTypeIPv4,
 	}
+	encapPkt := pkt
+	encapPkt.Bytes, encapPkt.FlowSeq, encapPkt.Injected = 1500, 4, 3*time.Second
+	encapPkt.Encap = &model.EncapHeader{SrcSwitch: 42, DstSwitch: 7}
+	words := make([]bloom.WordDelta, 130)
+	for i := range words {
+		words[i] = bloom.WordDelta{Index: uint32(3 * i), Word: uint64(i) << 32}
+	}
 	return []fuzzSeed{
 		{3, &PacketIn{Switch: 42, Reason: ReasonNoMatch, Packet: pkt}},
 		{4, &PacketOut{Actions: []Action{{Type: ActionTypeOutput, Port: 3}, Encap(7)}, Packet: pkt}},
@@ -123,6 +130,38 @@ func fuzzSeeds() []fuzzSeed {
 		}}},
 		{25, &FailureReport{Observer: 2, Suspect: 3, Direction: LossDown, MissedSeq: 17}},
 		{26, &ConfigAck{From: 3, Version: 5}},
+		// Layout branches the seeds above miss: the packet's encap
+		// trailer, multi-byte varints (a word count and a generation
+		// past 127), a fenced batch carrying a dense-pair report, and
+		// a match that is not ExactDst.
+		{27, &PacketIn{Switch: 42, Reason: ReasonFalsePositive, Packet: encapPkt}},
+		{28, &GFIBDelta{
+			Group:      2,
+			Deltas:     []GFIBFilterDelta{{Switch: 1, BaseVersion: 3, TargetVersion: 4, Words: words}},
+			Version:    5,
+			Generation: 300,
+		}},
+		{29, &Batch{Generation: 200, Msgs: []Message{
+			&GroupConfig{Group: 1, Members: []model.SwitchID{1, 2, 3}, Designated: 1, RingPrev: 3, RingNext: 2, Version: 2, Generation: 200},
+			&StateReport{Group: 1, Pairs: []PairStat{
+				{A: 1, B: 2, NewFlows: 10},
+				{A: 1, B: 3, NewFlows: 4},
+				{A: 2, B: 3, NewFlows: 6},
+			}, Version: 2},
+		}}},
+		{30, &FlowMod{
+			Command: FlowModify,
+			Match: Match{
+				Wildcards: WildcardVLAN,
+				SrcMAC:    model.HostMAC(3),
+				DstMAC:    model.HostMAC(9),
+				Ether:     model.EtherTypeIPv4,
+				SrcIP:     0x0a000003,
+				DstIP:     0x0a000009,
+			},
+			Priority: 7,
+			Actions:  []Action{Flood(), {Type: ActionTypeOutput, Port: 2}},
+		}},
 	}
 }
 
