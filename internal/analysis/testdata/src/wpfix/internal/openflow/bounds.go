@@ -58,10 +58,49 @@ func decodeGuardedMul(r *reader) []byte {
 	return make([]byte, n)
 }
 
+// wire mimics the production codec's by-value state, whose primitives
+// fill a field through its address; the analyzer keys on the primitive
+// names and on the variable whose address they fill.
+type wire struct {
+	buf []byte
+}
+
+func u32[T ~uint32 | ~int](w wire, v *T) wire {
+	if len(w.buf) < 4 {
+		return w
+	}
+	*v = T(uint32(w.buf[0])<<24 | uint32(w.buf[1])<<16 | uint32(w.buf[2])<<8 | uint32(w.buf[3]))
+	w.buf = w.buf[4:]
+	return w
+}
+
+func count(w wire, n *int) wire { return u32(w, n) }
+
+// listUnguarded: a count filled through &n reaches make unbounded.
+func listUnguarded[T any](w wire, s *[]T) wire {
+	n := 0
+	w = count(w, &n)
+	*s = make([]T, n) // want `no prior bounds check`
+	return w
+}
+
+func listGuarded[T any](w wire, s *[]T, min int) wire {
+	n := 0
+	w = u32(w, &n)
+	if n < 0 || n > len(w.buf)/min {
+		return w
+	}
+	*s = make([]T, n)
+	return w
+}
+
 // exercise keeps the decoders referenced.
 func exercise(r *reader) int {
+	var a, b []uint32
+	w := wire{buf: r.src}
+	w = listGuarded(listUnguarded(w, &a), &b, 4)
 	return len(decodeUnbounded(r)) + len(decodeZeroGuardOnly(r)) +
-		len(decodeGuarded(r)) + len(decodeGuardedMul(r))
+		len(decodeGuarded(r)) + len(decodeGuardedMul(r)) + len(a) + len(b) + len(w.buf)
 }
 
 // Exercise keeps exercise referenced.

@@ -21,9 +21,12 @@ import (
 //     coverage); so does the package's admit type switch, its
 //     admission table, and HandleMessage's first statement is the
 //     guard that runs it;
-//  3. count fields decoded from the wire (uvarint/u16/u32) are
-//     bounds-checked against the remaining payload before they size an
-//     allocation — a crafted count must not reach make().
+//  3. count fields decoded from the wire (uvarint/u16/u32/u64/count)
+//     are bounds-checked against the remaining payload before they size
+//     an allocation — a crafted count must not reach make(). A decoded
+//     count is a variable assigned from a count primitive's result
+//     (`n := int(r.u32())`) or one whose address a count primitive
+//     fills (`w = count(w, form, &n)`, the codec's list).
 //
 // Adding a wire message therefore fails the build until the codec
 // table, the handler table, and the apply switch and admission table
@@ -324,13 +327,30 @@ func codecCaseType(pass *Pass, e ast.Expr) (string, bool) {
 
 // --- decoded-count bounds checks ---
 
-// readerCountMethods are the reader primitives that yield attacker-
-// controlled counts.
-var readerCountMethods = map[string]bool{
+// countPrimitives are the codec primitives that yield attacker-
+// controlled counts, as a result or through a pointer argument.
+var countPrimitives = map[string]bool{
 	"uvarint": true,
 	"u16":     true,
 	"u32":     true,
 	"u64":     true,
+	"count":   true,
+}
+
+// countPrimitiveCall reports whether call invokes a count primitive,
+// as a function (u32(w, &n), u32[int](w, &n)) or a method (r.u32()).
+func countPrimitiveCall(call *ast.CallExpr) bool {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	}
+	switch f := fun.(type) {
+	case *ast.Ident:
+		return countPrimitives[f.Name]
+	case *ast.SelectorExpr:
+		return countPrimitives[f.Sel.Name]
+	}
+	return false
 }
 
 // checkDecodeBounds flags make() calls sized by a decoded count with
@@ -353,18 +373,12 @@ func checkDecodeBoundsFunc(pass *Pass, fd *ast.FuncDecl) {
 	// upper-bound guard has been seen since the assignment.
 	counts := make(map[types.Object]bool)
 
-	isReaderCount := func(e ast.Expr) bool {
+	isCountResult := func(e ast.Expr) bool {
 		found := false
 		ast.Inspect(e, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if readerCountMethods[sel.Sel.Name] {
+			// A primitive that fills a pointer argument yields that
+			// argument, not its result.
+			if call, ok := n.(*ast.CallExpr); ok && countPrimitiveCall(call) && len(addrArgs(call)) == 0 {
 				found = true
 			}
 			return !found
@@ -398,7 +412,7 @@ func checkDecodeBoundsFunc(pass *Pass, fd *ast.FuncDecl) {
 				if !ok || id.Name == "_" {
 					continue
 				}
-				if isReaderCount(s.Rhs[i]) {
+				if isCountResult(s.Rhs[i]) {
 					if obj := info.Defs[id]; obj != nil {
 						counts[obj] = false
 					} else if obj := info.Uses[id]; obj != nil {
@@ -413,11 +427,18 @@ func checkDecodeBoundsFunc(pass *Pass, fd *ast.FuncDecl) {
 			// the literal 0. `if n > 0` alone is not a bound.
 			markGuards(info, counts, s.Cond)
 		case *ast.CallExpr:
+			if countPrimitiveCall(s) {
+				for _, id := range addrArgs(s) {
+					if obj := info.Uses[id]; obj != nil {
+						counts[obj] = false
+					}
+				}
+			}
 			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "make" {
 				for _, arg := range s.Args[1:] {
 					if obj, ok := usesCount(arg); ok && !counts[obj] {
 						pass.Reportf(s.Pos(),
-							"make() sized by decoded count %q with no prior bounds check against the remaining payload; a crafted count reaches the allocator (guard like: if n > r.remain()/elemSize { fail })",
+							"make() sized by decoded count %q with no prior bounds check against the remaining payload; a crafted count reaches the allocator (guard like: if n > len(w.buf)/elemSize { fail })",
 							obj.Name())
 					}
 				}
@@ -425,6 +446,20 @@ func checkDecodeBoundsFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// addrArgs lists the variables whose address call takes as an
+// argument (&n).
+func addrArgs(call *ast.CallExpr) []*ast.Ident {
+	var ids []*ast.Ident
+	for _, arg := range call.Args {
+		if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if id, ok := u.X.(*ast.Ident); ok {
+				ids = append(ids, id)
+			}
+		}
+	}
+	return ids
 }
 
 // markGuards walks an if condition and marks tracked counts that

@@ -270,10 +270,17 @@ func benchmarkDissem(b *testing.B, full bool) {
 
 // BenchmarkDissemDelta is the headline delta-protocol benchmark (gated
 // in cmd/bench); BenchmarkDissemFull is its full-push baseline — the
-// wire-B/op ratio between the two is the protocol's win.
+// wire-B/op ratio between the two is the protocol's win. It measures
+// the edge's G-FIB dissemination round and the openflow codec, which
+// the harness runs on every message sent: allocation sites in openflow
+// make 68 % of its allocs/op (335 at -benchtime 3x, from a
+// -memprofilerate 1 profile of the timed loop). Before each message
+// type had one layout for encode and decode they made 95 % of 410.
 func BenchmarkDissemDelta(b *testing.B) { benchmarkDissem(b, false) }
 
-// BenchmarkDissemFull measures the same churn under full-filter pushes.
+// BenchmarkDissemFull measures the same churn under full-filter pushes,
+// through the same two layers: openflow makes 79 % of its allocs/op
+// (287; 96 % of 362 before the single layouts).
 func BenchmarkDissemFull(b *testing.B) { benchmarkDissem(b, true) }
 
 // ExampleNewDissem keeps the harness API visible in docs.

@@ -1,6 +1,9 @@
 package openflow
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Batch coalesces several control messages to one destination into a
 // single OpenFlow message, so a regroup round encodes and ships at most
@@ -30,52 +33,34 @@ type Batch struct {
 // MsgType implements Message.
 func (*Batch) MsgType() MsgType { return TypeBatch }
 
-func (m *Batch) encodeBody(dst []byte) []byte {
-	dst = putUvarint(dst, m.Generation)
-	dst = putU32(dst, uint32(len(m.Msgs)))
-	for _, sub := range m.Msgs {
-		dst = append(dst, uint8(sub.MsgType()))
-		// Reserve the length word, encode, then backfill.
-		lenAt := len(dst)
-		dst = putU32(dst, 0)
-		dst = sub.encodeBody(dst)
-		body := len(dst) - lenAt - 4
-		dst[lenAt] = byte(body >> 24)
-		dst[lenAt+1] = byte(body >> 16)
-		dst[lenAt+2] = byte(body >> 8)
-		dst[lenAt+3] = byte(body)
-	}
-	return dst
-}
-
-func (m *Batch) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Generation = r.uvarint()
-	n := int(r.u32())
-	if n*5 > r.remain() { // each sub-message costs at least type+length
-		r.fail()
-		return ErrTruncated
-	}
-	if n > 0 {
-		m.Msgs = make([]Message, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		t := MsgType(r.u8())
-		body := r.bytes(int(r.u32()))
-		if r.err != nil {
-			return r.err
+func (m *Batch) layout(w wire) wire {
+	w = uvarint(w, &m.Generation)
+	i := 0 // the item's index, which a decode error names
+	// An item costs at least its type byte and length word.
+	return list(w, &m.Msgs, countU32, 5, func(w wire, sub *Message) wire {
+		var t MsgType
+		if !w.dec() {
+			t = (*sub).MsgType()
 		}
-		if t == TypeBatch {
-			return fmt.Errorf("openflow: nested batch")
+		if w = u8(w, &t); w.failed() {
+			return w
 		}
-		sub, err := newMessage(t)
-		if err != nil {
-			return err
+		if w.dec() {
+			var err error
+			if t == TypeBatch {
+				err = errors.New("openflow: nested batch")
+			} else {
+				*sub, err = newMessage(t)
+			}
+			if err != nil {
+				return w.fail(err)
+			}
 		}
-		if err := sub.decodeBody(body); err != nil {
-			return fmt.Errorf("openflow: batch item %d (%v): %w", i, t, err)
+		if w = framed(w, countU32, (*sub).layout); w.failed() {
+			err := fmt.Errorf("openflow: batch item %d (%v): %w", i, t, *w.err)
+			w.err = &err
 		}
-		m.Msgs = append(m.Msgs, sub)
-	}
-	return r.done()
+		i++
+		return w
+	})
 }

@@ -91,77 +91,21 @@ func (*GFIBDelta) MsgType() MsgType { return TypeGFIBDelta }
 // word counts almost always small, so each costs one byte instead of
 // four (the ROADMAP "wire-byte headroom" item; TestDissemDeltaByteReduction
 // pins the resulting margin).
-func (m *GFIBDelta) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Group))
-	dst = putUvarint(dst, uint64(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		dst = putU32(dst, uint32(d.Switch))
-		dst = putU64(dst, d.BaseVersion)
-		dst = putU64(dst, d.TargetVersion)
-		dst = putUvarint(dst, uint64(len(d.Words)))
-		for _, w := range d.Words {
-			dst = putU16(dst, uint16(w.Index))
-			dst = putU64(dst, w.Word)
-		}
-	}
-	dst = putUvarint(dst, uint64(len(m.Removals)))
-	for _, id := range m.Removals {
-		dst = putU32(dst, uint32(id))
-	}
-	dst = putU64(dst, m.Version)
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *GFIBDelta) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Group = model.GroupID(r.u32())
-	// Count guards divide instead of multiplying: a varint count is not
-	// bounded by the wire like the old u32 fields were, and a crafted
-	// value near 2⁶⁴ would wrap a product past the guard into a
-	// makeslice panic.
-	n := int(r.uvarint())
-	if n < 0 || n > r.remain()/21 { // switch + base/target versions + word count
-		r.fail()
-		return ErrTruncated
-	}
-	if n > 0 {
-		m.Deltas = make([]GFIBFilterDelta, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var d GFIBFilterDelta
-		d.Switch = model.SwitchID(r.u32())
-		d.BaseVersion = r.u64()
-		d.TargetVersion = r.u64()
-		nw := int(r.uvarint())
-		if nw < 0 || nw > r.remain()/10 { // each word costs u16 index + u64 value
-			r.fail()
-			return ErrTruncated
-		}
-		if nw > 0 {
-			d.Words = make([]bloom.WordDelta, 0, nw)
-		}
-		for j := 0; j < nw; j++ {
-			var w bloom.WordDelta
-			w.Index = uint32(r.u16())
-			w.Word = r.u64()
-			d.Words = append(d.Words, w)
-		}
-		m.Deltas = append(m.Deltas, d)
-	}
-	nr := int(r.uvarint())
-	if nr < 0 || nr > r.remain()/4 {
-		r.fail()
-		return ErrTruncated
-	}
-	if nr > 0 {
-		m.Removals = make([]model.SwitchID, 0, nr)
-		for i := 0; i < nr; i++ {
-			m.Removals = append(m.Removals, model.SwitchID(r.u32()))
-		}
-	}
-	m.Version = r.u64()
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *GFIBDelta) layout(w wire) wire {
+	w = u32(w, &m.Group)
+	// An item costs at least switch + base/target versions + word count.
+	w = list(w, &m.Deltas, countVarint, 21, func(w wire, d *GFIBFilterDelta) wire {
+		w = u32(w, &d.Switch)
+		w = u64(w, &d.BaseVersion)
+		w = u64(w, &d.TargetVersion)
+		return list(w, &d.Words, countVarint, 10, func(w wire, x *bloom.WordDelta) wire {
+			w = u16(w, &x.Index)
+			return u64(w, &x.Word)
+		})
+	})
+	w = list(w, &m.Removals, countVarint, 4, u32)
+	w = u64(w, &m.Version)
+	return uvarint(w, &m.Generation)
 }
 
 // GFIBNack asks the sender of a G-FIB update for a full resync of the
@@ -181,18 +125,10 @@ type GFIBNack struct {
 // MsgType implements Message.
 func (*GFIBNack) MsgType() MsgType { return TypeGFIBNack }
 
-func (m *GFIBNack) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Group))
-	dst = putU32(dst, uint32(m.Origin))
-	return encodeSwitches(dst, m.Peers)
-}
-
-func (m *GFIBNack) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Group = model.GroupID(r.u32())
-	m.Origin = model.SwitchID(r.u32())
-	m.Peers = decodeSwitches(r)
-	return r.done()
+func (m *GFIBNack) layout(w wire) wire {
+	w = u32(w, &m.Group)
+	w = u32(w, &m.Origin)
+	return list(w, &m.Peers, countU32, 4, u32)
 }
 
 // BurstPacket is one PacketIn worth of payload inside a PacketInBurst:
@@ -220,34 +156,12 @@ type PacketInBurst struct {
 // MsgType implements Message.
 func (*PacketInBurst) MsgType() MsgType { return TypePacketInBurst }
 
-func (m *PacketInBurst) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Switch))
-	dst = putU32(dst, uint32(len(m.Items)))
-	for i := range m.Items {
-		dst = append(dst, uint8(m.Items[i].Reason))
-		dst = encodePacket(dst, &m.Items[i].Packet)
-	}
-	return dst
-}
-
-func (m *PacketInBurst) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Switch = model.SwitchID(r.u32())
-	n := int(r.u32())
-	if n > r.remain() { // each item costs at least its reason byte
-		r.fail()
-		return ErrTruncated
-	}
-	if n > 0 {
-		m.Items = make([]BurstPacket, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var it BurstPacket
-		it.Reason = PacketInReason(r.u8())
-		it.Packet = decodePacket(r)
-		m.Items = append(m.Items, it)
-	}
-	return r.done()
+func (m *PacketInBurst) layout(w wire) wire {
+	w = u32(w, &m.Switch)
+	return list(w, &m.Items, countU32, 1, func(w wire, it *BurstPacket) wire {
+		w = u8(w, &it.Reason)
+		return packet(w, &it.Packet)
+	})
 }
 
 // PacketIns expands the burst into the per-message form the

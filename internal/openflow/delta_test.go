@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -201,28 +202,30 @@ func TestVarintCountOverflowRejected(t *testing.T) {
 				t.Fatalf("%T decode panicked on crafted count: %v", m, p)
 			}
 		}()
-		if err := m.decodeBody(build()); err == nil {
+		if err := m.layout(reading(build())).done(); err == nil {
 			t.Errorf("%T accepted a crafted overflow count", m)
 		}
 	}
-	u32 := func(dst []byte, v uint32) []byte { return putU32(dst, v) }
+	u32 := binary.BigEndian.AppendUint32
+	u64 := binary.BigEndian.AppendUint64
+	uv := binary.AppendUvarint
 	// GFIBDelta: item count, then (via a valid single item) word count,
 	// then removals count.
 	craft(func() []byte { return append(u32(nil, 1), huge...) }, &GFIBDelta{})
 	craft(func() []byte {
-		b := putUvarint(u32(nil, 1), 1) // group, 1 delta
-		b = putU64(putU64(u32(b, 2), 3), 4)
+		b := uv(u32(nil, 1), 1) // group, 1 delta
+		b = u64(u64(u32(b, 2), 3), 4)
 		return append(b, huge...) // word count
 	}, &GFIBDelta{})
 	craft(func() []byte {
-		b := putUvarint(u32(nil, 1), 0) // group, 0 deltas
-		return append(b, huge...)       // removals count
+		b := uv(u32(nil, 1), 0)   // group, 0 deltas
+		return append(b, huge...) // removals count
 	}, &GFIBDelta{})
 	// StateReport: L-FIB count and pair count.
 	craft(func() []byte { return append(u32(nil, 1), huge...) }, &StateReport{})
 	craft(func() []byte {
-		b := putUvarint(u32(nil, 1), 0) // group, 0 L-FIBs
-		return append(b, huge...)       // pair count
+		b := uv(u32(nil, 1), 0)   // group, 0 L-FIBs
+		return append(b, huge...) // pair count
 	}, &StateReport{})
 	// Overlong encodings must fail outright, not wrap to plausible
 	// small counts and misparse the rest of the body.

@@ -35,55 +35,17 @@ type GroupConfig struct {
 // MsgType implements Message.
 func (*GroupConfig) MsgType() MsgType { return TypeGroupConfig }
 
-func encodeSwitches(dst []byte, ids []model.SwitchID) []byte {
-	dst = putU32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = putU32(dst, uint32(id))
-	}
-	return dst
-}
-
-func decodeSwitches(r *reader) []model.SwitchID {
-	n := int(r.u32())
-	if n == 0 || n*4 > r.remain() {
-		if n != 0 {
-			r.fail()
-		}
-		return nil
-	}
-	ids := make([]model.SwitchID, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, model.SwitchID(r.u32()))
-	}
-	return ids
-}
-
-func (m *GroupConfig) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Group))
-	dst = encodeSwitches(dst, m.Members)
-	dst = putU32(dst, uint32(m.Designated))
-	dst = encodeSwitches(dst, m.Backups)
-	dst = putU32(dst, uint32(m.RingPrev))
-	dst = putU32(dst, uint32(m.RingNext))
-	dst = putU64(dst, uint64(m.SyncInterval))
-	dst = putU64(dst, uint64(m.KeepAliveInterval))
-	dst = putU64(dst, m.Version)
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *GroupConfig) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Group = model.GroupID(r.u32())
-	m.Members = decodeSwitches(r)
-	m.Designated = model.SwitchID(r.u32())
-	m.Backups = decodeSwitches(r)
-	m.RingPrev = model.SwitchID(r.u32())
-	m.RingNext = model.SwitchID(r.u32())
-	m.SyncInterval = time.Duration(r.u64())
-	m.KeepAliveInterval = time.Duration(r.u64())
-	m.Version = r.u64()
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *GroupConfig) layout(w wire) wire {
+	w = u32(w, &m.Group)
+	w = list(w, &m.Members, countU32, 4, u32)
+	w = u32(w, &m.Designated)
+	w = list(w, &m.Backups, countU32, 4, u32)
+	w = u32(w, &m.RingPrev)
+	w = u32(w, &m.RingNext)
+	w = u64(w, &m.SyncInterval)
+	w = u64(w, &m.KeepAliveInterval)
+	w = u64(w, &m.Version)
+	return uvarint(w, &m.Generation)
 }
 
 // LFIBEntry is one host-location binding.
@@ -93,33 +55,14 @@ type LFIBEntry struct {
 	VLAN model.VLAN
 }
 
-func encodeLFIBEntries(dst []byte, entries []LFIBEntry) []byte {
-	dst = putU32(dst, uint32(len(entries)))
-	for _, e := range entries {
-		dst = append(dst, e.MAC[:]...)
-		dst = putU32(dst, uint32(e.IP))
-		dst = putU16(dst, uint16(e.VLAN))
-	}
-	return dst
-}
-
-func decodeLFIBEntries(r *reader) []LFIBEntry {
-	n := int(r.u32())
-	if n == 0 || n*12 > r.remain() {
-		if n != 0 {
-			r.fail()
-		}
-		return nil
-	}
-	entries := make([]LFIBEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var e LFIBEntry
-		e.MAC = r.mac()
-		e.IP = model.IP(r.u32())
-		e.VLAN = model.VLAN(r.u16())
-		entries = append(entries, e)
-	}
-	return entries
+// lfibEntries moves an entry list: a u32 count, then 12 bytes per
+// entry.
+func lfibEntries(w wire, s *[]LFIBEntry) wire {
+	return list(w, s, countU32, 12, func(w wire, e *LFIBEntry) wire {
+		w = mac(w, &e.MAC)
+		w = u32(w, &e.IP)
+		return u16(w, &e.VLAN)
+	})
 }
 
 // LFIBUpdate carries a switch's L-FIB: as the legs of a StateReport
@@ -141,26 +84,12 @@ type LFIBUpdate struct {
 // MsgType implements Message.
 func (*LFIBUpdate) MsgType() MsgType { return TypeLFIBUpdate }
 
-func (m *LFIBUpdate) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Origin))
-	if m.Full {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = encodeLFIBEntries(dst, m.Entries)
-	dst = putU64(dst, m.Version)
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *LFIBUpdate) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Origin = model.SwitchID(r.u32())
-	m.Full = r.u8() == 1
-	m.Entries = decodeLFIBEntries(r)
-	m.Version = r.u64()
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *LFIBUpdate) layout(w wire) wire {
+	w = u32(w, &m.Origin)
+	w = flag(w, &m.Full)
+	w = lfibEntries(w, &m.Entries)
+	w = u64(w, &m.Version)
+	return uvarint(w, &m.Generation)
 }
 
 // GFIBFilter pairs a peer switch with the serialized Bloom filter of
@@ -189,38 +118,16 @@ type GFIBUpdate struct {
 // MsgType implements Message.
 func (*GFIBUpdate) MsgType() MsgType { return TypeGFIBUpdate }
 
-func (m *GFIBUpdate) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Group))
-	dst = putU32(dst, uint32(len(m.Filters)))
-	for _, f := range m.Filters {
-		dst = putU32(dst, uint32(f.Switch))
-		dst = putU64(dst, f.Version)
-		dst = putU32(dst, uint32(len(f.Filter)))
-		dst = append(dst, f.Filter...)
-	}
-	dst = putU64(dst, m.Version)
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *GFIBUpdate) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Group = model.GroupID(r.u32())
-	n := int(r.u32())
-	if n*16 > r.remain() { // each filter costs at least switch+version+length
-		r.fail()
-		return ErrTruncated
-	}
-	m.Filters = make([]GFIBFilter, 0, n)
-	for i := 0; i < n; i++ {
-		var f GFIBFilter
-		f.Switch = model.SwitchID(r.u32())
-		f.Version = r.u64()
-		f.Filter = r.bytes(int(r.u32()))
-		m.Filters = append(m.Filters, f)
-	}
-	m.Version = r.u64()
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *GFIBUpdate) layout(w wire) wire {
+	w = u32(w, &m.Group)
+	// A filter costs at least switch + version + length.
+	w = list(w, &m.Filters, countU32, 16, func(w wire, f *GFIBFilter) wire {
+		w = u32(w, &f.Switch)
+		w = u64(w, &f.Version)
+		return blob(w, &f.Filter)
+	})
+	w = u64(w, &m.Version)
+	return uvarint(w, &m.Generation)
 }
 
 // PairStat reports the number of new flows observed between two edge
@@ -304,121 +211,55 @@ func pairSwitchTable(pairs []PairStat) ([]model.SwitchID, map[model.SwitchID]uin
 // flag byte is omitted entirely for the empty pair list (the steady
 // state of the report path between traffic windows): the "flag/count
 // bytes" of the ROADMAP wire-byte headroom item cost two bytes total
-// in the common case instead of nine.
-func (m *StateReport) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Group))
-	dst = putUvarint(dst, uint64(len(m.LFIBs)))
-	for i := range m.LFIBs {
-		inner := m.LFIBs[i].encodeBody(nil)
-		dst = putUvarint(dst, uint64(len(inner)))
-		dst = append(dst, inner...)
-	}
-	dst = putUvarint(dst, uint64(len(m.Pairs)))
-	if len(m.Pairs) == 0 {
-		return putU64(dst, m.Version)
-	}
-	if table, index := pairSwitchTable(m.Pairs); table != nil {
-		dst = append(dst, pairEncDense)
-		dst = putU16(dst, uint16(len(table)))
-		for _, id := range table {
-			dst = putU32(dst, uint32(id))
-		}
-		for _, p := range m.Pairs {
-			dst = putU16(dst, index[p.A])
-			dst = putU16(dst, index[p.B])
-			dst = putU32(dst, p.NewFlows)
-		}
-	} else {
-		dst = append(dst, pairEncFlat)
-		for _, p := range m.Pairs {
-			dst = putU32(dst, uint32(p.A))
-			dst = putU32(dst, uint32(p.B))
-			dst = putU32(dst, p.NewFlows)
-		}
-	}
-	return putU64(dst, m.Version)
-}
-
-func (m *StateReport) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Group = model.GroupID(r.u32())
-	// Varint counts are not wire-bounded; divide so a crafted count
-	// cannot wrap the guard into a makeslice panic (see delta.go).
-	n := int(r.uvarint())
-	if n < 0 || n > r.remain()/2 { // each L-FIB costs ≥ its varint length prefix + body
-		r.fail()
-		return ErrTruncated
-	}
-	if n > 0 {
-		m.LFIBs = make([]LFIBUpdate, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		body := r.bytes(int(r.uvarint()))
-		if r.err != nil {
-			return r.err
-		}
-		var u LFIBUpdate
-		if err := u.decodeBody(body); err != nil {
-			return err
-		}
-		m.LFIBs = append(m.LFIBs, u)
-	}
-	np := int(r.uvarint())
-	if np < 0 || np > r.remain() {
-		r.fail()
-		return ErrTruncated
-	}
-	if np == 0 {
-		m.Version = r.u64()
-		return r.done()
-	}
-	enc := r.u8()
-	switch enc {
-	case pairEncDense:
-		nt := int(r.u16())
-		if nt*4 > r.remain() || np > r.remain()/8 {
-			r.fail()
-			return ErrTruncated
-		}
-		table := make([]model.SwitchID, nt)
-		for i := range table {
-			table[i] = model.SwitchID(r.u32())
-		}
-		if np > 0 {
-			m.Pairs = make([]PairStat, 0, np)
-		}
-		for i := 0; i < np; i++ {
-			ai, bi := int(r.u16()), int(r.u16())
-			flows := r.u32()
-			if ai >= nt || bi >= nt {
-				r.fail()
-				return ErrTruncated
+// in the common case instead of nine. Each L-FIB leg is an LFIBUpdate
+// body behind its uvarint size.
+func (m *StateReport) layout(w wire) wire {
+	w = u32(w, &m.Group)
+	// A leg costs at least its size byte and one more.
+	w = list(w, &m.LFIBs, countVarint, 2, func(w wire, u *LFIBUpdate) wire {
+		return framed(w, countVarint, u.layout)
+	})
+	// A non-empty pair list opens with the encoding flag and, in the
+	// dense form, the switch table; the encoder picks the cheaper form.
+	// A pair costs at least 8 bytes (the dense form's).
+	var (
+		enc   uint8 = pairEncFlat
+		table []model.SwitchID
+		index map[model.SwitchID]uint16
+		first = true
+	)
+	w = list(w, &m.Pairs, countVarint, 8, func(w wire, p *PairStat) wire {
+		if first {
+			first = false
+			if !w.dec() {
+				if table, index = pairSwitchTable(m.Pairs); table != nil {
+					enc = pairEncDense
+				}
 			}
-			m.Pairs = append(m.Pairs, PairStat{A: table[ai], B: table[bi], NewFlows: flows})
+			switch w = u8(w, &enc); {
+			case enc == pairEncDense:
+				w = list(w, &table, countU16, 4, u32)
+			case enc != pairEncFlat:
+				return w.fail(ErrTruncated)
+			}
 		}
-	case pairEncFlat:
-		if np > r.remain()/12 {
-			r.fail()
-			return ErrTruncated
+		if enc == pairEncFlat {
+			w = u32(w, &p.A)
+			w = u32(w, &p.B)
+		} else {
+			a, b := index[p.A], index[p.B]
+			w = u16(w, &a)
+			w = u16(w, &b)
+			if w.dec() && !w.failed() {
+				if int(a) >= len(table) || int(b) >= len(table) {
+					return w.fail(ErrTruncated)
+				}
+				p.A, p.B = table[a], table[b]
+			}
 		}
-		if np > 0 {
-			m.Pairs = make([]PairStat, 0, np)
-		}
-		for i := 0; i < np; i++ {
-			var p PairStat
-			p.A = model.SwitchID(r.u32())
-			p.B = model.SwitchID(r.u32())
-			p.NewFlows = r.u32()
-			m.Pairs = append(m.Pairs, p)
-		}
-	default:
-		if r.err == nil {
-			r.fail()
-			return ErrTruncated
-		}
-	}
-	m.Version = r.u64()
-	return r.done()
+		return u32(w, &p.NewFlows)
+	})
+	return u64(w, &m.Version)
 }
 
 // KeepAlive is the failure-detection wheel heartbeat (§III-E1), sent
@@ -436,18 +277,10 @@ type KeepAlive struct {
 // MsgType implements Message.
 func (*KeepAlive) MsgType() MsgType { return TypeKeepAlive }
 
-func (m *KeepAlive) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.From))
-	dst = putU64(dst, m.Seq)
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *KeepAlive) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.From = model.SwitchID(r.u32())
-	m.Seq = r.u64()
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *KeepAlive) layout(w wire) wire {
+	w = u32(w, &m.From)
+	w = u64(w, &m.Seq)
+	return uvarint(w, &m.Generation)
 }
 
 // ARPRelay carries an ARP request from the controller to the designated
@@ -461,14 +294,7 @@ type ARPRelay struct {
 // MsgType implements Message.
 func (*ARPRelay) MsgType() MsgType { return TypeARPRelay }
 
-func (m *ARPRelay) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Tenant))
-	return encodePacket(dst, &m.Packet)
-}
-
-func (m *ARPRelay) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Tenant = model.TenantID(r.u32())
-	m.Packet = decodePacket(r)
-	return r.done()
+func (m *ARPRelay) layout(w wire) wire {
+	w = u32(w, &m.Tenant)
+	return packet(w, &m.Packet)
 }

@@ -48,20 +48,11 @@ type FailureReport struct {
 // MsgType implements Message.
 func (*FailureReport) MsgType() MsgType { return TypeFailureReport }
 
-func (m *FailureReport) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Observer))
-	dst = putU32(dst, uint32(m.Suspect))
-	dst = append(dst, uint8(m.Direction))
-	return putU64(dst, m.MissedSeq)
-}
-
-func (m *FailureReport) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Observer = model.SwitchID(r.u32())
-	m.Suspect = model.SwitchID(r.u32())
-	m.Direction = LossDirection(r.u8())
-	m.MissedSeq = r.u64()
-	return r.done()
+func (m *FailureReport) layout(w wire) wire {
+	w = u32(w, &m.Observer)
+	w = u32(w, &m.Suspect)
+	w = u8(w, &m.Direction)
+	return u64(w, &m.MissedSeq)
 }
 
 // ConfigAck acknowledges a GroupConfig push — the barrier-reply of the
@@ -78,14 +69,7 @@ type ConfigAck struct {
 // MsgType implements Message.
 func (*ConfigAck) MsgType() MsgType { return TypeConfigAck }
 
-func (m *ConfigAck) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.From))
-	return putU64(dst, m.Version)
-}
-
-func (m *ConfigAck) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.From = model.SwitchID(r.u32())
-	m.Version = r.u64()
-	return r.done()
+func (m *ConfigAck) layout(w wire) wire {
+	w = u32(w, &m.From)
+	return u64(w, &m.Version)
 }

@@ -45,27 +45,14 @@ func ExactDst(dst model.MAC, vlan model.VLAN) Match {
 	}
 }
 
-func (m Match) encode(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Wildcards))
-	dst = append(dst, m.SrcMAC[:]...)
-	dst = append(dst, m.DstMAC[:]...)
-	dst = putU16(dst, uint16(m.VLAN))
-	dst = putU16(dst, uint16(m.Ether))
-	dst = putU32(dst, uint32(m.SrcIP))
-	dst = putU32(dst, uint32(m.DstIP))
-	return dst
-}
-
-func decodeMatch(r *reader) Match {
-	var m Match
-	m.Wildcards = Wildcard(r.u32())
-	m.SrcMAC = r.mac()
-	m.DstMAC = r.mac()
-	m.VLAN = model.VLAN(r.u16())
-	m.Ether = model.EtherType(r.u16())
-	m.SrcIP = model.IP(r.u32())
-	m.DstIP = model.IP(r.u32())
-	return m
+func match(w wire, m *Match) wire {
+	w = u32(w, &m.Wildcards)
+	w = mac(w, &m.SrcMAC)
+	w = mac(w, &m.DstMAC)
+	w = u16(w, &m.VLAN)
+	w = u16(w, &m.Ether)
+	w = u32(w, &m.SrcIP)
+	return u32(w, &m.DstIP)
 }
 
 // ActionType tags a flow action.
@@ -116,46 +103,14 @@ func (a Action) String() string {
 	}
 }
 
-func (a Action) encode(dst []byte) []byte {
-	dst = append(dst, uint8(a.Type))
-	dst = putU16(dst, a.Port)
-	dst = putU32(dst, uint32(a.Remote))
-	return dst
-}
-
-func decodeAction(r *reader) Action {
-	var a Action
-	a.Type = ActionType(r.u8())
-	a.Port = r.u16()
-	a.Remote = model.SwitchID(r.u32())
-	return a
-}
-
-func encodeActions(dst []byte, actions []Action) []byte {
-	dst = putU16(dst, uint16(len(actions)))
-	for _, a := range actions {
-		dst = a.encode(dst)
-	}
-	return dst
-}
-
-func decodeActions(r *reader) []Action {
-	n := int(r.u16())
-	// Each action is exactly 7 bytes (type u8 + port u16 + remote u32),
-	// so the count cannot exceed remain()/7; the divide form cannot
-	// overflow. The earlier `n > r.remain()` sanity bound let a crafted
-	// count over-allocate by up to 7x before the per-field reads failed.
-	if n == 0 || n > r.remain()/7 {
-		if n != 0 {
-			r.fail()
-		}
-		return nil
-	}
-	actions := make([]Action, 0, n)
-	for i := 0; i < n; i++ {
-		actions = append(actions, decodeAction(r))
-	}
-	return actions
+// actions moves an action list: a u16 count, then 7 bytes per action
+// (type u8 + port u16 + remote u32).
+func actions(w wire, s *[]Action) wire {
+	return list(w, s, countU16, 7, func(w wire, a *Action) wire {
+		w = u8(w, &a.Type)
+		w = u16(w, &a.Port)
+		return u32(w, &a.Remote)
+	})
 }
 
 // FlowModCommand selects the FlowMod operation.

@@ -266,3 +266,32 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecAllocations pins the codec's allocations on the seeds with
+// no list and no pointer field (PacketIn, KeepAlive, RoleAnnounce,
+// FailureReport, ConfigAck): Encode allocates only its frame and Decode
+// only the message. A layout that lets the wire escape through the
+// Message interface call costs an allocation per message and fails
+// here.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, s := range fuzzSeeds() {
+		switch s.n {
+		case 3, 14, 19, 20, 25, 26:
+		default:
+			continue
+		}
+		data, err := Encode(s.m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { Encode(s.m, 1) }); got != 1 {
+			t.Errorf("seed %d: Encode(%v) allocates %v times, want 1 (the frame)", s.n, s.m.MsgType(), got)
+		}
+		if got := testing.AllocsPerRun(100, func() { Decode(data) }); got != 1 {
+			t.Errorf("seed %d: Decode(%v) allocates %v times, want 1 (the message)", s.n, s.m.MsgType(), got)
+		}
+	}
+}

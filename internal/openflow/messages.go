@@ -34,18 +34,10 @@ type PacketIn struct {
 // MsgType implements Message.
 func (*PacketIn) MsgType() MsgType { return TypePacketIn }
 
-func (m *PacketIn) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.Switch))
-	dst = append(dst, uint8(m.Reason))
-	return encodePacket(dst, &m.Packet)
-}
-
-func (m *PacketIn) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Switch = model.SwitchID(r.u32())
-	m.Reason = PacketInReason(r.u8())
-	m.Packet = decodePacket(r)
-	return r.done()
+func (m *PacketIn) layout(w wire) wire {
+	w = u32(w, &m.Switch)
+	w = u8(w, &m.Reason)
+	return packet(w, &m.Packet)
 }
 
 // PacketOut instructs a switch to emit a packet with the given actions.
@@ -60,16 +52,9 @@ type PacketOut struct {
 // MsgType implements Message.
 func (*PacketOut) MsgType() MsgType { return TypePacketOut }
 
-func (m *PacketOut) encodeBody(dst []byte) []byte {
-	dst = encodeActions(dst, m.Actions)
-	return encodePacket(dst, &m.Packet)
-}
-
-func (m *PacketOut) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Actions = decodeActions(r)
-	m.Packet = decodePacket(r)
-	return r.done()
+func (m *PacketOut) layout(w wire) wire {
+	w = actions(w, &m.Actions)
+	return packet(w, &m.Packet)
 }
 
 // FlowMod installs, modifies, or removes a flow rule.
@@ -88,22 +73,11 @@ type FlowMod struct {
 // MsgType implements Message.
 func (*FlowMod) MsgType() MsgType { return TypeFlowMod }
 
-func (m *FlowMod) encodeBody(dst []byte) []byte {
-	dst = append(dst, uint8(m.Command))
-	dst = m.Match.encode(dst)
-	dst = putU16(dst, m.Priority)
-	dst = putU64(dst, uint64(m.IdleTimeout))
-	dst = putU64(dst, uint64(m.HardTimeout))
-	return encodeActions(dst, m.Actions)
-}
-
-func (m *FlowMod) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Command = FlowModCommand(r.u8())
-	m.Match = decodeMatch(r)
-	m.Priority = r.u16()
-	m.IdleTimeout = time.Duration(r.u64())
-	m.HardTimeout = time.Duration(r.u64())
-	m.Actions = decodeActions(r)
-	return r.done()
+func (m *FlowMod) layout(w wire) wire {
+	w = u8(w, &m.Command)
+	w = match(w, &m.Match)
+	w = u16(w, &m.Priority)
+	w = u64(w, &m.IdleTimeout)
+	w = u64(w, &m.HardTimeout)
+	return actions(w, &m.Actions)
 }

@@ -10,9 +10,10 @@
 // overlay encapsulation.
 //
 // The Batch message coalesces several messages to one destination
-// (body: u32 count, then per item u8 type + u32 length + body) so a
-// regroup round encodes and sends at most one control message per
-// switch; see Batch for the framing details and the no-nesting rule.
+// (body: uvarint generation, u32 count, then per item u8 type + u32
+// length + body) so a regroup round encodes and sends at most one
+// control message per switch; see Batch for the framing details and
+// the no-nesting rule.
 //
 // G-FIB distribution is a versioned delta protocol: GFIBUpdate carries
 // full filters stamped with their origin's state version, GFIBDelta
@@ -33,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lazyctrl/internal/model"
 	"lazyctrl/internal/telemetry"
 )
 
@@ -130,10 +130,9 @@ func (t MsgType) String() string {
 type Message interface {
 	// MsgType returns the wire type tag.
 	MsgType() MsgType
-	// encodeBody appends the body encoding to dst.
-	encodeBody(dst []byte) []byte
-	// decodeBody parses the body.
-	decodeBody(src []byte) error
+	// layout states the body's fields once, in wire order; w's
+	// direction makes it an encode or a decode (see wire).
+	layout(w wire) wire
 }
 
 // headerLen is the fixed header size: version(1) type(1) length(4) xid(4).
@@ -151,19 +150,19 @@ var (
 	ErrTooLarge    = errors.New("openflow: message exceeds size bound")
 )
 
-// Encode serializes a message with the given transaction ID.
+// Encode serializes a message with the given transaction ID. The body
+// is laid out behind the header in the returned frame itself; 64 bytes
+// of body fit without growing it.
 func Encode(m Message, xid uint32) ([]byte, error) {
-	body := m.encodeBody(make([]byte, 0, 64))
-	total := headerLen + len(body)
-	if total > maxMessageLen {
+	buf := m.layout(wire{buf: make([]byte, headerLen, headerLen+64)}).buf
+	if len(buf) > maxMessageLen {
 		return nil, ErrTooLarge
 	}
-	buf := make([]byte, headerLen, total)
 	buf[0] = Version
 	buf[1] = uint8(m.MsgType())
-	binary.BigEndian.PutUint32(buf[2:6], uint32(total))
+	binary.BigEndian.PutUint32(buf[2:6], uint32(len(buf)))
 	binary.BigEndian.PutUint32(buf[6:10], xid)
-	return append(buf, body...), nil
+	return buf, nil
 }
 
 // newMessage allocates an empty message of the given type.
@@ -195,151 +194,8 @@ func Decode(data []byte) (Message, uint32, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := m.decodeBody(data[headerLen:]); err != nil {
+	if err := m.layout(reading(data[headerLen:])).done(); err != nil {
 		return nil, 0, fmt.Errorf("openflow: decoding %v: %w", MsgType(data[1]), err)
 	}
 	return m, xid, nil
-}
-
-// --- primitive encode/decode helpers ---
-
-type reader struct {
-	src []byte
-	off int
-	err error
-}
-
-func (r *reader) remain() int { return len(r.src) - r.off }
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrTruncated
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.remain() < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.src[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.remain() < 2 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.src[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.remain() < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.src[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.remain() < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.src[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) bytes(n int) []byte {
-	if n < 0 || r.err != nil || r.remain() < n {
-		r.fail()
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.src[r.off:r.off+n])
-	r.off += n
-	return v
-}
-
-func (r *reader) mac() model.MAC {
-	var m model.MAC
-	if r.err != nil || r.remain() < 6 {
-		r.fail()
-		return m
-	}
-	copy(m[:], r.src[r.off:r.off+6])
-	r.off += 6
-	return m
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.remain() != 0 {
-		return fmt.Errorf("openflow: %d trailing bytes", r.remain())
-	}
-	return nil
-}
-
-// putUvarint appends v LEB128-encoded (7 bits per byte, high bit =
-// continuation): the mostly-zero and mostly-small count fields of the
-// delta path cost one byte instead of four. See docs/protocol.md.
-func putUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// uvarint reads a LEB128-encoded unsigned integer (at most 10 bytes;
-// the 10th may carry only bit 0 — anything else would shift bits past
-// 63, silently wrapping a crafted overlong encoding into a small bogus
-// value, so it fails instead, like binary.Uvarint).
-func (r *reader) uvarint() uint64 {
-	var v uint64
-	var shift uint
-	for i := 0; i < 10; i++ {
-		b := r.u8()
-		if r.err != nil {
-			return 0
-		}
-		if i == 9 && b > 1 {
-			r.fail()
-			return 0
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v
-		}
-		shift += 7
-	}
-	r.fail()
-	return 0
-}
-
-func putU16(dst []byte, v uint16) []byte {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func putU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func putU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
 }

@@ -1,59 +1,32 @@
 package openflow
 
-import (
-	"time"
+import "lazyctrl/internal/model"
 
-	"lazyctrl/internal/model"
-)
-
-// Packet wire layout (fixed-size header followed by an optional encap
-// trailer):
+// packet moves a packet: a fixed-size header, then a flag byte and,
+// when it is 1, the encap trailer.
 //
 //	srcMAC(6) dstMAC(6) srcIP(4) dstIP(4) vlan(2) ether(2)
 //	arpOp(1) arpTarget(4) bytes(4) flowSeq(4) injected(8) encapFlag(1)
-//	[srcSwitch(4) dstSwitch(4)]   — present when encapFlag == 1
-const packetBaseLen = 6 + 6 + 4 + 4 + 2 + 2 + 1 + 4 + 4 + 4 + 8 + 1
-
-func encodePacket(dst []byte, p *model.Packet) []byte {
-	dst = append(dst, p.SrcMAC[:]...)
-	dst = append(dst, p.DstMAC[:]...)
-	dst = putU32(dst, uint32(p.SrcIP))
-	dst = putU32(dst, uint32(p.DstIP))
-	dst = putU16(dst, uint16(p.VLAN))
-	dst = putU16(dst, uint16(p.Ether))
-	dst = append(dst, uint8(p.ARPOp))
-	dst = putU32(dst, uint32(p.ARPTarget))
-	dst = putU32(dst, uint32(p.Bytes))
-	dst = putU32(dst, uint32(p.FlowSeq))
-	dst = putU64(dst, uint64(p.Injected))
-	if p.Encap != nil {
-		dst = append(dst, 1)
-		dst = putU32(dst, uint32(p.Encap.SrcSwitch))
-		dst = putU32(dst, uint32(p.Encap.DstSwitch))
-	} else {
-		dst = append(dst, 0)
+//	[srcSwitch(4) dstSwitch(4)]
+func packet(w wire, p *model.Packet) wire {
+	w = mac(w, &p.SrcMAC)
+	w = mac(w, &p.DstMAC)
+	w = u32(w, &p.SrcIP)
+	w = u32(w, &p.DstIP)
+	w = u16(w, &p.VLAN)
+	w = u16(w, &p.Ether)
+	w = u8(w, &p.ARPOp)
+	w = u32(w, &p.ARPTarget)
+	w = u32(w, &p.Bytes)
+	w = u32(w, &p.FlowSeq)
+	w = u64(w, &p.Injected)
+	encap := p.Encap != nil
+	if w = flag(w, &encap); !encap {
+		return w
 	}
-	return dst
-}
-
-func decodePacket(r *reader) model.Packet {
-	var p model.Packet
-	p.SrcMAC = r.mac()
-	p.DstMAC = r.mac()
-	p.SrcIP = model.IP(r.u32())
-	p.DstIP = model.IP(r.u32())
-	p.VLAN = model.VLAN(r.u16())
-	p.Ether = model.EtherType(r.u16())
-	p.ARPOp = model.ARPOp(r.u8())
-	p.ARPTarget = model.IP(r.u32())
-	p.Bytes = int(r.u32())
-	p.FlowSeq = int(r.u32())
-	p.Injected = time.Duration(r.u64())
-	if r.u8() == 1 {
-		p.Encap = &model.EncapHeader{
-			SrcSwitch: model.SwitchID(r.u32()),
-			DstSwitch: model.SwitchID(r.u32()),
-		}
+	if w.dec() {
+		p.Encap = new(model.EncapHeader)
 	}
-	return p
+	w = u32(w, &p.Encap.SrcSwitch)
+	return u32(w, &p.Encap.DstSwitch)
 }

@@ -26,16 +26,9 @@ type RoleAnnounce struct {
 // MsgType implements Message.
 func (*RoleAnnounce) MsgType() MsgType { return TypeRoleAnnounce }
 
-func (m *RoleAnnounce) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(m.From))
-	return putUvarint(dst, m.Generation)
-}
-
-func (m *RoleAnnounce) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.From = model.SwitchID(r.u32())
-	m.Generation = r.uvarint()
-	return r.done()
+func (m *RoleAnnounce) layout(w wire) wire {
+	w = u32(w, &m.From)
+	return uvarint(w, &m.Generation)
 }
 
 // SyncKind discriminates the payload of a StateSyncRecord.
@@ -106,50 +99,16 @@ type StateSyncRecord struct {
 // MsgType implements Message.
 func (*StateSyncRecord) MsgType() MsgType { return TypeStateSyncRecord }
 
-func (m *StateSyncRecord) encodeBody(dst []byte) []byte {
-	dst = append(dst, uint8(m.Kind))
-	dst = putUvarint(dst, m.Generation)
-	dst = putUvarint(dst, m.GroupingVersion)
-	dst = putU32(dst, uint32(m.Origin))
-	if m.Full {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = encodeLFIBEntries(dst, m.Entries)
-	dst = putU64(dst, m.Version)
-	dst = putUvarint(dst, uint64(len(m.Assign)))
-	for _, a := range m.Assign {
-		dst = putU32(dst, uint32(a.Switch))
-		dst = putU32(dst, uint32(a.Group))
-	}
-	return dst
-}
-
-func (m *StateSyncRecord) decodeBody(src []byte) error {
-	r := &reader{src: src}
-	m.Kind = SyncKind(r.u8())
-	m.Generation = r.uvarint()
-	m.GroupingVersion = r.uvarint()
-	m.Origin = model.SwitchID(r.u32())
-	m.Full = r.u8() == 1
-	m.Entries = decodeLFIBEntries(r)
-	m.Version = r.u64()
-	// The assignment count travels as a varint, so divide instead of
-	// multiplying (see GFIBDelta.decodeBody).
-	n := int(r.uvarint())
-	if n < 0 || n > r.remain()/8 { // each assignment costs two u32s
-		r.fail()
-		return ErrTruncated
-	}
-	if n > 0 {
-		m.Assign = make([]SyncAssign, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var a SyncAssign
-		a.Switch = model.SwitchID(r.u32())
-		a.Group = model.GroupID(r.u32())
-		m.Assign = append(m.Assign, a)
-	}
-	return r.done()
+func (m *StateSyncRecord) layout(w wire) wire {
+	w = u8(w, &m.Kind)
+	w = uvarint(w, &m.Generation)
+	w = uvarint(w, &m.GroupingVersion)
+	w = u32(w, &m.Origin)
+	w = flag(w, &m.Full)
+	w = lfibEntries(w, &m.Entries)
+	w = u64(w, &m.Version)
+	return list(w, &m.Assign, countVarint, 8, func(w wire, a *SyncAssign) wire {
+		w = u32(w, &a.Switch)
+		return u32(w, &a.Group)
+	})
 }
