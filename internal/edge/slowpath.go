@@ -28,9 +28,9 @@ func (s *Switch) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		s.handleFlowMod(m)
 		s.emitApplySpan(m.Span)
 	case *openflow.PacketOut:
+		// A sent message is frozen, and the actions only read it.
 		s.clearEscalation(&m.Packet)
-		pkt := m.Packet
-		s.applyActions(m.Actions, &pkt)
+		s.applyActions(m.Actions, &m.Packet)
 		s.emitApplySpan(m.Span)
 	case *openflow.GroupConfig:
 		s.handleGroupConfig(m)

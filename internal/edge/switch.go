@@ -12,6 +12,8 @@ import (
 )
 
 // DeliverFunc is invoked when a packet reaches a locally attached host.
+// p is valid only during the call: it may be the switch's decap scratch
+// or a controller message, so a hook that keeps a packet copies it.
 type DeliverFunc func(p *model.Packet, at time.Duration)
 
 // Config parameterizes an edge switch.
@@ -145,6 +147,14 @@ type Switch struct {
 	// candidates is the G-FIB lookup scratch of the slow path: valid
 	// only until the next lookup, so nothing deferred may hold it.
 	candidates []model.SwitchID
+	// slow holds the single-candidate first packets waiting out
+	// slowPathDelay, and slowFn is encapSlowHead, bound at first use.
+	// The delay is a constant, so the posts fire in push order and each
+	// one encaps the queue's head.
+	slow   slowQueue
+	slowFn func()
+	// decap is the inner packet handleOverlay delivers (see DeliverFunc).
+	decap model.Packet
 
 	group     openflow.GroupConfig
 	haveGroup bool
@@ -413,9 +423,12 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 	case 0:
 	case 1:
 		// The encap runs slowPathDelay from now and another first packet
-		// may reuse the scratch before then: capture the target by value.
-		target := s.candidates[0]
-		netsim.Post(s.env, slowPathDelay, func() { s.encapTo(target, p) })
+		// may reuse the scratch before then: queue the target by value.
+		s.slow.push(slowItem{to: s.candidates[0], p: p})
+		if s.slowFn == nil {
+			s.slowFn = s.encapSlowHead
+		}
+		netsim.Post(s.env, slowPathDelay, s.slowFn)
 		return
 	default:
 		targets := slices.Clone(s.candidates)
@@ -434,26 +447,20 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 // core (the second branch of Fig. 5).
 func (s *Switch) handleOverlay(p *model.Packet) {
 	s.stats.PacketsSeen++
-	src := model.NoSwitch
-	if p.Encap != nil {
-		src = p.Encap.SrcSwitch
-	}
-	// Decapsulate.
-	inner := *p
-	inner.Bytes -= model.EncapOverheadBytes
-	inner.Encap = nil
-
-	e := s.lfib.Lookup(inner.DstMAC)
-	if e == nil {
+	if s.lfib.Lookup(p.DstMAC) == nil {
 		// Mis-forwarded due to a Bloom-filter false positive: drop.
 		s.stats.FalsePositiveDrops++
 		return
 	}
-	if inner.FlowSeq == 0 && src != model.NoSwitch {
+	if src := p.Encap.SrcSwitch; p.FlowSeq == 0 && src != model.NoSwitch {
 		s.pairFlows[src]++
 		wakeTask(s.advTask) // pair statistics now pending
 	}
-	s.deliver(&inner)
+	// Decapsulate into the scratch: the message stays as it was sent.
+	s.decap = *p
+	s.decap.Bytes -= model.EncapOverheadBytes
+	s.decap.Encap = nil
+	s.deliver(&s.decap)
 }
 
 // handleFlood processes a plain packet flooded by the baseline
@@ -473,13 +480,62 @@ func (s *Switch) deliver(p *model.Packet) {
 }
 
 // encapTo wraps p with the GRE-like outer header and sends it to a
-// remote edge switch over the underlay.
+// remote edge switch over the underlay. The packet and its header are
+// one object.
 func (s *Switch) encapTo(remote model.SwitchID, p *model.Packet) {
-	out := *p
-	out.Encap = &model.EncapHeader{SrcSwitch: s.cfg.ID, DstSwitch: remote}
-	out.Bytes += model.EncapOverheadBytes
+	o := &encapped{pkt: *p, hdr: model.EncapHeader{SrcSwitch: s.cfg.ID, DstSwitch: remote}}
+	o.pkt.Encap = &o.hdr
+	o.pkt.Bytes += model.EncapOverheadBytes
 	s.stats.EncapSent++
-	s.env.Send(remote, &out)
+	s.env.Send(remote, &o.pkt)
+}
+
+// encapped is an overlay packet together with its outer header.
+type encapped struct {
+	pkt model.Packet
+	hdr model.EncapHeader
+}
+
+// encapSlowHead runs the deferred encap of the oldest queued
+// single-candidate first packet.
+func (s *Switch) encapSlowHead() {
+	it := s.slow.pop()
+	s.encapTo(it.to, it.p)
+}
+
+// slowQueue is a FIFO ring of deferred encaps. It grows by slowChunk
+// items when full and never shrinks, so it holds at most a chunk more
+// than the most items ever in flight at once.
+type slowQueue struct {
+	buf     []slowItem
+	head, n int
+}
+
+type slowItem struct {
+	to model.SwitchID
+	p  *model.Packet
+}
+
+const slowChunk = 16
+
+func (q *slowQueue) push(it slowItem) {
+	if q.n == len(q.buf) {
+		buf := make([]slowItem, len(q.buf)+slowChunk)
+		for i := range q.n {
+			buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = it
+	q.n++
+}
+
+func (q *slowQueue) pop() slowItem {
+	it := q.buf[q.head]
+	q.buf[q.head] = slowItem{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return it
 }
 
 // packetIn forwards a packet to the controller over the control link.
@@ -529,22 +585,28 @@ func (s *Switch) flushPacketIns() {
 	if len(s.pinBuf) == 0 {
 		return
 	}
-	buf, at, spans := s.pinBuf, s.pinAt, s.pinSpans
-	s.pinBuf, s.pinAt, s.pinSpans = nil, nil, nil
 	now := s.env.Now()
-	for _, t := range at {
+	for _, t := range s.pinAt {
 		s.stats.PinBatchWait += now - t
 	}
-	s.stats.PinBatchWaited += uint64(len(at))
+	s.stats.PinBatchWaited += uint64(len(s.pinAt))
 	// Sampled escalations close their root here: the root span's
 	// duration is exactly the micro-batch residence.
-	for _, sp := range spans {
+	for _, sp := range s.pinSpans {
 		sp.End()
 	}
+	clear(s.pinSpans)
+	s.pinAt, s.pinSpans = s.pinAt[:0], s.pinSpans[:0]
+	// A lone packet leaves by value, so the window keeps its buffer; a
+	// burst's items leave with the message.
+	buf := s.pinBuf
 	if len(buf) == 1 {
-		s.sendCtrl(&openflow.PacketIn{Switch: s.cfg.ID, Reason: buf[0].Reason, Packet: buf[0].Packet, Span: buf[0].Span})
+		m := &openflow.PacketIn{Switch: s.cfg.ID, Reason: buf[0].Reason, Packet: buf[0].Packet, Span: buf[0].Span}
+		s.pinBuf = buf[:0]
+		s.sendCtrl(m)
 		return
 	}
+	s.pinBuf = nil
 	s.stats.PacketInBursts++
 	s.sendCtrl(&openflow.PacketInBurst{Switch: s.cfg.ID, Items: buf})
 }

@@ -84,8 +84,10 @@ func newRig(t *testing.T, ids ...model.SwitchID) *rig {
 		id := id
 		sw := New(Config{
 			ID: id,
+			// p is valid only during the call: keep a copy.
 			OnDeliver: func(p *model.Packet, at time.Duration) {
-				r.delivered[id] = append(r.delivered[id], delivery{p: p, at: at})
+				cp := *p
+				r.delivered[id] = append(r.delivered[id], delivery{p: &cp, at: at})
 			},
 		}, n.Env(id))
 		n.Attach(sw)

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -59,15 +60,26 @@ type Simulator struct {
 	executed uint64
 }
 
-// alloc takes an event from the free list, or a fresh one.
+// eventSlab is how many events alloc makes at once. A fresh simulator
+// grows its pool to the peak number of pending events, which a replay's
+// per-flow injections put at about one per flow.
+const eventSlab = 256
+
+// alloc takes an event from the free list, refilling an empty list
+// with a slab of eventSlab events.
 func (s *Simulator) alloc() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return ev
+	if len(s.free) == 0 {
+		slab := make([]event, eventSlab)
+		s.free = slices.Grow(s.free, eventSlab)
+		for i := range slab {
+			s.free = append(s.free, &slab[eventSlab-1-i])
+		}
 	}
-	return &event{}
+	n := len(s.free) - 1
+	ev := s.free[n]
+	s.free[n] = nil
+	s.free = s.free[:n]
+	return ev
 }
 
 // release recycles an executed or collected event. The generation bump

@@ -237,3 +237,48 @@ func TestManyEventsHeapStress(t *testing.T) {
 		t.Errorf("Executed() = %d, want %d", s.Executed(), n)
 	}
 }
+
+// TestEventsAllocatedBySlab pins the event pool's growth: a fresh
+// simulator scheduling 4,096 one-shot events allocates one slab per
+// eventSlab events and its free list, and a Timer whose slab event was
+// recycled for a later schedule reports Stop() == false.
+func TestEventsAllocatedBySlab(t *testing.T) {
+	const n = 4096
+	fn := func() {}
+	// AllocsPerRun's warm-up run takes the first simulator. Both heaps
+	// are sized up front, so only the events are counted.
+	sims := []*Simulator{New(1), New(1)}
+	for _, s := range sims {
+		s.queue.heap = make([]slot, 0, n)
+	}
+	s := sims[1]
+	timers := make([]Timer, n)
+	allocs := testing.AllocsPerRun(1, func() {
+		s := sims[0]
+		sims = sims[1:]
+		for i := range timers {
+			timers[i] = s.After(time.Duration(i+1), fn)
+		}
+	})
+	if want := float64(n/eventSlab + 2); allocs > want {
+		t.Errorf("scheduling %d events on a fresh simulator allocates %.0f times, want ≤ %.0f", n, allocs, want)
+	}
+
+	s.Run()
+	later := s.After(time.Second, fn)
+	recycled := 0
+	for i := range timers {
+		if timers[i].ev == later.ev {
+			recycled++
+		}
+		if timers[i].Stop() {
+			t.Fatalf("timer %d stopped after its event fired", i)
+		}
+	}
+	if recycled != 1 {
+		t.Fatalf("%d fired timers share the new timer's event, want 1", recycled)
+	}
+	if !later.Stop() {
+		t.Error("the timer on the recycled event did not stop")
+	}
+}
