@@ -243,6 +243,9 @@ type Controller struct {
 	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
+	// posts holds the PacketOuts and installs waiting out queueDelay.
+	posts *netsim.Deferred[sender]
+
 	// Control-fold task handles (nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
 	expireTask netsim.ElidableTask
@@ -387,6 +390,7 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		state:      newHotState(),
 		sw:         records,
 		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
+		posts:      netsim.NewDeferred(env, sender.send),
 	}, nil
 }
 

@@ -382,23 +382,26 @@ func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Pack
 		c.forward(ingress, out)
 		return
 	}
-	in := &install{forwarding: forwarding{c: c, ingress: ingress, out: out}, mod: openflow.FlowMod{
+	c.posts.Post(c.queueDelay(), &install{forwarding: forwarding{c: c, ingress: ingress, out: out}, mod: openflow.FlowMod{
 		Command:     openflow.FlowAdd,
 		Match:       openflow.ExactDst(p.DstMAC, p.VLAN),
 		Priority:    100,
 		IdleTimeout: c.cfg.RuleIdleTimeout,
 		Actions:     out.Actions,
 		Span:        span,
-	}}
-	netsim.Post(c.env, c.queueDelay(), in.send)
+	}})
 }
 
 // forward sends out to ingress after the processing delay: a PacketOut
-// with no rule, posted in one object as its bound send.
+// with no rule, posted in one object.
 func (c *Controller) forward(ingress model.SwitchID, out openflow.PacketOut) {
-	f := &forwarding{c: c, ingress: ingress, out: out}
-	netsim.Post(c.env, c.queueDelay(), f.send)
+	c.posts.Post(c.queueDelay(), &forwarding{c: c, ingress: ingress, out: out})
 }
+
+// sender is what the controller posts after its processing delay (see
+// Controller.posts): a forwarding or an install, queued as a pointer so
+// a post moves a word, not the messages.
+type sender interface{ send() }
 
 // forwarding is one PacketOut in flight (see forward).
 type forwarding struct {
@@ -413,7 +416,7 @@ func (f *forwarding) send() {
 }
 
 // install is a forwarding whose FlowMod installs the rule ahead of the
-// packet: both messages travel in one object, posted as its bound send.
+// packet: both messages travel in one object.
 type install struct {
 	forwarding
 	mod openflow.FlowMod

@@ -13,6 +13,7 @@ import (
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
+	"lazyctrl/internal/sim"
 	"lazyctrl/internal/telemetry"
 )
 
@@ -210,6 +211,101 @@ func TestInstallShape(t *testing.T) {
 			if err1 != nil || err2 != nil || !bytes.Equal(gotWire, wantWire) {
 				t.Errorf("%s: message %d encodes to %x (%v), want %x (%v)", tc.name, i, gotWire, err1, wantWire, err2)
 			}
+		}
+	}
+}
+
+// countingSwitch is a switch on the underlay that counts the messages
+// it receives by type and keeps none.
+type countingSwitch struct {
+	id  model.SwitchID
+	got map[openflow.MsgType]int
+}
+
+func (n *countingSwitch) NodeID() model.SwitchID { return n.id }
+func (n *countingSwitch) HandleMessage(_ model.SwitchID, m netsim.Message) {
+	if msg, ok := m.(openflow.Message); ok {
+		n.got[msg.MsgType()]++
+	}
+}
+
+// TestPacketInAllocations pins the objects a PacketIn costs the
+// controller on the DES, delivery of what it sends included: one per
+// post, holding the PacketOut, or the FlowMod and the PacketOut of an
+// install. The post's queue entry, its event and its deliveries are
+// reused.
+func TestPacketInAllocations(t *testing.T) {
+	desController := func(cfg Config) (*Controller, *sim.Simulator, *countingSwitch) {
+		s := sim.New(1)
+		n := netsim.New(s, netsim.DefaultLatencies())
+		cfg.Switches, cfg.Seed = switchList(16), 7
+		c, err := New(cfg, n.Env(model.ControllerNode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Attach(c)
+		var ingress *countingSwitch
+		for _, id := range cfg.Switches {
+			sw := &countingSwitch{id: id, got: make(map[openflow.MsgType]int)}
+			n.Attach(sw)
+			if id == 4 {
+				ingress = sw
+			}
+		}
+		return c, s, ingress
+	}
+	learning := func(perFlow bool) (*Controller, *sim.Simulator, *countingSwitch) {
+		c, s, ingress := desController(Config{Mode: ModeLearning, PerFlowRules: perFlow})
+		warmLearning(c, 64) // host h on switch h%16+1
+		s.RunFor(time.Second)
+		return c, s, ingress
+	}
+	lazy := func() (*Controller, *sim.Simulator, *countingSwitch) {
+		c, s, ingress := desController(Config{Mode: ModeLazy})
+		m := grouping.NewIntensity()
+		m.Add(1, 2, 100)
+		m.Add(3, 4, 100)
+		m.Add(1, 3, 1)
+		if err := c.InitialGrouping(m); err != nil {
+			t.Fatal(err)
+		}
+		h := model.HostID(600) // on switch 6
+		c.clib.ApplyLFIB(6, c.grp.GroupOf(6), &openflow.LFIBUpdate{Full: true, Version: 1,
+			Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(h), IP: model.HostIP(h), VLAN: 1}}})
+		s.RunFor(time.Second)
+		return c, s, ingress
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func() (*Controller, *sim.Simulator, *countingSwitch)
+		pin   *model.Packet
+		sent  map[openflow.MsgType]int
+	}{
+		// Hosts 3 and 19 live on switch 4, host 5 on switch 6.
+		{"learning forward", func() (*Controller, *sim.Simulator, *countingSwitch) { return learning(true) },
+			pkt(3, 5), map[openflow.MsgType]int{openflow.TypePacketOut: 1}},
+		{"learning bounce", func() (*Controller, *sim.Simulator, *countingSwitch) { return learning(false) },
+			pkt(3, 19), map[openflow.MsgType]int{openflow.TypePacketOut: 1}},
+		{"learning install", func() (*Controller, *sim.Simulator, *countingSwitch) { return learning(false) },
+			pkt(3, 5), map[openflow.MsgType]int{openflow.TypeFlowMod: 1, openflow.TypePacketOut: 1}},
+		{"lazy install", lazy,
+			pkt(400, 600), map[openflow.MsgType]int{openflow.TypeFlowMod: 1, openflow.TypePacketOut: 1}},
+	} {
+		c, s, ingress := tc.setup()
+		pin := &openflow.PacketIn{Switch: 4, Reason: openflow.ReasonNoMatch, Packet: *tc.pin}
+		clear(ingress.got)
+		got := testing.AllocsPerRun(100, func() {
+			c.HandleMessage(4, pin)
+			s.RunFor(10 * time.Millisecond)
+		})
+		// AllocsPerRun runs once more to warm up.
+		for typ, n := range tc.sent {
+			if ingress.got[typ] != 101*n {
+				t.Errorf("%s: switch 4 got %d messages of type %v in 101 PacketIns, want %d", tc.name, ingress.got[typ], typ, 101*n)
+			}
+		}
+		if got != 1 {
+			t.Errorf("%s: %.0f allocations per PacketIn, want 1", tc.name, got)
 		}
 	}
 }

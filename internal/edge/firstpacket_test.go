@@ -19,9 +19,10 @@ func (c *sinkNode) HandleMessage(model.SwitchID, netsim.Message) { c.got++ }
 // TestFirstPacketAllocations pins the objects a first packet costs on
 // each branch of the edge data path, delivery at the far switch
 // included: the overlay packet and its header are one object, the far
-// switch decapsulates into its scratch, a PacketOut is read in place,
-// the single-candidate slow path queues instead of building a closure,
-// and a one-packet PacketIn window keeps its buffers.
+// switch decapsulates into a local, a PacketOut is read in place, the
+// single-candidate slow path queues by value instead of building a
+// closure, a one-packet PacketIn window keeps its buffers and its timer
+// is a value, and a rule re-installed over its key takes no new entry.
 func TestFirstPacketAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -84,13 +85,11 @@ func TestFirstPacketAllocations(t *testing.T) {
 	overlay := pkt(10, 20, 0)
 	overlay.Encap = &model.EncapHeader{SrcSwitch: 1, DstSwitch: 2}
 	overlay.Bytes += model.EncapOverheadBytes
-	// The window's timer is the one cost a PacketIn flush keeps.
-	noop := func() {}
-	env := n.Env(1)
-	timer := testing.AllocsPerRun(100, func() {
-		env.After(DefaultPacketInBatchWindow, noop)
-		s.RunFor(10 * time.Millisecond)
-	})
+	rules := 0
+	reinstall := &openflow.FlowMod{
+		Command: openflow.FlowAdd, Match: openflow.ExactDst(model.HostMAC(30), 1),
+		IdleTimeout: never, Actions: []openflow.Action{openflow.Encap(2)},
+	}
 
 	for _, c := range []struct {
 		name string
@@ -106,7 +105,11 @@ func TestFirstPacketAllocations(t *testing.T) {
 		{"PacketOut with Flood to a local host", handle(sw1, model.ControllerNode, &openflow.PacketOut{
 			Actions: []openflow.Action{openflow.Flood()}, Packet: *pkt(20, 10, 0)}), 0, &delivered[1]},
 		{"overlay delivery", handle(sw2, 1, overlay), 0, &delivered[2]},
-		{"one-packet PacketIn flush", inject(pkt(10, 99, 0)), 1 + timer, &ctrl.got},
+		{"one-packet PacketIn flush", inject(pkt(10, 99, 0)), 1, &ctrl.got},
+		{"FlowMod over an installed rule", func() {
+			sw1.HandleMessage(model.ControllerNode, reinstall)
+			rules += sw1.FlowCount()
+		}, 0, &rules},
 	} {
 		before := *c.taken
 		got := testing.AllocsPerRun(100, c.run)
@@ -210,7 +213,8 @@ func TestSlowPathEncapSurvivesReboot(t *testing.T) {
 
 // TestSlowPathQueueBounded runs a long stream of single-candidate first
 // packets that never lets the queue drain, then a burst: the queue's
-// storage stays within one chunk of the most packets ever in flight.
+// storage stays within its growth step (one doubling, 16 slots at
+// least) of the most packets ever in flight.
 func TestSlowPathQueueBounded(t *testing.T) {
 	r := newSlowPathRig(t)
 	sw := r.switches[1]
@@ -219,21 +223,22 @@ func TestSlowPathQueueBounded(t *testing.T) {
 		for range n {
 			sw.InjectLocal(pkt(10, 20, 0))
 			sent++
-			peak = max(peak, sw.slow.n)
+			peak = max(peak, sent-len(r.sends)) // an encap leaves the queue
 			r.sim.RunFor(gap)
 		}
 	}
+	bound := func() int { return peak + max(16, peak) }
 	inject(4000, slowPathDelay/8)
-	if size := len(sw.slow.buf); peak > 16 || size > peak+slowChunk {
-		t.Errorf("a stream with %d in flight at most left %d slots, want ≤ %d", peak, size, peak+slowChunk)
+	if size := sw.slow.Cap(); peak > 16 || size > bound() {
+		t.Errorf("a stream with %d in flight at most left %d slots, want ≤ %d", peak, size, bound())
 	}
 	inject(1000, 0)
 	r.sim.RunFor(time.Second)
-	if size := len(sw.slow.buf); size > peak+slowChunk {
-		t.Errorf("a burst of %d in flight left %d slots, want ≤ %d", peak, size, peak+slowChunk)
+	if size := sw.slow.Cap(); size > bound() {
+		t.Errorf("a burst of %d in flight left %d slots, want ≤ %d", peak, size, bound())
 	}
-	if sw.slow.n != 0 || len(r.sends) != sent || len(r.delivered[2]) != sent {
-		t.Errorf("queued %d, sent %d, delivered %d, want 0, %d, %d", sw.slow.n, len(r.sends), len(r.delivered[2]), sent, sent)
+	if len(r.sends) != sent || len(r.delivered[2]) != sent {
+		t.Errorf("sent %d, delivered %d, want %d, %d", len(r.sends), len(r.delivered[2]), sent, sent)
 	}
 }
 

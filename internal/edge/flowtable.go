@@ -29,35 +29,37 @@ type flowKey struct {
 // flowTable holds a switch's controller-installed inter-group rules,
 // at most one per (dstMAC, VLAN). Priorities, hard timeouts, wildcard
 // matches and per-rule counters are not modelled: no controller sends
-// or reads them.
+// or reads them. Rules are stored by value, so installing one over an
+// existing key allocates nothing.
 type flowTable struct {
-	rules map[flowKey]*flowRule
+	rules map[flowKey]flowRule
 }
 
 func newFlowTable() *flowTable {
-	return &flowTable{rules: make(map[flowKey]*flowRule)}
+	return &flowTable{rules: make(map[flowKey]flowRule)}
 }
 
 // install adds or replaces the rule for m. A match of any other shape
 // than openflow.ExactDst is ignored.
-func (t *flowTable) install(m openflow.Match, r *flowRule) {
+func (t *flowTable) install(m openflow.Match, r flowRule) {
 	if m == openflow.ExactDst(m.DstMAC, m.VLAN) {
 		t.rules[flowKey{dst: m.DstMAC, vlan: m.VLAN}] = r
 	}
 }
 
-// lookup returns the live rule for p's destination, evicting it if it
-// has idled out.
-func (t *flowTable) lookup(p *model.Packet, now time.Duration) *flowRule {
+// lookup returns the actions of the live rule for p's destination,
+// evicting the rule if it has idled out, and refreshes its idle clock.
+func (t *flowTable) lookup(p *model.Packet, now time.Duration) ([]openflow.Action, bool) {
 	key := flowKey{dst: p.DstMAC, vlan: p.VLAN}
 	r, ok := t.rules[key]
 	if !ok {
-		return nil
+		return nil, false
 	}
 	if r.idleTimeout > 0 && now-r.lastHit > r.idleTimeout {
 		delete(t.rules, key)
-		return nil
+		return nil, false
 	}
 	r.lastHit = now
-	return r
+	t.rules[key] = r
+	return r.actions, true
 }

@@ -8,21 +8,27 @@ import (
 	"lazyctrl/internal/openflow"
 )
 
-func rule(idle time.Duration, actions ...openflow.Action) *flowRule {
-	return &flowRule{actions: actions, idleTimeout: idle}
+func rule(idle time.Duration, actions ...openflow.Action) flowRule {
+	return flowRule{actions: actions, idleTimeout: idle}
+}
+
+// hit reports whether p's destination has a live rule at now.
+func hit(ft *flowTable, p *model.Packet, now time.Duration) bool {
+	_, ok := ft.lookup(p, now)
+	return ok
 }
 
 func TestFlowTableExactLookup(t *testing.T) {
 	ft := newFlowTable()
 	ft.install(openflow.ExactDst(model.HostMAC(1), 5), rule(time.Minute, openflow.Encap(2)))
 	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 5}
-	r := ft.lookup(p, 0)
-	if r == nil || r.actions[0].Remote != 2 {
-		t.Fatalf("lookup = %+v", r)
+	actions, ok := ft.lookup(p, 0)
+	if !ok || actions[0].Remote != 2 {
+		t.Fatalf("lookup = %+v, %v", actions, ok)
 	}
 	// VLAN mismatch misses.
 	p2 := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 6}
-	if ft.lookup(p2, 0) != nil {
+	if hit(ft, p2, 0) {
 		t.Error("VLAN mismatch matched exact rule")
 	}
 }
@@ -36,8 +42,8 @@ func TestFlowTableReplace(t *testing.T) {
 		t.Fatalf("len = %d after replace, want 1", ft.len())
 	}
 	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 1}
-	if r := ft.lookup(p, 0); r == nil || r.actions[0].Remote != 3 {
-		t.Fatalf("replacement not effective: %+v", r)
+	if actions, ok := ft.lookup(p, 0); !ok || actions[0].Remote != 3 {
+		t.Fatalf("replacement not effective: %+v", actions)
 	}
 }
 
@@ -48,21 +54,21 @@ func TestFlowTableTimeouts(t *testing.T) {
 
 	p := &model.Packet{DstMAC: model.HostMAC(1), VLAN: 1}
 	// Keep the idle rule warm by hitting it.
-	if ft.lookup(p, 500*time.Millisecond) == nil {
+	if !hit(ft, p, 500*time.Millisecond) {
 		t.Fatal("warm rule missed")
 	}
-	if r := ft.lookup(p, 1200*time.Millisecond); r == nil {
+	if !hit(ft, p, 1200*time.Millisecond) {
 		t.Fatal("refreshed idle rule expired prematurely")
 	}
 	// Let it idle out: the lookup evicts it.
-	if r := ft.lookup(p, 3*time.Second); r != nil {
+	if hit(ft, p, 3*time.Second) {
 		t.Error("idle rule not expired")
 	}
 	if ft.len() != 1 {
 		t.Errorf("len = %d after idle eviction, want 1", ft.len())
 	}
 	// A zero idle timeout never expires.
-	if ft.lookup(&model.Packet{DstMAC: model.HostMAC(2), VLAN: 1}, time.Hour) == nil {
+	if !hit(ft, &model.Packet{DstMAC: model.HostMAC(2), VLAN: 1}, time.Hour) {
 		t.Error("rule without idle timeout expired")
 	}
 }

@@ -75,13 +75,14 @@ func (s *Switch) emitApplySpan(ctx telemetry.SpanContext) {
 
 // handleFlowMod installs a controller rule. The controller only ever
 // adds exact-destination Encap rules (§IV-B); every other command, and
-// the priority and hard timeout the message carries, are ignored.
+// the priority and hard timeout the message carries, are ignored. The
+// rule keeps the message's actions: a sent message is frozen.
 func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	if m.Command != openflow.FlowAdd {
 		return
 	}
-	s.flows.install(m.Match, &flowRule{
-		actions:     append([]openflow.Action(nil), m.Actions...),
+	s.flows.install(m.Match, flowRule{
+		actions:     m.Actions,
 		idleTimeout: m.IdleTimeout,
 		lastHit:     s.env.Now(),
 	})

@@ -12,8 +12,8 @@ import (
 )
 
 // DeliverFunc is invoked when a packet reaches a locally attached host.
-// p is valid only during the call: it may be the switch's decap scratch
-// or a controller message, so a hook that keeps a packet copies it.
+// p is valid only during the call: it is the switch's scratch copy of
+// the delivered packet, so a hook that keeps a packet copies it.
 type DeliverFunc func(p *model.Packet, at time.Duration)
 
 // Config parameterizes an edge switch.
@@ -148,13 +148,11 @@ type Switch struct {
 	// only until the next lookup, so nothing deferred may hold it.
 	candidates []model.SwitchID
 	// slow holds the single-candidate first packets waiting out
-	// slowPathDelay, and slowFn is encapSlowHead, bound at first use.
-	// The delay is a constant, so the posts fire in push order and each
-	// one encaps the queue's head.
-	slow   slowQueue
-	slowFn func()
-	// decap is the inner packet handleOverlay delivers (see DeliverFunc).
-	decap model.Packet
+	// slowPathDelay, made at first use.
+	slow *netsim.Deferred[slowItem]
+	// lent is the copy of a packet deliver hands OnDeliver (see
+	// DeliverFunc).
+	lent model.Packet
 
 	group     openflow.GroupConfig
 	haveGroup bool
@@ -174,18 +172,18 @@ type Switch struct {
 
 	// Micro-batching intake window on the control link: buffered
 	// PacketIns (with their buffering instants, for the batching-delay
-	// accounting) and the pending flush deadline. pinSpans holds the
-	// open root spans of the sampled escalations in the window (ended
-	// at flush, so the root span duration is the batch residence);
+	// accounting) and the timer of the pending flush deadline. pinSpans
+	// holds the open root spans of the sampled escalations in the window
+	// (ended at flush, so the root span duration is the batch residence);
 	// unsampled escalations append nothing. flushFn is flushPacketIns,
 	// bound at the first arm so re-arming builds no method value, and a
 	// switch that never escalates (most of a quiescent fabric) never
 	// binds it.
-	pinBuf         []openflow.BurstPacket
-	pinAt          []time.Duration
-	pinSpans       []*telemetry.Span
-	pinFlushCancel func()
-	flushFn        func()
+	pinBuf   []openflow.BurstPacket
+	pinAt    []time.Duration
+	pinSpans []*telemetry.Span
+	pinFlush netsim.Timer
+	flushFn  func()
 
 	// Own per-window pair stats: new flows observed from remote
 	// switches (counted at decap of first packets).
@@ -391,7 +389,9 @@ func (s *Switch) Reboot() {
 }
 
 // InjectLocal processes a packet transmitted by a locally attached host
-// (the "local plain packet" branch of Fig. 5).
+// (the "local plain packet" branch of Fig. 5). p is lent: the switch
+// stamps Injected if it is zero, and keeps nothing of p once the call
+// returns — what it defers or delivers is a copy.
 func (s *Switch) InjectLocal(p *model.Packet) {
 	now := s.env.Now()
 	if p.Injected == 0 {
@@ -407,8 +407,8 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 	}
 
 	// 1. Flow table.
-	if rule := s.flows.lookup(p, now); rule != nil {
-		s.applyActions(rule.actions, p)
+	if actions, ok := s.flows.lookup(p, now); ok {
+		s.applyActions(actions, p)
 		return
 	}
 	// 2. L-FIB: destination attached locally.
@@ -424,17 +424,19 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 	case 1:
 		// The encap runs slowPathDelay from now and another first packet
 		// may reuse the scratch before then: queue the target by value.
-		s.slow.push(slowItem{to: s.candidates[0], p: p})
-		if s.slowFn == nil {
-			s.slowFn = s.encapSlowHead
+		if s.slow == nil {
+			s.slow = netsim.NewDeferred(s.env, s.encapSlow)
 		}
-		netsim.Post(s.env, slowPathDelay, s.slowFn)
+		s.slow.Post(slowPathDelay, slowItem{to: s.candidates[0], p: *p})
 		return
 	default:
-		targets := slices.Clone(s.candidates)
+		// The closure holds the packet by value; each copy is read from
+		// a local so the closure's own is never addressed.
+		targets, pkt := slices.Clone(s.candidates), *p
 		netsim.Post(s.env, slowPathDelay, func() {
 			for _, t := range targets {
-				s.encapTo(t, p)
+				q := pkt
+				s.encapTo(t, &q)
 			}
 		})
 		return
@@ -456,11 +458,11 @@ func (s *Switch) handleOverlay(p *model.Packet) {
 		s.pairFlows[src]++
 		wakeTask(s.advTask) // pair statistics now pending
 	}
-	// Decapsulate into the scratch: the message stays as it was sent.
-	s.decap = *p
-	s.decap.Bytes -= model.EncapOverheadBytes
-	s.decap.Encap = nil
-	s.deliver(&s.decap)
+	// Decapsulate into a local: the message stays as it was sent.
+	inner := *p
+	inner.Bytes -= model.EncapOverheadBytes
+	inner.Encap = nil
+	s.deliver(&inner)
 }
 
 // handleFlood processes a plain packet flooded by the baseline
@@ -472,10 +474,13 @@ func (s *Switch) handleFlood(p *model.Packet) {
 	}
 }
 
+// deliver hands the hook a copy in the switch's scratch, so no caller's
+// packet escapes through it (see DeliverFunc).
 func (s *Switch) deliver(p *model.Packet) {
 	s.stats.Delivered++
 	if s.cfg.OnDeliver != nil {
-		s.cfg.OnDeliver(p, s.env.Now())
+		s.lent = *p
+		s.cfg.OnDeliver(&s.lent, s.env.Now())
 	}
 }
 
@@ -496,47 +501,14 @@ type encapped struct {
 	hdr model.EncapHeader
 }
 
-// encapSlowHead runs the deferred encap of the oldest queued
-// single-candidate first packet.
-func (s *Switch) encapSlowHead() {
-	it := s.slow.pop()
-	s.encapTo(it.to, it.p)
-}
-
-// slowQueue is a FIFO ring of deferred encaps. It grows by slowChunk
-// items when full and never shrinks, so it holds at most a chunk more
-// than the most items ever in flight at once.
-type slowQueue struct {
-	buf     []slowItem
-	head, n int
-}
-
+// slowItem is a single-candidate first packet waiting out
+// slowPathDelay, and encapSlow sends it.
 type slowItem struct {
 	to model.SwitchID
-	p  *model.Packet
+	p  model.Packet
 }
 
-const slowChunk = 16
-
-func (q *slowQueue) push(it slowItem) {
-	if q.n == len(q.buf) {
-		buf := make([]slowItem, len(q.buf)+slowChunk)
-		for i := range q.n {
-			buf[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = buf, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = it
-	q.n++
-}
-
-func (q *slowQueue) pop() slowItem {
-	it := q.buf[q.head]
-	q.buf[q.head] = slowItem{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return it
-}
+func (s *Switch) encapSlow(it slowItem) { s.encapTo(it.to, &it.p) }
 
 // packetIn forwards a packet to the controller over the control link.
 // With the micro-batching window enabled the packet buffers
@@ -567,21 +539,18 @@ func (s *Switch) packetIn(p *model.Packet) {
 		s.flushPacketIns()
 		return
 	}
-	if s.pinFlushCancel == nil {
+	if !s.pinFlush.Armed() {
 		if s.flushFn == nil {
 			s.flushFn = s.flushPacketIns
 		}
-		s.pinFlushCancel = s.env.After(DefaultPacketInBatchWindow, s.flushFn)
+		s.pinFlush = netsim.Arm(s.env, DefaultPacketInBatchWindow, s.flushFn)
 	}
 }
 
 // flushPacketIns drains the micro-batching window: a single buffered
 // packet ships as a plain PacketIn, several ship as one PacketInBurst.
 func (s *Switch) flushPacketIns() {
-	if s.pinFlushCancel != nil {
-		s.pinFlushCancel()
-		s.pinFlushCancel = nil
-	}
+	s.pinFlush.Stop()
 	if len(s.pinBuf) == 0 {
 		return
 	}

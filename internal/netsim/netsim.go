@@ -468,6 +468,132 @@ func Post(env Env, d time.Duration, fn func()) {
 	env.After(d, fn)
 }
 
+// Timer is a pending callback Arm scheduled. It is a value, so holding
+// one costs nothing; the zero Timer is disarmed.
+type Timer struct {
+	t      sim.Timer
+	cancel func() // set instead of t off the DES env
+}
+
+// Arm schedules fn after d and returns a handle that cancels it. On the
+// DES env it holds the simulator's Timer and allocates nothing beyond
+// what fn itself holds; otherwise it is env.After, whose cancel the
+// handle keeps. Either way fn runs at the same instant, in the same
+// order, as env.After would run it.
+func Arm(env Env, d time.Duration, fn func()) Timer {
+	if e, ok := env.(*simEnv); ok {
+		return Timer{t: e.net.sim.After(d, fn)}
+	}
+	return Timer{cancel: env.After(d, fn)}
+}
+
+// Armed reports whether the handle holds a callback Stop has not
+// cleared. The callback may have run since.
+func (t *Timer) Armed() bool { return t.cancel != nil || t.t != sim.Timer{} }
+
+// Stop cancels the callback if it has not run, and disarms the handle.
+func (t *Timer) Stop() {
+	if t.cancel != nil {
+		t.cancel()
+	} else {
+		t.t.Stop()
+	}
+	*t = Timer{}
+}
+
+// Deferred hands values to one handler, each after its own delay: the
+// value-carrying form of Post. A post queues its value and posts one
+// pre-bound pop, so it costs no allocation once the queue has grown to
+// the peak in flight. The queue is a min-heap on (instant, post order),
+// and the env runs posts in that same order — the DES fires equal
+// instants in scheduling order, and an env that runs a callback at once
+// runs it before anything posted later — so each pop hands over exactly
+// the value whose instant it is, however the delays vary. The handler
+// runs at the instant and in the place of the event order where a
+// closure posted per value would run.
+type Deferred[T any] struct {
+	env    Env
+	handle func(T)
+	pop    func() // d.fire, bound once
+	heap   []deferredItem[T]
+	seq    uint64
+}
+
+type deferredItem[T any] struct {
+	at  time.Duration
+	seq uint64
+	v   T
+}
+
+func (a *deferredItem[T]) before(b *deferredItem[T]) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// deferredMin is the least storage a Deferred allocates; beyond it the
+// heap doubles when full, so it holds at most one doubling more than
+// the peak number of values in flight.
+const deferredMin = 16
+
+// NewDeferred returns a queue that hands each posted value to handle.
+func NewDeferred[T any](env Env, handle func(T)) *Deferred[T] {
+	d := &Deferred[T]{env: env, handle: handle}
+	d.pop = d.fire
+	return d
+}
+
+// Post hands v to the handler after delay (a negative delay is zero,
+// as in the simulator).
+func (d *Deferred[T]) Post(delay time.Duration, v T) {
+	delay = max(delay, 0)
+	if len(d.heap) == cap(d.heap) {
+		grown := make([]deferredItem[T], len(d.heap), max(deferredMin, 2*cap(d.heap)))
+		copy(grown, d.heap)
+		d.heap = grown
+	}
+	h := append(d.heap, deferredItem[T]{at: d.env.Now() + delay, seq: d.seq, v: v})
+	d.seq++
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	d.heap = h
+	Post(d.env, delay, d.pop)
+}
+
+// Cap returns how many values the queue's storage holds.
+func (d *Deferred[T]) Cap() int { return cap(d.heap) }
+
+// fire takes the least value off the heap and hands it to the handler.
+// The value leaves the heap first, so a handler that posts is safe.
+func (d *Deferred[T]) fire() {
+	h := d.heap
+	v := h[0].v
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = deferredItem[T]{}
+	h = h[:last]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	d.heap = h
+	d.handle(v)
+}
+
 // ElidableTask is the handle of a periodic task that may fold
 // quiescent rounds analytically (see sim.Elider). The zero-cost
 // fallback returned for environments without elision support never

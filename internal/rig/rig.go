@@ -196,7 +196,9 @@ func (r *Rig) MigrateHost(id model.HostID, to model.SwitchID) error {
 
 // Inject hands the first packet of a src→dst flow to src's switch,
 // stamped with the current virtual time. Every flow the harnesses
-// replay enters the datapath here.
+// replay enters the datapath here. The packet is lent for the call
+// (see edge.Switch.InjectLocal), so it lives on the stack and an
+// injection allocates nothing the branch it takes does not.
 func (r *Rig) Inject(src, dst *tenant.Host, bytes int) {
 	r.edges[src.Switch].InjectLocal(&model.Packet{
 		SrcMAC:   src.MAC,

@@ -189,3 +189,21 @@ func TestTakeover(t *testing.T) {
 		t.Errorf("world not back at the fixpoint:\n%v", div)
 	}
 }
+
+// TestInjectLocalDoesNotAllocate pins that Inject builds its packet on
+// the stack: a first packet to a host on the same switch (the L-FIB
+// branch) is delivered without an allocation.
+func TestInjectLocalDoesNotAllocate(t *testing.T) {
+	r := twoGroups(t, false)
+	r.Sim().RunFor(time.Second)
+	dir := r.Dir()
+	src, dst := dir.Host(10), dir.Host(11)
+	before := r.Edge(1).Stats().Delivered
+	if allocs := testing.AllocsPerRun(100, func() { r.Inject(src, dst, 1400) }); allocs != 0 {
+		t.Errorf("a local injection allocates %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun runs once more to warm up.
+	if got := r.Edge(1).Stats().Delivered - before; got != 101 {
+		t.Errorf("switch 1 delivered %d packets in 101 injections, want 101", got)
+	}
+}
