@@ -243,8 +243,11 @@ type Controller struct {
 	// to (zero outside a traced round). See trace.go.
 	regroupCtx telemetry.SpanContext
 
-	// posts holds the PacketOuts and installs waiting out queueDelay.
-	posts *netsim.Deferred[sender]
+	// posts holds the PacketOuts and installs waiting out queueDelay,
+	// each in a slot of its block (see netsim.BlockFor).
+	posts       *netsim.Deferred[sender]
+	forwardings *netsim.Block[forwarding]
+	installs    *netsim.Block[install]
 
 	// Control-fold task handles (nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
@@ -391,6 +394,9 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		sw:         records,
 		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
 		posts:      netsim.NewDeferred(env, sender.send),
+
+		forwardings: netsim.BlockFor[forwarding](env),
+		installs:    netsim.BlockFor[install](env),
 	}, nil
 }
 

@@ -382,25 +382,29 @@ func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Pack
 		c.forward(ingress, out)
 		return
 	}
-	c.posts.Post(c.queueDelay(), &install{forwarding: forwarding{c: c, ingress: ingress, out: out}, mod: openflow.FlowMod{
+	in := c.installs.Next()
+	*in = install{forwarding: forwarding{c: c, ingress: ingress, out: out}, mod: openflow.FlowMod{
 		Command:     openflow.FlowAdd,
 		Match:       openflow.ExactDst(p.DstMAC, p.VLAN),
 		Priority:    100,
 		IdleTimeout: c.cfg.RuleIdleTimeout,
 		Actions:     out.Actions,
 		Span:        span,
-	}})
+	}}
+	c.posts.Post(c.queueDelay(), in)
 }
 
 // forward sends out to ingress after the processing delay: a PacketOut
-// with no rule, posted in one object.
+// with no rule, posted in one slot.
 func (c *Controller) forward(ingress model.SwitchID, out openflow.PacketOut) {
-	c.posts.Post(c.queueDelay(), &forwarding{c: c, ingress: ingress, out: out})
+	f := c.forwardings.Next()
+	*f = forwarding{c: c, ingress: ingress, out: out}
+	c.posts.Post(c.queueDelay(), f)
 }
 
 // sender is what the controller posts after its processing delay (see
-// Controller.posts): a forwarding or an install, queued as a pointer so
-// a post moves a word, not the messages.
+// Controller.posts): a forwarding or an install, queued as a pointer to
+// its slot so a post moves a word, not the messages.
 type sender interface{ send() }
 
 // forwarding is one PacketOut in flight (see forward).
@@ -416,7 +420,7 @@ func (f *forwarding) send() {
 }
 
 // install is a forwarding whose FlowMod installs the rule ahead of the
-// packet: both messages travel in one object.
+// packet: both messages travel in one slot.
 type install struct {
 	forwarding
 	mod openflow.FlowMod

@@ -144,7 +144,6 @@ func (s *Switch) reflushEscalations() {
 			continue
 		}
 		s.stats.EscalationsReflushed++
-		pkt := rec.pkt
-		s.sendCtrl(&openflow.PacketIn{Switch: s.cfg.ID, Reason: openflow.ReasonNoMatch, Packet: pkt})
+		s.sendPacketIn(openflow.BurstPacket{Reason: openflow.ReasonNoMatch, Packet: rec.pkt})
 	}
 }

@@ -288,3 +288,49 @@ func (r *rig) gfibItems(sender model.SwitchID, run func()) (fulls, deltas int) {
 	run()
 	return fulls, deltas
 }
+
+// TestGFIBUpdateAtHeldVersionSkipped pins that a full filter at the
+// version a switch already holds is not installed: filters at one
+// version are byte-identical whichever sender built them, so even an
+// update carrying other bytes at that version leaves the held filter
+// and every query answer as they were. A newer version installs.
+func TestGFIBUpdateAtHeldVersionSkipped(t *testing.T) {
+	r := newRig(t, 1, 2, 3)
+	sw := r.switches[1]
+	r.configureGroup(1, 2, 1, 2, 3)
+	update := func(h model.HostID, version uint64) {
+		sw.HandleMessage(2, &openflow.GFIBUpdate{Group: 1, Version: 1, Filters: []openflow.GFIBFilter{
+			{Switch: 2, Filter: filterBytes(t, h), Version: version},
+		}})
+	}
+	// answers lists the hosts among the first 2,000 the G-FIB places on
+	// switch 2.
+	answers := func() []model.HostID {
+		var out []model.HostID
+		for h := model.HostID(1); h <= 2000; h++ {
+			if slices.Equal(sw.GFIB().AppendQuery(nil, model.HostMAC(h)), []model.SwitchID{2}) {
+				out = append(out, h)
+			}
+		}
+		return out
+	}
+	update(20, 5)
+	held := answers()
+	if !slices.Contains(held, 20) || slices.Contains(held, 30) {
+		t.Fatalf("after installing host 20's filter the G-FIB places %v on switch 2", held)
+	}
+	update(30, 5)
+	if got := answers(); !slices.Equal(got, held) {
+		t.Errorf("an update at the held version changed the answers from %v to %v", held, got)
+	}
+	if v, _ := sw.GFIB().PeerVersion(2); v != 5 {
+		t.Errorf("held version %d, want 5", v)
+	}
+	update(30, 6)
+	if got := answers(); !slices.Contains(got, 30) || slices.Contains(got, 20) {
+		t.Errorf("after a newer update the G-FIB places %v on switch 2, want host 30's filter", got)
+	}
+	if v, _ := sw.GFIB().PeerVersion(2); v != 6 {
+		t.Errorf("held version %d, want 6", v)
+	}
+}

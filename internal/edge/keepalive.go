@@ -17,21 +17,12 @@ func (s *Switch) sendKeepAlives() {
 	s.ringNeighbors(func(n model.SwitchID) { s.env.Send(n, ka) })
 }
 
-// kaBlockLen is how many heartbeats share one allocation.
-const kaBlockLen = 32
-
-// heartbeat returns a KeepAlive from this switch carrying seq, written
-// into the next unused slot of the switch's heartbeat block. A message
-// handed to Send is never written again, and a slot is written once and
-// never reused, so a heartbeat still in flight under a delay of any
-// length reads what it was sent with. The garbage collector frees a
-// block once every heartbeat in it has been delivered or dropped.
+// heartbeat returns a KeepAlive from this switch carrying seq, in a
+// heartbeat block slot.
 func (s *Switch) heartbeat(seq uint64) *openflow.KeepAlive {
-	if len(s.kaBlock) == cap(s.kaBlock) {
-		s.kaBlock = make([]openflow.KeepAlive, 0, kaBlockLen)
-	}
-	s.kaBlock = append(s.kaBlock, openflow.KeepAlive{From: s.cfg.ID, Seq: seq})
-	return &s.kaBlock[len(s.kaBlock)-1]
+	ka := s.heartbeats.Next()
+	ka.From, ka.Seq = s.cfg.ID, seq
+	return ka
 }
 
 // handleKeepAlive records heartbeats from ring neighbors and from the

@@ -42,8 +42,9 @@ func roundsConfig(self model.SwitchID, version uint64) *openflow.GroupConfig {
 // (beacon round included) and a designated switch's empty
 // dissemination and report rounds send cached messages and build
 // nothing, and a heartbeat round plus its answer to a controller probe
-// take two slots of a heartbeat block, so they allocate at most one
-// block per kaBlockLen/2 rounds.
+// take two slots of the switch's heartbeat block, whose allocations
+// hold 32 slots once grown, so they allocate at most one block per 16
+// rounds.
 func TestControlRoundsDoNotAllocate(t *testing.T) {
 	const rounds = 16 * refreshEveryRounds
 	perRound := func(round func()) float64 {
@@ -98,11 +99,13 @@ func TestControlRoundsDoNotAllocate(t *testing.T) {
 }
 
 // sendLog is a switch's env that records every control message the
-// switch hands to Send, with its encoding at that instant.
+// switch hands to Send, with its encoding at that instant, and every
+// overlay packet, with a copy of it and of its outer header.
 type sendLog struct {
 	netsim.Env
-	t    *testing.T
-	sent []sentMsg
+	t       *testing.T
+	sent    []sentMsg
+	packets []sentPacket
 }
 
 type sentMsg struct {
@@ -112,13 +115,22 @@ type sentMsg struct {
 	wire []byte
 }
 
+type sentPacket struct {
+	p   *model.Packet
+	was model.Packet
+	hdr model.EncapHeader
+}
+
 func (l *sendLog) Send(to model.SwitchID, m netsim.Message) {
-	if om, ok := m.(openflow.Message); ok {
-		wire, err := openflow.Encode(om, 0)
+	switch m := m.(type) {
+	case openflow.Message:
+		wire, err := openflow.Encode(m, 0)
 		if err != nil {
-			l.t.Fatalf("encode %T: %v", om, err)
+			l.t.Fatalf("encode %T: %v", m, err)
 		}
-		l.sent = append(l.sent, sentMsg{l.Env.Now(), to, om, wire})
+		l.sent = append(l.sent, sentMsg{l.Env.Now(), to, m, wire})
+	case *model.Packet:
+		l.packets = append(l.packets, sentPacket{m, *m, *m.Encap})
 	}
 	l.Env.Send(to, m)
 }
@@ -127,10 +139,13 @@ func (l *sendLog) Send(to model.SwitchID, m netsim.Message) {
 // messages rest on: a message handed to Send is never written again.
 // A member and a designated switch run for more than three beacon
 // cadences through an L-FIB learn, a group version bump and a member
-// crash and reboot, under controller probes; afterwards every message
-// either passed to Send must encode to the bytes it had when sent, and
-// an idle beacon or empty report is one object exactly while its
-// content stays the same.
+// crash and reboot, under controller probes, and then carry first
+// packets: overlay packets, PacketIns sent at once (the member) and
+// from the batching window (the designated switch). Afterwards every
+// message either passed to Send must encode to the bytes it had when
+// sent, every overlay packet must equal its copy, outer header
+// included, and an idle beacon or empty report is one object exactly
+// while its content stays the same.
 func TestSentMessagesNeverRewritten(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.New(s, netsim.DefaultLatencies())
@@ -140,7 +155,11 @@ func TestSentMessagesNeverRewritten(t *testing.T) {
 	logs := make(map[model.SwitchID]*sendLog)
 	for _, id := range ids {
 		logs[id] = &sendLog{Env: n.Env(id), t: t}
-		sw := New(Config{ID: id}, logs[id])
+		cfg := Config{ID: id}
+		if id == 1 {
+			cfg.PacketInBatchMax = 8
+		}
+		sw := New(cfg, logs[id])
 		n.Attach(sw)
 		sw.Start()
 		sw.AttachHost(model.HostMAC(model.HostID(10*id)), model.HostIP(model.HostID(10*id)), 1)
@@ -175,11 +194,25 @@ func TestSentMessagesNeverRewritten(t *testing.T) {
 	switches[member].AttachHost(model.HostMAC(20), model.HostIP(20), 1)
 	configure(2, member)
 	s.RunFor(120 * time.Second)
+	// First packets: each switch sends one toward each peer's host and
+	// one toward a host nobody holds.
+	stopTraffic := ctrl.Every(50*time.Millisecond, func() {
+		switches[1].InjectLocal(pkt(10, 20, 0))
+		switches[1].InjectLocal(pkt(10, 30, 0))
+		switches[1].InjectLocal(pkt(10, 99, 0))
+		switches[member].InjectLocal(pkt(20, 10, 0))
+		switches[member].InjectLocal(pkt(20, 30, 0))
+		switches[member].InjectLocal(pkt(20, 99, 0))
+	})
+	s.RunFor(10 * time.Second)
+	stopTraffic()
+	s.RunFor(time.Second)
 
 	if rounds := s.Now().Duration() / (5 * time.Second); rounds < 3*refreshEveryRounds {
 		t.Fatalf("ran %d advertise rounds, want ≥ %d", rounds, 3*refreshEveryRounds)
 	}
 	for _, id := range []model.SwitchID{1, member} {
+		pins := 0
 		for i, m := range logs[id].sent {
 			wire, err := openflow.Encode(m.msg, 0)
 			if err != nil {
@@ -188,6 +221,18 @@ func TestSentMessagesNeverRewritten(t *testing.T) {
 			if !bytes.Equal(wire, m.wire) {
 				t.Errorf("S%d: send %d (%T to %v at %v) was rewritten after it was sent", id, i, m.msg, m.to, m.at)
 			}
+			if _, ok := m.msg.(*openflow.PacketIn); ok {
+				pins++
+			}
+		}
+		for i, sp := range logs[id].packets {
+			if *sp.p != sp.was || *sp.p.Encap != sp.hdr {
+				t.Errorf("S%d: overlay packet %d was rewritten after it was sent: %+v %+v, sent as %+v %+v",
+					id, i, *sp.p, *sp.p.Encap, sp.was, sp.hdr)
+			}
+		}
+		if len(logs[id].packets) < 300 || pins < 150 {
+			t.Errorf("S%d sent %d overlay packets and %d PacketIns, want ≥ 300 and ≥ 150", id, len(logs[id].packets), pins)
 		}
 	}
 

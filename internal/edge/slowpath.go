@@ -213,11 +213,8 @@ func (s *Switch) advertise() {
 		s.sendAdvert(s.idleBeacon())
 		return
 	}
-	report := &openflow.StateReport{
-		Group:   s.group.Group,
-		Pairs:   s.drainPairStats(),
-		Version: s.group.Version,
-	}
+	report := s.reports.Next()
+	report.Group, report.Pairs, report.Version = s.group.Group, s.drainPairStats(), s.group.Version
 	if changed {
 		entries, full := s.lfib.DrainChanges()
 		s.adv.sinceFull++
@@ -227,12 +224,13 @@ func (s *Switch) advertise() {
 		if full {
 			s.adv.sinceFull = 0
 		}
-		report.LFIBs = []openflow.LFIBUpdate{{
+		report.LFIBs = s.legs.Take(1)
+		report.LFIBs[0] = openflow.LFIBUpdate{
 			Origin:  s.cfg.ID,
 			Full:    full,
 			Entries: entries,
 			Version: s.lfib.Version(),
-		}}
+		}
 		s.adv.lastVersion = s.lfib.Version()
 	}
 	s.sendAdvert(report)
@@ -273,7 +271,7 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 	if len(s.pairFlows) == 0 {
 		return nil
 	}
-	out := make([]openflow.PairStat, 0, len(s.pairFlows))
+	out := s.pairStats.Take(len(s.pairFlows))[:0]
 	for other, n := range s.pairFlows {
 		out = append(out, openflow.PairStat{A: s.cfg.ID, B: other, NewFlows: n})
 	}
@@ -500,10 +498,6 @@ func (s *Switch) reportToController() {
 	s.refreshOwnSnapshot()
 	s.ctrlRound++
 	fullRound := s.ctrlRound%refreshEveryRounds == 0
-	var legs []openflow.LFIBUpdate
-	if fullRound {
-		legs = make([]openflow.LFIBUpdate, 0, len(r.members))
-	}
 	// The report itself goes out every interval (it is the state link's
 	// liveness and carries the pair statistics), but an L-FIB leg is
 	// attached only for members whose version moved since the last
@@ -512,9 +506,21 @@ func (s *Switch) reportToController() {
 	// (bootstrap, removals) or when no increment trail exists. Every
 	// refreshEveryRounds-th report is full for every member, bounding
 	// staleness after a report lost on a failing control link.
+	due := func(rec *memberRecord) bool { return rec != nil && (fullRound || r.reportStale(rec)) }
+	n := 0
+	for _, member := range s.group.Members {
+		if due(r.members[member]) {
+			n++
+		}
+	}
+	if n == 0 && len(r.pairs) == 0 {
+		s.sendCtrl(s.emptyReport())
+		return
+	}
+	legs := s.legs.Take(n)[:0]
 	for _, member := range s.group.Members {
 		rec := r.members[member]
-		if rec == nil || !fullRound && !r.reportStale(rec) {
+		if !due(rec) {
 			continue
 		}
 		u := openflow.LFIBUpdate{Origin: member, Full: true, Entries: rec.snapshot, Version: rec.version}
@@ -524,16 +530,14 @@ func (s *Switch) reportToController() {
 		rec.pending, rec.needFull, rec.reported = nil, false, rec.version+1
 		legs = append(legs, u)
 	}
-	pairs := make([]openflow.PairStat, 0, len(r.pairs))
+	pairs := s.pairStats.Take(len(r.pairs))[:0]
 	for pair, n := range r.pairs {
 		pairs = append(pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
 	}
 	clear(r.pairs)
-	if len(legs) == 0 && len(pairs) == 0 {
-		s.sendCtrl(s.emptyReport())
-		return
-	}
-	s.sendCtrl(&openflow.StateReport{Group: s.group.Group, LFIBs: legs, Pairs: pairs, Version: s.group.Version})
+	report := s.reports.Next()
+	*report = openflow.StateReport{Group: s.group.Group, LFIBs: legs, Pairs: pairs, Version: s.group.Version}
+	s.sendCtrl(report)
 }
 
 // emptyReport returns the report of a round with nothing to carry. Its
@@ -565,8 +569,11 @@ func (s *Switch) handleGFIBUpdate(m *openflow.GFIBUpdate) {
 		// late arrival from the slower of the two senders (controller
 		// preloads lag designated dissemination when the state link
 		// lags the peer links); installing it would regress the G-FIB
-		// to a pre-churn view and open a false-negative window.
-		if held, ok := s.gfib.PeerVersion(f.Switch); ok && held > f.Version {
+		// to a pre-churn view and open a false-negative window. One at
+		// the held version is the filter already held: filters at one
+		// version are byte-identical whichever sender built them (see
+		// fib.GFIB.ApplyDelta), so decoding it again would change nothing.
+		if held, ok := s.gfib.PeerVersion(f.Switch); ok && held >= f.Version {
 			continue
 		}
 		// Ignore undecodable filters; the next round repairs them.

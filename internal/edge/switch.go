@@ -216,15 +216,21 @@ type Switch struct {
 	escPending map[escKey]escRecord
 
 	// Keep-alive bookkeeping: ring holds an entry per wheel neighbor
-	// heard or checked since the ring last changed, at most two;
-	// kaBlock is the heartbeat block slots are taken from (see
-	// heartbeat).
+	// heard or checked since the ring last changed, at most two.
 	kaSeq   uint64
-	kaBlock []openflow.KeepAlive
 	ring    map[model.SwitchID]ringNeighbor
 	cancels []func()
 	started bool
 	stats   Stats
+
+	// The storage of the messages the switch builds per flow, per
+	// advertisement and per heartbeat (see netsim.BlockFor).
+	encaps     *netsim.Block[encapped]
+	reports    *netsim.Block[openflow.StateReport]
+	legs       *netsim.Block[openflow.LFIBUpdate]
+	pairStats  *netsim.Block[openflow.PairStat]
+	packetIns  *netsim.Block[openflow.PacketIn]
+	heartbeats *netsim.Block[openflow.KeepAlive]
 
 	// Control-fold task handles (nil without Config.Fold): wake hooks
 	// re-materialize the timers whose quiet proof a state change
@@ -247,6 +253,13 @@ func New(cfg Config, env netsim.Env) *Switch {
 		flows:     newFlowTable(),
 		pairFlows: make(map[model.SwitchID]uint32),
 		ring:      newRing(),
+
+		encaps:     netsim.BlockFor[encapped](env),
+		reports:    netsim.BlockFor[openflow.StateReport](env),
+		legs:       netsim.BlockFor[openflow.LFIBUpdate](env),
+		pairStats:  netsim.BlockFor[openflow.PairStat](env),
+		packetIns:  netsim.BlockFor[openflow.PacketIn](env),
+		heartbeats: netsim.BlockFor[openflow.KeepAlive](env),
 	}
 }
 
@@ -486,9 +499,10 @@ func (s *Switch) deliver(p *model.Packet) {
 
 // encapTo wraps p with the GRE-like outer header and sends it to a
 // remote edge switch over the underlay. The packet and its header are
-// one object.
+// one slot.
 func (s *Switch) encapTo(remote model.SwitchID, p *model.Packet) {
-	o := &encapped{pkt: *p, hdr: model.EncapHeader{SrcSwitch: s.cfg.ID, DstSwitch: remote}}
+	o := s.encaps.Next()
+	o.pkt, o.hdr = *p, model.EncapHeader{SrcSwitch: s.cfg.ID, DstSwitch: remote}
 	o.pkt.Encap = &o.hdr
 	o.pkt.Bytes += model.EncapOverheadBytes
 	s.stats.EncapSent++
@@ -527,7 +541,7 @@ func (s *Switch) packetIn(p *model.Packet) {
 		Attr("sw", int64(s.cfg.ID)).Attr("reason", int64(openflow.ReasonNoMatch))
 	if s.cfg.PacketInBatchMax <= 1 {
 		root.End() // no batch residence: the root closes at ingress
-		s.sendCtrl(&openflow.PacketIn{Switch: s.cfg.ID, Reason: openflow.ReasonNoMatch, Packet: *p, Span: root.Context()})
+		s.sendPacketIn(openflow.BurstPacket{Reason: openflow.ReasonNoMatch, Packet: *p, Span: root.Context()})
 		return
 	}
 	s.pinBuf = append(s.pinBuf, openflow.BurstPacket{Reason: openflow.ReasonNoMatch, Packet: *p, Span: root.Context()})
@@ -570,14 +584,20 @@ func (s *Switch) flushPacketIns() {
 	// burst's items leave with the message.
 	buf := s.pinBuf
 	if len(buf) == 1 {
-		m := &openflow.PacketIn{Switch: s.cfg.ID, Reason: buf[0].Reason, Packet: buf[0].Packet, Span: buf[0].Span}
 		s.pinBuf = buf[:0]
-		s.sendCtrl(m)
+		s.sendPacketIn(buf[0])
 		return
 	}
 	s.pinBuf = nil
 	s.stats.PacketInBursts++
 	s.sendCtrl(&openflow.PacketInBurst{Switch: s.cfg.ID, Items: buf})
+}
+
+// sendPacketIn sends one escalation as a plain PacketIn.
+func (s *Switch) sendPacketIn(b openflow.BurstPacket) {
+	m := s.packetIns.Next()
+	*m = openflow.PacketIn{Switch: s.cfg.ID, Reason: b.Reason, Packet: b.Packet, Span: b.Span}
+	s.sendCtrl(m)
 }
 
 // controllerSilent reports whether the controller has missed its

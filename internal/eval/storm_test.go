@@ -30,17 +30,18 @@ func TestStormDeterministic(t *testing.T) {
 	}
 }
 
-// TestStormAllocationsPerPacketIn pins the apply path at about one
-// allocation per PacketIn: an install or a bounce is one object, and a
-// flood (a few percent of the storm) one object plus its bound sendNext.
+// TestStormAllocationsPerPacketIn pins the apply path at a tenth of an
+// allocation per PacketIn: an install or a bounce is a block slot, and
+// a flood (a few percent of the storm) one object plus its bound
+// sendNext.
 func TestStormAllocationsPerPacketIn(t *testing.T) {
 	st, err := NewStorm(StormConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	perPin := testing.AllocsPerRun(3, st.Run) / float64(len(st.Batch))
-	if perPin > 1.1 {
-		t.Errorf("%.3f allocations per storm PacketIn, want ≤ 1.1", perPin)
+	if perPin > 0.1 {
+		t.Errorf("%.3f allocations per storm PacketIn, want ≤ 0.1", perPin)
 	}
 }
 
@@ -61,6 +62,12 @@ func benchmarkStorm(b *testing.B, procs int) {
 // BenchmarkPacketInStormP1 and ...P4 measure the packet-in burst
 // intake pinned to one and four cores; the P4/P1 ratio is the scaling
 // the parallel decide buys (meaningful only on a machine with ≥4 cores).
+// P1 (gated in cmd/bench) watches the controller's apply phase: in a
+// -memprofilerate 1 profile of the timed loop, apply's flood (two
+// objects per flooded PacketIn, 2 % of the storm) makes 61 % of its
+// allocs/op (≈ 600), the install and forward blocks 37 % and
+// ProcessBurst's decision slice the rest. Before the posts became
+// block slots, one object per post made ≈ 96 % of 8,388.
 func BenchmarkPacketInStormP1(b *testing.B) { benchmarkStorm(b, 1) }
 
 // BenchmarkPacketInStormP4 — see BenchmarkPacketInStormP1.
