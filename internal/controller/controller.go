@@ -730,11 +730,13 @@ func (c *Controller) pushOutstanding() bool {
 // hold, so the next push round re-ships their config and full preloads:
 // the one answer to everything that breaks per-destination tracking's
 // send == delivered assumption (a missing ack, a silent control link, a
-// reboot, a change of master).
+// reboot, a change of master). The filter map is emptied, not dropped,
+// so the next round refills it without growing a new one.
 func (c *Controller) forgetPushed(dests ...model.SwitchID) {
 	for _, d := range dests {
 		rec := c.sw[d]
-		rec.pushedCfg, rec.pushedFilters = 0, nil
+		rec.pushedCfg = 0
+		clear(rec.pushedFilters)
 	}
 }
 

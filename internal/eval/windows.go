@@ -131,7 +131,7 @@ func (e *emulation) inject(start time.Duration, src, dst *tenant.Host, packets i
 	s := e.rig.Sim()
 	if at := max(sim.Time(start), s.Now()); at >= e.injects.last {
 		e.injects.push(at, src, dst)
-		s.At(sim.Time(start), e.injects.run)
+		s.AtSorted(sim.Time(start), e.injects.run)
 		return
 	}
 	r := e.rig
@@ -143,9 +143,11 @@ func (e *emulation) inject(start time.Duration, src, dst *tenant.Host, packets i
 // scheduling order), so it fires these in the order they were queued:
 // every event runs the one pre-bound run, which injects the head, and
 // queueing a flow allocates only a fixed-size chunk per injectChunk
-// flows. A per-flow window is sorted by start, so all its flows queue;
-// an aggregate window's probe starts are random, and a probe earlier
-// than the last one queued gets an event of its own.
+// flows. Being non-decreasing, the events go through sim.AtSorted and
+// wait in its FIFO lane, not the event heap. A per-flow window
+// is sorted by start, so all its flows queue; an aggregate window's
+// probe starts are random, and a probe earlier than the last one
+// queued gets an event of its own.
 type injectQueue struct {
 	rig    *rig.Rig
 	chunks [][]injectFlow // only the last may be short; chunks[0][head] fires next

@@ -28,7 +28,7 @@ type CLIBEntry struct {
 // runs on the owner goroutine, and the caller delivers nothing else
 // while a burst is in flight.
 type CLIB struct {
-	byMAC    map[model.MAC]*CLIBEntry
+	byMAC    map[model.MAC]CLIBEntry
 	bySwitch map[model.SwitchID]map[model.MAC]struct{}
 	byVLAN   map[model.VLAN]map[model.SwitchID]int // VLAN -> switch -> host count
 
@@ -43,7 +43,7 @@ type CLIB struct {
 // NewCLIB returns an empty C-LIB.
 func NewCLIB() *CLIB {
 	return &CLIB{
-		byMAC:      make(map[model.MAC]*CLIBEntry),
+		byMAC:      make(map[model.MAC]CLIBEntry),
 		bySwitch:   make(map[model.SwitchID]map[model.MAC]struct{}),
 		byVLAN:     make(map[model.VLAN]map[model.SwitchID]int),
 		swVersions: make(map[model.SwitchID]uint64),
@@ -58,7 +58,7 @@ func (c *CLIB) Update(mac model.MAC, ip model.IP, vlan model.VLAN, sw model.Swit
 		}
 		c.unindex(old)
 	}
-	c.byMAC[mac] = &CLIBEntry{MAC: mac, IP: ip, VLAN: vlan, Switch: sw, Group: group}
+	c.byMAC[mac] = CLIBEntry{MAC: mac, IP: ip, VLAN: vlan, Switch: sw, Group: group}
 	if c.bySwitch[sw] == nil {
 		c.bySwitch[sw] = make(map[model.MAC]struct{})
 	}
@@ -74,7 +74,7 @@ func (c *CLIB) Update(mac model.MAC, ip model.IP, vlan model.VLAN, sw model.Swit
 // refreshes remove and re-add entries) empties them constantly, and
 // recreating them dominated the allocation profile. The retained
 // empties are bounded by #switches + #VLANs.
-func (c *CLIB) unindex(e *CLIBEntry) {
+func (c *CLIB) unindex(e CLIBEntry) {
 	delete(c.bySwitch[e.Switch], e.MAC)
 	if m := c.byVLAN[e.VLAN]; m != nil {
 		m[e.Switch]--
@@ -150,7 +150,9 @@ func (c *CLIB) ApplyLFIB(sw model.SwitchID, group model.GroupID, u *openflow.LFI
 // regrouping; the host-to-switch mapping itself is unchanged, §III-D3).
 func (c *CLIB) SetGroup(sw model.SwitchID, group model.GroupID) {
 	for mac := range c.bySwitch[sw] {
-		c.byMAC[mac].Group = group
+		e := c.byMAC[mac]
+		e.Group = group
+		c.byMAC[mac] = e
 	}
 }
 

@@ -39,7 +39,10 @@ type LFIBEntry struct {
 // a counter restarted at zero catches up — which in practice meant
 // full resyncs or, worse, stale filters pinned at the old version.
 type LFIB struct {
-	byMAC   map[model.MAC]*LFIBEntry
+	// entries holds the bindings in no particular order, byMAC their
+	// indexes: a binding costs a slot, not an object.
+	byMAC   map[model.MAC]int32
+	entries []LFIBEntry
 	epoch   uint64
 	version uint64
 	// dirty holds MACs learned or rebound since the last DrainChanges;
@@ -60,7 +63,7 @@ const VersionEpochShift = 48
 // NewLFIB returns an empty L-FIB at epoch 0.
 func NewLFIB() *LFIB {
 	return &LFIB{
-		byMAC: make(map[model.MAC]*LFIBEntry),
+		byMAC: make(map[model.MAC]int32),
 		dirty: make(map[model.MAC]struct{}),
 	}
 }
@@ -70,8 +73,8 @@ func NewLFIB() *LFIB {
 // asynchronous state dissemination. The trailing time is ignored:
 // bindings do not age.
 func (l *LFIB) Learn(mac model.MAC, ip model.IP, vlan model.VLAN, port uint16, _ time.Duration) bool {
-	e, ok := l.byMAC[mac]
-	if ok {
+	if i, ok := l.byMAC[mac]; ok {
+		e := &l.entries[i]
 		changed := e.Port != port || e.IP != ip || e.VLAN != vlan
 		e.Port = port
 		e.IP = ip
@@ -82,35 +85,47 @@ func (l *LFIB) Learn(mac model.MAC, ip model.IP, vlan model.VLAN, port uint16, _
 		}
 		return changed
 	}
-	l.byMAC[mac] = &LFIBEntry{MAC: mac, IP: ip, VLAN: vlan, Port: port}
+	l.byMAC[mac] = int32(len(l.entries))
+	l.entries = append(l.entries, LFIBEntry{MAC: mac, IP: ip, VLAN: vlan, Port: port})
 	l.version++
 	l.dirty[mac] = struct{}{}
 	return true
 }
 
-// Lookup returns the entry for a MAC, or nil.
+// Lookup returns the entry for a MAC, or nil. The entry is the table's
+// own, valid until the next Learn, Remove or Restart.
 func (l *LFIB) Lookup(mac model.MAC) *LFIBEntry {
-	return l.byMAC[mac]
+	if i, ok := l.byMAC[mac]; ok {
+		return &l.entries[i]
+	}
+	return nil
 }
 
 // LookupIP scans for the entry owning an IP (used to answer ARP
 // requests). Linear in table size, which is bounded by the hosts per
-// switch.
+// switch. The entry is valid as Lookup's is.
 func (l *LFIB) LookupIP(ip model.IP) *LFIBEntry {
-	for _, e := range l.byMAC {
-		if e.IP == ip {
-			return e
+	for i := range l.entries {
+		if l.entries[i].IP == ip {
+			return &l.entries[i]
 		}
 	}
 	return nil
 }
 
 // Remove deletes a binding (VM removal or migration away). It reports
-// whether an entry existed.
+// whether an entry existed. The last entry moves into the freed slot.
 func (l *LFIB) Remove(mac model.MAC) bool {
-	if _, ok := l.byMAC[mac]; !ok {
+	i, ok := l.byMAC[mac]
+	if !ok {
 		return false
 	}
+	last := len(l.entries) - 1
+	if int(i) != last {
+		l.entries[i] = l.entries[last]
+		l.byMAC[l.entries[i].MAC] = i
+	}
+	l.entries = l.entries[:last]
 	delete(l.byMAC, mac)
 	delete(l.dirty, mac)
 	l.version++
@@ -129,8 +144,9 @@ func (l *LFIB) Version() uint64 { return l.epoch<<VersionEpochShift | l.version 
 // switches in stable storage — increments. The resulting Version
 // dominates every version the previous incarnation ever advertised.
 func (l *LFIB) Restart() {
-	l.byMAC = make(map[model.MAC]*LFIBEntry)
-	l.dirty = make(map[model.MAC]struct{})
+	clear(l.byMAC)
+	l.entries = l.entries[:0]
+	clear(l.dirty)
 	l.removed = false
 	l.version = 0
 	l.epoch++
@@ -139,10 +155,7 @@ func (l *LFIB) Restart() {
 // Entries returns all bindings sorted by MAC (deterministic order for
 // dissemination and tests).
 func (l *LFIB) Entries() []LFIBEntry {
-	out := make([]LFIBEntry, 0, len(l.byMAC))
-	for _, e := range l.byMAC {
-		out = append(out, *e)
-	}
+	out := append(make([]LFIBEntry, 0, len(l.entries)), l.entries...)
 	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
 	return out
 }
@@ -172,7 +185,8 @@ func (l *LFIB) DrainChanges() (entries []openflow.LFIBEntry, full bool) {
 	}
 	entries = make([]openflow.LFIBEntry, 0, len(l.dirty))
 	for mac := range l.dirty {
-		if e := l.byMAC[mac]; e != nil {
+		if i, ok := l.byMAC[mac]; ok {
+			e := &l.entries[i]
 			entries = append(entries, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
 		}
 	}

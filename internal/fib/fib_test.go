@@ -3,6 +3,7 @@ package fib
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -57,6 +58,58 @@ func TestLFIBRemoveAndExpire(t *testing.T) {
 	}
 	if len(l.byMAC) != 1 {
 		t.Errorf("Len = %d, want 1", len(l.byMAC))
+	}
+}
+
+// TestLFIBRemoveKeepsIndex pins the swap-delete: after a middle entry
+// goes, every remaining MAC still looks up to its own binding and
+// Entries keeps its MAC order.
+func TestLFIBRemoveKeepsIndex(t *testing.T) {
+	l := NewLFIB()
+	for i := 1; i <= 9; i++ {
+		l.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, uint16(i), 0)
+	}
+	want := l.Entries()
+	if !l.Remove(model.HostMAC(5)) {
+		t.Fatal("Remove existing = false")
+	}
+	want = append(want[:4], want[5:]...)
+	for i := 1; i <= 9; i++ {
+		mac := model.HostMAC(model.HostID(i))
+		e := l.Lookup(mac)
+		if i == 5 {
+			if e != nil {
+				t.Errorf("removed MAC still looks up to %+v", *e)
+			}
+			continue
+		}
+		if e == nil || e.MAC != mac || e.IP != model.HostIP(model.HostID(i)) || e.Port != uint16(i) {
+			t.Errorf("Lookup(host %d) = %+v", i, e)
+		}
+	}
+	if got := l.Entries(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Entries after Remove = %v, want %v", got, want)
+	}
+}
+
+// TestLFIBLearnDoesNotAllocate pins a binding at a slot, not an object:
+// learning into a table with spare capacity and looking the binding up
+// allocate nothing.
+func TestLFIBLearnDoesNotAllocate(t *testing.T) {
+	l := NewLFIB()
+	for i := 1; i <= 64; i++ {
+		l.Learn(model.HostMAC(model.HostID(i)), model.HostIP(model.HostID(i)), 1, 1, 0)
+	}
+	mac := model.HostMAC(64)
+	l.Remove(mac)
+	if n := testing.AllocsPerRun(100, func() {
+		l.Learn(mac, model.HostIP(64), 1, 2, 0)
+		if l.Lookup(mac) == nil {
+			t.Fatal("learned binding missing")
+		}
+		l.Remove(mac)
+	}); n != 0 {
+		t.Errorf("Learn + Lookup + Remove = %v allocs, want 0", n)
 	}
 }
 
@@ -193,8 +246,8 @@ func TestGFIBRemoveAndClear(t *testing.T) {
 func TestCLIBUpdateLookup(t *testing.T) {
 	c := NewCLIB()
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 10, 2)
-	e := c.byMAC[model.HostMAC(1)]
-	if e == nil || e.Switch != 10 || e.Group != 2 {
+	e, ok := c.byMAC[model.HostMAC(1)]
+	if !ok || e.Switch != 10 || e.Group != 2 {
 		t.Fatalf("Lookup = %+v", e)
 	}
 	// Migration: binding moves to another switch.
@@ -214,7 +267,7 @@ func TestCLIBRemove(t *testing.T) {
 	c := NewCLIB()
 	c.Update(model.HostMAC(1), model.HostIP(1), 5, 10, 2)
 	c.Remove(model.HostMAC(1))
-	if c.byMAC[model.HostMAC(1)] != nil {
+	if _, ok := c.byMAC[model.HostMAC(1)]; ok {
 		t.Error("binding survives Remove")
 	}
 	if len(c.byMAC) != 0 {
@@ -255,10 +308,10 @@ func TestCLIBApplyLFIBFullReplacesStale(t *testing.T) {
 		},
 	}
 	c.ApplyLFIB(10, 1, u)
-	if c.byMAC[model.HostMAC(1)] != nil {
+	if _, ok := c.byMAC[model.HostMAC(1)]; ok {
 		t.Error("stale binding survived full snapshot")
 	}
-	if c.byMAC[model.HostMAC(3)] == nil {
+	if _, ok := c.byMAC[model.HostMAC(3)]; !ok {
 		t.Error("new binding missing")
 	}
 	if len(c.bySwitch[10]) != 2 {
@@ -274,7 +327,9 @@ func TestCLIBApplyLFIBIncremental(t *testing.T) {
 		Entries: []openflow.LFIBEntry{{MAC: model.HostMAC(2), IP: model.HostIP(2), VLAN: 1}},
 	}
 	c.ApplyLFIB(10, 1, u)
-	if c.byMAC[model.HostMAC(1)] == nil || c.byMAC[model.HostMAC(2)] == nil {
+	_, ok1 := c.byMAC[model.HostMAC(1)]
+	_, ok2 := c.byMAC[model.HostMAC(2)]
+	if !ok1 || !ok2 {
 		t.Error("incremental update dropped or missed bindings")
 	}
 }

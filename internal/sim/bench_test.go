@@ -62,9 +62,9 @@ func BenchmarkPeriodicRounds(b *testing.B) {
 }
 
 // BenchmarkSortedBurst is the replay shape: a window loader schedules
-// 56,000 first packets at ascending absolute times, then the clock
-// drains them. One op is one burst on a fresh simulator, so growing the
-// queue to that depth is part of the cost.
+// 56,000 first packets at ascending absolute times through AtSorted,
+// then the clock drains them. One op is one burst on a fresh simulator,
+// so growing the queue to that depth is part of the cost.
 func BenchmarkSortedBurst(b *testing.B) {
 	const burst = 56_000
 	fn := func() {}
@@ -73,7 +73,7 @@ func BenchmarkSortedBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New(1)
 		for j := 0; j < burst; j++ {
-			s.At(Time(j)*Time(time.Microsecond), fn)
+			s.AtSorted(Time(j)*Time(time.Microsecond), fn)
 		}
 		s.Run()
 	}

@@ -12,19 +12,26 @@ package sim
 // element overall — the order is exact whichever lane an insert was
 // offered, which makes lane assignment a matter of speed only.
 //
-// A lane takes the re-arms of one periodic interval, which are monotone
-// because each is made at now + interval; one-shot schedules go to the
-// heap. The lanes are a fixed array, so a pop compares at most maxLanes
-// heads whatever the program does.
+// Lane 0 takes Simulator.AtSorted's stream, whose caller promises
+// non-decreasing times (a replay's first packets, scheduled window by
+// window in start order); every other lane takes the re-arms of one
+// periodic interval, which are monotone because each is made at now +
+// interval. Other one-shot schedules go to the heap. The lanes are a
+// fixed array, so a pop compares at most maxLanes heads whatever the
+// program does.
 //
 // Slot arrays double when full (append would grow a large one by a
 // quarter at a time), which keeps the bytes allocated over a queue's
 // life at twice its final size.
 
-// maxLanes bounds the FIFO lanes: one per distinct periodic interval,
-// first come first served. A period created after the array is full
-// schedules through the heap.
-const maxLanes = 8
+// maxLanes bounds the FIFO lanes: the sorted lane, then one per
+// distinct periodic interval, first come first served. A period
+// created after the array is full schedules through the heap.
+const maxLanes = 9
+
+// sortedLane is the index of AtSorted's lane. No interval is ever
+// assigned to it, so periodic tasks cannot crowd the stream out.
+const sortedLane = 0
 
 // slot is one queued event. The ordering key is held by value so that
 // comparing and moving slots never dereferences the event.
@@ -65,13 +72,13 @@ func (l *lane) push(sl slot) {
 type queue struct {
 	heap  []slot // 4-ary min-heap of everything the lanes did not take
 	lanes [maxLanes]lane
-	used  int // lanes[:used] are assigned
+	used  int // lanes[:used] are assigned; New reserves the sorted lane
 }
 
 // lane returns the lane serving interval, assigning a free one on first
 // use, or nil when all are taken.
 func (q *queue) lane(interval Time) *lane {
-	for i := range q.lanes[:q.used] {
+	for i := sortedLane + 1; i < q.used; i++ {
 		if q.lanes[i].interval == interval {
 			return &q.lanes[i]
 		}

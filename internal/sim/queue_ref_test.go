@@ -84,6 +84,9 @@ func (ev *refEvent) stop() bool {
 
 func (s *refSim) At(at Time, fn func()) func() bool { return s.at(at, fn).stop }
 
+// AtSorted is At: the sorted lane is a cost, not an order.
+func (s *refSim) AtSorted(at Time, fn func()) func() bool { return s.at(at, fn).stop }
+
 func (s *refSim) After(d time.Duration, fn func()) func() bool {
 	return s.at(s.now+Time(max(d, 0)), fn).stop
 }
@@ -206,6 +209,7 @@ func (s *refSim) RunUntil(until Time) {
 type world interface {
 	Now() Time
 	At(Time, func()) (stop func() bool)
+	AtSorted(Time, func()) (stop func() bool)
 	After(time.Duration, func()) (stop func() bool)
 	Every(time.Duration, func()) (stop func())
 	EveryElidable(d time.Duration, run func(), quiet func() int, credit func(int)) (wake, stop func())
@@ -218,6 +222,11 @@ type realWorld struct{ *Simulator }
 
 func (w realWorld) At(at Time, fn func()) func() bool {
 	t := w.Simulator.At(at, fn)
+	return t.Stop
+}
+
+func (w realWorld) AtSorted(at Time, fn func()) func() bool {
+	t := w.Simulator.AtSorted(at, fn)
 	return t.Stop
 }
 
@@ -252,7 +261,8 @@ type program struct {
 	rng       *rand.Rand
 	log       []firing
 	ids       int
-	budget    int // one-shot schedules left; keeps a program finite
+	budget    int  // one-shot schedules left; keeps a program finite
+	sorted    Time // the last AtSorted time
 	intervals []time.Duration
 	timers    []func() bool
 	tickers   []func()
@@ -292,7 +302,7 @@ func (p *program) oneShot(at func(func()) func() bool) {
 func (p *program) act(inCallback bool) {
 	w, rng := p.w, p.rng
 	ms := func(n int) time.Duration { return time.Duration(rng.IntN(n)) * time.Millisecond }
-	switch k := rng.IntN(20); {
+	switch k := rng.IntN(22); {
 	case k < 4: // a repeated delay
 		d := []time.Duration{0, time.Millisecond, time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}[rng.IntN(5)]
 		p.oneShot(func(fn func()) func() bool { return w.After(d, fn) })
@@ -344,6 +354,19 @@ func (p *program) act(inCallback bool) {
 				e.wake()
 			}
 		}
+	case k >= 20: // the sorted stream: an ascending burst through AtSorted,
+		// some of it on equal timestamps, now and then a call below
+		// the last one (below now, too)
+		at := max(p.sorted, w.Now())
+		for i, n := 0, 1+rng.IntN(8); i < n; i++ {
+			if rng.IntN(6) == 0 {
+				at -= Time(ms(15))
+			} else {
+				at += Time(ms(3))
+			}
+			p.oneShot(func(fn func()) func() bool { return w.AtSorted(at, fn) })
+		}
+		p.sorted = at
 	}
 }
 
@@ -379,19 +402,23 @@ func agree(t *testing.T, what string, real, ref *program, from int) {
 // same times in the same order, with equal Executed() and Pending() at
 // every RunUntil boundary, over seeded random programs that mix After
 // (repeated and jittered delays), At (past, now, future, ascending
-// bursts), Every and EveryElidable on 3–6 shared intervals started at
-// different phases, Wake, Stop, Timer.Stop before and after firing,
-// all of it also from inside callbacks, and Simulator.Stop.
+// bursts), AtSorted (ascending bursts on equal and rising timestamps,
+// with calls below the previous one and below now), Every and
+// EveryElidable on 3–6 shared intervals started at different phases,
+// Wake, Stop, and Timer.Stop before and after firing, all of it also
+// from inside callbacks.
 //
-// Mutation check: with the tail test removed from queue.push (every
-// insert offered a lane is appended to it), program 0 fails in chunk 9
-// on agree's "firing 74 is {id:36 at:165ms}, reference fired {id:30
-// at:165ms}" assertion — an elider woken out of a fold re-armed below
-// its lane's tail, was appended behind the later slot and fired late —
-// and the directed case "re-arm below the tail" fails both its
-// queue-state check and agree. With seq dropped from slot.before,
-// program 0 fails in chunk 5 and the directed cases "lane and heap tie"
-// and "more intervals than lanes" fail.
+// Mutation check: with the tail test skipped for the sorted lane alone
+// (every AtSorted call appended to it), program 0 fails in chunk 6 on
+// agree's "firing 81 is {id:23 at:114ms}, reference fired {id:76
+// at:113ms}", and the directed case "sorted call below the tail" fails
+// both its queue-state check and agree. With the tail test removed from
+// queue.push for every lane, program 0 fails in chunk 4 ("30 firings,
+// reference 31") and the directed cases "re-arm below the tail" and
+// "sorted call below the tail" fail their queue-state checks. With seq
+// dropped from slot.before, program 0 fails in chunk 5 and the directed
+// cases "lane and heap tie", "more intervals than lanes", "sorted call
+// below the tail" and "sorted lane beside full periodic lanes" fail.
 func TestQueueMatchesReference(t *testing.T) {
 	const programs = 1200
 	var events uint64
@@ -533,15 +560,74 @@ func directedCases(t *testing.T) {
 		{
 			name: "more intervals than lanes",
 			script: func(t *testing.T, w world, mark marker) {
+				// The sorted lane is reserved, so maxLanes-1 intervals get
+				// a lane and the other maxLanes+1 schedule through the heap.
 				for id := 1; id <= 2*maxLanes; id++ {
 					w.Every(time.Duration(id)*ms, mark(id))
 				}
 				if q := realQueue(w); q != nil {
-					if q.used != maxLanes || len(q.heap) != maxLanes {
-						t.Errorf("%d lanes used, %d in the heap; want %d and %d", q.used, len(q.heap), maxLanes, maxLanes)
+					if q.used != maxLanes || len(q.heap) != maxLanes+1 {
+						t.Errorf("%d lanes used, %d in the heap; want %d and %d", q.used, len(q.heap), maxLanes, maxLanes+1)
 					}
 				}
 				w.RunUntil(Time(50 * ms))
+			},
+		},
+		{
+			name: "sorted burst stays out of the heap",
+			script: func(t *testing.T, w world, mark marker) {
+				// The replay's shape: a window of first packets scheduled
+				// in ascending order, many on equal timestamps.
+				const burst = 56_000
+				for j := 0; j < burst; j++ {
+					w.AtSorted(Time(j/3)*Time(time.Microsecond), mark(j))
+				}
+				if q := realQueue(w); q != nil {
+					if l := &q.lanes[sortedLane]; l.n != burst || len(q.heap) != 0 {
+						t.Errorf("sorted lane holds %d, heap %d; want %d and 0", l.n, len(q.heap), burst)
+					}
+				}
+				w.RunUntil(Time(time.Second))
+			},
+		},
+		{
+			name: "sorted call below the tail",
+			script: func(t *testing.T, w world, mark marker) {
+				// 15 ms is below the lane's tail and falls to the heap,
+				// as does the plain At; the second 20 ms call is not
+				// below the tail and joins the lane behind the first.
+				w.AtSorted(Time(10*ms), mark(1))
+				w.AtSorted(Time(20*ms), mark(2))
+				w.AtSorted(Time(15*ms), mark(3))
+				w.AtSorted(Time(20*ms), mark(4))
+				w.At(Time(15*ms), mark(5))
+				w.At(Time(20*ms), mark(6))
+				if q := realQueue(w); q != nil {
+					if l := &q.lanes[sortedLane]; l.n != 3 || len(q.heap) != 3 {
+						t.Errorf("sorted lane holds %d, heap %d; want 3 and 3", l.n, len(q.heap))
+					}
+				}
+				w.RunUntil(Time(30 * ms))
+			},
+			want: []int{1, 3, 5, 2, 4, 6},
+		},
+		{
+			name: "sorted lane beside full periodic lanes",
+			script: func(t *testing.T, w world, mark marker) {
+				// maxLanes intervals take every periodic lane and spill
+				// one into the heap; the sorted stream still has its own.
+				for id := 1; id <= maxLanes; id++ {
+					w.Every(time.Duration(id)*ms, mark(id))
+				}
+				for j := 0; j < 20; j++ {
+					w.AtSorted(Time(j)*Time(ms/2), mark(100+j))
+				}
+				if q := realQueue(w); q != nil {
+					if l := &q.lanes[sortedLane]; q.used != maxLanes || l.n != 20 || len(q.heap) != 1 {
+						t.Errorf("%d lanes used, sorted lane holds %d, heap %d; want %d, 20 and 1", q.used, l.n, len(q.heap), maxLanes)
+					}
+				}
+				w.RunUntil(Time(20 * ms))
 			},
 		},
 	}

@@ -8,9 +8,9 @@
 // the simulator are therefore written as plain state machines without
 // internal locking.
 //
-// Pending events wait in a heap plus one FIFO lane per periodic
-// interval (queue.go); the split changes what an event costs, never
-// the order.
+// Pending events wait in a heap plus FIFO lanes, one for the sorted
+// stream of AtSorted and one per periodic interval (queue.go); the
+// split changes what an event costs, never the order.
 package sim
 
 import (
@@ -96,7 +96,8 @@ func (s *Simulator) release(ev *event) {
 // from seed.
 func New(seed uint64) *Simulator {
 	return &Simulator{
-		rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		queue: queue{used: sortedLane + 1},
 	}
 }
 
@@ -145,6 +146,15 @@ func (t *Timer) Stop() bool {
 // past (at < Now) runs the event at the current time, preserving order.
 func (s *Simulator) At(at Time, fn func()) Timer {
 	return s.schedule(at, nil, fn)
+}
+
+// AtSorted is At for a caller whose times never decrease from one call
+// to the next, such as a loader scheduling a window of first packets in
+// start order: such a stream is appended to a FIFO lane in O(1)
+// instead of sifting into the heap. The order is At's whatever the
+// caller does; a call below the previous one costs a heap insert.
+func (s *Simulator) AtSorted(at Time, fn func()) Timer {
+	return s.schedule(at, &s.queue.lanes[sortedLane], fn)
 }
 
 // schedule queues fn at time at, offering the slot to lane l (nil: none).
