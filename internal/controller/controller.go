@@ -163,6 +163,10 @@ const (
 	takeoverMisses       = 3                      // silent heartbeat intervals before takeover, as the keep-alive heuristics
 )
 
+// serviceTime is one request's CPU time at serviceRate, and the gap
+// between two copies of a flood.
+const serviceTime = time.Second / serviceRate
+
 // pushRetryTimeout is the supervision deadline on GroupConfig pushes,
 // doubling per attempt up to 8×: two keep-alive intervals, faster than
 // the 3-interval failure heuristics, so a lost push never strands a
@@ -248,6 +252,9 @@ type Controller struct {
 	posts       *netsim.Deferred[sender]
 	forwardings *netsim.Block[forwarding]
 	installs    *netsim.Block[install]
+	// floods runs a flood's copies as a series (nil off the DES, where
+	// apply posts every copy up front; see flood).
+	floods *netsim.Sequencer
 
 	// Control-fold task handles (nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
@@ -397,6 +404,7 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 
 		forwardings: netsim.BlockFor[forwarding](env),
 		installs:    netsim.BlockFor[install](env),
+		floods:      netsim.SequencerFor(env),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/openflow"
+	"lazyctrl/internal/sim"
 	"lazyctrl/internal/telemetry"
 )
 
@@ -100,7 +101,6 @@ func (c *Controller) SetBackgroundLoad(rps float64) { c.backgroundRate = rps }
 // an M/M/1-style wait at the estimated unscaled arrival rate, capped to
 // keep pathological bursts bounded.
 func (c *Controller) queueDelay() time.Duration {
-	service := time.Duration(float64(time.Second) / serviceRate)
 	rate := c.lastRate
 	if c.backgroundRate > rate {
 		rate = c.backgroundRate
@@ -112,12 +112,12 @@ func (c *Controller) queueDelay() time.Duration {
 	if rho < 0 {
 		rho = 0
 	}
-	wait := time.Duration(float64(service) * rho / (1 - rho))
+	wait := time.Duration(float64(serviceTime) * rho / (1 - rho))
 	const maxWait = 100 * time.Millisecond
 	if wait > maxWait {
 		wait = maxWait
 	}
-	return service + wait
+	return serviceTime + wait
 }
 
 // handlePacketIn is the Ctrl-IF entry point for both modes: the
@@ -223,12 +223,20 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 		c.record(metrics.ReqFloodOut, uint64(len(c.cfg.Switches)))
 		f := &flood{c: c, pkt: m.Packet, ingress: m.Switch}
 		f.run = f.sendNext
-		service := time.Duration(float64(time.Second) / serviceRate)
+		f.next = f.skip(0)
 		base := c.queueDelay()
+		copies := 0
 		for i, sw := range c.cfg.Switches {
-			if sw != m.Switch {
-				netsim.Post(c.env, base+time.Duration(i)*service, f.run)
+			if sw == m.Switch {
+				continue
 			}
+			if c.floods == nil {
+				netsim.Post(c.env, base+time.Duration(i)*serviceTime, f.run)
+			}
+			copies++
+		}
+		if c.floods != nil && copies > 0 {
+			f.series = c.floods.Start(base+time.Duration(f.next)*serviceTime, copies, f.run)
 		}
 	case decidePend:
 		// Unknown (or local-only) destination: relay an ARP query to the
@@ -246,29 +254,44 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 }
 
 // flood is one learning-mode flood in flight: a single object whose
-// pre-bound run is posted once per copy, so a flood allocates O(1)
-// objects however many switches it reaches. The copies are posted at
-// strictly increasing instants (base + i·service, service > 0), so the
-// k-th firing sends the k-th copy: sendNext walks cfg.Switches in the
-// order the posts were made, skipping the ingress. That walk is sound
-// because nothing writes cfg.Switches after New. Every copy is &pkt:
-// each receiver of a flooded packet (the edge's handleFlood and its
-// OnDeliver hooks, the wire meter) only reads it.
+// pre-bound run sends one copy per firing, so a flood allocates O(1)
+// objects however many switches it reaches. Copy i, to cfg.Switches[i],
+// leaves at base + i·service (service > 0), and the ingress's slot
+// stays empty, so the firings come at strictly increasing instants and
+// the k-th sends the k-th copy: sendNext walks cfg.Switches, skipping
+// the ingress. That walk is sound because nothing writes cfg.Switches
+// after New. On the DES the firings are a series (netsim.Sequencer):
+// apply queues the first, each queues the next after its Send, and
+// their reserved places in the event order are those of the posts made
+// up front elsewhere, so a flood holds one pending event, not one per
+// switch. Every copy is &pkt: each receiver of a flooded packet (the
+// edge's handleFlood and its OnDeliver hooks, the wire meter) only
+// reads it.
 type flood struct {
 	c       *Controller
 	pkt     model.Packet
 	ingress model.SwitchID
-	next    int // index in cfg.Switches of the next copy's target
+	next    int32 // index in cfg.Switches of the next copy's target
+	series  sim.Series
 	run     func()
 }
 
-func (f *flood) sendNext() {
+// skip returns the first index from i whose switch is not the ingress.
+func (f *flood) skip(i int32) int32 {
 	sw := f.c.cfg.Switches
-	for sw[f.next] == f.ingress {
-		f.next++
+	for int(i) < len(sw) && sw[i] == f.ingress {
+		i++
 	}
-	f.c.env.Send(sw[f.next], &f.pkt)
-	f.next++
+	return i
+}
+
+func (f *flood) sendNext() {
+	sw, i := f.c.cfg.Switches, f.next
+	f.c.env.Send(sw[i], &f.pkt)
+	f.next = f.skip(i + 1)
+	if f.c.floods != nil && int(f.next) < len(sw) {
+		f.c.floods.Next(&f.series, time.Duration(f.next-i)*serviceTime, f.run)
+	}
 }
 
 // relayARP fans an ARP query out to designated switches of the groups

@@ -1,7 +1,7 @@
 package fib
 
 import (
-	"sort"
+	"slices"
 
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
@@ -164,7 +164,7 @@ func (c *CLIB) SwitchesWithVLAN(vlan model.VLAN) []model.SwitchID {
 	for sw := range c.byVLAN[vlan] {
 		out = append(out, sw)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -172,12 +172,16 @@ func (c *CLIB) SwitchesWithVLAN(vlan model.VLAN) []model.SwitchID {
 // switch, sorted by MAC. The controller uses it to preload peer state
 // into regrouped switches inside the batched group-config push.
 func (c *CLIB) EntriesOn(sw model.SwitchID) []openflow.LFIBEntry {
-	var out []openflow.LFIBEntry
-	for mac := range c.bySwitch[sw] {
+	macs := c.bySwitch[sw]
+	if len(macs) == 0 {
+		return nil
+	}
+	out := make([]openflow.LFIBEntry, 0, len(macs))
+	for mac := range macs {
 		e := c.byMAC[mac]
 		out = append(out, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
+	slices.SortFunc(out, wireByMAC)
 	return out
 }
 

@@ -5,7 +5,8 @@
 package fib
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"lazyctrl/internal/bloom"
@@ -152,24 +153,21 @@ func (l *LFIB) Restart() {
 	l.epoch++
 }
 
-// Entries returns all bindings sorted by MAC (deterministic order for
-// dissemination and tests).
-func (l *LFIB) Entries() []LFIBEntry {
-	out := append(make([]LFIBEntry, 0, len(l.entries)), l.entries...)
-	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
+// WireEntries converts the table to the wire representation for an
+// LFIBUpdate message, sorted by MAC.
+func (l *LFIB) WireEntries() []openflow.LFIBEntry {
+	out := make([]openflow.LFIBEntry, 0, len(l.entries))
+	for i := range l.entries {
+		e := &l.entries[i]
+		out = append(out, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
+	}
+	slices.SortFunc(out, wireByMAC)
 	return out
 }
 
-// WireEntries converts the table to the wire representation for an
-// LFIBUpdate message.
-func (l *LFIB) WireEntries() []openflow.LFIBEntry {
-	entries := l.Entries()
-	out := make([]openflow.LFIBEntry, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, openflow.LFIBEntry{MAC: e.MAC, IP: e.IP, VLAN: e.VLAN})
-	}
-	return out
-}
+// wireByMAC orders wire entries by MAC. MACs are unique within a table,
+// so any sort gives the one order.
+func wireByMAC(a, b openflow.LFIBEntry) int { return cmp.Compare(a.MAC.Uint64(), b.MAC.Uint64()) }
 
 // DrainChanges empties the change journal and returns the wire form of
 // what advertisement must ship: the changed bindings as an increment
@@ -191,7 +189,7 @@ func (l *LFIB) DrainChanges() (entries []openflow.LFIBEntry, full bool) {
 		}
 	}
 	clear(l.dirty)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].MAC.Uint64() < entries[j].MAC.Uint64() })
+	slices.SortFunc(entries, wireByMAC)
 	return entries, false
 }
 

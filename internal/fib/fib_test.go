@@ -2,8 +2,10 @@ package fib
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +13,13 @@ import (
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
 )
+
+// Entries returns all bindings sorted by MAC.
+func (l *LFIB) Entries() []LFIBEntry {
+	out := append(make([]LFIBEntry, 0, len(l.entries)), l.entries...)
+	slices.SortFunc(out, func(a, b LFIBEntry) int { return cmp.Compare(a.MAC.Uint64(), b.MAC.Uint64()) })
+	return out
+}
 
 func TestLFIBLearnAndLookup(t *testing.T) {
 	l := NewLFIB()

@@ -505,6 +505,34 @@ func (t *Timer) Stop() {
 	*t = Timer{}
 }
 
+// Sequencer runs series on the DES (see sim.Series): n firings of one
+// callback at non-decreasing instants, each queued by the firing
+// before it, that run at the instants and in the places of the event
+// order where n Posts made when the series started would run them. A
+// series holds one pending event where the Posts would hold n.
+type Sequencer struct{ sim *sim.Simulator }
+
+// SequencerFor returns env's Sequencer, or nil off the DES: there a
+// caller posts every firing up front.
+func SequencerFor(env Env) *Sequencer {
+	if e, ok := env.(*simEnv); ok {
+		return &Sequencer{sim: e.net.sim}
+	}
+	return nil
+}
+
+// Start schedules the first of n firings of fn after d (a negative d
+// is zero, as in the simulator) and reserves the places of the rest.
+func (q *Sequencer) Start(d time.Duration, n int, fn func()) sim.Series {
+	return q.sim.Series(q.sim.Now()+sim.Time(d), n, fn)
+}
+
+// Next schedules the series' next firing of fn d after now. Call it
+// from the firing before.
+func (q *Sequencer) Next(sr *sim.Series, d time.Duration, fn func()) {
+	sr.Next(q.sim, q.sim.Now()+sim.Time(d), fn)
+}
+
 // Deferred hands values to one handler, each after its own delay: the
 // value-carrying form of Post. A post queues its value and posts one
 // pre-bound pop, so it costs no allocation once the queue has grown to

@@ -16,9 +16,11 @@ package sim
 // non-decreasing times (a replay's first packets, scheduled window by
 // window in start order); every other lane takes the re-arms of one
 // periodic interval, which are monotone because each is made at now +
-// interval. Other one-shot schedules go to the heap. The lanes are a
-// fixed array, so a pop compares at most maxLanes heads whatever the
-// program does.
+// interval. Other one-shot schedules go to the heap, and so does every
+// firing of a Simulator.Series: its seq was reserved before later
+// schedules took larger ones, so at an equal time it may sort below a
+// lane's tail. The lanes are a fixed array, so a pop compares at most
+// maxLanes heads whatever the program does.
 //
 // Slot arrays double when full (append would grow a large one by a
 // quarter at a time), which keeps the bytes allocated over a queue's
@@ -93,8 +95,9 @@ func (q *queue) lane(interval Time) *lane {
 }
 
 // push inserts sl, offering it to l first (nil: straight to the heap).
-// sl.seq is larger than any queued seq, so comparing times alone
-// decides whether sl sorts at or after l's tail.
+// A lane is offered only an unreserved seq, which is larger than any
+// queued seq, so comparing times alone decides whether sl sorts at or
+// after l's tail; a series' reserved seq is pushed with l nil.
 func (q *queue) push(l *lane, sl slot) {
 	if l != nil && (l.n == 0 || sl.at >= l.tail) {
 		l.push(sl)

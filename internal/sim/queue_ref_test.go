@@ -49,11 +49,14 @@ type refSim struct {
 	seq      uint64
 	queue    refHeap
 	executed uint64
+	unqueued int // series firings the real simulator has not queued yet
 }
 
 func (s *refSim) Now() Time        { return s.now }
 func (s *refSim) Executed() uint64 { return s.executed }
 
+// Pending counts a series as the real simulator does: the firings after
+// the one queued are in this heap already, but not pending there.
 func (s *refSim) Pending() int {
 	n := 0
 	for _, ev := range s.queue {
@@ -61,7 +64,7 @@ func (s *refSim) Pending() int {
 			n++
 		}
 	}
-	return n
+	return n - s.unqueued
 }
 
 func (s *refSim) at(at Time, fn func()) *refEvent {
@@ -86,6 +89,25 @@ func (s *refSim) At(at Time, fn func()) func() bool { return s.at(at, fn).stop }
 
 // AtSorted is At: the sorted lane is a cost, not an order.
 func (s *refSim) AtSorted(at Time, fn func()) func() bool { return s.at(at, fn).stop }
+
+// Series is n back-to-back At calls. The real series queues firing k+1
+// from firing k, before or after fire(k) as nextFirst says; unqueued
+// counts the firings it has yet to queue.
+func (s *refSim) Series(times []Time, nextFirst bool, fire func(k int)) {
+	s.unqueued += len(times) - 1
+	for k, at := range times {
+		s.at(at, func() {
+			more := k+1 < len(times)
+			if more && nextFirst {
+				s.unqueued--
+			}
+			fire(k)
+			if more && !nextFirst {
+				s.unqueued--
+			}
+		})
+	}
+}
 
 func (s *refSim) After(d time.Duration, fn func()) func() bool {
 	return s.at(s.now+Time(max(d, 0)), fn).stop
@@ -213,6 +235,10 @@ type world interface {
 	After(time.Duration, func()) (stop func() bool)
 	Every(time.Duration, func()) (stop func())
 	EveryElidable(d time.Duration, run func(), quiet func() int, credit func(int)) (wake, stop func())
+	// Series fires fire(k) at times[k], which never decrease and start
+	// at or after Now; nextFirst queues each next firing before fire(k)
+	// rather than after it.
+	Series(times []Time, nextFirst bool, fire func(k int))
 	RunUntil(Time)
 	Executed() uint64
 	Pending() int
@@ -236,6 +262,26 @@ func (w realWorld) After(d time.Duration, fn func()) func() bool {
 }
 
 func (w realWorld) Every(d time.Duration, fn func()) func() { return w.Simulator.Every(d, fn).Stop }
+
+func (w realWorld) Series(times []Time, nextFirst bool, fire func(k int)) {
+	var (
+		sr  Series
+		k   int
+		run func()
+	)
+	run = func() {
+		i := k
+		k++
+		if k < len(times) && nextFirst {
+			sr.Next(w.Simulator, times[k], run)
+		}
+		fire(i)
+		if k < len(times) && !nextFirst {
+			sr.Next(w.Simulator, times[k], run)
+		}
+	}
+	sr = w.Simulator.Series(times[0], len(times), run)
+}
 
 func (w realWorld) EveryElidable(d time.Duration, run func(), quiet func() int, credit func(int)) (wake, stop func()) {
 	e := w.Simulator.EveryElidable(d, run, quiet, credit)
@@ -263,6 +309,7 @@ type program struct {
 	ids       int
 	budget    int  // one-shot schedules left; keeps a program finite
 	sorted    Time // the last AtSorted time
+	series    int  // series started
 	intervals []time.Duration
 	timers    []func() bool
 	tickers   []func()
@@ -354,6 +401,23 @@ func (p *program) act(inCallback bool) {
 				e.wake()
 			}
 		}
+	case k < 20: // a series: firings at non-decreasing times from now
+		// on, a third of them tied to the one before
+		n := 1 + rng.IntN(12)
+		if p.budget < n {
+			break
+		}
+		p.budget -= n
+		times, fire := make([]Time, n), make([]func(), n)
+		at := w.Now() + Time(ms(10))
+		for i := range times {
+			if rng.IntN(3) > 0 {
+				at += Time(ms(4))
+			}
+			times[i], fire[i] = at, p.callback()
+		}
+		w.Series(times, rng.IntN(2) == 0, func(k int) { fire[k]() })
+		p.series++
 	case k >= 20: // the sorted stream: an ascending burst through AtSorted,
 		// some of it on equal timestamps, now and then a call below
 		// the last one (below now, too)
@@ -403,25 +467,32 @@ func agree(t *testing.T, what string, real, ref *program, from int) {
 // every RunUntil boundary, over seeded random programs that mix After
 // (repeated and jittered delays), At (past, now, future, ascending
 // bursts), AtSorted (ascending bursts on equal and rising timestamps,
-// with calls below the previous one and below now), Every and
-// EveryElidable on 3–6 shared intervals started at different phases,
-// Wake, Stop, and Timer.Stop before and after firing, all of it also
-// from inside callbacks.
+// with calls below the previous one and below now), Series (1–12
+// firings on rising and tied timestamps, each next firing queued
+// before or after its predecessor's callback acts; the reference makes
+// n At calls), Every and EveryElidable on 3–6 shared intervals started
+// at different phases, Wake, Stop, and Timer.Stop before and after
+// firing, all of it also from inside callbacks.
 //
 // Mutation check: with the tail test skipped for the sorted lane alone
-// (every AtSorted call appended to it), program 0 fails in chunk 6 on
-// agree's "firing 81 is {id:23 at:114ms}, reference fired {id:76
-// at:113ms}", and the directed case "sorted call below the tail" fails
-// both its queue-state check and agree. With the tail test removed from
-// queue.push for every lane, program 0 fails in chunk 4 ("30 firings,
-// reference 31") and the directed cases "re-arm below the tail" and
-// "sorted call below the tail" fail their queue-state checks. With seq
-// dropped from slot.before, program 0 fails in chunk 5 and the directed
-// cases "lane and heap tie", "more intervals than lanes", "sorted call
-// below the tail" and "sorted lane beside full periodic lanes" fail.
+// (every AtSorted call appended to it), program 0 fails in chunk 7 on
+// agree's "firing 121 is {id:83 at:90ms}, reference fired {id:97
+// at:89ms}", and the directed case "sorted call below the tail" fails.
+// With the tail test removed from queue.push for every lane, program 0
+// fails in chunk 4 and the directed cases "re-arm below the tail" and
+// "sorted call below the tail" fail. With seq dropped from
+// slot.before, program 0 fails in chunk 3 and six directed cases fail.
+// With Series.Next taking a fresh seq instead of its reserved one,
+// program 0 fails in chunk 3 and both series orderings fail. With a
+// series firing offered the sorted lane, program 1 fails in chunk 11;
+// offered the 1 ms ticker's lane, program 0 fails in chunk 10, and
+// "series beside full periodic lanes" fails agree on "firing 3 is
+// {id:1 at:2ms}, reference fired {id:101 at:2ms}". Both fail the
+// series cases' queue-state checks.
 func TestQueueMatchesReference(t *testing.T) {
 	const programs = 1200
 	var events uint64
+	series := 0
 	for seed := uint64(0); seed < programs; seed++ {
 		real := newProgram(realWorld{New(seed)}, seed)
 		ref := newProgram(&refSim{}, seed)
@@ -432,8 +503,9 @@ func TestQueueMatchesReference(t *testing.T) {
 			agree(t, fmt.Sprintf("program %d chunk %d", seed, c), real, ref, compared)
 		}
 		events += real.w.Executed()
+		series += real.series
 	}
-	t.Logf("%d programs, %d events", programs, events)
+	t.Logf("%d programs, %d events, %d series", programs, events, series)
 	directedCases(t)
 }
 
@@ -628,6 +700,88 @@ func directedCases(t *testing.T) {
 					}
 				}
 				w.RunUntil(Time(20 * ms))
+			},
+		},
+		{
+			name: "series ties At before, during and after",
+			script: func(t *testing.T, w world, mark marker) {
+				// Every event here is at 10 or 20 ms, so seq alone orders
+				// them: the series' reserved seqs sit between the At made
+				// before it and those made after it or from its firings.
+				w.At(Time(10*ms), mark(1))
+				w.Series([]Time{Time(10 * ms), Time(10 * ms), Time(20 * ms)}, false, func(k int) {
+					mark(10 + k)()
+					if k == 0 {
+						w.At(Time(10*ms), mark(2))
+						w.At(Time(20*ms), mark(3))
+					}
+				})
+				w.At(Time(10*ms), mark(4))
+				w.At(Time(20*ms), mark(5))
+				if w.Pending() != 4 {
+					t.Errorf("pending %d after the series started, want 4: it counts as its one queued firing", w.Pending())
+				}
+				w.RunUntil(Time(15 * ms))
+				if q := realQueue(w); q != nil && len(q.heap) != 3 {
+					t.Errorf("heap holds %d, want 3: the series' last firing and two At calls", len(q.heap))
+				}
+				w.RunUntil(Time(20 * ms))
+			},
+			want: []int{1, 10, 11, 4, 2, 12, 5, 3},
+		},
+		{
+			name: "series beside full periodic lanes",
+			script: func(t *testing.T, w world, mark marker) {
+				// The 1 ms ticker re-arms into its lane on every
+				// millisecond; the series, started after the tickers, ties
+				// with each re-arm on a smaller seq. Offered that lane, a
+				// firing would join behind the tail and run late.
+				for id := 1; id <= maxLanes; id++ {
+					w.Every(time.Duration(id)*ms, mark(id))
+				}
+				times := make([]Time, 30)
+				for j := range times {
+					times[j] = Time(j+1) * Time(ms)
+				}
+				w.Series(times, true, func(k int) {
+					mark(100 + k)()
+					// The spilled interval, and the next firing but at the last.
+					want := 2
+					if k == len(times)-1 {
+						want = 1
+					}
+					if q := realQueue(w); q != nil && (q.used != maxLanes || len(q.heap) != want) {
+						t.Errorf("firing %d: %d lanes used, heap %d; want %d and %d", k, q.used, len(q.heap), maxLanes, want)
+					}
+				})
+				w.RunUntil(Time(40 * ms))
+			},
+		},
+		{
+			name: "271-firing series holds one slot",
+			script: func(t *testing.T, w world, mark marker) {
+				// A learning flood's shape: one copy per switch 125 µs
+				// apart, the ingress's slot left empty.
+				const service = 125 * time.Microsecond
+				var times []Time
+				for i := range 272 {
+					if i != 90 {
+						times = append(times, Time(ms)+Time(i)*Time(service))
+					}
+				}
+				w.Series(times, false, func(k int) {
+					mark(k)()
+					if p := w.Pending(); p != 0 {
+						t.Errorf("firing %d: pending %d, want 0 until it queues the next", k, p)
+					}
+					if q := realQueue(w); q != nil && len(q.heap) != 0 {
+						t.Errorf("firing %d: heap holds %d, want 0 until it queues the next", k, len(q.heap))
+					}
+				})
+				if p := w.Pending(); p != 1 {
+					t.Errorf("pending %d after starting a 271-firing series, want 1", p)
+				}
+				w.RunUntil(Time(time.Second))
 			},
 		},
 	}

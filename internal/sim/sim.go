@@ -10,7 +10,9 @@
 //
 // Pending events wait in a heap plus FIFO lanes, one for the sorted
 // stream of AtSorted and one per periodic interval (queue.go); the
-// split changes what an event costs, never the order.
+// split changes what an event costs, never the order. A Series queues
+// one firing at a time on sequence numbers reserved at its start, so it
+// too changes the cost of its firings and not their order.
 package sim
 
 import (
@@ -112,7 +114,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many events are scheduled and not yet executed or
-// canceled.
+// canceled. A series counts as the one firing it has queued.
 func (s *Simulator) Pending() int {
 	n := 0
 	s.queue.each(func(ev *event) {
@@ -167,6 +169,45 @@ func (s *Simulator) schedule(at Time, l *lane, fn func()) Timer {
 	s.queue.push(l, slot{at: at, seq: s.seq, ev: ev})
 	s.seq++
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// Series is the handle of a run of firings whose places in the event
+// order were fixed when it started (see Simulator.Series). It holds
+// the sequence number the next firing takes.
+type Series struct{ seq uint64 }
+
+// Series schedules the first of n firings of fn at at and reserves the
+// sequence numbers of the other n-1, which the series' owner queues one
+// at a time: each firing calls Next for the one after it. The k-th
+// firing therefore pops at exactly the (at, seq) key that the k-th of n
+// back-to-back At calls would have given it, while the queue holds one
+// slot for the whole run instead of n. Pending counts that one slot: a
+// firing Next has not yet queued is not pending. A series cannot be
+// cancelled. Reserved slots always go to the heap, never to a lane: a
+// lane's tail test compares times alone, which holds only because an
+// unreserved seq exceeds every queued one.
+func (s *Simulator) Series(at Time, n int, fn func()) Series {
+	if n <= 0 {
+		panic("sim: Series requires a positive count")
+	}
+	s.schedule(at, nil, fn)
+	sr := Series{seq: s.seq}
+	s.seq += uint64(n - 1)
+	return sr
+}
+
+// Next queues the series' next firing of fn at at on s, on its next
+// reserved sequence number. Call it from the firing before, at most n-1
+// times over the series, with at not below Now: the times of a series
+// never decrease, which is what makes its order the order of n At calls.
+func (sr *Series) Next(s *Simulator, at Time, fn func()) {
+	if at < s.now {
+		panic("sim: a series firing scheduled before the one that queues it")
+	}
+	ev := s.alloc()
+	ev.fn = fn
+	s.queue.push(nil, slot{at: at, seq: sr.seq, ev: ev})
+	sr.seq++
 }
 
 // After schedules fn to run d after the current virtual time.

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestAfterOrdering(t *testing.T) {
@@ -281,4 +282,42 @@ func TestEventsAllocatedBySlab(t *testing.T) {
 	if !later.Stop() {
 		t.Error("the timer on the recycled event did not stop")
 	}
+}
+
+// TestSeriesCostsNoEventSpace pins what a series may not grow: an
+// event stays 16 bytes (its state lives in the caller's handle), and
+// a steady stream of series allocates nothing once the pool is warm.
+// A firing queued before the one that queues it panics rather than
+// run out of the order n At calls would give.
+func TestSeriesCostsNoEventSpace(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 16 {
+		t.Errorf("event is %d bytes, want 16", size)
+	}
+	s := New(1)
+	var (
+		sr   Series
+		left int
+		fire func()
+	)
+	fire = func() {
+		if left--; left > 0 {
+			sr.Next(s, s.Now()+Time(time.Microsecond), fire)
+		}
+	}
+	start := func() {
+		left = 271
+		sr = s.Series(s.Now(), left, fire)
+		s.Run()
+	}
+	if allocs := testing.AllocsPerRun(20, start); allocs != 0 {
+		t.Errorf("a 271-firing series allocates %.1f times, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Next before Now did not panic")
+		}
+	}()
+	s.RunFor(time.Second)
+	sr = s.Series(s.Now(), 2, func() {})
+	sr.Next(s, s.Now()-1, func() {})
 }
