@@ -15,8 +15,6 @@ import (
 	"lazyctrl/internal/controller"
 	"lazyctrl/internal/eval"
 	"lazyctrl/internal/grouping"
-	"lazyctrl/internal/model"
-	"lazyctrl/internal/replay"
 	"lazyctrl/internal/trace"
 )
 
@@ -172,39 +170,6 @@ func BenchmarkFig7(b *testing.B) {
 			100*res.ReductionRealStatic, 100*res.ReductionRealDynamic,
 			100*res.ReductionExpandedStatic, 100*res.ReductionExpandedDynamic)
 	})
-}
-
-// BenchmarkFig7Sampled runs the same five-series Fig. 7 sweep through
-// the sampled replay engine at p = 0.1: a tenth of the pair population
-// rides the DES and the workload estimators are reweighted by 1/p
-// (internal/replay). events/op reports the total discrete events the
-// five simulators executed — the cost metric the scaled engines exist
-// to shrink (compare BenchmarkFig7's full-DES runs). Gated in
-// cmd/bench alongside Fig7.
-func BenchmarkFig7Sampled(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := eval.RunFig789(eval.Fig789Config{
-			Scale:      50_000,
-			Seed:       uint64(i) + 1,
-			Horizon:    12 * time.Hour,
-			Engine:     replay.EngineSampled,
-			SampleProb: 0.1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = 0
-		for _, r := range res.Series {
-			events += r.SimEvents
-		}
-		if i == 0 {
-			b.Logf("reductions: real %.0f%%/%.0f%%, expanded %.0f%%/%.0f%% (paper: 61–82%%)",
-				100*res.ReductionRealStatic, 100*res.ReductionRealDynamic,
-				100*res.ReductionExpandedStatic, 100*res.ReductionExpandedDynamic)
-		}
-	}
-	b.ReportMetric(float64(events), "events/op")
 }
 
 // BenchmarkFig8 regenerates the grouping-update frequency series of
@@ -459,85 +424,4 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.ReportMetric(pct, "overhead-pct")
 	b.ReportMetric(allocPct, "alloc-overhead-pct")
 	b.ReportMetric(float64(onAllocs), "allocs-per-run")
-}
-
-// BenchmarkHostSamplingBias measures the learning-baseline latency
-// bias that host-level sampling removes (ROADMAP "estimator fidelity"
-// carry-over; docs/emulation.md). The learning baseline locates hosts
-// passively — a destination is known only after it has sent — so a
-// packet toward a never-sampled sender rides the §V-E flood path
-// (~15 ms) forever instead of a warm rule. Pair sampling silences
-// destinations: a kept pair's far end keeps each of its own outbound
-// pairs only with probability p. Host sampling keeps a kept
-// endpoint's complete fan-out within the kept subpopulation, so each
-// outbound pair survives with q = √p instead — at p = 0.1 a silenced
-// destination is ~3× likelier per outbound pair under pair sampling,
-// and the measured silenced-packet share drops accordingly (without
-// vanishing: a kept host whose every peer is unkept still never
-// sends). The probe is
-// deterministic and DES-free (single-seed emulations at CI scale
-// drown the effect in replay noise): it replays the Fig. 7 trace
-// through both samplers and measures the share of injected packets
-// addressed to a silenced destination — a host that sends in the full
-// trace but never as a sampled source. Each engine's excess over the
-// full population's share, in percentage points averaged over sampler
-// seeds, lands in the trajectory file as pair-bias-pct and
-// host-bias-pct; the wall clock is gated alongside the other
-// benchmarks.
-func BenchmarkHostSamplingBias(b *testing.B) {
-	s, err := trace.NewStream(trace.RealLikeConfig(50_000, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	info := s.Info()
-	var flows []trace.Flow
-	for w := 0; w < info.Windows; w++ {
-		flows = s.GenWindow(w, flows)
-	}
-	// silencedShare: of the packets the sampler injects, the fraction
-	// addressed to a destination that never appears as an injected
-	// source. keep == nil replays the full population.
-	silencedShare := func(keep func(a, b model.HostID) bool) float64 {
-		sends := make(map[model.HostID]bool)
-		for _, f := range flows {
-			if keep == nil || keep(f.Src, f.Dst) {
-				sends[f.Src] = true
-			}
-		}
-		var silenced, total float64
-		for _, f := range flows {
-			if keep != nil && !keep(f.Src, f.Dst) {
-				continue
-			}
-			total += float64(f.Packets)
-			if !sends[f.Dst] {
-				silenced += float64(f.Packets)
-			}
-		}
-		if total == 0 {
-			return 0
-		}
-		return silenced / total
-	}
-	const (
-		p     = 0.1
-		seeds = 10
-	)
-	var pairBias, hostBias float64
-	for i := 0; i < b.N; i++ {
-		full := silencedShare(nil)
-		var pair, host float64
-		for seed := uint64(1); seed <= seeds; seed++ {
-			pair += silencedShare(replay.NewPairSampler(p, seed).Keep)
-			host += silencedShare(replay.NewHostSampler(math.Sqrt(p), seed).Keep)
-		}
-		pair, host = pair/seeds, host/seeds
-		pairBias, hostBias = 100*(pair-full), 100*(host-full)
-		if i == 0 {
-			b.Logf("silenced-destination packet share: full %.4f, pair-sampled %.4f (+%.2fpp), host-sampled %.4f (+%.2fpp)",
-				full, pair, pairBias, host, hostBias)
-		}
-	}
-	b.ReportMetric(pairBias, "pair-bias-pct")
-	b.ReportMetric(hostBias, "host-bias-pct")
 }

@@ -115,14 +115,14 @@ func parseBenchLine(line, pkg string) *Result {
 
 func main() {
 	var (
-		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkTraceSetup|BenchmarkIncUpdate|BenchmarkFig7$|BenchmarkFig7Sampled|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkHostSamplingBias|BenchmarkPeriodicRounds|BenchmarkSortedBurst|BenchmarkFloodSeries|BenchmarkGFIBQuery|BenchmarkGFIBWalk|BenchmarkWorldProbe", "benchmark regex passed to go test -bench")
+		bench       = flag.String("bench", "BenchmarkFig6b|BenchmarkTraceSetup|BenchmarkIncUpdate|BenchmarkFig7$|BenchmarkForEachPair|BenchmarkPacketInStorm|BenchmarkDissemDelta|BenchmarkDissemFull|BenchmarkTraceStream|BenchmarkTraceMaterialized|BenchmarkConvergence|BenchmarkControlFold|BenchmarkFailover|BenchmarkTelemetryOverhead|BenchmarkPeriodicRounds|BenchmarkSortedBurst|BenchmarkFloodSeries|BenchmarkGFIBQuery|BenchmarkGFIBWalk|BenchmarkWorldProbe", "benchmark regex passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1x", "value for go test -benchtime")
 		count       = flag.Int("count", 1, "value for go test -count")
 		pkgs        = flag.String("pkg", "./...", "package pattern to benchmark")
 		out         = flag.String("out", "", "output JSON path (default: BENCH_<latest+1>.json)")
 		dir         = flag.String("dir", "", "directory to run go test in (default: current; use to benchmark another checkout)")
 		baseline    = flag.String("baseline", "", "previous report JSON to embed and gate against (default: latest BENCH_<n>.json; \"none\" disables)")
-		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkTraceSetup,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkFig7Sampled,BenchmarkDissemDelta,BenchmarkDissemFull,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkHostSamplingBias,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkFloodSeries,BenchmarkGFIBQuery,BenchmarkGFIBWalk,BenchmarkWorldProbe,BenchmarkPacketInStormP1", "comma-separated benchmark names gated against the baseline")
+		gate        = flag.String("gate", "BenchmarkFig6b,BenchmarkTraceSetup,BenchmarkIncUpdate,BenchmarkFig7,BenchmarkDissemDelta,BenchmarkDissemFull,BenchmarkTraceStream,BenchmarkConvergence,BenchmarkControlFold,BenchmarkFailover,BenchmarkPeriodicRounds,BenchmarkSortedBurst,BenchmarkFloodSeries,BenchmarkGFIBQuery,BenchmarkGFIBWalk,BenchmarkWorldProbe,BenchmarkPacketInStormP1", "comma-separated benchmark names gated against the baseline")
 		maxregress  = flag.Float64("maxregress", 0.10, "maximum tolerated fractional regression in ns/op or allocs/op for gated benchmarks")
 		gatemetrics = flag.String("gatemetrics", "ns,allocs", "metrics the gate enforces: ns, allocs, or both; allocs/op is the only metric comparable across machines, so CI gates allocs only")
 		remeasure   = flag.Int("remeasure", 4, "re-runs of ns-gate violators (min wall-clock wins) before a timing violation counts")

@@ -7,7 +7,6 @@
 //	lazyctrl-sim -mode lazy -dynamic -scale 5000
 //	lazyctrl-sim -mode openflow -scale 5000
 //	lazyctrl-sim -engine fluid -scale 1        # paper scale (271M flows)
-//	lazyctrl-sim -engine sampled -p 0.01 -scale 100
 //
 // Every run uses per-flow reactive rules, and -engine fluid means the
 // aggregate population fold plus the control fold: the paper
@@ -85,12 +84,6 @@ func main() {
 	fmt.Printf("controller workload (Krps, unscaled estimate) per 2h bucket:\n  ")
 	for _, v := range res.WorkloadKrps {
 		fmt.Printf("%6.2f", v)
-	}
-	if res.WorkloadStdErrKrps != nil {
-		fmt.Printf("\n  ±1σ sampling error:\n  ")
-		for _, v := range res.WorkloadStdErrKrps {
-			fmt.Printf("%6.2f", v)
-		}
 	}
 	fmt.Printf("\naverage forwarding latency (ms) per 2h bucket:\n  ")
 	for _, v := range res.AvgLatencyMs {

@@ -19,7 +19,6 @@ type CLI struct {
 	scale                            *int
 	seed                             *uint64
 	sampleP, traceSample             *float64
-	hostSampling                     *bool
 	traceDump, metricsDump, promDump *string
 }
 
@@ -30,15 +29,14 @@ func RegisterCLI(fs *flag.FlagSet) *CLI {
 		fs = flag.CommandLine
 	}
 	return &CLI{
-		scale:        fs.Int("scale", 5000, "divisor applied to the paper's flow counts (1 = paper scale; use -engine sampled/fluid)"),
-		seed:         fs.Uint64("seed", 1, "random seed"),
-		engineName:   fs.String("engine", "des", "replay engine: des, sampled, or fluid (docs/emulation.md)"),
-		sampleP:      fs.Float64("p", 0, "pair-sampling probability for the sampled engine / fluid probe (0 = engine default)"),
-		hostSampling: fs.Bool("host-sampling", false, "host-level sampling for the sampled engine (q=√p per host; pair kept iff both ends kept)"),
-		traceSample:  fs.Float64("trace-sample", 0, "causal-span head-sampling rate in (0,1]; 0 disables tracing (docs/observability.md)"),
-		traceDump:    fs.String("trace-dump", "", "write completed spans as JSONL to this file (requires -trace-sample)"),
-		metricsDump:  fs.String("metrics-dump", "", "write the telemetry registry as JSONL to this file"),
-		promDump:     fs.String("prom-dump", "", "write a Prometheus-style text snapshot of the registry to this file"),
+		scale:       fs.Int("scale", 5000, "divisor applied to the paper's flow counts (1 = paper scale; use -engine fluid)"),
+		seed:        fs.Uint64("seed", 1, "random seed"),
+		engineName:  fs.String("engine", "des", "replay engine: des or fluid (docs/emulation.md)"),
+		sampleP:     fs.Float64("p", 0, "pair-sampling probability of the fluid engine's latency probe (0 = engine default)"),
+		traceSample: fs.Float64("trace-sample", 0, "causal-span head-sampling rate in (0,1]; 0 disables tracing (docs/observability.md)"),
+		traceDump:   fs.String("trace-dump", "", "write completed spans as JSONL to this file (requires -trace-sample)"),
+		metricsDump: fs.String("metrics-dump", "", "write the telemetry registry as JSONL to this file"),
+		promDump:    fs.String("prom-dump", "", "write a Prometheus-style text snapshot of the registry to this file"),
 	}
 }
 
@@ -95,15 +93,14 @@ func (c *CLI) Seed() uint64 { return *c.seed }
 // everything it stands for (setEngine).
 func (c *CLI) Emulation(cfg EmulationConfig) EmulationConfig {
 	cfg.PerFlowBaseline = true
-	cfg.HostSampling, cfg.TraceSample = *c.hostSampling, *c.traceSample
+	cfg.TraceSample = *c.traceSample
 	cfg.setEngine(c.engine, *c.sampleP)
 	return cfg
 }
 
 // Fig789 completes the five-run sweep's config from the flags.
 func (c *CLI) Fig789(cfg Fig789Config) Fig789Config {
-	cfg.Engine, cfg.SampleProb = c.engine, *c.sampleP
-	cfg.HostSampling, cfg.TraceSample = *c.hostSampling, *c.traceSample
+	cfg.Engine, cfg.SampleProb, cfg.TraceSample = c.engine, *c.sampleP, *c.traceSample
 	return cfg
 }
 

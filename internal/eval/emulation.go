@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"lazyctrl/internal/chaos"
@@ -74,31 +73,14 @@ type EmulationConfig struct {
 
 	// Engine selects the replay engine (docs/emulation.md): EngineDES
 	// (the default) injects every flow into the discrete-event
-	// underlay; EngineSampled injects a deterministic hash-sampled pair
-	// subpopulation and reweights the traffic-driven estimators by 1/p,
-	// with confidence bands; EngineFluid folds the full population into
+	// underlay; EngineFluid folds the full population into
 	// per-(group-pair, bucket) rate aggregates for workload and injects
 	// only a sampled latency-probe population.
 	Engine replay.Engine
-	// SampleProb is the pair-sampling probability p of EngineSampled,
-	// and the latency-probe population of EngineFluid. Zero selects 0.1
-	// (sampled) / 0.02 (fluid); ignored by EngineDES.
+	// SampleProb is the pair-sampling probability p of EngineFluid's
+	// latency-probe population. Zero selects 0.02; ignored by
+	// EngineDES.
 	SampleProb float64
-	// HostSampling switches EngineSampled from independent pair
-	// sampling to host-level sampling: each host is hash-kept with
-	// probability q = √SampleProb and a pair is injected iff both
-	// endpoints are kept, so SampleProb keeps its meaning as the pair
-	// inclusion probability (π = q²). A kept host then contributes its
-	// complete flow fan-out within the kept subpopulation, which
-	// shrinks the learning-baseline latency bias of destination
-	// silencing: the baseline locates hosts passively, so a host whose
-	// every outbound pair is sampled out is never learned and all
-	// traffic toward it floods forever. Each outbound pair survives
-	// with q = √SampleProb instead of SampleProb
-	// (BenchmarkHostSamplingBias pins the measured reduction; see
-	// docs/emulation.md). Estimator confidence bands widen to account
-	// for the host-level correlation. Requires EngineSampled.
-	HostSampling bool
 	// PacketInBatchMax configures the edge switches' control-link
 	// micro-batching. Zero selects the default — on, 8 packets inside
 	// edge.DefaultPacketInBatchWindow, now that the batching delay is
@@ -187,13 +169,8 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	if c.ReportInterval == 0 {
 		c.ReportInterval = reportInterval
 	}
-	if c.SampleProb == 0 {
-		switch c.Engine {
-		case replay.EngineSampled:
-			c.SampleProb = 0.1
-		case replay.EngineFluid:
-			c.SampleProb = 0.02
-		}
+	if c.SampleProb == 0 && c.Engine == replay.EngineFluid {
+		c.SampleProb = 0.02
 	}
 	if c.Engine == replay.EngineDES {
 		c.SampleProb = 1
@@ -208,9 +185,6 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	}
 	if c.SampleProb <= 0 || c.SampleProb > 1 {
 		return c, fmt.Errorf("eval: SampleProb %v outside (0,1]", c.SampleProb)
-	}
-	if c.HostSampling && c.Engine != replay.EngineSampled {
-		return c, fmt.Errorf("eval: HostSampling requires the sampled engine")
 	}
 	if c.TraceSample < 0 || c.TraceSample > 1 {
 		return c, fmt.Errorf("eval: TraceSample %v outside [0,1]", c.TraceSample)
@@ -233,7 +207,7 @@ type EmulationResult struct {
 	Mode    controller.Mode
 	Dynamic bool
 	// Engine echoes the engine that produced the result; SampleProb is
-	// the realized pair-sampling probability (1 for the DES engine).
+	// the realized probe-sampling probability (1 for the DES engine).
 	Engine     replay.Engine
 	SampleProb float64
 	// Recorder holds bucketed workload, latency, and update series
@@ -241,14 +215,8 @@ type EmulationResult struct {
 	// Recorder.ColdLatencyQuantile).
 	Recorder *metrics.Recorder
 	// WorkloadKrps is the Fig. 7 series: controller requests per second
-	// (unscaled via the trace's Scale and, for the sampled engines, the
-	// sampling probability), per bucket, in thousands.
+	// (unscaled via the trace's Scale), per bucket, in thousands.
 	WorkloadKrps []float64
-	// WorkloadStdErrKrps is the per-bucket 1σ sampling error of the
-	// traffic-driven part of WorkloadKrps (EngineSampled only; nil
-	// otherwise — the fluid engine's workload aggregates the full
-	// population and carries no sampling error).
-	WorkloadStdErrKrps []float64
 	// AvgLatencyMs is the Fig. 9 series per bucket.
 	AvgLatencyMs []float64
 	// UpdatesPerHour is the Fig. 8 series.
@@ -256,8 +224,8 @@ type EmulationResult struct {
 	// ColdCacheLatency is the mean first-packet latency.
 	ColdCacheLatency time.Duration
 	// FlowsInjected and FlowsDelivered count the first packets the DES
-	// actually carried (the sampled subpopulation under the sampled and
-	// fluid engines); PopulationFlows counts every in-horizon flow the
+	// actually carried (the probe subpopulation under the fluid
+	// engine); PopulationFlows counts every in-horizon flow the
 	// engine accounted for, injected or aggregated.
 	FlowsInjected   int
 	FlowsDelivered  int
@@ -269,7 +237,7 @@ type EmulationResult struct {
 	BatchDelayObserved time.Duration
 	BatchDelayModeled  time.Duration
 	// SimEvents is how many discrete events the underlying simulator
-	// executed (the scaled engines' cost metric).
+	// executed (the fluid engine's cost metric).
 	SimEvents uint64
 	// ControlMsgs and ControlBytes count control-plane messages and
 	// their encoded wire bytes across the control and peer links —
@@ -342,12 +310,11 @@ type emulation struct {
 	// they first run on the simulated clock, after rig.New has returned.
 	rig *rig.Rig
 
-	// The scaled engines: sampler and estimator select and reweight the
-	// injected subpopulation (nil at p = 1), fluid folds the full
-	// population into rate aggregates (nil unless EngineFluid).
-	sampler   *replay.PairSampler
-	estimator *replay.Estimator
-	fluid     *replay.Fluid
+	// The fluid engine: sampler selects the injected probe
+	// subpopulation (nil at p = 1), fluid folds the full population
+	// into rate aggregates (nil unless EngineFluid).
+	sampler *replay.PairSampler
+	fluid   *replay.Fluid
 
 	flights map[model.SwitchID]*telemetry.Flight // nil without flight recorders
 	world   *chaos.World                         // nil without a chaos plan
@@ -359,9 +326,9 @@ type emulation struct {
 // window at a time — the next window generates on the prefetch
 // pipeline while the simulator drains the current one — so the
 // replay's flow memory is O(window), not O(trace). The Engine field
-// selects how flows become load: exact per-flow events (DES), a
-// reweighted sampled subpopulation, or fluid rate aggregation with a
-// DES probe population (see package replay and docs/emulation.md).
+// selects how flows become load: exact per-flow events (DES) or fluid
+// rate aggregation with a DES probe population (see package replay
+// and docs/emulation.md).
 func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -426,27 +393,13 @@ func (e *emulation) buildRig() error {
 		res.Spans = telemetry.NewTracer(e.now, c.TraceSample, c.Seed)
 	}
 
-	// The scaled engines inject only a p-fraction of the pairs; the
+	// The fluid probe injects only a p-fraction of the pairs; the
 	// controller's queueing model must still see the unscaled arrival
 	// rate, so the sampling probability folds into its load scale
 	// alongside the trace's flow-count divisor.
 	loadScale := e.info.Scale
 	if c.SampleProb < 1 {
-		buckets := e.rec.Buckets()
-		if c.HostSampling {
-			// Host-level mode: keep hosts at q = √p so the pair
-			// inclusion probability — and hence loadScale — is still p.
-			q := math.Sqrt(c.SampleProb)
-			e.sampler = replay.NewHostSampler(q, c.Seed)
-			if c.Engine == replay.EngineSampled {
-				e.estimator = replay.NewHostEstimator(q, buckets)
-			}
-		} else {
-			e.sampler = replay.NewPairSampler(c.SampleProb, c.Seed)
-			if c.Engine == replay.EngineSampled {
-				e.estimator = replay.NewEstimator(c.SampleProb, buckets)
-			}
-		}
+		e.sampler = replay.NewPairSampler(c.SampleProb, c.Seed)
 		loadScale = int(float64(e.info.Scale)/c.SampleProb + 0.5)
 	}
 
@@ -526,8 +479,7 @@ func (e *emulation) buildRig() error {
 // the engines, and the rig once the run (and any chaos settle) is over.
 func (e *emulation) summarise() {
 	c, res, rec := e.c, e.res, e.rec
-	// Traffic-driven requests scale with the trace's flow-count divisor
-	// (and the inverse sampling probability under the sampled engines);
+	// Traffic-driven requests scale with the trace's flow-count divisor;
 	// periodic control work (state reports, regroup pushes) does not —
 	// a real deployment sends the same handful per interval regardless
 	// of traffic volume.
@@ -543,8 +495,7 @@ func (e *emulation) summarise() {
 			traffic[i] = counts[i] * float64(e.info.Scale) / sec
 		}
 	} else {
-		traffic = rec.WorkloadRPSForScaled(float64(e.info.Scale)/c.SampleProb,
-			metrics.ReqPacketIn, metrics.ReqARPRelay)
+		traffic = rec.WorkloadRPSFor(e.info.Scale, metrics.ReqPacketIn, metrics.ReqARPRelay)
 	}
 	periodic := rec.WorkloadRPSFor(1, metrics.ReqStateReport, metrics.ReqRegroup)
 	combined := make([]float64, len(traffic))
@@ -552,13 +503,6 @@ func (e *emulation) summarise() {
 		combined[i] = traffic[i] + periodic[i]
 	}
 	res.WorkloadKrps = krps(combined)
-	if e.estimator != nil {
-		rel := e.estimator.RelStdErr()
-		res.WorkloadStdErrKrps = make([]float64, len(traffic))
-		for i := range traffic {
-			res.WorkloadStdErrKrps[i] = traffic[i] * rel[i] / 1000
-		}
-	}
 	res.AvgLatencyMs = toMs(rec.AvgLatencyPerBucket())
 	res.UpdatesPerHour = rec.UpdatesPerHour()
 	res.ColdCacheLatency = rec.AvgColdLatency()

@@ -266,12 +266,10 @@ type Fig789Config struct {
 	// initial grouping, and tens of millions of first-hour flows pin
 	// the pair ranking just as well as hundreds of millions.
 	WarmupScale int
-	// HostSampling and TraceSample pass through to every series' run
-	// (EmulationConfig.HostSampling / TraceSample): host-level
-	// sampling for the sampled engine, and the causal span tracer's
+	// TraceSample passes through to every series' run
+	// (EmulationConfig.TraceSample): the causal span tracer's
 	// head-sampling rate (0 = tracing off).
-	HostSampling bool
-	TraceSample  float64
+	TraceSample float64
 }
 
 // Fig789Result carries one named series per emulation run.
@@ -386,7 +384,6 @@ func runFig789(cfg Fig789Config, perFlowFold bool) (*Fig789Result, error) {
 			Seed:            cfg.Seed,
 			WarmupIntensity: warm,
 			PerFlowBaseline: true,
-			HostSampling:    cfg.HostSampling,
 			TraceSample:     cfg.TraceSample,
 		}
 		ec.setEngine(cfg.Engine, cfg.SampleProb)

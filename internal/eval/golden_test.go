@@ -16,12 +16,14 @@ import (
 // scalar and series of the EmulationResult, the metrics registry's
 // JSONL snapshot, the span dump, and the chaos fixpoint — into one FNV
 // digest. Floats print in Go's shortest round-trip form, so the digest
-// moves on any last-bit change.
+// moves on any last-bit change. The literal [] stands where a
+// since-removed, by then always-nil workload error series printed, so
+// the recorded pre-images, and with them the digests, stay unchanged.
 func goldenDigest(t *testing.T, r *EmulationResult) string {
 	t.Helper()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v %v %v %v\n", r.Mode, r.Dynamic, r.Engine, r.SampleProb)
-	fmt.Fprintf(h, "%v\n%v\n%v\n%v\n", r.WorkloadKrps, r.WorkloadStdErrKrps, r.AvgLatencyMs, r.UpdatesPerHour)
+	fmt.Fprintf(h, "%v\n[]\n%v\n%v\n", r.WorkloadKrps, r.AvgLatencyMs, r.UpdatesPerHour)
 	fmt.Fprintf(h, "%d %d %d %d\n", r.ColdCacheLatency, r.FlowsInjected, r.FlowsDelivered, r.PopulationFlows)
 	fmt.Fprintf(h, "%d %d %d\n", r.BatchDelayObserved, r.BatchDelayModeled, r.SimEvents)
 	fmt.Fprintf(h, "%d %d %d %+v\n", r.ControlMsgs, r.ControlBytes, r.IdleRefreshes, r.Drops)
@@ -94,17 +96,6 @@ func TestGoldenDigests(t *testing.T) {
 		{"des-openflow-exact-dst", "ed7c57e3fc3f84d0", func(t *testing.T) EmulationConfig {
 			c := base(small(t))
 			c.Mode = controller.ModeLearning
-			return c
-		}},
-		{"sampled-pair", "bcc267abbced26d7", func(t *testing.T) EmulationConfig {
-			c := base(small(t))
-			c.Engine, c.SampleProb = replay.EngineSampled, 0.5
-			return c
-		}},
-		{"sampled-host", "4a0b2855b828f714", func(t *testing.T) EmulationConfig {
-			c := base(small(t))
-			c.Mode = controller.ModeLearning
-			c.Engine, c.SampleProb, c.HostSampling = replay.EngineSampled, 0.5, true
 			return c
 		}},
 		{"fluid-per-flow", "53e526c324749484", func(t *testing.T) EmulationConfig {

@@ -12,8 +12,8 @@ import (
 
 // busyConfig is the differential-test workload: dense enough that
 // traffic-driven requests dominate the periodic classes, with a pair
-// pool large enough that the sampled engines keep a meaningful stratum
-// even at p = 0.01.
+// pool large enough that the fluid engine's latency probe keeps a
+// meaningful sample.
 func busyConfig(seed uint64) trace.GeneratorConfig {
 	cfg := trace.SmallConfig("busy", seed)
 	cfg.PaperFlows = 300_000
@@ -55,88 +55,29 @@ func runEngine(t *testing.T, cfg trace.GeneratorConfig, mode controller.Mode,
 // differential compares what the engines actually estimate).
 func trafficMean(res *EmulationResult) float64 { return Mean(res.WorkloadKrps) }
 
-// TestSampledWithinConfidenceBands is the seed-swept sampled-vs-DES
-// differential of the acceptance criteria: at p ∈ {0.1, 0.01} the
-// sampled engine's workload estimate must agree with the full DES
-// within its own reported confidence bands (3σ on the mean, plus the
-// documented small-sample floor at p = 0.01).
-func TestSampledWithinConfidenceBands(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several full emulations")
-	}
-	for _, p := range []float64{0.1, 0.01} {
-		for _, seed := range []uint64{1, 2, 3} {
-			cfg := busyConfig(seed)
-			des := runEngine(t, cfg, controller.ModeLazy, replay.EngineDES, 0, seed)
-			smp := runEngine(t, cfg, controller.ModeLazy, replay.EngineSampled, p, seed)
-
-			if smp.SampleProb != p || smp.Engine != replay.EngineSampled {
-				t.Fatalf("result does not echo engine/p: %+v/%v", smp.Engine, smp.SampleProb)
-			}
-			if smp.FlowsInjected >= des.FlowsInjected {
-				t.Fatalf("p=%v seed=%d: sampled injected %d ≥ DES %d",
-					p, seed, smp.FlowsInjected, des.FlowsInjected)
-			}
-			if smp.PopulationFlows != des.FlowsInjected {
-				t.Errorf("p=%v seed=%d: population %d != DES injected %d",
-					p, seed, smp.PopulationFlows, des.FlowsInjected)
-			}
-			// 1σ of the mean over n buckets: √(Σσᵢ²)/n.
-			var varSum float64
-			for _, se := range smp.WorkloadStdErrKrps {
-				varSum += se * se
-			}
-			n := float64(len(smp.WorkloadStdErrKrps))
-			seMean := math.Sqrt(varSum) / n
-			dm, sm := trafficMean(des), trafficMean(smp)
-			diff := math.Abs(dm - sm)
-			// 3σ band plus a relative floor for the p=0.01 small-sample
-			// regime (≈40 sampled pairs; the HT variance estimate itself
-			// is noisy there — the error model documented in
-			// docs/emulation.md).
-			band := 3*seMean + 0.15*dm
-			t.Logf("p=%v seed=%d: DES %.4g Krps, sampled %.4g ± %.4g (3σ band %.4g)",
-				p, seed, dm, sm, seMean, band)
-			if diff > band {
-				t.Errorf("p=%v seed=%d: |%.4g − %.4g| = %.4g exceeds band %.4g",
-					p, seed, dm, sm, diff, band)
-			}
-			// Latency: the sampled subpopulation rides the same stack, so
-			// cold-cache CDF quantiles track the DES — but only once the
-			// sample holds enough pairs that the intra/inter mixture is
-			// represented. docs/emulation.md pins the guidance at
-			// p·pairs ≳ 200; below it (the p=0.01 row here) quantiles are
-			// small-sample artifacts and only the workload bands hold.
-			if p*4000 >= 200 {
-				for _, q := range []float64{0.5, 0.9} {
-					dq := des.Recorder.ColdLatencyQuantile(q)
-					sq := smp.Recorder.ColdLatencyQuantile(q)
-					if dq == 0 || sq == 0 {
-						t.Fatalf("p=%v seed=%d: empty cold-latency histogram", p, seed)
-					}
-					ratio := float64(sq) / float64(dq)
-					if ratio < 0.6 || ratio > 1.67 {
-						t.Errorf("p=%v seed=%d: cold q%v = %v vs DES %v", p, seed, q, sq, dq)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFluidMatchesDES is the fluid-vs-DES differential: the aggregated
 // workload must land within the documented tolerance band of the full
-// DES in both modes, and the probe population's latency must track the
+// DES in both modes, the Fig. 7 reduction the two modes give must agree
+// within 3 points, and the probe population's latency must track the
 // DES latency figures.
 func TestFluidMatchesDES(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full emulations")
 	}
+	type run struct {
+		engine replay.Engine
+		mode   controller.Mode
+		seed   uint64
+	}
+	workload := map[run][]float64{} // each run's Fig. 7 series
+	seeds := []uint64{1, 2}
 	for _, mode := range []controller.Mode{controller.ModeLazy, controller.ModeLearning} {
-		for _, seed := range []uint64{1, 2} {
+		for _, seed := range seeds {
 			cfg := busyConfig(seed)
 			des := runEngine(t, cfg, mode, replay.EngineDES, 0, seed)
 			fl := runEngine(t, cfg, mode, replay.EngineFluid, 0.05, seed)
+			workload[run{replay.EngineDES, mode, seed}] = des.WorkloadKrps
+			workload[run{replay.EngineFluid, mode, seed}] = fl.WorkloadKrps
 
 			if fl.PopulationFlows != des.FlowsInjected {
 				t.Errorf("mode=%v seed=%d: fluid population %d != DES injected %d",
@@ -189,6 +130,18 @@ func TestFluidMatchesDES(t *testing.T) {
 					t.Errorf("mode=%v seed=%d: cold q%v = %v vs DES %v", mode, seed, q, fq, dq)
 				}
 			}
+		}
+	}
+	// Fig. 7's headline: the workload reduction of lazy against the
+	// learning baseline.
+	for _, seed := range seeds {
+		reduction := func(e replay.Engine) float64 {
+			return Reduction(workload[run{e, controller.ModeLearning, seed}], workload[run{e, controller.ModeLazy, seed}])
+		}
+		dr, fr := reduction(replay.EngineDES), reduction(replay.EngineFluid)
+		t.Logf("seed=%d: Fig. 7 reduction DES %.2f%% vs fluid %.2f%%", seed, 100*dr, 100*fr)
+		if d := 100 * math.Abs(dr-fr); d > 3 {
+			t.Errorf("seed=%d: fluid reduction %.2f%% vs DES %.2f%% (%.2f points > 3)", seed, 100*fr, 100*dr, d)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func telemetryDump(t *testing.T, res *EmulationResult) string {
 // per engine and pins the full telemetry dump byte-identical — the
 // observability acceptance criterion of ROADMAP.md.
 func TestTelemetryDumpDeterministic(t *testing.T) {
-	for _, engine := range []replay.Engine{replay.EngineDES, replay.EngineSampled} {
+	for _, engine := range []replay.Engine{replay.EngineDES, replay.EngineFluid} {
 		run := func() string {
 			tr := smallTrace(t, 7)
 			res, err := RunEmulation(EmulationConfig{
@@ -68,48 +68,6 @@ func TestTelemetryDumpDeterministic(t *testing.T) {
 		if !strings.Contains(a, "lazyctrl_ctrl_packetins_total") {
 			t.Errorf("engine %v: registry missing re-homed controller counter", engine)
 		}
-	}
-}
-
-// TestHostSamplingEngineMode exercises satellite host-level sampling
-// end to end: the mode runs under EngineSampled, keeps SampleProb's
-// meaning as the pair inclusion probability, and is rejected outside
-// the sampled engine.
-func TestHostSamplingEngineMode(t *testing.T) {
-	tr := smallTrace(t, 3)
-	res, err := RunEmulation(EmulationConfig{
-		Source:         tr.Stream(0),
-		Mode:           controller.ModeLearning,
-		GroupSizeLimit: 6,
-		Horizon:        2 * time.Hour,
-		BucketWidth:    time.Hour,
-		Seed:           3,
-		Engine:         replay.EngineSampled,
-		SampleProb:     0.5,
-		HostSampling:   true,
-	})
-	if err != nil {
-		t.Fatalf("host-sampled run: %v", err)
-	}
-	if res.FlowsInjected == 0 {
-		t.Fatal("host sampling injected nothing")
-	}
-	if ratio := float64(res.FlowsDelivered) / float64(res.FlowsInjected); ratio < 0.95 {
-		t.Errorf("delivery ratio = %.3f", ratio)
-	}
-	if res.WorkloadStdErrKrps == nil {
-		t.Error("host-sampled engine reported no confidence bands")
-	}
-
-	tr2 := smallTrace(t, 3)
-	if _, err := RunEmulation(EmulationConfig{
-		Source:       tr2.Stream(0),
-		Mode:         controller.ModeLearning,
-		Horizon:      time.Hour,
-		Seed:         3,
-		HostSampling: true,
-	}); err == nil {
-		t.Error("HostSampling accepted outside the sampled engine")
 	}
 }
 

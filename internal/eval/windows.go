@@ -235,9 +235,6 @@ func (s *flowWindows) load(int) func() {
 		if e.sampler != nil && !e.sampler.Keep(f.Src, f.Dst) {
 			continue
 		}
-		if e.estimator != nil {
-			e.estimator.Observe(int(f.Start/e.c.BucketWidth), replay.PairKey(f.Src, f.Dst))
-		}
 		e.inject(f.Start, src, dst, int(f.Packets))
 	}
 	if e.fluid == nil {

@@ -139,7 +139,7 @@ func (r *Recorder) RecordLatency(at, latency time.Duration, weight int) {
 
 // coldBins spans 1 µs to ~16 s at coldBinsPerOctave bins per octave
 // (≈19% geometric resolution per bin — finer than any tolerance band
-// the scaled engines pin quantiles at).
+// the fluid engine's probe pins quantiles at).
 const (
 	coldBinsPerOctave = 4
 	coldBins          = 24 * coldBinsPerOctave
@@ -240,30 +240,17 @@ func (r *Recorder) TotalWorkload() uint64 {
 // flow-count scaling (Fig. 7 counts received control requests, not
 // flood fan-out sends).
 func (r *Recorder) WorkloadRPSFor(scale int, classes ...RequestClass) []float64 {
-	return r.WorkloadRPSForScaled(float64(scale), classes...)
-}
-
-// WorkloadRPSForScaled is WorkloadRPSFor with a real-valued scale: the
-// sampled replay engines undo a fractional pair-sampling probability
-// (scale/p) on top of the trace's integer flow-count divisor.
-func (r *Recorder) WorkloadRPSForScaled(scale float64, classes ...RequestClass) []float64 {
 	counts := make([]uint64, r.Buckets())
 	for _, c := range classes {
 		for i, v := range r.workload[c] {
 			counts[i] += v
 		}
 	}
-	return r.rpsOf(counts, scale)
-}
-
-func (r *Recorder) rpsOf(counts []uint64, scale float64) []float64 {
-	if scale < 1 {
-		scale = 1
-	}
+	mul := float64(max(scale, 1))
 	out := make([]float64, len(counts))
 	sec := r.bucket.Seconds()
 	for i, c := range counts {
-		out[i] = float64(c) * scale / sec
+		out[i] = float64(c) * mul / sec
 	}
 	return out
 }

@@ -153,18 +153,15 @@ func TestWorkloadRPSForScaled(t *testing.T) {
 	r.CountRequest(ReqPacketIn, 0, 360)              // bucket 0
 	r.CountRequest(ReqPacketIn, 90*time.Minute, 720) // bucket 1
 	r.CountRequest(ReqARPRelay, 0, 360)
-	// Fractional scale undoes a sampling probability: 360+360 requests
-	// in a 3600 s bucket at scale 2.5 → 0.5 rps.
-	got := r.WorkloadRPSForScaled(2.5, ReqPacketIn, ReqARPRelay)
-	if len(got) != 2 || got[0] != 0.5 || got[1] != 0.5 {
-		t.Errorf("scaled rps = %v, want [0.5 0.5]", got)
+	// The scale undoes a trace's flow-count divisor: 360+360 requests
+	// in a 3600 s bucket at scale 5 → 1 rps.
+	got := r.WorkloadRPSFor(5, ReqPacketIn, ReqARPRelay)
+	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Errorf("scaled rps = %v, want [1 1]", got)
 	}
-	// The integer path must agree with the float path.
-	a, b := r.WorkloadRPSFor(3, ReqPacketIn), r.WorkloadRPSForScaled(3, ReqPacketIn)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("int/float scale disagree at %d: %v vs %v", i, a[i], b[i])
-		}
+	// Only the named classes count.
+	if got := r.WorkloadRPSFor(5, ReqPacketIn); got[0] != 0.5 || got[1] != 1 {
+		t.Errorf("packet-in rps = %v, want [0.5 1]", got)
 	}
 }
 
