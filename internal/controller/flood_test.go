@@ -19,10 +19,10 @@ type timedSend struct {
 	pkt *model.Packet
 }
 
-// simRecordingEnv is a DES-backed Env with the Poster capability that
-// records every send (all of them data packets here) with its virtual
-// time, and runs no periodic task. It is not the DES's own env, so a
-// flood on it posts every copy up front.
+// simRecordingEnv is a DES-backed Env that records every send (all of
+// them data packets here) with its virtual time, and runs no periodic
+// task. It is not the DES's own env, so a flood on it arms every copy
+// up front.
 type simRecordingEnv struct {
 	s     *sim.Simulator
 	sends *[]timedSend
@@ -34,8 +34,6 @@ func (e *simRecordingEnv) After(d time.Duration, fn func()) func() {
 	t := e.s.After(d, fn)
 	return func() { t.Stop() }
 }
-
-func (e *simRecordingEnv) Post(d time.Duration, fn func()) { e.s.After(d, fn) }
 
 func (e *simRecordingEnv) Every(time.Duration, func()) func() { return func() {} }
 
@@ -97,7 +95,7 @@ func newFloodController(t testing.TB, switches []model.SwitchID, series bool, se
 const probe model.SwitchID = 1000
 
 // TestFloodShape pins the learning flood's timing and fan-out on both
-// of its paths, the series of a real netsim.Network and the Post loop
+// of its paths, the series of a real netsim.Network and the Arm loop
 // of any other env: every switch but the ingress gets exactly one copy,
 // in Config.Switches order, copy i leaving at t0 + queueDelay +
 // i·service (the ingress's slot stays empty), and every copy reads as
@@ -123,10 +121,10 @@ func TestFloodShape(t *testing.T) {
 				t.Fatalf("queueDelay %v equals the service time; the load floor did not apply", base)
 			}
 			mark := func() { sends = append(sends, timedSend{at: env.Now(), to: probe}) }
-			netsim.Post(env, base+5*serviceTime, mark)
+			netsim.Arm(env, base+5*serviceTime, mark)
 			pin := floodPacketIn(ingress)
 			c.handlePacketIn(pin)
-			netsim.Post(env, base+5*serviceTime, mark)
+			netsim.Arm(env, base+5*serviceTime, mark)
 			wantPending := 2 + len(switches) // the probes and every copy
 			if ingress != 99 {
 				wantPending--
@@ -171,15 +169,41 @@ func TestFloodShape(t *testing.T) {
 	}
 }
 
+// countingEnv is an Env other than the DES's that fires timers at
+// once, counts sends and returns one shared no-op cancel, like the
+// storm's and the benchmark's sinks: a flood on it arms every copy up
+// front, and the env allocates nothing for it.
+type countingEnv struct{ sends int }
+
+func (e *countingEnv) Now() time.Duration                      { return 0 }
+func (e *countingEnv) After(_ time.Duration, fn func()) func() { fn(); return noCancel }
+func (e *countingEnv) Every(time.Duration, func()) func()      { return noCancel }
+func (e *countingEnv) Send(model.SwitchID, netsim.Message)     { e.sends++ }
+
+func noCancel() {}
+
 // TestFloodAllocationsFlat pins that a flood costs the same allocations
 // however many switches it reaches, on either path: at most itself and
 // its bound run. On the DES the run includes firing every copy, whose
-// events and deliveries are pooled.
+// events and deliveries are pooled; off it, on a countingEnv, each copy
+// is an Arm whose handle is a value.
 func TestFloodAllocationsFlat(t *testing.T) {
 	allocs := func(switches int, series bool) float64 {
+		pin := floodPacketIn(1)
+		if !series {
+			env := &countingEnv{}
+			c, err := New(Config{Mode: ModeLearning, Switches: switchList(switches)}, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := testing.AllocsPerRun(20, func() { c.HandleMessage(1, pin) })
+			if want := 21 * (switches - 1); env.sends != want {
+				t.Fatalf("%d switches: %d copies sent, want %d", switches, env.sends, want)
+			}
+			return n
+		}
 		var sends []timedSend
 		s, c, _ := newFloodController(t, switchList(switches), series, &sends)
-		pin := floodPacketIn(1)
 		return testing.AllocsPerRun(20, func() {
 			c.HandleMessage(1, pin)
 			s.Run()

@@ -231,7 +231,7 @@ func (c *Controller) apply(m *openflow.PacketIn, d pinDecision) {
 				continue
 			}
 			if c.floods == nil {
-				netsim.Post(c.env, base+time.Duration(i)*serviceTime, f.run)
+				netsim.Arm(c.env, base+time.Duration(i)*serviceTime, f.run)
 			}
 			copies++
 		}
@@ -316,7 +316,7 @@ func (c *Controller) relayARP(p model.Packet) {
 	}
 	c.stats.ARPRelays += uint64(len(targets))
 	c.record(metrics.ReqARPRelay, uint64(len(targets)))
-	netsim.Post(c.env, c.queueDelay(), func() {
+	netsim.Arm(c.env, c.queueDelay(), func() {
 		for _, d := range targets {
 			c.env.Send(d, arp)
 		}

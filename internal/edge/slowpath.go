@@ -146,7 +146,7 @@ func (s *Switch) handleGroupConfig(m *openflow.GroupConfig) {
 	s.advertise()
 	if s.role != nil {
 		// First dissemination shortly after members advertise.
-		netsim.Post(s.env, s.cfg.AdvertiseInterval/2+time.Millisecond, func() {
+		netsim.Arm(s.env, s.cfg.AdvertiseInterval/2+time.Millisecond, func() {
 			s.disseminateGFIB()
 			s.reportToController()
 		})

@@ -147,9 +147,11 @@ type Switch struct {
 	// candidates is the G-FIB lookup scratch of the slow path: valid
 	// only until the next lookup, so nothing deferred may hold it.
 	candidates []model.SwitchID
-	// slow holds the single-candidate first packets waiting out
-	// slowPathDelay, made at first use.
-	slow *netsim.Deferred[slowItem]
+	// slow holds the first packets waiting out slowPathDelay, and
+	// moreTargets the extra G-FIB candidates of those that have several
+	// (each list written once); both are made at first use.
+	slow        *netsim.Deferred[slowItem]
+	moreTargets *netsim.Block[[]model.SwitchID]
 	// lent is the copy of a packet deliver hands OnDeliver (see
 	// DeliverFunc).
 	lent model.Packet
@@ -432,26 +434,19 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 	// 3. G-FIB: candidate peers in the group (may include false
 	// positives; all candidates get a copy).
 	s.candidates = s.gfib.AppendQuery(s.candidates[:0], p.DstMAC)
-	switch len(s.candidates) {
-	case 0:
-	case 1:
+	if len(s.candidates) > 0 {
 		// The encap runs slowPathDelay from now and another first packet
-		// may reuse the scratch before then: queue the target by value.
+		// may reuse the scratch before then: queue the targets by value.
 		if s.slow == nil {
 			s.slow = netsim.NewDeferred(s.env, s.encapSlow)
+			s.moreTargets = netsim.BlockFor[[]model.SwitchID](s.env)
 		}
-		s.slow.Post(slowPathDelay, slowItem{to: s.candidates[0], p: *p})
-		return
-	default:
-		// The closure holds the packet by value; each copy is read from
-		// a local so the closure's own is never addressed.
-		targets, pkt := slices.Clone(s.candidates), *p
-		netsim.Post(s.env, slowPathDelay, func() {
-			for _, t := range targets {
-				q := pkt
-				s.encapTo(t, &q)
-			}
-		})
+		it := slowItem{to: s.candidates[0], p: *p}
+		if len(s.candidates) > 1 {
+			it.more = s.moreTargets.Next()
+			*it.more = slices.Clone(s.candidates[1:])
+		}
+		s.slow.Post(slowPathDelay, it)
 		return
 	}
 	// 4. Controller.
@@ -515,14 +510,24 @@ type encapped struct {
 	hdr model.EncapHeader
 }
 
-// slowItem is a single-candidate first packet waiting out
-// slowPathDelay, and encapSlow sends it.
+// slowItem is a first packet waiting out slowPathDelay with its G-FIB
+// candidates, and encapSlow sends it to each in lookup order. The
+// candidates after the first are behind a pointer into moreTargets, so
+// a queue slot holds a packet, one target and a word.
 type slowItem struct {
-	to model.SwitchID
-	p  model.Packet
+	to   model.SwitchID
+	p    model.Packet
+	more *[]model.SwitchID // the candidates after to; nil for one
 }
 
-func (s *Switch) encapSlow(it slowItem) { s.encapTo(it.to, &it.p) }
+func (s *Switch) encapSlow(it slowItem) {
+	s.encapTo(it.to, &it.p)
+	if it.more != nil {
+		for _, t := range *it.more {
+			s.encapTo(t, &it.p)
+		}
+	}
+}
 
 // packetIn forwards a packet to the controller over the control link.
 // With the micro-batching window enabled the packet buffers

@@ -91,7 +91,15 @@ func (e *emulation) attachFlights() {
 	if e.c.FlightDepth > 0 {
 		e.flights = installFlightRecorders(e.rig.Net(), e.rig.Now, e.c.FlightDepth)
 	}
+	if wireCheck != nil {
+		wireCheck(e.rig.Net())
+	}
 }
+
+// wireCheck, when set, is handed each run's underlay once its meter and
+// flight recorders are attached, to chain a check in front of them.
+// Tests set it; no shipped code does.
+var wireCheck func(*netsim.Network)
 
 // attachChaos schedules the fault plan against the live stack, builds
 // the convergence checker, and arms the no-stale-adoption probe for the

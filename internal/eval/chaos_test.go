@@ -52,6 +52,7 @@ func chaosConfig(t testing.TB, seed uint64, plan *chaos.Plan) EmulationConfig {
 // seed, within the documented round bound, with no stale-epoch
 // snapshot ever adopted. Swept over seeds (one in -short).
 func TestChaosCascadeDifferential(t *testing.T) {
+	checkFrozen(t)
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -262,6 +263,7 @@ func BenchmarkWorldProbe(b *testing.B) {
 // world checker enforces the last two as convergence invariants).
 // Swept over seeds (one in -short).
 func TestChaosFailoverDifferential(t *testing.T) {
+	checkFrozen(t)
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -310,6 +312,7 @@ func TestChaosFailoverDifferential(t *testing.T) {
 // (every victim stays down past the 3-miss detector) and must return
 // to the fault-free fixpoint. Swept over seeds (one in -short).
 func TestChaosRackAndChurnDifferential(t *testing.T) {
+	checkFrozen(t)
 	const at = 30 * time.Minute
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {

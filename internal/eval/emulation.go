@@ -318,7 +318,7 @@ type emulation struct {
 
 	flights map[model.SwitchID]*telemetry.Flight // nil without flight recorders
 	world   *chaos.World                         // nil without a chaos plan
-	injects *injectQueue                         // set by buildRig
+	injects *netsim.Deferred[injectFlow]         // set by buildRig
 }
 
 // RunEmulation replays a trace against the full control stack and
@@ -470,7 +470,9 @@ func (e *emulation) buildRig() error {
 		return err
 	}
 	e.rig = r
-	e.injects = newInjectQueue(r)
+	e.injects = netsim.NewDeferred(r.Net().Env(model.NoSwitch), func(f injectFlow) {
+		r.Inject(f.src, f.dst, 1400)
+	})
 	registerMetrics(res.Metrics, r, res.Spans, res)
 	return nil
 }

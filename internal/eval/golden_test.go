@@ -50,6 +50,7 @@ func goldenDigest(t *testing.T, r *EmulationResult) string {
 // changed a number somewhere. Re-record by running with -v and copying
 // the logged digests.
 func TestGoldenDigests(t *testing.T) {
+	checkFrozen(t)
 	const seed = 5
 	// 15-minute windows and a horizon that ends mid-window: a dozen
 	// links of the window chain, window-end folds inside the horizon,

@@ -6,7 +6,6 @@ import (
 	"lazyctrl/internal/controller"
 	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/replay"
-	"lazyctrl/internal/rig"
 	"lazyctrl/internal/sim"
 	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
@@ -128,72 +127,15 @@ func (e *emulation) inject(start time.Duration, src, dst *tenant.Host, packets i
 	if packets > 1 {
 		e.rec.RecordLatency(start, fastPathLatency(src.Switch == dst.Switch), packets-1)
 	}
-	s := e.rig.Sim()
-	if at := max(sim.Time(start), s.Now()); at >= e.injects.last {
-		e.injects.push(at, src, dst)
-		s.AtSorted(sim.Time(start), e.injects.run)
-		return
-	}
-	r := e.rig
-	s.At(sim.Time(start), func() { r.Inject(src, dst, 1400) })
+	e.injects.Post(start-e.rig.Now(), injectFlow{src, dst})
 }
 
-// injectQueue holds the flows whose first-packet events were scheduled
-// at non-decreasing instants. The simulator fires events in (time,
-// scheduling order), so it fires these in the order they were queued:
-// every event runs the one pre-bound run, which injects the head, and
-// queueing a flow allocates only a fixed-size chunk per injectChunk
-// flows. Being non-decreasing, the events go through sim.AtSorted and
-// wait in its FIFO lane, not the event heap. A per-flow window
-// is sorted by start, so all its flows queue; an aggregate window's
-// probe starts are random, and a probe earlier than the last one
-// queued gets an event of its own.
-type injectQueue struct {
-	rig    *rig.Rig
-	chunks [][]injectFlow // only the last may be short; chunks[0][head] fires next
-	head   int
-	spare  []injectFlow // the last drained chunk, kept for reuse
-	last   sim.Time     // the latest instant queued
-	run    func()
-}
-
+// injectFlow is a replayed flow waiting for its start time. A per-flow
+// window is sorted by start, so its flows queue in e.injects' FIFO and
+// their first packets wait in the simulator's sorted lane; an aggregate
+// window's probe starts are random, and a probe earlier than the last
+// one queued gets an event of its own.
 type injectFlow struct{ src, dst *tenant.Host }
-
-const injectChunk = 1024
-
-func newInjectQueue(r *rig.Rig) *injectQueue {
-	q := &injectQueue{rig: r}
-	q.run = q.injectHead
-	return q
-}
-
-func (q *injectQueue) push(at sim.Time, src, dst *tenant.Host) {
-	q.last = at
-	n := len(q.chunks)
-	if n == 0 || len(q.chunks[n-1]) == injectChunk {
-		c := q.spare
-		if c == nil {
-			c = make([]injectFlow, 0, injectChunk)
-		}
-		q.spare = nil
-		q.chunks = append(q.chunks, c)
-		n++
-	}
-	q.chunks[n-1] = append(q.chunks[n-1], injectFlow{src, dst})
-}
-
-// injectHead pops the head before injecting, so an injection that
-// queues another flow finds the queue consistent.
-func (q *injectQueue) injectHead() {
-	c := q.chunks[0]
-	f := c[q.head]
-	c[q.head] = injectFlow{}
-	if q.head++; q.head == injectChunk {
-		q.chunks[0] = nil
-		q.spare, q.chunks, q.head = c[:0], q.chunks[1:], 0
-	}
-	q.rig.Inject(f.src, f.dst, 1400)
-}
 
 // liveGrouping is the view a fold attributes under: the controller's
 // grouping and its version in lazy mode, none under the baseline.

@@ -37,8 +37,9 @@ type Env interface {
 	// Now returns the time since simulation start.
 	Now() time.Duration
 	// After schedules fn after d. The returned cancel function stops a
-	// pending callback. A caller that drops the cancel uses Post, which
-	// does not build one.
+	// pending callback. A caller that may cancel uses Arm, and one that
+	// drops the cancel uses Arm or a Deferred: on the DES neither builds
+	// a cancel func.
 	After(d time.Duration, fn func()) (cancel func())
 	// Every schedules fn at a fixed period until canceled.
 	Every(d time.Duration, fn func()) (cancel func())
@@ -443,34 +444,12 @@ func (e *simEnv) After(d time.Duration, fn func()) func() {
 	return func() { t.Stop() }
 }
 
-// Post implements Poster: the Timer is dropped, so nothing escapes.
-func (e *simEnv) Post(d time.Duration, fn func()) { e.net.sim.After(d, fn) }
-
 func (e *simEnv) Every(d time.Duration, fn func()) func() {
 	t := e.net.sim.Every(d, fn)
 	return func() { t.Stop() }
 }
 
 func (e *simEnv) Send(to model.SwitchID, msg Message) { e.net.send(e.id, to, msg) }
-
-// Poster is implemented by environments (the DES simEnv) that can
-// schedule a callback nobody will cancel without building a cancel
-// func for it.
-type Poster interface {
-	Post(d time.Duration, fn func())
-}
-
-// Post schedules fn after d with no way to cancel it. On an env that
-// implements Poster it allocates nothing beyond what fn itself holds;
-// otherwise it is env.After with the cancel dropped. Either way fn runs
-// at the same instant, in the same order, as env.After would run it.
-func Post(env Env, d time.Duration, fn func()) {
-	if p, ok := env.(Poster); ok {
-		p.Post(d, fn)
-		return
-	}
-	env.After(d, fn)
-}
 
 // Timer is a pending callback Arm scheduled. It is a value, so holding
 // one costs nothing; the zero Timer is disarmed.
@@ -479,11 +458,12 @@ type Timer struct {
 	cancel func() // set instead of t off the DES env
 }
 
-// Arm schedules fn after d and returns a handle that cancels it. On the
-// DES env it holds the simulator's Timer and allocates nothing beyond
-// what fn itself holds; otherwise it is env.After, whose cancel the
-// handle keeps. Either way fn runs at the same instant, in the same
-// order, as env.After would run it.
+// Arm schedules fn after d and returns a handle that cancels it; a
+// caller that never cancels drops the handle. On the DES env it holds
+// the simulator's Timer and allocates nothing beyond what fn itself
+// holds; otherwise it is env.After, whose cancel the handle keeps.
+// Either way fn runs at the same instant, in the same order, as
+// env.After would run it.
 func Arm(env Env, d time.Duration, fn func()) Timer {
 	if e, ok := env.(*simEnv); ok {
 		return Timer{t: e.net.sim.After(d, fn)}
@@ -508,8 +488,8 @@ func (t *Timer) Stop() {
 // Sequencer runs series on the DES (see sim.Series): n firings of one
 // callback at non-decreasing instants, each queued by the firing
 // before it, that run at the instants and in the places of the event
-// order where n Posts made when the series started would run them. A
-// series holds one pending event where the Posts would hold n.
+// order where n Arm calls made when the series started would run them.
+// A series holds one pending event where the calls would hold n.
 type Sequencer struct{ sim *sim.Simulator }
 
 // SequencerFor returns env's Sequencer, or nil off the DES: there a
@@ -533,43 +513,48 @@ func (q *Sequencer) Next(sr *sim.Series, d time.Duration, fn func()) {
 	sr.Next(q.sim, q.sim.Now()+sim.Time(d), fn)
 }
 
-// Deferred hands values to one handler, each after its own delay: the
-// value-carrying form of Post. A post queues its value and posts one
-// pre-bound pop, so it costs no allocation once the queue has grown to
-// the peak in flight. The queue is a min-heap on (instant, post order),
-// and the env runs posts in that same order — the DES fires equal
-// instants in scheduling order, and an env that runs a callback at once
-// runs it before anything posted later — so each pop hands over exactly
-// the value whose instant it is, however the delays vary. The handler
-// runs at the instant and in the place of the event order where a
-// closure posted per value would run.
+// Deferred hands values to one handler, each after its own delay: a
+// post costs a slot in a FIFO, not a closure. A value whose instant is
+// not below the latest one queued joins the FIFO and schedules the one
+// pre-bound pop, on the DES through sim.AtSorted. The env runs
+// callbacks in (instant, scheduling order), so those pops run in FIFO
+// order and each takes the value whose instant it is. A value below
+// that instant, a straggler, gets a closure of its own; an empty FIFO
+// takes any instant. Either way the handler runs at the instant and in
+// the place of the event order where a closure posted per value would
+// run.
 type Deferred[T any] struct {
 	env    Env
+	sim    *sim.Simulator // env's simulator; nil off the DES
 	handle func(T)
 	pop    func() // d.fire, bound once
-	heap   []deferredItem[T]
-	seq    uint64
+	// chunks is the FIFO, next value chunks[0][head]. The first chunk
+	// grows from deferredMin slots to deferredChunk while it is the only
+	// one; every later chunk holds deferredChunk.
+	chunks [][]T
+	head   int
+	last   time.Duration // the latest instant queued, 0 once the FIFO drains
+	spare  []T           // the last drained chunk, kept for reuse
+	inline [2][]T        // chunks' first headers, so a short FIFO allocates only its slots
 }
 
-type deferredItem[T any] struct {
-	at  time.Duration
-	seq uint64
-	v   T
-}
-
-func (a *deferredItem[T]) before(b *deferredItem[T]) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// deferredMin is the least storage a Deferred allocates; beyond it the
-// heap doubles when full, so it holds at most one doubling more than
-// the peak number of values in flight.
-const deferredMin = 16
+// deferredMin and deferredChunk bound a Deferred's chunks: the first
+// starts at deferredMin slots and doubles up to deferredChunk, so
+// storage stays within one growth step of the peak number of values in
+// flight.
+const (
+	deferredMin   = 16
+	deferredChunk = 1024
+)
 
 // NewDeferred returns a queue that hands each posted value to handle.
 func NewDeferred[T any](env Env, handle func(T)) *Deferred[T] {
 	d := &Deferred[T]{env: env, handle: handle}
+	if e, ok := env.(*simEnv); ok {
+		d.sim = e.net.sim
+	}
 	d.pop = d.fire
+	d.chunks = d.inline[:0]
 	return d
 }
 
@@ -577,52 +562,80 @@ func NewDeferred[T any](env Env, handle func(T)) *Deferred[T] {
 // as in the simulator).
 func (d *Deferred[T]) Post(delay time.Duration, v T) {
 	delay = max(delay, 0)
-	if len(d.heap) == cap(d.heap) {
-		grown := make([]deferredItem[T], len(d.heap), max(deferredMin, 2*cap(d.heap)))
-		copy(grown, d.heap)
-		d.heap = grown
+	at := d.env.Now() + delay
+	fn := d.pop
+	if at < d.last {
+		fn = func() { d.handle(v) }
+	} else {
+		d.last = at
+		d.push(v)
 	}
-	h := append(d.heap, deferredItem[T]{at: d.env.Now() + delay, seq: d.seq, v: v})
-	d.seq++
-	for i := len(h) - 1; i > 0; {
-		up := (i - 1) / 2
-		if !h[i].before(&h[up]) {
-			break
+	if d.sim != nil {
+		d.sim.AtSorted(sim.Time(at), fn)
+	} else {
+		d.env.After(delay, fn)
+	}
+}
+
+// push appends v to the FIFO. A full only chunk slides its values to
+// the front when at least half of it is free and doubles otherwise,
+// until it holds deferredChunk; past that a full chunk gets a
+// successor.
+func (d *Deferred[T]) push(v T) {
+	n := len(d.chunks)
+	if n == 0 {
+		d.chunks = append(d.chunks, make([]T, 0, deferredMin))
+		n = 1
+	}
+	if c := d.chunks[n-1]; len(c) == cap(c) {
+		switch {
+		case n == 1 && d.head >= cap(c)/2:
+			k := copy(c, c[d.head:])
+			clear(c[k:])
+			d.chunks[0], d.head = c[:k], 0
+		case n == 1 && cap(c) < deferredChunk:
+			grown := make([]T, len(c)-d.head, 2*cap(c))
+			copy(grown, c[d.head:])
+			d.chunks[0], d.head = grown, 0
+		default:
+			next := d.spare
+			if next == nil {
+				next = make([]T, 0, deferredChunk)
+			}
+			d.spare = nil
+			d.chunks = append(d.chunks, next)
+			n++
 		}
-		h[i], h[up] = h[up], h[i]
-		i = up
 	}
-	d.heap = h
-	Post(d.env, delay, d.pop)
+	d.chunks[n-1] = append(d.chunks[n-1], v)
 }
 
 // Cap returns how many values the queue's storage holds.
-func (d *Deferred[T]) Cap() int { return cap(d.heap) }
-
-// fire takes the least value off the heap and hands it to the handler.
-// The value leaves the heap first, so a handler that posts is safe.
-func (d *Deferred[T]) fire() {
-	h := d.heap
-	v := h[0].v
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = deferredItem[T]{}
-	h = h[:last]
-	for i := 0; ; {
-		least, l := i, 2*i+1
-		if l < len(h) && h[l].before(&h[least]) {
-			least = l
-		}
-		if r := l + 1; r < len(h) && h[r].before(&h[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+func (d *Deferred[T]) Cap() int {
+	n := cap(d.spare)
+	for _, c := range d.chunks {
+		n += cap(c)
 	}
-	d.heap = h
+	return n
+}
+
+// fire takes the FIFO's head and hands it to the handler. The value
+// leaves the FIFO first, so a handler that posts is safe.
+func (d *Deferred[T]) fire() {
+	c := d.chunks[0]
+	v := c[d.head]
+	var zero T
+	c[d.head] = zero
+	if d.head++; d.head == len(c) {
+		if n := len(d.chunks); n == 1 {
+			d.chunks[0], d.head, d.last = c[:0], 0, 0
+		} else {
+			d.spare = c[:0]
+			copy(d.chunks, d.chunks[1:])
+			d.chunks[n-1] = nil
+			d.chunks, d.head = d.chunks[:n-1], 0
+		}
+	}
 	d.handle(v)
 }
 
