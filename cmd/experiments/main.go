@@ -15,7 +15,8 @@
 //	experiments -run failover
 //
 // Scale divides the paper's flow counts; 5000 replays ≈54k real-trace
-// flows and is faithful, larger values run faster.
+// flows and is faithful, larger values run faster. The fluid engine runs
+// static groupings only, so Fig. 7's dynamic series and Fig. 8 need des.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/eval"
+	"lazyctrl/internal/replay"
 )
 
 // runNames are the values -run accepts.
@@ -44,6 +46,10 @@ func main() {
 		name = strings.TrimSpace(name)
 		eval.ExitOnUsage(eval.Choice("run", name, runNames...))
 		want[strings.ToLower(name)] = true
+	}
+	fluid := cli.Engine() == replay.EngineFluid
+	if want["fig8"] && fluid {
+		eval.ExitOnUsage(fmt.Errorf("-run fig8: Fig. 8 counts dynamic regroups, which only -engine des runs"))
 	}
 	all := want["all"]
 	var fig789 *eval.Fig789Result
@@ -118,7 +124,7 @@ func main() {
 			os.Exit(1)
 		}
 		fig789 = res
-		fmt.Printf("(5 emulations in %v)\n", time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%d emulations in %v)\n", len(res.Series), time.Since(start).Round(time.Millisecond))
 	}
 
 	seriesOrder := []string{
@@ -136,18 +142,29 @@ func main() {
 		for _, name := range seriesOrder {
 			r := fig789.Series[name]
 			fmt.Printf("%-28s", name)
+			if r == nil {
+				fmt.Println(" DES-only")
+				continue
+			}
 			for _, v := range r.WorkloadKrps {
 				fmt.Printf(" %7.2f", v)
 			}
 			fmt.Println()
 		}
-		fmt.Printf("\nworkload reductions vs OpenFlow: real static %.0f%%, real dynamic %.0f%%, expanded static %.0f%%, expanded dynamic %.0f%%\n",
-			100*fig789.ReductionRealStatic, 100*fig789.ReductionRealDynamic,
-			100*fig789.ReductionExpandedStatic, 100*fig789.ReductionExpandedDynamic)
+		fmt.Printf("\nworkload reductions vs OpenFlow: real static %.0f%%, expanded static %.0f%%",
+			100*fig789.ReductionRealStatic, 100*fig789.ReductionExpandedStatic)
+		if fluid {
+			fmt.Println(" (dynamic: DES-only)")
+		} else {
+			fmt.Printf(", real dynamic %.0f%%, expanded dynamic %.0f%%\n",
+				100*fig789.ReductionRealDynamic, 100*fig789.ReductionExpandedDynamic)
+		}
 		fmt.Println("(paper: 61%–82% across cases)")
 	}
 
-	if fig789 != nil && (all || want["fig8"]) {
+	if fig789 != nil && all && fluid {
+		fmt.Printf("\n=== Fig8: grouping updates per hour ===\nDES-only: run with -engine des\n")
+	} else if fig789 != nil && (all || want["fig8"]) {
 		fmt.Printf("\n=== Fig8: grouping updates per hour ===\n")
 		for _, name := range []string{eval.SeriesRealDynamic, eval.SeriesExpandedDynamic} {
 			r := fig789.Series[name]

@@ -10,7 +10,8 @@
 //
 // Every run uses per-flow reactive rules, and -engine fluid means the
 // aggregate population fold plus the control fold: the paper
-// configuration (docs/emulation.md, "Mode matrix").
+// configuration (docs/emulation.md, "Mode matrix"). The fluid engine
+// runs static groupings only, so -dynamic needs -engine des.
 package main
 
 import (
@@ -30,14 +31,14 @@ func main() {
 	run := eval.RegisterCLI(nil)
 	traceName := flag.String("trace", "real", "trace to generate: real, syn-a, syn-b, syn-c")
 	mode := flag.String("mode", "lazy", "control plane: lazy or openflow")
-	dynamic := flag.Bool("dynamic", false, "incremental regrouping under drift")
+	dynamic := flag.Bool("dynamic", false, "incremental regrouping under drift (-engine des only)")
 	expanded := flag.Bool("expanded", false, "use the +30% expanded trace")
 	limit := flag.Int("limit", 46, "group size limit")
 	hours := flag.Int("hours", 24, "horizon in hours")
 	flag.Parse()
 	traceCfg, traceErr := trace.ConfigByName(*traceName, run.Scale(), run.Seed())
 	eval.ExitOnUsage(run.Validate(), traceErr, eval.Choice("mode", *mode, "lazy", "openflow"),
-		atLeastOne("limit", *limit), atLeastOne("hours", *hours))
+		atLeastOne("limit", *limit), atLeastOne("hours", *hours), staticOnFluid(run.Engine(), *dynamic))
 
 	src, err := trace.NewStream(traceCfg)
 	if err == nil && *expanded {
@@ -104,6 +105,15 @@ func main() {
 	st := res.ControllerStats
 	fmt.Printf("controller: packetIns=%d arpRelays=%d stateReports=%d floods=%d flowMods=%d regroupings=%d unresolved=%d\n",
 		st.PacketIns, st.ARPRelays, st.StateReports, st.Floods, st.FlowModsSent, st.Regroupings, st.Unresolved)
+}
+
+// staticOnFluid is the usage check of -dynamic: the fluid engine runs
+// static groupings only, and RunEmulation refuses the pair.
+func staticOnFluid(engine replay.Engine, dynamic bool) error {
+	if dynamic && engine == replay.EngineFluid {
+		return fmt.Errorf("-dynamic: the fluid engine runs static groupings only; use -engine des")
+	}
+	return nil
 }
 
 // atLeastOne is the usage check of a count flag whose zero value the

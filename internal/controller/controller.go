@@ -128,8 +128,6 @@ type Config struct {
 	// diagnosis; the harness wires recovery actions that need to touch
 	// the simulated underlay (detours, reboots).
 	OnDiagnosis func(suspect model.SwitchID, diag failover.Diagnosis)
-	// OnRegroup is invoked after every (re)grouping with its version.
-	OnRegroup func(version uint64, grp *grouping.Grouping)
 }
 
 func (c Config) withDefaults() Config {
@@ -400,7 +398,7 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		state:      newHotState(),
 		sw:         records,
 		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
-		posts:      netsim.NewDeferred(env, sender.send),
+		posts:      netsim.NewDeferred(env, 0, sender.send),
 
 		forwardings: netsim.BlockFor[forwarding](env),
 		installs:    netsim.BlockFor[install](env),
@@ -510,9 +508,6 @@ func (c *Controller) InitialGrouping(m *grouping.Intensity) error {
 	root.Attr("sent", int64(sent)).End()
 	if c.cfg.Recorder != nil {
 		c.cfg.Recorder.RecordUpdate(c.env.Now())
-	}
-	if c.cfg.OnRegroup != nil {
-		c.cfg.OnRegroup(c.groupingVersion, c.grp)
 	}
 	return nil
 }

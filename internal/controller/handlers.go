@@ -572,9 +572,6 @@ func (c *Controller) maybeRegroup() {
 	if c.cfg.Recorder != nil {
 		c.cfg.Recorder.RecordUpdate(now)
 	}
-	if c.cfg.OnRegroup != nil {
-		c.cfg.OnRegroup(c.groupingVersion, c.grp)
-	}
 }
 
 // deadProbeEvery is how many keep-alive rounds pass between probes of

@@ -438,7 +438,7 @@ func (s *Switch) InjectLocal(p *model.Packet) {
 		// The encap runs slowPathDelay from now and another first packet
 		// may reuse the scratch before then: queue the targets by value.
 		if s.slow == nil {
-			s.slow = netsim.NewDeferred(s.env, s.encapSlow)
+			s.slow = netsim.NewDeferred(s.env, 0, s.encapSlow)
 			s.moreTargets = netsim.BlockFor[[]model.SwitchID](s.env)
 		}
 		it := slowItem{to: s.candidates[0], p: *p}

@@ -9,14 +9,15 @@ import (
 )
 
 // TestAggregatePopulationDifferential pins the analytic population fold
-// against the per-flow fluid fold it replaces: the same five-series
-// Fig. 7 sweep, run once with per-flow windows and once with aggregate
-// (pair, window) cells. The populations must agree exactly (both forms
-// apportion the same total), and every series' mean workload must agree
-// within the aggregation tolerance — the two forms draw different
-// realizations of the same distribution (per-flow multinomials vs their
-// expectation plus a closed-form cache model), so the comparison is
-// statistical, not bit-exact.
+// against the per-flow fluid fold it replaces: the same three-series
+// static Fig. 7 sweep (the fluid engine refuses Dynamic), run once with
+// per-flow windows and once with aggregate (pair, window) cells. The
+// populations must agree exactly (both forms apportion the same
+// total), and every series' mean workload must agree within the
+// aggregation tolerance — the two forms draw different realizations of
+// the same distribution (per-flow multinomials vs their expectation
+// plus a closed-form cache model), so the comparison is statistical,
+// not bit-exact.
 //
 // The blocking suite runs the Syn-A recipe (p=90/q=10, flat hot
 // weights, no drift, no scatter pinning — the generator paths the
@@ -26,15 +27,14 @@ import (
 // What the differential compares is the two folds of one flow
 // population, and neither fold's arithmetic depends on how many
 // switches idle around it — the full topology only multiplies the
-// control-plane background every one of the ten runs replays for 24 h
-// (161 s of the suite's 206 s). The tolerances are the full-size ones,
-// unchanged: the same flow budget over a 10× smaller pair pool puts 10×
-// more flows on each pair, so the per-pair multinomial noise the
-// tolerances absorb can only shrink. Measured at seed 1, the worst
-// series (expanded, dynamic) diverges 7.0% in workload and 0.043 in
-// reduction here against 6.9% and 0.059 on the full topology, inside
-// the ±15% and ±0.08 pins with the same margin. The full topology runs
-// as a third case under LAZYCTRL_FULLSCALE, in the fullscale CI lane.
+// control-plane background every one of the six runs replays for 24 h.
+// The tolerances are the full-size ones, unchanged: the same flow
+// budget over a 10× smaller pair pool puts 10× more flows on each pair,
+// so the per-pair multinomial noise the tolerances absorb can only
+// shrink. Measured at seed 1, the worst series (expanded, static)
+// diverges 1.9% in workload and 0.007 in reduction, inside the ±15%
+// and ±0.08 pins. The full topology runs as a third case under
+// LAZYCTRL_FULLSCALE, in the fullscale CI lane.
 func TestAggregatePopulationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep differential")
@@ -77,10 +77,7 @@ func TestAggregatePopulationDifferential(t *testing.T) {
 			}
 			pf := run(true)
 			ag := run(false)
-			for _, name := range []string{
-				SeriesOpenFlow, SeriesRealStatic, SeriesRealDynamic,
-				SeriesExpandedStatic, SeriesExpandedDynamic,
-			} {
+			for _, name := range []string{SeriesOpenFlow, SeriesRealStatic, SeriesExpandedStatic} {
 				p, a := pf.Series[name], ag.Series[name]
 				if p.PopulationFlows != a.PopulationFlows {
 					t.Errorf("%s: population %d (per-flow) vs %d (aggregate)",
@@ -99,9 +96,7 @@ func TestAggregatePopulationDifferential(t *testing.T) {
 			}
 			for _, pair := range [][2]float64{
 				{pf.ReductionRealStatic, ag.ReductionRealStatic},
-				{pf.ReductionRealDynamic, ag.ReductionRealDynamic},
 				{pf.ReductionExpandedStatic, ag.ReductionExpandedStatic},
-				{pf.ReductionExpandedDynamic, ag.ReductionExpandedDynamic},
 			} {
 				if d := pair[1] - pair[0]; d < -0.08 || d > 0.08 {
 					t.Errorf("reduction diverges: per-flow %.3f vs aggregate %.3f", pair[0], pair[1])

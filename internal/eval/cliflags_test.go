@@ -5,12 +5,17 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"lazyctrl/internal/trace"
 )
 
 // TestCLIValidate parses each argument list on a fresh flag set and
 // checks that Validate rejects out-of-range values, and Parse removed
 // flags, as usage errors, before any trace is generated, and accepts
-// the in-range ones.
+// the in-range ones. The set also carries lazyctrl-sim's -dynamic: a
+// row that passes Validate with it set runs RunEmulation on the CLI's
+// config, which must refuse it under the fluid engine before running
+// anything.
 func TestCLIValidate(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -33,15 +38,23 @@ func TestCLIValidate(t *testing.T) {
 		{[]string{"-engine", "fluidd"}, "fluidd"},
 		{[]string{"-engine", "sampled"}, `unknown engine "sampled"`},
 		{[]string{"-host-sampling"}, "-host-sampling"},
+		{[]string{"-engine", "fluid", "-dynamic"}, "needs the DES engine"},
 	} {
 		fs := flag.NewFlagSet("cli", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		cli := RegisterCLI(fs)
+		dynamic := fs.Bool("dynamic", false, "")
 		// A flag the set does not define fails in Parse, which the
 		// binaries' flag.ExitOnError turns into exit 2 like Validate's.
 		err := fs.Parse(tc.args)
 		if err == nil {
 			err = cli.Validate()
+		}
+		if err == nil && *dynamic {
+			var src trace.Stream
+			if src, err = trace.NewStream(trace.SmallConfig("small", 1)); err == nil {
+				_, err = RunEmulation(cli.Emulation(EmulationConfig{Source: src, Dynamic: true}))
+			}
 		}
 		if tc.args == nil && (cli.Scale() != 5000 || cli.Seed() != 1) {
 			t.Errorf("defaults: scale %d seed %d, want 5000 and 1", cli.Scale(), cli.Seed())

@@ -50,7 +50,9 @@ type EmulationConfig struct {
 	Source trace.Stream
 	// Mode selects LazyCtrl or the OpenFlow learning baseline.
 	Mode controller.Mode
-	// Dynamic enables incremental regrouping (lazy mode).
+	// Dynamic enables incremental regrouping (lazy mode, EngineDES
+	// only: the fluid engine's controller sees only the latency probe,
+	// so its regroups would not track the population's drift).
 	Dynamic bool
 	// GroupSizeLimit caps LCG sizes. Zero selects 46.
 	GroupSizeLimit int
@@ -174,6 +176,9 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	}
 	if c.Engine == replay.EngineDES {
 		c.SampleProb = 1
+	}
+	if c.Dynamic && c.Engine == replay.EngineFluid {
+		return c, fmt.Errorf("eval: the fluid engine runs static groupings only; Dynamic needs the DES engine")
 	}
 	if c.AggregatePopulation {
 		if c.Engine != replay.EngineFluid {
@@ -306,7 +311,7 @@ type emulation struct {
 	rec  *metrics.Recorder
 	res  *EmulationResult
 	// rig is set by buildRig. The hooks the config templates carry
-	// (tracer clock, fold oracles, regroup notification) read it lazily:
+	// (tracer clock, fold oracles) read it lazily:
 	// they first run on the simulated clock, after rig.New has returned.
 	rig *rig.Rig
 
@@ -363,12 +368,9 @@ func RunEmulation(cfg EmulationConfig) (*EmulationResult, error) {
 	// see real groups.
 	e.attachChaos()
 
-	flushFolds, closeSource := e.scheduleWindows()
+	closeSource := e.scheduleWindows()
 	defer closeSource()
 	e.rig.Sim().RunUntil(sim.Time(c.Horizon))
-	// Fold the windows whose end never arrived inside the horizon, under
-	// the final grouping and the full epoch timeline.
-	flushFolds()
 
 	e.settleChaos()
 	// Settle every folded timer at the horizon so credited rounds, wire
@@ -404,11 +406,10 @@ func (e *emulation) buildRig() error {
 	}
 
 	// The fluid engine folds every window's full flow population into
-	// per-bucket rate aggregates under the live grouping; its warm-up
+	// per-bucket rate aggregates under the static grouping; its warm-up
 	// constants mirror the harness cadences (C-LIB fills at the first
 	// state report, G-FIBs one advertise + dissemination round after
 	// that).
-	var onRegroup func(uint64, *grouping.Grouping)
 	if c.Engine == replay.EngineFluid {
 		e.fluid = replay.NewFluid(replay.FluidConfig{
 			Directory:       e.info.Directory,
@@ -424,14 +425,6 @@ func (e *emulation) buildRig() error {
 			CLIBWarm:        2 * time.Second,
 			PerFlowBaseline: c.PerFlowBaseline,
 		})
-		// Every (re)grouping lands on the fluid's epoch timeline as an
-		// immutable snapshot, so window folds attribute each flow to the
-		// assignment in force at its start time.
-		if c.Mode == controller.ModeLazy {
-			onRegroup = func(version uint64, grp *grouping.Grouping) {
-				e.fluid.NoteRegroup(e.now(), grp.Clone(), version)
-			}
-		}
 	}
 
 	ctrl := controller.Config{
@@ -445,7 +438,6 @@ func (e *emulation) buildRig() error {
 		KeepAliveInterval: keepAliveInterval,
 		SyncInterval:      syncInterval,
 		PerFlowRules:      c.PerFlowBaseline,
-		OnRegroup:         onRegroup,
 		Tracer:            res.Spans,
 	}
 	sw := edge.Config{
@@ -470,7 +462,9 @@ func (e *emulation) buildRig() error {
 		return err
 	}
 	e.rig = r
-	e.injects = netsim.NewDeferred(r.Net().Env(model.NoSwitch), func(f injectFlow) {
+	// A window's kept flows queue at once.
+	inFlight := int(float64(e.info.MaxWindowFlows) * c.SampleProb)
+	e.injects = netsim.NewDeferred(r.Net().Env(model.NoSwitch), inFlight, func(f injectFlow) {
 		r.Inject(f.src, f.dst, 1400)
 	})
 	registerMetrics(res.Metrics, r, res.Spans, res)

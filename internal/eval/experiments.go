@@ -232,7 +232,7 @@ const (
 )
 
 // Fig789Config drives the three trace-replay figures, which share the
-// same five emulation runs. All five run per-flow (5-tuple) reactive
+// same emulation runs. All of them run per-flow (5-tuple) reactive
 // rules — the paper's rule granularity, applied uniformly so the
 // comparison is between control planes, not rule shapes: the reduction
 // then measures the fraction of escalations the group-local controllers
@@ -243,16 +243,17 @@ const (
 type Fig789Config struct {
 	// Scale divides the real trace's 271M flows. Benchmarks use 5000
 	// (54k flows); unit tests use much larger divisors. Scale 1 is the
-	// paper's full trace — reachable end to end through the sampled or
-	// fluid engine.
+	// paper's full trace — reachable end to end through the fluid
+	// engine.
 	Scale int
 	Seed  uint64
 	// Horizon truncates the day (0 = 24h).
 	Horizon time.Duration
-	// Engine and SampleProb select the replay engine for all five runs
+	// Engine and SampleProb select the replay engine for every run
 	// (see EmulationConfig). EngineFluid means both analytic folds — the
 	// aggregate population fold and the control fold (setEngine) — which
-	// is what makes Scale 1 reachable.
+	// is what makes Scale 1 reachable. It refuses Dynamic, so the two
+	// dynamic series and Fig. 8 are DES-only.
 	Engine     replay.Engine
 	SampleProb float64
 	// Trace overrides the replayed workload (nil selects the real
@@ -276,7 +277,8 @@ type Fig789Config struct {
 type Fig789Result struct {
 	Series map[string]*EmulationResult
 	// ReductionStatic/Dynamic are the Fig. 7 headline numbers: workload
-	// reduction of LazyCtrl vs OpenFlow on the real trace.
+	// reduction of LazyCtrl vs OpenFlow on the real trace. The dynamic
+	// pair is zero under the fluid engine, which runs no dynamic series.
 	ReductionRealStatic      float64
 	ReductionRealDynamic     float64
 	ReductionExpandedStatic  float64
@@ -286,7 +288,8 @@ type Fig789Result struct {
 // RunFig789 executes the five runs of Fig. 7 (which also produce Fig. 8
 // and Fig. 9): OpenFlow on the real trace, LazyCtrl static/dynamic on
 // the real trace, and LazyCtrl static/dynamic on the expanded trace
-// (+30% flows among previously silent pairs during hours 8–24).
+// (+30% flows among previously silent pairs during hours 8–24). The
+// fluid engine runs the three static ones.
 func RunFig789(cfg Fig789Config) (*Fig789Result, error) { return runFig789(cfg, false) }
 
 // setEngine selects a driver run's replay engine, and is the one place
@@ -302,7 +305,7 @@ func (c *EmulationConfig) setEngine(engine replay.Engine, sampleProb float64) {
 	c.ControlFold = engine == replay.EngineFluid
 }
 
-// fig789Inputs builds what the five runs share: the real and expanded
+// fig789Inputs builds what the runs share: the real and expanded
 // streams and the warm-up intensity.
 func fig789Inputs(cfg Fig789Config) (real, expanded trace.Stream, warm *grouping.Intensity, err error) {
 	if cfg.Scale < 1 {
@@ -365,11 +368,14 @@ func runFig789(cfg Fig789Config, perFlowFold bool) (*Fig789Result, error) {
 	}{
 		{SeriesOpenFlow, real, controller.ModeLearning, false},
 		{SeriesRealStatic, real, controller.ModeLazy, false},
-		{SeriesRealDynamic, real, controller.ModeLazy, true},
 		{SeriesExpandedStatic, expanded, controller.ModeLazy, false},
+		{SeriesRealDynamic, real, controller.ModeLazy, true},
 		{SeriesExpandedDynamic, expanded, controller.ModeLazy, true},
 	}
-	// The five emulations are deterministic per seed and share no mutable
+	if cfg.Engine == replay.EngineFluid {
+		runs = runs[:3] // the static series: the fluid engine refuses Dynamic
+	}
+	// The emulations are deterministic per seed and share no mutable
 	// state (each owns its simulator; stream windows regenerate
 	// per-consumer from read-only pools, and the warmup matrix is
 	// read-only), so they fan out across the worker pool.
@@ -406,9 +412,11 @@ func runFig789(cfg Fig789Config, perFlowFold bool) (*Fig789Result, error) {
 	}
 	base := out.Series[SeriesOpenFlow].WorkloadKrps
 	out.ReductionRealStatic = Reduction(base, out.Series[SeriesRealStatic].WorkloadKrps)
-	out.ReductionRealDynamic = Reduction(base, out.Series[SeriesRealDynamic].WorkloadKrps)
 	out.ReductionExpandedStatic = Reduction(base, out.Series[SeriesExpandedStatic].WorkloadKrps)
-	out.ReductionExpandedDynamic = Reduction(base, out.Series[SeriesExpandedDynamic].WorkloadKrps)
+	if dyn := out.Series[SeriesRealDynamic]; dyn != nil {
+		out.ReductionRealDynamic = Reduction(base, dyn.WorkloadKrps)
+		out.ReductionExpandedDynamic = Reduction(base, out.Series[SeriesExpandedDynamic].WorkloadKrps)
+	}
 	return out, nil
 }
 

@@ -15,8 +15,7 @@ import (
 // to the simulator one window ahead of the clock, the one inject path
 // every replayed first packet takes, and the two window sources —
 // per-flow windows and aggregate (pair, window) cells — that differ only
-// in how a window becomes "flows to inject now + a population fold to
-// run once the window has ended".
+// in how a window becomes "flows to inject now + a population fold".
 
 // emulationPrefetchDepth bounds the replay's generate-ahead pipeline:
 // a couple of windows generate in the background while the simulator
@@ -37,33 +36,20 @@ func fastPathLatency(sameSwitch bool) time.Duration {
 }
 
 // windowSource loads trace windows in order. load schedules window w's
-// first packets through emulation.inject and returns the window's
-// population fold, which must not run before the window has ended: by
-// then every regroup inside the window is on the fluid's epoch
-// timeline, so mid-window regroups attribute exactly. A nil fold means
-// the engine folds nothing.
+// first packets through emulation.inject and, under the fluid engine,
+// folds the window's population into the rate aggregates at once: the
+// fluid engine runs static groupings only (withDefaults), so the
+// grouping in force at load time governs every flow of the window.
 type windowSource interface {
-	load(w int) (fold func())
-}
-
-// deferredFold runs a window's fold once, at the window's end or in the
-// tail flush, and then drops it so the window's flows can be collected.
-type deferredFold struct{ fold func() }
-
-func (d *deferredFold) run() {
-	if d.fold != nil {
-		d.fold()
-		d.fold = nil
-	}
+	load(w int)
 }
 
 // scheduleWindows starts the window chain: window w loads when the
 // clock reaches the start of window w−1 — one full window of lead, so
 // every flow event is queued before its time comes while the event
-// queue never holds more than ~two windows of flows. It returns the tail
-// flush, which folds the windows whose end lay at or past the horizon,
-// and the source's release.
-func (e *emulation) scheduleWindows() (flush, release func()) {
+// queue never holds more than ~two windows of flows. It returns the
+// source's release.
+func (e *emulation) scheduleWindows() (release func()) {
 	last := -1
 	for w := 0; w < e.info.Windows; w++ {
 		if start, _ := e.info.WindowBounds(w); start >= e.c.Horizon {
@@ -85,7 +71,6 @@ func (e *emulation) scheduleWindows() (flush, release func()) {
 	}
 
 	s := e.rig.Sim()
-	var pending []*deferredFold
 	next := 0
 	var load func()
 	load = func() {
@@ -94,17 +79,11 @@ func (e *emulation) scheduleWindows() (flush, release func()) {
 		}
 		w := next
 		next++
-		from, to := e.info.WindowBounds(w)
-		if fold := src.load(w); fold != nil {
-			d := &deferredFold{fold: fold}
-			pending = append(pending, d)
-			if to < e.c.Horizon {
-				s.At(sim.Time(to), d.run)
-			}
-		}
+		src.load(w)
 		if w > 0 && w < last {
 			// Load window w+1 once the clock reaches the start of
 			// window w: its flows are still strictly in the future.
+			from, _ := e.info.WindowBounds(w)
 			s.At(sim.Time(from), load)
 		}
 	}
@@ -112,11 +91,7 @@ func (e *emulation) scheduleWindows() (flush, release func()) {
 	// chain.
 	load()
 	load()
-	return func() {
-		for _, d := range pending {
-			d.run()
-		}
-	}, release
+	return release
 }
 
 // inject schedules one replayed flow: its first packet enters the DES at
@@ -155,11 +130,11 @@ type flowWindows struct {
 	pf *trace.Prefetcher
 }
 
-func (s *flowWindows) load(int) func() {
+func (s *flowWindows) load(int) {
 	e := s.e
 	flows, _, ok := s.pf.Next() // the pipeline yields windows in chain order
 	if !ok {
-		return nil
+		return
 	}
 	dir := e.info.Directory
 	for i := range flows {
@@ -179,15 +154,11 @@ func (s *flowWindows) load(int) func() {
 		}
 		e.inject(f.Start, src, dst, int(f.Packets))
 	}
-	if e.fluid == nil {
-		s.pf.Recycle(flows)
-		return nil
-	}
-	return func() {
+	if e.fluid != nil {
 		view, version := e.liveGrouping()
 		e.fluid.FoldWindow(flows, view, version)
-		s.pf.Recycle(flows)
 	}
+	s.pf.Recycle(flows)
 }
 
 // aggWindows replays analytic (pair, window) cells: each window is one
@@ -199,7 +170,7 @@ type aggWindows struct {
 	bg  trace.BackgroundStream // nil unless the source splits out a background
 }
 
-func (s *aggWindows) load(w int) func() {
+func (s *aggWindows) load(w int) {
 	e := s.e
 	// The background count (an expanded trace's one-off extras) folds in
 	// closed form; only the pair-resolved foreground materializes cells.
@@ -261,11 +232,9 @@ func (s *aggWindows) load(w int) func() {
 		}
 	}
 
-	return func() {
-		view, version := e.liveGrouping()
-		e.fluid.FoldAggWindow(aggs, from, to, view, version)
-		if bg > 0 {
-			e.fluid.FoldBackgroundWindow(bg, trace.ExpandIntraTenantShare, from, to, view, version)
-		}
+	view, version := e.liveGrouping()
+	e.fluid.FoldAggWindow(aggs, from, to, view, version)
+	if bg > 0 {
+		e.fluid.FoldBackgroundWindow(bg, trace.ExpandIntraTenantShare, from, to, view, version)
 	}
 }

@@ -530,7 +530,8 @@ type Deferred[T any] struct {
 	pop    func() // d.fire, bound once
 	// chunks is the FIFO, next value chunks[0][head]. The first chunk
 	// grows from deferredMin slots to deferredChunk while it is the only
-	// one; every later chunk holds deferredChunk.
+	// one, unless it starts full-size (NewDeferred); every later chunk
+	// holds deferredChunk.
 	chunks [][]T
 	head   int
 	last   time.Duration // the latest instant queued, 0 once the FIFO drains
@@ -548,13 +549,20 @@ const (
 )
 
 // NewDeferred returns a queue that hands each posted value to handle.
-func NewDeferred[T any](env Env, handle func(T)) *Deferred[T] {
+// size is how many values the caller expects in flight at once, or 0
+// if it does not know: a queue that expects more than deferredMin
+// starts with a full-size first chunk instead of growing one by
+// doubling.
+func NewDeferred[T any](env Env, size int, handle func(T)) *Deferred[T] {
 	d := &Deferred[T]{env: env, handle: handle}
 	if e, ok := env.(*simEnv); ok {
 		d.sim = e.net.sim
 	}
 	d.pop = d.fire
 	d.chunks = d.inline[:0]
+	if size > deferredMin {
+		d.chunks = append(d.chunks, make([]T, 0, deferredChunk))
+	}
 	return d
 }
 

@@ -124,8 +124,9 @@ const deferredBurst = deferredChunk + 100
 // deferredProgram runs a seeded random program on env: a burst, then
 // steps of posted items and plain events whose callbacks post more,
 // with delays drawn from zero, whole milliseconds (ties), a constant
-// and a spread. Items go through one of two Deferreds, the second fed
-// only the constant or zero, or through one closure each. Plain events
+// and a spread. Items go through one of two Deferreds, the second
+// starting at a full chunk and fed only the constant or zero, or
+// through one closure each. Plain events
 // are After calls and, on the DES (s not nil), AtSorted calls sharing
 // the Deferreds' sorted lane. The program's draws are made as callbacks
 // run, so a firing order that differs anywhere changes the rest of the
@@ -153,7 +154,7 @@ func deferredProgram(env Env, s *sim.Simulator, drain func(), seed uint64, viaDe
 		got = append(got, firing{env.Now(), i})
 		step()
 	}
-	qs := [2]*Deferred[int]{NewDeferred(env, handle), NewDeferred(env, handle)}
+	qs := [2]*Deferred[int]{NewDeferred(env, 0, handle), NewDeferred(env, 100, handle)}
 	var high [2]time.Duration // the latest instant each FIFO held
 	posted := 0
 	post := func(k int, d time.Duration) {
@@ -263,12 +264,14 @@ func TestDeferredOrder(t *testing.T) {
 // and 50,000 values in flight, each posted at one instant and run to
 // the end, Cap stays within one growth step of the peak (a doubling of
 // the first chunk, or one more chunk), and a drained FIFO keeps at
-// most its first chunk and one spare.
+// most its first chunk and one spare. A queue that expects more than
+// deferredMin values starts at one full chunk, and a chunk's worth of
+// values in flight does not grow it.
 func TestDeferredStorage(t *testing.T) {
 	s := sim.New(1)
 	env := New(s, DefaultLatencies()).Env(1)
 	fired := 0
-	q := NewDeferred(env, func(int) { fired++ })
+	q := NewDeferred(env, 0, func(int) { fired++ })
 	for _, peak := range []int{8, 1000, 50_000} {
 		for i := range peak {
 			q.Post(time.Millisecond, i)
@@ -285,7 +288,15 @@ func TestDeferredStorage(t *testing.T) {
 			t.Errorf("drained after %d in flight: Cap %d, want at most %d", peak, c, 2*deferredChunk)
 		}
 	}
-	if fired != 8+1000+50_000 {
-		t.Errorf("handled %d values, want %d", fired, 8+1000+50_000)
+	sized := NewDeferred(env, deferredMin+1, func(int) { fired++ })
+	for i := range deferredChunk {
+		if c := sized.Cap(); c != deferredChunk {
+			t.Fatalf("sized queue with %d in flight: Cap %d, want %d", i, c, deferredChunk)
+		}
+		sized.Post(time.Millisecond, i)
+	}
+	s.Run()
+	if want := 8 + 1000 + 50_000 + deferredChunk; fired != want {
+		t.Errorf("handled %d values, want %d", fired, want)
 	}
 }

@@ -164,7 +164,8 @@ func (f *Fluid) arpTargets(tid model.TenantID, view View, version uint64) int {
 // flow's start, so a mid-window regroup lands on exactly the flows it
 // governed instead of smearing across the whole window. Assignments
 // must be immutable snapshots (e.g. grouping.Clone) noted in
-// nondecreasing time order.
+// nondecreasing time order. eval.RunEmulation notes none: the fluid
+// engine runs static groupings only.
 func (f *Fluid) NoteRegroup(at time.Duration, view View, version uint64) {
 	f.epochs = append(f.epochs, regroupEpoch{at: at, view: view, version: version})
 }

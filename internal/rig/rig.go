@@ -73,11 +73,11 @@ func New(dir *tenant.Directory, ctrl controller.Config, sw edge.Config, standby 
 	if standby {
 		// Same directory, cadences, recorder and hooks, mirrored state
 		// only: the standby runs no switch-facing duties until takeover,
-		// so it carries no fold or regroup hooks (the fold's keep-alive
-		// elision already yields to replication on the primary).
+		// so it carries no fold hooks (the fold's keep-alive elision
+		// already yields to replication on the primary).
 		sb := ctrl
 		sb.Peer, sb.Standby = model.ControllerNode, true
-		sb.FoldGate, sb.FoldMeter, sb.OnRegroup = nil, nil, nil
+		sb.FoldGate, sb.FoldMeter = nil, nil
 		replica, err := controller.New(sb, r.net.Env(model.StandbyNode))
 		if err != nil {
 			return nil, fmt.Errorf("standby: %w", err)
