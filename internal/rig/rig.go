@@ -164,33 +164,27 @@ func (r *Rig) AddTenant(id model.TenantID, vlan model.VLAN) error {
 }
 
 // AddHost deploys a VM: directory first, then the switch's L-FIB.
+// The directory refuses a switch outside its list, which is the rig's
+// edge set.
 func (r *Rig) AddHost(id model.HostID, tenantID model.TenantID, sw model.SwitchID) error {
-	e := r.edges[sw]
-	if e == nil {
-		return fmt.Errorf("unknown switch %v", sw)
-	}
 	h, err := r.dir.AddHost(id, tenantID, sw)
 	if err != nil {
 		return err
 	}
-	e.AttachHost(h.MAC, h.IP, h.VLAN)
+	r.edges[sw].AttachHost(h.MAC, h.IP, h.VLAN)
 	return nil
 }
 
 // MigrateHost live-migrates a VM: the detach/attach pair is what
 // triggers §III-D3 live state dissemination.
 func (r *Rig) MigrateHost(id model.HostID, to model.SwitchID) error {
-	dst := r.edges[to]
-	if dst == nil {
-		return fmt.Errorf("unknown switch %v", to)
-	}
 	from, err := r.dir.Migrate(id, to)
 	if err != nil {
 		return err
 	}
 	h := r.dir.Host(id)
 	r.edges[from].DetachHost(h.MAC)
-	dst.AttachHost(h.MAC, h.IP, h.VLAN)
+	r.edges[to].AttachHost(h.MAC, h.IP, h.VLAN)
 	return nil
 }
 

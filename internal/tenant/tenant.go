@@ -87,15 +87,37 @@ func (d *Directory) tenantIndex(id model.TenantID) (int, bool) {
 	return slices.BinarySearchFunc(d.tenants, id, func(t Tenant, id model.TenantID) int { return cmp.Compare(t.ID, id) })
 }
 
-// AddHost creates a VM for a tenant on a switch. Addresses are derived
-// deterministically from the host ID.
+// errUnknownSwitch reports a host placed on, or moved to, a switch
+// outside the directory's list. Refusing it keeps Switches complete:
+// an intensity matrix registers them up front, so no host's traffic
+// registers a switch in flow order (see trace.StreamIntensity).
+var errUnknownSwitch = errors.New("tenant: unknown switch")
+
+func (d *Directory) checkSwitch(sw model.SwitchID) error {
+	if _, ok := slices.BinarySearch(d.switches, sw); !ok {
+		return fmt.Errorf("%w: %v", errUnknownSwitch, sw)
+	}
+	return nil
+}
+
+// AddHost creates a VM for a tenant on one of the directory's switches.
+// Addresses are derived deterministically from the host ID.
 func (d *Directory) AddHost(id model.HostID, tenantID model.TenantID, sw model.SwitchID) (*Host, error) {
-	if id == 0 || id >= hostIDLimit {
-		return nil, fmt.Errorf("tenant: host ID %d outside [1, %d)", id, hostIDLimit)
+	if err := d.checkSwitch(sw); err != nil {
+		return nil, err
 	}
 	ti, ok := d.tenantIndex(tenantID)
 	if !ok {
 		return nil, fmt.Errorf("tenant: unknown tenant %v", tenantID)
+	}
+	return d.addHost(id, ti, sw)
+}
+
+// addHost is AddHost for a listed switch and the tenant at index ti:
+// Populate, which draws both from the directory, skips their lookups.
+func (d *Directory) addHost(id model.HostID, ti int, sw model.SwitchID) (*Host, error) {
+	if id == 0 || id >= hostIDLimit {
+		return nil, fmt.Errorf("tenant: host ID %d outside [1, %d)", id, hostIDLimit)
 	}
 	p := int(id >> pageBits)
 	if p >= len(d.pages) {
@@ -113,7 +135,7 @@ func (d *Directory) AddHost(id model.HostID, tenantID model.TenantID, sw model.S
 		ID:     id,
 		MAC:    model.HostMAC(id),
 		IP:     model.HostIP(id),
-		Tenant: tenantID,
+		Tenant: t.ID,
 		VLAN:   t.VLAN,
 		Switch: sw,
 	}
@@ -158,12 +180,15 @@ func (d *Directory) HostsOn(sw model.SwitchID) []model.HostID { return d.bySwitc
 // NumHosts returns the total VM count.
 func (d *Directory) NumHosts() int { return d.numHosts }
 
-// Migrate moves a VM to another switch (VM migration, §III-D3). It
-// returns the old switch.
+// Migrate moves a VM to another of the directory's switches (VM
+// migration, §III-D3). It returns the old switch.
 func (d *Directory) Migrate(id model.HostID, to model.SwitchID) (model.SwitchID, error) {
 	h := d.Host(id)
 	if h == nil {
 		return model.NoSwitch, fmt.Errorf("%w: %v", ErrUnknownHost, id)
+	}
+	if err := d.checkSwitch(to); err != nil {
+		return model.NoSwitch, err
 	}
 	from := h.Switch
 	if from == to {
@@ -265,7 +290,7 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 		}
 		d.tenants = append(d.tenants, Tenant{ID: id, VLAN: vlan, Hosts: carve(n)})
 		for range n {
-			if _, err := d.AddHost(next, id, d.switches[placed[next-1]]); err != nil {
+			if _, err := d.addHost(next, ti, d.switches[placed[next-1]]); err != nil {
 				return err
 			}
 			next++

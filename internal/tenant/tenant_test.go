@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"sort"
@@ -153,6 +154,37 @@ func TestMigrate(t *testing.T) {
 	}
 	if _, err := d.Migrate(99, 1); err == nil {
 		t.Error("Migrate unknown host succeeded")
+	}
+}
+
+// TestUnlistedSwitchRefused: neither AddHost nor Migrate may put a host
+// on a switch outside the directory's list, and a refusal changes
+// nothing. An intensity matrix registers Switches up front; a host on
+// an unlisted switch would register that switch in flow order instead.
+func TestUnlistedSwitchRefused(t *testing.T) {
+	d := NewDirectory([]model.SwitchID{2, 4})
+	if err := d.AddTenant(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []model.SwitchID{0, 1, 3, 5} {
+		if _, err := d.AddHost(1, 1, sw); !errors.Is(err, errUnknownSwitch) {
+			t.Errorf("AddHost on S%v: err %v, want errUnknownSwitch", sw, err)
+		}
+	}
+	if d.NumHosts() != 0 || d.Host(1) != nil || len(d.Tenant(1).Hosts) != 0 {
+		t.Fatalf("refused AddHost left state: %d hosts, tenant %v", d.NumHosts(), d.Tenant(1).Hosts)
+	}
+	if _, err := d.AddHost(1, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Migrate(1, 3); !errors.Is(err, errUnknownSwitch) {
+		t.Errorf("Migrate to S3: err %v, want errUnknownSwitch", err)
+	}
+	if got := d.Host(1).Switch; got != 4 || !slices.Equal(d.HostsOn(4), []model.HostID{1}) || d.HostsOn(3) != nil {
+		t.Errorf("refused Migrate moved the host: switch %v, HostsOn(4)=%v", got, d.HostsOn(4))
+	}
+	if !slices.Equal(d.Switches(), []model.SwitchID{2, 4}) {
+		t.Errorf("Switches = %v, want [2 4]", d.Switches())
 	}
 }
 

@@ -290,8 +290,8 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	return buf
 }
 
-// searchFloat64s is sort.SearchFloat64s without the package dependency
-// drift — kept local so the draw path's inner loop inlines.
+// searchFloat64s is sort.SearchFloat64s, the package's one float
+// search: it tests the same predicate but inlines into the draw loops.
 func searchFloat64s(a []float64, x float64) int {
 	lo, hi := 0, len(a)
 	for lo < hi {

@@ -114,7 +114,8 @@ func (p *pairCounter) centrality(k int, seed uint64) (float64, error) {
 // and returns the average group centrality: for each group,
 // intra-group traffic divided by all traffic touching the group's
 // hosts. The pair-weight graph accumulates window by window (O(pairs)
-// memory).
+// memory) from unsorted windows: its integer counts and host set do
+// not depend on flow order.
 func StreamCentrality(s Stream, k int, seed uint64) (float64, error) {
 	if k < 2 {
 		return 0, errors.New("trace: centrality needs k ≥ 2")
@@ -123,7 +124,7 @@ func StreamCentrality(s Stream, k int, seed uint64) (float64, error) {
 	p := newPairCounter()
 	buf := make([]Flow, 0, info.MaxWindowFlows)
 	for w := 0; w < info.Windows; w++ {
-		buf = s.GenWindow(w, buf[:0])
+		buf = s.drawWindow(w, buf[:0])
 		p.addWindow(buf)
 	}
 	return p.centrality(k, seed)
@@ -162,12 +163,14 @@ func SwitchIntensity(t *Trace, from, to time.Duration) *grouping.Intensity {
 }
 
 // StreamIntensity is SwitchIntensity over a stream: only the windows
-// overlapping [from, to) are generated, one reused buffer deep, so the
+// overlapping [from, to) are drawn, one reused buffer deep, so the
 // matrix for any span costs O(window) flow memory — and a warmup span
 // of one hour costs one 24th of the generation work, not a whole
-// trace. The accumulation order matches the materialized path flow for
-// flow, so the resulting matrix is byte-identical to
-// SwitchIntensity(Materialize(s), from, to).
+// trace. The windows are folded unsorted: every flow adds the same
+// perFlow to its pair and to the total, and every switch is registered
+// before the first Add (tenant.Directory places hosts only on its
+// listed switches), so the matrix depends on per-pair counts alone and
+// is byte-identical to SwitchIntensity(Materialize(s), from, to).
 func StreamIntensity(s Stream, from, to time.Duration) *grouping.Intensity {
 	info := s.Info()
 	m := grouping.NewIntensity()
@@ -188,7 +191,7 @@ func StreamIntensity(s Stream, from, to time.Duration) *grouping.Intensity {
 		if wFrom >= to {
 			break
 		}
-		buf = s.GenWindow(w, buf[:0])
+		buf = s.drawWindow(w, buf[:0])
 		intensityFold(m, info.Directory, buf, from, to, perFlow)
 	}
 	return m

@@ -221,6 +221,16 @@ func (e *expandStream) appendExtras(out []Flow, w, k int, rng *rand.Rand) []Flow
 	return out
 }
 
+// drawWindow is the base window plus this window's share of the extra
+// flows, in draw order.
+func (e *expandStream) drawWindow(w int, buf []Flow) []Flow {
+	out := e.base.drawWindow(w, buf)
+	if e.extraCounts[w] == 0 {
+		return out
+	}
+	return e.appendExtras(out, w, e.extraCounts[w], WindowRand(e.seed, expandSalt, w))
+}
+
 // GenWindow implements Stream: the base window plus this window's
 // share of the extra flows, merged and sorted.
 func (e *expandStream) GenWindow(w int, buf []Flow) []Flow {

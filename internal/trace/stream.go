@@ -70,6 +70,10 @@ type Stream interface {
 	// passing the previous window's buffer re-sliced to [:0] keeps the
 	// pipeline's flow memory flat at one window.
 	GenWindow(w int, buf []Flow) []Flow
+	// drawWindow appends the same flows as GenWindow in draw order,
+	// unsorted: the folds whose result does not depend on flow order
+	// (StreamIntensity, StreamCentrality) skip the sort.
+	drawWindow(w int, buf []Flow) []Flow
 }
 
 // SplitMix64 is the SplitMix64 mixer: the window seeding below runs it
@@ -205,6 +209,8 @@ func (s *sliceStream) GenWindow(w int, buf []Flow) []Flow {
 	from, to := info.WindowBounds(w)
 	return append(buf, s.t.Window(from, to)...)
 }
+
+func (s *sliceStream) drawWindow(w int, buf []Flow) []Flow { return s.GenWindow(w, buf) }
 
 // basePairKeys implements the pair-pool hook ExpandStream uses to
 // place extra flows on previously silent pairs: for a materialized

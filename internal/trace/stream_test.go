@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -119,6 +121,18 @@ func intensityEqual(t *testing.T, a, b *grouping.Intensity) {
 		})
 		return out
 	}
+	if a.Total() != b.Total() || a.MaxPair() != b.MaxPair() {
+		t.Fatalf("total/max pair differ: %v/%v vs %v/%v", a.Total(), a.MaxPair(), b.Total(), b.MaxPair())
+	}
+	// Neighbor lists run in registration order, which groupings see.
+	for _, sw := range a.Switches() {
+		var na, nb []model.SwitchID
+		a.ForEachNeighbor(sw, func(n model.SwitchID, _ float64) { na = append(na, n) })
+		b.ForEachNeighbor(sw, func(n model.SwitchID, _ float64) { nb = append(nb, n) })
+		if !slices.Equal(na, nb) {
+			t.Fatalf("S%v neighbor order differs: %v vs %v", sw, na, nb)
+		}
+	}
 	pa, pb := collect(a), collect(b)
 	if len(pa) != len(pb) {
 		t.Fatalf("pair counts differ: %d vs %d", len(pa), len(pb))
@@ -133,24 +147,90 @@ func intensityEqual(t *testing.T, a, b *grouping.Intensity) {
 // TestStreamIntensityByteIdentical pins acceptance criterion 4 for the
 // intensity matrix: streamed windows produce a matrix bit-identical to
 // the slice path at equal (seed, scale), for the full span and for
-// partial (warmup-style) spans.
+// partial (warmup-style) spans, over a generator, its expansion and a
+// stacked expansion. StreamIntensity folds windows unsorted, so this is
+// also the test that the fold does not depend on flow order.
 func TestStreamIntensityByteIdentical(t *testing.T) {
 	s := smallStream(t, 11)
-	tr := Materialize(s)
+	es := mustExpand(t, s, 0.30, 8, 24, 99)
 	spans := [][2]time.Duration{
-		{0, tr.Duration},
+		{0, TraceDuration},
 		{0, time.Hour},
 		{3*time.Hour + 17*time.Minute, 9 * time.Hour},
+		{10 * time.Hour, 21*time.Hour + 40*time.Minute},
 	}
-	for _, span := range spans {
-		ms := StreamIntensity(s, span[0], span[1])
-		mt := SwitchIntensity(tr, span[0], span[1])
-		intensityEqual(t, ms, mt)
+	for _, st := range []Stream{s, es, mustExpand(t, es, 0.10, 12, 20, 5)} {
+		tr := Materialize(st)
+		for _, span := range spans {
+			ms := StreamIntensity(st, span[0], span[1])
+			mt := SwitchIntensity(tr, span[0], span[1])
+			intensityEqual(t, ms, mt)
+		}
 	}
 	// The materialized adapter must agree too.
+	tr := Materialize(s)
 	intensityEqual(t,
 		StreamIntensity(tr.Stream(0), 0, tr.Duration),
 		SwitchIntensity(tr, 0, tr.Duration))
+}
+
+func mustExpand(t testing.TB, base Stream, extra float64, fromHour, toHour int, seed uint64) Stream {
+	t.Helper()
+	s, err := ExpandStream(base, extra, fromHour, toHour, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestGenWindowSortsDrawWindow pins the split between drawing a window
+// and ordering it: for every window of each stream kind, GenWindow
+// appends the flows drawWindow appends, sorted by Start, and leaves the
+// buffer's prefix alone. For the generator, GenWindow is exactly
+// drawWindow run through the generator's sort, ties included.
+func TestGenWindowSortsDrawWindow(t *testing.T) {
+	byStart := func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) }
+	total := func(a, b Flow) int {
+		return cmp.Or(byStart(a, b), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Packets, b.Packets))
+	}
+	gs := smallStream(t, 4)
+	es := mustExpand(t, gs, 0.30, 8, 24, 99)
+	streams := []struct {
+		name string
+		s    Stream
+	}{
+		{"generator", gs},
+		{"adapter", Materialize(gs).Stream(0)},
+		{"expanded", es},
+		{"stacked", mustExpand(t, es, 0.10, 12, 20, 5)},
+	}
+	prefix := Flow{Start: -1, Src: 1, Dst: 2, Packets: 3}
+	for _, c := range streams {
+		for w := 0; w < c.s.Info().Windows; w++ {
+			gen := c.s.GenWindow(w, []Flow{prefix})
+			drawn := c.s.drawWindow(w, []Flow{prefix})
+			if gen[0] != prefix || drawn[0] != prefix {
+				t.Fatalf("%s window %d: buffer prefix overwritten", c.name, w)
+			}
+			gen, drawn = gen[1:], drawn[1:]
+			if !slices.IsSortedFunc(gen, byStart) {
+				t.Fatalf("%s window %d: GenWindow not sorted by Start", c.name, w)
+			}
+			if c.name == "generator" {
+				sorted := slices.Clone(drawn)
+				slices.SortFunc(sorted, byStart)
+				if !slices.Equal(gen, sorted) {
+					t.Fatalf("%s window %d: GenWindow is not drawWindow sorted", c.name, w)
+				}
+			}
+			slices.SortFunc(gen, total)
+			slices.SortFunc(drawn, total)
+			if !slices.Equal(gen, drawn) {
+				t.Fatalf("%s window %d: GenWindow has %d flows, drawWindow %d, or they differ",
+					c.name, w, len(gen), len(drawn))
+			}
+		}
+	}
 }
 
 // TestStreamStatsAndCentralityMatch pins acceptance criterion 4 for

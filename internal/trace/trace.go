@@ -433,11 +433,11 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	}
 	sampleTenant := func(rng *rand.Rand) *tenantPins {
 		u := rng.Float64() * tenantTotal
-		return &pinned[sort.SearchFloat64s(tenantCum, u)]
+		return &pinned[searchFloat64s(tenantCum, u)]
 	}
 	sampleHost := func(rng *rand.Rand, tp *tenantPins) model.HostID {
 		u := rng.Float64() * tp.total
-		return tp.hosts[sort.SearchFloat64s(tp.cum, u)]
+		return tp.hosts[searchFloat64s(tp.cum, u)]
 	}
 	g.scatter = make([]model.FlowKey, 0, scatterCount)
 	if len(pinned) >= 2 {
@@ -518,7 +518,7 @@ func (g *genStream) basePairKeys() map[model.FlowKey]struct{} {
 func (g *genStream) sampleHot(rng *rand.Rand, at time.Duration) model.FlowKey {
 	for {
 		u := rng.Float64() * g.hotCum[len(g.hotCum)-1]
-		i := sort.SearchFloat64s(g.hotCum, u)
+		i := searchFloat64s(g.hotCum, u)
 		if g.hotPhase == nil {
 			return g.hot[i]
 		}
@@ -530,16 +530,25 @@ func (g *genStream) sampleHot(rng *rand.Rand, at time.Duration) model.FlowKey {
 	}
 }
 
-// GenWindow implements Stream: window w's flows from the per-window
-// random stream, appended into buf and sorted by Start.
+// GenWindow implements Stream: drawWindow's flows sorted by Start.
 func (g *genStream) GenWindow(w int, buf []Flow) []Flow {
+	base := len(buf)
+	buf = g.drawWindow(w, buf)
+	// slices.SortFunc, not sort.Slice: the reflective swapper was the
+	// single hottest call of full-scale generation.
+	slices.SortFunc(buf[base:], func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
+	return buf
+}
+
+// drawWindow appends window w's flows from the per-window random
+// stream into buf, in draw order.
+func (g *genStream) drawWindow(w int, buf []Flow) []Flow {
 	if w < 0 || w >= g.info.Windows {
 		return buf
 	}
 	rng := WindowRand(g.cfg.Seed, flowSalt, w)
 	from, to := g.info.WindowBounds(w)
 	span := float64(to - from)
-	base := len(buf)
 	for i := 0; i < g.counts[w]; i++ {
 		start := from + time.Duration(rng.Float64()*span)
 		var key model.FlowKey
@@ -579,10 +588,6 @@ func (g *genStream) GenWindow(w int, buf []Flow) []Flow {
 			Packets: packets,
 		})
 	}
-	win := buf[base:]
-	// slices.SortFunc, not sort.Slice: the reflective swapper was the
-	// single hottest call of full-scale generation.
-	slices.SortFunc(win, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
 	return buf
 }
 
