@@ -215,10 +215,11 @@ func main() {
 }
 
 // runBenches executes one go test -bench invocation and parses its
-// result lines.
+// result lines. -p 1 runs one benchmark binary at a time, so a timed
+// region shares the machine with no other binary's load.
 func runBenches(bench, benchtime string, count int, pkgs, dir string) ([]Result, error) {
 	args := []string{
-		"test", "-run", "^$",
+		"test", "-p", "1", "-run", "^$",
 		"-bench", bench,
 		"-benchmem",
 		"-benchtime", benchtime,

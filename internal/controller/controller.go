@@ -112,8 +112,9 @@ type Config struct {
 	// ARP expiry): runs of provably no-op rounds collapse into one bulk
 	// event crediting their aggregate effect (see fold.go). It reports
 	// whether folding is currently allowed — the harness wires it to the
-	// underlay's fault-free predicate — and takes effect only when the
-	// environment supports elision (netsim.ElidableScheduler).
+	// underlay's fault-free predicate — and takes effect only on the
+	// DES, where every periodic duty is a sim.Elider (see
+	// netsim.EveryElidableOrReal).
 	FoldGate func() bool
 	// FoldMeter credits the wire bytes of messages a folded round would
 	// have sent (same contract as edge.FoldHooks.Meter).
@@ -254,7 +255,7 @@ type Controller struct {
 	// apply posts every copy up front; see flood).
 	floods *netsim.Sequencer
 
-	// Control-fold task handles (nil without Config.FoldGate).
+	// Periodic task handles (kaTask is nil without Config.FoldGate).
 	kaTask     netsim.ElidableTask
 	expireTask netsim.ElidableTask
 
@@ -434,25 +435,25 @@ func (c *Controller) RegisterTenant(vlan model.VLAN, tenant model.TenantID) {
 	c.tenants[vlan] = tenant
 }
 
-// Start begins periodic duties: keep-alives, failover checks, and (in
-// lazy dynamic mode) regroup-trigger evaluation. With the control fold
-// (Config.FoldGate) the keep-alive send and failure check merge into
-// one elidable task (send-then-check, the order the separate
-// registrations produced) and ARP expiry becomes elidable; regroup
-// evaluation always stays real — it reads the intensity matrix, which
-// folding cannot reason about.
+// Start begins periodic duties: keep-alives, failover checks, ARP
+// expiry (one elidable task in both modes) and, in lazy dynamic mode,
+// regroup-trigger evaluation, which stays real: it reads the intensity
+// matrix, which folding cannot reason about. Under the control fold the
+// keep-alive send and failure check are one elidable task
+// (send-then-check, the order of the two plain tasks they are without
+// it). Merging them without the fold would halve their events and move
+// every non-fold golden digest.
 func (c *Controller) Start() {
 	if c.cfg.FoldGate != nil {
 		c.kaTask = netsim.EveryElidableOrReal(c.env, c.cfg.KeepAliveInterval,
 			func() { c.sendKeepAlives(); c.checkFailures() },
 			c.kaQuiet, c.kaCredit)
-		c.expireTask = netsim.EveryElidableOrReal(c.env, arpTimeout,
-			c.expirePending, c.expireQuiet, func(int) {})
 	} else {
 		c.env.Every(c.cfg.KeepAliveInterval, c.sendKeepAlives)
 		c.env.Every(c.cfg.KeepAliveInterval, c.checkFailures)
-		c.env.Every(arpTimeout, c.expirePending)
 	}
+	c.expireTask = netsim.EveryElidableOrReal(c.env, arpTimeout,
+		c.expirePending, c.expireQuiet, func(int) {})
 	if c.regroups() {
 		c.env.Every(regroupCheckInterval, c.maybeRegroup)
 	}

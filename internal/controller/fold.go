@@ -87,9 +87,10 @@ func (c *Controller) kaCredit(rounds int) {
 
 // expireQuiet proves upcoming ARP-expiry rounds no-ops: no flow is
 // pending resolution. A new pending flow wakes the task at its append
-// site, so the first post-fold check runs within one timeout.
+// site, so the first post-fold check runs within one timeout. Without
+// a FoldGate the task never folds.
 func (c *Controller) expireQuiet() int {
-	if !c.cfg.FoldGate() {
+	if c.cfg.FoldGate == nil || !c.cfg.FoldGate() {
 		return 0
 	}
 	if c.state.pendingLen() > 0 {

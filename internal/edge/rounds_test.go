@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -288,4 +289,105 @@ func mustEncode(t *testing.T, m openflow.Message) []byte {
 		t.Fatal(err)
 	}
 	return wire
+}
+
+// duty names the periodic duty a control message a switch sent
+// belongs to.
+func duty(m sentMsg) string {
+	switch msg := m.msg.(type) {
+	case *openflow.KeepAlive:
+		return "keep-alive"
+	case *openflow.GFIBUpdate, *openflow.GFIBDelta:
+		return "dissemination"
+	case *openflow.StateReport:
+		if m.to == model.ControllerNode {
+			return "report"
+		}
+		return "advertisement"
+	default:
+		return fmt.Sprintf("%T", msg)
+	}
+}
+
+// TestStopCancelsEveryDuty pins that a switch without Fold stops every
+// periodic duty it registered. The switch runs alone on the DES beside
+// a silent controller, so nothing reaches it and each of its sends
+// comes from its own timers. A GroupConfig that drops the designated
+// role, or replaces it with a fresh one, must stop the old role's
+// dissemination and report too: once the role is gone from the switch,
+// those tasks are reachable only through its task list. After Stop,
+// running on sends nothing and leaves no event queued.
+func TestStopCancelsEveryDuty(t *testing.T) {
+	dropped := roundsConfig(1, 2)
+	dropped.Designated = 2
+	replaced := roundsConfig(1, 2)
+	replaced.Members = []model.SwitchID{1, 2, 3, 4}
+	for _, tc := range []struct {
+		name   string
+		id     model.SwitchID
+		later  *openflow.GroupConfig // applied halfway, if set
+		before []string              // duties sent from timers before Stop
+		after  []string              // duties sent after later
+	}{
+		{name: "member", id: 2, before: []string{"advertisement", "keep-alive"}},
+		{name: "designated", id: 1, before: []string{"keep-alive", "dissemination", "report"}},
+		{name: "role dropped", id: 1, later: dropped,
+			before: []string{"keep-alive", "dissemination", "report"},
+			after:  []string{"advertisement", "keep-alive"}},
+		{name: "role replaced", id: 1, later: replaced,
+			before: []string{"keep-alive", "dissemination", "report"},
+			after:  []string{"keep-alive", "dissemination", "report"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			n := netsim.New(s, netsim.DefaultLatencies())
+			n.Attach(&ctrlRecorder{})
+			log := &sendLog{Env: n.Env(tc.id), t: t}
+			sw := New(Config{ID: tc.id}, log)
+			n.Attach(sw)
+			sw.Start()
+			sw.AttachHost(model.HostMAC(model.HostID(10*tc.id)), model.HostIP(model.HostID(10*tc.id)), 1)
+			sw.HandleMessage(model.ControllerNode, roundsConfig(tc.id, 1))
+			// sentFrom counts the duties of the sends made from a timer
+			// (a second past the config's own sends) since index i.
+			sentFrom := func(i int, since time.Duration) map[string]int {
+				got := make(map[string]int)
+				for _, m := range log.sent[i:] {
+					if m.at > since+time.Second {
+						got[duty(m)]++
+					}
+				}
+				return got
+			}
+			s.RunFor(250 * time.Second)
+			for _, d := range tc.before {
+				if sentFrom(0, 0)[d] == 0 {
+					t.Errorf("no %s sent before Stop: sent %v", d, sentFrom(0, 0))
+				}
+			}
+			if tc.later != nil {
+				mark, at := len(log.sent), s.Now().Duration()
+				sw.HandleMessage(model.ControllerNode, tc.later)
+				s.RunFor(250 * time.Second)
+				got := sentFrom(mark, at)
+				for _, d := range tc.after {
+					if got[d] == 0 {
+						t.Errorf("no %s sent after the second config: sent %v", d, got)
+					}
+				}
+				if tc.later.Designated != tc.id && (got["dissemination"] > 0 || got["report"] > 0) {
+					t.Errorf("the dropped role still sends: %v", got)
+				}
+			}
+			mark := len(log.sent)
+			sw.Stop()
+			s.RunFor(250 * time.Second)
+			for _, m := range log.sent[mark:] {
+				t.Errorf("sent %T (%s) to %v at %v after Stop", m.msg, duty(m), m.to, m.at)
+			}
+			if p := s.Pending(); p != 0 {
+				t.Errorf("%d events still queued after Stop", p)
+			}
+		})
+	}
 }

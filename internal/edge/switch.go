@@ -48,7 +48,8 @@ type Config struct {
 	// their aggregate effect in closed form (see fold.go). It supplies
 	// the harness-side oracles the fold's quiet proofs need (global
 	// fault gate, peer freshness, wire metering) and takes effect only
-	// when the environment supports elision (netsim.ElidableScheduler).
+	// on the DES, where every periodic duty is a sim.Elider (see
+	// netsim.EveryElidableOrReal).
 	Fold *FoldHooks
 	// TrackEscalations enables failover escalation bookkeeping (see
 	// fencing.go): unanswered no-match PacketIns are remembered per
@@ -219,9 +220,11 @@ type Switch struct {
 
 	// Keep-alive bookkeeping: ring holds an entry per wheel neighbor
 	// heard or checked since the ring last changed, at most two.
-	kaSeq   uint64
-	ring    map[model.SwitchID]ringNeighbor
-	cancels []func()
+	kaSeq uint64
+	ring  map[model.SwitchID]ringNeighbor
+	// cancels holds every registered periodic duty: those of a role
+	// that handleGroupConfig dropped or replaced are reachable only here.
+	cancels []netsim.ElidableTask
 	started bool
 	stats   Stats
 
@@ -234,7 +237,7 @@ type Switch struct {
 	packetIns  *netsim.Block[openflow.PacketIn]
 	heartbeats *netsim.Block[openflow.KeepAlive]
 
-	// Control-fold task handles (nil without Config.Fold): wake hooks
+	// Periodic task handles (nil until registered): wake hooks
 	// re-materialize the timers whose quiet proof a state change
 	// invalidates. The designated duties' handles live in the role.
 	advTask     netsim.ElidableTask
@@ -321,16 +324,13 @@ func (s *Switch) Start() {
 		s.advertiseQuiet, s.advertiseCredit)
 }
 
-// registerPeriodic wires one periodic duty, elidable when the control
-// fold is enabled; the task's cancel joins the group-timer teardown
-// either way (ElidableTask.Stop settles pending folds first).
+// registerPeriodic wires one periodic duty and adds it to the
+// group-timer teardown (ElidableTask.Stop settles pending folds
+// first). Every quiet predicate starts with foldGateOpen, so without
+// Config.Fold the duty never folds.
 func (s *Switch) registerPeriodic(interval time.Duration, run func(), quiet func() int, credit func(int)) netsim.ElidableTask {
-	if s.cfg.Fold == nil {
-		s.cancels = append(s.cancels, s.env.Every(interval, run))
-		return nil
-	}
 	t := netsim.EveryElidableOrReal(s.env, interval, run, quiet, credit)
-	s.cancels = append(s.cancels, t.Stop)
+	s.cancels = append(s.cancels, t)
 	return t
 }
 
@@ -345,8 +345,8 @@ func (s *Switch) Stop() {
 
 // cancelTimers stops every periodic duty and drops the fold handles.
 func (s *Switch) cancelTimers() {
-	for _, c := range s.cancels {
-		c()
+	for _, t := range s.cancels {
+		t.Stop()
 	}
 	s.cancels = s.cancels[:0]
 	s.advTask, s.kaSendTask, s.kaCheckTask = nil, nil, nil

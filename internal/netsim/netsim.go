@@ -445,8 +445,7 @@ func (e *simEnv) After(d time.Duration, fn func()) func() {
 }
 
 func (e *simEnv) Every(d time.Duration, fn func()) func() {
-	t := e.net.sim.Every(d, fn)
-	return func() { t.Stop() }
+	return e.net.sim.Every(d, fn).Stop
 }
 
 func (e *simEnv) Send(to model.SwitchID, msg Message) { e.net.send(e.id, to, msg) }
@@ -710,9 +709,9 @@ func BlockFor[T any](env Env) *Block[T] {
 }
 
 // ElidableTask is the handle of a periodic task that may fold
-// quiescent rounds analytically (see sim.Elider). The zero-cost
-// fallback returned for environments without elision support never
-// folds, so Wake is a no-op and CreditedThrough stays zero.
+// quiescent rounds analytically. On the DES it is a *sim.Elider. The
+// fallback returned for any other environment never folds, so Wake is
+// a no-op and CreditedThrough stays zero.
 type ElidableTask interface {
 	// Wake re-materializes the task's timer: past folded rounds are
 	// credited and the next round runs as a real event.
@@ -724,24 +723,18 @@ type ElidableTask interface {
 	CreditedThrough() time.Duration
 }
 
-// ElidableScheduler is implemented by environments (the DES simEnv)
-// that support periodic-round elision. quiet reports, after each real
-// round, how many upcoming rounds are provably no-ops; credit settles
-// that many rounds analytically.
-type ElidableScheduler interface {
-	EveryElidable(d time.Duration, run func(), quiet func() int, credit func(rounds int)) ElidableTask
-}
-
-// EveryElidableOrReal registers run as an elidable periodic task when
-// env supports it, degrading to a plain Every otherwise. Nodes use it
-// so elision stays an optimization: behavior with the fallback is the
+// EveryElidableOrReal registers run as a periodic task that folds its
+// quiescent rounds on the DES: quiet reports, after each real round,
+// how many upcoming rounds are provably no-ops, and credit settles that
+// many rounds analytically (see sim.Elider). Any other environment
+// gets a plain Every. Nodes use it so elision stays an optimization:
+// behavior with the fallback, or with a quiet that returns 0, is the
 // pre-elision behavior exactly.
 func EveryElidableOrReal(env Env, d time.Duration, run func(), quiet func() int, credit func(rounds int)) ElidableTask {
-	if es, ok := env.(ElidableScheduler); ok {
-		return es.EveryElidable(d, run, quiet, credit)
+	if e, ok := env.(*simEnv); ok {
+		return e.net.sim.EveryElidable(d, run, quiet, credit)
 	}
-	cancel := env.Every(d, run)
-	return &realTask{cancel: cancel}
+	return &realTask{cancel: env.Every(d, run)}
 }
 
 // realTask is the non-eliding fallback of EveryElidableOrReal.
@@ -755,17 +748,3 @@ func (t *realTask) Stop() {
 	}
 }
 func (t *realTask) CreditedThrough() time.Duration { return 0 }
-
-// elidedTask adapts sim.Elider to ElidableTask.
-type elidedTask struct{ el *sim.Elider }
-
-func (t *elidedTask) Wake() { t.el.Wake() }
-func (t *elidedTask) Stop() { t.el.Stop() }
-func (t *elidedTask) CreditedThrough() time.Duration {
-	return t.el.CreditedThrough().Duration()
-}
-
-// EveryElidable implements ElidableScheduler on the DES environment.
-func (e *simEnv) EveryElidable(d time.Duration, run func(), quiet func() int, credit func(rounds int)) ElidableTask {
-	return &elidedTask{el: e.net.sim.EveryElidable(d, run, quiet, credit)}
-}

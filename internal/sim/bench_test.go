@@ -35,6 +35,27 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
+// warmTimerHeaps has 4·GOMAXPROCS goroutines sleep at once, so that
+// every P's timer heap has been allocated and grown. Without it a
+// benchmark that runs after one leaving much garbage (SortedBurst) can
+// read one allocation in its timed region: the runtime's background
+// scavenger, returning that memory, puts its sleep timer on a P whose
+// heap has never held one, and growing that heap allocates. Run
+// together, PeriodicRounds, SortedBurst and FloodSeries read that
+// allocation in FloodSeries in 8 of 30 runs, enough to fail its
+// 0-allocs gate under cmd/bench.
+func warmTimerHeaps() {
+	var wg sync.WaitGroup
+	for range 4 * runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			time.Sleep(time.Millisecond)
+			wg.Done()
+		}()
+	}
+	wg.Wait()
+}
+
 // parkThreads leaves n more idle OS threads in the scheduler, as
 // internal/fib's benchmarks do. PeriodicRounds and FloodSeries are
 // gated at zero allocs/op, and the timer's own stop-the-world restarts
@@ -59,12 +80,13 @@ func parkThreads(n int) {
 }
 
 // BenchmarkPeriodicRounds is the background-day shape: about 2,000
-// tickers over six intervals, started at different phases, with 64
+// Every tasks over six intervals, started at different phases, with 64
 // jittered one-shot chains in flight — a queue about 2,100 deep in
 // which two events in three are same-interval re-arms. One op is 100
 // simulated seconds in steady state.
 func BenchmarkPeriodicRounds(b *testing.B) {
 	parkThreads(2 * runtime.GOMAXPROCS(0))
+	warmTimerHeaps()
 	s := New(1)
 	intervals := []time.Duration{200 * time.Millisecond, time.Second, 5 * time.Second,
 		10 * time.Second, 30 * time.Second, time.Minute}
@@ -112,6 +134,7 @@ func BenchmarkSortedBurst(b *testing.B) {
 func BenchmarkFloodSeries(b *testing.B) {
 	const copies, service = 271, 125 * time.Microsecond
 	parkThreads(2 * runtime.GOMAXPROCS(0))
+	warmTimerHeaps()
 	type flood struct {
 		sr   Series
 		left int

@@ -7,16 +7,16 @@ import "time"
 // even for tasks that are quiet for the whole run.
 const maxElideRounds = 4096
 
-// Elider is a periodic task that can collapse runs of quiescent rounds
-// into a single bulk event. It behaves like Every(interval, run) —
-// same phase, same fire times — except that after each real run the
-// task's quiet predicate is consulted: a return of n > 0 means "the
-// next n rounds are provably no-ops whose aggregate effect is known in
-// closed form", and the simulator schedules one event n+1 intervals
-// out that first credits the n folded rounds analytically and then
-// runs round n+1 for real. Wake re-materializes the timer early when
-// state changes: rounds whose boundary has already passed are credited,
-// and the next round runs as a real event.
+// Elider is the simulator's periodic task; Every makes one that never
+// folds. With a quiet predicate it can collapse runs of quiescent
+// rounds into a single bulk event without shifting its phase:
+// after each real run the predicate is consulted, a return of n > 0
+// means "the next n rounds are provably no-ops whose aggregate effect
+// is known in closed form", and the simulator schedules one event n+1
+// intervals out that first credits the n folded rounds analytically and
+// then runs round n+1 for real. Wake re-materializes the timer early
+// when state changes: rounds whose boundary has already passed are
+// credited, and the next round runs as a real event.
 //
 // The credit callback observes CreditedThrough(): when credit(n) is
 // invoked the elider has already advanced its round clock, so the n
@@ -49,13 +49,13 @@ type Elider struct {
 }
 
 // EveryElidable schedules an elidable periodic task. run fires every
-// interval starting one interval from now, exactly like Every, but
-// whenever quiet() reports n > 0 after a real run, the next n rounds
-// are folded into one bulk event that calls credit(n) and then run().
-// quiet and credit may be nil (the task then never folds).
+// interval starting one interval from now, but whenever quiet()
+// reports n > 0 after a real run, the next n rounds are folded into
+// one bulk event that calls credit(n) and then run(). quiet and credit
+// may be nil (the task then never folds, which is Every).
 func (s *Simulator) EveryElidable(interval time.Duration, run func(), quiet func() int, credit func(rounds int)) *Elider {
 	if interval <= 0 {
-		panic("sim: EveryElidable requires a positive interval")
+		panic("sim: a periodic task requires a positive interval")
 	}
 	e := &Elider{
 		sim:      s,
@@ -107,23 +107,18 @@ func (e *Elider) fire() {
 }
 
 // settle credits the folded rounds whose boundaries have passed and
-// clears the fold. It returns whether a fold was pending.
-func (e *Elider) settle() bool {
+// clears the fold.
+func (e *Elider) settle() {
 	n := e.elided
 	if n == 0 {
-		return false
+		return
 	}
 	e.elided = 0
-	done := int((e.sim.now - e.lastFire) / e.interval)
-	if done > n {
-		done = n
-	}
-	if done > 0 {
+	if done := min(int((e.sim.now-e.lastFire)/e.interval), n); done > 0 {
 		e.lastFire += Time(done) * e.interval
 		e.creditedThrough = e.lastFire
 		e.credit(done)
 	}
-	return true
 }
 
 // Wake re-materializes an elided task: folded rounds already in the
@@ -164,15 +159,9 @@ func (e *Elider) Stop() {
 // could invalidate them (a fault, a report) wakes the task and settles
 // exactly the pre-change rounds first. Real (unfolded) rounds never
 // advance this boundary.
-func (e *Elider) CreditedThrough() Time {
-	if e.elided > 0 {
-		done := int((e.sim.now - e.lastFire) / e.interval)
-		if done > e.elided {
-			done = e.elided
-		}
-		if done > 0 {
-			return e.lastFire + Time(done)*e.interval
-		}
+func (e *Elider) CreditedThrough() time.Duration {
+	if done := min(int((e.sim.now-e.lastFire)/e.interval), e.elided); done > 0 {
+		return (e.lastFire + Time(done)*e.interval).Duration()
 	}
-	return e.creditedThrough
+	return e.creditedThrough.Duration()
 }

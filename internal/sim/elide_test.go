@@ -19,7 +19,7 @@ func TestElideFoldsQuietRounds(t *testing.T) {
 		func() int { return 9 },
 		func(rounds int) {
 			for i := rounds - 1; i >= 0; i-- {
-				credited = append(credited, el.CreditedThrough()-Time(i)*Time(interval))
+				credited = append(credited, Time(el.CreditedThrough()-time.Duration(i)*interval))
 			}
 		})
 	s.RunUntil(Time(100 * time.Second))
@@ -78,7 +78,7 @@ func TestElideWakeRematerializes(t *testing.T) {
 	if creditedRounds != 4 {
 		t.Fatalf("credited %d rounds at wake, want 4", creditedRounds)
 	}
-	if got := el.CreditedThrough(); got != Time(5*time.Second) {
+	if got := el.CreditedThrough(); got != 5*time.Second {
 		t.Fatalf("CreditedThrough %v, want 5s", got)
 	}
 	// The next round is real at 6s — phase preserved.

@@ -10,9 +10,11 @@ import (
 
 // The reference simulator: the kernel as it was before the lanes — one
 // container/heap of *refEvent ordered by (at, seq) — with Every and
-// EveryElidable written on its At/After exactly as Ticker and Elider
-// are written on the real one, so both issue the same schedule calls in
-// the same order. It pools nothing: a stop function points at its own
+// EveryElidable written on its At/After. EveryElidable is Elider line
+// for line. Every is the plain re-arming closure the real Every was
+// before it became an Elider that never folds, so the differential
+// also checks that merge: both issue the same schedule calls in the
+// same order. It pools nothing: a stop function points at its own
 // event for good, which is the behaviour the real simulator's
 // generation check has to reproduce.
 
@@ -592,7 +594,7 @@ func directedCases(t *testing.T) {
 		{
 			name: "same interval created mid-round",
 			script: func(t *testing.T, w world, mark marker) {
-				// Ticker 3 is born inside ticker 1's callback, between
+				// Task 3 is born inside task 1's callback, between
 				// 1's fire and 1's re-arm: at 20 ms it runs first.
 				born := false
 				w.Every(10*ms, func() {

@@ -13,6 +13,10 @@
 // split changes what an event costs, never the order. A Series queues
 // one firing at a time on sequence numbers reserved at its start, so it
 // too changes the cost of its firings and not their order.
+//
+// Every periodic task is an Elider (elide.go). Every makes one that
+// never folds; EveryElidable adds a quiet predicate and a credit, which
+// let runs of provably no-op rounds collapse into one bulk event.
 package sim
 
 import (
@@ -37,9 +41,9 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // executed or collected after cancellation they return to the
 // simulator's free list and are recycled by later At/After calls, so
 // scheduling a func that already exists does not allocate. Periodic
-// tasks (Ticker, Elider) and netsim deliveries bind their callback
-// once and re-schedule that same func, so a steady-state round costs
-// no allocation in this layer either. The generation counter
+// tasks (Elider) and netsim deliveries bind their callback once and
+// re-schedule that same func, so a steady-state round costs no
+// allocation in this layer either. The generation counter
 // distinguishes a recycled event from the one a Timer was issued for:
 // an event leaves the queue only to be released, so a matching
 // generation also means "still queued".
@@ -219,46 +223,10 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 }
 
 // Every schedules fn to run every interval, starting one interval from
-// now, until the returned Ticker is stopped.
-func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
-	if interval <= 0 {
-		panic("sim: Every requires a positive interval")
-	}
-	tk := &Ticker{sim: s, interval: interval, fn: fn, lane: s.queue.lane(Time(interval))}
-	tk.fire = tk.tick
-	tk.schedule()
-	return tk
-}
-
-// Ticker repeatedly fires a callback at a fixed virtual-time interval.
-type Ticker struct {
-	sim      *Simulator
-	interval time.Duration
-	fn       func()
-	lane     *lane  // takes the re-arms: each is at now + interval, so they arrive sorted
-	fire     func() // tk.tick, bound once so a re-arm does not allocate
-	timer    Timer
-	stopped  bool
-}
-
-func (tk *Ticker) schedule() {
-	tk.timer = tk.sim.schedule(tk.sim.now+Time(tk.interval), tk.lane, tk.fire)
-}
-
-func (tk *Ticker) tick() {
-	if tk.stopped {
-		return
-	}
-	tk.fn()
-	if !tk.stopped {
-		tk.schedule()
-	}
-}
-
-// Stop cancels future ticks.
-func (tk *Ticker) Stop() {
-	tk.stopped = true
-	tk.timer.Stop()
+// now, until the returned task is stopped. It is an Elider that never
+// folds.
+func (s *Simulator) Every(interval time.Duration, fn func()) *Elider {
+	return s.EveryElidable(interval, fn, nil, nil)
 }
 
 // step executes the next pending event, if any, and reports whether one ran.

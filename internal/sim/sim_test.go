@@ -129,10 +129,12 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestTickerStop(t *testing.T) {
+// TestEveryStop pins Every's stop semantics: a task stopped from its
+// own round runs no further round and queues no further event.
+func TestEveryStop(t *testing.T) {
 	s := New(1)
 	var count int
-	var tk *Ticker
+	var tk *Elider
 	tk = s.Every(time.Second, func() {
 		count++
 		if count == 3 {
@@ -141,12 +143,15 @@ func TestTickerStop(t *testing.T) {
 	})
 	s.RunFor(10 * time.Second)
 	if count != 3 {
-		t.Errorf("count = %d, want 3 (ticker stopped)", count)
+		t.Errorf("count = %d, want 3 (task stopped)", count)
+	}
+	if n := s.Executed(); n != 3 {
+		t.Errorf("executed %d events, want 3 (no re-arm after Stop)", n)
 	}
 }
 
 // TestSteadyStateRoundsDoNotAllocate pins that a warmed periodic round
-// costs no allocation: a Ticker round, an Elider real round, and an
+// costs no allocation: an Every round, an Elider real round, and an
 // Elider bulk round that credits three folded rounds and runs the
 // fourth. Each task re-arms the func it bound at creation.
 func TestSteadyStateRoundsDoNotAllocate(t *testing.T) {
