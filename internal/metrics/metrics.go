@@ -45,15 +45,9 @@ const (
 	ReqARPRelay
 	ReqStateReport
 	ReqFloodOut
-	ReqFlowMod
 	ReqKeepAlive
 	ReqRegroup
 )
-
-// RequestClasses enumerates all classes (for reports).
-var RequestClasses = []RequestClass{
-	ReqPacketIn, ReqARPRelay, ReqStateReport, ReqFloodOut, ReqFlowMod, ReqKeepAlive, ReqRegroup,
-}
 
 // String names the class.
 func (c RequestClass) String() string {
@@ -66,8 +60,6 @@ func (c RequestClass) String() string {
 		return "state-report"
 	case ReqFloodOut:
 		return "flood-out"
-	case ReqFlowMod:
-		return "flow-mod"
 	case ReqKeepAlive:
 		return "keep-alive"
 	case ReqRegroup:

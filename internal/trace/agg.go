@@ -310,13 +310,9 @@ func searchFloat64s(a []float64, x float64) int {
 // previously silent pairs (the same pair-draw loop as the per-flow
 // extras, minus start times and payloads). Duplicate pairs within a
 // window may emit multiple cells; the fold's per-key aggregation merges
-// them. Panics if the base stream cannot emit aggregate windows.
+// them.
 func (e *expandStream) AggWindow(w int, buf []PairAgg) []PairAgg {
-	as, ok := e.base.(AggStream)
-	if !ok {
-		panic("trace: expand base does not support aggregate windows")
-	}
-	buf = as.AggWindow(w, buf)
+	buf = e.base.AggWindow(w, buf)
 	n := e.extraCounts[w]
 	if n == 0 {
 		return buf
@@ -330,19 +326,10 @@ func (e *expandStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	return buf
 }
 
-// AggWindowSplit implements BackgroundStream: the base's cells as
-// foreground (recursing through stacked expansions) and this window's
-// extra flows as the background count.
+// AggWindowSplit implements BackgroundStream: the generator's cells as
+// foreground and this window's extra flows as the background count.
 func (e *expandStream) AggWindowSplit(w int, buf []PairAgg) ([]PairAgg, int) {
-	if bs, ok := e.base.(BackgroundStream); ok {
-		cells, bg := bs.AggWindowSplit(w, buf)
-		return cells, bg + e.extraCounts[w]
-	}
-	as, ok := e.base.(AggStream)
-	if !ok {
-		panic("trace: expand base does not support aggregate windows")
-	}
-	return as.AggWindow(w, buf), e.extraCounts[w]
+	return e.base.AggWindow(w, buf), e.extraCounts[w]
 }
 
 // BackgroundSample implements BackgroundStream: k independent draws

@@ -12,25 +12,6 @@ import (
 	"lazyctrl/internal/model"
 )
 
-// basePairs is implemented by streams that can enumerate the host
-// pairs their flows land on: the generator exposes its communicating
-// pool, a materialized adapter its realized pairs. ExpandStream needs
-// it to place extra flows on previously silent pairs.
-type basePairs interface {
-	basePairKeys() map[model.FlowKey]struct{}
-}
-
-// noisePairs is the additional hook for generator bases with a noise
-// band (NoiseFraction > 0): their one-off pairs land outside the
-// enumerable pool, so "previously silent" cannot be judged from
-// basePairKeys alone. The generator hash-splits the all-pairs space
-// and confines noise to one half; noisePairExcluded reports pairs in
-// that half, which the expansion must skip — making the two flow
-// populations provably disjoint without enumerating realized noise.
-type noisePairs interface {
-	noisePairExcluded(k model.FlowKey) bool
-}
-
 // expandSalt separates the combinator's per-window random streams from
 // the base generator's.
 const expandSalt = 0x0ddc0ffee
@@ -43,13 +24,13 @@ const expandSalt = 0x0ddc0ffee
 const ExpandIntraTenantShare = 0.7
 
 // expandStream lays extra flows among previously silent pairs on top
-// of a base stream, window by window: each base window is generated by
-// the base, the window's apportioned share of the extra flows is
-// emitted from an independent (seed, window) random stream, and the
-// merged window is re-sorted. Memory stays O(window) plus the silent-
-// pair exclusion set (bounded by the base's pair pool).
+// of a generator stream, window by window: each base window is
+// generated by the base, the window's apportioned share of the extra
+// flows is emitted from an independent (seed, window) random stream,
+// and the merged window is re-sorted. Memory stays O(window) plus the
+// silent-pair exclusion set (the base's pair pool).
 type expandStream struct {
-	base Stream
+	base *genStream
 	info StreamInfo
 	seed uint64
 	// winFrom/winTo clip each window's extra flows to the injection
@@ -62,25 +43,22 @@ type expandStream struct {
 
 	exclOnce sync.Once
 	excl     map[model.FlowKey]struct{}
-	// noiseExcl is the base's noise-half predicate (nil when the base
-	// has no noise band).
-	noiseExcl func(model.FlowKey) bool
 }
 
 // ExpandStream produces the paper's "expanded" trace (§V-D) as a
-// stream combinator: the base stream plus extraFraction (0.30)
-// additional flows among host pairs that did NOT communicate in the
-// base trace, injected uniformly during [fromHour, toHour) (8–24).
+// stream combinator: a generator stream (NewStream) plus extraFraction
+// (0.30) additional flows among host pairs that did NOT communicate in
+// the base trace, injected uniformly during [fromHour, toHour) (8–24).
 // Most new communication appears within tenants (applications growing
 // inside their slices); the rest is uniform across the data center.
 // The extra flows keep breaking traffic skewness over time, forcing
 // grouping updates.
 //
-// "Previously silent" is judged against the base stream's pair pool:
-// exact realized pairs for a materialized base, the communicating pool
-// for a generator base (whose non-noise flows all land on the pool; a
-// generator with a noise band may have realized one-off pairs outside
-// it, a vanishing set among the >20M possible pairs).
+// "Previously silent" is judged against the generator's communicating
+// pool, where every non-noise flow lands; a generator with a noise band
+// confines its one-off pairs to the noise half of the pair space, which
+// the extras skip. Any other base — a materialized trace's Stream, or
+// another expansion — is refused: expansions do not stack.
 func ExpandStream(base Stream, extraFraction float64, fromHour, toHour int, seed uint64) (Stream, error) {
 	if extraFraction <= 0 {
 		return nil, errors.New("trace: extraFraction must be positive")
@@ -88,19 +66,17 @@ func ExpandStream(base Stream, extraFraction float64, fromHour, toHour int, seed
 	if fromHour < 0 || toHour > 24 || fromHour >= toHour {
 		return nil, fmt.Errorf("trace: invalid hour window [%d,%d)", fromHour, toHour)
 	}
-	if _, ok := base.(basePairs); !ok {
-		return nil, errors.New("trace: base stream cannot enumerate its pairs")
+	g, ok := base.(*genStream)
+	if !ok {
+		return nil, errors.New("trace: expand base must be a generator stream")
 	}
-	info := base.Info()
+	info := g.info
 	hourLen := info.Duration / 24
 	e := &expandStream{
-		base: base,
+		base: g,
 		seed: seed,
 		from: time.Duration(fromHour) * hourLen,
 		to:   time.Duration(toHour) * hourLen,
-	}
-	if np, ok := base.(noisePairs); ok {
-		e.noiseExcl = np.noisePairExcluded
 	}
 	extra := int(float64(info.TotalFlows) * extraFraction)
 	weights := make([]float64, info.Windows)
@@ -112,18 +88,9 @@ func ExpandStream(base Stream, extraFraction float64, fromHour, toHour int, seed
 
 	info.Name += "-expanded"
 	info.TotalFlows += extra
-	if bs, ok := base.(*genStream); ok {
-		// Exact per-window peak for generator bases.
-		peak := 0
-		for w, n := range e.extraCounts {
-			if bs.counts[w]+n > peak {
-				peak = bs.counts[w] + n
-			}
-		}
-		info.MaxWindowFlows = peak
-	} else {
-		// Conservative bound: the base's peak plus the extra peak.
-		info.MaxWindowFlows += maxInts(e.extraCounts)
+	info.MaxWindowFlows = 0
+	for w, n := range e.extraCounts {
+		info.MaxWindowFlows = max(info.MaxWindowFlows, g.counts[w]+n)
 	}
 	e.info = info
 	return e, nil
@@ -140,26 +107,9 @@ func overlap(aFrom, aTo, bFrom, bTo time.Duration) time.Duration {
 // Info implements Stream.
 func (e *expandStream) Info() StreamInfo { return e.info }
 
-// basePairKeys lets expanded streams stack (Expand of Expand) by
-// re-exporting the underlying exclusion set. Note the limitation: a
-// second streamed expansion excludes the original base's pairs but
-// not the pairs the first expansion realized (enumerating those would
-// require generating every window, defeating streaming); the
-// materialized Expand path is exact even when stacked, because its
-// adapter excludes the realized flows.
-func (e *expandStream) basePairKeys() map[model.FlowKey]struct{} {
-	return e.exclusion()
-}
-
-// noisePairExcluded forwards the base's noise-half predicate so
-// stacked expansions keep avoiding the generator's one-off pairs.
-func (e *expandStream) noisePairExcluded(k model.FlowKey) bool {
-	return e.noiseExcl != nil && e.noiseExcl(k)
-}
-
 func (e *expandStream) exclusion() map[model.FlowKey]struct{} {
 	e.exclOnce.Do(func() {
-		e.excl = e.base.(basePairs).basePairKeys()
+		e.excl = e.base.basePairKeys()
 	})
 	return e.excl
 }
@@ -194,7 +144,7 @@ func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
 		// degenerate topology where the silent, non-noise pair space is
 		// (nearly) empty; the bounded escape mirrors the generator's
 		// own noise-draw loop.
-		if e.noiseExcl != nil && e.noiseExcl(key) && tries < 256 {
+		if e.base.noisePairExcluded(key) && tries < 256 {
 			continue
 		}
 		return a, b

@@ -116,33 +116,35 @@ func TestNoisyWindowsIndependent(t *testing.T) {
 	}
 }
 
-// allNoiseBase is a degenerate stub base whose noise predicate rejects
-// every pair: the worst case for the expansion's rejection loop.
-type allNoiseBase struct {
-	Stream
-}
-
-func (allNoiseBase) basePairKeys() map[model.FlowKey]struct{} {
-	return map[model.FlowKey]struct{}{}
-}
-func (allNoiseBase) noisePairExcluded(model.FlowKey) bool { return true }
-
 // TestExpandTerminatesUnderTotalNoiseExclusion pins the bounded escape
-// of the extras rejection loop: even when the base reserves the entire
-// pair space for noise, GenWindow must terminate (mirroring the
-// generator's own bounded noise draw) instead of spinning forever.
+// of the extras rejection loop: when every pair outside the generator's
+// noise half is excluded, so only noise-reserved pairs remain, GenWindow
+// must terminate (mirroring the generator's own bounded noise draw)
+// instead of spinning forever.
 func TestExpandTerminatesUnderTotalNoiseExclusion(t *testing.T) {
-	inner, err := NewStream(SmallConfig("degenerate", 5))
+	base, err := NewStream(SmallNoisyConfig("degenerate", 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ExpandStream(allNoiseBase{inner}, 0.10, 8, 24, 3)
+	s, err := ExpandStream(base, 0.10, 8, 24, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := exp.Info()
+	e := s.(*expandStream)
+	hosts := e.info.Directory.NumHosts()
+	e.exclOnce.Do(func() {
+		e.excl = make(map[model.FlowKey]struct{})
+		for a := 1; a <= hosts; a++ {
+			for b := a + 1; b <= hosts; b++ {
+				k := model.FlowKey{Src: model.HostID(a), Dst: model.HostID(b)}.Canonical()
+				if !e.base.noisePairExcluded(k) {
+					e.excl[k] = struct{}{}
+				}
+			}
+		}
+	})
 	done := make(chan int, 1)
-	go func() { done <- len(exp.GenWindow(info.Windows-1, nil)) }()
+	go func() { done <- len(s.GenWindow(e.info.Windows-1, nil)) }()
 	select {
 	case n := <-done:
 		if n == 0 {

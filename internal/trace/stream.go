@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"lazyctrl/internal/model"
 	"lazyctrl/internal/tenant"
 )
 
@@ -163,20 +162,18 @@ func Materialize(s Stream) *Trace {
 }
 
 // sliceStream adapts a materialized *Trace to the Stream interface:
-// GenWindow returns sub-slices of the flow slice (zero copy).
+// GenWindow returns sub-slices of the flow slice (zero copy). It is a
+// replay source only: ExpandStream refuses it as a base.
 type sliceStream struct {
 	t       *Trace
 	windows int
-
-	pairsOnce sync.Once
-	pairs     map[model.FlowKey]struct{}
 }
 
 // Stream returns a slice-backed stream over the materialized trace,
 // partitioned into the given number of windows (0 selects one per
 // hour). Windows are served as sub-slices of Flows, so the adapter
-// adds no memory; it exists so stream consumers and combinators can
-// run over small materialized traces in tests.
+// adds no memory; it exists so stream consumers can run over small
+// materialized traces in tests.
 func (t *Trace) Stream(windows int) Stream {
 	if windows <= 0 {
 		windows = 24
@@ -211,20 +208,6 @@ func (s *sliceStream) GenWindow(w int, buf []Flow) []Flow {
 }
 
 func (s *sliceStream) drawWindow(w int, buf []Flow) []Flow { return s.GenWindow(w, buf) }
-
-// basePairKeys implements the pair-pool hook ExpandStream uses to
-// place extra flows on previously silent pairs: for a materialized
-// trace the realized pairs are known exactly.
-func (s *sliceStream) basePairKeys() map[model.FlowKey]struct{} {
-	s.pairsOnce.Do(func() {
-		s.pairs = make(map[model.FlowKey]struct{})
-		for i := range s.t.Flows {
-			f := &s.t.Flows[i]
-			s.pairs[model.FlowKey{Src: f.Src, Dst: f.Dst}.Canonical()] = struct{}{}
-		}
-	})
-	return s.pairs
-}
 
 // Prefetcher generates a stream's windows ahead of the consumer on a
 // bounded pipeline: up to depth windows are in flight concurrently,

@@ -271,9 +271,9 @@ func (g *genStream) noiseEligible(k model.FlowKey) bool {
 	return SplitMix64(pairHash64(k)^g.noiseSalt)&1 == 0
 }
 
-// noisePairExcluded implements the Expand combinator's exclusion hook:
-// with a noise band configured, any pair the generator could realize
-// as one-off noise is off limits for expansion extras.
+// noisePairExcluded reports the pairs the Expand combinator's extras
+// skip: with a noise band configured, any pair the generator could
+// realize as one-off noise.
 func (g *genStream) noisePairExcluded(k model.FlowKey) bool {
 	return g.cfg.NoiseFraction > 0 && g.noiseEligible(k)
 }
@@ -501,9 +501,9 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 // Info implements Stream.
 func (g *genStream) Info() StreamInfo { return g.info }
 
-// basePairKeys exposes the communicating-pair pool for the Expand
-// combinator: every flow the generator emits outside the noise band
-// lands on one of these pairs.
+// basePairKeys returns the communicating-pair pool, the Expand
+// combinator's exclusion set: every flow the generator emits outside
+// the noise band lands on one of these pairs.
 func (g *genStream) basePairKeys() map[model.FlowKey]struct{} {
 	pool := make(map[model.FlowKey]struct{}, len(g.hot)+len(g.cold)+len(g.scatter))
 	for _, band := range [][]model.FlowKey{g.hot, g.cold, g.scatter} {

@@ -198,12 +198,12 @@ func TestSwitchIntensity(t *testing.T) {
 }
 
 func TestExpand(t *testing.T) {
-	base := smallTrace(t, 8)
-	s, err := ExpandStream(base.Stream(0), 0.30, 8, 24, 99)
+	gs := smallStream(t, 8)
+	s, err := ExpandStream(gs, 0.30, 8, 24, 99)
 	if err != nil {
 		t.Fatalf("ExpandStream: %v", err)
 	}
-	exp := Materialize(s)
+	base, exp := Materialize(gs), Materialize(s)
 	wantExtra := int(float64(base.NumFlows()) * 0.30)
 	if got := exp.NumFlows() - base.NumFlows(); got != wantExtra {
 		t.Errorf("extra flows = %d, want %d", got, wantExtra)
@@ -236,21 +236,29 @@ func TestExpand(t *testing.T) {
 			t.Fatal("expanded flows not sorted")
 		}
 	}
-	if _, err := ExpandStream(base.Stream(0), -1, 8, 24, 1); err == nil {
+	if _, err := ExpandStream(gs, -1, 8, 24, 1); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if _, err := ExpandStream(base.Stream(0), 0.3, 20, 8, 1); err == nil {
+	if _, err := ExpandStream(gs, 0.3, 20, 8, 1); err == nil {
 		t.Error("inverted hour window accepted")
+	}
+	// Only a generator is a base: neither a materialized trace nor
+	// another expansion.
+	if _, err := ExpandStream(base.Stream(0), 0.3, 8, 24, 1); err == nil {
+		t.Error("materialized base accepted")
+	}
+	if _, err := ExpandStream(s, 0.1, 12, 20, 1); err == nil {
+		t.Error("stacked expansion accepted")
 	}
 }
 
 func TestExpandLowersLocality(t *testing.T) {
-	base := smallTrace(t, 10)
-	s, err := ExpandStream(base.Stream(0), 0.5, 0, 24, 11)
+	gs := smallStream(t, 10)
+	s, err := ExpandStream(gs, 0.5, 0, 24, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := Materialize(s)
+	base, exp := Materialize(gs), Materialize(s)
 	cBase, err := AverageCentrality(base, 5, 1)
 	if err != nil {
 		t.Fatal(err)
