@@ -225,13 +225,7 @@ func main() {
 
 	runErr("Failover", func() error {
 		const faultAt = 30 * time.Minute
-		const round = 10 * time.Second
-		rounds := func(d time.Duration) int {
-			if d <= 0 {
-				return 0
-			}
-			return int((d + round - 1) / round)
-		}
+		rounds := eval.DisseminationRounds
 		res, err := eval.ChaosDifferential(seed, true, eval.FailoverPlans(faultAt)[0])
 		if err != nil {
 			return err

@@ -71,7 +71,7 @@ func usage() {
        go vet -vettool=$(which %[1]s) package...
 
 %[1]s enforces lazyctrl's determinism, wire-protocol, version-stamp,
-map-order, lock-striping, and span-lifecycle invariants. Analyzers:
+map-order, and span-lifecycle invariants. Analyzers:
 
 `, progname)
 	for _, a := range analysis.All() {

@@ -11,12 +11,28 @@ import (
 	"testing"
 )
 
+// knobTestOnly lists the internal/ config fields that only tests set,
+// one reason each. An entry whose field has a shipped writer, or no
+// longer exists, is itself a failure, so the table only shrinks.
+var knobTestOnly = map[string]string{
+	"eval.EmulationConfig.ReportInterval":       "reduced-scale tests need rare reports so traffic dominates",
+	"edge.Config.GFIBFullPush":                  "the full-push baseline behind the gated BenchmarkDissemFull",
+	"grouping.BargainConfig.ControllerDiscount": "Appendix C's patience parameter",
+	"grouping.BargainConfig.SwitchDiscount":     "Appendix C's patience parameter",
+	"eval.Fig789Config.Horizon":                 "the gated Fig. 7-9 benchmarks replay half a day",
+	"eval.Fig789Config.Trace":                   "the full-scale Syn-A/B/C sweep replays the synthetic traces",
+	"eval.Fig789Config.WarmupScale":             "the full-scale sweep samples its warm-up at Scale 100",
+}
+
 // TestNoUnsetKnobs keeps never-turned options from growing back: every
 // exported field of an exported *Config / *Options struct under
-// internal/ and the root package needs at least one keyed-literal or
-// assignment writer somewhere in the module (production, benchmark/,
-// examples/quickstart, tests) outside withDefaults/validate. A field
-// nobody sets is a constant: name it next to the code that reads it.
+// internal/ and the root package needs a keyed-literal or assignment
+// writer outside withDefaults/validate. A root-package field, the
+// library's public surface, may be written anywhere in the module
+// (production, benchmark/, examples/, tests); an internal/ field needs
+// a writer outside _test.go files, unless knobTestOnly names it. A
+// field nobody sets is a constant, and one only tests set is a test
+// fixture: name it next to the code that reads it.
 //
 // Writers are keyed on (struct, field) wherever the syntax names the
 // struct: a keyed element of pkg.T{…}, T{…}, &T{…}, or of an elided
@@ -28,7 +44,9 @@ func TestNoUnsetKnobs(t *testing.T) {
 	fset := token.NewFileSet()
 	type field struct{ owner, name string } // owner is pkg.Struct; "" = any struct
 	var declared []field
-	written := map[field]bool{}
+	internal := map[field]bool{}
+	written := map[field]bool{} // by any file
+	shipped := map[field]bool{} // by a non-test file
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,8 +65,15 @@ func TestNoUnsetKnobs(t *testing.T) {
 		rel = filepath.ToSlash(rel)
 		// internal/analysis is exempt: its VetConfig mirrors the vet.cfg
 		// JSON that cmd/go writes, so its writer is json.Unmarshal.
-		declares := !strings.HasSuffix(rel, "_test.go") && !strings.HasPrefix(rel, "internal/analysis/") &&
+		test := strings.HasSuffix(rel, "_test.go")
+		declares := !test && !strings.HasPrefix(rel, "internal/analysis/") &&
 			(strings.HasPrefix(rel, "internal/") || !strings.Contains(rel, "/"))
+		write := func(f field) {
+			written[f] = true
+			if !test {
+				shipped[f] = true
+			}
+		}
 		// Import names → package names (the last path element, which is
 		// the package name everywhere in this module).
 		imports := map[string]string{}
@@ -91,7 +116,7 @@ func TestNoUnsetKnobs(t *testing.T) {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
 					val = kv.Value
 					if id, ok := kv.Key.(*ast.Ident); ok && !container {
-						written[field{own, id.Name}] = true
+						write(field{own, id.Name})
 					}
 				}
 				if inner, ok := val.(*ast.CompositeLit); ok && inner.Type == nil {
@@ -113,7 +138,9 @@ func TestNoUnsetKnobs(t *testing.T) {
 				for _, fld := range st.Fields.List {
 					for _, id := range fld.Names {
 						if id.IsExported() {
-							declared = append(declared, field{f.Name.Name + "." + name, id.Name})
+							fld := field{f.Name.Name + "." + name, id.Name}
+							declared = append(declared, fld)
+							internal[fld] = strings.HasPrefix(rel, "internal/")
 						}
 					}
 				}
@@ -124,7 +151,7 @@ func TestNoUnsetKnobs(t *testing.T) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						written[field{"", sel.Sel.Name}] = true
+						write(field{"", sel.Sel.Name})
 					}
 				}
 			}
@@ -135,15 +162,40 @@ func TestNoUnsetKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unset []string
+	var unset, testOnly, stale []string
+	exempt := map[string]bool{}
 	for _, fld := range declared {
-		if !written[fld] && !written[field{"", fld.name}] {
-			unset = append(unset, fld.owner+"."+fld.name)
+		key := fld.owner + "." + fld.name
+		anyWriter := written[fld] || written[field{"", fld.name}]
+		shippedWriter := shipped[fld] || shipped[field{"", fld.name}]
+		_, ok := knobTestOnly[key]
+		switch {
+		case !anyWriter:
+			unset = append(unset, key)
+		case internal[fld] && !shippedWriter && !ok:
+			testOnly = append(testOnly, key)
+		case ok && !shippedWriter:
+			exempt[key] = true
+		}
+	}
+	for key := range knobTestOnly {
+		if !exempt[key] {
+			stale = append(stale, key)
 		}
 	}
 	sort.Strings(unset)
+	sort.Strings(testOnly)
+	sort.Strings(stale)
 	if len(unset) > 0 {
 		t.Errorf("%d config fields have no writer outside withDefaults/validate (make each a named constant or delete it):\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
+	}
+	if len(testOnly) > 0 {
+		t.Errorf("%d internal config fields only tests set (make each a named constant, or exempt it in knobTestOnly with a reason):\n  %s",
+			len(testOnly), strings.Join(testOnly, "\n  "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d knobTestOnly entries name a field with a shipped writer, or none (delete them):\n  %s",
+			len(stale), strings.Join(stale, "\n  "))
 	}
 }

@@ -82,9 +82,6 @@ type Config struct {
 	// Dynamic enables incremental regrouping (Fig. 7's "dynamic"
 	// series). Static keeps the initial grouping for the whole run.
 	Dynamic bool
-	// RuleIdleTimeout is the idle timeout of installed flow rules. Zero
-	// selects 60 s.
-	RuleIdleTimeout time.Duration
 	// SyncInterval and KeepAliveInterval are handed to switches in
 	// GroupConfig. Zero selects 10 s and 5 s.
 	SyncInterval      time.Duration
@@ -138,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.LoadScale < 1 {
 		c.LoadScale = 1
 	}
-	if c.RuleIdleTimeout == 0 {
-		c.RuleIdleTimeout = 60 * time.Second
-	}
 	if c.SyncInterval == 0 {
 		c.SyncInterval = 10 * time.Second
 	}
@@ -149,6 +143,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// RuleIdleTimeout is the idle timeout of the flow rules the controller
+// installs; the fluid engine's rule-cache model reads the same value.
+const RuleIdleTimeout = 60 * time.Second
 
 // The paper's fixed parameters and this model's calibration constants:
 // values no caller varies, named once and read by everything.

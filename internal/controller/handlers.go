@@ -410,7 +410,7 @@ func (c *Controller) installAndForward(ingress, dst model.SwitchID, p model.Pack
 		Command:     openflow.FlowAdd,
 		Match:       openflow.ExactDst(p.DstMAC, p.VLAN),
 		Priority:    100,
-		IdleTimeout: c.cfg.RuleIdleTimeout,
+		IdleTimeout: RuleIdleTimeout,
 		Actions:     out.Actions,
 		Span:        span,
 	}}

@@ -315,7 +315,6 @@ func TestDeadSwitchEvictsLearnedAndPending(t *testing.T) {
 		Switches:          []model.SwitchID{1, 2, 3},
 		Seed:              7,
 		KeepAliveInterval: time.Second,
-		RuleIdleTimeout:   3 * time.Second,
 	}, n.Env(model.ControllerNode))
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +359,7 @@ func TestDeadSwitchEvictsLearnedAndPending(t *testing.T) {
 	// the eviction path is what this test pins down).
 	n.FailNode(2)
 	ctrl.actOnDiagnosis(2, failover.DiagSwitch)
-	s.RunFor(4 * time.Second) // let the stale rule on switch 1 idle out
+	s.RunFor(RuleIdleTimeout + time.Second) // let the stale rule on switch 1 idle out
 	if !ctrl.IsDead(2) {
 		t.Fatal("switch 2 not marked dead")
 	}

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -276,7 +277,18 @@ func (s *Switch) drainPairStats() []openflow.PairStat {
 		out = append(out, openflow.PairStat{A: s.cfg.ID, B: other, NewFlows: n})
 	}
 	clear(s.pairFlows)
+	slices.SortFunc(out, comparePairs)
 	return out
+}
+
+// comparePairs orders pair statistics by (A, B), so a report's bytes
+// and the order the controller folds its pairs into the intensity
+// matrix do not follow map iteration.
+func comparePairs(a, b openflow.PairStat) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }
 
 // handleMemberReport records a member's advertisement (designated
@@ -535,6 +547,7 @@ func (s *Switch) reportToController() {
 		pairs = append(pairs, openflow.PairStat{A: pair.A, B: pair.B, NewFlows: n})
 	}
 	clear(r.pairs)
+	slices.SortFunc(pairs, comparePairs)
 	report := s.reports.Next()
 	*report = openflow.StateReport{Group: s.group.Group, LFIBs: legs, Pairs: pairs, Version: s.group.Version}
 	s.sendCtrl(report)

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -358,6 +359,44 @@ func TestPairStatsReported(t *testing.T) {
 	}
 	if !found {
 		t.Error("pair stats for (1,2) never reported to controller")
+	}
+}
+
+// TestPairStatsLeaveInOrder pins the order pair statistics leave a
+// switch in: by B in a member's advertisement, by (A, B) in the
+// designated switch's report, whatever order the maps behind them
+// iterate in. Map order would make a report's bytes, and the order the
+// controller folds its pairs into the intensity matrix, differ from
+// run to run.
+func TestPairStatsLeaveInOrder(t *testing.T) {
+	r := newRig(t, 1, 2)
+	r.configureGroup(1, 1, 1, 2)
+	r.sim.RunFor(12 * time.Second)
+	var sent []*openflow.StateReport
+	r.net.Observer = func(from, to model.SwitchID, msg netsim.Message, delivered bool) {
+		if m, ok := msg.(*openflow.StateReport); ok && !delivered && len(m.Pairs) > 0 {
+			sent = append(sent, m)
+		}
+	}
+	member, designated := r.switches[2], r.switches[1]
+	for b := model.SwitchID(40); b > 28; b-- {
+		member.pairFlows[b] = uint32(b)
+	}
+	member.advertise()
+	r.sim.RunFor(time.Second) // the designated switch merges the twelve pairs
+	for a := model.SwitchID(60); a > 48; a-- {
+		designated.role.pairs[model.MakeSwitchPair(a, a+100)] = uint32(a)
+	}
+	designated.reportToController()
+	r.sim.RunFor(time.Second)
+
+	if len(sent) != 2 || len(sent[0].Pairs) != 12 || len(sent[1].Pairs) != 24 {
+		t.Fatalf("want a 12-pair advertisement and a 24-pair report, got %d reports", len(sent))
+	}
+	for i, m := range sent {
+		if !slices.IsSortedFunc(m.Pairs, comparePairs) {
+			t.Errorf("report %d: pairs out of order: %v", i, m.Pairs)
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // The attachments: everything RunEmulation hangs off the rig beyond the
 // bare world — wire metering, the control fold's oracles, the flight
 // recorders, and the chaos schedule, probe, and settle loop. Each is a
-// no-op unless its EmulationConfig switch is set.
+// no-op unless its EmulationConfig switch is set; the flight recorders
+// follow the chaos plan.
 
 // meter accumulates the encoded wire bytes of one control-plane
 // message, copies times over. Real sends (the underlay's meter hook)
@@ -88,8 +89,8 @@ func (e *emulation) wakeFolds() {
 }
 
 func (e *emulation) attachFlights() {
-	if e.c.FlightDepth > 0 {
-		e.flights = installFlightRecorders(e.rig.Net(), e.rig.Now, e.c.FlightDepth)
+	if e.c.Chaos != nil {
+		e.flights = installFlightRecorders(e.rig.Net(), e.rig.Now)
 	}
 	if wireCheck != nil {
 		wireCheck(e.rig.Net())
@@ -111,9 +112,7 @@ func (e *emulation) attachChaos() {
 		return
 	}
 	e.world = e.rig.World()
-	e.world.Flight = func(sw model.SwitchID) []string {
-		return e.flights[sw].Tail() // nil-map lookup and nil Tail are both fine
-	}
+	e.world.Flight = e.flights.tail
 	plan.Schedule(e.rig)
 	if len(plan.Events) == 0 {
 		return

@@ -82,12 +82,21 @@ func FailoverPlans(at time.Duration) []*chaos.Plan {
 	}
 }
 
+// DisseminationRounds converts a span into dissemination rounds (the
+// advertise cadence), rounded up; zero for a span ≤ 0.
+func DisseminationRounds(d time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	return int((d + advertiseInterval - 1) / advertiseInterval)
+}
+
 // TakeoverRounds converts a takeover timeline into dissemination
-// rounds (the advertise cadence), detection through the last re-pushed
-// config ack; zero while the re-push is still open.
+// rounds, detection through the last re-pushed config ack; zero while
+// the re-push is still open.
 func TakeoverRounds(t controller.TakeoverTimeline) int {
 	if t.RepushedAt == 0 {
 		return 0
 	}
-	return int((t.RepushedAt - t.DetectedAt + advertiseInterval - 1) / advertiseInterval)
+	return DisseminationRounds(t.RepushedAt - t.DetectedAt)
 }

@@ -23,9 +23,10 @@ import (
 	"lazyctrl/internal/trace"
 )
 
-// The eval cadence set: the control-plane timers every emulation runs
-// on, and the constants derived from them (the fluid engine's warm-up
-// offsets, the chaos probe and settle round, TakeoverRounds).
+// The eval cadence set: the control-plane timers and the PacketIn batch
+// every emulation runs on, and the constants derived from them (the
+// fluid engine's warm-up offsets, the chaos probe and settle round,
+// DisseminationRounds).
 const (
 	// advertiseInterval is the member → designated advertisement
 	// cadence, and with it the length of one dissemination round.
@@ -35,7 +36,10 @@ const (
 	reportInterval    = 30 * time.Second
 	keepAliveInterval = time.Minute
 	syncInterval      = 30 * time.Second
-	ruleIdleTimeout   = 60 * time.Second
+	// packetInBatchMax is the edge switches' control-link micro-batch:
+	// up to 8 PacketIns inside edge.DefaultPacketInBatchWindow, whose
+	// delay the latency accounting models (replay.ExpectedBatchDelay).
+	packetInBatchMax = 8
 	// warmupWindow is the intensity window behind the initial grouping
 	// (the paper seeds it with the first hour of traffic).
 	warmupWindow = time.Hour
@@ -54,7 +58,8 @@ type EmulationConfig struct {
 	// only: the fluid engine's controller sees only the latency probe,
 	// so its regroups would not track the population's drift).
 	Dynamic bool
-	// GroupSizeLimit caps LCG sizes. Zero selects 46.
+	// GroupSizeLimit caps LCG sizes. Zero selects the controller's
+	// default.
 	GroupSizeLimit int
 	// Horizon truncates the replay (0 = full trace duration).
 	Horizon time.Duration
@@ -83,12 +88,6 @@ type EmulationConfig struct {
 	// latency-probe population. Zero selects 0.02; ignored by
 	// EngineDES.
 	SampleProb float64
-	// PacketInBatchMax configures the edge switches' control-link
-	// micro-batching. Zero selects the default — on, 8 packets inside
-	// edge.DefaultPacketInBatchWindow, now that the batching delay is
-	// modeled explicitly in the latency accounting (see
-	// replay.ExpectedBatchDelay); a negative value disables batching.
-	PacketInBatchMax int
 
 	// ControlFold folds quiescent control-plane background rounds
 	// (keep-alives, idle advertisements/beacons, empty reports) into
@@ -135,7 +134,10 @@ type EmulationConfig struct {
 	// live, the no-stale-adoption probe samples every dissemination
 	// round. An empty plan is valid and useful: it runs the checker and
 	// captures the fixpoint snapshot without injecting anything — the
-	// fault-free side of the differential test.
+	// fault-free side of the differential test. A plan also arms
+	// per-switch flight recorders of the last
+	// telemetry.DefaultFlightDepth wire events, whose tails the checker
+	// embeds in its reports.
 	Chaos *chaos.Plan
 
 	// TraceSample enables the causal span tracer at the given
@@ -144,12 +146,6 @@ type EmulationConfig struct {
 	// the sim clock. 0 disables tracing entirely (the default; every
 	// instrumentation site then costs one nil check).
 	TraceSample float64
-	// FlightDepth arms per-node flight recorders of the last N wire
-	// events (negative = off). 0 selects telemetry.DefaultFlightDepth
-	// when a Chaos plan is present — the chaos checker embeds the
-	// recorder tails in its invariant-violation reports — and off
-	// otherwise.
-	FlightDepth int
 }
 
 func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
@@ -158,9 +154,6 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	}
 	if c.Mode == 0 {
 		c.Mode = controller.ModeLazy
-	}
-	if c.GroupSizeLimit == 0 {
-		c.GroupSizeLimit = 46
 	}
 	if d := c.Source.Info().Duration; c.Horizon == 0 || c.Horizon > d {
 		c.Horizon = d
@@ -193,16 +186,6 @@ func (c EmulationConfig) withDefaults() (EmulationConfig, error) {
 	}
 	if c.TraceSample < 0 || c.TraceSample > 1 {
 		return c, fmt.Errorf("eval: TraceSample %v outside [0,1]", c.TraceSample)
-	}
-	if c.PacketInBatchMax == 0 {
-		c.PacketInBatchMax = 8
-	}
-	if c.PacketInBatchMax < 0 {
-		c.PacketInBatchMax = 1 // ≤1 ships every PacketIn immediately
-	}
-	if c.FlightDepth == 0 && c.Chaos != nil {
-		// The chaos checker embeds the recorder tails in its reports.
-		c.FlightDepth = telemetry.DefaultFlightDepth
 	}
 	return c, nil
 }
@@ -238,7 +221,7 @@ type EmulationResult struct {
 	// BatchDelayObserved is the measured mean residence of a PacketIn
 	// in the edge micro-batching window; BatchDelayModeled is the
 	// analytic expectation (replay.ExpectedBatchDelay) at the realized
-	// arrival rate. Both zero with batching disabled.
+	// arrival rate. Both zero when no PacketIn waited.
 	BatchDelayObserved time.Duration
 	BatchDelayModeled  time.Duration
 	// SimEvents is how many discrete events the underlying simulator
@@ -321,9 +304,9 @@ type emulation struct {
 	sampler *replay.PairSampler
 	fluid   *replay.Fluid
 
-	flights map[model.SwitchID]*telemetry.Flight // nil without flight recorders
-	world   *chaos.World                         // nil without a chaos plan
-	injects *netsim.Deferred[injectFlow]         // set by buildRig
+	flights *flightTable                 // nil without a chaos plan
+	world   *chaos.World                 // nil without a chaos plan
+	injects *netsim.Deferred[injectFlow] // set by buildRig
 }
 
 // RunEmulation replays a trace against the full control stack and
@@ -416,7 +399,7 @@ func (e *emulation) buildRig() error {
 			Lazy:            c.Mode == controller.ModeLazy,
 			Horizon:         c.Horizon,
 			BucketWidth:     c.BucketWidth,
-			RuleIdleTimeout: ruleIdleTimeout,
+			RuleIdleTimeout: controller.RuleIdleTimeout,
 			GFIBWarm:        advertiseInterval + c.ReportInterval,
 			// The initial grouping push kicks every designated switch
 			// into reporting immediately, so the C-LIB knows all
@@ -434,7 +417,6 @@ func (e *emulation) buildRig() error {
 		LoadScale:         loadScale,
 		Dynamic:           c.Dynamic,
 		Recorder:          e.rec,
-		RuleIdleTimeout:   ruleIdleTimeout,
 		KeepAliveInterval: keepAliveInterval,
 		SyncInterval:      syncInterval,
 		PerFlowRules:      c.PerFlowBaseline,
@@ -443,7 +425,7 @@ func (e *emulation) buildRig() error {
 	sw := edge.Config{
 		AdvertiseInterval: advertiseInterval,
 		ReportInterval:    c.ReportInterval,
-		PacketInBatchMax:  c.PacketInBatchMax,
+		PacketInBatchMax:  packetInBatchMax,
 		Tracer:            res.Spans,
 		OnDeliver: func(p *model.Packet, at time.Duration) {
 			if p.FlowSeq == 0 {
@@ -526,10 +508,10 @@ func (e *emulation) summarise() {
 		wait += st.PinBatchWait
 		waited += st.PinBatchWaited
 	}
-	if c.PacketInBatchMax > 1 && waited > 0 {
+	if waited > 0 {
 		res.BatchDelayObserved = wait / time.Duration(waited)
 		rate := float64(waited) / (float64(len(edges)) * c.Horizon.Seconds())
-		res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, edge.DefaultPacketInBatchWindow, c.PacketInBatchMax)
+		res.BatchDelayModeled = replay.ExpectedBatchDelay(rate, edge.DefaultPacketInBatchWindow, packetInBatchMax)
 	}
 	if c.Standby {
 		for _, r := range e.rig.Controllers() {

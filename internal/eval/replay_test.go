@@ -147,63 +147,34 @@ func TestFluidMatchesDES(t *testing.T) {
 }
 
 // TestBatchingDelayAccounted pins the §V-E micro-batching term: with
-// the window on (the emulation default now), the measured mean batch
-// residence must match the modeled expectation, and the cold-cache
-// latency must shift against an unbatched run by exactly that term
-// diluted over the non-escalated first packets.
+// the window on (every emulation batches), the measured mean batch
+// residence must match the modeled expectation.
 func TestBatchingDelayAccounted(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full emulations")
+		t.Skip("a full emulation")
 	}
-	cfg := busyConfig(7)
-	s := func() trace.Stream {
-		st, err := trace.NewStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+	st, err := trace.NewStream(busyConfig(7))
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(batchMax int) *EmulationResult {
-		res, err := RunEmulation(EmulationConfig{
-			Source: s(), Mode: controller.ModeLazy, GroupSizeLimit: 8,
-			Horizon: 4 * time.Hour, BucketWidth: time.Hour, Seed: 7,
-			ReportInterval:   5 * time.Minute,
-			PacketInBatchMax: batchMax,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := RunEmulation(EmulationConfig{
+		Source: st, Mode: controller.ModeLazy, GroupSizeLimit: 8,
+		Horizon: 4 * time.Hour, BucketWidth: time.Hour, Seed: 7,
+		ReportInterval: 5 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := run(-1)
-	on := run(0) // default: on
-
-	if off.BatchDelayObserved != 0 || off.BatchDelayModeled != 0 {
-		t.Errorf("unbatched run reports batch delay %v/%v", off.BatchDelayObserved, off.BatchDelayModeled)
-	}
-	if on.BatchDelayObserved == 0 || on.BatchDelayModeled == 0 {
+	if res.BatchDelayObserved == 0 || res.BatchDelayModeled == 0 {
 		t.Fatalf("batched run reports no batch delay (observed %v, modeled %v)",
-			on.BatchDelayObserved, on.BatchDelayModeled)
+			res.BatchDelayObserved, res.BatchDelayModeled)
 	}
 	// Model vs measurement: the emulation lives in the deadline-
 	// dominated regime, where both sit near the 1 ms window.
-	mr := float64(on.BatchDelayObserved) / float64(on.BatchDelayModeled)
-	t.Logf("batch delay: observed %v, modeled %v", on.BatchDelayObserved, on.BatchDelayModeled)
+	mr := float64(res.BatchDelayObserved) / float64(res.BatchDelayModeled)
+	t.Logf("batch delay: observed %v, modeled %v", res.BatchDelayObserved, res.BatchDelayModeled)
 	if mr < 0.75 || mr > 1.33 {
 		t.Errorf("modeled batch delay %v vs observed %v (ratio %.2f)",
-			on.BatchDelayModeled, on.BatchDelayObserved, mr)
-	}
-	// Fig. 9 shift: mean cold latency moves by the batch term diluted
-	// over all delivered first packets (only escalated ones wait).
-	escalated := float64(on.ControllerStats.PacketIns)
-	predicted := time.Duration(float64(on.BatchDelayObserved) * escalated / float64(on.FlowsDelivered))
-	shift := on.ColdCacheLatency - off.ColdCacheLatency
-	t.Logf("cold latency: off %v, on %v (shift %v, predicted %v)",
-		off.ColdCacheLatency, on.ColdCacheLatency, shift, predicted)
-	if shift <= 0 {
-		t.Fatalf("batching did not shift cold latency (%v)", shift)
-	}
-	if d := math.Abs(float64(shift - predicted)); d > 0.25*float64(predicted) {
-		t.Errorf("cold-latency shift %v vs modeled %v (>25%% apart)", shift, predicted)
+			res.BatchDelayModeled, res.BatchDelayObserved, mr)
 	}
 }

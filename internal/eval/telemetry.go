@@ -141,14 +141,11 @@ func flightEvent(at time.Duration, msg netsim.Message) (telemetry.FlightEvent, b
 }
 
 // flightTable resolves an edge switch ID to its flight ring on the
-// observer hot path. Edge switch IDs are small and dense, so the
-// common case is one bounds check and a slice load. The map mirror is
-// the consumer-facing view (chaos post-mortems) and is only touched
-// when a ring materializes.
+// observer hot path and for the chaos post-mortems' tails. Edge switch
+// IDs are small and dense, so a lookup is one bounds check and a slice
+// load.
 type flightTable struct {
 	edges []*telemetry.Flight
-	depth int
-	all   map[model.SwitchID]*telemetry.Flight
 }
 
 func (t *flightTable) ring(id model.SwitchID) *telemetry.Flight {
@@ -166,30 +163,34 @@ func (t *flightTable) materialize(id model.SwitchID) *telemetry.Flight {
 	}
 	f := t.edges[id]
 	if f == nil {
-		f = telemetry.NewFlight(t.depth)
+		f = telemetry.NewFlight(telemetry.DefaultFlightDepth)
 		t.edges[id] = f
-		t.all[id] = f
 	}
 	return f
 }
 
-// installFlightRecorders hangs per-edge-switch flight rings off the
-// underlay's Observer hook: each wire event lands in the sending
-// switch's ring at send time and the receiving switch's at delivery
-// time. The controller replicas deliberately get no rings: every
-// post-mortem consumer reads per-switch tails (chaos.World violations
-// name switches), a controller ring would wrap several times per
-// keep-alive round at any sane depth (the controller touches every
-// switch every round), and skipping it halves the observer's hot-path
-// work — the controller's half of each exchange is still visible in
-// the peer switch's ring. Returns the ring map (rings materialize
-// lazily per switch).
-func installFlightRecorders(net *netsim.Network, now func() time.Duration, depth int) map[model.SwitchID]*telemetry.Flight {
-	t := &flightTable{
-		edges: make([]*telemetry.Flight, 256),
-		depth: depth,
-		all:   make(map[model.SwitchID]*telemetry.Flight),
+// tail renders switch id's ring, oldest first (nil when it recorded
+// nothing).
+func (t *flightTable) tail(id model.SwitchID) []string {
+	if int64(id) < int64(len(t.edges)) {
+		return t.edges[id].Tail() // a nil ring's Tail is nil
 	}
+	return nil
+}
+
+// installFlightRecorders hangs per-edge-switch flight rings of
+// telemetry.DefaultFlightDepth events off the underlay's Observer hook:
+// each wire event lands in the sending switch's ring at send time and
+// the receiving switch's at delivery time. The controller replicas
+// deliberately get no rings: every post-mortem consumer reads
+// per-switch tails (chaos.World violations name switches), a
+// controller ring would wrap several times per keep-alive round at any
+// sane depth (the controller touches every switch every round), and
+// skipping it halves the observer's hot-path work — the controller's
+// half of each exchange is still visible in the peer switch's ring.
+// Rings materialize lazily per switch.
+func installFlightRecorders(net *netsim.Network, now func() time.Duration) *flightTable {
+	t := &flightTable{edges: make([]*telemetry.Flight, 256)}
 	net.Observer = func(from, to model.SwitchID, msg netsim.Message, delivered bool) {
 		owner := from
 		if delivered {
@@ -209,7 +210,7 @@ func installFlightRecorders(net *netsim.Network, now func() time.Duration, depth
 		}
 		t.ring(owner).Record(ev)
 	}
-	return t.all
+	return t
 }
 
 // absorbTakeover folds one controller.TakeoverTimeline into the trace

@@ -48,7 +48,6 @@ func TestTelemetryDumpDeterministic(t *testing.T) {
 				Engine:         engine,
 				SampleProb:     0.5,
 				TraceSample:    1,
-				FlightDepth:    16,
 			})
 			if err != nil {
 				t.Fatalf("engine %v: %v", engine, err)

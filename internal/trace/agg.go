@@ -103,10 +103,12 @@ type aggScratch struct {
 var aggScratchPool = sync.Pool{New: func() any { return &aggScratch{} }}
 
 // emitApportioned distributes total flows over a pool proportionally to
-// weightAt, deterministically and exactly (cumulative rounding, as in
-// apportion). The walk starts at the rotating offset off so the
+// weightAt, deterministically and exactly: cumulative rounding, the
+// last element absorbing the residue, each nonzero count emitted once
+// (all of total to element off when no weight is positive). The walk
+// starts at the offset off, which AggWindow rotates per window so the
 // rounding residue does not land on the same pairs every window.
-func emitApportioned(total int, poolLen, off int, weightAt func(int) float64, emit func(i int, n int32)) {
+func emitApportioned(total int, poolLen, off int, weightAt func(int) float64, emit func(i, n int)) {
 	if total <= 0 || poolLen == 0 {
 		return
 	}
@@ -115,7 +117,7 @@ func emitApportioned(total int, poolLen, off int, weightAt func(int) float64, em
 		sum += weightAt(i)
 	}
 	if sum <= 0 {
-		emit(off%poolLen, int32(total))
+		emit(off%poolLen, total)
 		return
 	}
 	var cum float64
@@ -131,7 +133,7 @@ func emitApportioned(total int, poolLen, off int, weightAt func(int) float64, em
 			next = total
 		}
 		if n := next - prev; n > 0 {
-			emit(p, int32(n))
+			emit(p, n)
 		}
 		prev = next
 	}
@@ -140,7 +142,7 @@ func emitApportioned(total int, poolLen, off int, weightAt func(int) float64, em
 // emitDrawn distributes total flows by independent per-flow draws,
 // binned per pair (first-touch emission order, deterministic under the
 // window RNG).
-func emitDrawn(total, poolLen int, draw func() int, emit func(i int, n int32)) {
+func emitDrawn(total, poolLen int, draw func() int, emit func(i, n int)) {
 	if total <= 0 || poolLen == 0 {
 		return
 	}
@@ -158,7 +160,7 @@ func emitDrawn(total, poolLen int, draw func() int, emit func(i int, n int32)) {
 		counts[i]++
 	}
 	for _, i := range touched {
-		emit(int(i), counts[i])
+		emit(int(i), int(counts[i]))
 		counts[i] = 0
 	}
 	sc.touched = touched[:0]
@@ -206,8 +208,8 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	shares := apportion(count, []float64{scatterShare, noiseShare, hotShare, coldShare})
 	nScatter, nNoise, nHot, nCold := shares[0], shares[1], shares[2], shares[3]
 
-	emitPair := func(k model.FlowKey, n int32) {
-		buf = append(buf, PairAgg{Src: k.Src, Dst: k.Dst, Flows: n})
+	emitPair := func(k model.FlowKey, n int) {
+		buf = append(buf, PairAgg{Src: k.Src, Dst: k.Dst, Flows: int32(n)})
 	}
 
 	// Scatter: uniform over the scatter band.
@@ -215,11 +217,11 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 		if nScatter < aggDrawFactor*len(g.scatter) {
 			emitDrawn(nScatter, len(g.scatter),
 				func() int { return rng.IntN(len(g.scatter)) },
-				func(i int, n int32) { emitPair(g.scatter[i], n) })
+				func(i, n int) { emitPair(g.scatter[i], n) })
 		} else {
 			emitApportioned(nScatter, len(g.scatter), rotOffset(w, len(g.scatter)),
 				func(int) float64 { return 1 },
-				func(i int, n int32) { emitPair(g.scatter[i], n) })
+				func(i, n int) { emitPair(g.scatter[i], n) })
 		}
 	}
 
@@ -265,11 +267,11 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 						}
 					}
 				},
-				func(i int, n int32) { emitPair(g.hot[i], n) })
+				func(i, n int) { emitPair(g.hot[i], n) })
 		} else {
 			emitApportioned(nHot, len(g.hot), rotOffset(w, len(g.hot)),
 				func(i int) float64 { return mod(i) / float64(i+1) },
-				func(i int, n int32) { emitPair(g.hot[i], n) })
+				func(i, n int) { emitPair(g.hot[i], n) })
 		}
 	}
 
@@ -280,11 +282,11 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 		if nCold < aggDrawFactor*len(g.cold) {
 			emitDrawn(nCold, len(g.cold),
 				func() int { return rng.IntN(len(g.cold)) },
-				func(i int, n int32) { emitPair(g.cold[i], n) })
+				func(i, n int) { emitPair(g.cold[i], n) })
 		} else {
 			emitApportioned(nCold, len(g.cold), rotOffset(w, len(g.cold)),
 				func(int) float64 { return 1 },
-				func(i int, n int32) { emitPair(g.cold[i], n) })
+				func(i, n int) { emitPair(g.cold[i], n) })
 		}
 	}
 	return buf

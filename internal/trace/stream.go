@@ -98,32 +98,14 @@ func WindowRand(seed, salt uint64, w int) *rand.Rand {
 
 // apportion splits total across len(weights) windows proportionally to
 // the weights, deterministically and exactly (the counts sum to
-// total): cumulative-rounding assignment, so a window's count depends
-// only on the cumulative weight up to it, never on sampling noise.
+// total): emitApportioned's cumulative rounding from the first window,
+// so a window's count depends only on the cumulative weight up to it,
+// never on sampling noise.
 func apportion(total int, weights []float64) []int {
 	counts := make([]int, len(weights))
-	if len(weights) == 0 {
-		return counts
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	if sum <= 0 {
-		counts[0] = total
-		return counts
-	}
-	var cum float64
-	prev := 0
-	for i, w := range weights {
-		cum += w
-		next := int(float64(total)*cum/sum + 0.5)
-		if i == len(weights)-1 {
-			next = total // absorb rounding residue exactly
-		}
-		counts[i] = next - prev
-		prev = next
-	}
+	emitApportioned(total, len(weights), 0,
+		func(i int) float64 { return weights[i] },
+		func(i, n int) { counts[i] = n })
 	return counts
 }
 
