@@ -25,6 +25,8 @@ var deadStateExempt = map[string]string{
 	"(*lazyctrl/internal/chaos.Plan).Describe":    "the eval chaos soaks print the failing plan with it",
 	"(*lazyctrl/internal/sim.Simulator).Pending":  "controller and failover tests check that no event is left queued",
 	"(*lazyctrl/internal/netsim.Deferred[T]).Cap": "the edge's slow-path test bounds the queue's storage by the peak in flight",
+	"(lazyctrl/internal/chaos.Func).Apply":        "the eval and root chaos tests script bespoke steps with it",
+	"(lazyctrl/internal/chaos.Func).String":       "the eval and root chaos tests script bespoke steps with it",
 	// A ROADMAP item owns the decision.
 	"(*lazyctrl/internal/fib.GFIB).QueryIP":  "item 13: model §III-D3 level-ii ARP, or stop keying filters by IP",
 	"lazyctrl/internal/eval.EmulationResult": "item 16: the golden pre-image hashes Mode and Dynamic",
@@ -77,6 +79,7 @@ func TestDeadStateFixture(t *testing.T) {
 	findings, stale := deadState(pkgs, shipped, exempt)
 	want := []string{
 		"(*deadfix/internal/lib.Counter).Reset",
+		"(deadfix/internal/lib.Gadget).Name",
 		"deadfix/internal/lib.Counter.writes",
 		"deadfix/internal/lib.TestOnly",
 		"deadfix/internal/lib.helper",
@@ -99,8 +102,11 @@ func TestDeadStateFixture(t *testing.T) {
 // its own package than in each of its callers.
 //
 // The roots are every function of a shipped package, every init and
-// package-level initializer, every method that satisfies an interface
-// declared in pkgs or one of stdInterfaces, and every exempt function.
+// package-level initializer, every exempt function, and every method
+// that satisfies an interface declared in pkgs or one of stdInterfaces
+// once reached code holds a value of its type: any expression of the
+// type or a pointer to it, or a value formatted, compared or used as a
+// map key whose type contains it.
 // A function reaches every function its body names: calls, method
 // values and method expressions, generic instances by their origin.
 //
@@ -160,8 +166,9 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 		}
 	}
 
-	// Methods that satisfy an interface are called through it.
-	rooted := map[string]bool{}
+	// Methods that satisfy an interface are called through it, once
+	// reached code constructs a value of the type that has them.
+	viaIface := map[string][]string{} // type key → its interface-satisfying methods
 	for _, n := range named {
 		ms := types.NewMethodSet(types.NewPointer(n))
 		have := map[string]*types.Func{}
@@ -184,7 +191,7 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 				impl = append(impl, fn)
 			}
 			for _, fn := range impl {
-				rooted[fn.Origin().FullName()] = true
+				viaIface[typeKey(n.Obj())] = append(viaIface[typeKey(n.Obj())], fn.Origin().FullName())
 			}
 		}
 	}
@@ -197,6 +204,23 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 		if !reached[key] {
 			reached[key] = true
 			queue = append(queue, key)
+		}
+	}
+	// construct records that reached code holds a value of t (or a
+	// pointer to one), which roots t's interface-satisfying methods.
+	constructed := map[string]bool{}
+	construct := func(t types.Type) {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := types.Unalias(t).(*types.Named); ok {
+			key := typeKey(n.Origin().Obj())
+			if !constructed[key] {
+				constructed[key] = true
+				for _, fn := range viaIface[key] {
+					reach(fn)
+				}
+			}
 		}
 	}
 	// readAll marks t's struct types as read wholesale. Formatting
@@ -212,6 +236,7 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 		switch u := types.Unalias(t).(type) {
 		case *types.Named:
 			wholesale[typeKey(u.Origin().Obj())] = true
+			construct(u)
 			readAll(u.Underlying(), deep)
 		case *types.Array:
 			readAll(u.Elem(), deep)
@@ -286,6 +311,7 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 			}
 			if e, ok := n.(ast.Expr); ok {
 				if t := b.info.TypeOf(e); t != nil {
+					construct(t)
 					if m, ok := t.Underlying().(*types.Map); ok {
 						readAll(m.Key(), false)
 					}
@@ -296,9 +322,6 @@ func deadState(pkgs []*analysis.Package, shipped func(pkgPath string) bool, exem
 	}
 	for _, r := range roots {
 		visit(r)
-	}
-	for key := range rooted {
-		reach(key)
 	}
 	drain := func() {
 		for len(queue) > 0 {

@@ -15,13 +15,11 @@ import (
 // one reason each. An entry whose field has a shipped writer, or no
 // longer exists, is itself a failure, so the table only shrinks.
 var knobTestOnly = map[string]string{
-	"eval.EmulationConfig.ReportInterval":       "reduced-scale tests need rare reports so traffic dominates",
-	"edge.Config.GFIBFullPush":                  "the full-push baseline behind the gated BenchmarkDissemFull",
-	"grouping.BargainConfig.ControllerDiscount": "Appendix C's patience parameter",
-	"grouping.BargainConfig.SwitchDiscount":     "Appendix C's patience parameter",
-	"eval.Fig789Config.Horizon":                 "the gated Fig. 7-9 benchmarks replay half a day",
-	"eval.Fig789Config.Trace":                   "the full-scale Syn-A/B/C sweep replays the synthetic traces",
-	"eval.Fig789Config.WarmupScale":             "the full-scale sweep samples its warm-up at Scale 100",
+	"eval.EmulationConfig.ReportInterval": "reduced-scale tests need rare reports so traffic dominates",
+	"edge.Config.GFIBFullPush":            "the full-push baseline behind the gated BenchmarkDissemFull",
+	"eval.Fig789Config.Horizon":           "the gated Fig. 7-9 benchmarks replay half a day",
+	"eval.Fig789Config.Trace":             "the full-scale Syn-A/B/C sweep replays the synthetic traces",
+	"eval.Fig789Config.WarmupScale":       "the full-scale sweep samples its warm-up at Scale 100",
 }
 
 // TestNoUnsetKnobs keeps never-turned options from growing back: every

@@ -5,12 +5,18 @@ package lib
 
 import "strconv"
 
-// Namer is declared in the module, so Widget.Name is a root.
+// Namer is declared in the module, so Widget.Name is a root: shipped
+// code builds a Widget.
 type Namer interface{ Name() string }
 
 type Widget struct{}
 
 func (Widget) Name() string { return "widget" }
+
+// Gadget satisfies Namer too, but nothing shipped builds one: reported.
+type Gadget struct{}
+
+func (Gadget) Name() string { return "gadget" }
 
 type Counter struct {
 	total  int

@@ -14,5 +14,6 @@ func Run() int {
 	seen := map[lib.Key]int{{A: 1, B: 2}: 1}
 	var o lib.Outer
 	fmt.Println(lib.Formatted{Hidden: 1})
-	return c.Total() + seen[lib.Key{A: 1, B: 2}] + o.Depth
+	var n lib.Namer = lib.Widget{}
+	return c.Total() + seen[lib.Key{A: 1, B: 2}] + o.Depth + len(n.Name())
 }

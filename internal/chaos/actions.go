@@ -20,18 +20,6 @@ func (a Fault) String() string {
 		a.Rule.A, a.Rule.B, a.Rule.Loss, a.Rule.ExtraDelay, a.Rule.ReorderProb)
 }
 
-// Partition splits the underlay bidirectionally: no message crosses
-// between side A and side B while the event is active.
-type Partition struct {
-	A, B []model.SwitchID
-}
-
-func (a Partition) Apply(h Harness) func() { return h.Net().Partition(a.A, a.B) }
-
-func (a Partition) String() string {
-	return fmt.Sprintf("partition %v | %v", a.A, a.B)
-}
-
 // ControlCut partitions the members of Of's group (resolved at fire
 // time) from the controller: keep-alives, reports, pushes, and
 // PacketIns all black-hole while active. Peer links stay up, so the

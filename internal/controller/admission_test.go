@@ -89,7 +89,6 @@ func ctrlSnapshot(c *Controller) string {
 	fmt.Fprintf(&b, "requests=%d learned=%v pending=%d detector=%d intensity=%d/%v\n",
 		c.reqWindowCount, c.state.learned, c.state.pendingLen(), c.detector.Pending(),
 		c.intensity.NumSwitches(), c.intensity.Total())
-	c.intensity.ForEachPair(func(p model.SwitchPair, w float64) { fmt.Fprintf(&b, "%v-%v=%v ", p.A, p.B, w) })
 	for _, sw := range c.cfg.Switches {
 		rec := c.sw[sw]
 		v, built := rec.filter.Version()
@@ -197,10 +196,13 @@ func TestAdmissionTable(t *testing.T) {
 				return
 			}
 			c, env := admitController(t, tc.role)
-			before, stale := ctrlSnapshot(c), c.stats.StaleSyncRejected
+			before, stale, matrix := ctrlSnapshot(c), c.stats.StaleSyncRejected, c.intensity.Clone()
 			c.HandleMessage(tc.from, tc.msg)
 			if after := ctrlSnapshot(c); after != before {
 				t.Errorf("refused message changed state:\nbefore %s\nafter  %s", before, after)
+			}
+			if !sameMatrix(c.intensity, matrix) {
+				t.Errorf("refused message changed the intensity matrix")
 			}
 			want := uint64(0)
 			if tc.fenced {

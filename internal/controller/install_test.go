@@ -3,9 +3,7 @@ package controller
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,13 +15,12 @@ import (
 	"lazyctrl/internal/telemetry"
 )
 
-// intensityBits renders a matrix with every weight as its bit pattern.
-func intensityBits(m *grouping.Intensity) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "switches=%v total=%x max=%x\n",
-		m.Switches(), math.Float64bits(m.Total()), math.Float64bits(m.MaxPair()))
-	m.ForEachPair(func(p model.SwitchPair, w float64) { fmt.Fprintf(&b, "%v-%v=%x ", p.A, p.B, math.Float64bits(w)) })
-	return b.String()
+// sameMatrix reports whether two matrices hold the same switches in the
+// same registration order with the same weights. Both sides are cloned
+// first: Decay leaves empty neighbor lists that Clone turns into nil,
+// and DeepEqual tells the two apart.
+func sameMatrix(a, b *grouping.Intensity) bool {
+	return reflect.DeepEqual(a.Clone(), b.Clone())
 }
 
 // TestFlowsCountedOnlyWhenRegrouping pins where the controller counts
@@ -79,8 +76,8 @@ func TestFlowsCountedOnlyWhenRegrouping(t *testing.T) {
 			}
 			same := func(step string) {
 				t.Helper()
-				if got, want := intensityBits(c.intensity), intensityBits(ref); got != want {
-					t.Fatalf("%s: matrix differs from the reference\ngot:  %s\nwant: %s", step, got, want)
+				if !sameMatrix(c.intensity, ref) {
+					t.Fatalf("%s: matrix differs from the reference\ngot:  %+v\nwant: %+v", step, *c.intensity, *ref)
 				}
 			}
 			same("initial grouping")

@@ -7,6 +7,7 @@ import (
 
 	"lazyctrl/internal/chaos"
 	"lazyctrl/internal/controller"
+	"lazyctrl/internal/netsim"
 	"lazyctrl/internal/trace"
 )
 
@@ -83,8 +84,13 @@ func FailoverPlans(at time.Duration) []*chaos.Plan {
 }
 
 // DisseminationRounds converts a span into dissemination rounds (the
-// advertise cadence), rounded up; zero for a span ≤ 0.
+// advertise cadence), rounded up. A phase closes with a control-link
+// round trip (a push and its ack, at most twice the default control
+// latency with full jitter), so that much past a round boundary counts
+// no further round; a span within it is zero rounds.
 func DisseminationRounds(d time.Duration) int {
+	l := netsim.DefaultLatencies()
+	d -= 2 * time.Duration(float64(l.Control)*(1+l.JitterFrac))
 	if d <= 0 {
 		return 0
 	}

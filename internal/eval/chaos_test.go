@@ -445,6 +445,24 @@ func BenchmarkFailover(b *testing.B) {
 	b.ReportMetric(float64(last.DupEscalationsSuppressed), "dup-escalations-suppressed")
 }
 
+// TestDisseminationRounds pins the rounding: a phase that ends one
+// control-link round trip past a round boundary took no further round.
+func TestDisseminationRounds(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 0},
+		{2*time.Minute + 800*time.Microsecond, 12},
+		{2*time.Minute + 5*time.Second, 13},
+		{3 * time.Minute, 18},
+	} {
+		if got := DisseminationRounds(tc.d); got != tc.want {
+			t.Errorf("DisseminationRounds(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}
+
 // TestChaosControllerBlackout: a 10-minute controller outage must not
 // strand the control plane — pushes retry with backoff, edges ride it
 // out on existing state (degraded flood for cold flows), and the world

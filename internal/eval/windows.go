@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"lazyctrl/internal/controller"
+	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/netsim"
-	"lazyctrl/internal/replay"
 	"lazyctrl/internal/sim"
 	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
@@ -112,9 +112,10 @@ func (e *emulation) inject(start time.Duration, src, dst *tenant.Host, packets i
 // one queued gets an event of its own.
 type injectFlow struct{ src, dst *tenant.Host }
 
-// liveGrouping is the view a fold attributes under: the controller's
-// grouping and its version in lazy mode, none under the baseline.
-func (e *emulation) liveGrouping() (replay.View, uint64) {
+// liveGrouping is the grouping a fold attributes under: the
+// controller's grouping and its version in lazy mode, none under the
+// baseline.
+func (e *emulation) liveGrouping() (*grouping.Grouping, uint64) {
 	if e.c.Mode != controller.ModeLazy {
 		return nil, 0
 	}

@@ -14,37 +14,17 @@ import (
 // switches prefer small groups (smaller G-FIBs and less state
 // dissemination overhead).
 
-// BargainConfig parameterizes the negotiation.
-type BargainConfig struct {
-	// ControllerLimit is the controller's preferred (upper) group size.
-	ControllerLimit int
-	// ControllerDiscount and SwitchDiscount are the per-round discount
-	// factors δc, δs ∈ (0,1) of the alternating-offers game. A more
-	// patient party (higher δ) extracts a larger share.
-	ControllerDiscount float64
-	SwitchDiscount     float64
-}
+// controllerDiscount and switchDiscount are the per-round discount
+// factors δc, δs ∈ (0,1) of the alternating-offers game. A more patient
+// party (higher δ) extracts a larger share.
+const (
+	controllerDiscount = 0.9
+	switchDiscount     = 0.8
+)
 
 // maxBargainRounds bounds the explicit alternating-offers simulation
 // used while the parties' proposals have not yet converged.
 const maxBargainRounds = 16
-
-func (c BargainConfig) withDefaults() (BargainConfig, error) {
-	if c.ControllerLimit < 1 {
-		return c, errors.New("grouping: ControllerLimit must be ≥ 1")
-	}
-	if c.ControllerDiscount == 0 {
-		c.ControllerDiscount = 0.9
-	}
-	if c.SwitchDiscount == 0 {
-		c.SwitchDiscount = 0.8
-	}
-	if c.ControllerDiscount <= 0 || c.ControllerDiscount >= 1 ||
-		c.SwitchDiscount <= 0 || c.SwitchDiscount >= 1 {
-		return c, errors.New("grouping: discount factors must lie in (0,1)")
-	}
-	return c, nil
-}
 
 // SwitchOffer is one switch's self-evaluated preferred group size limit,
 // derived from its monitored memory and CPU headroom.
@@ -92,41 +72,39 @@ func AggregateOffers(offers []SwitchOffer) int {
 }
 
 // Negotiate runs the modified Rubinstein bargaining between the
-// controller's preferred limit and the switches' aggregate preferred
-// limit, returning the agreed group size limit.
+// controller's preferred (upper) group size limit and the switches'
+// aggregate preferred limit, returning the agreed group size limit.
 //
 // The surplus being divided is the interval [switchLimit,
 // controllerLimit]. With discount factors δc (controller) and δs
 // (switches), the subgame-perfect equilibrium gives the first mover (the
 // controller, who computes groupings) the share (1-δs)/(1-δcδs); the
 // agreement is immediate in equilibrium, but for transparency the
-// explicit alternating-offers rounds are also simulated and must
-// converge to the same split within maxBargainRounds.
-func Negotiate(switchLimit int, cfg BargainConfig) (int, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return 0, err
+// explicit alternating-offers rounds are also simulated, and their
+// settlement is kept when it lands near the equilibrium.
+func Negotiate(switchLimit, controllerLimit int) (int, error) {
+	if controllerLimit < 1 {
+		return 0, errors.New("grouping: controllerLimit must be ≥ 1")
 	}
 	if switchLimit < 1 {
 		switchLimit = 1
 	}
-	if switchLimit >= c.ControllerLimit {
+	if switchLimit >= controllerLimit {
 		// The switches concede at least as much as the controller wants.
-		return c.ControllerLimit, nil
+		return controllerLimit, nil
 	}
-	pie := float64(c.ControllerLimit - switchLimit)
-	controllerShare := (1 - c.SwitchDiscount) / (1 - c.ControllerDiscount*c.SwitchDiscount)
+	pie := float64(controllerLimit - switchLimit)
+	controllerShare := (1 - switchDiscount) / (1 - controllerDiscount*switchDiscount)
 
-	// Explicit alternating offers (documentation of the equilibrium; also
-	// handles pathological discount pairs by truncation).
-	offerC := float64(c.ControllerLimit)
+	// Explicit alternating offers (documentation of the equilibrium).
+	offerC := float64(controllerLimit)
 	offerS := float64(switchLimit)
 	for round := 0; round < maxBargainRounds && offerC-offerS > 0.5; round++ {
 		if round%2 == 0 {
 			// Controller concedes toward the equilibrium.
-			offerC -= (1 - c.ControllerDiscount) * (offerC - offerS)
+			offerC -= (1 - controllerDiscount) * (offerC - offerS)
 		} else {
-			offerS += (1 - c.SwitchDiscount) * (offerC - offerS)
+			offerS += (1 - switchDiscount) * (offerC - offerS)
 		}
 	}
 	equilibrium := float64(switchLimit) + pie*controllerShare
@@ -140,8 +118,8 @@ func Negotiate(switchLimit int, cfg BargainConfig) (int, error) {
 	if limit < switchLimit {
 		limit = switchLimit
 	}
-	if limit > c.ControllerLimit {
-		limit = c.ControllerLimit
+	if limit > controllerLimit {
+		limit = controllerLimit
 	}
 	return limit, nil
 }

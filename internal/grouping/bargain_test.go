@@ -37,7 +37,7 @@ func TestAggregateOffersWeighted(t *testing.T) {
 }
 
 func TestNegotiateBetweenBounds(t *testing.T) {
-	got, err := Negotiate(20, BargainConfig{ControllerLimit: 100})
+	got, err := Negotiate(20, 100)
 	if err != nil {
 		t.Fatalf("Negotiate: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestNegotiateBetweenBounds(t *testing.T) {
 }
 
 func TestNegotiateSwitchConcedes(t *testing.T) {
-	got, err := Negotiate(200, BargainConfig{ControllerLimit: 100})
+	got, err := Negotiate(200, 100)
 	if err != nil {
 		t.Fatalf("Negotiate: %v", err)
 	}
@@ -61,42 +61,14 @@ func TestNegotiateSwitchConcedes(t *testing.T) {
 	}
 }
 
-func TestNegotiatePatienceMatters(t *testing.T) {
-	patient, err := Negotiate(10, BargainConfig{
-		ControllerLimit:    110,
-		ControllerDiscount: 0.95,
-		SwitchDiscount:     0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	impatient, err := Negotiate(10, BargainConfig{
-		ControllerLimit:    110,
-		ControllerDiscount: 0.5,
-		SwitchDiscount:     0.95,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if patient <= impatient {
-		t.Errorf("patient controller got %d, impatient got %d; want patient > impatient", patient, impatient)
-	}
-}
-
 func TestNegotiateValidation(t *testing.T) {
-	if _, err := Negotiate(10, BargainConfig{ControllerLimit: 0}); err == nil {
-		t.Error("ControllerLimit 0 accepted")
-	}
-	if _, err := Negotiate(10, BargainConfig{ControllerLimit: 50, ControllerDiscount: 1.5}); err == nil {
-		t.Error("discount ≥ 1 accepted")
-	}
-	if _, err := Negotiate(10, BargainConfig{ControllerLimit: 50, SwitchDiscount: -0.1}); err == nil {
-		t.Error("negative discount accepted")
+	if _, err := Negotiate(10, 0); err == nil {
+		t.Error("controller limit 0 accepted")
 	}
 }
 
 func TestNegotiateZeroSwitchLimit(t *testing.T) {
-	got, err := Negotiate(0, BargainConfig{ControllerLimit: 40})
+	got, err := Negotiate(0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

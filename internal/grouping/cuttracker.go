@@ -1,114 +1,17 @@
 package grouping
 
 import (
+	"slices"
 	"sort"
 
 	"lazyctrl/internal/model"
 )
 
-// intensityMatrix abstracts the matrix operations SGI consumes, so the
-// differential tests can drive the exact same algorithm with the legacy
-// map-based implementation and compare the resulting groupings against
-// the indexed one.
-type intensityMatrix interface {
-	// Switches returns the registered switches in ascending ID order;
-	// callers must not modify the returned slice.
-	Switches() []model.SwitchID
-	// ForEachPair visits every positive pair in deterministic
-	// (A,B)-sorted order.
-	ForEachPair(fn func(p model.SwitchPair, w float64))
-	// ForEachNeighbor visits the positive-intensity neighbors of s in a
-	// deterministic order.
-	ForEachNeighbor(s model.SwitchID, fn func(t model.SwitchID, w float64))
-	// Total is the sum of all pairwise intensities.
-	Total() float64
-	// MaxPair is the largest single pairwise intensity.
-	MaxPair() float64
-	// cloneMatrix returns an independent deep copy.
-	cloneMatrix() intensityMatrix
-}
-
-func (m *Intensity) cloneMatrix() intensityMatrix { return m.Clone() }
-
-// denseView is a matrix in a dense index space, the layout the hot loops
-// walk as plain arrays: ids[i] is switch i, ix inverts ids, and adj[i]
-// lists i's neighbors by index with each undirected pair stored in both
-// endpoints' lists at the same weight.
-type denseView struct {
-	ids []model.SwitchID
-	ix  map[model.SwitchID]int32
-	adj [][]nbr
-}
-
 // isIndexPrefix reports whether prev's dense index space is a prefix of
 // src's, i.e. every switch has the same index in both. True whenever
 // prev is an earlier clone of src's lineage (indices are append-only).
 func isIndexPrefix(prev, src *Intensity) bool {
-	if len(prev.ids) > len(src.ids) {
-		return false
-	}
-	for i, s := range prev.ids {
-		if src.ids[i] != s {
-			return false
-		}
-	}
-	return true
-}
-
-// denseViews returns src, and prev's adjacency when prev is non-nil, in
-// one shared index space. When both are indexed (*Intensity) and prev's
-// index space is a prefix of src's, the views alias the matrices' own
-// index and adjacency with zero copying, and prevAdj may be shorter than
-// view.adj; otherwise (the legacy reference matrix in tests) they are
-// copies. The matrices must not be mutated while a view is live.
-func denseViews(src, prev intensityMatrix) (view denseView, prevAdj [][]nbr) {
-	si, fast := src.(*Intensity)
-	var pi *Intensity
-	if fast && prev != nil {
-		pi, fast = prev.(*Intensity)
-		fast = fast && isIndexPrefix(pi, si)
-	}
-	if fast {
-		view = denseView{ids: si.ids, ix: si.idx, adj: si.adj}
-		if pi != nil {
-			prevAdj = pi.adj
-		}
-		return view, prevAdj
-	}
-
-	srcIDs := src.Switches()
-	view.ix = make(map[model.SwitchID]int32, len(srcIDs))
-	reg := func(s model.SwitchID) {
-		if _, ok := view.ix[s]; !ok {
-			view.ix[s] = int32(len(view.ids))
-			view.ids = append(view.ids, s)
-		}
-	}
-	for _, s := range srcIDs {
-		reg(s)
-	}
-	var prevIDs []model.SwitchID
-	if prev != nil {
-		prevIDs = prev.Switches()
-		for _, s := range prevIDs {
-			reg(s)
-		}
-	}
-	copyAdj := func(m intensityMatrix, ids []model.SwitchID) [][]nbr {
-		adj := make([][]nbr, len(view.ids))
-		for _, s := range ids {
-			ia := view.ix[s]
-			m.ForEachNeighbor(s, func(b model.SwitchID, w float64) {
-				adj[ia] = append(adj[ia], nbr{to: view.ix[b], w: w})
-			})
-		}
-		return adj
-	}
-	view.adj = copyAdj(src, srcIDs)
-	if prev != nil {
-		prevAdj = copyAdj(prev, prevIDs)
-	}
-	return view, prevAdj
+	return len(prev.ids) <= len(src.ids) && slices.Equal(prev.ids, src.ids[:len(prev.ids)])
 }
 
 // cutEps is the cancellation floor of the tracker: a delta-maintained
@@ -130,13 +33,13 @@ const noSlot = -1
 // rescans and pairChanges accumulations in the inner loop.
 //
 // Nothing on the per-edge path hashes: switches are walked in the
-// matrices' dense index space (denseViews), and each live group holds a
-// slot, so a group pair's weight is one cell of a slots × slots matrix.
+// matrices' dense index space, and each live group holds a slot, so a
+// group pair's weight is one cell of a slots × slots matrix.
 // A merge/split frees the slots of the two retired groups for the two it
 // creates, so an IncUpdate call needs at most groups + 2 slots.
 type cutTracker struct {
-	denseView         // current matrix
-	prevAdj   [][]nbr // snapshot adjacency; may be nil or shorter (prefix space)
+	m       *Intensity // current matrix
+	prevAdj [][]nbr    // snapshot adjacency in m's index space; may be nil or shorter
 
 	assign []int32                 // dense index → slot of its current group, or noSlot
 	slot   map[model.GroupID]int32 // live group → slot
@@ -163,25 +66,30 @@ func crossing(sa, sb int32) bool {
 }
 
 // newCutTracker builds the tracker for grp over the current and snapshot
-// matrices in one O(P) pass each.
-func newCutTracker(grp *Grouping, src, prev intensityMatrix) *cutTracker {
+// matrices in one O(P) pass each. prev, when non-nil, must be an index
+// prefix of m (isIndexPrefix): the tracker reads both matrices' arrays
+// in place.
+func newCutTracker(grp *Grouping, m, prev *Intensity) *cutTracker {
 	t := &cutTracker{
+		m:     m,
 		slot:  make(map[model.GroupID]int32, grp.NumGroups()+2),
-		total: src.Total(),
+		total: m.Total(),
 	}
-	t.denseView, t.prevAdj = denseViews(src, prev)
+	if prev != nil {
+		t.prevAdj = prev.adj
+	}
 	t.resize(grp.NumGroups() + 2)
-	t.assign = make([]int32, len(t.ids))
-	for i, s := range t.ids {
+	t.assign = make([]int32, len(m.ids))
+	for i, s := range m.ids {
 		t.assign[i] = t.slotOf(grp.GroupOf(s))
 	}
 
 	// One pass per matrix, visiting each undirected pair once.
-	for ia := range t.adj {
+	for ia, list := range m.adj {
 		sa := t.assign[ia]
-		a := t.ids[ia]
-		for _, e := range t.adj[ia] {
-			if t.ids[e.to] <= a {
+		a := m.ids[ia]
+		for _, e := range list {
+			if m.ids[e.to] <= a {
 				continue
 			}
 			sb := t.assign[e.to]
@@ -193,11 +101,11 @@ func newCutTracker(grp *Grouping, src, prev intensityMatrix) *cutTracker {
 			}
 		}
 	}
-	for ia := range t.prevAdj {
+	for ia, list := range t.prevAdj {
 		sa := t.assign[ia]
-		a := t.ids[ia]
-		for _, e := range t.prevAdj[ia] {
-			if t.ids[e.to] <= a {
+		a := m.ids[ia]
+		for _, e := range list {
+			if m.ids[e.to] <= a {
 				continue
 			}
 			sb := t.assign[e.to]
@@ -288,7 +196,7 @@ func bump(m []float64, c int, d float64) {
 // move reassigns switch s to group g (possibly NoGroup) and folds the
 // weight deltas of s's incident edges into the tracker. O(degree).
 func (t *cutTracker) move(s model.SwitchID, g model.GroupID) {
-	ia, ok := t.ix[s]
+	ia, ok := t.m.idx[s]
 	if !ok {
 		return // unknown to both matrices: no tracked traffic
 	}
@@ -298,7 +206,7 @@ func (t *cutTracker) move(s model.SwitchID, g model.GroupID) {
 		return
 	}
 	t.assign[ia] = sg
-	for _, e := range t.adj[ia] {
+	for _, e := range t.m.adj[ia] {
 		sn := t.assign[e.to]
 		if crossing(old, sn) {
 			t.inter -= e.w

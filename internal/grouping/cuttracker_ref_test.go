@@ -19,7 +19,17 @@ import (
 // They are kept as the executable specification the dense versions are
 // checked against, bit for bit.
 
-func refBuildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
+// forEachNeighbor calls fn for every switch with positive intensity to
+// s, in ascending dense-index (registration) order.
+func (m *Intensity) forEachNeighbor(s model.SwitchID, fn func(t model.SwitchID, w float64)) {
+	if ia, ok := m.idx[s]; ok {
+		for _, e := range m.adj[ia] {
+			fn(m.ids[e.to], e.w)
+		}
+	}
+}
+
+func refBuildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
 	n := len(switches)
 	index := make(map[model.SwitchID]int, n)
 	for i, sw := range switches {
@@ -28,7 +38,7 @@ func refBuildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, 
 	scale := weightScale(m.MaxPair())
 	deg := make([]int, n)
 	for i, sw := range switches {
-		m.ForEachNeighbor(sw, func(t model.SwitchID, w float64) {
+		m.forEachNeighbor(sw, func(t model.SwitchID, w float64) {
 			if _, ok := index[t]; ok {
 				deg[i]++
 			}
@@ -48,7 +58,7 @@ func refBuildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, 
 		vwgt[i] = 1
 	}
 	for i, sw := range switches {
-		m.ForEachNeighbor(sw, func(t model.SwitchID, w float64) {
+		m.forEachNeighbor(sw, func(t model.SwitchID, w float64) {
 			j, ok := index[t]
 			if !ok {
 				return
@@ -103,28 +113,18 @@ func refCrossing(ga, gb model.GroupID) bool {
 
 // newRefCutTracker builds the tracker for grp over the current and snapshot
 // matrices in one O(P) pass each.
-func newRefCutTracker(grp *Grouping, src, prev intensityMatrix) *refCutTracker {
+func newRefCutTracker(grp *Grouping, src, prev *Intensity) *refCutTracker {
 	t := &refCutTracker{
 		cur:   make(map[gpKey]float64),
 		prevW: make(map[gpKey]float64),
 		total: src.Total(),
 	}
-	si, fast := src.(*Intensity)
-	var pi *Intensity
-	if fast && prev != nil {
-		pi, fast = prev.(*Intensity)
-		fast = fast && isIndexPrefix(pi, si)
-	}
-	if fast {
-		// Zero-copy: alias the matrices' own index space and adjacency.
-		t.ids = si.ids
-		t.ix = si.idx
-		t.adj = si.adj
-		if pi != nil {
-			t.prevAdj = pi.adj
-		}
-	} else {
-		t.buildCopies(src, prev)
+	// Alias the matrices' own index space and adjacency.
+	t.ids = src.ids
+	t.ix = src.idx
+	t.adj = src.adj
+	if prev != nil {
+		t.prevAdj = prev.adj
 	}
 
 	n := len(t.ids)
@@ -164,48 +164,6 @@ func newRefCutTracker(grp *Grouping, src, prev intensityMatrix) *refCutTracker {
 		}
 	}
 	return t
-}
-
-// buildCopies materializes the tracker's own dense index space and
-// adjacency from arbitrary intensityMatrix implementations (the slow
-// path, used by the legacy reference matrix in tests).
-func (t *refCutTracker) buildCopies(src, prev intensityMatrix) {
-	srcIDs := src.Switches()
-	t.ix = make(map[model.SwitchID]int32, len(srcIDs))
-	reg := func(s model.SwitchID) int32 {
-		if i, ok := t.ix[s]; ok {
-			return i
-		}
-		i := int32(len(t.ids))
-		t.ix[s] = i
-		t.ids = append(t.ids, s)
-		return i
-	}
-	for _, s := range srcIDs {
-		reg(s)
-	}
-	var prevIDs []model.SwitchID
-	if prev != nil {
-		prevIDs = prev.Switches()
-		for _, s := range prevIDs {
-			reg(s)
-		}
-	}
-	n := len(t.ids)
-	copyAdj := func(m intensityMatrix, ids []model.SwitchID) [][]nbr {
-		adj := make([][]nbr, n)
-		for _, s := range ids {
-			ia := t.ix[s]
-			m.ForEachNeighbor(s, func(b model.SwitchID, w float64) {
-				adj[ia] = append(adj[ia], nbr{to: t.ix[b], w: w})
-			})
-		}
-		return adj
-	}
-	t.adj = copyAdj(src, srcIDs)
-	if prev != nil {
-		t.prevAdj = copyAdj(prev, prevIDs)
-	}
 }
 
 // groupOf returns the tracker's current assignment of s.
@@ -330,7 +288,7 @@ func (t *refCutTracker) pairChanges() []groupPairChange {
 
 // groupOf returns the tracker's current assignment of s.
 func (t *cutTracker) groupOf(s model.SwitchID) model.GroupID {
-	if i, ok := t.ix[s]; ok && t.assign[i] != noSlot {
+	if i, ok := t.m.idx[s]; ok && t.assign[i] != noSlot {
 		return t.group[t.assign[i]]
 	}
 	return model.NoGroup
@@ -356,11 +314,12 @@ func (t *cutTracker) trackedPairs() (cur, prevW map[gpKey]float64) {
 }
 
 // randomMatrices draws a current matrix and a snapshot for one reference
-// program, in both implementations. The indexed snapshot is an earlier
-// clone of the current matrix's lineage (the aliasing path), a matrix
-// registered in another order (the copying path), or absent.
-func randomMatrices(rng *rand.Rand, nSwitch int) (idx, idxPrev *Intensity, leg, legPrev *legacyIntensity) {
-	idx, leg = NewIntensity(), newLegacyIntensity()
+// program. The snapshot is an earlier clone of the current matrix's
+// lineage, a matrix with traffic of its own over a prefix of the
+// current matrix's registrations, or absent; the current matrix then
+// grows past it, sometimes by switches the snapshot never saw.
+func randomMatrices(rng *rand.Rand, nSwitch int) (m, prev *Intensity) {
+	m = NewIntensity()
 	sw := func() model.SwitchID { return model.SwitchID(1 + rng.IntN(nSwitch)) }
 	rate := func() float64 {
 		switch rng.IntN(8) {
@@ -372,35 +331,32 @@ func randomMatrices(rng *rand.Rand, nSwitch int) (idx, idxPrev *Intensity, leg, 
 		return rng.Float64() * 80
 	}
 	for e := rng.IntN(6 * nSwitch); e > 0; e-- {
-		a, b, w := sw(), sw(), rate()
-		idx.Add(a, b, w)
-		leg.Add(a, b, w)
+		m.Add(sw(), sw(), rate())
 	}
 	if rng.IntN(6) == 0 {
-		f := 0.3 + 0.6*rng.Float64()
-		idx.Decay(f)
-		leg.Decay(f)
+		m.Decay(0.3 + 0.6*rng.Float64())
 	}
 	switch rng.IntN(3) {
 	case 0:
-		idxPrev, legPrev = idx.Clone(), leg.clone()
+		prev = m.Clone()
 	case 1:
-		idxPrev, legPrev = NewIntensity(), newLegacyIntensity()
-		for e := rng.IntN(4 * nSwitch); e > 0; e-- {
-			a, b, w := sw(), sw(), rate()
-			idxPrev.Add(a, b, w)
-			legPrev.Add(a, b, w)
+		prev = NewIntensity()
+		known := m.ids[:rng.IntN(len(m.ids)+1)]
+		for _, s := range known {
+			prev.AddSwitch(s)
+		}
+		for e := rng.IntN(4 * nSwitch); len(known) > 0 && e > 0; e-- {
+			prev.Add(known[rng.IntN(len(known))], known[rng.IntN(len(known))], rate())
 		}
 	}
 	for e := rng.IntN(3 * nSwitch); e > 0; e-- {
-		a, b, w := sw(), sw(), rate()
+		a, b := sw(), sw()
 		if rng.IntN(4) == 0 {
 			b = model.SwitchID(nSwitch + 1 + rng.IntN(8)) // a switch newer than the snapshot
 		}
-		idx.Add(a, b, w)
-		leg.Add(a, b, w)
+		m.Add(a, b, rate())
 	}
-	return idx, idxPrev, leg, legPrev
+	return m, prev
 }
 
 func sameGraph(a, b *graph.Graph) error {
@@ -421,15 +377,14 @@ func sameGraph(a, b *graph.Graph) error {
 
 // TestBuildGraphMatchesReference builds graphs over random switch sets —
 // the whole matrix as IniGroup asks, or the union of two sorted groups as
-// a merge asks, with switches the matrix has never seen — from both
-// matrix implementations, and compares every list, in order, with the
-// reference build.
+// a merge asks, with switches the matrix has never seen — and compares
+// every list, in order, with the reference build.
 func TestBuildGraphMatchesReference(t *testing.T) {
 	for prog := 0; prog < 1200; prog++ {
 		rng := rand.New(rand.NewPCG(uint64(prog), 41))
 		nSwitch := 2 + rng.IntN(40)
-		idx, _, leg, _ := randomMatrices(rng, nSwitch)
-		switches := idx.Switches()
+		m, _ := randomMatrices(rng, nSwitch)
+		switches := m.Switches()
 		if rng.IntN(3) > 0 {
 			var a, b []model.SwitchID
 			for s := 1; s <= nSwitch+10; s++ {
@@ -442,15 +397,13 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 			}
 			switches = append(a, b...)
 		}
-		for _, m := range []intensityMatrix{idx, leg} {
-			g, orig := buildGraph(m, switches)
-			want, wantOrig := refBuildGraph(m, switches)
-			if err := sameGraph(g, want); err != nil {
-				t.Fatalf("program %d (%T): %v", prog, m, err)
-			}
-			if !slices.Equal(orig, wantOrig) {
-				t.Fatalf("program %d (%T): orig %v, reference %v", prog, m, orig, wantOrig)
-			}
+		g, orig := buildGraph(m, switches)
+		want, wantOrig := refBuildGraph(m, switches)
+		if err := sameGraph(g, want); err != nil {
+			t.Fatalf("program %d: %v", prog, err)
+		}
+		if !slices.Equal(orig, wantOrig) {
+			t.Fatalf("program %d: orig %v, reference %v", prog, orig, wantOrig)
 		}
 	}
 }
@@ -498,8 +451,7 @@ func samePairMap(a, b map[gpKey]float64) bool {
 
 // TestCutTrackerMatchesReference drives the slot-indexed tracker and the
 // map-keyed reference with the same random programs of moves, merge/splits
-// and rankings, over both matrix implementations, and compares everything
-// after every step bit for bit: W_inter, every pair weight, and the ranked
+// and rankings, and compares everything after every step bit for bit: W_inter, every pair weight, and the ranked
 // pairChanges list with its floats.
 func TestCutTrackerMatchesReference(t *testing.T) {
 	const steps = 40
@@ -507,7 +459,7 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 	for prog := 0; prog < 1200; prog++ {
 		rng := rand.New(rand.NewPCG(uint64(prog), 43))
 		nSwitch := 4 + rng.IntN(36)
-		idx, idxPrev, leg, legPrev := randomMatrices(rng, nSwitch)
+		m, prev := randomMatrices(rng, nSwitch)
 
 		// A random grouping over more switches than the matrices know,
 		// some left to the controller.
@@ -527,20 +479,7 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 			}
 		}
 
-		type pair struct {
-			got *cutTracker
-			ref *refCutTracker
-		}
-		var pairs []pair
-		if idxPrev != nil {
-			pairs = append(pairs,
-				pair{newCutTracker(grp, idx, idxPrev), newRefCutTracker(grp, idx, idxPrev)},
-				pair{newCutTracker(grp, leg, legPrev), newRefCutTracker(grp, leg, legPrev)})
-		} else {
-			pairs = append(pairs,
-				pair{newCutTracker(grp, idx, nil), newRefCutTracker(grp, idx, nil)},
-				pair{newCutTracker(grp, leg, nil), newRefCutTracker(grp, leg, nil)})
-		}
+		got, ref := newCutTracker(grp, m, prev), newRefCutTracker(grp, m, prev)
 
 		nextGID := model.GroupID(100)
 		for step := 0; step < steps; step++ {
@@ -570,8 +509,8 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 				}
 				a, b = gids[i], gids[j]
 				var union []model.SwitchID
-				for _, sw := range pairs[0].ref.ids {
-					if ga := pairs[0].ref.groupOf(sw); ga == a || ga == b {
+				for _, sw := range ref.ids {
+					if ga := ref.groupOf(sw); ga == a || ga == b {
 						union = append(union, sw)
 					}
 				}
@@ -589,38 +528,36 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 				}
 				gids = append(kept, g0, g1)
 			}
-			for pi, p := range pairs {
-				at := fmt.Sprintf("program %d step %d matrix %d", prog, step, pi)
-				switch {
-				case op < 5:
-					p.got.move(s, g)
-					p.ref.move(s, g)
-				case op < 8:
-					p.got.regroup(a, b, side0, g0, side1, g1)
-					p.ref.regroup(a, b, side0, g0, side1, g1)
-				}
-				if math.Float64bits(p.got.inter) != math.Float64bits(p.ref.inter) ||
-					math.Float64bits(p.got.winter()) != math.Float64bits(p.ref.winter()) {
-					t.Fatalf("%s: inter %v, reference %v", at, p.got.inter, p.ref.inter)
-				}
-				cur, prevW := p.got.trackedPairs()
-				if !samePairMap(cur, p.ref.cur) || !samePairMap(prevW, p.ref.prevW) {
-					t.Fatalf("%s: pair weights %v / %v, reference %v / %v", at, cur, prevW, p.ref.cur, p.ref.prevW)
-				}
-				changes := p.got.pairChanges()
-				if want := p.ref.pairChanges(); !samePairChanges(changes, want) {
-					t.Fatalf("%s: pairChanges %v, reference %v", at, changes, want)
-				}
-				if len(changes) > 1 {
-					seen["ranking of several pairs"]++
-				}
-				for _, sw := range p.ref.ids {
-					if got, want := p.got.groupOf(sw), p.ref.groupOf(sw); got != want {
-						t.Fatalf("%s: switch %d in group %d, reference %d", at, sw, got, want)
-					}
+			at := fmt.Sprintf("program %d step %d", prog, step)
+			switch {
+			case op < 5:
+				got.move(s, g)
+				ref.move(s, g)
+			case op < 8:
+				got.regroup(a, b, side0, g0, side1, g1)
+				ref.regroup(a, b, side0, g0, side1, g1)
+			}
+			if math.Float64bits(got.inter) != math.Float64bits(ref.inter) ||
+				math.Float64bits(got.winter()) != math.Float64bits(ref.winter()) {
+				t.Fatalf("%s: inter %v, reference %v", at, got.inter, ref.inter)
+			}
+			cur, prevW := got.trackedPairs()
+			if !samePairMap(cur, ref.cur) || !samePairMap(prevW, ref.prevW) {
+				t.Fatalf("%s: pair weights %v / %v, reference %v / %v", at, cur, prevW, ref.cur, ref.prevW)
+			}
+			changes := got.pairChanges()
+			if want := ref.pairChanges(); !samePairChanges(changes, want) {
+				t.Fatalf("%s: pairChanges %v, reference %v", at, changes, want)
+			}
+			if len(changes) > 1 {
+				seen["ranking of several pairs"]++
+			}
+			for _, sw := range ref.ids {
+				if got, want := got.groupOf(sw), ref.groupOf(sw); got != want {
+					t.Fatalf("%s: switch %d in group %d, reference %d", at, sw, got, want)
 				}
 			}
-			if op < 8 && len(pairs[0].got.group) > 2+nGroups {
+			if op < 8 && len(got.group) > 2+nGroups {
 				seen["slots grown"]++
 			}
 		}

@@ -1,24 +1,22 @@
 // Package grouping implements LazyCtrl's switch-grouping machinery: the
 // traffic-intensity matrix W, the SGI algorithm (size-constrained
-// grouping with incremental update, §III-C of the paper), host exclusion,
-// and the Rubinstein-bargaining group-size negotiation from Appendix C.
+// grouping with incremental update, §III-C of the paper), and the
+// Rubinstein-bargaining group-size negotiation from Appendix C.
 package grouping
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"lazyctrl/internal/model"
 )
 
 // decayFloor is the eviction threshold of Decay: entries whose decayed
-// weight falls below it are dropped from the matrix and from every
-// iteration cache. 1e-12 flows/second is far below one flow per live
-// trace window (a 24 h day is ~9e4 s, so the floor corresponds to less
-// than one-millionth of a flow per day); keeping such entries would only
-// grow the adjacency lists with numerically dead weight that can never
-// influence a partition.
+// weight falls below it are dropped from the matrix. 1e-12 flows/second
+// is far below one flow per live trace window (a 24 h day is ~9e4 s, so
+// the floor corresponds to less than one-millionth of a flow per day);
+// keeping such entries would only grow the adjacency lists with
+// numerically dead weight that can never influence a partition.
 const decayFloor = 1e-12
 
 // nbr is one adjacency entry: the dense index of the neighbor switch and
@@ -27,16 +25,6 @@ const decayFloor = 1e-12
 type nbr struct {
 	to int32
 	w  float64
-}
-
-// pairRef locates one undirected pair for cached iteration: the
-// canonical (A < B) switch pair plus the position of its adjacency entry
-// in adj[ia]. Positions stay valid until an insert or delete reshuffles
-// an adjacency list; weight-only updates do not invalidate refs.
-type pairRef struct {
-	p   model.SwitchPair
-	ia  int32
-	pos int32
 }
 
 // Intensity is the matrix W of the paper: w[i][j] is the normalized
@@ -48,25 +36,18 @@ type pairRef struct {
 // re-sorting.
 //
 // Writers (Add, AddSwitch, Decay) must not run concurrently with anything
-// else. Read-side methods are safe for concurrent use: the lazily built
-// iteration caches are rebuilt under an internal mutex.
+// else. Readers never write, so any number of them may share a matrix.
 type Intensity struct {
 	idx map[model.SwitchID]int32 // switch → dense index
 	ids []model.SwitchID         // dense index → switch
 	adj [][]nbr                  // per-switch neighbor lists, sorted by index
+	// sorted is the switches in ascending ID order. A registration never
+	// writes an element a handed-out slice can see: a switch above every
+	// other is appended past them, any other is inserted into a copy.
+	sorted []model.SwitchID
 
 	total   float64
 	maxPair float64
-	npairs  int
-
-	// mu guards the lazily (re)built caches below so concurrent readers
-	// can share one matrix.
-	mu sync.Mutex
-	// pairSeq is the deterministic (A,B)-sorted pair iteration order.
-	// nil means stale: rebuilt on the next ForEachPair.
-	pairSeq []pairRef
-	// sorted is the ID-sorted switch list. nil means stale.
-	sorted []model.SwitchID
 }
 
 // NewIntensity returns an empty intensity matrix.
@@ -79,11 +60,20 @@ func (m *Intensity) index(s model.SwitchID) int32 {
 	if i, ok := m.idx[s]; ok {
 		return i
 	}
+	return m.register(s)
+}
+
+// register gives s the next dense index and its place in sorted.
+func (m *Intensity) register(s model.SwitchID) int32 {
 	i := int32(len(m.ids))
 	m.idx[s] = i
 	m.ids = append(m.ids, s)
 	m.adj = append(m.adj, nil)
-	m.sorted = nil
+	if p, _ := slices.BinarySearch(m.sorted, s); p == len(m.sorted) {
+		m.sorted = append(m.sorted, s)
+	} else {
+		m.sorted = slices.Insert(slices.Clip(m.sorted), p, s)
+	}
 	return i
 }
 
@@ -101,9 +91,8 @@ func findNbr(list []nbr, to int32) (int, bool) {
 	return lo, lo < len(list) && list[lo].to == to
 }
 
-// addHalf accumulates w onto the (ia → ib) adjacency entry and reports
-// whether the entry is new.
-func (m *Intensity) addHalf(ia, ib int32, w float64) (isNew bool) {
+// addHalf accumulates w onto the (ia → ib) adjacency entry.
+func (m *Intensity) addHalf(ia, ib int32, w float64) {
 	list := m.adj[ia]
 	pos, ok := findNbr(list, ib)
 	if ok {
@@ -111,7 +100,7 @@ func (m *Intensity) addHalf(ia, ib int32, w float64) (isNew bool) {
 		if list[pos].w > m.maxPair {
 			m.maxPair = list[pos].w
 		}
-		return false
+		return
 	}
 	list = append(list, nbr{})
 	copy(list[pos+1:], list[pos:])
@@ -120,7 +109,6 @@ func (m *Intensity) addHalf(ia, ib int32, w float64) (isNew bool) {
 	if w > m.maxPair {
 		m.maxPair = w
 	}
-	return true
 }
 
 // AddSwitch registers a switch even if it has no traffic, so that it
@@ -136,13 +124,8 @@ func (m *Intensity) Add(a, b model.SwitchID, rate float64) {
 	if a == b || rate <= 0 {
 		return
 	}
-	if m.addHalf(ia, ib, rate) {
-		m.addHalf(ib, ia, rate)
-		m.npairs++
-		m.pairSeq = nil
-	} else {
-		m.addHalf(ib, ia, rate)
-	}
+	m.addHalf(ia, ib, rate)
+	m.addHalf(ib, ia, rate)
 	m.total += rate
 }
 
@@ -158,16 +141,9 @@ func (m *Intensity) MaxPair() float64 { return m.maxPair }
 func (m *Intensity) NumSwitches() int { return len(m.ids) }
 
 // Switches returns the registered switches in ascending ID order. The
-// returned slice is a shared cache: the caller must not modify it.
-func (m *Intensity) Switches() []model.SwitchID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sorted == nil {
-		m.sorted = append([]model.SwitchID(nil), m.ids...)
-		sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i] < m.sorted[j] })
-	}
-	return m.sorted
-}
+// slice is shared: the caller must not modify it, and later
+// registrations never change it.
+func (m *Intensity) Switches() []model.SwitchID { return slices.Clip(m.sorted) }
 
 // Clone returns a deep copy. The neighbor lists share one arena, each
 // clipped to its own length, so a later Add reallocates only the list it
@@ -177,9 +153,9 @@ func (m *Intensity) Clone() *Intensity {
 		idx:     make(map[model.SwitchID]int32, len(m.idx)),
 		ids:     append([]model.SwitchID(nil), m.ids...),
 		adj:     make([][]nbr, len(m.adj)),
+		sorted:  slices.Clip(m.sorted),
 		total:   m.total,
 		maxPair: m.maxPair,
-		npairs:  m.npairs,
 	}
 	for s, i := range m.idx {
 		c.idx[s] = i
@@ -197,64 +173,7 @@ func (m *Intensity) Clone() *Intensity {
 			off = end
 		}
 	}
-	// The caches are immutable once built; share them.
-	m.mu.Lock()
-	c.pairSeq = m.pairSeq
-	c.sorted = m.sorted
-	m.mu.Unlock()
 	return c
-}
-
-// pairs returns the cached deterministic iteration order, rebuilding it
-// if a structural write invalidated it.
-func (m *Intensity) pairs() []pairRef {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pairSeq == nil {
-		seq := make([]pairRef, 0, m.npairs)
-		for ia, list := range m.adj {
-			a := m.ids[ia]
-			for pos, e := range list {
-				if b := m.ids[e.to]; a < b {
-					seq = append(seq, pairRef{
-						p:   model.SwitchPair{A: a, B: b},
-						ia:  int32(ia),
-						pos: int32(pos),
-					})
-				}
-			}
-		}
-		sort.Slice(seq, func(i, j int) bool {
-			if seq[i].p.A != seq[j].p.A {
-				return seq[i].p.A < seq[j].p.A
-			}
-			return seq[i].p.B < seq[j].p.B
-		})
-		m.pairSeq = seq
-	}
-	return m.pairSeq
-}
-
-// ForEachPair calls fn for every pair with positive intensity, in
-// deterministic (sorted) order. The order is cached between structural
-// changes, so repeated scans over a read-only matrix cost O(P), not
-// O(P log P).
-func (m *Intensity) ForEachPair(fn func(p model.SwitchPair, w float64)) {
-	for _, r := range m.pairs() {
-		fn(r.p, m.adj[r.ia][r.pos].w)
-	}
-}
-
-// ForEachNeighbor calls fn for every switch with positive intensity to s,
-// in ascending dense-index (registration) order. O(degree).
-func (m *Intensity) ForEachNeighbor(s model.SwitchID, fn func(t model.SwitchID, w float64)) {
-	ia, ok := m.idx[s]
-	if !ok {
-		return
-	}
-	for _, e := range m.adj[ia] {
-		fn(m.ids[e.to], e.w)
-	}
 }
 
 // InterGroup returns W_inter: the total intensity between switches
@@ -290,15 +209,14 @@ func (m *Intensity) NormalizedInterGroup(assign func(model.SwitchID) model.Group
 // Decay multiplies every entry by factor in (0,1), modeling an
 // exponentially weighted moving estimate of traffic intensity between
 // measurement windows. Entries decayed below the 1e-12 floor are evicted
-// from the adjacency lists and from the iteration caches, so a
-// decay-then-regroup sequence observes exactly the surviving pairs.
+// from the adjacency lists, so a decay-then-regroup sequence observes
+// exactly the surviving pairs.
 func (m *Intensity) Decay(factor float64) {
 	if factor <= 0 || factor >= 1 {
 		return
 	}
 	m.total = 0
 	m.maxPair = 0
-	m.npairs = 0
 	for ia, list := range m.adj {
 		keep := list[:0]
 		for _, e := range list {
@@ -309,7 +227,6 @@ func (m *Intensity) Decay(factor float64) {
 			keep = append(keep, nbr{to: e.to, w: nw})
 			if e.to > int32(ia) {
 				m.total += nw
-				m.npairs++
 				if nw > m.maxPair {
 					m.maxPair = nw
 				}
@@ -322,10 +239,6 @@ func (m *Intensity) Decay(factor float64) {
 		}
 		m.adj[ia] = keep
 	}
-	// Positions shifted: the cached pair order is stale.
-	m.mu.Lock()
-	m.pairSeq = nil
-	m.mu.Unlock()
 }
 
 // weightScale converts float intensities to the int64 edge weights the

@@ -1,10 +1,8 @@
 package grouping
 
-// The legacy map-of-pairs Intensity implementation, retained verbatim as
-// a test-only reference. The differential tests below prove the indexed
-// adjacency implementation plus the delta-tracked W_inter produce
-// byte-identical groupings under the same seeds before the map-based
-// code is retired from production.
+// The legacy map-of-pairs Intensity implementation, retained as a
+// test-only reference: TestIndexedMatchesLegacyObservables checks the
+// indexed adjacency implementation against it operation for operation.
 
 import (
 	"sort"
@@ -25,10 +23,6 @@ func newLegacyIntensity() *legacyIntensity {
 	}
 }
 
-func (m *legacyIntensity) AddSwitch(s model.SwitchID) {
-	m.switches[s] = struct{}{}
-}
-
 func (m *legacyIntensity) Add(a, b model.SwitchID, rate float64) {
 	m.switches[a] = struct{}{}
 	m.switches[b] = struct{}{}
@@ -37,13 +31,6 @@ func (m *legacyIntensity) Add(a, b model.SwitchID, rate float64) {
 	}
 	m.pairs[model.MakeSwitchPair(a, b)] += rate
 	m.total += rate
-}
-
-func (m *legacyIntensity) Pair(a, b model.SwitchID) float64 {
-	if a == b {
-		return 0
-	}
-	return m.pairs[model.MakeSwitchPair(a, b)]
 }
 
 func (m *legacyIntensity) Total() float64 { return m.total }
@@ -69,20 +56,6 @@ func (m *legacyIntensity) Switches() []model.SwitchID {
 	return out
 }
 
-func (m *legacyIntensity) clone() *legacyIntensity {
-	c := newLegacyIntensity()
-	for s := range m.switches {
-		c.switches[s] = struct{}{}
-	}
-	for p, w := range m.pairs {
-		c.pairs[p] = w
-	}
-	c.total = m.total
-	return c
-}
-
-func (m *legacyIntensity) cloneMatrix() intensityMatrix { return m.clone() }
-
 func (m *legacyIntensity) ForEachPair(fn func(p model.SwitchPair, w float64)) {
 	keys := make([]model.SwitchPair, 0, len(m.pairs))
 	for p := range m.pairs {
@@ -96,28 +69,6 @@ func (m *legacyIntensity) ForEachPair(fn func(p model.SwitchPair, w float64)) {
 	})
 	for _, p := range keys {
 		fn(p, m.pairs[p])
-	}
-}
-
-// ForEachNeighbor visits s's neighbors in ascending ID order (any
-// deterministic order satisfies the intensityMatrix contract).
-func (m *legacyIntensity) ForEachNeighbor(s model.SwitchID, fn func(t model.SwitchID, w float64)) {
-	type entry struct {
-		t model.SwitchID
-		w float64
-	}
-	var out []entry
-	for p, w := range m.pairs {
-		switch s {
-		case p.A:
-			out = append(out, entry{p.B, w})
-		case p.B:
-			out = append(out, entry{p.A, w})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].t < out[j].t })
-	for _, e := range out {
-		fn(e.t, e.w)
 	}
 }
 

@@ -2,6 +2,7 @@ package grouping
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lazyctrl/internal/model"
@@ -120,17 +121,32 @@ func TestIntensityDecay(t *testing.T) {
 	}
 }
 
-func TestForEachPairDeterministic(t *testing.T) {
+// TestSwitchesNeverChange pins Switches' sharing contract: the list is
+// sorted as switches register, and a later registration — above every
+// switch, between them, or in a clone — leaves every slice handed out
+// earlier as it was.
+func TestSwitchesNeverChange(t *testing.T) {
 	m := NewIntensity()
-	m.Add(3, 1, 1)
-	m.Add(2, 1, 1)
-	m.Add(3, 2, 1)
-	var order []model.SwitchPair
-	m.ForEachPair(func(p model.SwitchPair, w float64) { order = append(order, p) })
-	want := []model.SwitchPair{{A: 1, B: 2}, {A: 1, B: 3}, {A: 2, B: 3}}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("iteration order = %v, want %v", order, want)
-		}
+	for _, s := range []model.SwitchID{10, 30, 20, 40} {
+		m.AddSwitch(s)
+	}
+	before := m.Switches()
+	want := []model.SwitchID{10, 20, 30, 40}
+	if !slices.Equal(before, want) {
+		t.Fatalf("Switches() = %v, want %v", before, want)
+	}
+	c := m.Clone()
+	m.AddSwitch(50) // above every switch
+	c.AddSwitch(60)
+	m.AddSwitch(25) // between two
+	c.Add(5, 35, 1)
+	if !slices.Equal(before, want) {
+		t.Errorf("a handed-out list changed to %v, want %v", before, want)
+	}
+	if got := m.Switches(); !slices.Equal(got, []model.SwitchID{10, 20, 25, 30, 40, 50}) {
+		t.Errorf("Switches() = %v after registrations", got)
+	}
+	if got := c.Switches(); !slices.Equal(got, []model.SwitchID{5, 10, 20, 30, 35, 40, 60}) {
+		t.Errorf("clone Switches() = %v after registrations", got)
 	}
 }

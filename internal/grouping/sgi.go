@@ -52,8 +52,8 @@ const maxIncIterations = 32
 // most.
 type SGI struct {
 	cfg  Config
-	prev intensityMatrix // snapshot at last IniGroup/IncUpdate
-	seed uint64          // advances so successive calls differ deterministically
+	prev *Intensity // snapshot at last IniGroup/IncUpdate
+	seed uint64     // advances so successive calls differ deterministically
 }
 
 // New returns an SGI instance. It returns an error for invalid
@@ -69,23 +69,22 @@ func New(cfg Config) (*SGI, error) {
 // buildGraph converts the intensity matrix restricted to the given
 // switches into a weighted graph plus the vertex ↔ switch mapping. It
 // walks only the adjacency of the requested switches — O(Σ degree), not
-// O(P) — through the matrix's dense view, and assembles the graph
+// O(P) — in the matrix's dense index space, and assembles the graph
 // directly into an edge arena: matrix adjacency has no duplicate
 // neighbors, so the Builder's dedup map is unnecessary. Its allocation
 // count does not depend on the number of switches.
-func buildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
-	view, _ := denseViews(m, nil)
+func buildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
 	n := len(switches)
 	// sub maps a matrix index to its vertex, or -1 outside switches;
 	// src maps a vertex back, or -1 for a switch the matrix lacks.
-	sub := make([]int32, len(view.ids))
+	sub := make([]int32, len(m.ids))
 	for i := range sub {
 		sub[i] = -1
 	}
 	src := make([]int32, n)
 	for j, sw := range switches {
 		src[j] = -1
-		if i, ok := view.ix[sw]; ok {
+		if i, ok := m.idx[sw]; ok {
 			sub[i], src[j] = int32(j), i
 		}
 	}
@@ -95,7 +94,7 @@ func buildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []m
 		if i < 0 {
 			continue
 		}
-		for _, e := range view.adj[i] {
+		for _, e := range m.adj[i] {
 			if sub[e.to] >= 0 {
 				deg[j]++
 				total++
@@ -120,7 +119,7 @@ func buildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []m
 		if i < 0 {
 			continue
 		}
-		for _, e := range view.adj[i] {
+		for _, e := range m.adj[i] {
 			t := sub[e.to]
 			if t < 0 {
 				continue
@@ -139,14 +138,10 @@ func buildGraph(m intensityMatrix, switches []model.SwitchID) (*graph.Graph, []m
 // IniGroup function of Fig. 3): it estimates the number of groups as
 // ⌈N / SizeLimit⌉ and runs size-constrained MLkP on the intensity graph.
 func (s *SGI) IniGroup(m *Intensity) (*Grouping, error) {
-	return s.iniGroup(m)
-}
-
-func (s *SGI) iniGroup(m intensityMatrix) (*Grouping, error) {
 	switches := m.Switches()
 	grp := NewGrouping()
 	if len(switches) == 0 {
-		s.prev = m.cloneMatrix()
+		s.prev = m.Clone()
 		return grp, nil
 	}
 	k := (len(switches) + s.cfg.SizeLimit - 1) / s.cfg.SizeLimit
@@ -171,7 +166,7 @@ func (s *SGI) iniGroup(m intensityMatrix) (*Grouping, error) {
 			grp.AddGroup(members)
 		}
 	}
-	s.prev = m.cloneMatrix()
+	s.prev = m.Clone()
 	return grp, nil
 }
 
@@ -194,7 +189,7 @@ type groupPairChange struct {
 // the grouping is left untouched and changed is false — only structural
 // changes count as updates (Fig. 8) and reach the switches. On a change,
 // the cut tracker is updated with the delta.
-func (s *SGI) mergeSplit(grp *Grouping, cur intensityMatrix, t *cutTracker, a, b model.GroupID) (changed bool, err error) {
+func (s *SGI) mergeSplit(grp *Grouping, cur *Intensity, t *cutTracker, a, b model.GroupID) (changed bool, err error) {
 	la := len(grp.Members(a))
 	union := make([]model.SwitchID, 0, la+len(grp.Members(b)))
 	union = append(union, grp.Members(a)...)
@@ -259,23 +254,21 @@ func Winter(grp *Grouping, m *Intensity) float64 {
 // IncUpdate performs the incremental refinement of Fig. 3: while the
 // controller is overloaded, merge the two groups with the most
 // significant traffic growth and re-split them via minimum bisection.
-// It returns the number of merge/split operations applied.
+// It returns the number of merge/split operations applied. cur must
+// extend the index space of the matrix grouped last (a later state of
+// the same matrix, or a Clone of it): growth is measured against that
+// snapshot entry by entry.
 func (s *SGI) IncUpdate(grp *Grouping, cur *Intensity, load LoadFunc) (int, error) {
-	var bound func(*Grouping) float64
-	if load != nil {
-		bound = func(g *Grouping) float64 { return load(g, cur) }
+	if s.prev != nil && !isIndexPrefix(s.prev, cur) {
+		return 0, errors.New("grouping: IncUpdate: the matrix does not extend the one grouped last")
 	}
-	return s.incUpdate(grp, cur, bound)
-}
-
-func (s *SGI) incUpdate(grp *Grouping, cur intensityMatrix, load func(*Grouping) float64) (int, error) {
 	t := newCutTracker(grp, cur, s.prev)
 	if load == nil {
-		load = func(*Grouping) float64 { return t.winter() }
+		load = func(*Grouping, *Intensity) float64 { return t.winter() }
 	}
 	ops := 0
 	for iter := 0; iter < maxIncIterations; iter++ {
-		if load(grp) <= s.cfg.HighLoad {
+		if load(grp, cur) <= s.cfg.HighLoad {
 			break
 		}
 		changes := t.pairChanges()
@@ -297,12 +290,12 @@ func (s *SGI) incUpdate(grp *Grouping, cur intensityMatrix, load func(*Grouping)
 		if t.winter() >= before {
 			break
 		}
-		if load(grp) < s.cfg.LowLoad {
+		if load(grp, cur) < s.cfg.LowLoad {
 			break
 		}
 	}
 	if ops > 0 {
-		s.prev = cur.cloneMatrix()
+		s.prev = cur.Clone()
 	}
 	return ops, nil
 }

@@ -208,6 +208,34 @@ func TestIncUpdateCustomLoadFunc(t *testing.T) {
 	}
 }
 
+// TestIncUpdateRefusesForeignMatrix: IncUpdate measures growth against
+// the matrix grouped last entry by entry, so it refuses a matrix whose
+// index space does not extend that one's and accepts a grown clone.
+func TestIncUpdateRefusesForeignMatrix(t *testing.T) {
+	m := NewIntensity()
+	m.Add(1, 2, 10)
+	m.Add(3, 4, 10)
+	s, err := New(Config{SizeLimit: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp, err := s.IniGroup(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := NewIntensity()
+	foreign.Add(3, 4, 10)
+	foreign.Add(1, 2, 10)
+	if _, err := s.IncUpdate(grp, foreign, nil); err == nil {
+		t.Error("IncUpdate accepted a matrix that registered the switches in another order")
+	}
+	grown := m.Clone()
+	grown.Add(2, 5, 1)
+	if _, err := s.IncUpdate(grp, grown, nil); err != nil {
+		t.Errorf("IncUpdate refused a grown clone: %v", err)
+	}
+}
+
 func TestGroupingBasics(t *testing.T) {
 	g := NewGrouping()
 	id1 := g.AddGroup([]model.SwitchID{3, 1, 2})

@@ -3,19 +3,11 @@ package replay
 import (
 	"time"
 
+	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
 )
-
-// View is the group assignment the fluid fold classifies flows under.
-// *grouping.Grouping satisfies it; the eval harness passes the live
-// controller's grouping so the classification tracks dynamic regroups
-// at window granularity. A nil View means the learning-mode baseline
-// (no groups: classification runs on the learned-host model instead).
-type View interface {
-	GroupOf(s model.SwitchID) model.GroupID
-}
 
 // FluidConfig parameterizes the analytic fold. The warm-up and timeout
 // constants mirror the DES harness's cadences; the fluid error model
@@ -56,7 +48,7 @@ type FluidConfig struct {
 // took effect.
 type regroupEpoch struct {
 	at      time.Duration
-	view    View
+	view    *grouping.Grouping
 	version uint64
 }
 
@@ -140,7 +132,7 @@ func (f *Fluid) bucket(at time.Duration) int {
 
 // arpTargets returns how many designated switches a pend's ARP relay
 // fans out to: the distinct groups hosting the tenant.
-func (f *Fluid) arpTargets(tid model.TenantID, view View, version uint64) int {
+func (f *Fluid) arpTargets(tid model.TenantID, view *grouping.Grouping, version uint64) int {
 	if view == nil {
 		return 0
 	}
@@ -166,14 +158,14 @@ func (f *Fluid) arpTargets(tid model.TenantID, view View, version uint64) int {
 // must be immutable snapshots (e.g. grouping.Clone) noted in
 // nondecreasing time order. eval.RunEmulation notes none: the fluid
 // engine runs static groupings only.
-func (f *Fluid) NoteRegroup(at time.Duration, view View, version uint64) {
+func (f *Fluid) NoteRegroup(at time.Duration, view *grouping.Grouping, version uint64) {
 	f.epochs = append(f.epochs, regroupEpoch{at: at, view: view, version: version})
 }
 
 // viewAt resolves the assignment in force at time at: the newest noted
 // epoch not after it, else the caller's fold-time fallback (covers
 // runs that never note epochs, and flows predating the first note).
-func (f *Fluid) viewAt(at time.Duration, view View, version uint64) (View, uint64) {
+func (f *Fluid) viewAt(at time.Duration, view *grouping.Grouping, version uint64) (*grouping.Grouping, uint64) {
 	i := f.epochCursor
 	for i+1 < len(f.epochs) && f.epochs[i+1].at <= at {
 		i++
@@ -189,11 +181,14 @@ func (f *Fluid) viewAt(at time.Duration, view View, version uint64) (View, uint6
 }
 
 // FoldWindow folds one time window of flows (sorted by Start) under
-// the given group assignment. version stamps the assignment so the
+// the given group assignment; a nil grouping is the learning-mode
+// baseline, which classifies on the learned-host model instead. The
+// eval harness passes the live controller's grouping. version stamps
+// the assignment so the
 // ARP-target memo invalidates across regroups; when a regroup timeline
 // was noted (NoteRegroup) it overrides the passed assignment per flow.
 // Flows past the horizon are ignored.
-func (f *Fluid) FoldWindow(flows []trace.Flow, view View, version uint64) {
+func (f *Fluid) FoldWindow(flows []trace.Flow, view *grouping.Grouping, version uint64) {
 	dir := f.cfg.Directory
 	for i := range flows {
 		fl := &flows[i]

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"lazyctrl/internal/grouping"
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/tenant"
 	"lazyctrl/internal/trace"
@@ -45,13 +46,17 @@ import (
 
 // rotAggCache bounds the fold's rule-cache memory over unbounded key
 // churn (the expanded traces' extras realize hundreds of millions of
-// one-off keys at full scale). Entries older than two rotation widths
-// are dropped wholesale; with width ≥ the idle timeout a dropped entry
-// could never satisfy a liveness check anyway, so eviction is
-// semantically invisible.
+// one-off keys at full scale). It rotates only when a window starts,
+// before any lookup of that window, and drops an entry at the second
+// rotation after its set, the two at least a width apart: a dropped
+// entry was set more than a width before any later lookup, and with
+// width ≥ the idle timeout it could never satisfy a liveness check, so
+// eviction is semantically invisible. Rotating on set times would not
+// be: a window's sets land at its segments' ends, after other keys'
+// lookups of the same window.
 type rotAggCache struct {
 	cur, prev map[uint64]time.Duration
-	epoch     time.Duration
+	epoch     time.Duration // the last rotation
 	width     time.Duration
 }
 
@@ -74,19 +79,16 @@ func (c *rotAggCache) get(k uint64) (time.Duration, bool) {
 	return t, ok
 }
 
-func (c *rotAggCache) set(k uint64, at time.Duration) {
-	switch {
-	case at >= c.epoch+2*c.width:
-		// Both generations are entirely older than the retention floor.
-		clear(c.cur)
-		clear(c.prev)
-		c.epoch = at - at%c.width
-	case at >= c.epoch+c.width:
+func (c *rotAggCache) set(k uint64, at time.Duration) { c.cur[k] = at }
+
+// rotate starts a window at now: once a width has passed since the last
+// rotation, the older generation is dropped.
+func (c *rotAggCache) rotate(now time.Duration) {
+	if now >= c.epoch+c.width {
 		c.prev, c.cur = c.cur, c.prev
 		clear(c.cur)
-		c.epoch += c.width
+		c.epoch = now
 	}
-	c.cur[k] = at
 }
 
 // aggEntry is one directional rule key's per-window accumulation.
@@ -104,7 +106,7 @@ type aggSeg struct {
 	a, b     time.Duration
 	frac     float64
 	bucket   int
-	view     View
+	view     *grouping.Grouping
 	version  uint64
 	preCLIB  bool
 	postGFIB bool
@@ -138,7 +140,7 @@ func (f *Fluid) aggState() *aggFold {
 // aggSegments cuts [from, to) at the warm-up marks, bucket boundaries,
 // and regroup epochs, resolving each segment's bucket and group view
 // once (shared by every key).
-func (f *Fluid) aggSegments(from, to time.Duration, view View, version uint64) []aggSeg {
+func (f *Fluid) aggSegments(from, to time.Duration, view *grouping.Grouping, version uint64) []aggSeg {
 	a := f.agg
 	cuts := a.cutBuf[:0]
 	add := func(t time.Duration) {
@@ -196,11 +198,12 @@ func (f *Fluid) aggSegments(from, to time.Duration, view View, version uint64) [
 // assignment (overridden per segment by the NoteRegroup timeline, like
 // FoldWindow). Cells wholly or partly past the horizon are clipped
 // proportionally.
-func (f *Fluid) FoldAggWindow(aggs []trace.PairAgg, from, to time.Duration, view View, version uint64) {
+func (f *Fluid) FoldAggWindow(aggs []trace.PairAgg, from, to time.Duration, view *grouping.Grouping, version uint64) {
 	if to <= from || from >= f.cfg.Horizon {
 		return
 	}
 	a := f.aggState()
+	a.cache.rotate(from)
 	clipTo := to
 	if clipTo > f.cfg.Horizon {
 		clipTo = f.cfg.Horizon
@@ -328,7 +331,7 @@ type bgClass struct {
 // bgClassFor computes (and memoizes per grouping version) the
 // background classification under view. A nil view has no groups; its
 // entry carries the placement-only local probability.
-func (f *Fluid) bgClassFor(view View, version uint64, intraShare float64) bgClass {
+func (f *Fluid) bgClassFor(view *grouping.Grouping, version uint64, intraShare float64) bgClass {
 	a := f.aggState()
 	if view == nil {
 		if a.bgNil == nil {
@@ -348,7 +351,7 @@ func (f *Fluid) bgClassFor(view View, version uint64, intraShare float64) bgClas
 	return c
 }
 
-func (f *Fluid) bgClassify(view View, intraShare float64) bgClass {
+func (f *Fluid) bgClassify(view *grouping.Grouping, intraShare float64) bgClass {
 	dir := f.cfg.Directory
 	numHosts := dir.NumHosts()
 	if numHosts == 0 {
@@ -429,7 +432,7 @@ func (f *Fluid) bgClassify(view View, intraShare float64) bgClass {
 // share, host weighting for the uniform share. Only pre-C-LIB-warm
 // segments consult it, and the expansion span starts hours later, so
 // this stays off every real run's hot path.
-func (f *Fluid) bgARPTargets(view View, version uint64, intraShare float64) float64 {
+func (f *Fluid) bgARPTargets(view *grouping.Grouping, version uint64, intraShare float64) float64 {
 	dir := f.cfg.Directory
 	numHosts := dir.NumHosts()
 	if view == nil || numHosts == 0 {
@@ -468,11 +471,12 @@ func (f *Fluid) bgARPTargets(view View, version uint64, intraShare float64) floa
 // are existing hosts the foreground population has long since learned.
 // Per-flow-baseline mode needs no branch at all: on one-off pairs the
 // exact-match and aggregating rule models count identically.
-func (f *Fluid) FoldBackgroundWindow(n int, intraShare float64, from, to time.Duration, view View, version uint64) {
+func (f *Fluid) FoldBackgroundWindow(n int, intraShare float64, from, to time.Duration, view *grouping.Grouping, version uint64) {
 	if n <= 0 || to <= from || from >= f.cfg.Horizon {
 		return
 	}
 	a := f.aggState()
+	a.cache.rotate(from)
 	clipTo := to
 	if clipTo > f.cfg.Horizon {
 		clipTo = f.cfg.Horizon

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"unsafe"
 
 	"lazyctrl/internal/grouping"
-	"lazyctrl/internal/model"
 )
 
 func smallStream(t testing.TB, seed uint64) Stream {
@@ -112,44 +112,16 @@ func TestMaterializeMatchesStream(t *testing.T) {
 	}
 }
 
-// intensityEqual compares two intensity matrices for byte identity via
-// their sorted pair iteration.
+// intensityEqual compares two intensity matrices for byte identity:
+// the same switches in the same registration order, which groupings
+// see, and bit-identical weights. Both sides are cloned first: Decay
+// leaves empty neighbor lists that Clone turns into nil, and DeepEqual
+// tells the two apart.
 func intensityEqual(t *testing.T, a, b *grouping.Intensity) {
 	t.Helper()
-	if a.NumSwitches() != b.NumSwitches() {
-		t.Fatalf("shape differs: %d/%d switches", a.NumSwitches(), b.NumSwitches())
-	}
-	type pw struct {
-		p model.SwitchPair
-		w float64
-	}
-	collect := func(m *grouping.Intensity) []pw {
-		var out []pw
-		m.ForEachPair(func(p model.SwitchPair, w float64) {
-			out = append(out, pw{p, w})
-		})
-		return out
-	}
-	if a.Total() != b.Total() || a.MaxPair() != b.MaxPair() {
-		t.Fatalf("total/max pair differ: %v/%v vs %v/%v", a.Total(), a.MaxPair(), b.Total(), b.MaxPair())
-	}
-	// Neighbor lists run in registration order, which groupings see.
-	for _, sw := range a.Switches() {
-		var na, nb []model.SwitchID
-		a.ForEachNeighbor(sw, func(n model.SwitchID, _ float64) { na = append(na, n) })
-		b.ForEachNeighbor(sw, func(n model.SwitchID, _ float64) { nb = append(nb, n) })
-		if !slices.Equal(na, nb) {
-			t.Fatalf("S%v neighbor order differs: %v vs %v", sw, na, nb)
-		}
-	}
-	pa, pb := collect(a), collect(b)
-	if len(pa) != len(pb) {
-		t.Fatalf("pair counts differ: %d vs %d", len(pa), len(pb))
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("pair %d differs: %+v vs %+v (want bit-identical weights)", i, pa[i], pb[i])
-		}
+	if !reflect.DeepEqual(a.Clone(), b.Clone()) {
+		t.Fatalf("matrices differ: %d switches, total %v, max pair %v vs %d, %v, %v",
+			a.NumSwitches(), a.Total(), a.MaxPair(), b.NumSwitches(), b.Total(), b.MaxPair())
 	}
 }
 

@@ -416,9 +416,7 @@ func (r Report) String() string {
 // NegotiateGroupSize runs the Appendix-C Rubinstein bargaining between
 // the controller's preferred group size and per-switch offers.
 func NegotiateGroupSize(controllerLimit int, offers []grouping.SwitchOffer) (int, error) {
-	return grouping.Negotiate(grouping.AggregateOffers(offers), grouping.BargainConfig{
-		ControllerLimit: controllerLimit,
-	})
+	return grouping.Negotiate(grouping.AggregateOffers(offers), controllerLimit)
 }
 
 // SwitchOffer re-exports the bargaining offer type.
