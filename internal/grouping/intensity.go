@@ -35,8 +35,9 @@ type nbr struct {
 // point updates cost O(degree) and full scans cost O(P) without
 // re-sorting.
 //
-// Writers (Add, AddSwitch, Decay) must not run concurrently with anything
-// else. Readers never write, so any number of them may share a matrix.
+// Writers (Add, AddN, AddSwitch, Decay) must not run concurrently with
+// anything else. Readers never write, so any number of them may share a
+// matrix.
 type Intensity struct {
 	idx map[model.SwitchID]int32 // switch → dense index
 	ids []model.SwitchID         // dense index → switch
@@ -91,23 +92,27 @@ func findNbr(list []nbr, to int32) (int, bool) {
 	return lo, lo < len(list) && list[lo].to == to
 }
 
-// addHalf accumulates w onto the (ia → ib) adjacency entry.
-func (m *Intensity) addHalf(ia, ib int32, w float64) {
+// addHalf adds w n times in turn onto the (ia → ib) adjacency entry,
+// which it inserts with weight w if it is missing. The weight only
+// grows, so checking maxPair once, at the end, is checking it at each
+// addition. n must be at least 1.
+func (m *Intensity) addHalf(ia, ib int32, w float64, n uint32) {
 	list := m.adj[ia]
 	pos, ok := findNbr(list, ib)
-	if ok {
-		list[pos].w += w
-		if list[pos].w > m.maxPair {
-			m.maxPair = list[pos].w
-		}
-		return
+	if !ok {
+		list = append(list, nbr{})
+		copy(list[pos+1:], list[pos:])
+		list[pos] = nbr{to: ib, w: w}
+		m.adj[ia] = list
+		n--
 	}
-	list = append(list, nbr{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = nbr{to: ib, w: w}
-	m.adj[ia] = list
-	if w > m.maxPair {
-		m.maxPair = w
+	v := list[pos].w
+	for range n {
+		v += w
+	}
+	list[pos].w = v
+	if v > m.maxPair {
+		m.maxPair = v
 	}
 }
 
@@ -119,14 +124,26 @@ func (m *Intensity) AddSwitch(s model.SwitchID) {
 
 // Add accumulates rate onto the (a,b) pair. Self-pairs and non-positive
 // rates register the switches but add no weight.
-func (m *Intensity) Add(a, b model.SwitchID, rate float64) {
+func (m *Intensity) Add(a, b model.SwitchID, rate float64) { m.AddN(a, b, rate, 1) }
+
+// AddN is n calls of Add(a, b, rate), bit for bit: the pair's weight and
+// the total each get rate added n times in turn, never n·rate, whose
+// rounding differs. With n = 0 it does nothing, not even register a or b.
+func (m *Intensity) AddN(a, b model.SwitchID, rate float64, n uint32) {
+	if n == 0 {
+		return
+	}
 	ia, ib := m.index(a), m.index(b)
 	if a == b || rate <= 0 {
 		return
 	}
-	m.addHalf(ia, ib, rate)
-	m.addHalf(ib, ia, rate)
-	m.total += rate
+	m.addHalf(ia, ib, rate, n)
+	m.addHalf(ib, ia, rate, n)
+	total := m.total
+	for range n {
+		total += rate
+	}
+	m.total = total
 }
 
 // Total returns the sum of all pairwise intensities.

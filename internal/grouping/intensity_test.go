@@ -2,6 +2,8 @@ package grouping
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -148,5 +150,38 @@ func TestSwitchesNeverChange(t *testing.T) {
 	}
 	if got := c.Switches(); !slices.Equal(got, []model.SwitchID{5, 10, 20, 30, 35, 40, 60}) {
 		t.Errorf("clone Switches() = %v after registrations", got)
+	}
+}
+
+// TestAddNMatchesRepeatedAdd pins AddN to n calls of Add, bit for bit:
+// random pairs, self-pairs and n = 0 included, onto weights that earlier
+// steps (and a decay) left behind.
+func TestAddNMatchesRepeatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	got, want := NewIntensity(), NewIntensity()
+	for step := range 3000 {
+		a := model.SwitchID(1 + rng.IntN(16))
+		b := model.SwitchID(1 + rng.IntN(16))
+		if step%10 == 0 {
+			b = a
+		}
+		n := uint32(rng.IntN(60))
+		rate := 1 / float64(1+rng.IntN(5000))
+		got.AddN(a, b, rate, n)
+		for range n {
+			want.Add(a, b, rate)
+		}
+		if step == 1500 {
+			got.Decay(0.3)
+			want.Decay(0.3)
+		}
+		if !reflect.DeepEqual(got.Clone(), want.Clone()) {
+			t.Fatalf("step %d: AddN(%v, %v, %v, %d) leaves a matrix unlike %d Adds", step, a, b, rate, n, n)
+		}
+		if math.Float64bits(got.Total()) != math.Float64bits(want.Total()) ||
+			math.Float64bits(got.MaxPair()) != math.Float64bits(want.MaxPair()) {
+			t.Fatalf("step %d: total %v, max pair %v; repeated Add %v, %v",
+				step, got.Total(), got.MaxPair(), want.Total(), want.MaxPair())
+		}
 	}
 }

@@ -89,8 +89,10 @@ func (d *Directory) tenantIndex(id model.TenantID) (int, bool) {
 
 // errUnknownSwitch reports a host placed on, or moved to, a switch
 // outside the directory's list. Refusing it keeps Switches complete:
-// an intensity matrix registers them up front, so no host's traffic
-// registers a switch in flow order (see trace.StreamIntensity).
+// the intensity fold counts each host's traffic at its switch's
+// position in Switches, and registers them all up front, so every
+// host has a valid position and no flow registers a switch (see
+// trace.StreamIntensity).
 var errUnknownSwitch = errors.New("tenant: unknown switch")
 
 func (d *Directory) checkSwitch(sw model.SwitchID) error {

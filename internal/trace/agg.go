@@ -245,12 +245,12 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 
 	// Hot: Zipf weights, drift-modulated at the window midpoint (the
 	// window spans are minutes against a day-period drift, so the
-	// midpoint modulation is sampleHot's acceptance rate to first
-	// order).
+	// midpoint modulation is drawHot's acceptance rate at each flow's
+	// start to first order).
 	if nHot > 0 {
+		frac := float64(mid) / float64(g.cfg.Duration)
 		mod := func(i int) float64 { return 1 }
 		if g.hotPhase != nil {
-			frac := float64(mid) / float64(g.cfg.Duration)
 			amp := g.cfg.DriftAmplitude
 			mod = func(i int) float64 {
 				return (1 + amp*math.Cos(2*math.Pi*(frac-g.hotPhase[i]))) / (1 + amp)
@@ -258,15 +258,7 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 		}
 		if nHot < aggDrawFactor*len(g.hot) {
 			emitDrawn(nHot, len(g.hot),
-				func() int {
-					for {
-						u := rng.Float64() * g.hotCum[len(g.hotCum)-1]
-						i := searchFloat64s(g.hotCum, u)
-						if g.hotPhase == nil || rng.Float64() < mod(i) {
-							return i
-						}
-					}
-				},
+				func() int { return g.drawHot(rng, frac) },
 				func(i, n int) { emitPair(g.hot[i], n) })
 		} else {
 			emitApportioned(nHot, len(g.hot), rotOffset(w, len(g.hot)),

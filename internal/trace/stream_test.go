@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"unsafe"
 
 	"lazyctrl/internal/grouping"
+	"lazyctrl/internal/tenant"
 )
 
 func smallStream(t testing.TB, seed uint64) Stream {
@@ -125,12 +127,38 @@ func intensityEqual(t *testing.T, a, b *grouping.Intensity) {
 	}
 }
 
+// refIntensity is the fold the pair counts replace: one Add per flow,
+// in flow order, onto a matrix with every switch registered first.
+func refIntensity(dir *tenant.Directory, flows []Flow, from, to time.Duration) *grouping.Intensity {
+	m := grouping.NewIntensity()
+	for _, sw := range dir.Switches() {
+		m.AddSwitch(sw)
+	}
+	seconds := (to - from).Seconds()
+	if seconds <= 0 {
+		return m
+	}
+	for i := range flows {
+		f := &flows[i]
+		if f.Start < from || f.Start >= to {
+			continue
+		}
+		src, dst := dir.Host(f.Src), dir.Host(f.Dst)
+		if src == nil || dst == nil || src.Switch == dst.Switch {
+			continue
+		}
+		m.Add(src.Switch, dst.Switch, 1.0/seconds)
+	}
+	return m
+}
+
 // TestStreamIntensityByteIdentical pins acceptance criterion 4 for the
 // intensity matrix: streamed windows produce a matrix bit-identical to
-// the slice path at equal (seed, scale), for the full span and for
-// partial (warmup-style) spans, over a generator and its expansion.
-// StreamIntensity folds windows unsorted, so this is also the test that
-// the fold does not depend on flow order.
+// the slice path and to refIntensity's per-flow fold at equal (seed,
+// scale), for the full span and for partial (warmup-style) spans, over
+// a generator and its expansion. StreamIntensity counts windows
+// unsorted, so this is also the test that the fold does not depend on
+// flow order.
 func TestStreamIntensityByteIdentical(t *testing.T) {
 	s := smallStream(t, 11)
 	es := mustExpand(t, s, 0.30, 8, 24, 99)
@@ -146,6 +174,7 @@ func TestStreamIntensityByteIdentical(t *testing.T) {
 			ms := StreamIntensity(st, span[0], span[1])
 			mt := SwitchIntensity(tr, span[0], span[1])
 			intensityEqual(t, ms, mt)
+			intensityEqual(t, ms, refIntensity(tr.Directory, tr.Flows, span[0], span[1]))
 		}
 	}
 	// The materialized adapter must agree too.
@@ -153,6 +182,26 @@ func TestStreamIntensityByteIdentical(t *testing.T) {
 	intensityEqual(t,
 		StreamIntensity(tr.Stream(0), 0, tr.Duration),
 		SwitchIntensity(tr, 0, tr.Duration))
+}
+
+// TestSwitchPairCountsFlushEarly pins the wrap guard: a pair count that
+// reaches math.MaxUint16 goes to the matrix at once and counts on from
+// zero, and the matrix is still refIntensity's, bit for bit.
+func TestSwitchPairCountsFlushEarly(t *testing.T) {
+	tr := Materialize(smallStream(t, 5))
+	flows := slices.Clone(tr.Flows)
+	i := slices.IndexFunc(flows, func(f Flow) bool {
+		return tr.Directory.Host(f.Src).Switch != tr.Directory.Host(f.Dst).Switch
+	})
+	for range 2*math.MaxUint16 + 3 {
+		flows = append(flows, flows[i])
+	}
+	c := newSwitchPairCounts(tr.Directory, 0, tr.Duration)
+	c.add(flows)
+	if c.m.Total() == 0 {
+		t.Fatal("no pair went to the matrix before flush")
+	}
+	intensityEqual(t, c.flush(), refIntensity(tr.Directory, flows, 0, tr.Duration))
 }
 
 func mustExpand(t testing.TB, base Stream, extra float64, fromHour, toHour int, seed uint64) Stream {

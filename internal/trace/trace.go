@@ -239,6 +239,15 @@ type genStream struct {
 	hotPhase           []float64
 	numHosts           int
 
+	// hotGuide narrows drawHot's search of hotCum: hotGuide[b] is the
+	// first index whose hotCum entry falls in bucket b or above (see
+	// hotBucket), for b = 0 … len(hotCum)+1.
+	hotGuide []int32
+	hotScale float64
+	// hotFloor is the least drift modulation, (1−A)/(1+A): a draw below
+	// it keeps its pair whatever the cosine.
+	hotFloor float64
+
 	// Flow-class thresholds precomputed from the config.
 	scatterCut, noiseCut, hotCut float64
 
@@ -360,6 +369,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 		acc += 1 / float64(i+1)
 		g.hotCum[i] = acc
 	}
+	g.initHotGuide()
 	// Drift phases: each hot pair's activity is modulated by
 	// 1 + A·cos(2π(t−φ)/D) around a per-pair random phase φ.
 	if cfg.DriftAmplitude > 0 {
@@ -367,6 +377,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 		for i := range g.hotPhase {
 			g.hotPhase[i] = rng.Float64()
 		}
+		g.hotFloor = (1 - cfg.DriftAmplitude) / (1 + cfg.DriftAmplitude)
 	}
 
 	// Scatter band: cross-tenant service dependencies between uniformly
@@ -514,18 +525,65 @@ func (g *genStream) basePairKeys() map[model.FlowKey]struct{} {
 	return pool
 }
 
-// sampleHot draws a hot pair, drift-modulated at time at.
-func (g *genStream) sampleHot(rng *rand.Rand, at time.Duration) model.FlowKey {
-	for {
-		u := rng.Float64() * g.hotCum[len(g.hotCum)-1]
-		i := searchFloat64s(g.hotCum, u)
-		if g.hotPhase == nil {
-			return g.hot[i]
+// initHotGuide builds hotGuide over hotCum.
+func (g *genStream) initHotGuide() {
+	k := len(g.hotCum)
+	g.hotScale = float64(k) / g.hotCum[k-1]
+	g.hotGuide = make([]int32, k+2)
+	i := 0
+	for b := range g.hotGuide {
+		for i < k && g.hotBucket(g.hotCum[i]) < b {
+			i++
 		}
-		frac := float64(at) / float64(g.cfg.Duration)
-		mod := (1 + g.cfg.DriftAmplitude*math.Cos(2*math.Pi*(frac-g.hotPhase[i]))) / (1 + g.cfg.DriftAmplitude)
-		if rng.Float64() < mod {
-			return g.hot[i]
+		g.hotGuide[b] = int32(i)
+	}
+}
+
+// hotBucket maps a point of [0, hotCum's total] to one of len(hotCum)+1
+// buckets. It is monotone: a multiplication, a truncation and a clamp,
+// each non-decreasing.
+func (g *genStream) hotBucket(x float64) int {
+	return min(int(x*g.hotScale), len(g.hotCum))
+}
+
+// hotIndex is searchFloat64s(g.hotCum, u), searched between two guide
+// entries. hotBucket is monotone, so every entry before
+// hotGuide[hotBucket(u)] lies below u and every entry from
+// hotGuide[hotBucket(u)+1] on lies above it: the answer is in between.
+func (g *genStream) hotIndex(u float64) int {
+	b := g.hotBucket(u)
+	lo, hi := int(g.hotGuide[b]), int(g.hotGuide[b+1])
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.hotCum[m] < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// drawHot draws the index of a hot pair by its Zipf weight and, under
+// drift, keeps it with probability mod, its modulation at day fraction
+// frac (a rejection loop). A draw r below hotFloor keeps the pair
+// without taking the cosine: the modulation's additions, multiplication
+// and division are each monotone in the cosine and give exactly
+// hotFloor at cos = −1, so no mod lies below hotFloor and r < hotFloor
+// already decides r < mod.
+func (g *genStream) drawHot(rng *rand.Rand, frac float64) int {
+	for {
+		i := g.hotIndex(rng.Float64() * g.hotCum[len(g.hotCum)-1])
+		if g.hotPhase == nil {
+			return i
+		}
+		r := rng.Float64()
+		if r < g.hotFloor {
+			return i
+		}
+		amp := g.cfg.DriftAmplitude
+		if r < (1+amp*math.Cos(2*math.Pi*(frac-g.hotPhase[i])))/(1+amp) {
+			return i
 		}
 	}
 }
@@ -572,7 +630,7 @@ func (g *genStream) drawWindow(w int, buf []Flow) []Flow {
 				}
 			}
 		case u < g.hotCut || len(g.cold) == 0:
-			key = g.sampleHot(rng, start)
+			key = g.hot[g.drawHot(rng, float64(start)/float64(g.cfg.Duration))]
 		default:
 			key = g.cold[rng.IntN(len(g.cold))]
 		}
