@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 
@@ -240,7 +241,8 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 		return errors.New("tenant: populate needs an empty directory")
 	}
 	homes := min(homesPerTenant, len(d.switches))
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xfeedface))
+	src := rand.NewPCG(cfg.Seed, cfg.Seed^0xfeedface)
+	rng := rand.New(src)
 	// Draw every tenant's size and placement first, so each host list is
 	// sized once before the hosts arrive. perm is reset and shuffled per
 	// tenant, draw for draw what rng.Perm does; its first homes entries
@@ -252,7 +254,7 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 		for i := range perm {
 			perm[i] = i
 		}
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		shuffle(perm, src)
 		n := cfg.MinVMs
 		if cfg.MaxVMs > cfg.MinVMs {
 			n += rng.IntN(cfg.MaxVMs - cfg.MinVMs + 1)
@@ -299,4 +301,32 @@ func (d *Directory) Populate(cfg PopulateConfig) error {
 		}
 	}
 	return nil
+}
+
+// shuffle is rand.New(src).Shuffle over p, draw for draw, without its
+// per-swap interface and closure calls: Populate shuffles a permutation
+// of every switch for each tenant. The walk is the same Fisher–Yates,
+// and each index is drawn as math/rand/v2's bounded draw does it: a
+// mask when the bound is a power of two, otherwise the high word of a
+// 64×64-bit product, redrawn while the low word falls below 2⁶⁴ mod n.
+// src therefore ends in the state Shuffle leaves it in
+// (TestShuffleMatchesRand).
+func shuffle(p []int, src *rand.PCG) {
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint64(i + 1)
+		var j uint64
+		if n&(n-1) == 0 {
+			j = src.Uint64() & (n - 1)
+		} else {
+			var lo uint64
+			j, lo = bits.Mul64(src.Uint64(), n)
+			if lo < n {
+				thresh := -n % n
+				for lo < thresh {
+					j, lo = bits.Mul64(src.Uint64(), n)
+				}
+			}
+		}
+		p[i], p[j] = p[j], p[i]
+	}
 }

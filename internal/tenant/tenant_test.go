@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sort"
@@ -295,5 +296,29 @@ func TestSwitchesSortedAndImmutableView(t *testing.T) {
 	sw := d.Switches()
 	if sw[0] != 1 || sw[1] != 2 || sw[2] != 3 {
 		t.Errorf("Switches = %v, want sorted", sw)
+	}
+}
+
+// TestShuffleMatchesRand pins shuffle to rand.Rand.Shuffle on a twin
+// source: the same permutation, and the source left in the same state.
+// The sizes cover both branches of the bounded draw (power-of-two
+// bounds are masked, others multiplied) and Populate's 2,713 switches.
+func TestShuffleMatchesRand(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 1023, 1024, 2713, 4096} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			src, twin := rand.NewPCG(seed, ^seed), rand.NewPCG(seed, ^seed)
+			got, want := make([]int, n), make([]int, n)
+			for i := range n {
+				got[i], want[i] = i, i
+			}
+			shuffle(got, src)
+			rand.New(twin).Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: shuffle differs from rand.Shuffle", n, seed)
+			}
+			if a, b := src.Uint64(), twin.Uint64(); a != b {
+				t.Fatalf("n=%d seed=%d: next draw %#x, rand.Shuffle's source gives %#x", n, seed, a, b)
+			}
+		}
 	}
 }

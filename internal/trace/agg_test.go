@@ -90,7 +90,6 @@ func TestAggWindowPairPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.(*genStream)
-	pool := g.basePairKeys()
 	hot := make(map[model.FlowKey]struct{}, len(g.hot))
 	for _, k := range g.hot {
 		hot[k] = struct{}{}
@@ -100,7 +99,7 @@ func TestAggWindowPairPlacement(t *testing.T) {
 	for w := 0; w < info.Windows; w++ {
 		for _, a := range g.AggWindow(w, nil) {
 			key := model.FlowKey{Src: a.Src, Dst: a.Dst}.Canonical()
-			if _, ok := pool[key]; !ok {
+			if !g.pool.has(key) {
 				t.Fatalf("w=%d: cell pair %v outside the communicating pool", w, key)
 			}
 			total += int(a.Flows)
@@ -135,7 +134,6 @@ func TestExpandAggWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := exp.(*expandStream)
-	excl := e.exclusion()
 	info := exp.Info()
 	var extraTotal int
 	for w := 0; w < info.Windows; w++ {
@@ -149,7 +147,7 @@ func TestExpandAggWindow(t *testing.T) {
 		}
 		for _, a := range extras {
 			key := model.FlowKey{Src: a.Src, Dst: a.Dst}.Canonical()
-			if _, dup := excl[key]; dup {
+			if e.base.pool.has(key) {
 				t.Fatalf("w=%d: extra cell on base pair %v", w, key)
 			}
 			if a.Flows != 1 {

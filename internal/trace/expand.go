@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"time"
 
 	"lazyctrl/internal/model"
@@ -27,8 +26,8 @@ const ExpandIntraTenantShare = 0.7
 // of a generator stream, window by window: each base window is
 // generated by the base, the window's apportioned share of the extra
 // flows is emitted from an independent (seed, window) random stream,
-// and the merged window is re-sorted. Memory stays O(window) plus the
-// silent-pair exclusion set (the base's pair pool).
+// and the merged window is re-sorted. Memory stays O(window): the
+// silent-pair exclusion is the base's pool set.
 type expandStream struct {
 	base *genStream
 	info StreamInfo
@@ -40,9 +39,6 @@ type expandStream struct {
 	// applications, not the base load shape).
 	from, to    time.Duration
 	extraCounts []int
-
-	exclOnce sync.Once
-	excl     map[model.FlowKey]struct{}
 }
 
 // ExpandStream produces the paper's "expanded" trace (§V-D) as a
@@ -107,18 +103,10 @@ func overlap(aFrom, aTo, bFrom, bTo time.Duration) time.Duration {
 // Info implements Stream.
 func (e *expandStream) Info() StreamInfo { return e.info }
 
-func (e *expandStream) exclusion() map[model.FlowKey]struct{} {
-	e.exclOnce.Do(func() {
-		e.excl = e.base.basePairKeys()
-	})
-	return e.excl
-}
-
 // drawExtraPair draws the pair of one extra flow, in draw order:
 // ExpandIntraTenantShare of the draws inside a uniformly chosen tenant,
 // the rest uniform over all hosts, never a pair of the base's pool.
 func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
-	excl := e.exclusion()
 	dir := e.info.Directory
 	tenants := dir.Tenants()
 	for tries := 0; ; tries++ {
@@ -136,8 +124,8 @@ func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
 		if a == b {
 			continue
 		}
-		key := model.FlowKey{Src: a, Dst: b}.Canonical()
-		if _, dup := excl[key]; dup {
+		key := model.FlowKey{Src: a, Dst: b}
+		if e.base.pool.has(key) {
 			continue
 		}
 		// Reserved for the base's one-off noise pairs — except on a

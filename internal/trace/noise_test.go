@@ -27,11 +27,10 @@ func TestNoisyGeneratorRealizesOneOffPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.(*genStream)
-	pool := g.basePairKeys()
 	tr := Materialize(s)
 	oneOff := 0
 	for k := range realizedPairs(tr) {
-		if _, inPool := pool[k]; inPool {
+		if g.pool.has(k) {
 			continue
 		}
 		oneOff++
@@ -132,17 +131,15 @@ func TestExpandTerminatesUnderTotalNoiseExclusion(t *testing.T) {
 	}
 	e := s.(*expandStream)
 	hosts := e.info.Directory.NumHosts()
-	e.exclOnce.Do(func() {
-		e.excl = make(map[model.FlowKey]struct{})
-		for a := 1; a <= hosts; a++ {
-			for b := a + 1; b <= hosts; b++ {
-				k := model.FlowKey{Src: model.HostID(a), Dst: model.HostID(b)}.Canonical()
-				if !e.base.noisePairExcluded(k) {
-					e.excl[k] = struct{}{}
-				}
+	e.base.pool = newPairSet(hosts * (hosts - 1) / 2)
+	for a := 1; a <= hosts; a++ {
+		for b := a + 1; b <= hosts; b++ {
+			k := model.FlowKey{Src: model.HostID(a), Dst: model.HostID(b)}
+			if !e.base.noisePairExcluded(k) {
+				e.base.pool.insert(k)
 			}
 		}
-	})
+	}
 	done := make(chan int, 1)
 	go func() { done <- len(s.GenWindow(e.info.Windows-1, nil)) }()
 	select {

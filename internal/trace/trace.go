@@ -238,6 +238,9 @@ type genStream struct {
 	hotCum             []float64
 	hotPhase           []float64
 	numHosts           int
+	// pool holds every pair of the three bands: NewStream's dedupe, and
+	// the Expand combinator's silent-pair exclusion afterwards.
+	pool pairSet
 
 	// hotGuide narrows drawHot's search of hotCum: hotGuide[b] is the
 	// first index whose hotCum entry falls in bucket b or above (see
@@ -267,17 +270,64 @@ const flowSalt = 0x5bd1e9955bd1e995
 // seed (stable across windows and window order).
 const noiseSplitSalt = 0x6e6f697365 // "noise"
 
-// pairHash64 folds a canonical flow key into the 64-bit value the
-// noise split hashes.
-func pairHash64(k model.FlowKey) uint64 {
+// packPair folds a flow key's canonical form into one word, Src in the
+// high half: the value the noise split hashes and pairSet stores. Host
+// IDs start at 1, so a packed pair is never 0.
+func packPair(k model.FlowKey) uint64 {
 	k = k.Canonical()
 	return uint64(k.Src)<<32 | uint64(k.Dst)
+}
+
+// pairSet is a set of undirected pairs: an open-addressing table of
+// packed pairs, 0 marking an empty slot, with linear probing from a
+// Fibonacci hash. newPairSet(n) sizes it to a power of two of at least
+// 2n slots, so up to n pairs keep it at most half full; inserting more
+// is the caller's error (a full table would probe forever).
+type pairSet struct {
+	slots []uint64
+	shift uint // 64 − log2(len(slots)): keeps the hash's top bits
+}
+
+func newPairSet(n int) pairSet {
+	b := 1
+	for 1<<b < 2*n {
+		b++
+	}
+	return pairSet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
+}
+
+// find returns the slot holding k's pair, or the empty slot where it
+// would go, and its packed value.
+func (s *pairSet) find(k model.FlowKey) (int, uint64) {
+	v := packPair(k)
+	mask := len(s.slots) - 1
+	i := int((v * 0x9e3779b97f4a7c15) >> s.shift)
+	for s.slots[i] != v && s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i, v
+}
+
+// has reports whether k's pair, in either direction, is in the set.
+func (s *pairSet) has(k model.FlowKey) bool {
+	i, _ := s.find(k)
+	return s.slots[i] != 0
+}
+
+// insert adds k's pair and reports whether it was new.
+func (s *pairSet) insert(k model.FlowKey) (added bool) {
+	i, v := s.find(k)
+	if s.slots[i] != 0 {
+		return false
+	}
+	s.slots[i] = v
+	return true
 }
 
 // noiseEligible reports whether a pair lies in the generator's noise
 // half of the all-pairs space.
 func (g *genStream) noiseEligible(k model.FlowKey) bool {
-	return SplitMix64(pairHash64(k)^g.noiseSalt)&1 == 0
+	return SplitMix64(packPair(k)^g.noiseSalt)&1 == 0
 }
 
 // noisePairExcluded reports the pairs the Expand combinator's extras
@@ -319,11 +369,12 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 		cfg:       cfg,
 		numHosts:  dir.NumHosts(),
 		noiseSalt: SplitMix64(cfg.Seed ^ noiseSplitSalt),
+		// The bands below stop at CommunicatingPairs pairs in all.
+		pool: newPairSet(cfg.CommunicatingPairs),
 	}
 
 	// Communicating pair pool: an intra-tenant band (clusterable) and a
 	// scatter band of uniformly random pairs (expander-like).
-	seen := make(map[model.FlowKey]struct{}, cfg.CommunicatingPairs)
 	tenants := dir.Tenants()
 	intraCount := int(float64(cfg.CommunicatingPairs) * cfg.Locality)
 	scatterCount := cfg.CommunicatingPairs - intraCount
@@ -332,10 +383,9 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 			return dst
 		}
 		k := model.FlowKey{Src: a, Dst: b}.Canonical()
-		if _, dup := seen[k]; dup {
+		if !g.pool.insert(k) {
 			return dst
 		}
-		seen[k] = struct{}{}
 		return append(dst, k)
 	}
 	intra := make([]model.FlowKey, 0, intraCount)
@@ -511,19 +561,6 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 
 // Info implements Stream.
 func (g *genStream) Info() StreamInfo { return g.info }
-
-// basePairKeys returns the communicating-pair pool, the Expand
-// combinator's exclusion set: every flow the generator emits outside
-// the noise band lands on one of these pairs.
-func (g *genStream) basePairKeys() map[model.FlowKey]struct{} {
-	pool := make(map[model.FlowKey]struct{}, len(g.hot)+len(g.cold)+len(g.scatter))
-	for _, band := range [][]model.FlowKey{g.hot, g.cold, g.scatter} {
-		for _, k := range band {
-			pool[k] = struct{}{}
-		}
-	}
-	return pool
-}
 
 // initHotGuide builds hotGuide over hotCum.
 func (g *genStream) initHotGuide() {
