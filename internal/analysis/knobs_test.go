@@ -4,8 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,7 +32,10 @@ var knobTestOnly = map[string]string{
 // (production, benchmark/, examples/, tests); an internal/ field needs
 // a writer outside _test.go files, unless knobTestOnly names it. A
 // field nobody sets is a constant, and one only tests set is a test
-// fixture: name it next to the code that reads it.
+// fixture: name it next to the code that reads it. A field that every
+// non-empty keyed literal of its struct, shipped and test alike, writes
+// as the same expression (leaving it out writes the zero value), and
+// that no assignment writes, has one value in use: it is a constant.
 //
 // Writers are keyed on (struct, field) wherever the syntax names the
 // struct: a keyed element of pkg.T{…}, T{…}, &T{…}, or of an elided
@@ -43,8 +48,9 @@ func TestNoUnsetKnobs(t *testing.T) {
 	type field struct{ owner, name string } // owner is pkg.Struct; "" = any struct
 	var declared []field
 	internal := map[field]bool{}
-	written := map[field]bool{} // by any file
-	shipped := map[field]bool{} // by a non-test file
+	written := map[field]bool{}              // by any file
+	shipped := map[field]bool{}              // by a non-test file
+	lits := map[string][]map[string]string{} // owner → each literal's field → value
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -109,12 +115,17 @@ func TestNoUnsetKnobs(t *testing.T) {
 			default:
 				own = owner(typ)
 			}
+			vals := map[string]string{}
+			if own != "" && !container && len(lit.Elts) > 0 {
+				lits[own] = append(lits[own], vals)
+			}
 			for _, el := range lit.Elts {
 				val := el
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
 					val = kv.Value
 					if id, ok := kv.Key.(*ast.Ident); ok && !container {
 						write(field{own, id.Name})
+						vals[id.Name] = types.ExprString(kv.Value)
 					}
 				}
 				if inner, ok := val.(*ast.CompositeLit); ok && inner.Type == nil {
@@ -160,10 +171,13 @@ func TestNoUnsetKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unset, testOnly, stale []string
+	var unset, testOnly, stale, oneValue []string
 	exempt := map[string]bool{}
 	for _, fld := range declared {
 		key := fld.owner + "." + fld.name
+		if v, ok := oneLiteralValue(lits[fld.owner], fld.name); ok && !written[field{"", fld.name}] {
+			oneValue = append(oneValue, key+" = "+v)
+		}
 		anyWriter := written[fld] || written[field{"", fld.name}]
 		shippedWriter := shipped[fld] || shipped[field{"", fld.name}]
 		_, ok := knobTestOnly[key]
@@ -184,6 +198,7 @@ func TestNoUnsetKnobs(t *testing.T) {
 	sort.Strings(unset)
 	sort.Strings(testOnly)
 	sort.Strings(stale)
+	sort.Strings(oneValue)
 	if len(unset) > 0 {
 		t.Errorf("%d config fields have no writer outside withDefaults/validate (make each a named constant or delete it):\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
@@ -192,8 +207,26 @@ func TestNoUnsetKnobs(t *testing.T) {
 		t.Errorf("%d internal config fields only tests set (make each a named constant, or exempt it in knobTestOnly with a reason):\n  %s",
 			len(testOnly), strings.Join(testOnly, "\n  "))
 	}
+	if len(oneValue) > 0 {
+		t.Errorf("%d config fields are only ever written one value (one value: make it a constant):\n  %s",
+			len(oneValue), strings.Join(oneValue, "\n  "))
+	}
 	if len(stale) > 0 {
 		t.Errorf("%d knobTestOnly entries name a field with a shipped writer, or none (delete them):\n  %s",
 			len(stale), strings.Join(stale, "\n  "))
 	}
+}
+
+// oneLiteralValue reports the value expression that every literal in
+// lits writes to field name, when they all write the same one; a
+// literal that leaves the field out writes its zero value.
+func oneLiteralValue(lits []map[string]string, name string) (string, bool) {
+	if len(lits) == 0 {
+		return "", false
+	}
+	v, ok := lits[0][name]
+	return v, ok && !slices.ContainsFunc(lits, func(l map[string]string) bool {
+		w, ok := l[name]
+		return !ok || w != v
+	})
 }

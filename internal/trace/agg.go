@@ -192,21 +192,15 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 	mid := from + (to-from)/2
 
 	// Class shares mirror GenWindow's switch, including the fall-through
-	// of an empty scatter pool into the noise band and of an empty cold
-	// band into the hot set.
-	scatterShare := 0.0
-	if len(g.scatter) > 0 {
-		scatterShare = g.scatterCut
-	}
-	noiseShare := g.noiseCut - scatterShare
-	hotShare := g.hotCut - g.noiseCut
+	// of an empty cold band into the hot set.
+	hotShare := g.hotCut - g.scatterCut
 	coldShare := 1 - g.hotCut
 	if len(g.cold) == 0 {
 		hotShare += coldShare
 		coldShare = 0
 	}
-	shares := apportion(count, []float64{scatterShare, noiseShare, hotShare, coldShare})
-	nScatter, nNoise, nHot, nCold := shares[0], shares[1], shares[2], shares[3]
+	shares := apportion(count, []float64{g.scatterCut, hotShare, coldShare})
+	nScatter, nHot, nCold := shares[0], shares[1], shares[2]
 
 	emitPair := func(k model.FlowKey, n int) {
 		buf = append(buf, PairAgg{Src: k.Src, Dst: k.Dst, Flows: int32(n)})
@@ -225,30 +219,12 @@ func (g *genStream) AggWindow(w int, buf []PairAgg) []PairAgg {
 		}
 	}
 
-	// Noise: one-off pairs from the noise half of the pair space, each a
-	// count-1 cell (GenWindow's own rejection loop, minus the payload).
-	for j := 0; j < nNoise; j++ {
-		var key model.FlowKey
-		for tries := 0; ; tries++ {
-			a := model.HostID(1 + rng.IntN(g.numHosts))
-			b := model.HostID(1 + rng.IntN(g.numHosts))
-			if a == b {
-				continue
-			}
-			key = model.FlowKey{Src: a, Dst: b}
-			if g.noiseEligible(key) || tries >= 256 {
-				break
-			}
-		}
-		emitPair(key.Canonical(), 1)
-	}
-
 	// Hot: Zipf weights, drift-modulated at the window midpoint (the
 	// window spans are minutes against a day-period drift, so the
 	// midpoint modulation is drawHot's acceptance rate at each flow's
 	// start to first order).
 	if nHot > 0 {
-		frac := float64(mid) / float64(g.cfg.Duration)
+		frac := float64(mid) / float64(TraceDuration)
 		mod := func(i int) float64 { return 1 }
 		if g.hotPhase != nil {
 			amp := g.cfg.DriftAmplitude

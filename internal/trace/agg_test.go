@@ -8,44 +8,37 @@ import (
 
 // TestAggWindowTotals pins the aggregate form's exactness contract:
 // every window's cell counts sum to exactly the per-flow window's flow
-// count, for the plain and noisy presets.
+// count.
 func TestAggWindowTotals(t *testing.T) {
-	for _, cfg := range []GeneratorConfig{
-		SmallConfig("small", 7),
-		SmallNoisyConfig("small-noisy", 7),
-	} {
-		s, err := NewStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		as, ok := s.(AggStream)
-		if !ok {
-			t.Fatalf("%s: generator stream is not an AggStream", cfg.Name)
-		}
-		info := s.Info()
-		var flowTotal, aggTotal int
-		for w := 0; w < info.Windows; w++ {
-			flows := s.GenWindow(w, nil)
-			aggs := as.AggWindow(w, nil)
-			var sum int
-			for _, a := range aggs {
-				if a.Flows <= 0 {
-					t.Fatalf("%s w=%d: non-positive cell count %d", cfg.Name, w, a.Flows)
-				}
-				if a.Src == a.Dst {
-					t.Fatalf("%s w=%d: self-pair cell %v", cfg.Name, w, a.Src)
-				}
-				sum += int(a.Flows)
+	s, err := NewStream(SmallConfig("small", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, ok := s.(AggStream)
+	if !ok {
+		t.Fatal("generator stream is not an AggStream")
+	}
+	info := s.Info()
+	var aggTotal int
+	for w := 0; w < info.Windows; w++ {
+		flows := s.GenWindow(w, nil)
+		var sum int
+		for _, a := range as.AggWindow(w, nil) {
+			if a.Flows <= 0 {
+				t.Fatalf("w=%d: non-positive cell count %d", w, a.Flows)
 			}
-			if sum != len(flows) {
-				t.Fatalf("%s w=%d: agg total %d, per-flow total %d", cfg.Name, w, sum, len(flows))
+			if a.Src == a.Dst {
+				t.Fatalf("w=%d: self-pair cell %v", w, a.Src)
 			}
-			flowTotal += len(flows)
-			aggTotal += sum
+			sum += int(a.Flows)
 		}
-		if aggTotal != info.TotalFlows {
-			t.Fatalf("%s: agg total %d, want %d", cfg.Name, aggTotal, info.TotalFlows)
+		if sum != len(flows) {
+			t.Fatalf("w=%d: agg total %d, per-flow total %d", w, sum, len(flows))
 		}
+		aggTotal += sum
+	}
+	if aggTotal != info.TotalFlows {
+		t.Fatalf("agg total %d, want %d", aggTotal, info.TotalFlows)
 	}
 }
 
@@ -78,7 +71,7 @@ func TestAggWindowDeterministic(t *testing.T) {
 	}
 }
 
-// TestAggWindowPairPlacement checks that non-noise cells land on the
+// TestAggWindowPairPlacement checks that every cell lands on the
 // generator's communicating pool (the same invariant the per-flow
 // windows satisfy), and that the aggregate per-pair distribution tracks
 // the per-flow realization at the pool level: the hot set must carry
@@ -125,7 +118,7 @@ func TestAggWindowPairPlacement(t *testing.T) {
 // base cells plus exactly the window's apportioned extras, every extra
 // on a previously silent pair.
 func TestExpandAggWindow(t *testing.T) {
-	base, err := NewStream(SmallNoisyConfig("expand-agg", 5))
+	base, err := NewStream(SmallConfig("expand-agg", 5))
 	if err != nil {
 		t.Fatal(err)
 	}

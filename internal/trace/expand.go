@@ -51,10 +51,9 @@ type expandStream struct {
 // grouping updates.
 //
 // "Previously silent" is judged against the generator's communicating
-// pool, where every non-noise flow lands; a generator with a noise band
-// confines its one-off pairs to the noise half of the pair space, which
-// the extras skip. Any other base — a materialized trace's Stream, or
-// another expansion — is refused: expansions do not stack.
+// pool, where every flow lands, so the pool set is the whole exclusion.
+// Any other base — a materialized trace's Stream, or another expansion —
+// is refused: expansions do not stack.
 func ExpandStream(base Stream, extraFraction float64, fromHour, toHour int, seed uint64) (Stream, error) {
 	if extraFraction <= 0 {
 		return nil, errors.New("trace: extraFraction must be positive")
@@ -109,7 +108,7 @@ func (e *expandStream) Info() StreamInfo { return e.info }
 func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
 	dir := e.info.Directory
 	tenants := dir.Tenants()
-	for tries := 0; ; tries++ {
+	for {
 		if rng.Float64() < ExpandIntraTenantShare && len(tenants) > 0 {
 			hosts := tenants[rng.IntN(len(tenants))].Hosts
 			if len(hosts) < 2 {
@@ -121,21 +120,9 @@ func (e *expandStream) drawExtraPair(rng *rand.Rand) (a, b model.HostID) {
 			a = model.HostID(1 + rng.IntN(dir.NumHosts()))
 			b = model.HostID(1 + rng.IntN(dir.NumHosts()))
 		}
-		if a == b {
-			continue
+		if a != b && !e.base.pool.has(model.FlowKey{Src: a, Dst: b}) {
+			return a, b
 		}
-		key := model.FlowKey{Src: a, Dst: b}
-		if e.base.pool.has(key) {
-			continue
-		}
-		// Reserved for the base's one-off noise pairs — except on a
-		// degenerate topology where the silent, non-noise pair space is
-		// (nearly) empty; the bounded escape mirrors the generator's
-		// own noise-draw loop.
-		if e.base.noisePairExcluded(key) && tries < 256 {
-			continue
-		}
-		return a, b
 	}
 }
 

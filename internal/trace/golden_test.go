@@ -62,7 +62,6 @@ func TestNewStreamGolden(t *testing.T) {
 		{SynBConfig(60_000, 1), 0x99292da6cef19e46},
 		{SynCConfig(60_000, 1), 0x8b544fd8c18c4560},
 		{RealLikeConfig(100, 1), 0x9a94840ff589208e},
-		{SmallNoisyConfig("golden", 1), 0x0859389ba3f5d384},
 	} {
 		if got := newStreamDigest(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: digest %#016x, want %#016x", tc.cfg.Name, got, tc.want)

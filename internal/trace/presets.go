@@ -53,13 +53,10 @@ func RealLikeConfig(scale int, seed uint64) GeneratorConfig {
 		CommunicatingPairs:  RealCommunicatingPairs,
 		P:                   97, // the cold pairs of the real trace carry negligible volume
 		Q:                   12, // hot = ~10% of the pool, all intra band
-		Locality:            0.80,
 		ScatterFlowFraction: 0.11,
-		NoiseFraction:       0,
 		ScatterPinExponent:  0.5,
 		DriftAmplitude:      0.25,
 		Colocation:          0.97,
-		Duration:            TraceDuration,
 		Seed:                seed,
 	}
 }
@@ -67,19 +64,19 @@ func RealLikeConfig(scale int, seed uint64) GeneratorConfig {
 // SynAConfig is the Syn-A trace of Table II: p=90, q=10, average
 // centrality ≈ 0.85.
 func SynAConfig(scale int, seed uint64) GeneratorConfig {
-	return synConfig("syn-a", SynAFlows, 90, 10, 0.17, 0, scale, seed)
+	return synConfig("syn-a", SynAFlows, 90, 10, 0.17, scale, seed)
 }
 
 // SynBConfig is the Syn-B trace of Table II: p=70, q=20, average
 // centrality ≈ 0.72.
 func SynBConfig(scale int, seed uint64) GeneratorConfig {
-	return synConfig("syn-b", SynBFlows, 70, 20, 0.38, 0, scale, seed)
+	return synConfig("syn-b", SynBFlows, 70, 20, 0.38, scale, seed)
 }
 
 // SynCConfig is the Syn-C trace of Table II: p=70, q=30, average
 // centrality ≈ 0.61.
 func SynCConfig(scale int, seed uint64) GeneratorConfig {
-	return synConfig("syn-c", SynCFlows, 70, 30, 0.54, 0, scale, seed)
+	return synConfig("syn-c", SynCFlows, 70, 30, 0.54, scale, seed)
 }
 
 // ConfigByName returns the preset generator configuration for a CLI
@@ -99,7 +96,7 @@ func ConfigByName(name string, scale int, seed uint64) (GeneratorConfig, error) 
 	}
 }
 
-func synConfig(name string, flows int64, p, q int, scatterFlow, noise float64, scale int, seed uint64) GeneratorConfig {
+func synConfig(name string, flows int64, p, q int, scatterFlow float64, scale int, seed uint64) GeneratorConfig {
 	return GeneratorConfig{
 		Name:                name,
 		Switches:            SynSwitches,
@@ -111,11 +108,8 @@ func synConfig(name string, flows int64, p, q int, scatterFlow, noise float64, s
 		CommunicatingPairs:  SynCommPairs,
 		P:                   p,
 		Q:                   q,
-		Locality:            0.80,
 		ScatterFlowFraction: scatterFlow,
-		NoiseFraction:       noise,
 		Colocation:          0.98,
-		Duration:            TraceDuration,
 		Seed:                seed,
 	}
 }
@@ -134,13 +128,10 @@ func SmallConfig(name string, seed uint64) GeneratorConfig {
 		CommunicatingPairs:  500,
 		P:                   97,
 		Q:                   12,
-		Locality:            0.80,
 		ScatterFlowFraction: 0.11,
-		NoiseFraction:       0,
 		ScatterPinExponent:  0.5,
 		DriftAmplitude:      0.25,
 		Colocation:          0.90,
-		Duration:            TraceDuration,
 		Seed:                seed,
 	}
 }

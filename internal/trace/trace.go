@@ -8,9 +8,10 @@
 // from its published statistics (272 switches, 6509 hosts, ~11.6k
 // communicating pairs out of >20M, 90% of flows from 10% of pairs,
 // 5-way centrality ≈ 0.85, day-long diurnal profile). Syn-A/B/C follow
-// the paper's own recipe: p% of flows from a hot set of q% of the
-// communicating pairs, the rest uniform over all host pairs, at 10×
-// scale.
+// the paper's own recipe at 10× scale: p% of flows from a hot set of q%
+// of the communicating pairs, the rest unclusterable — carried by
+// scatter hub pairs rather than uniform one-off pairs (see
+// GeneratorConfig.ScatterFlowFraction).
 //
 // Traces are produced as streams (see stream.go): the topology and
 // communicating-pair pools are built once and shared read-only, while
@@ -123,30 +124,21 @@ type GeneratorConfig struct {
 	// CommunicatingPairs is the size of the communicating pair pool.
 	CommunicatingPairs int
 	// P is the percentage of flows drawn from the hot pair set; Q is the
-	// hot set's share of the communicating pool (Table II labels).
+	// hot set's share of the communicating pool (Table II labels). The
+	// hot set is drawn from the intra-tenant band (see locality).
 	P, Q int
-	// Locality splits the communicating pool into an intra-tenant band
-	// (clusterable) and a scatter band modeling shared-service traffic:
-	// pairs of (service hub, uniformly random host). Hub fan-out pins
-	// hub edges across any balanced partition, so scatter flows are
-	// structurally inter-group at every scale — the paper's full-scale
-	// uniform "rest" flows have the same property through sheer density.
-	// The hot set is Q% of the pool, drawn from the intra band.
-	Locality float64
 	// ScatterFlowFraction is the share of flows placed on the scatter
-	// band's fixed pairs. NoiseFraction is the share of flows on pairs
-	// drawn uniformly from all host pairs (one-off pairs, as in the
-	// paper's synthetic recipe). The remaining
-	// 1 − ScatterFlowFraction − NoiseFraction share is split between the
-	// hot set (P%) and the cold intra band (100−P%). Scatter and noise
-	// are what a balanced partition cannot avoid cutting; their shares
-	// are calibrated per preset to reproduce the paper's measured
-	// centralities at laptop scale (at the paper's full scale the
-	// uniform rest is dense enough to be unclusterable by itself; at
-	// reduced scale it degenerates into isolated clusterable edges, so
-	// the share is carried by hub pairs instead).
+	// band's fixed pairs; the rest is split between the hot set (P%) and
+	// the cold intra band (100−P%). Scatter is what a balanced partition
+	// cannot avoid cutting. It stands in for the paper's synthetic
+	// recipe, whose non-hot flows are uniform over all host pairs: at
+	// the paper's full scale that uniform rest is dense enough to be
+	// unclusterable by itself, but at reduced scale it degenerates into
+	// isolated clusterable edges, so the share is carried by hub pairs
+	// instead, calibrated per preset to reproduce the paper's measured
+	// centralities. NewStream refuses a positive share whose scatter
+	// band is empty (a hot set pinning fewer than two tenants).
 	ScatterFlowFraction float64
-	NoiseFraction       float64
 	// ScatterPinExponent damps the coupling between scatter endpoints
 	// and hot-pair pin weight: endpoints are sampled ∝ pinWeight^exp.
 	// 1.0 pins scatter to the traffic core (right for the huge hot sets
@@ -163,7 +155,6 @@ type GeneratorConfig struct {
 	DriftAmplitude float64
 	// Colocation is passed to tenant placement.
 	Colocation float64
-	Duration   time.Duration
 	Seed       uint64
 	// WindowsPerHour sets the streaming granularity: the trace is
 	// partitioned into 24·WindowsPerHour windows. Zero selects the
@@ -174,6 +165,14 @@ type GeneratorConfig struct {
 	// window by window.
 	WindowsPerHour int
 }
+
+// locality splits the communicating pool into an intra-tenant band
+// (clusterable) and a scatter band modeling shared-service traffic:
+// pairs of (service hub, uniformly random host). Hub fan-out pins hub
+// edges across any balanced partition, so scatter flows are
+// structurally inter-group at every scale — the paper's full-scale
+// uniform "rest" flows have the same property through sheer density.
+const locality = 0.80
 
 // targetWindowFlows is the auto-selected per-window flow budget: 64 Ki
 // flows ≈ 1.5 MB of Flow records.
@@ -203,12 +202,8 @@ func (c GeneratorConfig) validate() error {
 	if c.CommunicatingPairs < 2 {
 		return errors.New("trace: need ≥ 2 communicating pairs")
 	}
-	if c.Locality < 0 || c.Locality > 1 {
-		return errors.New("trace: Locality must lie in [0,1]")
-	}
-	if c.ScatterFlowFraction < 0 || c.NoiseFraction < 0 ||
-		c.ScatterFlowFraction+c.NoiseFraction > 1+1e-9 {
-		return errors.New("trace: ScatterFlowFraction + NoiseFraction must be ≤ 1")
+	if c.ScatterFlowFraction < 0 || c.ScatterFlowFraction > 1 {
+		return errors.New("trace: ScatterFlowFraction must lie in [0,1]")
 	}
 	if c.DriftAmplitude < 0 || c.DriftAmplitude >= 1 {
 		return errors.New("trace: DriftAmplitude must lie in [0,1)")
@@ -231,13 +226,11 @@ type genStream struct {
 	// the diurnal profile.
 	counts []int
 
-	// Pair pools (see Generate's original construction, unchanged in
-	// distribution): hot/cold intra-tenant bands, the scatter band, and
-	// the Zipf weights + drift phases of the hot set.
+	// Pair pools: hot/cold intra-tenant bands, the scatter band, and the
+	// Zipf weights + drift phases of the hot set.
 	hot, cold, scatter []model.FlowKey
 	hotCum             []float64
 	hotPhase           []float64
-	numHosts           int
 	// pool holds every pair of the three bands: NewStream's dedupe, and
 	// the Expand combinator's silent-pair exclusion afterwards.
 	pool pairSet
@@ -252,27 +245,16 @@ type genStream struct {
 	hotFloor float64
 
 	// Flow-class thresholds precomputed from the config.
-	scatterCut, noiseCut, hotCut float64
-
-	// noiseSalt hash-splits the all-pairs space when NoiseFraction > 0:
-	// noise flows draw only from the half whose salted pair hash is
-	// even, so the Expand combinator can place extra flows on the odd
-	// half and provably never duplicate a realized one-off noise pair —
-	// without either side enumerating the other's realizations.
-	noiseSalt uint64
+	scatterCut, hotCut float64
 }
 
 // flowSalt separates the per-window flow-emission streams from any
 // other consumer of the trace seed.
 const flowSalt = 0x5bd1e9955bd1e995
 
-// noiseSplitSalt derives the noise-space partition salt from the trace
-// seed (stable across windows and window order).
-const noiseSplitSalt = 0x6e6f697365 // "noise"
-
 // packPair folds a flow key's canonical form into one word, Src in the
-// high half: the value the noise split hashes and pairSet stores. Host
-// IDs start at 1, so a packed pair is never 0.
+// high half: the value pairSet stores. Host IDs start at 1, so a packed
+// pair is never 0.
 func packPair(k model.FlowKey) uint64 {
 	k = k.Canonical()
 	return uint64(k.Src)<<32 | uint64(k.Dst)
@@ -324,29 +306,17 @@ func (s *pairSet) insert(k model.FlowKey) (added bool) {
 	return true
 }
 
-// noiseEligible reports whether a pair lies in the generator's noise
-// half of the all-pairs space.
-func (g *genStream) noiseEligible(k model.FlowKey) bool {
-	return SplitMix64(packPair(k)^g.noiseSalt)&1 == 0
-}
-
-// noisePairExcluded reports the pairs the Expand combinator's extras
-// skip: with a noise band configured, any pair the generator could
-// realize as one-off noise.
-func (g *genStream) noisePairExcluded(k model.FlowKey) bool {
-	return g.cfg.NoiseFraction > 0 && g.noiseEligible(k)
-}
-
 // NewStream builds the generator-backed stream for a configuration:
 // topology, tenant placement, and communicating-pair pools are
 // materialized (they are O(pairs + hosts), independent of trace
 // length); flows are not — they are emitted per window by GenWindow.
+// A configuration whose bands cannot be filled with distinct pairs is
+// refused: an intra band larger than the tenants' pairs, a scatter band
+// larger than the pinned tenants' cross pairs, or a positive
+// ScatterFlowFraction with no scatter band at all.
 func NewStream(cfg GeneratorConfig) (Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 24 * time.Hour
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5bd1e9955bd1e995))
 
@@ -366,9 +336,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 		return nil, fmt.Errorf("trace: populate: %w", err)
 	}
 	g := &genStream{
-		cfg:       cfg,
-		numHosts:  dir.NumHosts(),
-		noiseSalt: SplitMix64(cfg.Seed ^ noiseSplitSalt),
+		cfg: cfg,
 		// The bands below stop at CommunicatingPairs pairs in all.
 		pool: newPairSet(cfg.CommunicatingPairs),
 	}
@@ -376,7 +344,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	// Communicating pair pool: an intra-tenant band (clusterable) and a
 	// scatter band of uniformly random pairs (expander-like).
 	tenants := dir.Tenants()
-	intraCount := int(float64(cfg.CommunicatingPairs) * cfg.Locality)
+	intraCount := int(float64(cfg.CommunicatingPairs) * locality)
 	scatterCount := cfg.CommunicatingPairs - intraCount
 	addPair := func(dst []model.FlowKey, a, b model.HostID) []model.FlowKey {
 		if a == b {
@@ -387,6 +355,15 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 			return dst
 		}
 		return append(dst, k)
+	}
+	// The tenants hold Σ C(nₜ, 2) distinct intra-tenant pairs: a larger
+	// band could never be filled.
+	intraPairs := 0
+	for _, tn := range tenants {
+		intraPairs += len(tn.Hosts) * (len(tn.Hosts) - 1) / 2
+	}
+	if intraPairs < intraCount {
+		return nil, fmt.Errorf("trace: %d intra-tenant pairs wanted, the tenants hold %d", intraCount, intraPairs)
 	}
 	intra := make([]model.FlowKey, 0, intraCount)
 	for len(intra) < intraCount {
@@ -449,7 +426,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	// so the weights are a slice indexed by host ID, and walking tenants
 	// in Tenants order and their hosts in list order visits the pinned
 	// hosts by ascending tenant, then host ID.
-	pinWeight := make([]float64, g.numHosts+1)
+	pinWeight := make([]float64, dir.NumHosts()+1)
 	for r, k := range g.hot {
 		w := 1 / float64(r+1)
 		pinWeight[k.Src] += w
@@ -468,6 +445,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	pinned := make([]tenantPins, 0, len(tenants))
 	tenantCum := make([]float64, 0, len(tenants))
 	var tenantTotal float64
+	pinnedSq := 0 // Σ|Pₜ|² over pinned tenants
 	pinnedHosts := make([]model.HostID, 0, 2*len(g.hot))
 	hostCum := make([]float64, 0, 2*len(g.hot))
 	for _, tn := range tenants {
@@ -489,6 +467,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 			continue
 		}
 		pinned = append(pinned, tenantPins{tn.ID, pinnedHosts[first:], hostCum[first:], total})
+		pinnedSq += (len(pinnedHosts) - first) * (len(pinnedHosts) - first)
 		tenantTotal += total
 		tenantCum = append(tenantCum, tenantTotal)
 	}
@@ -499,6 +478,15 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 	sampleHost := func(rng *rand.Rand, tp *tenantPins) model.HostID {
 		u := rng.Float64() * tp.total
 		return tp.hosts[searchFloat64s(tp.cum, u)]
+	}
+	// The pinned hosts offer ((Σ|Pₜ|)² − Σ|Pₜ|²)/2 distinct cross-tenant
+	// pairs: a larger band could never be filled.
+	crossPairs := (len(pinnedHosts)*len(pinnedHosts) - pinnedSq) / 2
+	switch {
+	case len(pinned) < 2 && cfg.ScatterFlowFraction > 0:
+		return nil, errors.New("trace: the hot set pins fewer than two tenants, so the scatter band is empty")
+	case len(pinned) >= 2 && crossPairs < scatterCount:
+		return nil, fmt.Errorf("trace: %d scatter pairs wanted, the pinned tenants hold %d", scatterCount, crossPairs)
 	}
 	g.scatter = make([]model.FlowKey, 0, scatterCount)
 	if len(pinned) >= 2 {
@@ -511,16 +499,14 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 		}
 	}
 
-	// Flow emission plan: p% hot, ScatterFlowFraction on the scatter
-	// band, NoiseFraction uniform over all host pairs, remainder on the
-	// cold intra band.
+	// Flow emission plan: ScatterFlowFraction on the scatter band, p%
+	// of the rest hot, the remainder on the cold intra band.
 	total := int(cfg.PaperFlows / int64(cfg.Scale))
 	if total < 1 {
 		total = 1
 	}
 	g.scatterCut = cfg.ScatterFlowFraction
-	g.noiseCut = g.scatterCut + cfg.NoiseFraction
-	g.hotCut = g.noiseCut + (1-g.noiseCut)*float64(cfg.P)/100
+	g.hotCut = g.scatterCut + (1-g.scatterCut)*float64(cfg.P)/100
 
 	// Window plan: 24·WindowsPerHour hour-aligned windows, flow counts
 	// apportioned deterministically over the diurnal profile (each
@@ -547,7 +533,7 @@ func NewStream(cfg GeneratorConfig) (Stream, error) {
 
 	g.info = StreamInfo{
 		Name:           cfg.Name,
-		Duration:       cfg.Duration,
+		Duration:       TraceDuration,
 		Directory:      dir,
 		P:              cfg.P,
 		Q:              cfg.Q,
@@ -649,25 +635,10 @@ func (g *genStream) drawWindow(w int, buf []Flow) []Flow {
 		var key model.FlowKey
 		u := rng.Float64()
 		switch {
-		case u < g.scatterCut && len(g.scatter) > 0:
+		case u < g.scatterCut:
 			key = g.scatter[rng.IntN(len(g.scatter))]
-		case u < g.noiseCut:
-			// One-off noise pairs draw from the noise half of the pair
-			// space (see noiseEligible); the rejection loop is bounded
-			// for degenerate topologies where the half could be empty.
-			for tries := 0; ; tries++ {
-				a := model.HostID(1 + rng.IntN(g.numHosts))
-				b := model.HostID(1 + rng.IntN(g.numHosts))
-				if a == b {
-					continue
-				}
-				key = model.FlowKey{Src: a, Dst: b}
-				if g.noiseEligible(key) || tries >= 256 {
-					break
-				}
-			}
 		case u < g.hotCut || len(g.cold) == 0:
-			key = g.hot[g.drawHot(rng, float64(start)/float64(g.cfg.Duration))]
+			key = g.hot[g.drawHot(rng, float64(start)/float64(TraceDuration))]
 		default:
 			key = g.cold[rng.IntN(len(g.cold))]
 		}

@@ -80,6 +80,48 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Error("1 communicating pair accepted")
 	}
+	// One hot pair pins one tenant: the scatter band is empty, so the
+	// scatter share has no pairs to land on.
+	cfg = SmallConfig("bad", 1)
+	cfg.CommunicatingPairs, cfg.Q = 60, 1
+	if _, err := Generate(cfg); err == nil {
+		t.Error("scatter share with an empty scatter band accepted")
+	}
+}
+
+// refusedPromptly requires NewStream to refuse cfg, and to return at
+// all: a band it cannot fill with distinct pairs must not spin.
+func refusedPromptly(t *testing.T, cfg GeneratorConfig) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewStream(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("NewStream accepted an unsatisfiable config")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewStream hung on an unsatisfiable config")
+	}
+}
+
+// TestNewStreamRefusesShortIntraBand: 16,000 intra-tenant pairs wanted
+// from tenants holding about 1,500.
+func TestNewStreamRefusesShortIntraBand(t *testing.T) {
+	cfg := SmallConfig("short-intra", 1)
+	cfg.CommunicatingPairs = 20_000
+	refusedPromptly(t, cfg)
+}
+
+// TestNewStreamRefusesShortScatterBand: 80 scatter pairs wanted from the
+// few hosts that four hot pairs pin.
+func TestNewStreamRefusesShortScatterBand(t *testing.T) {
+	cfg := SmallConfig("short-scatter", 1)
+	cfg.CommunicatingPairs, cfg.Q = 400, 1
+	refusedPromptly(t, cfg)
 }
 
 func TestWindowAndReplay(t *testing.T) {
