@@ -314,14 +314,28 @@ var absoluteGates = []struct {
 // one emulation's count. The dissemination benchmarks' wire-B/op is the
 // G-FIB delta rule's bytes on the wire; ControlFold's wire-B/op and
 // events/op are the whole protocol's bytes and simulated events, and
-// Convergence's recovery-rounds is the cascade's repair time.
+// Convergence's recovery-rounds is the cascade's repair time. B/op is
+// read from the -benchmem column: the grouping benchmarks' bytes per op
+// are deterministic to a fraction of a percent and fall when a copy goes.
 var extraGates = []struct{ bench, unit string }{
+	{"BenchmarkFig6b", "B/op"},
+	{"BenchmarkIncUpdate", "B/op"},
 	{"BenchmarkTelemetryOverhead", "allocs-per-run"},
 	{"BenchmarkDissemDelta", "wire-B/op"},
 	{"BenchmarkDissemFull", "wire-B/op"},
 	{"BenchmarkControlFold", "wire-B/op"},
 	{"BenchmarkControlFold", "events/op"},
 	{"BenchmarkConvergence", "recovery-rounds"},
+}
+
+// metric returns a benchmark's value in unit: B/op from the -benchmem
+// column, any other unit from the custom metrics.
+func (r *Result) metric(unit string) (float64, bool) {
+	if unit == "B/op" {
+		return float64(r.BytesPerOp), r.BytesPerOp > 0
+	}
+	v, ok := r.Extra[unit]
+	return v, ok
 }
 
 // gateAbsolute checks the absolute ceilings against the fresh run,
@@ -395,14 +409,14 @@ func gateAgainstBaseline(r *Report, gate, metrics string, maxregress float64, qu
 		if !gateAllocs || cur == nil {
 			continue // a subset -bench run stays usable
 		}
-		v, ok := cur.Extra[g.unit]
+		v, ok := cur.metric(g.unit)
 		if !ok {
 			violations = append(violations, fmt.Sprintf("%s: extra metric %q missing from the run", g.bench, g.unit))
 			continue
 		}
 		var was float64
 		if base != nil {
-			was = base.Extra[g.unit]
+			was, _ = base.metric(g.unit)
 		}
 		if was == 0 {
 			if !quiet {

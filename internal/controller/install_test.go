@@ -17,8 +17,8 @@ import (
 
 // sameMatrix reports whether two matrices hold the same switches in the
 // same registration order with the same weights. Both sides are cloned
-// first: Decay leaves empty neighbor lists that Clone turns into nil,
-// and DeepEqual tells the two apart.
+// first: a clone's copy-on-write flag is set whatever its source's was,
+// and DeepEqual reads the flag.
 func sameMatrix(a, b *grouping.Intensity) bool {
 	return reflect.DeepEqual(a.Clone(), b.Clone())
 }
@@ -77,7 +77,7 @@ func TestFlowsCountedOnlyWhenRegrouping(t *testing.T) {
 			same := func(step string) {
 				t.Helper()
 				if !sameMatrix(c.intensity, ref) {
-					t.Fatalf("%s: matrix differs from the reference\ngot:  %+v\nwant: %+v", step, *c.intensity, *ref)
+					t.Fatalf("%s: matrix differs from the reference\ngot:  %+v\nwant: %+v", step, c.intensity, ref)
 				}
 			}
 			same("initial grouping")

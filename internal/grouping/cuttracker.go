@@ -2,7 +2,6 @@ package grouping
 
 import (
 	"slices"
-	"sort"
 
 	"lazyctrl/internal/model"
 )
@@ -30,7 +29,7 @@ const noSlot = -1
 // IniGroup, which it cannot be if every iteration rescans all P pairs).
 // It is built once per IncUpdate call — O(P) — and updated in O(moved ×
 // degree) on every merge/split, replacing the O(P) NormalizedInterGroup
-// rescans and pairChanges accumulations in the inner loop.
+// rescans and group-pair accumulations in the inner loop.
 //
 // Nothing on the per-edge path hashes: switches are walked in the
 // matrices' dense index space, and each live group holds a slot, so a
@@ -47,7 +46,7 @@ type cutTracker struct {
 	free   []int32
 	// cur and prevW hold the inter-group weight per group pair under the
 	// current and snapshot matrices, both under the CURRENT grouping
-	// (pairChanges ranks growth under the present assignment). Cell
+	// (bestPair ranks growth under the present assignment). Cell
 	// i*len(group)+j with slot i < slot j holds the pair's weight; the
 	// rest stay zero.
 	cur   []float64
@@ -237,7 +236,7 @@ func (t *cutTracker) move(s model.SwitchID, g model.GroupID) {
 
 // regroup folds one merge/split into the tracker: groups a and b were
 // replaced by g0 (members side0) and g1 (members side1). The retired
-// groups' cells are zeroed and their slots freed, so pairChanges never
+// groups' cells are zeroed and their slots freed, so bestPair never
 // resurrects them.
 func (t *cutTracker) regroup(a, b model.GroupID, side0 []model.SwitchID, g0 model.GroupID, side1 []model.SwitchID, g1 model.GroupID) {
 	for _, s := range side0 {
@@ -250,11 +249,10 @@ func (t *cutTracker) regroup(a, b model.GroupID, side0 []model.SwitchID, g0 mode
 	t.release(b)
 }
 
-// pairChanges ranks group pairs by traffic growth since the snapshot
-// (then by absolute current traffic). Only pairs with positive current
-// traffic are returned. O(slots²), no matrix rescans.
-func (t *cutTracker) pairChanges() []groupPairChange {
-	var out []groupPairChange
+// bestPair returns the group pair IncUpdate merges next: of the pairs
+// with positive current traffic, the first under before. ok is false
+// when no pair carries traffic. O(slots²), no matrix rescans.
+func (t *cutTracker) bestPair() (best groupPairChange, ok bool) {
 	n := len(t.group)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -266,25 +264,11 @@ func (t *cutTracker) pairChanges() []groupPairChange {
 			if a > b {
 				a, b = b, a
 			}
-			out = append(out, groupPairChange{
-				a:       a,
-				b:       b,
-				current: w,
-				change:  w - t.prevW[i*n+j],
-			})
+			c := groupPairChange{a: a, b: b, current: w, change: w - t.prevW[i*n+j]}
+			if !ok || c.before(best) {
+				best, ok = c, true
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].change != out[j].change {
-			return out[i].change > out[j].change
-		}
-		if out[i].current != out[j].current {
-			return out[i].current > out[j].current
-		}
-		if out[i].a != out[j].a {
-			return out[i].a < out[j].a
-		}
-		return out[i].b < out[j].b
-	})
-	return out
+	return best, ok
 }

@@ -29,7 +29,7 @@ func (m *Intensity) forEachNeighbor(s model.SwitchID, fn func(t model.SwitchID, 
 	}
 }
 
-func refBuildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
+func refBuildGraph(m *Intensity, switches []model.SwitchID) *graph.Graph {
 	n := len(switches)
 	index := make(map[model.SwitchID]int, n)
 	for i, sw := range switches {
@@ -71,7 +71,7 @@ func refBuildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []mod
 		})
 		slices.SortFunc(adj[i], func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
 	}
-	return graph.NewFromAdjacency(adj, vwgt), switches
+	return graph.NewFromAdjacency(adj, vwgt)
 }
 
 // gpKey is an unordered group pair (a < b).
@@ -378,8 +378,11 @@ func sameGraph(a, b *graph.Graph) error {
 // TestBuildGraphMatchesReference builds graphs over random switch sets —
 // the whole matrix as IniGroup asks, or the union of two sorted groups as
 // a merge asks, with switches the matrix has never seen — and compares
-// every list, in order, with the reference build.
+// every list, in order, with the reference build. One scratch serves
+// every program, as an SGI's serves every build, so state a build leaves
+// behind would show in the next.
 func TestBuildGraphMatchesReference(t *testing.T) {
+	var sc graphScratch
 	for prog := 0; prog < 1200; prog++ {
 		rng := rand.New(rand.NewPCG(uint64(prog), 41))
 		nSwitch := 2 + rng.IntN(40)
@@ -397,44 +400,48 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 			}
 			switches = append(a, b...)
 		}
-		g, orig := buildGraph(m, switches)
-		want, wantOrig := refBuildGraph(m, switches)
+		g := sc.buildGraph(m, switches)
+		want := refBuildGraph(m, switches)
 		if err := sameGraph(g, want); err != nil {
 			t.Fatalf("program %d: %v", prog, err)
 		}
-		if !slices.Equal(orig, wantOrig) {
-			t.Fatalf("program %d: orig %v, reference %v", prog, orig, wantOrig)
+		if i := slices.IndexFunc(sc.sub, func(v int32) bool { return v != -1 }); i >= 0 {
+			t.Fatalf("program %d: the build left sub[%d] = %d", prog, i, sc.sub[i])
 		}
 	}
 }
 
-// TestBuildGraphAllocationsFlat pins buildGraph's allocation count: it
-// must not grow with the number of switches, which a per-switch closure
-// escaping to the heap would make it do.
+// TestBuildGraphAllocationsFlat pins buildGraph's allocation count: on
+// a fresh scratch it must not grow with the number of switches, which a
+// per-switch closure escaping to the heap would make it do, and on a
+// scratch that has held the switch set it is the graph header alone.
 func TestBuildGraphAllocationsFlat(t *testing.T) {
-	allocs := func(groups int) float64 {
+	allocs := func(groups int) (fresh, reused float64) {
 		m, _ := communityIntensity(groups, 20, 5)
 		switches := m.Switches()
-		return testing.AllocsPerRun(20, func() { buildGraph(m, switches) })
+		fresh = testing.AllocsPerRun(20, func() {
+			var sc graphScratch
+			sc.buildGraph(m, switches)
+		})
+		var sc graphScratch
+		sc.buildGraph(m, switches)
+		reused = testing.AllocsPerRun(20, func() { sc.buildGraph(m, switches) })
+		return fresh, reused
 	}
-	small, large := allocs(2), allocs(30)
+	small, smallReused := allocs(2)
+	large, largeReused := allocs(30)
 	if small != large {
 		t.Errorf("buildGraph allocates %v times for 40 switches and %v for 600: the count must not grow with n", small, large)
 	}
+	if smallReused != 1 || largeReused != 1 {
+		t.Errorf("buildGraph on a grown scratch allocates %v and %v times, want 1 (the graph)", smallReused, largeReused)
+	}
 }
 
-func samePairChanges(a, b []groupPairChange) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].a != b[i].a || a[i].b != b[i].b ||
-			math.Float64bits(a[i].current) != math.Float64bits(b[i].current) ||
-			math.Float64bits(a[i].change) != math.Float64bits(b[i].change) {
-			return false
-		}
-	}
-	return true
+func samePairChange(a, b groupPairChange) bool {
+	return a.a == b.a && a.b == b.b &&
+		math.Float64bits(a.current) == math.Float64bits(b.current) &&
+		math.Float64bits(a.change) == math.Float64bits(b.change)
 }
 
 func samePairMap(a, b map[gpKey]float64) bool {
@@ -451,8 +458,9 @@ func samePairMap(a, b map[gpKey]float64) bool {
 
 // TestCutTrackerMatchesReference drives the slot-indexed tracker and the
 // map-keyed reference with the same random programs of moves, merge/splits
-// and rankings, and compares everything after every step bit for bit: W_inter, every pair weight, and the ranked
-// pairChanges list with its floats.
+// and rankings, and compares everything after every step bit for bit:
+// W_inter, every pair weight, and bestPair with its floats against the
+// head of the reference's ranked pairChanges.
 func TestCutTrackerMatchesReference(t *testing.T) {
 	const steps = 40
 	seen := make(map[string]int)
@@ -545,11 +553,12 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 			if !samePairMap(cur, ref.cur) || !samePairMap(prevW, ref.prevW) {
 				t.Fatalf("%s: pair weights %v / %v, reference %v / %v", at, cur, prevW, ref.cur, ref.prevW)
 			}
-			changes := got.pairChanges()
-			if want := ref.pairChanges(); !samePairChanges(changes, want) {
-				t.Fatalf("%s: pairChanges %v, reference %v", at, changes, want)
+			best, ok := got.bestPair()
+			want := ref.pairChanges()
+			if ok != (len(want) > 0) || ok && !samePairChange(best, want[0]) {
+				t.Fatalf("%s: bestPair %v (%v), reference ranking %v", at, best, ok, want)
 			}
-			if len(changes) > 1 {
+			if len(want) > 1 {
 				seen["ranking of several pairs"]++
 			}
 			for _, sw := range ref.ids {
@@ -565,6 +574,45 @@ func TestCutTrackerMatchesReference(t *testing.T) {
 	for _, class := range []string{"ranking of several pairs", "slots grown"} {
 		if seen[class] < 100 {
 			t.Errorf("the generator reached %q only %d times", class, seen[class])
+		}
+	}
+}
+
+// TestBestPairOrder pins each key of bestPair's order on four singleton
+// groups G1..G4 over switches 1..4, where the random programs rarely
+// tie: growth first, then current traffic, then the lower group IDs.
+func TestBestPairOrder(t *testing.T) {
+	type edge struct {
+		a, b model.SwitchID
+		w    float64
+	}
+	for _, tc := range []struct {
+		name     string
+		cur, old []edge
+		a, b     model.GroupID
+	}{
+		{"growth decides", []edge{{1, 2, 5}, {3, 4, 3}}, []edge{{1, 2, 4}}, 3, 4},
+		{"current breaks a growth tie", []edge{{1, 2, 3}, {3, 4, 5}}, []edge{{3, 4, 2}}, 3, 4},
+		{"lower a breaks a full tie", []edge{{3, 4, 1}, {1, 2, 1}}, nil, 1, 2},
+		{"lower b breaks a full tie", []edge{{1, 3, 1}, {1, 2, 1}}, nil, 1, 2},
+	} {
+		build := func(edges []edge) *Intensity {
+			m := NewIntensity()
+			for s := model.SwitchID(1); s <= 4; s++ {
+				m.AddSwitch(s)
+			}
+			for _, e := range edges {
+				m.Add(e.a, e.b, e.w)
+			}
+			return m
+		}
+		grp := NewGrouping()
+		for s := model.SwitchID(1); s <= 4; s++ {
+			grp.AddGroup([]model.SwitchID{s})
+		}
+		best, ok := newCutTracker(grp, build(tc.cur), build(tc.old)).bestPair()
+		if !ok || best.a != tc.a || best.b != tc.b {
+			t.Errorf("%s: bestPair = %v (%v), want G%d-G%d", tc.name, best, ok, tc.a, tc.b)
 		}
 	}
 }

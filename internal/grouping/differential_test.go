@@ -247,8 +247,8 @@ func TestCutTrackerMatchesNaiveRescan(t *testing.T) {
 				}
 				gids = append(out, g0, g1)
 				check(fmt.Sprintf("op %d regroup %d+%d", op, a, b))
-			case 2: // pairChanges must only report live, positive pairs
-				for _, c := range tr.pairChanges() {
+			case 2: // bestPair must only report a live, positive pair
+				if c, ok := tr.bestPair(); ok {
 					if c.current <= 0 {
 						t.Fatalf("seed %d op %d: non-positive current %v", seed, op, c)
 					}
@@ -259,7 +259,7 @@ func TestCutTrackerMatchesNaiveRescan(t *testing.T) {
 						}
 					}
 					if !live {
-						t.Fatalf("seed %d op %d: pairChanges reports dead groups %v-%v", seed, op, c.a, c.b)
+						t.Fatalf("seed %d op %d: bestPair reports dead groups %v-%v", seed, op, c.a, c.b)
 					}
 				}
 			}

@@ -2,7 +2,7 @@ package grouping
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lazyctrl/internal/model"
 )
@@ -33,8 +33,8 @@ func NewGrouping() *Grouping {
 func (g *Grouping) AddGroup(members []model.SwitchID) model.GroupID {
 	id := g.nextID
 	g.nextID++
-	sorted := append([]model.SwitchID(nil), members...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
 	for _, s := range sorted {
 		if old, ok := g.assign[s]; ok {
 			g.removeMember(old, s)
@@ -85,7 +85,7 @@ func (g *Grouping) GroupIDs() []model.GroupID {
 	for id := range g.groups {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -119,7 +119,7 @@ func Rebuild(assign map[model.SwitchID]model.GroupID) *Grouping {
 	for s := range assign {
 		switches = append(switches, s)
 	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
+	slices.Sort(switches)
 	for _, s := range switches {
 		id := assign[s]
 		if id == model.NoGroup {
@@ -149,29 +149,32 @@ func (g *Grouping) Clone() *Grouping {
 	return c
 }
 
-// Validate checks structural invariants: disjoint groups, consistent
-// assignment index, size limit.
+// Validate checks structural invariants: every group non-empty, within
+// the size limit and sorted without repeats, every member indexed to its
+// group, and no index entry without a member. Each member is indexed to
+// the one group it was found in, so members are distinct across groups
+// too, and counting them finds an index entry with no member.
 func (g *Grouping) Validate(sizeLimit int) error {
-	seen := make(map[model.SwitchID]model.GroupID)
-	for id, members := range g.groups {
-		if len(members) == 0 {
+	members := 0
+	for id, ms := range g.groups {
+		if len(ms) == 0 {
 			return fmt.Errorf("grouping: empty group %v", id)
 		}
-		if sizeLimit > 0 && len(members) > sizeLimit {
-			return fmt.Errorf("grouping: group %v has %d members, limit %d", id, len(members), sizeLimit)
+		if sizeLimit > 0 && len(ms) > sizeLimit {
+			return fmt.Errorf("grouping: group %v has %d members, limit %d", id, len(ms), sizeLimit)
 		}
-		for _, s := range members {
-			if prev, dup := seen[s]; dup {
-				return fmt.Errorf("grouping: switch %v in groups %v and %v", s, prev, id)
+		for i, s := range ms {
+			if i > 0 && s <= ms[i-1] {
+				return fmt.Errorf("grouping: group %v lists %v after %v", id, s, ms[i-1])
 			}
-			seen[s] = id
 			if g.assign[s] != id {
 				return fmt.Errorf("grouping: index says %v is in %v, membership says %v", s, g.assign[s], id)
 			}
 		}
+		members += len(ms)
 	}
-	if len(seen) != len(g.assign) {
-		return fmt.Errorf("grouping: index has %d entries, groups have %d members", len(g.assign), len(seen))
+	if members != len(g.assign) {
+		return fmt.Errorf("grouping: index has %d entries, groups have %d members", len(g.assign), members)
 	}
 	return nil
 }

@@ -5,8 +5,10 @@
 package grouping
 
 import (
+	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"lazyctrl/internal/model"
 )
@@ -38,6 +40,11 @@ type nbr struct {
 // Writers (Add, AddN, AddSwitch, Decay) must not run concurrently with
 // anything else. Readers never write, so any number of them may share a
 // matrix.
+//
+// Clone is copy-on-write: a clone shares idx, ids and adj with its
+// source, and both are flagged shared until one of them writes, which
+// first gives it storage of its own (own). A snapshot nobody writes
+// costs nothing.
 type Intensity struct {
 	idx map[model.SwitchID]int32 // switch → dense index
 	ids []model.SwitchID         // dense index → switch
@@ -49,6 +56,10 @@ type Intensity struct {
 
 	total   float64
 	maxPair float64
+	// shared is set on both sides of a Clone while they may share idx,
+	// ids and adj. It is atomic because concurrent emulations clone one
+	// warmup matrix at once.
+	shared atomic.Bool
 }
 
 // NewIntensity returns an empty intensity matrix.
@@ -66,6 +77,7 @@ func (m *Intensity) index(s model.SwitchID) int32 {
 
 // register gives s the next dense index and its place in sorted.
 func (m *Intensity) register(s model.SwitchID) int32 {
+	m.own()
 	i := int32(len(m.ids))
 	m.idx[s] = i
 	m.ids = append(m.ids, s)
@@ -97,6 +109,7 @@ func findNbr(list []nbr, to int32) (int, bool) {
 // grows, so checking maxPair once, at the end, is checking it at each
 // addition. n must be at least 1.
 func (m *Intensity) addHalf(ia, ib int32, w float64, n uint32) {
+	m.own()
 	list := m.adj[ia]
 	pos, ok := findNbr(list, ib)
 	if !ok {
@@ -162,35 +175,49 @@ func (m *Intensity) NumSwitches() int { return len(m.ids) }
 // registrations never change it.
 func (m *Intensity) Switches() []model.SwitchID { return slices.Clip(m.sorted) }
 
-// Clone returns a deep copy. The neighbor lists share one arena, each
-// clipped to its own length, so a later Add reallocates only the list it
-// grows.
+// Clone returns a snapshot of m that shares its storage: O(1), whatever
+// the matrix's size. Whichever side writes first pays for the copy.
 func (m *Intensity) Clone() *Intensity {
+	m.shared.Store(true)
 	c := &Intensity{
-		idx:     make(map[model.SwitchID]int32, len(m.idx)),
-		ids:     append([]model.SwitchID(nil), m.ids...),
-		adj:     make([][]nbr, len(m.adj)),
+		idx:     m.idx,
+		ids:     m.ids,
+		adj:     m.adj,
 		sorted:  slices.Clip(m.sorted),
 		total:   m.total,
 		maxPair: m.maxPair,
 	}
-	for s, i := range m.idx {
-		c.idx[s] = i
+	c.shared.Store(true)
+	return c
+}
+
+// own gives m storage of its own before a write, if a Clone may share
+// it. The neighbor lists are copied into one arena, each clipped to its
+// own length, so a later Add reallocates only the list it grows. sorted
+// needs no copy: a registration never writes an element another
+// matrix's clipped view can see.
+func (m *Intensity) own() {
+	if !m.shared.Load() {
+		return
 	}
 	size := 0
 	for _, list := range m.adj {
 		size += len(list)
 	}
 	arena := make([]nbr, size)
+	adj := make([][]nbr, len(m.adj))
 	off := 0
 	for i, list := range m.adj {
 		if len(list) > 0 {
 			end := off + copy(arena[off:], list)
-			c.adj[i] = arena[off:end:end]
+			adj[i] = arena[off:end:end]
 			off = end
 		}
 	}
-	return c
+	m.idx = maps.Clone(m.idx)
+	m.ids = slices.Clone(m.ids)
+	m.adj = adj
+	m.shared.Store(false)
 }
 
 // InterGroup returns W_inter: the total intensity between switches
@@ -227,11 +254,13 @@ func (m *Intensity) NormalizedInterGroup(assign func(model.SwitchID) model.Group
 // exponentially weighted moving estimate of traffic intensity between
 // measurement windows. Entries decayed below the 1e-12 floor are evicted
 // from the adjacency lists, so a decay-then-regroup sequence observes
-// exactly the surviving pairs.
+// exactly the surviving pairs. A list it empties becomes nil, as a list
+// that never held an entry is.
 func (m *Intensity) Decay(factor float64) {
 	if factor <= 0 || factor >= 1 {
 		return
 	}
+	m.own()
 	m.total = 0
 	m.maxPair = 0
 	for ia, list := range m.adj {
@@ -253,6 +282,9 @@ func (m *Intensity) Decay(factor float64) {
 		// a later in-place append.
 		for i := len(keep); i < len(list); i++ {
 			list[i] = nbr{}
+		}
+		if len(keep) == 0 {
+			keep = nil
 		}
 		m.adj[ia] = keep
 	}

@@ -1,10 +1,13 @@
 package grouping
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"lazyctrl/internal/model"
@@ -182,6 +185,126 @@ func TestAddNMatchesRepeatedAdd(t *testing.T) {
 			math.Float64bits(got.MaxPair()) != math.Float64bits(want.MaxPair()) {
 			t.Fatalf("step %d: total %v, max pair %v; repeated Add %v, %v",
 				step, got.Total(), got.MaxPair(), want.Total(), want.MaxPair())
+		}
+	}
+}
+
+// matrixState renders everything a reader of m can see: totals, the
+// sorted switch list, every switch's index and every neighbor entry,
+// weights bit for bit.
+func matrixState(m *Intensity) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "total %x max %x switches %v idx %d\n",
+		math.Float64bits(m.Total()), math.Float64bits(m.MaxPair()), m.Switches(), len(m.idx))
+	for i, s := range m.ids {
+		fmt.Fprintf(&b, "%d=%v(%d):", i, s, m.idx[s])
+		for _, e := range m.adj[i] {
+			fmt.Fprintf(&b, " %d/%x", e.to, math.Float64bits(e.w))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestCloneSnapshotIsolated writes through every writer on either side
+// of a Clone and checks that the other side, and a Switches list handed
+// out before, read exactly what they read before the write.
+func TestCloneSnapshotIsolated(t *testing.T) {
+	writers := []struct {
+		name  string
+		write func(m *Intensity)
+	}{
+		{"AddN on a held pair", func(m *Intensity) { m.AddN(1, 2, 0.5, 3) }},
+		{"AddN registering a switch", func(m *Intensity) { m.AddN(1, 99, 2, 1) }},
+		{"AddSwitch registering a switch between two", func(m *Intensity) { m.AddSwitch(3) }},
+		{"AddSwitch registering a switch above all", func(m *Intensity) { m.AddSwitch(98) }},
+		{"Decay", func(m *Intensity) { m.Decay(0.5) }},
+		{"Decay evicting a pair", func(m *Intensity) { m.Decay(1e-3) }},
+	}
+	for _, w := range writers {
+		for _, side := range []string{"source", "clone"} {
+			t.Run(w.name+" on the "+side, func(t *testing.T) {
+				m := NewIntensity()
+				for _, p := range [][2]model.SwitchID{{1, 2}, {2, 4}, {4, 6}, {1, 6}} {
+					m.Add(p[0], p[1], 10)
+				}
+				m.Add(2, 6, 5e-10) // evicted by the stronger decay
+				c := m.Clone()
+				written, other := m, c
+				if side == "clone" {
+					written, other = c, m
+				}
+				listed := other.Switches()
+				want, wantListed := matrixState(other), slices.Clone(listed)
+				before := matrixState(written)
+				w.write(written)
+				if got := matrixState(other); got != want {
+					t.Fatalf("the other side changed:\n%s\nwant:\n%s", got, want)
+				}
+				if !slices.Equal(listed, wantListed) {
+					t.Fatalf("a handed-out list changed to %v, want %v", listed, wantListed)
+				}
+				if matrixState(written) == before {
+					t.Fatal("the write did not land on the written side")
+				}
+				// The other side writes in turn and leaves the first as is.
+				want = matrixState(written)
+				other.Add(4, 99, 1)
+				if got := matrixState(written); got != want {
+					t.Fatalf("a write to the other side leaked:\n%s\nwant:\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentCloneOfSharedMatrix clones one matrix from several
+// goroutines at once, as parallel emulations clone one warmup matrix,
+// and writes each clone. Run under -race, it fails on any write to
+// shared storage.
+func TestConcurrentCloneOfSharedMatrix(t *testing.T) {
+	shared, _ := communityIntensity(4, 10, 3)
+	want := matrixState(shared)
+	ref := shared.Clone()
+	ref.Add(1, 500, 2)
+	ref.Decay(0.5)
+	ref.Add(1, 2, 3)
+	wantClone := matrixState(ref)
+	var wg sync.WaitGroup
+	got := make([]string, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := shared.Clone()
+			c.Add(1, 500, 2)
+			c.Decay(0.5)
+			c.Add(1, 2, 3)
+			got[g] = matrixState(c)
+		}()
+	}
+	wg.Wait()
+	for g, s := range got {
+		if s != wantClone {
+			t.Errorf("clone %d reads\n%s\nwant\n%s", g, s, wantClone)
+		}
+	}
+	if matrixState(shared) != want {
+		t.Error("the shared matrix changed")
+	}
+}
+
+// cloneSink keeps TestCloneAllocationsConstant's clones on the heap, as
+// an SGI's snapshot is.
+var cloneSink *Intensity
+
+// TestCloneAllocationsConstant pins Clone at one allocation, the header,
+// whatever the matrix's size: the storage is shared until a write.
+func TestCloneAllocationsConstant(t *testing.T) {
+	for _, groups := range []int{2, 30} {
+		m, _ := communityIntensity(groups, 20, 5)
+		if got := testing.AllocsPerRun(20, func() { cloneSink = m.Clone() }); got != 1 {
+			t.Errorf("Clone of %d switches allocates %v times, want 1", m.NumSwitches(), got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package grouping
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lazyctrl/internal/graph"
 	"lazyctrl/internal/model"
@@ -51,9 +52,10 @@ const maxIncIterations = 32
 // (re)grouping to find the group pairs whose mutual traffic grew the
 // most.
 type SGI struct {
-	cfg  Config
-	prev *Intensity // snapshot at last IniGroup/IncUpdate
-	seed uint64     // advances so successive calls differ deterministically
+	cfg     Config
+	prev    *Intensity // snapshot at last IniGroup/IncUpdate
+	seed    uint64     // advances so successive calls differ deterministically
+	scratch graphScratch
 }
 
 // New returns an SGI instance. It returns an error for invalid
@@ -66,29 +68,52 @@ func New(cfg Config) (*SGI, error) {
 	return &SGI{cfg: c, seed: c.Seed}, nil
 }
 
+// graphScratch holds buildGraph's buffers. An SGI owns one and reuses it
+// for IniGroup and every merge/split, so once the buffers have grown to
+// the largest switch set a build allocates only the graph header. The
+// graph a build returns reads these buffers: it is valid until the next
+// build.
+type graphScratch struct {
+	sub   []int32 // matrix index → vertex; all -1 between builds
+	src   []int32 // vertex → matrix index, or -1 for a switch the matrix lacks
+	deg   []int
+	edges []graph.Edge // arena of the adjacency lists
+	adj   [][]graph.Edge
+	vwgt  []int64
+}
+
+// resize returns buf with length n, reusing its storage when it can.
+// The contents are left as they were: the caller writes every element.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
 // buildGraph converts the intensity matrix restricted to the given
-// switches into a weighted graph plus the vertex ↔ switch mapping. It
-// walks only the adjacency of the requested switches — O(Σ degree), not
-// O(P) — in the matrix's dense index space, and assembles the graph
-// directly into an edge arena: matrix adjacency has no duplicate
-// neighbors, so the Builder's dedup map is unnecessary. Its allocation
-// count does not depend on the number of switches.
-func buildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.SwitchID) {
+// switches into a weighted graph whose vertex j is switches[j]. It walks
+// only the adjacency of the requested switches — O(Σ degree), not O(P)
+// — in the matrix's dense index space, and assembles the graph directly
+// into an edge arena: matrix adjacency has no duplicate neighbors, so
+// the Builder's dedup map is unnecessary.
+func (sc *graphScratch) buildGraph(m *Intensity, switches []model.SwitchID) *graph.Graph {
 	n := len(switches)
 	// sub maps a matrix index to its vertex, or -1 outside switches;
 	// src maps a vertex back, or -1 for a switch the matrix lacks.
-	sub := make([]int32, len(m.ids))
-	for i := range sub {
-		sub[i] = -1
+	if have := len(sc.sub); have < len(m.ids) {
+		sc.sub = resize(sc.sub, len(m.ids))
+		for i := have; i < len(sc.sub); i++ {
+			sc.sub[i] = -1
+		}
 	}
-	src := make([]int32, n)
+	sub := sc.sub
+	src := resize(sc.src, n)
 	for j, sw := range switches {
 		src[j] = -1
 		if i, ok := m.idx[sw]; ok {
 			sub[i], src[j] = int32(j), i
 		}
 	}
-	deg := make([]int, n)
+	deg := resize(sc.deg, n)
+	clear(deg)
 	total := 0
 	for j, i := range src {
 		if i < 0 {
@@ -101,9 +126,9 @@ func buildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.
 			}
 		}
 	}
-	backing := make([]graph.Edge, total)
-	adj := make([][]graph.Edge, n)
-	vwgt := make([]int64, n)
+	backing := resize(sc.edges, total)
+	adj := resize(sc.adj, n)
+	vwgt := resize(sc.vwgt, n)
 	off := 0
 	for j := range adj {
 		adj[j] = backing[off : off : off+deg[j]]
@@ -131,7 +156,13 @@ func buildGraph(m *Intensity, switches []model.SwitchID) (*graph.Graph, []model.
 			adj[t] = append(adj[t], graph.Edge{To: j, W: wi})
 		}
 	}
-	return graph.NewFromAdjacency(adj, vwgt), switches
+	for _, i := range src {
+		if i >= 0 {
+			sub[i] = -1
+		}
+	}
+	sc.src, sc.deg, sc.edges, sc.adj, sc.vwgt = src, deg, backing, adj, vwgt
+	return graph.NewFromAdjacency(adj, vwgt)
 }
 
 // IniGroup computes an initial grouping of the switches in m (the
@@ -148,7 +179,7 @@ func (s *SGI) IniGroup(m *Intensity) (*Grouping, error) {
 	if k < 1 {
 		k = 1
 	}
-	g, orig := buildGraph(m, switches)
+	g := s.scratch.buildGraph(m, switches)
 	part, err := graph.PartitionKWay(g, graph.PartitionOptions{
 		K:             k,
 		MaxPartWeight: int64(s.cfg.SizeLimit),
@@ -159,7 +190,7 @@ func (s *SGI) IniGroup(m *Intensity) (*Grouping, error) {
 	}
 	byPart := make([][]model.SwitchID, k)
 	for v, p := range part {
-		byPart[p] = append(byPart[p], orig[v])
+		byPart[p] = append(byPart[p], switches[v])
 	}
 	for _, members := range byPart {
 		if len(members) > 0 {
@@ -183,6 +214,22 @@ type groupPairChange struct {
 	change  float64
 }
 
+// before reports whether c ranks ahead of d for a merge/split: the
+// larger traffic growth first, then the larger current traffic, then the
+// lower group IDs. Group pairs are distinct, so the order is total.
+func (c groupPairChange) before(d groupPairChange) bool {
+	if c.change != d.change {
+		return c.change > d.change
+	}
+	if c.current != d.current {
+		return c.current > d.current
+	}
+	if c.a != d.a {
+		return c.a < d.a
+	}
+	return c.b < d.b
+}
+
 // mergeSplit merges groups a and b of grp and re-splits the union via
 // size-constrained minimum bisection. When the bisection reproduces the
 // existing partition (the grouping was already optimal for this pair),
@@ -197,7 +244,7 @@ func (s *SGI) mergeSplit(grp *Grouping, cur *Intensity, t *cutTracker, a, b mode
 	if len(union) < 2 {
 		return false, errors.New("grouping: merge of fewer than 2 switches")
 	}
-	g, orig := buildGraph(cur, union)
+	g := s.scratch.buildGraph(cur, union)
 	part, _, err := graph.Bisect(g, graph.BisectOptions{
 		MaxSideWeight: int64(s.cfg.SizeLimit),
 		Seed:          s.nextSeed(),
@@ -211,9 +258,9 @@ func (s *SGI) mergeSplit(grp *Grouping, cur *Intensity, t *cutTracker, a, b mode
 	var side0, side1 []model.SwitchID
 	for v, p := range part {
 		if p == 0 {
-			side0 = append(side0, orig[v])
+			side0 = append(side0, union[v])
 		} else {
-			side1 = append(side1, orig[v])
+			side1 = append(side1, union[v])
 		}
 	}
 	grp.RemoveGroup(a)
@@ -271,11 +318,10 @@ func (s *SGI) IncUpdate(grp *Grouping, cur *Intensity, load LoadFunc) (int, erro
 		if load(grp, cur) <= s.cfg.HighLoad {
 			break
 		}
-		changes := t.pairChanges()
-		if len(changes) == 0 {
+		c, ok := t.bestPair()
+		if !ok {
 			break
 		}
-		c := changes[0]
 		before := t.winter()
 		changed, err := s.mergeSplit(grp, cur, t, c.a, c.b)
 		if err != nil {

@@ -2,6 +2,7 @@ package grouping
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"lazyctrl/internal/model"
@@ -276,11 +277,39 @@ func TestGroupingBasics(t *testing.T) {
 	}
 }
 
+// TestGroupingValidateCatchesViolations breaks a valid grouping of
+// {1, 2, 3} and {4} in each way Validate must catch, one case per
+// failure shape, and checks the error names it.
 func TestGroupingValidateCatchesViolations(t *testing.T) {
-	g := NewGrouping()
-	g.AddGroup([]model.SwitchID{1, 2, 3})
-	if err := g.Validate(2); err == nil {
-		t.Error("size violation not caught")
+	for _, tc := range []struct {
+		name  string
+		limit int
+		brk   func(g *Grouping)
+		want  string
+	}{
+		{"valid", 3, func(*Grouping) {}, ""},
+		{"oversize group", 2, func(*Grouping) {}, "has 3 members, limit 2"},
+		{"empty group", 3, func(g *Grouping) { g.groups[7] = nil }, "empty group G7"},
+		{"switch in two groups", 3, func(g *Grouping) { g.groups[2] = []model.SwitchID{3, 4} }, "index says S3 is in G1, membership says G2"},
+		{"duplicate in one group", 3, func(g *Grouping) { g.groups[2] = []model.SwitchID{4, 4} }, "group G2 lists S4 after S4"},
+		// The duplicate and the orphan keep the member count equal to
+		// the index's size: only the order check finds this one.
+		{"duplicate and orphan", 3, func(g *Grouping) { g.groups[1] = []model.SwitchID{1, 2, 2} }, "group G1 lists S2 after S2"},
+		{"index entry with no member", 3, func(g *Grouping) { g.assign[9] = 2 }, "index has 5 entries, groups have 4 members"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGrouping()
+			g.AddGroup([]model.SwitchID{3, 1, 2})
+			g.AddGroup([]model.SwitchID{4})
+			tc.brk(g)
+			err := g.Validate(tc.limit)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Validate: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -116,9 +116,9 @@ func TestMaterializeMatchesStream(t *testing.T) {
 
 // intensityEqual compares two intensity matrices for byte identity:
 // the same switches in the same registration order, which groupings
-// see, and bit-identical weights. Both sides are cloned first: Decay
-// leaves empty neighbor lists that Clone turns into nil, and DeepEqual
-// tells the two apart.
+// see, and bit-identical weights. Both sides are cloned first: a clone's
+// copy-on-write flag is set whatever its source's was, and DeepEqual
+// reads the flag.
 func intensityEqual(t *testing.T, a, b *grouping.Intensity) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Clone(), b.Clone()) {
