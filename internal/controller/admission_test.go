@@ -86,15 +86,15 @@ func ctrlSnapshot(c *Controller) string {
 	fmt.Fprintf(&b, "%+v\ngen=%d standby=%v gv=%d takeovers=%d rebuild=%v repush=%v peer=%v/%v/%v/%d\n",
 		st, c.generation, c.isStandby, c.groupingVersion, len(c.takeovers), c.rebuildPending, c.awaitingRepush,
 		c.peerLastKA, c.peerSeen, c.peerSynced, c.standbySeq)
-	fmt.Fprintf(&b, "requests=%d learned=%v pending=%d detector=%d intensity=%d/%v\n",
-		c.reqWindowCount, c.state.learned, c.state.pendingLen(), c.detector.Pending(),
+	fmt.Fprintf(&b, "requests=%d learned=%v pending=%d suspects=%d intensity=%d/%v\n",
+		c.reqWindowCount, c.state.learned, c.state.pendingLen(), c.suspects(),
 		c.intensity.NumSwitches(), c.intensity.Total())
 	for _, sw := range c.cfg.Switches {
 		rec := c.sw[sw]
 		v, built := rec.filter.Version()
-		fmt.Fprintf(&b, "S%v group=%v hosts=%v/%d dead=%v ack=%v/%v push=%v cfg=%x filters=%v filter=%d/%v\n",
+		fmt.Fprintf(&b, "S%v group=%v hosts=%v/%d dead=%v ack=%v/%v suspect=%+v/%v/%v push=%v cfg=%x filters=%v filter=%d/%v\n",
 			sw, c.grp.GroupOf(sw), c.clib.EntriesOn(sw), c.clib.VersionOn(sw), rec.dead, rec.lastAck, rec.acked,
-			rec.push != nil, rec.pushedCfg, rec.pushedFilters, v, built)
+			rec.suspect, rec.suspectedAt, rec.suspected, rec.push != nil, rec.pushedCfg, rec.pushedFilters, v, built)
 	}
 	return b.String()
 }
@@ -288,7 +288,7 @@ func TestLivenessOnlyFromItsSwitch(t *testing.T) {
 // TestFailureEvidenceOnlyFromObserver pins read-found bug 21: a
 // FailureReport whose Observer is not its sender was taken as
 // evidence, and so was one naming a Suspect outside Config.Switches,
-// which grew the detector's evidence for a switch that does not exist.
+// which grew the evidence table by a switch that does not exist.
 func TestFailureEvidenceOnlyFromObserver(t *testing.T) {
 	c, _ := admitController(t, master)
 	c.HandleMessage(5, &openflow.FailureReport{Observer: 6, Suspect: 7, Direction: openflow.LossUp})
@@ -296,11 +296,11 @@ func TestFailureEvidenceOnlyFromObserver(t *testing.T) {
 	if got := c.Stats().FailuresSeen; got != 0 {
 		t.Errorf("FailuresSeen = %d, want 0", got)
 	}
-	if got := c.detector.Pending(); got != 0 {
-		t.Errorf("detector holds evidence against %d suspects, want 0", got)
+	if got := c.suspects(); got != 0 {
+		t.Errorf("evidence open against %d suspects, want 0", got)
 	}
 	c.HandleMessage(6, &openflow.FailureReport{Observer: 6, Suspect: 7, Direction: openflow.LossUp})
-	if got := c.detector.Pending(); got != 1 {
+	if got := c.suspects(); got != 1 {
 		t.Errorf("S6's own report: evidence against %d suspects, want 1", got)
 	}
 }
@@ -338,16 +338,16 @@ func hostileCtrlMessages(from model.SwitchID) []openflow.Message {
 }
 
 // checkCtrlBounds asserts no per-switch table grew past
-// Config.Switches: the switch records, the detector's evidence (the
-// hostile inputs accuse only switches that do not exist), the C-LIB
-// and the intensity matrix.
+// Config.Switches — the switch records, the C-LIB and the intensity
+// matrix — and that no record holds failure evidence: the hostile
+// inputs accuse only switches that do not exist.
 func checkCtrlBounds(t *testing.T, c *Controller) {
 	t.Helper()
 	if len(c.sw) != 16 {
 		t.Errorf("%d switch records, want 16", len(c.sw))
 	}
-	if got := c.detector.Pending(); got != 0 {
-		t.Errorf("detector holds evidence against %d suspects", got)
+	if got := c.suspects(); got != 0 {
+		t.Errorf("evidence open against %d suspects", got)
 	}
 	if sw, ok := c.clib.Locate(model.HostMAC(777)); ok && c.sw[sw] == nil {
 		t.Errorf("C-LIB places host 777 on %v", sw)
@@ -397,7 +397,7 @@ func FuzzHandleMessage(f *testing.F) {
 		c, _ := admitController(t, replicaRole(sender/64%3))
 		from := hostileCtrlSenders[int(sender)%len(hostileCtrlSenders)]
 		if fr, ok := msg.(*openflow.FailureReport); ok && c.sw[fr.Suspect] != nil {
-			return // evidence against a configured switch is the detector's input
+			return // evidence against a configured switch is the failover input
 		}
 		c.HandleMessage(from, msg)
 		checkCtrlBounds(t, c)

@@ -231,9 +231,8 @@ type Controller struct {
 	// sw holds one record per configured switch (see switchRecord).
 	sw map[model.SwitchID]*switchRecord
 
-	// Failover.
-	detector *failover.Detector
-	kaSeq    uint64
+	// kaSeq numbers the keep-alive rounds.
+	kaSeq uint64
 
 	// pushing guards against a push-retry timer firing inside the push
 	// round that armed it (possible only under an env whose After runs
@@ -281,6 +280,13 @@ type switchRecord struct {
 	lastAck time.Duration
 	acked   bool
 	dead    bool
+	// suspect is the Table I evidence against the switch, open since
+	// suspectedAt while suspected: which of its keep-alive streams went
+	// silent. checkFailures closes it into a diagnosis once its window
+	// has passed, and proof of life drops it.
+	suspect     failover.Evidence
+	suspectedAt time.Duration
+	suspected   bool
 	// push is the retry state of the last GroupConfig sent to the
 	// switch, nil once its ConfigAck arrived; pushSpan is that push's
 	// open telemetry span (see trace.go).
@@ -396,7 +402,6 @@ func New(cfg Config, env netsim.Env) (*Controller, error) {
 		tenants:    make(map[model.VLAN]model.TenantID),
 		state:      newHotState(),
 		sw:         records,
-		detector:   failover.NewDetector(3 * c.KeepAliveInterval),
 		posts:      netsim.NewDeferred(env, 0, sender.send),
 
 		forwardings: netsim.BlockFor[forwarding](env),
@@ -551,7 +556,7 @@ func (c *Controller) pushGroupConfigs(kickDesignated bool) int {
 	for _, gid := range c.grp.GroupIDs() {
 		members := c.grp.Members(gid)
 		wheel := failover.BuildWheel(members)
-		designated := c.chooseDesignated(members)
+		designated := c.designatedIf(wheel, model.NoSwitch)
 		var backups []model.SwitchID
 		if len(members) > 1 {
 			for _, m := range members {
@@ -854,14 +859,13 @@ func configFingerprint(m *openflow.GroupConfig) uint64 {
 // deterministic choice here is the live member with the smallest
 // management MAC.
 func (c *Controller) chooseDesignated(members []model.SwitchID) model.SwitchID {
-	return c.designatedIf(members, model.NoSwitch)
+	return c.designatedIf(failover.BuildWheel(members), model.NoSwitch)
 }
 
-// designatedIf is chooseDesignated with one switch counted as live
-// whatever its dead mark says: the choice as it stood before that
-// switch was diagnosed.
-func (c *Controller) designatedIf(members []model.SwitchID, live model.SwitchID) model.SwitchID {
-	wheel := failover.BuildWheel(members)
+// designatedIf is chooseDesignated over the group's wheel, with one
+// switch counted as live whatever its dead mark says: the choice as it
+// stood before that switch was diagnosed.
+func (c *Controller) designatedIf(wheel []model.SwitchID, live model.SwitchID) model.SwitchID {
 	for _, m := range wheel {
 		if m == live || !c.IsDead(m) {
 			return m

@@ -40,8 +40,8 @@ func (c *Controller) KACreditedThrough() time.Duration {
 // kaQuiet proves upcoming keep-alive rounds creditable: the underlay
 // is fault-free (every probe reaches its switch and every ack returns),
 // no switch is marked dead (dead switches are probed on a different
-// cadence), and the failure detector holds no open evidence whose
-// diagnosis window a folded check round would have closed.
+// cadence), and no switch has open evidence whose diagnosis window a
+// folded check round would have closed.
 func (c *Controller) kaQuiet() int {
 	if !c.cfg.FoldGate() {
 		return 0
@@ -54,11 +54,8 @@ func (c *Controller) kaQuiet() int {
 	if c.cfg.Peer != 0 {
 		return 0
 	}
-	if c.detector.Pending() > 0 {
-		return 0
-	}
 	for _, rec := range c.sw {
-		if rec.dead {
+		if rec.dead || rec.suspected {
 			return 0
 		}
 	}

@@ -1,8 +1,8 @@
 package controller
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"lazyctrl/internal/failover"
@@ -41,7 +41,7 @@ func (c *Controller) HandleMessage(from model.SwitchID, msg netsim.Message) {
 		// traffic-driven workload.
 		c.record(metrics.ReqKeepAlive, 1)
 		c.stats.FailuresSeen++
-		c.detector.Observe(m, c.env.Now())
+		c.sw[m.Suspect].observeLoss(m.Direction, c.env.Now())
 		// Open evidence needs real check rounds to close its window.
 		wakeTask(c.kaTask)
 	case *openflow.KeepAlive:
@@ -620,7 +620,7 @@ func (c *Controller) sendKeepAlives() {
 func (c *Controller) proofOfLife(sw model.SwitchID) {
 	rec := c.sw[sw]
 	rec.lastAck, rec.acked = c.env.Now(), true
-	c.detector.Clear(sw)
+	rec.suspect, rec.suspected = failover.Evidence{}, false
 	if rec.dead {
 		c.stats.Resurrections++
 		c.revive(sw, rec)
@@ -641,8 +641,24 @@ func (c *Controller) revive(sw model.SwitchID, rec *switchRecord) {
 	c.pushGroupConfigs(false)
 }
 
-// checkFailures folds missing acks into the detector and acts on closed
-// diagnoses (§III-E2/3).
+// observeLoss opens, or extends, the Table I evidence against a
+// switch: the stream d names went silent, seen at now.
+func (rec *switchRecord) observeLoss(d openflow.LossDirection, now time.Duration) {
+	if !rec.suspected {
+		rec.suspected, rec.suspectedAt = true, now
+	}
+	rec.suspect.Add(d)
+}
+
+// closedDiagnosis is a diagnosis whose evidence window has closed.
+type closedDiagnosis struct {
+	sw   model.SwitchID
+	diag failover.Diagnosis
+}
+
+// checkFailures folds missing acks into the switches' evidence, closes
+// the evidence whose window has passed, and acts on the diagnoses
+// (§III-E2/3).
 func (c *Controller) checkFailures() {
 	if c.isStandby {
 		// A standby receives no acks; running the check would diagnose
@@ -650,7 +666,10 @@ func (c *Controller) checkFailures() {
 		return
 	}
 	now := c.env.Now()
-	deadline := 3 * c.cfg.KeepAliveInterval
+	// Three keep-alive intervals are both the ack deadline — a switch
+	// that silent has lost its controller stream — and how long
+	// evidence gathers before Table I reads it.
+	window := 3 * c.cfg.KeepAliveInterval
 	// Folded probe rounds were credited only while the underlay was
 	// fault-free, so their acks are implicitly received through the
 	// credited boundary; a switch that went silent under a fault is
@@ -672,33 +691,49 @@ func (c *Controller) checkFailures() {
 		if credited > last {
 			last = credited
 		}
-		if now-last >= deadline {
+		if now-last >= window {
 			c.stats.KeepAliveLost++
-			c.detector.ObserveCtrlLoss(sw, now)
+			rec.observeLoss(openflow.LossCtrl, now)
 			// The control link to this switch is dropping messages, so
 			// the per-destination push tracking can no longer assume
 			// send == delivered.
 			c.forgetPushed(sw)
 		}
 	}
-	// Act in sorted switch order: recovery emits messages (evictions,
-	// flow-mod reroutes), and acting in map-iteration order would make
-	// the emission order — and so the whole downstream delivery
-	// schedule — differ run to run.
-	ready := c.detector.Ready(now)
-	suspects := make([]model.SwitchID, 0, len(ready))
-	for suspect := range ready {
-		suspects = append(suspects, suspect)
+	// Close every diagnosis before acting on any, so recovery that
+	// reaches back into the records (the OnDiagnosis hook, an env that
+	// delivers synchronously) cannot change what closes this round.
+	// Dead switches close too: their neighbours still report them.
+	var closed []closedDiagnosis
+	for _, sw := range c.cfg.Switches {
+		rec := c.sw[sw]
+		if !rec.suspected || now-rec.suspectedAt < window {
+			continue
+		}
+		diag := failover.Infer(rec.suspect)
+		if diag == failover.DiagInconclusive {
+			// Two of three streams lost: most consistent with a switch
+			// failure whose third report is delayed; wait one more
+			// window, then call it a switch failure.
+			if now-rec.suspectedAt < 2*window {
+				continue
+			}
+			diag = failover.DiagSwitch
+		}
+		rec.suspect, rec.suspected = failover.Evidence{}, false
+		closed = append(closed, closedDiagnosis{sw, diag})
 	}
-	sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
-	for _, suspect := range suspects {
-		c.actOnDiagnosis(suspect, ready[suspect])
+	// Act in ascending switch order: recovery emits messages (evictions,
+	// flow-mod reroutes), so the order of Config.Switches would leak
+	// into the whole downstream delivery schedule.
+	slices.SortFunc(closed, func(a, b closedDiagnosis) int { return cmp.Compare(a.sw, b.sw) })
+	for _, d := range closed {
+		c.actOnDiagnosis(d.sw, d.diag)
 	}
 }
 
-// actOnDiagnosis performs the control-plane side of recovery. The
-// detector holds evidence only about configured switches: admit takes
-// a FailureReport only for one, and the ack check walks Config.Switches.
+// actOnDiagnosis performs the control-plane side of recovery. Evidence
+// lives in the switch records, so every suspect is a configured switch.
 func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagnosis) {
 	rec := c.sw[suspect]
 	switch diag {
@@ -747,7 +782,7 @@ func (c *Controller) actOnDiagnosis(suspect model.SwitchID, diag failover.Diagno
 		}
 		// If the failed switch was its group's designated switch, select
 		// a replacement and re-push the group view (§III-E3).
-		if gid != model.NoGroup && c.designatedIf(c.grp.Members(gid), suspect) == suspect {
+		if gid != model.NoGroup && c.designatedIf(failover.BuildWheel(c.grp.Members(gid)), suspect) == suspect {
 			c.repush(true)
 		}
 	case failover.DiagPeerLinkUp, failover.DiagPeerLinkDown:

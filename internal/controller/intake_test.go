@@ -413,7 +413,7 @@ func TestLFIBAnswerCreditsKeepalive(t *testing.T) {
 	if got := c.Stats().KeepAliveLost; got != 0 {
 		t.Errorf("chatty switch suspected: KeepAliveLost = %d", got)
 	}
-	if c.detector.Pending() != 0 {
+	if c.suspects() != 0 {
 		t.Error("failure evidence accumulated against the answering switch")
 	}
 	if c.IsDead(1) {

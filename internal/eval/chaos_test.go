@@ -140,7 +140,12 @@ func TestChaosSoakRandomized(t *testing.T) {
 // and reports the recovery-round count and total degradation window
 // as extra metrics alongside the usual time/allocs (gated in
 // cmd/bench: the rounds metric regressing means the repair paths got
-// slower in protocol rounds, not just wall time).
+// slower in protocol rounds, not just wall time). Of its ≈ 4,830
+// allocs/op, counted by the first package of the allocating stack
+// inside RunEmulation: the edge switches make 24 %, the chaos checker
+// 21 %, fib (G-FIB, C-LIB, peer filters) 17 %, netsim 10 %, the
+// controller 9 %, sim 6 %, bloom 4 %, grouping 3 % and eval 3 %;
+// failover's wheels are 0.5 %.
 func BenchmarkConvergence(b *testing.B) {
 	tr := smallTrace(b, 1)
 	b.ReportAllocs()
@@ -407,7 +412,11 @@ func TestChaosFailoverSoakRandomized(t *testing.T) {
 // detection, generation-fenced takeover, residue rebuild, re-push, and
 // the healed old master's demotion — and reports the takeover length
 // in protocol rounds and the fabric's degraded window as extra metrics
-// (gated in cmd/bench alongside the wall-time/alloc gates).
+// (gated in cmd/bench alongside the wall-time/alloc gates). Of its
+// ≈ 7,710 allocs/op, counted as in BenchmarkConvergence: the two
+// controllers make 25 %, the edge switches 20 %, fib 15 %, the chaos
+// checker 13 %, netsim 10 %, sim 6 %, grouping 3 % and bloom 3 %;
+// failover's wheels are 1.5 %.
 func BenchmarkFailover(b *testing.B) {
 	tr := smallTrace(b, 1)
 	plan := FailoverPlans(30 * time.Minute)[0]

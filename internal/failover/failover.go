@@ -1,13 +1,13 @@
-// Package failover implements the control-plane failure handling of
-// LazyCtrl (§III-E): the group-wide failure-detection wheel (a logical
-// ring ordered by management MAC with the controller at the center),
-// keep-alive miss bookkeeping, and the Table I inference that maps
-// observed keep-alive losses to a failure diagnosis.
+// Package failover holds the two pieces of LazyCtrl's failure handling
+// (§III-E) that are the paper's own: the group-wide failure-detection
+// wheel (a logical ring ordered by management MAC with the controller
+// at the center), and Table I, which maps the keep-alive streams that
+// went silent around a switch to a failure diagnosis. The controller
+// keeps the evidence against each switch in its per-switch record.
 package failover
 
 import (
 	"sort"
-	"time"
 
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
@@ -86,6 +86,18 @@ type Evidence struct {
 	LossCtrl bool
 }
 
+// Add marks the stream a loss direction names as silent.
+func (e *Evidence) Add(d openflow.LossDirection) {
+	switch d {
+	case openflow.LossUp:
+		e.LossUp = true
+	case openflow.LossDown:
+		e.LossDown = true
+	case openflow.LossCtrl:
+		e.LossCtrl = true
+	}
+}
+
 // Infer applies Table I.
 func Infer(e Evidence) Diagnosis {
 	switch {
@@ -103,86 +115,3 @@ func Infer(e Evidence) Diagnosis {
 		return DiagInconclusive
 	}
 }
-
-// Detector accumulates FailureReports at the controller and produces
-// diagnoses once the evidence window closes.
-type Detector struct {
-	window   time.Duration
-	evidence map[model.SwitchID]*suspectState
-}
-
-type suspectState struct {
-	e     Evidence
-	since time.Duration
-}
-
-// NewDetector returns a detector that diagnoses a suspect after
-// evidence has been accumulating for at least window.
-func NewDetector(window time.Duration) *Detector {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &Detector{
-		window:   window,
-		evidence: make(map[model.SwitchID]*suspectState),
-	}
-}
-
-// Observe folds in a failure report at time now.
-func (d *Detector) Observe(r *openflow.FailureReport, now time.Duration) {
-	st := d.evidence[r.Suspect]
-	if st == nil {
-		st = &suspectState{since: now}
-		d.evidence[r.Suspect] = st
-	}
-	switch r.Direction {
-	case openflow.LossUp:
-		st.e.LossUp = true
-	case openflow.LossDown:
-		st.e.LossDown = true
-	case openflow.LossCtrl:
-		st.e.LossCtrl = true
-	}
-}
-
-// ObserveCtrlLoss marks the controller's own missing keep-alive
-// acknowledgment for a switch.
-func (d *Detector) ObserveCtrlLoss(suspect model.SwitchID, now time.Duration) {
-	d.Observe(&openflow.FailureReport{Suspect: suspect, Direction: openflow.LossCtrl}, now)
-}
-
-// Clear drops accumulated evidence for a suspect (e.g. a keep-alive
-// arrived after all).
-func (d *Detector) Clear(suspect model.SwitchID) {
-	delete(d.evidence, suspect)
-}
-
-// Ready returns the diagnoses whose evidence windows have closed,
-// removing them from the detector. Inconclusive suspects whose window
-// closed are reported as DiagSwitch candidates only when evidence shows
-// two or more losses; a single stale loss is re-armed for another
-// window.
-func (d *Detector) Ready(now time.Duration) map[model.SwitchID]Diagnosis {
-	out := make(map[model.SwitchID]Diagnosis)
-	for suspect, st := range d.evidence {
-		if now-st.since < d.window {
-			continue
-		}
-		diag := Infer(st.e)
-		if diag == DiagInconclusive {
-			// Two of three streams lost: most consistent with a switch
-			// failure whose third report is delayed; wait one more
-			// window, then call it a switch failure.
-			if now-st.since < 2*d.window {
-				continue
-			}
-			diag = DiagSwitch
-		}
-		out[suspect] = diag
-		delete(d.evidence, suspect)
-	}
-	return out
-}
-
-// Pending reports the number of suspects under observation.
-func (d *Detector) Pending() int { return len(d.evidence) }

@@ -2,7 +2,6 @@ package failover
 
 import (
 	"testing"
-	"time"
 
 	"lazyctrl/internal/model"
 	"lazyctrl/internal/openflow"
@@ -59,53 +58,20 @@ func TestInferTableI(t *testing.T) {
 	}
 }
 
-func TestDetectorSingleLoss(t *testing.T) {
-	d := NewDetector(time.Second)
-	d.Observe(&openflow.FailureReport{Observer: 1, Suspect: 2, Direction: openflow.LossUp}, 0)
-	if got := d.Ready(500 * time.Millisecond); len(got) != 0 {
-		t.Errorf("Ready before window = %v", got)
+func TestEvidenceAdd(t *testing.T) {
+	var e Evidence
+	e.Add(openflow.LossUp)
+	if want := (Evidence{LossUp: true}); e != want {
+		t.Errorf("after LossUp: %+v, want %+v", e, want)
 	}
-	got := d.Ready(1100 * time.Millisecond)
-	if got[2] != DiagPeerLinkUp {
-		t.Errorf("Ready = %v, want suspect 2 → peer-link-up", got)
+	e.Add(openflow.LossCtrl)
+	e.Add(openflow.LossDirection(99)) // outside the protocol: no stream
+	if want := (Evidence{LossUp: true, LossCtrl: true}); e != want {
+		t.Errorf("after LossCtrl: %+v, want %+v", e, want)
 	}
-	if d.Pending() != 0 {
-		t.Errorf("Pending = %d after Ready", d.Pending())
-	}
-}
-
-func TestDetectorSwitchFailure(t *testing.T) {
-	d := NewDetector(time.Second)
-	d.Observe(&openflow.FailureReport{Observer: 1, Suspect: 2, Direction: openflow.LossUp}, 0)
-	d.Observe(&openflow.FailureReport{Observer: 3, Suspect: 2, Direction: openflow.LossDown}, 10*time.Millisecond)
-	d.ObserveCtrlLoss(2, 20*time.Millisecond)
-	got := d.Ready(1100 * time.Millisecond)
-	if got[2] != DiagSwitch {
-		t.Errorf("Ready = %v, want switch failure", got)
-	}
-}
-
-func TestDetectorInconclusiveEscalates(t *testing.T) {
-	d := NewDetector(time.Second)
-	d.Observe(&openflow.FailureReport{Observer: 1, Suspect: 2, Direction: openflow.LossUp}, 0)
-	d.Observe(&openflow.FailureReport{Observer: 3, Suspect: 2, Direction: openflow.LossDown}, 0)
-	// Two of three: waits out a second window…
-	if got := d.Ready(1100 * time.Millisecond); len(got) != 0 {
-		t.Errorf("inconclusive diagnosed early: %v", got)
-	}
-	// …then escalates to switch failure.
-	got := d.Ready(2100 * time.Millisecond)
-	if got[2] != DiagSwitch {
-		t.Errorf("Ready = %v, want escalated switch failure", got)
-	}
-}
-
-func TestDetectorClear(t *testing.T) {
-	d := NewDetector(time.Second)
-	d.Observe(&openflow.FailureReport{Observer: 1, Suspect: 2, Direction: openflow.LossUp}, 0)
-	d.Clear(2)
-	if got := d.Ready(5 * time.Second); len(got) != 0 {
-		t.Errorf("cleared suspect diagnosed: %v", got)
+	e.Add(openflow.LossDown)
+	if Infer(e) != DiagSwitch {
+		t.Errorf("all three streams: %v, want switch", Infer(e))
 	}
 }
 
